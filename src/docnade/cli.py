@@ -470,7 +470,8 @@ def _add_train_flags(sub, with_grid: bool = False):
     sub.add_argument("--batch-size", dest="batch_size", type=int, default=1)
     sub.add_argument("--head", choices=("softmax", "sigmoid"), default="softmax")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="threads per mini-batch (shallow models only)")
     sub.add_argument("--split-mode", dest="split_mode", choices=("prefix", "per-word"),
                      default="prefix")
     sub.add_argument("--regions", type=int, default=None,

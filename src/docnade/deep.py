@@ -88,9 +88,6 @@ class DeepParams:
             self.d.copy(),
         )
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.arrays()}
-
 
 @dataclass
 class HistogramSplit:
@@ -169,21 +166,30 @@ def deep_forward(
     features: np.ndarray | None = None,
     masks: list[np.ndarray] | None = None,
     keep_scale: float | None = None,
+    cols: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Hidden stack h^(1)..h^(N); returns (activations, pre-activations).
+
+    `x` is one input histogram, or a (rows, width) matrix of them; then
+    `features` and the masks carry one row per input row too.  With `cols`,
+    the inputs are zero outside those vocabulary columns and `x` holds only
+    those columns, so the first layer reads W1[:, cols] alone.
 
     During training, per-layer binary dropout masks multiply the
     activations; at inference `keep_scale` multiplies them instead
     (weight-scaling rule).
     """
-    if len(x) != params.vocab_size:
-        raise ValueError(f"input length {len(x)} != vocabulary size {params.vocab_size}")
+    width = params.vocab_size if cols is None else len(cols)
+    if x.shape[-1] != width:
+        raise ValueError(f"input length {x.shape[-1]} != vocabulary size {width}")
     if masks is not None and keep_scale is not None:
         raise ValueError("masks and keep_scale are mutually exclusive")
     hs, pres = [], []
     inp = x
     for n, (w, c) in enumerate(zip(params.layer_weights, params.layer_biases)):
-        pre = c + w @ inp
+        if n == 0 and cols is not None:
+            w = w[:, cols]
+        pre = c + (w @ inp if inp.ndim == 1 else inp @ w.T)
         if n == 0 and features is not None:
             if params.P is None:
                 raise ValueError("model has no global-feature map")
@@ -200,97 +206,203 @@ def deep_forward(
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Log-softmax over the last axis (each row of a matrix separately)."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def generative_loss(
     h_top: np.ndarray,
     output_hist: np.ndarray,
     phi: np.ndarray | None,
-    d: int,
-    total_tokens: int,
+    d: int | np.ndarray,
+    total_tokens: int | np.ndarray,
     params: DeepParams,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float | np.ndarray, dict[str, np.ndarray]]:
     """Rescaled weighted cross-entropy of the predicted-side histogram.
 
     One log-softmax over the vocabulary serves every predicted token, so the
     cost is O(Q * H) regardless of how many tokens are predicted.  Returns
     the loss and output-layer gradients {V_out, b_out, h} (h is the gradient
     w.r.t. h_top, to be backpropagated by the caller).
+
+    For a (rows, H) matrix `h_top`, `output_hist` is (rows, Q) and `d` and
+    `total_tokens` are per-row arrays: the softmax runs as one matrix
+    product, the loss is per row and the V_out/b_out gradients are summed
+    over the rows.
     """
-    z = params.b_out + params.V_out @ h_top
-    log_probs = _log_softmax(z)
-    targets = output_hist * phi if phi is not None else output_hist.astype(float)
-    factor = total_tokens / (total_tokens - d + 1)
-    loss = factor * float(-(targets @ log_probs))
-    d_logits = factor * (targets.sum() * np.exp(log_probs) - targets)
-    return loss, {
-        "V_out": np.outer(d_logits, h_top),
-        "b_out": d_logits,
-        "h": params.V_out.T @ d_logits,
-    }
+    single = h_top.ndim == 1
+    h = np.atleast_2d(h_top)
+    hist = np.atleast_2d(output_hist)
+    log_probs = _log_softmax(params.b_out + h @ params.V_out.T)
+    targets = hist * phi if phi is not None else hist.astype(float)
+    factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
+    loss = factor[:, 0] * -np.einsum("ij,ij->i", targets, log_probs)
+    d_logits = factor * (targets.sum(axis=1, keepdims=True) * np.exp(log_probs) - targets)
+    grads = {"V_out": d_logits.T @ h, "b_out": d_logits.sum(axis=0), "h": d_logits @ params.V_out}
+    if single:
+        return float(loss[0]), {**grads, "h": grads["h"][0]}
+    return loss, grads
 
 
 def supervised_loss(
     h_top: np.ndarray,
-    labels: frozenset[int] | set[int],
+    labels: frozenset[int] | set[int] | list[frozenset[int]],
     params: DeepParams,
     head: str,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float | np.ndarray, dict[str, np.ndarray]]:
     """Class-head loss and gradients {U, d, h}.
 
     softmax: -log p(y | h) for the single label y.
     sigmoid: per-class binary cross-entropy against the label set.
+
+    For a (rows, H) matrix `h_top`, `labels` holds one label set per row, the
+    loss is per row and the U/d gradients are summed over the rows.
     """
     if head not in HEADS:
         raise ValueError(f"unknown head {head!r}")
-    z = params.d + params.U @ h_top
+    single = h_top.ndim == 1
+    label_sets = [labels] if single else labels
+    if head == "softmax" and any(len(label_set) != 1 for label_set in label_sets):
+        raise ValueError("softmax head requires exactly one label")
+    h = np.atleast_2d(h_top)
+    z = params.d + h @ params.U.T
+    target = np.zeros_like(z)
+    for row, label_set in enumerate(label_sets):
+        target[row, sorted(label_set)] = 1.0
     if head == "softmax":
-        if len(labels) != 1:
-            raise ValueError("softmax head requires exactly one label")
-        (label,) = labels
         log_post = _log_softmax(z)
-        loss = -float(log_post[label])
-        d_logits = np.exp(log_post)
-        d_logits[label] -= 1.0
+        loss = -log_post[target == 1.0]
+        d_logits = np.exp(log_post) - target
     else:
-        target = np.zeros(params.n_classes)
-        target[sorted(labels)] = 1.0
         # -t*log(sig(z)) - (1-t)*log(1-sig(z)), computed stably
-        loss = float((target * np.logaddexp(0.0, -z) + (1 - target) * np.logaddexp(0.0, z)).sum())
+        loss = (target * np.logaddexp(0.0, -z) + (1 - target) * np.logaddexp(0.0, z)).sum(axis=1)
         d_logits = np.exp(-np.logaddexp(0.0, -z)) - target
-    return loss, {
-        "U": np.outer(d_logits, h_top),
-        "d": d_logits,
-        "h": params.U.T @ d_logits,
-    }
+    grads = {"U": d_logits.T @ h, "d": d_logits.sum(axis=0), "h": d_logits @ params.U}
+    if single:
+        return float(loss[0]), {**grads, "h": grads["h"][0]}
+    return loss, grads
 
 
-def _backprop_layers(
-    d_top: np.ndarray,
-    x: np.ndarray,
-    features: np.ndarray | None,
-    hs: list[np.ndarray],
-    pres: list[np.ndarray],
-    masks: list[np.ndarray] | None,
+def _sparse_inputs(
+    raw: np.ndarray,
+    cols: np.ndarray,
+    vocab_size: int,
+    omega: np.ndarray | None,
+    normalize: bool,
+) -> np.ndarray:
+    """`prepare_histogram` for rows that are zero outside `cols`, given on
+    those columns only.
+
+    The unit-variance rescale is taken over all Q entries: the mean and the
+    variance come from the kept columns plus Q - len(cols) zeros.
+    """
+    x = raw.astype(float)
+    if omega is not None:
+        x = x * omega[cols]
+    if normalize:
+        mean = x.sum(axis=1, keepdims=True) / vocab_size
+        squares = ((x - mean) ** 2).sum(axis=1, keepdims=True)
+        std = np.sqrt((squares + (vocab_size - len(cols)) * mean**2) / vocab_size)
+        np.divide(x, std, out=x, where=std >= _STD_GUARD)  # zero rows pass through unscaled
+    return x
+
+
+def _stack_rows(rows: list, sizes) -> list[np.ndarray] | None:
+    """Per-layer (rows, H_n) matrices from per-row lists of vectors; a None
+    row stands for ones, and all-None rows for no matrices at all."""
+    if all(row is None for row in rows):
+        return None
+    return [
+        np.stack([np.ones(size) if row is None else row[n] for row in rows])
+        for n, size in enumerate(sizes)
+    ]
+
+
+def batch_loss_gradients(
+    counts: np.ndarray,
+    labels: list[frozenset[int] | None],
+    features: list[np.ndarray | None],
     params: DeepParams,
-    grads: dict[str, np.ndarray],
-    weight: float = 1.0,
-) -> None:
-    """Accumulate layer gradients for d loss / d h_top flowing down the stack."""
-    delta = d_top * weight
+    unsup_weight: float,
+    omega: np.ndarray | None,
+    phi: np.ndarray | None,
+    splits: list[HistogramSplit | None],
+    gen_masks: list[list[np.ndarray] | None],
+    sup_masks: list[list[np.ndarray] | None],
+    head: str = "softmax",
+    normalize: bool = True,
+) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+    """Deterministic core of one mini-batch update (stochasticity passed in).
+
+    `counts` holds the batch's documents as (B, Q) count rows; the other
+    list arguments hold one entry per document.  Each labelled document
+    contributes a supervised row (its full histogram); each document with a
+    split contributes a generative row (the split's observed side, scored
+    against its predicted side and weighted by `unsup_weight`).  All rows
+    go through the network together: the first layer reads only the union
+    of the batch's nonzero columns, and every other layer, the class head
+    and the output softmax run as matrix products over the rows.
+
+    Returns (per-document losses, gradients summed over the batch, cols).
+    grads["W1"] is the (H1, len(cols)) block of the W1 gradient on columns
+    `cols`, outside which it is zero; every other gradient is dense.
+    """
+    cols = np.flatnonzero(counts.any(axis=0))
+    sup = [i for i, label_set in enumerate(labels) if label_set is not None]
+    gen = [i for i, split in enumerate(splits) if split is not None and unsup_weight != 0.0]
+    n_sup = len(sup)
+    grads = {
+        name: np.zeros((len(arr), len(cols))) if name == "W1" else np.zeros_like(arr)
+        for name, arr in params.arrays()
+    }
+    losses = np.zeros(len(counts))
+    if not sup and not gen:
+        return losses, grads, cols
+
+    raw = np.stack([counts[i, cols] for i in sup] + [splits[i].input_hist[cols] for i in gen])
+    x = _sparse_inputs(raw, cols, params.vocab_size, omega, normalize)
+    row_features = [features[i] for i in sup + gen]
+    feats = None
+    if any(f is not None for f in row_features):  # a document without features adds 0 @ P
+        feats = np.stack([np.zeros(params.n_features) if f is None else f for f in row_features])
+    masks = _stack_rows([sup_masks[i] for i in sup] + [gen_masks[i] for i in gen],
+                        params.hidden_sizes)
+    hs, pres = deep_forward(x, params, feats, masks=masks, cols=cols)
+
+    d_top = np.zeros_like(hs[-1])
+    if sup:
+        sup_loss, head_grads = supervised_loss(hs[-1][:n_sup], [labels[i] for i in sup],
+                                               params, head)
+        losses[sup] += sup_loss
+        grads["U"], grads["d"] = head_grads["U"], head_grads["d"]
+        d_top[:n_sup] = head_grads["h"]
+    if gen:
+        gen_loss, out_grads = generative_loss(
+            hs[-1][n_sup:],
+            np.stack([splits[i].output_hist for i in gen]),
+            phi,
+            np.array([splits[i].d for i in gen]),
+            np.array([splits[i].total_tokens for i in gen]),
+            params,
+        )
+        losses[gen] += unsup_weight * gen_loss
+        grads["V_out"] = unsup_weight * out_grads["V_out"]
+        grads["b_out"] = unsup_weight * out_grads["b_out"]
+        d_top[n_sup:] = unsup_weight * out_grads["h"]
+
+    delta = d_top
     for n in range(params.n_layers, 0, -1):
         if masks is not None:
             delta = delta * masks[n - 1]
         delta = delta * (pres[n - 1] > 0)
-        grads[f"c{n}"] += delta
-        below = hs[n - 2] if n > 1 else x
-        grads[f"W{n}"] += np.outer(delta, below)
+        grads[f"c{n}"] = delta.sum(axis=0)
+        grads[f"W{n}"] = delta.T @ (hs[n - 2] if n > 1 else x)
         if n > 1:
-            delta = params.layer_weights[n - 1].T @ delta
-        elif features is not None and params.P is not None:
-            grads["P"] += np.outer(features, delta)
+            delta = delta @ params.layer_weights[n - 1]
+        elif feats is not None:
+            grads["P"] = feats.T @ delta
+    return losses, grads, cols
 
 
 def hybrid_loss_gradients(
@@ -307,39 +419,22 @@ def hybrid_loss_gradients(
     head: str = "softmax",
     normalize: bool = True,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Deterministic core of one training update (stochasticity passed in).
+    """Loss and dense gradients of one document's update: the batch-of-one
+    case of `batch_loss_gradients`.
 
     The supervised term conditions on the full document histogram; the
     generative term on the split's observed side, scored against its
     predicted side and weighted by `unsup_weight`.  Gradients of both paths
     accumulate into shared layer parameters.
     """
-    grads = params.zero_grads()
-    loss = 0.0
-
-    if labels is not None:
-        x_full = prepare_histogram(counts, omega, normalize)
-        hs, pres = deep_forward(x_full, params, features, masks=sup_masks)
-        sup, head_grads = supervised_loss(hs[-1], labels, params, head)
-        loss += sup
-        grads["U"] += head_grads["U"]
-        grads["d"] += head_grads["d"]
-        _backprop_layers(head_grads["h"], x_full, features, hs, pres, sup_masks, params, grads)
-
-    if split is not None and unsup_weight != 0.0:
-        x_in = prepare_histogram(split.input_hist, omega, normalize)
-        hs, pres = deep_forward(x_in, params, features, masks=gen_masks)
-        gen, out_grads = generative_loss(
-            hs[-1], split.output_hist, phi, split.d, split.total_tokens, params
-        )
-        loss += unsup_weight * gen
-        grads["V_out"] += unsup_weight * out_grads["V_out"]
-        grads["b_out"] += unsup_weight * out_grads["b_out"]
-        _backprop_layers(
-            out_grads["h"], x_in, features, hs, pres, gen_masks, params, grads,
-            weight=unsup_weight,
-        )
-    return loss, grads
+    losses, grads, cols = batch_loss_gradients(
+        np.asarray(counts)[None], [labels], [features], params, unsup_weight, omega, phi,
+        [split], [gen_masks], [sup_masks], head=head, normalize=normalize,
+    )
+    w1 = np.zeros_like(params.layer_weights[0])
+    w1[:, cols] = grads["W1"]
+    grads["W1"] = w1
+    return float(losses[0]), grads
 
 
 def hybrid_gradients(

@@ -64,10 +64,8 @@ class ModelMeta:
         return cls(**data)
 
 
-def _pack_arrays(arrays: list[tuple[str, np.ndarray]]) -> tuple[list, bytes]:
-    manifest = [[name, list(arr.shape)] for name, arr in arrays]
-    blob = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays)
-    return manifest, blob
+def _manifest(arrays: list[tuple[str, np.ndarray]]) -> list:
+    return [[name, list(arr.shape)] for name, arr in arrays]
 
 
 def _unpack_arrays(manifest: list, blob: bytes) -> dict[str, np.ndarray]:
@@ -98,16 +96,20 @@ def _params_from_arrays(meta: ModelMeta, arrays: dict[str, np.ndarray]):
     )
 
 
-def _write_container(path, header: dict, blobs: list[bytes]) -> None:
+def _write_container(path, header: dict, blocks: list[list[tuple[str, np.ndarray]]]) -> None:
+    """Each block of arrays is written as one length-prefixed blob: the
+    arrays as little-endian float64, concatenated in order, each written
+    straight from its own buffer."""
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
+        for arrays in blocks:
+            fh.write(struct.pack("<Q", 8 * sum(arr.size for _, arr in arrays)))
+            for _, arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def _read_container(path) -> tuple[dict, list[bytes]]:
@@ -131,9 +133,9 @@ def _read_container(path) -> tuple[dict, list[bytes]]:
 
 
 def save_model(path, params, meta: ModelMeta) -> None:
-    manifest, blob = _pack_arrays(params.arrays())
-    header = {"meta": meta.to_json(), "manifest": manifest}
-    _write_container(path, header, [blob])
+    arrays = params.arrays()
+    header = {"meta": meta.to_json(), "manifest": _manifest(arrays)}
+    _write_container(path, header, [arrays])
 
 
 def load_model(path) -> tuple[Any, ModelMeta]:
@@ -144,14 +146,13 @@ def load_model(path) -> tuple[Any, ModelMeta]:
 
 
 def save_checkpoint(path, params, averaged, meta: ModelMeta, epoch: int, rng_states: dict) -> None:
-    manifest, blob = _pack_arrays(params.arrays())
-    _, avg_blob = _pack_arrays(averaged.arrays())
+    arrays = params.arrays()
     header = {
         "meta": meta.to_json(),
-        "manifest": manifest,
+        "manifest": _manifest(arrays),
         "state": {"epoch": epoch, "rng_states": rng_states},
     }
-    _write_container(path, header, [blob, avg_blob])
+    _write_container(path, header, [arrays, averaged.arrays()])
 
 
 def load_checkpoint(path) -> tuple[Any, Any, ModelMeta, int, dict]:

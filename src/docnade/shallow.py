@@ -147,8 +147,12 @@ def _gradient_core(
     tree: WordTree,
     unsup_weight: float,
     label: int | None,
+    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact gradients of the (hybrid) objective for one document.
+
+    `out`, a gradient dict returned by an earlier call, is zeroed and
+    reused instead of allocating fresh dense gradients.
 
     The generative part follows the reverse-order backward recurrence: path
     gradients produce per-position dh_i, and the running accumulator that
@@ -158,7 +162,12 @@ def _gradient_core(
     bias receives every masked dh_i plus the class-head term.
     """
     n_tokens = len(tokens)
-    grads = params.zero_grads()
+    if out is None:
+        grads = params.zero_grads()
+    else:
+        grads = out
+        for arr in grads.values():
+            arr.fill(0.0)
     loss = 0.0
 
     pre = _preactivations(tokens, params)
@@ -210,20 +219,24 @@ def supdocnade_gradients(
     params: ShallowParams,
     tree: WordTree,
     unsup_weight: float,
+    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Exact gradients of -log p(y|v) - unsup_weight * log p(v)."""
     if not (0 <= label < params.n_classes):
         raise ValueError(f"label {label} out of range")
     tokens = np.asarray(tokens, dtype=np.int64)
-    return _gradient_core(tokens, params, tree, unsup_weight, label)
+    return _gradient_core(tokens, params, tree, unsup_weight, label, out)
 
 
 def docnade_gradients(
-    tokens: np.ndarray, params: ShallowParams, tree: WordTree
+    tokens: np.ndarray,
+    params: ShallowParams,
+    tree: WordTree,
+    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Exact gradients of the unsupervised objective -log p(v)."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    return _gradient_core(tokens, params, tree, 1.0, None)
+    return _gradient_core(tokens, params, tree, 1.0, None, out)
 
 
 def represent(

@@ -200,10 +200,14 @@ class EpochStats:
 
 @dataclass
 class _DocCache:
-    """Per-document arrays materialized once per training run."""
+    """Per-document arrays materialized once per training run.
+
+    Deep kinds keep each document as sparse (ids, counts); the dense count
+    rows are built per mini-batch.
+    """
 
     tokens: list[np.ndarray] | None = None
-    counts: list[np.ndarray] | None = None
+    counts: list[tuple[np.ndarray, np.ndarray]] | None = None
     labels: list[frozenset] = field(default_factory=list)
     features: list[np.ndarray | None] = field(default_factory=list)
 
@@ -211,8 +215,11 @@ class _DocCache:
 def _build_cache(corpus: Corpus, config: TrainConfig) -> _DocCache:
     cache = _DocCache()
     if config.is_deep:
-        size = corpus.vocabulary.size
-        cache.counts = [doc.dense_counts(size) for doc in corpus.documents]
+        cache.counts = [
+            (np.fromiter(doc.counts, dtype=np.int64, count=len(doc.counts)),
+             np.fromiter(doc.counts.values(), dtype=np.int64, count=len(doc.counts)))
+            for doc in corpus.documents
+        ]
     else:
         cache.tokens = [doc.token_array() for doc in corpus.documents]
     cache.labels = [doc.labels for doc in corpus.documents]
@@ -222,6 +229,90 @@ def _build_cache(corpus: Corpus, config: TrainConfig) -> _DocCache:
 
 def _draw_masks(sizes, keep: float, rng: np.random.Generator) -> list[np.ndarray]:
     return [(rng.random(h) < keep).astype(float) for h in sizes]
+
+
+def _deep_batch(batch, params, config, streams, cache, omega):
+    """Splits and masks drawn in batch order, then one batched step.
+
+    Returns (documents kept, their losses, summed gradients, W1 columns).
+    """
+    counts = np.zeros((len(batch), params.vocab_size), dtype=np.int64)
+    for row, doc_idx in enumerate(batch):
+        ids, values = cache.counts[doc_idx]
+        counts[row, ids] = values
+    keep = 1.0 - config.dropout_rate
+    kept, splits, gen_masks, sup_masks = [], [], [], []
+    for row in range(len(batch)):
+        split = deep_mod.split_histogram(counts[row], streams.split, config.split_mode)
+        if split is None and not config.is_supervised:
+            continue
+        gen = sup = None
+        if config.dropout_rate > 0:
+            gen = _draw_masks(config.hidden_sizes, keep, streams.dropout)
+            if config.is_supervised:
+                sup = _draw_masks(config.hidden_sizes, keep, streams.dropout)
+        kept.append(row)
+        splits.append(split)
+        gen_masks.append(gen)
+        sup_masks.append(sup)
+    docs = [batch[row] for row in kept]
+    labels = [cache.labels[i] if config.is_supervised else None for i in docs]
+    unsup = config.unsup_weight if config.is_supervised else 1.0
+    losses, grads, cols = deep_mod.batch_loss_gradients(
+        counts[kept], labels, [cache.features[i] for i in docs], params, unsup,
+        omega, omega, splits, gen_masks, sup_masks, head=config.head,
+    )
+    return docs, losses.tolist(), grads, cols
+
+
+def _shallow_batch(batch, params, config, streams, cache, tree, executor, buffers):
+    """Orderings drawn in batch order, then per-document gradients, on
+    worker threads if an executor is given.
+
+    `buffers` maps a batch slot to the gradient dict it last returned,
+    which the slot's next document reuses: allocating the dense gradients
+    afresh per document costs a page fault per touched page whenever the
+    allocator has handed the previous ones back to the system.
+
+    Returns (documents kept, their losses, summed gradients).
+    """
+    jobs = []
+    for doc_idx in batch:
+        tokens = cache.tokens[doc_idx]
+        if len(tokens) == 0 and not config.is_supervised:
+            continue
+        ordering = tokens[streams.shuffle.permutation(len(tokens))] if len(tokens) else tokens
+        jobs.append((len(jobs), doc_idx, ordering))
+
+    def compute(job):
+        slot, doc_idx, ordering = job
+        out = buffers.get(slot)
+        if config.is_supervised:
+            labels = cache.labels[doc_idx]
+            if len(labels) != 1:
+                raise ValueError(
+                    f"document {doc_idx} needs exactly one label for supervised training"
+                )
+            result = shallow_mod.supdocnade_gradients(
+                ordering, next(iter(labels)), params, tree, config.unsup_weight, out=out
+            )
+        else:
+            result = shallow_mod.docnade_gradients(ordering, params, tree, out=out)
+        buffers[slot] = result[1]
+        return result
+
+    if executor is not None:
+        results = list(executor.map(compute, jobs))
+    else:
+        results = [compute(job) for job in jobs]
+    batch_grads = None
+    for _, grads in results:
+        if batch_grads is None:
+            batch_grads = grads
+        else:
+            for name in batch_grads:
+                batch_grads[name] += grads[name]
+    return [doc_idx for _, doc_idx, _ in jobs], [loss for loss, _ in results], batch_grads
 
 
 def sgd_epoch(
@@ -242,91 +333,47 @@ def sgd_epoch(
     (token orderings, splits, dropout masks) are drawn in document order
     before gradients are computed, so results do not depend on the worker
     count and the reduction order is fixed.
+
+    Deep kinds run each mini-batch as one batched step
+    (`deep.batch_loss_gradients`) and update W1 only on the columns of the
+    words the batch contains; `executor` threads serve shallow kinds only.
     """
     started = time.perf_counter()
     if cache is None:
         cache = _build_cache(corpus, config)
     params = avg.current
-    keep = 1.0 - config.dropout_rate
     omega = _omega_for(corpus, config)
     losses = []
     skipped = 0
+    buffers = {}
 
     order = streams.shuffle.permutation(len(corpus.documents))
     for start in range(0, len(order), config.batch_size):
-        batch = order[start : start + config.batch_size]
-        jobs = []
-        for doc_idx in batch:
-            doc_idx = int(doc_idx)
-            if config.is_deep:
-                counts = cache.counts[doc_idx]
-                split = deep_mod.split_histogram(counts, streams.split, config.split_mode)
-                if split is None and not config.is_supervised:
-                    skipped += 1
-                    continue
-                gen_masks = sup_masks = None
-                if config.dropout_rate > 0:
-                    gen_masks = _draw_masks(config.hidden_sizes, keep, streams.dropout)
-                    if config.is_supervised:
-                        sup_masks = _draw_masks(config.hidden_sizes, keep, streams.dropout)
-                jobs.append((doc_idx, (counts, split, gen_masks, sup_masks)))
-            else:
-                tokens = cache.tokens[doc_idx]
-                if len(tokens) == 0 and not config.is_supervised:
-                    skipped += 1
-                    continue
-                ordering = (
-                    tokens[streams.shuffle.permutation(len(tokens))]
-                    if len(tokens)
-                    else tokens
-                )
-                jobs.append((doc_idx, ordering))
-
-        if not jobs:
-            continue
-
-        def compute(job):
-            doc_idx, payload = job
-            if config.is_deep:
-                counts, split, gen_masks, sup_masks = payload
-                labels = cache.labels[doc_idx] if config.is_supervised else None
-                unsup = config.unsup_weight if config.is_supervised else 1.0
-                return deep_mod.hybrid_loss_gradients(
-                    counts, labels, cache.features[doc_idx], params, unsup,
-                    omega, omega,
-                    split, gen_masks, sup_masks, head=config.head,
-                )
-            if config.is_supervised:
-                labels = cache.labels[doc_idx]
-                if len(labels) != 1:
-                    raise ValueError(
-                        f"document {doc_idx} needs exactly one label for supervised training"
-                    )
-                return shallow_mod.supdocnade_gradients(
-                    payload, next(iter(labels)), params, tree, config.unsup_weight
-                )
-            return shallow_mod.docnade_gradients(payload, params, tree)
-
-        if executor is not None:
-            results = list(executor.map(compute, jobs))
+        batch = [int(doc_idx) for doc_idx in order[start : start + config.batch_size]]
+        cols = None
+        if config.is_deep:
+            docs, batch_losses, grads, cols = _deep_batch(
+                batch, params, config, streams, cache, omega
+            )
         else:
-            results = [compute(job) for job in jobs]
-
-        batch_grads = None
-        for (doc_idx, _), (loss, grads) in zip(jobs, results):
+            docs, batch_losses, grads = _shallow_batch(
+                batch, params, config, streams, cache, tree, executor, buffers
+            )
+        skipped += len(batch) - len(docs)
+        if not docs:
+            continue
+        for doc_idx, loss in zip(docs, batch_losses):
             if not np.isfinite(loss):
                 raise TrainingDivergedError(doc_idx, loss)
             losses.append(loss)
-            if batch_grads is None:
-                batch_grads = grads
-            else:
-                for name in batch_grads:
-                    batch_grads[name] += grads[name]
 
         if config.learning_rate != 0.0:
-            scale = config.learning_rate / len(jobs)
+            scale = config.learning_rate / len(docs)
             for name, arr in params.arrays():
-                arr -= scale * batch_grads[name]
+                if name == "W1":
+                    arr[:, cols] -= scale * grads[name]
+                else:
+                    arr -= scale * grads[name]
         polyak_update(avg)
 
     mean_loss = float(np.mean(losses)) if losses else 0.0
@@ -405,7 +452,8 @@ def train_model(
         streams.restore(stream_states)
 
     cache = _build_cache(corpus, config)
-    executor = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
+    use_threads = config.workers > 1 and not config.is_deep
+    executor = ThreadPoolExecutor(config.workers) if use_threads else None
     stats: list[EpochStats] = []
     try:
         for epoch in range(start_epoch + 1, config.epochs + 1):

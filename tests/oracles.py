@@ -1,8 +1,10 @@
 """Independent slow-path oracles used by the unit and acceptance tests.
 
 These deliberately avoid the production gradient/estimator code paths: the
-estimator expectation enumerates the sampling distribution directly, and the
-per-token backprop oracle differentiates one output token at a time.
+estimator expectation enumerates the sampling distribution directly, the
+per-token backprop oracle differentiates one output token at a time, and the
+per-document deep oracle computes one document's update with dense
+vectors and outer products, the way training worked before it was batched.
 """
 
 import itertools
@@ -86,3 +88,93 @@ def softmax_shallow_conditional(W, c, V_out, b_out, context_counts):
     z = b_out + V_out @ h
     shifted = z - z.max()
     return shifted - np.log(np.exp(shifted).sum())
+
+
+def _log_softmax(z):
+    shifted = z - z.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def _dense_forward(x, params, features, masks):
+    hs, pres = [], []
+    inp = x
+    for n, (w, c) in enumerate(zip(params.layer_weights, params.layer_biases)):
+        pre = c + w @ inp
+        if n == 0 and features is not None:
+            pre = pre + features @ params.P
+        h = np.maximum(pre, 0.0)
+        if masks is not None:
+            h = h * masks[n]
+        pres.append(pre)
+        hs.append(h)
+        inp = h
+    return hs, pres
+
+
+def _dense_supervised(h_top, labels, params, head):
+    z = params.d + params.U @ h_top
+    if head == "softmax":
+        (label,) = labels
+        log_post = _log_softmax(z)
+        loss = -float(log_post[label])
+        d_logits = np.exp(log_post)
+        d_logits[label] -= 1.0
+    else:
+        target = np.zeros(params.n_classes)
+        target[sorted(labels)] = 1.0
+        loss = float((target * np.logaddexp(0.0, -z) + (1 - target) * np.logaddexp(0.0, z)).sum())
+        d_logits = np.exp(-np.logaddexp(0.0, -z)) - target
+    return loss, np.outer(d_logits, h_top), d_logits, params.U.T @ d_logits
+
+
+def _dense_generative(h_top, split, phi, params):
+    log_probs = _log_softmax(params.b_out + params.V_out @ h_top)
+    hist = split.output_hist
+    targets = hist * phi if phi is not None else hist.astype(float)
+    factor = split.total_tokens / (split.total_tokens - split.d + 1)
+    loss = factor * float(-(targets @ log_probs))
+    d_logits = factor * (targets.sum() * np.exp(log_probs) - targets)
+    return loss, np.outer(d_logits, h_top), d_logits, params.V_out.T @ d_logits
+
+
+def _dense_backprop(d_top, x, features, hs, pres, masks, params, grads, weight=1.0):
+    delta = d_top * weight
+    for n in range(params.n_layers, 0, -1):
+        if masks is not None:
+            delta = delta * masks[n - 1]
+        delta = delta * (pres[n - 1] > 0)
+        grads[f"c{n}"] += delta
+        below = hs[n - 2] if n > 1 else x
+        grads[f"W{n}"] += np.outer(delta, below)
+        if n > 1:
+            delta = params.layer_weights[n - 1].T @ delta
+        elif features is not None and params.P is not None:
+            grads["P"] += np.outer(features, delta)
+
+
+def dense_hybrid_loss_gradients(
+    counts, labels, features, params, unsup_weight, omega, phi,
+    split, gen_masks, sup_masks, head="softmax", normalize=True,
+):
+    """One document's hybrid loss and dense gradients, document by document:
+    dense Q-length inputs, matrix-vector products and outer products."""
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays()}
+    loss = 0.0
+    if labels is not None:
+        x_full = deep_mod.prepare_histogram(counts, omega, normalize)
+        hs, pres = _dense_forward(x_full, params, features, sup_masks)
+        sup, g_u, g_d, g_h = _dense_supervised(hs[-1], labels, params, head)
+        loss += sup
+        grads["U"] += g_u
+        grads["d"] += g_d
+        _dense_backprop(g_h, x_full, features, hs, pres, sup_masks, params, grads)
+    if split is not None and unsup_weight != 0.0:
+        x_in = deep_mod.prepare_histogram(split.input_hist, omega, normalize)
+        hs, pres = _dense_forward(x_in, params, features, gen_masks)
+        gen, g_v, g_b, g_h = _dense_generative(hs[-1], split, phi, params)
+        loss += unsup_weight * gen
+        grads["V_out"] += unsup_weight * g_v
+        grads["b_out"] += unsup_weight * g_b
+        _dense_backprop(g_h, x_in, features, hs, pres, gen_masks, params, grads,
+                        weight=unsup_weight)
+    return loss, grads

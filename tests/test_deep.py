@@ -11,6 +11,7 @@ from conftest import (
 )
 from docnade import deep, shallow
 from oracles import (
+    dense_hybrid_loss_gradients,
     estimator_expectation,
     per_token_generative_grads,
     softmax_shallow_conditional,
@@ -415,3 +416,94 @@ class TestCollapseToSoftmaxShallow:
         )
         factor = total / (total - total + 1)  # lone predicted token at position d
         assert loss / factor == pytest.approx(-ref[target], abs=1e-12)
+
+
+# Fixed from float64: the batched step sums in another order than the
+# per-document dense oracle, nothing else.
+LOSS_RTOL = 1e-12
+GRAD_ATOL = 1e-12  # times the largest entry of the gradient
+
+
+def _batch_instance(rng, supervised, head, n_features, dropout, empty_doc=False):
+    vocab_size, sizes, n_classes, batch = 30, (6, 5), 3, 5
+    counts = np.zeros((batch, vocab_size), dtype=np.int64)
+    for row in range(batch):
+        ids = rng.choice(vocab_size, size=int(rng.integers(1, 6)), replace=False)
+        counts[row, ids] = rng.integers(1, 4, size=len(ids))
+    if empty_doc:
+        counts[2] = 0
+    omega = np.ones(vocab_size)
+    omega[24:] = 3.0
+    params = random_deep_params(rng, vocab_size, sizes, n_classes, n_features)
+
+    def draw_masks():
+        return [(rng.random(h) < 1.0 - dropout).astype(float) for h in sizes]
+
+    splits, gen_masks, sup_masks, labels, features = [], [], [], [], []
+    for row in range(batch):
+        splits.append(deep.split_histogram(counts[row], rng))
+        gen_masks.append(draw_masks() if dropout else None)
+        sup_masks.append(draw_masks() if dropout and supervised else None)
+        if not supervised:
+            labels.append(None)
+        elif head == "softmax":
+            labels.append(frozenset({int(rng.integers(n_classes))}))
+        else:
+            labels.append(frozenset(np.flatnonzero(rng.random(n_classes) < 0.5).tolist()))
+        features.append(rng.uniform(-1, 1, n_features) if n_features else None)
+    return counts, labels, features, params, omega, splits, gen_masks, sup_masks
+
+
+def _check_batch_against_oracle(instance, unsup_weight, head):
+    counts, labels, features, params, omega, splits, gen_masks, sup_masks = instance
+    losses, grads, cols = deep.batch_loss_gradients(
+        counts, labels, features, params, unsup_weight, omega, omega,
+        splits, gen_masks, sup_masks, head=head,
+    )
+    expected = {name: np.zeros_like(arr) for name, arr in params.arrays()}
+    for row in range(len(counts)):
+        loss, doc_grads = dense_hybrid_loss_gradients(
+            counts[row], labels[row], features[row], params, unsup_weight, omega, omega,
+            splits[row], gen_masks[row], sup_masks[row], head=head,
+        )
+        assert losses[row] == pytest.approx(loss, rel=LOSS_RTOL, abs=0.0)
+        for name in expected:
+            expected[name] += doc_grads[name]
+    assert np.array_equal(cols, np.flatnonzero(counts.any(axis=0)))
+    assert not np.any(expected["W1"][:, np.setdiff1d(np.arange(counts.shape[1]), cols)])
+    got = dict(grads)
+    got["W1"] = np.zeros_like(params.layer_weights[0])
+    got["W1"][:, cols] = grads["W1"]
+    for name, want in expected.items():
+        atol = GRAD_ATOL * np.abs(want).max()
+        assert np.allclose(got[name], want, rtol=0.0, atol=atol), name
+
+
+class TestBatchedStep:
+    @pytest.mark.parametrize("kind", ["deepdocnade", "supdeepdocnade"])
+    @pytest.mark.parametrize("head", ["softmax", "sigmoid"])
+    @pytest.mark.parametrize("n_features", [0, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_matches_per_document_oracle(self, rng, kind, head, n_features, dropout):
+        supervised = kind == "supdeepdocnade"
+        instance = _batch_instance(rng, supervised, head, n_features, dropout)
+        _check_batch_against_oracle(instance, 0.7 if supervised else 1.0, head)
+
+    @pytest.mark.parametrize("head", ["softmax", "sigmoid"])
+    def test_empty_document_in_supervised_batch(self, rng, head):
+        instance = _batch_instance(rng, True, head, 2, 0.3, empty_doc=True)
+        assert instance[5][2] is None  # the empty document has no split
+        _check_batch_against_oracle(instance, 0.7, head)
+
+    def test_zero_unsup_weight(self, rng):
+        instance = _batch_instance(rng, True, "sigmoid", 2, 0.3)
+        _check_batch_against_oracle(instance, 0.0, "sigmoid")
+
+    def test_rescale_from_nonzeros_matches_dense(self, rng):
+        counts = np.array([[0, 3, 0, 1, 0, 0, 2], [0, 0, 0, 0, 0, 0, 0]])
+        omega = np.array([1.0, 1.0, 1.0, 1.0, 4.0, 4.0, 4.0])
+        cols = np.array([1, 3, 5, 6])
+        x = deep._sparse_inputs(counts[:, cols], cols, 7, omega, True)
+        for row in range(2):
+            dense = deep.prepare_histogram(counts[row], omega)
+            assert np.allclose(x[row], dense[cols], rtol=1e-14, atol=0.0)

@@ -1,8 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import random_deep_params, random_shallow_params
 from docnade.model_io import (
+    FORMAT_VERSION,
+    MAGIC,
     ModelMeta,
     export_text,
     load_checkpoint,
@@ -122,3 +127,47 @@ class TestTextExport:
         # values survive a parse through repr round-trip
         w_line = text.splitlines()[2]
         assert float(w_line.split()[0]) == params.W[0, 0]
+
+
+def _reference_container(header, array_blocks):
+    """Container bytes built the original way: every array through
+    tobytes(), each block joined into one blob before writing."""
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    out = [MAGIC, struct.pack("<I", FORMAT_VERSION),
+           struct.pack("<Q", len(header_bytes)), header_bytes]
+    for arrays in array_blocks:
+        blob = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays)
+        out += [struct.pack("<Q", len(blob)), blob]
+    return b"".join(out)
+
+
+class TestContainerBytes:
+    def _params(self, rng, deep):
+        if deep:
+            meta = _deep_meta()
+            return random_deep_params(rng, meta.vocab_size, (4, 3), 3, n_features=2), meta
+        meta = _shallow_meta()
+        return random_shallow_params(rng, meta.vocab_size, 4, 3), meta
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_model_bytes_match_joined_blob(self, tmp_path, rng, deep):
+        params, meta = self._params(rng, deep)
+        save_model(tmp_path / "m.bin", params, meta)
+        manifest = [[name, list(arr.shape)] for name, arr in params.arrays()]
+        header = {"meta": meta.to_json(), "manifest": manifest}
+        expected = _reference_container(header, [params.arrays()])
+        assert (tmp_path / "m.bin").read_bytes() == expected
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_checkpoint_bytes_match_joined_blob(self, tmp_path, rng, deep):
+        params, meta = self._params(rng, deep)
+        averaged = params.copy()
+        for _, arr in averaged.arrays():
+            arr *= 0.5
+        states = {"shuffle": np.random.default_rng(1).bit_generator.state}
+        save_checkpoint(tmp_path / "c.ckpt", params, averaged, meta, 3, states)
+        manifest = [[name, list(arr.shape)] for name, arr in params.arrays()]
+        header = {"meta": meta.to_json(), "manifest": manifest,
+                  "state": {"epoch": 3, "rng_states": states}}
+        expected = _reference_container(header, [params.arrays(), averaged.arrays()])
+        assert (tmp_path / "c.ckpt").read_bytes() == expected

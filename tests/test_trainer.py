@@ -3,6 +3,7 @@ import pytest
 
 from docnade import trainer
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
+from docnade.deep import split_histogram
 from docnade.rng import named_stream
 from docnade.trainer import (
     TrainConfig,
@@ -16,6 +17,7 @@ from docnade.trainer import (
     train_model,
 )
 from gen import make_corpus
+from oracles import dense_hybrid_loss_gradients
 
 
 def params_equal(a, b):
@@ -315,3 +317,70 @@ class TestPretrainFinetune:
         pretrain_then_finetune(corpus, corpus, config, checkpoint_dir=tmp_path)
         assert (tmp_path / "pretrain" / "epoch_0002.ckpt").exists()
         assert (tmp_path / "epoch_0002.ckpt").exists()
+
+
+class TestBatchedDeepStep:
+    BATCH = 4
+
+    def _setup(self, seed=7):
+        corpus = small_corpus(docs_per_class=1, doc_len=3, n_visual=10, n_features=2)
+        config = TrainConfig(
+            model_kind="supdeepdocnade", hidden_sizes=(6, 5), learning_rate=0.1,
+            unsup_weight=0.6, anno_weight=3.0, dropout_rate=0.3, head="sigmoid",
+            epochs=1, batch_size=self.BATCH, seed=seed,
+        )
+        params = init_params(corpus.vocabulary.size, corpus.n_classes, corpus.n_features,
+                             config, named_stream(seed, "init"))
+        return corpus, config, params
+
+    def test_one_step_equals_oracle_sum(self):
+        corpus, config, params = self._setup()
+        assert len(corpus.documents) == self.BATCH  # one mini-batch per epoch
+        before = params.copy()
+        avg = init_averaged(params, 0.5)
+        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(config.seed))
+
+        # replay the step's random draws and sum the per-document oracle
+        streams = trainer.RngStreams.from_seed(config.seed)
+        omega = trainer._omega_for(corpus, config)
+        size = corpus.vocabulary.size
+        expected = {name: np.zeros_like(arr) for name, arr in before.arrays()}
+        present = np.zeros(size, dtype=bool)
+        for doc_idx in streams.shuffle.permutation(len(corpus.documents)):
+            doc = corpus.documents[doc_idx]
+            counts = doc.dense_counts(size)
+            present |= counts > 0
+            split = split_histogram(counts, streams.split)
+            keep = 1.0 - config.dropout_rate
+            masks = [[(streams.dropout.random(h) < keep).astype(float)
+                      for h in config.hidden_sizes] for _ in range(2)]
+            _, grads = dense_hybrid_loss_gradients(
+                counts, doc.labels, doc.features, before, config.unsup_weight, omega, omega,
+                split, masks[0], masks[1], head=config.head,
+            )
+            for name in expected:
+                expected[name] += grads[name]
+
+        scale = config.learning_rate / self.BATCH
+        for (name, start), (_, after) in zip(before.arrays(), avg.current.arrays()):
+            step = scale * expected[name]
+            atol = 1e-12 * np.abs(step).max()
+            assert np.allclose(after, start - step, rtol=0.0, atol=atol), name
+        assert not present.all()
+        assert np.array_equal(avg.current.layer_weights[0][:, ~present],
+                              before.layer_weights[0][:, ~present])
+
+    def test_divergence_names_first_nonfinite_document_in_batch(self):
+        corpus, config, params = self._setup()
+        streams = trainer.RngStreams.from_seed(config.seed)
+        order = named_stream(config.seed, "shuffle").permutation(len(corpus.documents))
+        # poison W1 on a word only the second document of the batch holds; a
+        # finite value, so that the other documents' zero inputs stay finite
+        first = set(corpus.documents[order[0]].counts)
+        second = corpus.documents[order[1]].counts
+        word = next(w for w in second if w not in first)
+        params.layer_weights[0][:, word] = 1e308
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(TrainingDivergedError) as info:
+                trainer.sgd_epoch(corpus, init_averaged(params, 0.0), config, streams)
+        assert info.value.doc_index == int(order[1])
