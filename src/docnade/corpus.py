@@ -149,13 +149,15 @@ class MultimodalDocument:
         for label in self.labels:
             if not (0 <= label < n_classes):
                 raise ValueError(f"label {label} out of range [0, {n_classes})")
-        if self.features is not None:
-            if len(self.features) != n_features:
-                raise ValueError(
-                    f"feature vector has length {len(self.features)}, expected {n_features}"
-                )
-            if not np.all(np.isfinite(self.features)):
-                raise ValueError("non-finite global feature value")
+        if self.features is None:
+            if n_features > 0:
+                raise ValueError(f"missing feature vector, expected {n_features} values")
+        elif len(self.features) != n_features:
+            raise ValueError(
+                f"feature vector has length {len(self.features)}, expected {n_features}"
+            )
+        elif not np.all(np.isfinite(self.features)):
+            raise ValueError("non-finite global feature value")
 
     def token_array(self) -> np.ndarray:
         """Expand counts into a sorted id sequence (one entry per token)."""

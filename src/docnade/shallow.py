@@ -15,6 +15,7 @@ add per token), so a full pass is O(H * D) instead of O(H * D^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,17 +94,34 @@ def hidden_states(
     return np.maximum(_preactivations(tokens, params), 0.0)
 
 
-def _gather_paths(tree: WordTree, tokens: np.ndarray):
-    """Concatenated tree-path entries for a token sequence.
+class _Paths(NamedTuple):
+    """The tree-path entries of a token sequence on a (tokens x depth) grid.
 
-    Returns (rows, bits, pos) where pos[k] is the 0-based position of the
-    token that path entry k belongs to.
+    Row i holds the path of token i; `valid` marks the entries that exist,
+    since a path may be one node shorter than the grid.
     """
-    nodes_tab, bits_tab, lengths = tree.path_table()
-    nodes = nodes_tab[tokens]
+
+    nodes: np.ndarray  # tree node of each entry, 0 where not valid
+    bits: np.ndarray
+    valid: np.ndarray
+    v_at: np.ndarray  # (D, depth, H) V[nodes]
+    act: np.ndarray  # b[nodes] + V[nodes] . h_i, h_i the state token i is read at
+    log_lik: float  # log p(v), the sum of the valid entries' log-sigmoids
+
+
+def _path_terms(
+    tokens: np.ndarray, states: np.ndarray, params: ShallowParams, tree: WordTree
+) -> _Paths:
+    """Path entries of a nonempty token sequence over a tree with Q >= 2."""
+    nodes_tab, bits_tab, _ = tree.path_table()
+    nodes, bits = nodes_tab[tokens], bits_tab[tokens]
     valid = nodes >= 0
-    pos = np.broadcast_to(np.arange(len(tokens))[:, None], nodes.shape)
-    return nodes[valid], bits_tab[tokens][valid], pos[valid]
+    nodes = np.where(valid, nodes, 0)
+    v_at = params.V[nodes]
+    act = params.b[nodes] + np.einsum("ijh,ih->ij", v_at, states[: len(tokens)])
+    signs = 2 * bits - 1
+    log_lik = float(-np.logaddexp(0.0, -signs[valid] * act[valid]).sum())
+    return _Paths(nodes, bits, valid, v_at, act, log_lik)
 
 
 def doc_log_likelihood(
@@ -111,13 +129,9 @@ def doc_log_likelihood(
 ) -> float:
     """log p(v) for one explicit token ordering; 0 for the empty document."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    if len(tokens) == 0:
+    if len(tokens) == 0 or tree.n_internal == 0:
         return 0.0
-    states = hidden_states(tokens, params)
-    rows, bits, pos = _gather_paths(tree, tokens)
-    act = params.b[rows] + np.einsum("ij,ij->i", params.V[rows], states[pos])
-    signs = 2 * bits - 1
-    return float(-np.logaddexp(0.0, -signs * act).sum())
+    return _path_terms(tokens, hidden_states(tokens, params), params, tree).log_lik
 
 
 def class_posterior(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
@@ -141,18 +155,88 @@ def joint_log_prob(
     return doc_log_likelihood(tokens, params, tree) + float(log_post[label])
 
 
-def _gradient_core(
+@dataclass
+class SparseGrads:
+    """A gradient stored only where it can be nonzero.
+
+    W: (|cols|, H), the gradient of the W columns `cols` (sorted unique
+    token ids); V: (|rows|, H) and b: (|rows|,), the gradient of the tree
+    nodes `rows` (sorted unique nodes on the tokens' paths); c, U and d
+    are dense.
+    """
+
+    cols: np.ndarray
+    W: np.ndarray
+    rows: np.ndarray
+    V: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    U: np.ndarray
+    d: np.ndarray
+
+    def to_dense(
+        self, params: ShallowParams, out: dict[str, np.ndarray] | None = None
+    ) -> dict[str, np.ndarray]:
+        """Dense gradient arrays; `out`, if given, is zeroed and filled."""
+        if out is None:
+            out = params.zero_grads()
+        else:
+            for arr in out.values():
+                arr.fill(0.0)
+        out["W"][:, self.cols] = self.W.T
+        out["V"][self.rows] = self.V
+        out["b"][self.rows] = self.b
+        for name in ("c", "U", "d"):
+            out[name][...] = getattr(self, name)
+        return out
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stable sort order of `keys`, the start of each run of equal keys in
+    it, and each run's key.  `np.add.reduceat` over those starts sums the
+    values of each key in input order."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return order, starts, sorted_keys[starts]
+
+
+def sum_gradients(grads: list[SparseGrads]) -> SparseGrads:
+    """Sum of sparse gradients, added in list order."""
+    if len(grads) == 1:
+        return grads[0]
+    first = grads[0]
+    cols = np.unique(np.concatenate([g.cols for g in grads]))
+    rows = np.unique(np.concatenate([g.rows for g in grads]))
+    total = SparseGrads(
+        cols, np.zeros((len(cols), first.W.shape[1])),
+        rows, np.zeros((len(rows), first.V.shape[1])), np.zeros(len(rows)),
+        first.c.copy(), first.U.copy(), first.d.copy(),
+    )
+    for n, g in enumerate(grads):
+        at_cols = np.searchsorted(cols, g.cols)
+        at_rows = np.searchsorted(rows, g.rows)
+        total.W[at_cols] += g.W
+        total.V[at_rows] += g.V
+        total.b[at_rows] += g.b
+        if n:
+            total.c += g.c
+            total.U += g.U
+            total.d += g.d
+    return total
+
+
+def sparse_gradients(
     tokens: np.ndarray,
     params: ShallowParams,
     tree: WordTree,
     unsup_weight: float,
-    label: int | None,
-    out: dict[str, np.ndarray] | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and exact gradients of the (hybrid) objective for one document.
-
-    `out`, a gradient dict returned by an earlier call, is zeroed and
-    reused instead of allocating fresh dense gradients.
+    label: int | None = None,
+) -> tuple[float, SparseGrads]:
+    """Loss and exact gradient of -log p(y|v) - unsup_weight * log p(v) for
+    one token ordering; `label` None drops the class term.
 
     The generative part follows the reverse-order backward recurrence: path
     gradients produce per-position dh_i, and the running accumulator that
@@ -161,13 +245,10 @@ def _gradient_core(
     joins the accumulator only after position i's dW update).  The hidden
     bias receives every masked dh_i plus the class-head term.
     """
-    n_tokens = len(tokens)
-    if out is None:
-        grads = params.zero_grads()
-    else:
-        grads = out
-        for arr in grads.values():
-            arr.fill(0.0)
+    if label is not None and not (0 <= label < params.n_classes):
+        raise ValueError(f"label {label} out of range")
+    tokens = np.asarray(tokens, dtype=np.int64)
+    n_tokens, n_hidden = len(tokens), params.n_hidden
     loss = 0.0
 
     pre = _preactivations(tokens, params)
@@ -177,39 +258,47 @@ def _gradient_core(
     if label is not None:
         log_post = _log_softmax(params.d + params.U @ states[-1])
         loss -= float(log_post[label])
-        d_logits = np.exp(log_post)
-        d_logits[label] -= 1.0
-        grads["d"] = d_logits
-        grads["U"] = np.outer(d_logits, states[-1])
-        dact_head = (params.U.T @ d_logits) * active[-1]
+        g_d = np.exp(log_post)
+        g_d[label] -= 1.0
+        g_U = np.outer(g_d, states[-1])
+        dact_head = (params.U.T @ g_d) * active[-1]
     else:
-        dact_head = np.zeros(params.n_hidden)
+        g_d, g_U = np.zeros_like(params.d), np.zeros_like(params.U)
+        dact_head = np.zeros(n_hidden)
 
+    no_ids = np.empty(0, dtype=np.int64)
+    grads = SparseGrads(
+        no_ids, np.empty((0, n_hidden)), no_ids, np.empty((0, n_hidden)), np.empty(0),
+        dact_head, g_U, g_d,
+    )
     if n_tokens == 0:
-        grads["c"] = dact_head
         return loss, grads
 
-    rows, bits, pos = _gather_paths(tree, tokens)
-    act = params.b[rows] + np.einsum("ij,ij->i", params.V[rows], states[pos])
-    signs = 2 * bits - 1
-    log_lik = float(-np.logaddexp(0.0, -signs * act).sum())
-    loss -= unsup_weight * log_lik
-
-    if unsup_weight != 0.0:
-        dt = unsup_weight * (np.exp(-np.logaddexp(0.0, -act)) - bits)
-        np.add.at(grads["b"], rows, dt)
-        np.add.at(grads["V"], rows, dt[:, None] * states[pos])
-        dh = np.zeros((n_tokens, params.n_hidden))
-        np.add.at(dh, pos, dt[:, None] * params.V[rows])
-        masked = dh * active[:n_tokens]
-    else:
-        masked = np.zeros((n_tokens, params.n_hidden))
+    masked = np.zeros((n_tokens, n_hidden))
+    if tree.n_internal:  # a one-word vocabulary has no tree
+        paths = _path_terms(tokens, states, params, tree)
+        loss -= unsup_weight * paths.log_lik
+        if unsup_weight != 0.0:
+            dt = unsup_weight * (np.exp(-np.logaddexp(0.0, -paths.act)) - paths.bits)
+            dt *= paths.valid
+            # dh_i sums dt * V over the path of token i
+            masked = np.einsum("ij,ijh->ih", dt, paths.v_at)
+            masked *= active[:n_tokens]
+            nodes, valid = paths.nodes, paths.valid
+            del paths  # frees the (D, depth, H) block before dV is built
+            order, starts, grads.rows = _runs(nodes[valid])
+            dt_sorted = dt[valid][order]
+            grads.b = np.add.reduceat(dt_sorted, starts)
+            dV = states[np.nonzero(valid)[0][order]]
+            dV *= dt_sorted[:, None]
+            grads.V = np.add.reduceat(dV, starts, axis=0)
 
     # dact at position i = head term + masked dh of positions > i
     suffix = np.cumsum(masked[::-1], axis=0)[::-1]
-    dact = dact_head + np.vstack([suffix[1:], np.zeros((1, params.n_hidden))])
-    np.add.at(grads["W"].T, tokens, dact)
-    grads["c"] = dact_head + masked.sum(axis=0)
+    dact = dact_head + np.vstack([suffix[1:], np.zeros((1, n_hidden))])
+    order, starts, grads.cols = _runs(tokens)
+    grads.W = np.add.reduceat(dact[order], starts, axis=0)
+    grads.c = dact_head + masked.sum(axis=0)
     return loss, grads
 
 
@@ -221,11 +310,11 @@ def supdocnade_gradients(
     unsup_weight: float,
     out: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact gradients of -log p(y|v) - unsup_weight * log p(v)."""
-    if not (0 <= label < params.n_classes):
-        raise ValueError(f"label {label} out of range")
-    tokens = np.asarray(tokens, dtype=np.int64)
-    return _gradient_core(tokens, params, tree, unsup_weight, label, out)
+    """Exact gradients of -log p(y|v) - unsup_weight * log p(v), as dense
+    arrays; `out`, a gradient dict returned by an earlier call, is zeroed
+    and reused."""
+    loss, grads = sparse_gradients(tokens, params, tree, unsup_weight, label)
+    return loss, grads.to_dense(params, out)
 
 
 def docnade_gradients(
@@ -234,9 +323,10 @@ def docnade_gradients(
     tree: WordTree,
     out: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact gradients of the unsupervised objective -log p(v)."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    return _gradient_core(tokens, params, tree, 1.0, None, out)
+    """Exact gradients of the unsupervised objective -log p(v), as dense
+    arrays; `out` as in `supdocnade_gradients`."""
+    loss, grads = sparse_gradients(tokens, params, tree, 1.0)
+    return loss, grads.to_dense(params, out)
 
 
 def represent(

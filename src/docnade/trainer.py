@@ -3,8 +3,11 @@
 All randomness flows from a single seed expanded into named streams (tree,
 init, shuffle, split, dropout), so identical configurations give bit-identical
 runs and checkpoint-resume equals an uninterrupted run.  Inference uses an
-exponentially decaying average of the parameters maintained after every
-update step.
+exponentially decaying average of the parameters, advanced after every
+update step.  Shallow kinds keep that average lazily: an entry a step does
+not touch catches up in closed form when it is next touched, and every
+entry is flushed at the end of each epoch, so the average that logs,
+checkpoints and epoch callbacks see is the per-step one.
 """
 
 from __future__ import annotations
@@ -148,20 +151,95 @@ def init_averaged(params, decay: float) -> AveragedParams:
     return AveragedParams(current=params, averaged=params.copy(), decay=decay)
 
 
-def polyak_update(avg: AveragedParams) -> AveragedParams:
-    """averaged <- decay * averaged + (1 - decay) * current, in place.
+def _average_step(cur: np.ndarray, a: np.ndarray, decay: float) -> None:
+    """a <- decay * a + (1 - decay) * cur, in place.
 
-    Computed in the fixed-point-exact form averaged += (1-decay) * (current -
-    averaged) so that an unchanged `current` leaves `averaged` bit-identical.
+    Computed in the fixed-point-exact form a += (1-decay) * (cur - a) so
+    that an unchanged `cur` leaves `a` bit-identical; decay 0 copies.
     """
-    if avg.decay == 0.0:
-        for (_, cur), (_, a) in zip(avg.current.arrays(), avg.averaged.arrays()):
-            a[...] = cur
+    if decay == 0.0:
+        a[...] = cur
     else:
-        step = 1.0 - avg.decay
-        for (_, cur), (_, a) in zip(avg.current.arrays(), avg.averaged.arrays()):
-            a += step * (cur - a)
+        a += (1.0 - decay) * (cur - a)
+
+
+def polyak_update(avg: AveragedParams) -> AveragedParams:
+    """averaged <- decay * averaged + (1 - decay) * current, in place."""
+    for (_, cur), (_, a) in zip(avg.current.arrays(), avg.averaged.arrays()):
+        _average_step(cur, a, avg.decay)
     return avg
+
+
+class _LazyAverage:
+    """SGD steps on a shallow model with its average kept lazily.
+
+    A step changes only the W columns of its documents' words and the V rows
+    and b entries on their tree paths.  Between two steps that touch an
+    entry its current value is constant, so each step in between only
+    contracted the entry's average toward it: after k of them the average is
+    cur + r**k * (a - cur), with r = 1 - (1 - decay) the contraction of one
+    `_average_step`.  That is applied as a += (1 - r**k) * (cur - a), which
+    leaves `a` bit-identical for k = 0.  Each W column and tree node records
+    the step its average was last brought up to date at; a step catches up
+    the entries it touches before changing them, and `flush` catches up all
+    of them.  c, U and d are small and averaged densely on every step.
+    """
+
+    def __init__(self, avg: AveragedParams):
+        self.avg = avg
+        self.steps = 0
+        self.ratio = 1.0 - (1.0 - avg.decay)
+        self.col_synced = np.zeros(avg.current.vocab_size, dtype=np.int64)
+        self.row_synced = np.zeros(len(avg.current.b), dtype=np.int64)
+
+    def _groups(self):
+        """Each step record with the (current, averaged) arrays it covers; W
+        is viewed transposed so that a word's column is a row."""
+        cur, a = self.avg.current, self.avg.averaged
+        return (
+            (self.col_synced, ((cur.W.T, a.W.T),)),
+            (self.row_synced, ((cur.V, a.V), (cur.b, a.b))),
+        )
+
+    def _catch_up(self, cur: np.ndarray, a: np.ndarray, missed: np.ndarray) -> None:
+        """Moves the averages `a` of rows whose current values `cur` stayed
+        put on by `missed` steps, in place."""
+        if self.avg.decay == 0.0:
+            stale = missed > 0
+            a[stale] = cur[stale]
+        else:
+            gap = cur - a
+            gap *= (1.0 - self.ratio ** missed).reshape((-1,) + (1,) * (a.ndim - 1))
+            a += gap
+
+    def step(self, grads: shallow_mod.SparseGrads, scale: float) -> None:
+        """current -= scale * grads on the entries grads covers (none if
+        scale is 0), then one average step."""
+        blocks = ((grads.cols, (grads.W,)), (grads.rows, (grads.V, grads.b)))
+        for (synced, arrays), (idx, grad_blocks) in zip(self._groups(), blocks):
+            missed = self.steps - synced[idx]
+            for (cur_arr, a_arr), g in zip(arrays, grad_blocks):
+                cur, a = cur_arr[idx], a_arr[idx]
+                self._catch_up(cur, a, missed)
+                if scale != 0.0:
+                    cur -= scale * g
+                    cur_arr[idx] = cur
+                _average_step(cur, a, self.avg.decay)
+                a_arr[idx] = a
+            synced[idx] = self.steps + 1
+        self.steps += 1
+        for name in ("c", "U", "d"):
+            cur = getattr(self.avg.current, name)
+            if scale != 0.0:
+                cur -= scale * getattr(grads, name)
+            _average_step(cur, getattr(self.avg.averaged, name), self.avg.decay)
+
+    def flush(self) -> None:
+        """Brings every entry's average up to the latest step."""
+        for synced, arrays in self._groups():
+            for cur_arr, a_arr in arrays:
+                self._catch_up(cur_arr, a_arr, self.steps - synced)
+            synced[:] = self.steps
 
 
 @dataclass
@@ -265,16 +343,12 @@ def _deep_batch(batch, params, config, streams, cache, omega):
     return docs, losses.tolist(), grads, cols
 
 
-def _shallow_batch(batch, params, config, streams, cache, tree, executor, buffers):
-    """Orderings drawn in batch order, then per-document gradients, on
-    worker threads if an executor is given.
+def _shallow_batch(batch, params, config, streams, cache, tree, executor):
+    """Orderings drawn in batch order, then per-document sparse gradients,
+    on worker threads if an executor is given.
 
-    `buffers` maps a batch slot to the gradient dict it last returned,
-    which the slot's next document reuses: allocating the dense gradients
-    afresh per document costs a page fault per touched page whenever the
-    allocator has handed the previous ones back to the system.
-
-    Returns (documents kept, their losses, summed gradients).
+    Returns (documents kept, their losses, the gradients summed in
+    document order).
     """
     jobs = []
     for doc_idx in batch:
@@ -282,37 +356,27 @@ def _shallow_batch(batch, params, config, streams, cache, tree, executor, buffer
         if len(tokens) == 0 and not config.is_supervised:
             continue
         ordering = tokens[streams.shuffle.permutation(len(tokens))] if len(tokens) else tokens
-        jobs.append((len(jobs), doc_idx, ordering))
+        jobs.append((doc_idx, ordering))
 
     def compute(job):
-        slot, doc_idx, ordering = job
-        out = buffers.get(slot)
-        if config.is_supervised:
-            labels = cache.labels[doc_idx]
-            if len(labels) != 1:
-                raise ValueError(
-                    f"document {doc_idx} needs exactly one label for supervised training"
-                )
-            result = shallow_mod.supdocnade_gradients(
-                ordering, next(iter(labels)), params, tree, config.unsup_weight, out=out
+        doc_idx, ordering = job
+        if not config.is_supervised:
+            return shallow_mod.sparse_gradients(ordering, params, tree, 1.0)
+        labels = cache.labels[doc_idx]
+        if len(labels) != 1:
+            raise ValueError(
+                f"document {doc_idx} needs exactly one label for supervised training"
             )
-        else:
-            result = shallow_mod.docnade_gradients(ordering, params, tree, out=out)
-        buffers[slot] = result[1]
-        return result
+        return shallow_mod.sparse_gradients(
+            ordering, params, tree, config.unsup_weight, next(iter(labels))
+        )
 
     if executor is not None:
         results = list(executor.map(compute, jobs))
     else:
         results = [compute(job) for job in jobs]
-    batch_grads = None
-    for _, grads in results:
-        if batch_grads is None:
-            batch_grads = grads
-        else:
-            for name in batch_grads:
-                batch_grads[name] += grads[name]
-    return [doc_idx for _, doc_idx, _ in jobs], [loss for loss, _ in results], batch_grads
+    grads = shallow_mod.sum_gradients([g for _, g in results]) if results else None
+    return [doc_idx for doc_idx, _ in jobs], [loss for loss, _ in results], grads
 
 
 def sgd_epoch(
@@ -334,9 +398,12 @@ def sgd_epoch(
     before gradients are computed, so results do not depend on the worker
     count and the reduction order is fixed.
 
-    Deep kinds run each mini-batch as one batched step
-    (`deep.batch_loss_gradients`) and update W1 only on the columns of the
-    words the batch contains; `executor` threads serve shallow kinds only.
+    Shallow kinds update only the W columns of the batch's words and the V
+    rows and b entries on their tree paths, and keep the average lazily
+    (`_LazyAverage`), flushed before this function returns.  Deep kinds run
+    each mini-batch as one batched step (`deep.batch_loss_gradients`),
+    update W1 only on the columns of the words the batch contains and
+    average densely; `executor` threads serve shallow kinds only.
     """
     started = time.perf_counter()
     if cache is None:
@@ -345,36 +412,42 @@ def sgd_epoch(
     omega = _omega_for(corpus, config)
     losses = []
     skipped = 0
-    buffers = {}
+    lazy = None if config.is_deep else _LazyAverage(avg)
 
     order = streams.shuffle.permutation(len(corpus.documents))
-    for start in range(0, len(order), config.batch_size):
-        batch = [int(doc_idx) for doc_idx in order[start : start + config.batch_size]]
-        cols = None
-        if config.is_deep:
-            docs, batch_losses, grads, cols = _deep_batch(
-                batch, params, config, streams, cache, omega
-            )
-        else:
-            docs, batch_losses, grads = _shallow_batch(
-                batch, params, config, streams, cache, tree, executor, buffers
-            )
-        skipped += len(batch) - len(docs)
-        if not docs:
-            continue
-        for doc_idx, loss in zip(docs, batch_losses):
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(doc_idx, loss)
-            losses.append(loss)
+    try:
+        for start in range(0, len(order), config.batch_size):
+            batch = [int(doc_idx) for doc_idx in order[start : start + config.batch_size]]
+            if config.is_deep:
+                docs, batch_losses, grads, cols = _deep_batch(
+                    batch, params, config, streams, cache, omega
+                )
+            else:
+                docs, batch_losses, grads = _shallow_batch(
+                    batch, params, config, streams, cache, tree, executor
+                )
+            skipped += len(batch) - len(docs)
+            if not docs:
+                continue
+            for doc_idx, loss in zip(docs, batch_losses):
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(doc_idx, loss)
+                losses.append(loss)
 
-        if config.learning_rate != 0.0:
             scale = config.learning_rate / len(docs)
-            for name, arr in params.arrays():
-                if name == "W1":
-                    arr[:, cols] -= scale * grads[name]
-                else:
-                    arr -= scale * grads[name]
-        polyak_update(avg)
+            if lazy is not None:
+                lazy.step(grads, scale)
+                continue
+            if scale != 0.0:
+                for name, arr in params.arrays():
+                    if name == "W1":
+                        arr[:, cols] -= scale * grads[name]
+                    else:
+                        arr -= scale * grads[name]
+            polyak_update(avg)
+    finally:
+        if lazy is not None:
+            lazy.flush()
 
     mean_loss = float(np.mean(losses)) if losses else 0.0
     return EpochStats(

@@ -4,7 +4,9 @@ These deliberately avoid the production gradient/estimator code paths: the
 estimator expectation enumerates the sampling distribution directly, the
 per-token backprop oracle differentiates one output token at a time, and the
 per-document deep oracle computes one document's update with dense
-vectors and outer products, the way training worked before it was batched.
+vectors and outer products, the way training worked before it was batched,
+and the dense shallow oracle builds a full-size gradient with `np.add.at`,
+the way shallow training worked before its gradients became sparse.
 """
 
 import itertools
@@ -13,6 +15,8 @@ from math import comb
 import numpy as np
 
 from docnade import deep as deep_mod
+from docnade import shallow as shallow_mod
+from docnade import trainer as trainer_mod
 
 
 def estimator_expectation(counts, params, omega=None, phi=None, features=None):
@@ -178,3 +182,86 @@ def dense_hybrid_loss_gradients(
         _dense_backprop(g_h, x_in, features, hs, pres, gen_masks, params, grads,
                         weight=unsup_weight)
     return loss, grads
+
+
+def dense_shallow_gradients(tokens, params, tree, unsup_weight, label=None):
+    """One token ordering's shallow loss and dense gradients: every array
+    full size, path terms scattered with `np.add.at`."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    n_tokens = len(tokens)
+    grads = params.zero_grads()
+    loss = 0.0
+
+    pre = shallow_mod._preactivations(tokens, params)
+    states = np.maximum(pre, 0.0)
+    active = pre > 0
+
+    if label is not None:
+        log_post = _log_softmax(params.d + params.U @ states[-1])
+        loss -= float(log_post[label])
+        d_logits = np.exp(log_post)
+        d_logits[label] -= 1.0
+        grads["d"] = d_logits
+        grads["U"] = np.outer(d_logits, states[-1])
+        dact_head = (params.U.T @ d_logits) * active[-1]
+    else:
+        dact_head = np.zeros(params.n_hidden)
+
+    if n_tokens == 0:
+        grads["c"] = dact_head
+        return loss, grads
+
+    # every tree-path entry, in token order and root first within a path
+    nodes_tab, bits_tab, _ = tree.path_table()
+    valid = nodes_tab[tokens] >= 0
+    rows, bits = nodes_tab[tokens][valid], bits_tab[tokens][valid]
+    pos = np.broadcast_to(np.arange(n_tokens)[:, None], valid.shape)[valid]
+    act = params.b[rows] + np.einsum("ij,ij->i", params.V[rows], states[pos])
+    signs = 2 * bits - 1
+    loss -= unsup_weight * float(-np.logaddexp(0.0, -signs * act).sum())
+
+    masked = np.zeros((n_tokens, params.n_hidden))
+    if unsup_weight != 0.0:
+        dt = unsup_weight * (np.exp(-np.logaddexp(0.0, -act)) - bits)
+        np.add.at(grads["b"], rows, dt)
+        np.add.at(grads["V"], rows, dt[:, None] * states[pos])
+        dh = np.zeros((n_tokens, params.n_hidden))
+        np.add.at(dh, pos, dt[:, None] * params.V[rows])
+        masked = dh * active[:n_tokens]
+
+    suffix = np.cumsum(masked[::-1], axis=0)[::-1]
+    dact = dact_head + np.vstack([suffix[1:], np.zeros((1, params.n_hidden))])
+    np.add.at(grads["W"].T, tokens, dact)
+    grads["c"] = dact_head + masked.sum(axis=0)
+    return loss, grads
+
+
+def dense_shallow_epoch(corpus, avg, config, tree):
+    """One shallow training epoch the way it ran before updates became
+    sparse: dense per-document gradients summed in document order, a dense
+    SGD step and a dense `polyak_update` after every step.  Draws the same
+    orderings as `trainer.sgd_epoch` with fresh streams of `config.seed`."""
+    streams = trainer_mod.RngStreams.from_seed(config.seed)
+    supervised = config.is_supervised
+    unsup_weight = config.unsup_weight if supervised else 1.0
+    order = streams.shuffle.permutation(len(corpus.documents))
+    for start in range(0, len(order), config.batch_size):
+        total, n_docs = None, 0
+        for doc_idx in order[start : start + config.batch_size]:
+            doc = corpus.documents[doc_idx]
+            tokens = doc.token_array()
+            if len(tokens) == 0 and not supervised:
+                continue
+            if len(tokens):
+                tokens = tokens[streams.shuffle.permutation(len(tokens))]
+            label = next(iter(doc.labels)) if supervised else None
+            _, grads = dense_shallow_gradients(tokens, avg.current, tree, unsup_weight, label)
+            total = grads if total is None else {k: total[k] + grads[k] for k in total}
+            n_docs += 1
+        if n_docs == 0:
+            continue
+        if config.learning_rate != 0.0:
+            for name, arr in avg.current.arrays():
+                arr -= config.learning_rate / n_docs * total[name]
+        trainer_mod.polyak_update(avg)
+    return avg

@@ -7,7 +7,13 @@ import pytest
 
 from conftest import random_shallow_params
 from docnade.cli import main
-from docnade.corpus import parse_corpus, write_corpus
+from docnade.corpus import (
+    Corpus,
+    MultimodalDocument,
+    build_vocabulary,
+    parse_corpus,
+    write_corpus,
+)
 from docnade.model_io import ModelMeta, load_model, save_model
 from docnade.rng import named_stream
 from docnade.trainer import TrainConfig, init_params
@@ -347,3 +353,29 @@ class TestGrid:
             "--val", str(corpus_path), "--out", str(tmp_path / "g"),
         ])
         assert code == 3
+
+
+class TestMissingFeatures:
+    @pytest.mark.parametrize("format", ["text-sparse", "record-lines"])
+    def test_empty_features_field_is_a_data_error(self, tmp_path, capsys, format):
+        vocab = build_vocabulary(3, 2, ["a"])
+        docs = tuple(
+            MultimodalDocument({0: 2, 6: 1}, frozenset({i}), np.array([0.5, -1.0]))
+            for i in range(2)
+        )
+        path = tmp_path / "c.corpus"
+        write_corpus(Corpus(vocab, docs, n_classes=2, n_features=2), path, format)
+        lines = path.read_text().splitlines()
+        if format == "text-sparse":
+            lines[1] = lines[1].rsplit("|", 1)[0] + "|"
+        else:
+            record = json.loads(lines[1])
+            record["features"] = []
+            lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        code = main([
+            "train", "--corpus", str(path), "--format", format, "--out", str(tmp_path / "r"),
+            "--model", "supdeepdocnade", "--hidden", "4", "--epochs", "1",
+        ])
+        assert code == 3
+        assert "missing feature vector" in capsys.readouterr().err

@@ -1,9 +1,12 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from docnade import trainer
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
 from docnade.deep import split_histogram
+from docnade.model_io import load_checkpoint
 from docnade.rng import named_stream
 from docnade.trainer import (
     TrainConfig,
@@ -16,8 +19,9 @@ from docnade.trainer import (
     resume_training,
     train_model,
 )
+from docnade.wordtree import build_tree
 from gen import make_corpus
-from oracles import dense_hybrid_loss_gradients
+from oracles import dense_hybrid_loss_gradients, dense_shallow_epoch
 
 
 def params_equal(a, b):
@@ -384,3 +388,118 @@ class TestBatchedDeepStep:
             with pytest.raises(TrainingDivergedError) as info:
                 trainer.sgd_epoch(corpus, init_averaged(params, 0.0), config, streams)
         assert info.value.doc_index == int(order[1])
+
+
+def assert_close_to(got, want, rel=1e-12):
+    """Every array of `got` within rel * max|want array| of `want`."""
+    for (name, a), (_, b) in zip(got.arrays(), want.arrays()):
+        atol = rel * np.abs(b).max() if b.size else 0.0
+        assert np.allclose(a, b, rtol=0.0, atol=atol), name
+
+
+class TestSparseShallowStep:
+    BATCH = 4
+
+    def _setup(self, seed=5, decay=0.5, **overrides):
+        corpus = small_corpus(docs_per_class=1, doc_len=3, n_visual=10)
+        settings = dict(
+            model_kind="supdocnade", hidden_sizes=(6,), learning_rate=0.1,
+            unsup_weight=0.6, epochs=1, batch_size=self.BATCH, seed=seed,
+            averaging_decay=decay,
+        )
+        settings.update(overrides)
+        config = TrainConfig(**settings)
+        params = init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
+                             named_stream(seed, "init"))
+        tree = build_tree(corpus.vocabulary.size, seed)
+        return corpus, config, init_averaged(params, decay), tree
+
+    def _epoch(self, corpus, avg, config, tree, workers=1):
+        executor = ThreadPoolExecutor(workers) if workers > 1 else None
+        try:
+            trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(config.seed),
+                              tree=tree, executor=executor)
+        finally:
+            if executor is not None:
+                executor.shutdown()
+        return avg
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_one_step_equals_oracle_sum(self, workers):
+        corpus, config, avg, tree = self._setup()
+        assert len(corpus.documents) == self.BATCH  # one mini-batch per epoch
+        before = avg.current.copy()
+        oracle = dense_shallow_epoch(corpus, init_averaged(before.copy(), 0.5), config, tree)
+        self._epoch(corpus, avg, config, tree, workers)
+        for (name, start), (_, after), (_, want) in zip(
+            before.arrays(), avg.current.arrays(), oracle.current.arrays()
+        ):
+            atol = 1e-12 * np.abs(want - start).max()
+            assert np.allclose(after, want, rtol=0.0, atol=atol), name
+
+    def test_untouched_entries_are_bit_identical(self):
+        corpus, config, avg, tree = self._setup()
+        before = avg.current.copy()
+        self._epoch(corpus, avg, config, tree)
+        words = sorted({w for doc in corpus.documents for w in doc.counts})
+        nodes_tab, _, _ = tree.path_table()
+        on_path = np.zeros(tree.n_internal, dtype=bool)
+        on_path[nodes_tab[words][nodes_tab[words] >= 0]] = True
+        absent = np.ones(corpus.vocabulary.size, dtype=bool)
+        absent[words] = False
+        assert absent.any() and not on_path.all()
+        for params in (avg.current, avg.averaged):
+            assert np.array_equal(params.W[:, absent], before.W[:, absent])
+            assert np.array_equal(params.V[~on_path], before.V[~on_path])
+            assert np.array_equal(params.b[~on_path], before.b[~on_path])
+        assert not np.array_equal(avg.current.W[:, ~absent], before.W[:, ~absent])
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_lazy_average_equals_dense_oracle(self, batch_size):
+        corpus = small_corpus(docs_per_class=3, doc_len=8, n_visual=10)
+        config = TrainConfig(
+            model_kind="supdocnade", hidden_sizes=(6,), learning_rate=0.05, unsup_weight=0.6,
+            epochs=1, batch_size=batch_size, seed=8, averaging_decay=0.8,
+        )
+        params = init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
+                             named_stream(8, "init"))
+        tree = build_tree(corpus.vocabulary.size, 8)
+        # a start whose average differs from the current parameters
+        avg = trainer.AveragedParams(params.copy(), params.copy(), 0.8)
+        avg.averaged.W += 0.5
+        avg.averaged.V -= 0.25
+        oracle = trainer.AveragedParams(avg.current.copy(), avg.averaged.copy(), 0.8)
+        self._epoch(corpus, avg, config, tree)
+        dense_shallow_epoch(corpus, oracle, config, tree)
+        assert_close_to(avg.current, oracle.current)
+        assert_close_to(avg.averaged, oracle.averaged)
+
+    def test_decay_zero_copies_current_exactly(self):
+        corpus, config, avg, tree = self._setup(decay=0.0, batch_size=2)
+        avg.averaged.W += 1.0  # every entry is copied, touched or not
+        avg.averaged.b -= 1.0
+        self._epoch(corpus, avg, config, tree)
+        assert params_equal(avg.averaged, avg.current)
+
+    def test_fixed_point_is_exact(self):
+        corpus, config, avg, tree = self._setup(decay=0.9, learning_rate=0.0, batch_size=1)
+        before = avg.current.copy()
+        self._epoch(corpus, avg, config, tree)
+        assert params_equal(avg.current, before)
+        assert params_equal(avg.averaged, before)
+
+    def test_checkpoint_holds_the_flushed_average(self, tmp_path):
+        corpus = small_corpus(docs_per_class=3, doc_len=8, n_visual=10)
+        config = TrainConfig(
+            model_kind="docnade", hidden_sizes=(6,), learning_rate=0.05,
+            epochs=1, seed=4, averaging_decay=0.7,
+        )
+        result = train_model(corpus, config, checkpoint_dir=tmp_path)
+        _, averaged, _, epoch, _ = load_checkpoint(tmp_path / "epoch_0001.ckpt")
+        assert epoch == 1
+        assert params_equal(averaged, result.averaged)
+        start = init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
+                            named_stream(4, "init"))
+        oracle = dense_shallow_epoch(corpus, init_averaged(start, 0.7), config,
+                                     build_tree(corpus.vocabulary.size, 4))
+        assert_close_to(averaged, oracle.averaged)
