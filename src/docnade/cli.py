@@ -16,34 +16,16 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
-from . import deep as deep_mod
 from . import evaluate as eval_mod
-from .corpus import (
-    Corpus,
-    CorpusFormatError,
-    build_vocabulary,
-    parse_corpus,
-    weight_vector,
-)
-from .model_io import (
-    DEEP_KINDS,
-    MODEL_KINDS,
-    SUPERVISED_KINDS,
-    ModelMeta,
-    load_model,
-    save_model,
-)
-from .rng import named_stream
+from .corpus import Corpus, CorpusFormatError, parse_corpus
+from .model_io import MODEL_KINDS, ModelMeta, load_model, save_model
 from .trainer import (
     TrainConfig,
     TrainingDivergedError,
     pretrain_then_finetune,
     train_model,
 )
-from .wordtree import build_tree
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,8 +62,6 @@ def _config_from_args(args) -> TrainConfig:
         head=args.head,
         seed=args.seed,
         pretrain_epochs=getattr(args, "pretrain_epochs", 0),
-        split_mode=getattr(args, "split_mode", "prefix"),
-        workers=args.workers,
     )
 
 
@@ -133,109 +113,15 @@ def _load_model(path):
     return load_model(path)
 
 
-def _class_scores(corpus: Corpus, params, meta: ModelMeta) -> np.ndarray:
-    """Per-document class confidences from the model's own head.
-
-    Shallow models predict from visual words only (annotations are withheld
-    at test time); deep models condition on the full document.
-    """
-    reps = eval_mod.extract_representations(corpus, params, meta, restrict="visual-only")
-    logits = reps @ params.U.T + params.d
-    if meta.head == "sigmoid":
-        return np.exp(-np.logaddexp(0.0, -logits))
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    return probs / probs.sum(axis=1, keepdims=True)
-
-
-def _annotation_predictions(corpus: Corpus, params, meta: ModelMeta, tree, top_k: int):
-    vocab = corpus.vocabulary
-    omega = weight_vector(vocab, meta.anno_weight).omega if meta.kind in DEEP_KINDS else None
-    for doc in corpus.documents:
-        ranked = eval_mod.generate_text(
-            doc, params, vocab, top_k,
-            tree=tree, meta_dropout=meta.dropout_rate, omega=omega,
-        )
-        yield doc, ranked
-
-
-def _deep_perplexity_estimate(
-    corpus: Corpus, params, meta: ModelMeta, samples: int, rng
-) -> float:
-    """Per-token perplexity from sampled-split estimator losses."""
-    vocab = corpus.vocabulary
-    omega = weight_vector(vocab, meta.anno_weight).omega
-    keep = 1.0 - meta.dropout_rate if meta.dropout_rate > 0 else None
-    total_loss, total_tokens = 0.0, 0
-    for doc in corpus.documents:
-        counts = doc.dense_counts(vocab.size)
-        if counts.sum() == 0:
-            continue
-        draws = []
-        for _ in range(samples):
-            split = deep_mod.split_histogram(counts, rng)
-            x = deep_mod.prepare_histogram(split.input_hist, omega)
-            hs, _ = deep_mod.deep_forward(x, params, doc.features, keep_scale=keep)
-            loss, _ = deep_mod.generative_loss(
-                hs[-1], split.output_hist, omega, split.d, split.total_tokens, params
-            )
-            draws.append(loss)
-        total_loss += float(np.mean(draws))
-        total_tokens += int(counts.sum())
-    if total_tokens == 0:
-        raise ValueError("corpus has no tokens")
-    return float(np.exp(total_loss / total_tokens))
-
-
-def _compute_metrics(
-    corpus: Corpus, params, meta: ModelMeta, tree, args, curves_dir=None
-) -> list[tuple[str, float]]:
-    metrics: list[tuple[str, float]] = []
-    rng = named_stream(args.eval_seed, "eval")
-    supervised = meta.kind in SUPERVISED_KINDS
-
-    if not supervised:
-        if meta.kind == "docnade":
-            metrics.append((
-                "perplexity",
-                eval_mod.perplexity(corpus, params, tree, args.orderings, rng),
-            ))
-        else:
-            metrics.append((
-                "perplexity_estimate",
-                _deep_perplexity_estimate(corpus, params, meta, args.orderings, rng),
-            ))
-        return metrics
-
-    scores = _class_scores(corpus, params, meta)
-    if meta.head == "sigmoid":
-        relevance = np.zeros(scores.shape, dtype=bool)
-        for i, doc in enumerate(corpus.documents):
-            for label in doc.labels:
-                relevance[i, label] = True
-        mean_ap, skipped = eval_mod.mean_average_precision(scores, relevance)
-        metrics.append(("map", mean_ap))
-        if skipped:
-            metrics.append(("map_classes_excluded", float(skipped)))
-        if curves_dir is not None:
-            eval_mod.write_pr_curves(curves_dir, scores, relevance)
-    else:
-        labeled = [i for i, doc in enumerate(corpus.documents) if doc.labels]
-        predicted = scores.argmax(axis=1)[labeled]
-        truth = np.array([next(iter(corpus.documents[i].labels)) for i in labeled])
-        metrics.append(("accuracy", eval_mod.accuracy(predicted, truth)))
-
-    if corpus.vocabulary.n_annotation > 0:
-        vocab = corpus.vocabulary
-        pairs = []
-        for doc, ranked in _annotation_predictions(corpus, params, meta, tree, args.k):
-            truth = {i for i in doc.counts if vocab.is_annotation(i)}
-            pairs.append((set(int(i) for i in ranked.ids), truth))
-        mean_f, skipped = eval_mod.mean_f_measure(pairs)
-        metrics.append((f"f_measure_top{args.k}", mean_f))
-        if skipped:
-            metrics.append(("f_measure_docs_excluded", float(skipped)))
-    return metrics
+def _write_records(path, records) -> None:
+    """One JSON object per line, to the file `path` or else to stdout."""
+    out = open(path, "w") if path else sys.stdout
+    try:
+        for record in records:
+            out.write(json.dumps(record) + "\n")
+    finally:
+        if path:
+            out.close()
 
 
 def _emit_report(metrics, split: str, out_path=None) -> None:
@@ -244,9 +130,9 @@ def _emit_report(metrics, split: str, out_path=None) -> None:
     for name, value in metrics:
         print(f"{name:<{width}}  {split}  {value:.6f}")
     if out_path:
-        with open(out_path, "w") as fh:
-            for name, value in metrics:
-                fh.write(json.dumps({"metric": name, "split": split, "value": value}) + "\n")
+        _write_records(out_path, (
+            {"metric": name, "split": split, "value": value} for name, value in metrics
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +179,10 @@ def cmd_eval(args) -> int:
     params, meta = _load_model(args.model_file)
     corpus = _load_corpus(args)
     _check_compat(meta, corpus)
-    tree = build_tree(meta.vocab_size, meta.tree_seed) if meta.tree_seed is not None else None
-    metrics = _compute_metrics(corpus, params, meta, tree, args, curves_dir=args.curves)
+    metrics = eval_mod.evaluation_metrics(
+        corpus, params, meta,
+        top_k=args.k, orderings=args.orderings, eval_seed=args.eval_seed, curves_dir=args.curves,
+    )
     _emit_report(metrics, args.split, args.out)
     return EXIT_OK
 
@@ -303,21 +191,15 @@ def cmd_annotate(args) -> int:
     params, meta = _load_model(args.model_file)
     corpus = _load_corpus(args)
     _check_compat(meta, corpus)
-    tree = build_tree(meta.vocab_size, meta.tree_seed) if meta.tree_seed is not None else None
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for index, (_, ranked) in enumerate(
-            _annotation_predictions(corpus, params, meta, tree, args.k)
-        ):
-            record = {
-                "doc": index,
-                "annotations": [int(i) for i in ranked.ids],
-                "scores": [float(s) for s in ranked.scores],
-            }
-            out.write(json.dumps(record) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    predictions = eval_mod.annotation_predictions(corpus, params, meta, args.k)
+    _write_records(args.out, (
+        {
+            "doc": index,
+            "annotations": [int(i) for i in ranked.ids],
+            "scores": [float(s) for s in ranked.scores],
+        }
+        for index, (_, ranked) in enumerate(predictions)
+    ))
     return EXIT_OK
 
 
@@ -329,40 +211,17 @@ def cmd_retrieve(args) -> int:
     if not (0 <= args.query < len(reps)):
         raise ValueError(f"query index {args.query} out of range (corpus size {len(reps)})")
     ranked = eval_mod.cosine_retrieve(reps[args.query], reps, args.k)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for rank, (doc_id, score) in enumerate(zip(ranked.ids, ranked.scores), start=1):
-            out.write(json.dumps(
-                {"query": args.query, "rank": rank, "doc": int(doc_id), "score": float(score)}
-            ) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    _write_records(args.out, (
+        {"query": args.query, "rank": rank, "doc": int(doc_id), "score": float(score)}
+        for rank, (doc_id, score) in enumerate(zip(ranked.ids, ranked.scores), start=1)
+    ))
     return EXIT_OK
 
 
 def cmd_inspect(args) -> int:
     params, meta = _load_model(args.model_file)
-    if meta.kind not in ("supdocnade",):
-        raise ValueError("inspect requires a supervised shallow model")
-    vocab = build_vocabulary(
-        meta.n_visual, meta.n_regions, [f"anno{i}" for i in range(meta.n_annotation)]
-    )
-    topics, visual_ids, anno_ids = eval_mod.class_word_associations(
-        params, vocab, args.class_index, args.topics, args.words
-    )
-    record = {
-        "class": args.class_index,
-        "topics": [int(t) for t in topics],
-        "visual_words": [int(i) for i in visual_ids],
-        "annotation_words": [int(i) for i in anno_ids],
-    }
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        out.write(json.dumps(record) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    record = eval_mod.class_report(params, meta, args.class_index, args.topics, args.words)
+    _write_records(args.out, [record])
     return EXIT_OK
 
 
@@ -379,13 +238,6 @@ _GRID_KEYS = {
 }
 
 
-def _selection_metric(meta_kind: str, head: str) -> tuple[str, bool]:
-    """(metric name, higher_is_better) used to pick the best grid point."""
-    if meta_kind in SUPERVISED_KINDS:
-        return ("map", True) if head == "sigmoid" else ("accuracy", True)
-    return ("perplexity" if meta_kind == "docnade" else "perplexity_estimate", False)
-
-
 def cmd_grid(args) -> int:
     with open(args.grid) as fh:
         grid_spec = json.load(fh)
@@ -398,27 +250,22 @@ def cmd_grid(args) -> int:
     train_corpus = parse_corpus(args.corpus, args.format)
     val_corpus = parse_corpus(args.val, args.format)
     base_config = _config_from_args(args)
-    metric_name, higher_better = _selection_metric(base_config.model_kind, base_config.head)
 
     keys = list(grid_spec.keys())
     best = None
     os.makedirs(args.out, exist_ok=True)
     for combo in itertools.product(*(grid_spec[k] for k in keys)):
-        overrides = {}
-        for key, raw in zip(keys, combo):
-            field_name, cast = _GRID_KEYS[key]
-            overrides[field_name] = cast(raw)
+        overrides = {_GRID_KEYS[key][0]: _GRID_KEYS[key][1](raw) for key, raw in zip(keys, combo)}
         config = TrainConfig(**{**asdict(base_config), **overrides})
-        config.hidden_sizes = tuple(config.hidden_sizes)
         result = train_model(train_corpus, config)
-        eval_args = argparse.Namespace(
-            eval_seed=args.eval_seed, orderings=args.orderings, k=args.k
+        metrics = eval_mod.evaluation_metrics(
+            val_corpus, result.averaged, result.meta,
+            top_k=args.k, orderings=args.orderings, eval_seed=args.eval_seed,
         )
-        metrics = dict(_compute_metrics(val_corpus, result.averaged, result.meta, result.tree, eval_args))
-        value = metrics[metric_name]
+        metric_name, value = metrics[0]
         print(f"grid point {dict(zip(keys, combo))}: {metric_name}={value:.6f}")
-        better = best is None or (value > best[0] if higher_better else value < best[0])
-        if better:
+        lower = metric_name in eval_mod.LOWER_IS_BETTER
+        if best is None or (value < best[0] if lower else value > best[0]):
             best = (value, config, dict(zip(keys, combo)))
 
     value, config, combo = best
@@ -446,6 +293,12 @@ def cmd_grid(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common_model_flags(sub):
     sub.add_argument("--model", dest="model_file", required=True, help="model file")
     sub.add_argument("--corpus", required=True)
@@ -470,10 +323,8 @@ def _add_train_flags(sub, with_grid: bool = False):
     sub.add_argument("--batch-size", dest="batch_size", type=int, default=1)
     sub.add_argument("--head", choices=("softmax", "sigmoid"), default="softmax")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=int, default=1,
-                     help="threads per mini-batch (shallow models only)")
-    sub.add_argument("--split-mode", dest="split_mode", choices=("prefix", "per-word"),
-                     default="prefix")
+    sub.add_argument("--workers", type=_positive_int, default=1,
+                     help="accepted for compatibility and ignored")
     sub.add_argument("--regions", type=int, default=None,
                      help="expected region count (validated against the corpus header)")
     if not with_grid:
@@ -497,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = commands.add_parser("eval", help="evaluate a model on a corpus")
     _add_common_model_flags(ev)
     ev.add_argument("--split", default="test", help="split name for the report")
-    ev.add_argument("--k", type=int, default=5, help="top-K for annotation prediction")
-    ev.add_argument("--orderings", type=int, default=1,
+    ev.add_argument("--k", type=_positive_int, default=5, help="top-K for annotation prediction")
+    ev.add_argument("--orderings", type=_positive_int, default=1,
                     help="sampled orderings/splits per document")
     ev.add_argument("--eval-seed", dest="eval_seed", type=int, default=0)
     ev.add_argument("--curves", default=None,
@@ -507,20 +358,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     annotate = commands.add_parser("annotate", help="predict annotation words")
     _add_common_model_flags(annotate)
-    annotate.add_argument("--k", type=int, default=5)
+    annotate.add_argument("--k", type=_positive_int, default=5)
     annotate.set_defaults(func=cmd_annotate)
 
     retrieve = commands.add_parser("retrieve", help="cosine retrieval by document index")
     _add_common_model_flags(retrieve)
     retrieve.add_argument("--query", type=int, required=True)
-    retrieve.add_argument("--k", type=int, default=5)
+    retrieve.add_argument("--k", type=_positive_int, default=5)
     retrieve.set_defaults(func=cmd_retrieve)
 
     inspect = commands.add_parser("inspect", help="class/topic/word associations")
     inspect.add_argument("--model", dest="model_file", required=True)
     inspect.add_argument("--class-index", dest="class_index", type=int, required=True)
-    inspect.add_argument("--topics", type=int, default=3)
-    inspect.add_argument("--words", type=int, default=10)
+    inspect.add_argument("--topics", type=_positive_int, default=3)
+    inspect.add_argument("--words", type=_positive_int, default=10)
     inspect.add_argument("--out", default=None)
     inspect.set_defaults(func=cmd_inspect)
 
@@ -529,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--grid", required=True, help="JSON file of hyperparameter lists")
     grid.add_argument("--val", required=True, help="validation corpus")
     grid.add_argument("--out", default="runs", help="output directory")
-    grid.add_argument("--k", type=int, default=5)
-    grid.add_argument("--orderings", type=int, default=1)
+    grid.add_argument("--k", type=_positive_int, default=5)
+    grid.add_argument("--orderings", type=_positive_int, default=1)
     grid.add_argument("--eval-seed", dest="eval_seed", type=int, default=0)
     grid.set_defaults(func=cmd_grid)
 
@@ -539,15 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate_usage(parser: argparse.ArgumentParser, args) -> None:
     if args.command in ("train", "grid"):
-        if args.head == "sigmoid" and args.model != "supdeepdocnade":
-            parser.error(f"--head sigmoid is not available for --model {args.model}")
-        if args.model not in DEEP_KINDS:
-            try:
-                sizes = _parse_hidden(args.hidden, args.layers)
-            except ValueError as exc:
-                parser.error(str(exc))
-            if len(sizes) != 1:
-                parser.error(f"--model {args.model} takes exactly one hidden layer")
+        try:
+            _config_from_args(args).validate()
+        except ValueError as exc:
+            parser.error(str(exc))
         if getattr(args, "pretrain_epochs", 0) > 0 and not getattr(args, "pretrain_corpus", None):
             parser.error("--pretrain-epochs requires --pretrain-corpus")
 

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import log_softmax, sigmoid
+
 HEADS = ("softmax", "sigmoid")
-SPLIT_MODES = ("prefix", "per-word")
 _STD_GUARD = 1e-12
 
 
@@ -99,47 +100,32 @@ class HistogramSplit:
     total_tokens: int
 
 
-def split_histogram(
-    counts: np.ndarray, rng: np.random.Generator, mode: str = "prefix"
-) -> HistogramSplit | None:
+def split_histogram(counts: np.ndarray, rng: np.random.Generator) -> HistogramSplit | None:
     """Split a count vector into observed/predicted sides for one update.
 
-    `prefix` draws d uniformly from {1..D} and then a uniformly random
+    Draws d uniformly from {1..D} and then a uniformly random
     (d-1)-sub-multiset of the tokens (sequential hypergeometric draws per
     word), which matches the distribution of uniformly shuffled token
-    prefixes exactly.  `per-word` is the cheaper approximation that splits
-    each word's count independently and uniformly; it does not match the
-    prefix distribution and is kept for fidelity experiments (resampled
-    until the predicted side is nonempty).
+    prefixes exactly.
 
     Returns None for empty documents (the caller skips them).
     """
-    if mode not in SPLIT_MODES:
-        raise ValueError(f"unknown split mode {mode!r}")
     counts = np.asarray(counts)
     total = int(counts.sum())
     if total == 0:
         return None
     input_hist = np.zeros_like(counts)
-    if mode == "prefix":
-        d = int(rng.integers(1, total + 1))
-        need = d - 1
-        remaining = total
-        for word in np.flatnonzero(counts):
-            if need == 0:
-                break
-            have = int(counts[word])
-            take = int(rng.hypergeometric(have, remaining - have, need))
-            input_hist[word] = take
-            need -= take
-            remaining -= have
-    else:
-        while True:
-            for word in np.flatnonzero(counts):
-                input_hist[word] = rng.integers(0, counts[word] + 1)
-            if input_hist.sum() < total:
-                break
-        d = int(input_hist.sum()) + 1
+    d = int(rng.integers(1, total + 1))
+    need = d - 1
+    remaining = total
+    for word in np.flatnonzero(counts):
+        if need == 0:
+            break
+        have = int(counts[word])
+        take = int(rng.hypergeometric(have, remaining - have, need))
+        input_hist[word] = take
+        need -= take
+        remaining -= have
     output_hist = counts - input_hist
     return HistogramSplit(input_hist, output_hist, d, total)
 
@@ -205,12 +191,6 @@ def deep_forward(
     return hs, pres
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis (each row of a matrix separately)."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def generative_loss(
     h_top: np.ndarray,
     output_hist: np.ndarray,
@@ -234,7 +214,7 @@ def generative_loss(
     single = h_top.ndim == 1
     h = np.atleast_2d(h_top)
     hist = np.atleast_2d(output_hist)
-    log_probs = _log_softmax(params.b_out + h @ params.V_out.T)
+    log_probs = log_softmax(params.b_out + h @ params.V_out.T)
     targets = hist * phi if phi is not None else hist.astype(float)
     factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
     loss = factor[:, 0] * -np.einsum("ij,ij->i", targets, log_probs)
@@ -271,13 +251,13 @@ def supervised_loss(
     for row, label_set in enumerate(label_sets):
         target[row, sorted(label_set)] = 1.0
     if head == "softmax":
-        log_post = _log_softmax(z)
+        log_post = log_softmax(z)
         loss = -log_post[target == 1.0]
         d_logits = np.exp(log_post) - target
     else:
         # -t*log(sig(z)) - (1-t)*log(1-sig(z)), computed stably
         loss = (target * np.logaddexp(0.0, -z) + (1 - target) * np.logaddexp(0.0, z)).sum(axis=1)
-        d_logits = np.exp(-np.logaddexp(0.0, -z)) - target
+        d_logits = sigmoid(z) - target
     grads = {"U": d_logits.T @ h, "d": d_logits.sum(axis=0), "h": d_logits @ params.U}
     if single:
         return float(loss[0]), {**grads, "h": grads["h"][0]}
@@ -289,7 +269,7 @@ def _sparse_inputs(
     cols: np.ndarray,
     vocab_size: int,
     omega: np.ndarray | None,
-    normalize: bool,
+    normalize: bool = True,
 ) -> np.ndarray:
     """`prepare_histogram` for rows that are zero outside `cols`, given on
     those columns only.
@@ -331,7 +311,6 @@ def batch_loss_gradients(
     gen_masks: list[list[np.ndarray] | None],
     sup_masks: list[list[np.ndarray] | None],
     head: str = "softmax",
-    normalize: bool = True,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
     """Deterministic core of one mini-batch update (stochasticity passed in).
 
@@ -361,7 +340,7 @@ def batch_loss_gradients(
         return losses, grads, cols
 
     raw = np.stack([counts[i, cols] for i in sup] + [splits[i].input_hist[cols] for i in gen])
-    x = _sparse_inputs(raw, cols, params.vocab_size, omega, normalize)
+    x = _sparse_inputs(raw, cols, params.vocab_size, omega)
     row_features = [features[i] for i in sup + gen]
     feats = None
     if any(f is not None for f in row_features):  # a document without features adds 0 @ P
@@ -417,7 +396,6 @@ def hybrid_loss_gradients(
     gen_masks: list[np.ndarray] | None,
     sup_masks: list[np.ndarray] | None,
     head: str = "softmax",
-    normalize: bool = True,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and dense gradients of one document's update: the batch-of-one
     case of `batch_loss_gradients`.
@@ -429,42 +407,12 @@ def hybrid_loss_gradients(
     """
     losses, grads, cols = batch_loss_gradients(
         np.asarray(counts)[None], [labels], [features], params, unsup_weight, omega, phi,
-        [split], [gen_masks], [sup_masks], head=head, normalize=normalize,
+        [split], [gen_masks], [sup_masks], head=head,
     )
     w1 = np.zeros_like(params.layer_weights[0])
     w1[:, cols] = grads["W1"]
     grads["W1"] = w1
     return float(losses[0]), grads
-
-
-def hybrid_gradients(
-    counts: np.ndarray,
-    labels: frozenset[int] | None,
-    features: np.ndarray | None,
-    params: DeepParams,
-    unsup_weight: float,
-    omega: np.ndarray | None,
-    phi: np.ndarray | None,
-    rng: np.random.Generator,
-    dropout_rate: float = 0.0,
-    head: str = "softmax",
-    split_mode: str = "prefix",
-) -> tuple[float, dict[str, np.ndarray]]:
-    """One stochastic update's loss and gradients (fresh split and masks)."""
-    split = split_histogram(counts, rng, mode=split_mode)
-    gen_masks = sup_masks = None
-    if dropout_rate > 0.0:
-        keep = 1.0 - dropout_rate
-        gen_masks = [
-            (rng.random(size) < keep).astype(float) for size in params.hidden_sizes
-        ]
-        sup_masks = [
-            (rng.random(size) < keep).astype(float) for size in params.hidden_sizes
-        ]
-    return hybrid_loss_gradients(
-        counts, labels, features, params, unsup_weight, omega, phi,
-        split, gen_masks, sup_masks, head=head,
-    )
 
 
 def deep_represent(
@@ -475,7 +423,7 @@ def deep_represent(
     dropout_rate: float = 0.0,
 ) -> np.ndarray:
     """Top-layer representation of the full (weighted, rescaled) histogram."""
-    x = prepare_histogram(np.asarray(counts), omega, normalize=True)
+    x = prepare_histogram(np.asarray(counts), omega)
     keep = 1.0 - dropout_rate if dropout_rate > 0.0 else None
     hs, _ = deep_forward(x, params, features, keep_scale=keep)
     return hs[-1]
@@ -483,7 +431,7 @@ def deep_represent(
 
 def output_log_probs(h_top: np.ndarray, params: DeepParams) -> np.ndarray:
     """Per-word log conditional probabilities given a hidden state."""
-    return _log_softmax(params.b_out + params.V_out @ h_top)
+    return log_softmax(params.b_out + params.V_out @ h_top)
 
 
 def exhaustive_ordering_loss(
@@ -492,7 +440,6 @@ def exhaustive_ordering_loss(
     phi: np.ndarray | None = None,
     omega: np.ndarray | None = None,
     features: np.ndarray | None = None,
-    normalize: bool = True,
     max_tokens: int = 6,
 ) -> float:
     """Exact expectation over all orderings of the per-position weighted NLL.
@@ -514,7 +461,7 @@ def exhaustive_ordering_loss(
 
     def conditionals(prefix_key: tuple) -> np.ndarray:
         if prefix_key not in cond_cache:
-            x = prepare_histogram(np.array(prefix_key), omega, normalize)
+            x = prepare_histogram(np.array(prefix_key), omega)
             hs, _ = deep_forward(x, params, features)
             cond_cache[prefix_key] = output_log_probs(hs[-1], params)
         return cond_cache[prefix_key]

@@ -3,7 +3,9 @@
 Pure functions over frozen parameters: classification accuracy, top-K
 annotation F-measure, average precision / MAP, held-out perplexity, cosine
 retrieval, text generation from the visual modality, and per-class
-topic/word association inspection.
+topic/word association inspection.  `evaluation_metrics` assembles the
+metric report for a model's kind; this module is where the inference
+commands branch on `meta.kind`.
 """
 
 from __future__ import annotations
@@ -15,8 +17,17 @@ import numpy as np
 
 from . import deep as deep_mod
 from . import shallow as shallow_mod
-from .corpus import Corpus, JointVocabulary, MultimodalDocument, weight_vector
-from .wordtree import WordTree
+from .corpus import (
+    Corpus,
+    JointVocabulary,
+    MultimodalDocument,
+    build_vocabulary,
+    weight_vector,
+)
+from .model_io import DEEP_KINDS, SUPERVISED_KINDS, ModelMeta
+from .numerics import sigmoid, softmax_rows
+from .rng import named_stream
+from .wordtree import WordTree, build_tree
 
 logger = logging.getLogger(__name__)
 
@@ -29,7 +40,7 @@ def extract_representations(corpus: Corpus, params, meta, restrict: str = "all-w
     visual-only protocol for shallow class prediction.
     """
     vocab = corpus.vocabulary
-    if meta.kind in ("deepdocnade", "supdeepdocnade"):
+    if meta.kind in DEEP_KINDS:
         omega = weight_vector(vocab, meta.anno_weight).omega
         return np.array([
             deep_mod.deep_represent(
@@ -181,15 +192,14 @@ def perplexity(
     params: shallow_mod.ShallowParams,
     tree: WordTree,
     orderings_per_doc: int = 1,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> float:
     """exp(-(sum of per-document mean log-likelihoods) / total token count).
 
     Each document's log-likelihood is averaged over `orderings_per_doc`
     sampled token orderings.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     total_log_prob = 0.0
     total_tokens = 0
     for doc in corpus.documents:
@@ -217,12 +227,6 @@ class LinearClassifier:
     weights: np.ndarray  # (C, H)
     bias: np.ndarray  # (C,)
     kind: str  # softmax | sigmoid
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def fit_linear_classifier(
@@ -269,7 +273,7 @@ def fit_linear_classifier(
     b = np.zeros(n_classes)
     for _ in range(max_iter):
         z = X @ W.T + b
-        probs = _softmax_rows(z) if kind == "softmax" else np.exp(-np.logaddexp(0.0, -z))
+        probs = softmax_rows(z) if kind == "softmax" else sigmoid(z)
         delta = (probs - target) / n
         grad_W = delta.T @ X + l2 * W
         grad_b = delta.sum(axis=0)
@@ -282,9 +286,7 @@ def fit_linear_classifier(
 
 def classifier_scores(clf: LinearClassifier, representations: np.ndarray) -> np.ndarray:
     z = np.asarray(representations) @ clf.weights.T + clf.bias
-    if clf.kind == "softmax":
-        return _softmax_rows(z)
-    return np.exp(-np.logaddexp(0.0, -z))
+    return softmax_rows(z) if clf.kind == "softmax" else sigmoid(z)
 
 
 def classify(clf: LinearClassifier, representations: np.ndarray) -> np.ndarray:
@@ -331,13 +333,14 @@ def generate_text(
 ) -> RankedPrediction:
     """Rank annotation words by next-word probability given the visual words.
 
-    Deep models renormalize the softmax output over the annotation block;
-    shallow models delegate to the tree-based annotation prediction.
+    Shallow models, which come with their word `tree`, delegate to the
+    tree-based annotation prediction; deep models renormalize the softmax
+    output over the annotation block.
     """
     if vocab.n_annotation == 0:
         raise ValueError("vocabulary has no annotation words")
     top_k = min(top_k, vocab.n_annotation)
-    if isinstance(params, shallow_mod.ShallowParams):
+    if tree is not None:
         ids, probs = shallow_mod.predict_annotations(doc, params, tree, vocab, top_k)
         return RankedPrediction(ids, probs)
     counts = doc.visual_only(vocab).dense_counts(vocab.size)
@@ -376,3 +379,144 @@ def class_word_associations(
     top_visual = _rank(visual_ids, word_scores[visual_ids], min(top_words, len(visual_ids))).ids
     top_anno = _rank(anno_ids, word_scores[anno_ids], min(top_words, len(anno_ids))).ids
     return topics, top_visual, top_anno
+
+
+# ---------------------------------------------------------------------------
+# Reports of the inference commands
+# ---------------------------------------------------------------------------
+
+
+# Report metrics a model selection minimizes; every other metric is maximized.
+LOWER_IS_BETTER = ("perplexity", "perplexity_estimate")
+
+
+def class_scores(corpus: Corpus, params, meta: ModelMeta) -> np.ndarray:
+    """Per-document class confidences from the model's own head.
+
+    Shallow models predict from visual words only (annotations are withheld
+    at test time); deep models condition on the full document.
+    """
+    reps = extract_representations(corpus, params, meta, restrict="visual-only")
+    logits = reps @ params.U.T + params.d
+    return sigmoid(logits) if meta.head == "sigmoid" else softmax_rows(logits)
+
+
+def annotation_predictions(corpus: Corpus, params, meta: ModelMeta, top_k: int):
+    """Yields (document, its top-K annotation words ranked from its visual
+    words); the word tree or the annotation weights are built once."""
+    vocab = corpus.vocabulary
+    tree = omega = None
+    if meta.kind in DEEP_KINDS:
+        omega = weight_vector(vocab, meta.anno_weight).omega
+    else:
+        tree = build_tree(meta.vocab_size, meta.tree_seed)
+    for doc in corpus.documents:
+        yield doc, generate_text(
+            doc, params, vocab, top_k, tree=tree, meta_dropout=meta.dropout_rate, omega=omega
+        )
+
+
+def perplexity_estimate(
+    corpus: Corpus, params, meta: ModelMeta, samples: int, rng: np.random.Generator
+) -> float:
+    """Per-token perplexity of a deep model from the losses of `samples`
+    sampled splits per document."""
+    vocab = corpus.vocabulary
+    omega = weight_vector(vocab, meta.anno_weight).omega
+    keep = 1.0 - meta.dropout_rate if meta.dropout_rate > 0 else None
+    total_loss, total_tokens = 0.0, 0
+    for doc in corpus.documents:
+        counts = doc.dense_counts(vocab.size)
+        if counts.sum() == 0:
+            continue
+        draws = []
+        for _ in range(samples):
+            split = deep_mod.split_histogram(counts, rng)
+            x = deep_mod.prepare_histogram(split.input_hist, omega)
+            hs, _ = deep_mod.deep_forward(x, params, doc.features, keep_scale=keep)
+            loss, _ = deep_mod.generative_loss(
+                hs[-1], split.output_hist, omega, split.d, split.total_tokens, params
+            )
+            draws.append(loss)
+        total_loss += float(np.mean(draws))
+        total_tokens += int(counts.sum())
+    if total_tokens == 0:
+        raise ValueError("corpus has no tokens")
+    return float(np.exp(total_loss / total_tokens))
+
+
+def evaluation_metrics(
+    corpus: Corpus,
+    params,
+    meta: ModelMeta,
+    *,
+    top_k: int = 5,
+    orderings: int = 1,
+    eval_seed: int = 0,
+    curves_dir=None,
+) -> list[tuple[str, float]]:
+    """The (metric, value) report of `docnade eval` for the model's kind.
+
+    Unsupervised models: perplexity (deep ones: its sampled-split estimate)
+    over `orderings` samples per document.  Supervised models: accuracy, or
+    MAP for a sigmoid head (with PR curves to `curves_dir`), then top-K
+    annotation F-measure.  The first entry is what a grid search selects on.
+    """
+    if meta.kind not in SUPERVISED_KINDS:
+        rng = named_stream(eval_seed, "eval")
+        if meta.kind in DEEP_KINDS:
+            return [("perplexity_estimate",
+                     perplexity_estimate(corpus, params, meta, orderings, rng))]
+        tree = build_tree(meta.vocab_size, meta.tree_seed)
+        return [("perplexity", perplexity(corpus, params, tree, orderings, rng=rng))]
+
+    metrics: list[tuple[str, float]] = []
+    scores = class_scores(corpus, params, meta)
+    if meta.head == "sigmoid":
+        relevance = np.zeros(scores.shape, dtype=bool)
+        for i, doc in enumerate(corpus.documents):
+            relevance[i, sorted(doc.labels)] = True
+        mean_ap, skipped = mean_average_precision(scores, relevance)
+        metrics.append(("map", mean_ap))
+        if skipped:
+            metrics.append(("map_classes_excluded", float(skipped)))
+        if curves_dir is not None:
+            write_pr_curves(curves_dir, scores, relevance)
+    else:
+        labeled = [i for i, doc in enumerate(corpus.documents) if doc.labels]
+        predicted = scores.argmax(axis=1)[labeled]
+        truth = np.array([next(iter(corpus.documents[i].labels)) for i in labeled])
+        metrics.append(("accuracy", accuracy(predicted, truth)))
+
+    vocab = corpus.vocabulary
+    if vocab.n_annotation > 0:
+        pairs = []
+        for doc, ranked in annotation_predictions(corpus, params, meta, top_k):
+            truth = {i for i in doc.counts if vocab.is_annotation(i)}
+            pairs.append((set(int(i) for i in ranked.ids), truth))
+        mean_f, skipped = mean_f_measure(pairs)
+        metrics.append((f"f_measure_top{top_k}", mean_f))
+        if skipped:
+            metrics.append(("f_measure_docs_excluded", float(skipped)))
+    return metrics
+
+
+def class_report(
+    params, meta: ModelMeta, class_index: int, top_topics: int, top_words: int
+) -> dict:
+    """The `docnade inspect` record of a supervised shallow model: the
+    topics and the visual and annotation words most associated with a class."""
+    if meta.kind != "supdocnade":
+        raise ValueError("inspect requires a supervised shallow model")
+    vocab = build_vocabulary(
+        meta.n_visual, meta.n_regions, [f"anno{i}" for i in range(meta.n_annotation)]
+    )
+    topics, visual_ids, anno_ids = class_word_associations(
+        params, vocab, class_index, top_topics, top_words
+    )
+    return {
+        "class": class_index,
+        "topics": [int(t) for t in topics],
+        "visual_words": [int(i) for i in visual_ids],
+        "annotation_words": [int(i) for i in anno_ids],
+    }

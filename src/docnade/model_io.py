@@ -5,14 +5,13 @@ length-prefixed JSON header (dimensions, model kind, tree seed, array
 manifest), then the parameter arrays concatenated as little-endian float64
 in the order declared by the manifest.  Checkpoints append a second array
 block (the running parameter average) and a training-state record (epoch and
-RNG stream states).
-
-A structured-text export of named arrays is provided for debugging.
+RNG stream states).  A file cut short anywhere fails to load with ValueError.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Any
@@ -26,7 +25,6 @@ MAGIC = b"DOCNADE1"
 FORMAT_VERSION = 1
 
 MODEL_KINDS = ("docnade", "supdocnade", "deepdocnade", "supdeepdocnade")
-SHALLOW_KINDS = ("docnade", "supdocnade")
 DEEP_KINDS = ("deepdocnade", "supdeepdocnade")
 SUPERVISED_KINDS = ("supdocnade", "supdeepdocnade")
 
@@ -80,7 +78,7 @@ def _unpack_arrays(manifest: list, blob: bytes) -> dict[str, np.ndarray]:
 
 
 def _params_from_arrays(meta: ModelMeta, arrays: dict[str, np.ndarray]):
-    if meta.kind in SHALLOW_KINDS:
+    if meta.kind not in DEEP_KINDS:
         return ShallowParams(
             arrays["W"], arrays["c"], arrays["V"], arrays["b"], arrays["U"], arrays["d"]
         )
@@ -112,23 +110,29 @@ def _write_container(path, header: dict, blocks: list[list[tuple[str, np.ndarray
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
-def _read_container(path) -> tuple[dict, list[bytes]]:
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    # checked before reading, so a corrupt length never allocates more than the file holds
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"{path}: truncated container ({what} cut short)")
+    return fh.read(size)
+
+
+def _read_container(path, n_blobs: int) -> tuple[dict, list[bytes]]:
+    """The header and the first `n_blobs` blobs; ValueError if any is cut
+    short or missing."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a model container (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header length"))
+        header = json.loads(_read_exact(fh, header_len, path, "header").decode("utf-8"))
         blobs = []
-        while True:
-            raw = fh.read(8)
-            if not raw:
-                break
-            (blob_len,) = struct.unpack("<Q", raw)
-            blobs.append(fh.read(blob_len))
+        for n in range(n_blobs):
+            (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, f"blob {n} length"))
+            blobs.append(_read_exact(fh, blob_len, path, f"blob {n}"))
     return header, blobs
 
 
@@ -139,7 +143,7 @@ def save_model(path, params, meta: ModelMeta) -> None:
 
 
 def load_model(path) -> tuple[Any, ModelMeta]:
-    header, blobs = _read_container(path)
+    header, blobs = _read_container(path, 1)
     meta = ModelMeta.from_json(header["meta"])
     arrays = _unpack_arrays(header["manifest"], blobs[0])
     return _params_from_arrays(meta, arrays), meta
@@ -156,20 +160,9 @@ def save_checkpoint(path, params, averaged, meta: ModelMeta, epoch: int, rng_sta
 
 
 def load_checkpoint(path) -> tuple[Any, Any, ModelMeta, int, dict]:
-    header, blobs = _read_container(path)
+    header, blobs = _read_container(path, 2)
     meta = ModelMeta.from_json(header["meta"])
     params = _params_from_arrays(meta, _unpack_arrays(header["manifest"], blobs[0]))
     averaged = _params_from_arrays(meta, _unpack_arrays(header["manifest"], blobs[1]))
     state = header["state"]
     return params, averaged, meta, state["epoch"], state["rng_states"]
-
-
-def export_text(path, params, meta: ModelMeta) -> None:
-    """Human-readable dump of every parameter array, for debugging."""
-    with open(path, "w") as fh:
-        fh.write(f"# model kind={meta.kind} head={meta.head}\n")
-        for name, arr in params.arrays():
-            fh.write(f"# array {name} shape={'x'.join(map(str, arr.shape))}\n")
-            flat = np.atleast_2d(arr)
-            for row in flat:
-                fh.write(" ".join(repr(float(x)) for x in row) + "\n")

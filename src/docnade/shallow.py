@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import JointVocabulary, MultimodalDocument
+from .numerics import log_softmax, sigmoid
 from .wordtree import OpCounter, WordTree, words_log_prob
 
 
@@ -67,11 +68,6 @@ class ShallowParams:
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.arrays()}
-
-
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
 
 
 def _preactivations(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
@@ -140,7 +136,7 @@ def class_posterior(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
         raise ValueError("class posterior needs at least 2 classes")
     tokens = np.asarray(tokens, dtype=np.int64)
     h_full = hidden_states(tokens, params)[-1]
-    return np.exp(_log_softmax(params.d + params.U @ h_full))
+    return np.exp(log_softmax(params.d + params.U @ h_full))
 
 
 def joint_log_prob(
@@ -151,7 +147,7 @@ def joint_log_prob(
         raise ValueError(f"label {label} out of range")
     tokens = np.asarray(tokens, dtype=np.int64)
     h_full = hidden_states(tokens, params)[-1]
-    log_post = _log_softmax(params.d + params.U @ h_full)
+    log_post = log_softmax(params.d + params.U @ h_full)
     return doc_log_likelihood(tokens, params, tree) + float(log_post[label])
 
 
@@ -256,7 +252,7 @@ def sparse_gradients(
     active = pre > 0  # relu subgradient: strict inequality, 0 at the kink
 
     if label is not None:
-        log_post = _log_softmax(params.d + params.U @ states[-1])
+        log_post = log_softmax(params.d + params.U @ states[-1])
         loss -= float(log_post[label])
         g_d = np.exp(log_post)
         g_d[label] -= 1.0
@@ -279,7 +275,7 @@ def sparse_gradients(
         paths = _path_terms(tokens, states, params, tree)
         loss -= unsup_weight * paths.log_lik
         if unsup_weight != 0.0:
-            dt = unsup_weight * (np.exp(-np.logaddexp(0.0, -paths.act)) - paths.bits)
+            dt = unsup_weight * (sigmoid(paths.act) - paths.bits)
             dt *= paths.valid
             # dh_i sums dt * V over the path of token i
             masked = np.einsum("ij,ijh->ih", dt, paths.v_at)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,8 +55,6 @@ class TrainConfig:
     head: str = "softmax"
     seed: int = 0
     pretrain_epochs: int = 0
-    split_mode: str = "prefix"
-    workers: int = 1
 
     def validate(self) -> None:
         if self.model_kind not in MODEL_KINDS:
@@ -76,10 +73,8 @@ class TrainConfig:
             raise ValueError("averaging_decay must be in [0, 1)")
         if self.epochs < 0 or self.pretrain_epochs < 0:
             raise ValueError("epoch counts must be >= 0")
-        if self.batch_size < 1 or self.workers < 1:
-            raise ValueError("batch_size and workers must be >= 1")
-        if self.split_mode not in deep_mod.SPLIT_MODES:
-            raise ValueError(f"unknown split mode {self.split_mode!r}")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be positive")
         if self.model_kind not in DEEP_KINDS and len(self.hidden_sizes) != 1:
@@ -92,10 +87,6 @@ class TrainConfig:
     @property
     def is_supervised(self) -> bool:
         return self.model_kind in SUPERVISED_KINDS
-
-
-def unsupervised_kind(kind: str) -> str:
-    return {"supdocnade": "docnade", "supdeepdocnade": "deepdocnade"}.get(kind, kind)
 
 
 def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -321,7 +312,7 @@ def _deep_batch(batch, params, config, streams, cache, omega):
     keep = 1.0 - config.dropout_rate
     kept, splits, gen_masks, sup_masks = [], [], [], []
     for row in range(len(batch)):
-        split = deep_mod.split_histogram(counts[row], streams.split, config.split_mode)
+        split = deep_mod.split_histogram(counts[row], streams.split)
         if split is None and not config.is_supervised:
             continue
         gen = sup = None
@@ -343,40 +334,31 @@ def _deep_batch(batch, params, config, streams, cache, omega):
     return docs, losses.tolist(), grads, cols
 
 
-def _shallow_batch(batch, params, config, streams, cache, tree, executor):
-    """Orderings drawn in batch order, then per-document sparse gradients,
-    on worker threads if an executor is given.
+def _shallow_batch(batch, params, config, streams, cache, tree):
+    """Per-document orderings and sparse gradients, in batch order.
 
     Returns (documents kept, their losses, the gradients summed in
     document order).
     """
-    jobs = []
+    docs, losses, grads = [], [], []
     for doc_idx in batch:
         tokens = cache.tokens[doc_idx]
-        if len(tokens) == 0 and not config.is_supervised:
+        label, unsup = None, 1.0
+        if config.is_supervised:
+            labels = cache.labels[doc_idx]
+            if len(labels) != 1:
+                raise ValueError(
+                    f"document {doc_idx} needs exactly one label for supervised training"
+                )
+            label, unsup = next(iter(labels)), config.unsup_weight
+        elif len(tokens) == 0:
             continue
         ordering = tokens[streams.shuffle.permutation(len(tokens))] if len(tokens) else tokens
-        jobs.append((doc_idx, ordering))
-
-    def compute(job):
-        doc_idx, ordering = job
-        if not config.is_supervised:
-            return shallow_mod.sparse_gradients(ordering, params, tree, 1.0)
-        labels = cache.labels[doc_idx]
-        if len(labels) != 1:
-            raise ValueError(
-                f"document {doc_idx} needs exactly one label for supervised training"
-            )
-        return shallow_mod.sparse_gradients(
-            ordering, params, tree, config.unsup_weight, next(iter(labels))
-        )
-
-    if executor is not None:
-        results = list(executor.map(compute, jobs))
-    else:
-        results = [compute(job) for job in jobs]
-    grads = shallow_mod.sum_gradients([g for _, g in results]) if results else None
-    return [doc_idx for doc_idx, _ in jobs], [loss for loss, _ in results], grads
+        loss, doc_grads = shallow_mod.sparse_gradients(ordering, params, tree, unsup, label)
+        docs.append(doc_idx)
+        losses.append(loss)
+        grads.append(doc_grads)
+    return docs, losses, shallow_mod.sum_gradients(grads) if grads else None
 
 
 def sgd_epoch(
@@ -388,22 +370,20 @@ def sgd_epoch(
     epoch: int = 0,
     tree: WordTree | None = None,
     cache: _DocCache | None = None,
-    executor: ThreadPoolExecutor | None = None,
 ) -> EpochStats:
     """One pass over the corpus in a freshly shuffled order.
 
     Per mini-batch, per-document gradients are averaged and applied with the
     learning rate, then the parameter average is updated.  Stochastic inputs
-    (token orderings, splits, dropout masks) are drawn in document order
-    before gradients are computed, so results do not depend on the worker
-    count and the reduction order is fixed.
+    (token orderings, splits, dropout masks) are drawn, and gradients summed,
+    in document order.
 
     Shallow kinds update only the W columns of the batch's words and the V
     rows and b entries on their tree paths, and keep the average lazily
     (`_LazyAverage`), flushed before this function returns.  Deep kinds run
     each mini-batch as one batched step (`deep.batch_loss_gradients`),
     update W1 only on the columns of the words the batch contains and
-    average densely; `executor` threads serve shallow kinds only.
+    average densely.
     """
     started = time.perf_counter()
     if cache is None:
@@ -424,7 +404,7 @@ def sgd_epoch(
                 )
             else:
                 docs, batch_losses, grads = _shallow_batch(
-                    batch, params, config, streams, cache, tree, executor
+                    batch, params, config, streams, cache, tree
                 )
             skipped += len(batch) - len(docs)
             if not docs:
@@ -460,9 +440,7 @@ def sgd_epoch(
 
 
 def _omega_for(corpus: Corpus, config: TrainConfig) -> np.ndarray | None:
-    if not config.is_deep:
-        return None
-    return weight_vector(corpus.vocabulary, config.anno_weight).omega
+    return weight_vector(corpus.vocabulary, config.anno_weight).omega if config.is_deep else None
 
 
 @dataclass
@@ -508,9 +486,7 @@ def train_model(
     vocab = corpus.vocabulary
     meta = build_meta(corpus, config)
 
-    tree = None
-    if not config.is_deep:
-        tree = build_tree(vocab.size, config.seed)
+    tree = None if config.is_deep else build_tree(vocab.size, config.seed)
 
     if start is None:
         init_rng = named_stream(config.seed, "init")
@@ -525,30 +501,23 @@ def train_model(
         streams.restore(stream_states)
 
     cache = _build_cache(corpus, config)
-    use_threads = config.workers > 1 and not config.is_deep
-    executor = ThreadPoolExecutor(config.workers) if use_threads else None
     stats: list[EpochStats] = []
-    try:
-        for epoch in range(start_epoch + 1, config.epochs + 1):
-            epoch_stats = sgd_epoch(
-                corpus, avg, config, streams,
-                epoch=epoch, tree=tree, cache=cache, executor=executor,
-            )
-            stats.append(epoch_stats)
-            if log_file is not None:
-                with open(log_file, "a") as fh:
-                    fh.write(
-                        f"{epoch_stats.epoch}\t{epoch_stats.mean_loss:.6f}"
-                        f"\t{epoch_stats.wall_time:.3f}\n"
-                    )
-            if checkpoint_dir is not None:
-                ckpt = f"{checkpoint_dir}/epoch_{epoch:04d}.ckpt"
-                save_checkpoint(ckpt, avg.current, avg.averaged, meta, epoch, streams.states())
-            if on_epoch is not None:
-                on_epoch(epoch_stats, avg)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for epoch in range(start_epoch + 1, config.epochs + 1):
+        epoch_stats = sgd_epoch(
+            corpus, avg, config, streams, epoch=epoch, tree=tree, cache=cache
+        )
+        stats.append(epoch_stats)
+        if log_file is not None:
+            with open(log_file, "a") as fh:
+                fh.write(
+                    f"{epoch_stats.epoch}\t{epoch_stats.mean_loss:.6f}"
+                    f"\t{epoch_stats.wall_time:.3f}\n"
+                )
+        if checkpoint_dir is not None:
+            ckpt = f"{checkpoint_dir}/epoch_{epoch:04d}.ckpt"
+            save_checkpoint(ckpt, avg.current, avg.averaged, meta, epoch, streams.states())
+        if on_epoch is not None:
+            on_epoch(epoch_stats, avg)
 
     return TrainResult(params=avg.current, averaged=avg.averaged, meta=meta, tree=tree, stats=stats)
 
@@ -586,9 +555,8 @@ def pretrain_then_finetune(
         raise ValueError("pretraining and fine-tuning corpora disagree on feature length")
     config.validate()
 
-    pre_config = replace(
-        config, model_kind=unsupervised_kind(config.model_kind), epochs=config.pretrain_epochs
-    )
+    unsupervised = config.model_kind.removeprefix("sup")
+    pre_config = replace(config, model_kind=unsupervised, epochs=config.pretrain_epochs)
     pre_dir = None
     if checkpoint_dir is not None:
         pre_dir = f"{checkpoint_dir}/pretrain"

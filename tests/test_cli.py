@@ -379,3 +379,92 @@ class TestMissingFeatures:
         ])
         assert code == 3
         assert "missing feature vector" in capsys.readouterr().err
+
+
+_MALFORMED = {
+    "eval-k": ["eval", "--k", "-2"],
+    "eval-orderings": ["eval", "--orderings", "0"],
+    "annotate-k": ["annotate", "--k", "-2"],
+    "retrieve-k": ["retrieve", "--query", "0", "--k", "-2"],
+    "inspect-topics": ["inspect", "--class-index", "0", "--topics", "0"],
+    "inspect-words": ["inspect", "--class-index", "0", "--words", "-1"],
+    "train-workers": ["train", "--workers", "0"],
+    "train-epochs": ["train", "--epochs", "-1"],
+    "train-hidden": ["train", "--hidden", "0"],
+    "train-batch-size": ["train", "--batch-size", "0"],
+    "grid-k": ["grid", "--grid", "g.json", "--val", "v.corpus", "--k", "0"],
+}
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("argv", list(_MALFORMED.values()), ids=list(_MALFORMED))
+    def test_usage_error_before_any_work(self, tmp_path, argv):
+        command, flags = argv[0], argv[1:]
+        paths = ["--model", str(tmp_path / "missing.bin")]
+        if command != "inspect":
+            paths += ["--corpus", str(tmp_path / "missing.corpus")]
+        if command in ("train", "grid"):
+            paths = ["--corpus", str(tmp_path / "missing.corpus"), "--out", str(tmp_path / "r")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *paths, *flags])
+        assert excinfo.value.code == 2
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_workers_flag_is_ignored(self, tmp_path, corpus_path):
+        run_a = _train(corpus_path, tmp_path / "a", "--workers", "1")
+        run_b = _train(corpus_path, tmp_path / "b", "--workers", "3")
+        assert os.path.basename(run_a) == os.path.basename(run_b)
+        assert _file_hash(os.path.join(run_a, "model.bin")) == _file_hash(
+            os.path.join(run_b, "model.bin")
+        )
+        assert "workers" not in json.load(open(os.path.join(run_a, "manifest.json")))["config"]
+
+    def test_truncated_model_is_a_data_error(self, tmp_path, corpus_path, capsys):
+        run_dir = _train(corpus_path, tmp_path / "runs")
+        data = open(os.path.join(run_dir, "model.bin"), "rb").read()
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(data[: len(data) // 2])
+        code = main(["eval", "--model", str(cut), "--corpus", str(corpus_path)])
+        assert code == 3
+        assert "truncated" in capsys.readouterr().err
+
+
+# (model kind, training flags, metric a grid search over it selects on)
+_KINDS = [
+    ("docnade", ["--hidden", "6"], "perplexity"),
+    ("supdocnade", ["--hidden", "6", "--lambda", "0.5"], "accuracy"),
+    ("deepdocnade", ["--hidden", "6,5", "--batch-size", "3", "--anno-weight", "3"],
+     "perplexity_estimate"),
+    ("supdeepdocnade", ["--hidden", "6,5", "--head", "sigmoid", "--dropout", "0.5",
+                        "--batch-size", "3", "--anno-weight", "3"], "map"),
+]
+
+
+class TestEvaluationMetrics:
+    @pytest.mark.parametrize("kind,flags,_", _KINDS, ids=[k[0] for k in _KINDS])
+    def test_library_report_equals_eval_output(self, tmp_path, corpus_path, capsys,
+                                               kind, flags, _):
+        from docnade.evaluate import evaluation_metrics
+
+        out = tmp_path / "runs"
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(out), "--model", kind,
+                     "--epochs", "2", "--seed", "2", "--lr", "0.05", *flags]) == 0
+        model = os.path.join(out, os.listdir(out)[0], "model.bin")
+        report = tmp_path / "report.jsonl"
+        assert main(["eval", "--model", model, "--corpus", str(corpus_path), "--out",
+                     str(report), "--k", "3", "--orderings", "2", "--eval-seed", "4"]) == 0
+        written = [(r["metric"], r["value"]) for r in map(json.loads, open(report))]
+        params, meta = load_model(model)
+        metrics = evaluation_metrics(parse_corpus(corpus_path), params, meta,
+                                     top_k=3, orderings=2, eval_seed=4)
+        assert metrics == written
+
+    @pytest.mark.parametrize("kind,flags,metric", _KINDS, ids=[k[0] for k in _KINDS])
+    def test_grid_selects_on_the_kind_metric(self, tmp_path, corpus_path, kind, flags, metric):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"lr": [0.01, 0.05]}))
+        out = tmp_path / "grid-out"
+        assert main(["grid", "--grid", str(grid_file), "--corpus", str(corpus_path),
+                     "--val", str(corpus_path), "--out", str(out), "--model", kind,
+                     "--epochs", "1", "--seed", "2", *flags]) == 0
+        assert json.load(open(out / "best_manifest.json"))["metric"] == metric

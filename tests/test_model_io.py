@@ -9,7 +9,6 @@ from docnade.model_io import (
     FORMAT_VERSION,
     MAGIC,
     ModelMeta,
-    export_text,
     load_checkpoint,
     load_model,
     save_checkpoint,
@@ -115,20 +114,6 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(fresh.random(5), expected)
 
 
-class TestTextExport:
-    def test_contains_every_array(self, tmp_path, rng):
-        meta = _shallow_meta()
-        params = random_shallow_params(rng, meta.vocab_size, 4, 3)
-        path = tmp_path / "model.txt"
-        export_text(path, params, meta)
-        text = path.read_text()
-        for name, _ in params.arrays():
-            assert f"# array {name} " in text
-        # values survive a parse through repr round-trip
-        w_line = text.splitlines()[2]
-        assert float(w_line.split()[0]) == params.W[0, 0]
-
-
 def _reference_container(header, array_blocks):
     """Container bytes built the original way: every array through
     tobytes(), each block joined into one blob before writing."""
@@ -171,3 +156,36 @@ class TestContainerBytes:
                   "state": {"epoch": 3, "rng_states": states}}
         expected = _reference_container(header, [params.arrays(), averaged.arrays()])
         assert (tmp_path / "c.ckpt").read_bytes() == expected
+
+
+class TestTruncatedFiles:
+    """A file cut at any byte offset fails to load with ValueError."""
+
+    def _assert_every_cut_rejected(self, path, load):
+        data = path.read_bytes()
+        cut = path.parent / "cut.bin"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError):
+                load(cut)
+
+    def test_model(self, tmp_path, rng):
+        meta = _shallow_meta(hidden=2)
+        save_model(tmp_path / "m.bin", random_shallow_params(rng, meta.vocab_size, 2, 3), meta)
+        self._assert_every_cut_rejected(tmp_path / "m.bin", load_model)
+
+    def test_checkpoint(self, tmp_path, rng):
+        meta = _shallow_meta(hidden=2)
+        params = random_shallow_params(rng, meta.vocab_size, 2, 3)
+        states = {"shuffle": np.random.default_rng(1).bit_generator.state}
+        save_checkpoint(tmp_path / "c.ckpt", params, params.copy(), meta, 1, states)
+        self._assert_every_cut_rejected(tmp_path / "c.ckpt", load_checkpoint)
+
+    def test_corrupt_length_prefix(self, tmp_path, rng):
+        meta = _shallow_meta(hidden=2)
+        save_model(tmp_path / "m.bin", random_shallow_params(rng, meta.vocab_size, 2, 3), meta)
+        data = bytearray((tmp_path / "m.bin").read_bytes())
+        data[len(MAGIC) + 4 : len(MAGIC) + 12] = struct.pack("<Q", 2**62)
+        (tmp_path / "m.bin").write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(tmp_path / "m.bin")

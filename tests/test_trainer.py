@@ -1,5 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -191,15 +189,6 @@ class TestSgdTraining:
         )
         result = train_model(corpus, config)
         assert result.stats[-1].mean_loss < result.stats[0].mean_loss
-
-    def test_worker_count_does_not_change_results(self):
-        corpus = small_corpus(docs_per_class=5)
-        base = dict(model_kind="supdocnade", hidden_sizes=(6,), learning_rate=0.05,
-                    epochs=2, seed=9, batch_size=4)
-        serial = train_model(corpus, TrainConfig(**base, workers=1))
-        threaded = train_model(corpus, TrainConfig(**base, workers=3))
-        assert params_equal(serial.params, threaded.params)
-        assert params_equal(serial.averaged, threaded.averaged)
 
     def test_divergence_reports_document(self):
         corpus = small_corpus(docs_per_class=5)
@@ -414,23 +403,17 @@ class TestSparseShallowStep:
         tree = build_tree(corpus.vocabulary.size, seed)
         return corpus, config, init_averaged(params, decay), tree
 
-    def _epoch(self, corpus, avg, config, tree, workers=1):
-        executor = ThreadPoolExecutor(workers) if workers > 1 else None
-        try:
-            trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(config.seed),
-                              tree=tree, executor=executor)
-        finally:
-            if executor is not None:
-                executor.shutdown()
+    def _epoch(self, corpus, avg, config, tree):
+        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(config.seed),
+                          tree=tree)
         return avg
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_one_step_equals_oracle_sum(self, workers):
+    def test_one_step_equals_oracle_sum(self):
         corpus, config, avg, tree = self._setup()
         assert len(corpus.documents) == self.BATCH  # one mini-batch per epoch
         before = avg.current.copy()
         oracle = dense_shallow_epoch(corpus, init_averaged(before.copy(), 0.5), config, tree)
-        self._epoch(corpus, avg, config, tree, workers)
+        self._epoch(corpus, avg, config, tree)
         for (name, start), (_, after), (_, want) in zip(
             before.arrays(), avg.current.arrays(), oracle.current.arrays()
         ):
