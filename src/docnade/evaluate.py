@@ -484,6 +484,8 @@ def evaluation_metrics(
             write_pr_curves(curves_dir, scores, relevance)
     else:
         labeled = [i for i, doc in enumerate(corpus.documents) if doc.labels]
+        if not labeled:
+            raise ValueError("no document has a label to score accuracy on")
         predicted = scores.argmax(axis=1)[labeled]
         truth = np.array([next(iter(corpus.documents[i].labels)) for i in labeled])
         metrics.append(("accuracy", accuracy(predicted, truth)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -57,6 +57,16 @@ class ModelMeta:
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelMeta":
+        """ValueError unless `data` holds exactly the fields `to_json` writes
+        and a known model kind."""
+        if not isinstance(data, dict):
+            raise ValueError("model meta is not an object")
+        names = {f.name for f in fields(cls)}
+        if data.keys() != names:
+            missing, unknown = sorted(names - data.keys()), sorted(data.keys() - names)
+            raise ValueError(f"model meta: missing fields {missing}, unknown fields {unknown}")
+        if data["kind"] not in MODEL_KINDS:
+            raise ValueError(f"model meta: unknown model kind {data['kind']!r}")
         data = dict(data)
         data["hidden_sizes"] = tuple(data["hidden_sizes"])
         return cls(**data)

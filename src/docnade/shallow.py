@@ -66,9 +66,6 @@ class ShallowParams:
     def copy(self) -> "ShallowParams":
         return ShallowParams(*(arr.copy() for _, arr in self.arrays()))
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.arrays()}
-
 
 def _preactivations(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
     """(D+1, H) running pre-activations; row i is c + sum of first i columns."""
@@ -155,36 +152,31 @@ def joint_log_prob(
 class SparseGrads:
     """A gradient stored only where it can be nonzero.
 
-    W: (|cols|, H), the gradient of the W columns `cols` (sorted unique
-    token ids); V: (|rows|, H) and b: (|rows|,), the gradient of the tree
-    nodes `rows` (sorted unique nodes on the tokens' paths); c, U and d
-    are dense.
+    `blocks` maps a parameter name to (axis, index, block): the gradient is
+    zero except at the sorted indices `index` along `axis`, where it is
+    `block`, i.e. block = grad[along(axis, index)].  `dense` maps every
+    other parameter name to its full gradient.
     """
 
-    cols: np.ndarray
-    W: np.ndarray
-    rows: np.ndarray
-    V: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    U: np.ndarray
-    d: np.ndarray
+    blocks: dict[str, tuple[int, np.ndarray, np.ndarray]]
+    dense: dict[str, np.ndarray]
 
-    def to_dense(
-        self, params: ShallowParams, out: dict[str, np.ndarray] | None = None
-    ) -> dict[str, np.ndarray]:
-        """Dense gradient arrays; `out`, if given, is zeroed and filled."""
-        if out is None:
-            out = params.zero_grads()
-        else:
-            for arr in out.values():
-                arr.fill(0.0)
-        out["W"][:, self.cols] = self.W.T
-        out["V"][self.rows] = self.V
-        out["b"][self.rows] = self.b
-        for name in ("c", "U", "d"):
-            out[name][...] = getattr(self, name)
+    def to_dense(self, params) -> dict[str, np.ndarray]:
+        """Full-size gradient arrays, keyed and ordered like `params.arrays()`."""
+        out = {}
+        for name, arr in params.arrays():
+            if name in self.blocks:
+                axis, index, block = self.blocks[name]
+                out[name] = np.zeros_like(arr)
+                out[name][along(axis, index)] = block
+            else:
+                out[name] = self.dense[name]
         return out
+
+
+def along(axis: int, index: np.ndarray) -> tuple:
+    """The subscript that selects `index` along `axis`."""
+    return (slice(None),) * axis + (index,)
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,25 +195,21 @@ def sum_gradients(grads: list[SparseGrads]) -> SparseGrads:
     """Sum of sparse gradients, added in list order."""
     if len(grads) == 1:
         return grads[0]
-    first = grads[0]
-    cols = np.unique(np.concatenate([g.cols for g in grads]))
-    rows = np.unique(np.concatenate([g.rows for g in grads]))
-    total = SparseGrads(
-        cols, np.zeros((len(cols), first.W.shape[1])),
-        rows, np.zeros((len(rows), first.V.shape[1])), np.zeros(len(rows)),
-        first.c.copy(), first.U.copy(), first.d.copy(),
-    )
-    for n, g in enumerate(grads):
-        at_cols = np.searchsorted(cols, g.cols)
-        at_rows = np.searchsorted(rows, g.rows)
-        total.W[at_cols] += g.W
-        total.V[at_rows] += g.V
-        total.b[at_rows] += g.b
-        if n:
-            total.c += g.c
-            total.U += g.U
-            total.d += g.d
-    return total
+    blocks = {}
+    for name, (axis, _, first) in grads[0].blocks.items():
+        index = np.unique(np.concatenate([g.blocks[name][1] for g in grads]))
+        shape = list(first.shape)
+        shape[axis] = len(index)
+        total = np.zeros(shape)
+        for g in grads:
+            _, at, block = g.blocks[name]
+            total[along(axis, np.searchsorted(index, at))] += block
+        blocks[name] = (axis, index, total)
+    dense = {name: arr.copy() for name, arr in grads[0].dense.items()}
+    for g in grads[1:]:
+        for name, arr in dense.items():
+            arr += g.dense[name]
+    return SparseGrads(blocks, dense)
 
 
 def sparse_gradients(
@@ -264,8 +252,9 @@ def sparse_gradients(
 
     no_ids = np.empty(0, dtype=np.int64)
     grads = SparseGrads(
-        no_ids, np.empty((0, n_hidden)), no_ids, np.empty((0, n_hidden)), np.empty(0),
-        dact_head, g_U, g_d,
+        {"W": (1, no_ids, np.empty((n_hidden, 0))), "V": (0, no_ids, np.empty((0, n_hidden))),
+         "b": (0, no_ids, np.empty(0))},
+        {"c": dact_head, "U": g_U, "d": g_d},
     )
     if n_tokens == 0:
         return loss, grads
@@ -282,19 +271,19 @@ def sparse_gradients(
             masked *= active[:n_tokens]
             nodes, valid = paths.nodes, paths.valid
             del paths  # frees the (D, depth, H) block before dV is built
-            order, starts, grads.rows = _runs(nodes[valid])
+            order, starts, rows = _runs(nodes[valid])
             dt_sorted = dt[valid][order]
-            grads.b = np.add.reduceat(dt_sorted, starts)
+            grads.blocks["b"] = (0, rows, np.add.reduceat(dt_sorted, starts))
             dV = states[np.nonzero(valid)[0][order]]
             dV *= dt_sorted[:, None]
-            grads.V = np.add.reduceat(dV, starts, axis=0)
+            grads.blocks["V"] = (0, rows, np.add.reduceat(dV, starts, axis=0))
 
     # dact at position i = head term + masked dh of positions > i
     suffix = np.cumsum(masked[::-1], axis=0)[::-1]
     dact = dact_head + np.vstack([suffix[1:], np.zeros((1, n_hidden))])
-    order, starts, grads.cols = _runs(tokens)
-    grads.W = np.add.reduceat(dact[order], starts, axis=0)
-    grads.c = dact_head + masked.sum(axis=0)
+    order, starts, cols = _runs(tokens)
+    grads.blocks["W"] = (1, cols, np.add.reduceat(dact[order], starts, axis=0).T)
+    grads.dense["c"] = dact_head + masked.sum(axis=0)
     return loss, grads
 
 
@@ -304,25 +293,22 @@ def supdocnade_gradients(
     params: ShallowParams,
     tree: WordTree,
     unsup_weight: float,
-    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Exact gradients of -log p(y|v) - unsup_weight * log p(v), as dense
-    arrays; `out`, a gradient dict returned by an earlier call, is zeroed
-    and reused."""
+    arrays."""
     loss, grads = sparse_gradients(tokens, params, tree, unsup_weight, label)
-    return loss, grads.to_dense(params, out)
+    return loss, grads.to_dense(params)
 
 
 def docnade_gradients(
     tokens: np.ndarray,
     params: ShallowParams,
     tree: WordTree,
-    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Exact gradients of the unsupervised objective -log p(v), as dense
-    arrays; `out` as in `supdocnade_gradients`."""
+    arrays."""
     loss, grads = sparse_gradients(tokens, params, tree, 1.0)
-    return loss, grads.to_dense(params, out)
+    return loss, grads.to_dense(params)
 
 
 def represent(

@@ -4,10 +4,11 @@ All randomness flows from a single seed expanded into named streams (tree,
 init, shuffle, split, dropout), so identical configurations give bit-identical
 runs and checkpoint-resume equals an uninterrupted run.  Inference uses an
 exponentially decaying average of the parameters, advanced after every
-update step.  Shallow kinds keep that average lazily: an entry a step does
-not touch catches up in closed form when it is next touched, and every
-entry is flushed at the end of each epoch, so the average that logs,
-checkpoints and epoch callbacks see is the per-step one.
+update step.  Both model families update it the same way: a step changes
+only the entries its sparse gradient covers, the average is kept lazily (an
+entry a step does not touch catches up in closed form when it is next
+touched), and every entry is flushed at the end of each epoch, so the
+average that logs, checkpoints and epoch callbacks see is the per-step one.
 """
 
 from __future__ import annotations
@@ -155,81 +156,78 @@ def _average_step(cur: np.ndarray, a: np.ndarray, decay: float) -> None:
 
 
 def polyak_update(avg: AveragedParams) -> AveragedParams:
-    """averaged <- decay * averaged + (1 - decay) * current, in place."""
+    """averaged <- decay * averaged + (1 - decay) * current, in place: the
+    dense form of the average that training keeps lazily (`_LazyAverage`)."""
     for (_, cur), (_, a) in zip(avg.current.arrays(), avg.averaged.arrays()):
         _average_step(cur, a, avg.decay)
     return avg
 
 
 class _LazyAverage:
-    """SGD steps on a shallow model with its average kept lazily.
+    """SGD steps with the parameter average kept lazily.
 
-    A step changes only the W columns of its documents' words and the V rows
-    and b entries on their tree paths.  Between two steps that touch an
-    entry its current value is constant, so each step in between only
-    contracted the entry's average toward it: after k of them the average is
-    cur + r**k * (a - cur), with r = 1 - (1 - decay) the contraction of one
-    `_average_step`.  That is applied as a += (1 - r**k) * (cur - a), which
-    leaves `a` bit-identical for k = 0.  Each W column and tree node records
-    the step its average was last brought up to date at; a step catches up
-    the entries it touches before changing them, and `flush` catches up all
-    of them.  c, U and d are small and averaged densely on every step.
+    A step changes only the entries its gradient's sparse blocks cover
+    (`shallow.SparseGrads`); its dense arrays change everywhere.  Between
+    two steps that touch an entry its current value is constant, so each
+    step in between only contracted the entry's average toward it: after k
+    of them the average is cur + r**k * (a - cur), with r = 1 - (1 - decay)
+    the contraction of one `_average_step`.  That is applied as
+    a += (1 - r**k) * (cur - a), which leaves `a` bit-identical for k = 0.
+    Each slice along a sparse block's axis records the step its average was
+    last brought up to date at; a step catches up the slices it touches
+    before changing them, and `flush` catches up all of them.  Arrays with a
+    dense gradient are averaged on every step.
     """
 
     def __init__(self, avg: AveragedParams):
-        self.avg = avg
+        self.decay = avg.decay
         self.steps = 0
         self.ratio = 1.0 - (1.0 - avg.decay)
-        self.col_synced = np.zeros(avg.current.vocab_size, dtype=np.int64)
-        self.row_synced = np.zeros(len(avg.current.b), dtype=np.int64)
+        self.current = dict(avg.current.arrays())
+        self.averaged = dict(avg.averaged.arrays())
+        # name -> (block axis, the step each slice along it last had its
+        # average brought up to date at)
+        self.synced: dict[str, tuple[int, np.ndarray]] = {}
 
-    def _groups(self):
-        """Each step record with the (current, averaged) arrays it covers; W
-        is viewed transposed so that a word's column is a row."""
-        cur, a = self.avg.current, self.avg.averaged
-        return (
-            (self.col_synced, ((cur.W.T, a.W.T),)),
-            (self.row_synced, ((cur.V, a.V), (cur.b, a.b))),
-        )
-
-    def _catch_up(self, cur: np.ndarray, a: np.ndarray, missed: np.ndarray) -> None:
-        """Moves the averages `a` of rows whose current values `cur` stayed
-        put on by `missed` steps, in place."""
-        if self.avg.decay == 0.0:
-            stale = missed > 0
+    def _catch_up(self, cur: np.ndarray, a: np.ndarray, missed: np.ndarray, axis: int) -> None:
+        """Moves the averages `a` of slices along `axis` whose current values
+        `cur` stayed put on by `missed` steps, in place."""
+        if self.decay == 0.0:
+            stale = shallow_mod.along(axis, missed > 0)
             a[stale] = cur[stale]
         else:
             gap = cur - a
-            gap *= (1.0 - self.ratio ** missed).reshape((-1,) + (1,) * (a.ndim - 1))
+            gap *= (1.0 - self.ratio ** missed).reshape((-1,) + (1,) * (a.ndim - 1 - axis))
             a += gap
 
     def step(self, grads: shallow_mod.SparseGrads, scale: float) -> None:
         """current -= scale * grads on the entries grads covers (none if
         scale is 0), then one average step."""
-        blocks = ((grads.cols, (grads.W,)), (grads.rows, (grads.V, grads.b)))
-        for (synced, arrays), (idx, grad_blocks) in zip(self._groups(), blocks):
-            missed = self.steps - synced[idx]
-            for (cur_arr, a_arr), g in zip(arrays, grad_blocks):
-                cur, a = cur_arr[idx], a_arr[idx]
-                self._catch_up(cur, a, missed)
-                if scale != 0.0:
-                    cur -= scale * g
-                    cur_arr[idx] = cur
-                _average_step(cur, a, self.avg.decay)
-                a_arr[idx] = a
+        for name, (axis, idx, block) in grads.blocks.items():
+            cur_arr, a_arr = self.current[name], self.averaged[name]
+            if name not in self.synced:
+                self.synced[name] = axis, np.zeros(cur_arr.shape[axis], dtype=np.int64)
+            synced = self.synced[name][1]
+            at = shallow_mod.along(axis, idx)
+            cur, a = cur_arr[at], a_arr[at]
+            self._catch_up(cur, a, self.steps - synced[idx], axis)
+            if scale != 0.0:
+                cur -= scale * block
+                cur_arr[at] = cur
+            _average_step(cur, a, self.decay)
+            a_arr[at] = a
             synced[idx] = self.steps + 1
         self.steps += 1
-        for name in ("c", "U", "d"):
-            cur = getattr(self.avg.current, name)
+        for name, grad in grads.dense.items():
+            cur = self.current[name]
             if scale != 0.0:
-                cur -= scale * getattr(grads, name)
-            _average_step(cur, getattr(self.avg.averaged, name), self.avg.decay)
+                cur -= scale * grad
+            _average_step(cur, self.averaged[name], self.decay)
 
     def flush(self) -> None:
         """Brings every entry's average up to the latest step."""
-        for synced, arrays in self._groups():
-            for cur_arr, a_arr in arrays:
-                self._catch_up(cur_arr, a_arr, self.steps - synced)
+        for name, (axis, synced) in self.synced.items():
+            self._catch_up(self.current[name], self.averaged[name], self.steps - synced, axis)
             synced[:] = self.steps
 
 
@@ -269,30 +267,22 @@ class EpochStats:
 
 @dataclass
 class _DocCache:
-    """Per-document arrays materialized once per training run.
+    """Per-document arrays materialized once per training run: each
+    document's sorted token ids with their counts, labels and features."""
 
-    Deep kinds keep each document as sparse (ids, counts); the dense count
-    rows are built per mini-batch.
-    """
-
-    tokens: list[np.ndarray] | None = None
-    counts: list[tuple[np.ndarray, np.ndarray]] | None = None
+    counts: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     labels: list[frozenset] = field(default_factory=list)
     features: list[np.ndarray | None] = field(default_factory=list)
 
 
-def _build_cache(corpus: Corpus, config: TrainConfig) -> _DocCache:
+def _build_cache(corpus: Corpus) -> _DocCache:
     cache = _DocCache()
-    if config.is_deep:
-        cache.counts = [
-            (np.fromiter(doc.counts, dtype=np.int64, count=len(doc.counts)),
-             np.fromiter(doc.counts.values(), dtype=np.int64, count=len(doc.counts)))
-            for doc in corpus.documents
-        ]
-    else:
-        cache.tokens = [doc.token_array() for doc in corpus.documents]
-    cache.labels = [doc.labels for doc in corpus.documents]
-    cache.features = [doc.features for doc in corpus.documents]
+    for doc in corpus.documents:
+        ids = sorted(doc.counts)
+        cache.counts.append((np.array(ids, dtype=np.int64),
+                             np.array([doc.counts[i] for i in ids], dtype=np.int64)))
+        cache.labels.append(doc.labels)
+        cache.features.append(doc.features)
     return cache
 
 
@@ -303,7 +293,7 @@ def _draw_masks(sizes, keep: float, rng: np.random.Generator) -> list[np.ndarray
 def _deep_batch(batch, params, config, streams, cache, omega):
     """Splits and masks drawn in batch order, then one batched step.
 
-    Returns (documents kept, their losses, summed gradients, W1 columns).
+    Returns (documents kept, their losses, summed gradients).
     """
     counts = np.zeros((len(batch), params.vocab_size), dtype=np.int64)
     for row, doc_idx in enumerate(batch):
@@ -331,7 +321,7 @@ def _deep_batch(batch, params, config, streams, cache, omega):
         counts[kept], labels, [cache.features[i] for i in docs], params, unsup,
         omega, omega, splits, gen_masks, sup_masks, head=config.head,
     )
-    return docs, losses.tolist(), grads, cols
+    return docs, losses.tolist(), shallow_mod.SparseGrads({"W1": (1, cols, grads.pop("W1"))}, grads)
 
 
 def _shallow_batch(batch, params, config, streams, cache, tree):
@@ -342,7 +332,7 @@ def _shallow_batch(batch, params, config, streams, cache, tree):
     """
     docs, losses, grads = [], [], []
     for doc_idx in batch:
-        tokens = cache.tokens[doc_idx]
+        tokens = np.repeat(*cache.counts[doc_idx])
         label, unsup = None, 1.0
         if config.is_supervised:
             labels = cache.labels[doc_idx]
@@ -373,39 +363,38 @@ def sgd_epoch(
 ) -> EpochStats:
     """One pass over the corpus in a freshly shuffled order.
 
-    Per mini-batch, per-document gradients are averaged and applied with the
-    learning rate, then the parameter average is updated.  Stochastic inputs
-    (token orderings, splits, dropout masks) are drawn, and gradients summed,
-    in document order.
+    The model family picks the batch function once: `_shallow_batch` (one
+    sparse gradient per token ordering, over `tree`) or `_deep_batch` (one
+    batched step, `deep.batch_loss_gradients`).  Per mini-batch, the summed
+    gradient of the documents it kept is applied with the learning rate
+    divided by their number, then the parameter average takes one step.
+    Stochastic inputs (token orderings, splits, dropout masks) are drawn,
+    and gradients summed, in document order.
 
-    Shallow kinds update only the W columns of the batch's words and the V
-    rows and b entries on their tree paths, and keep the average lazily
-    (`_LazyAverage`), flushed before this function returns.  Deep kinds run
-    each mini-batch as one batched step (`deep.batch_loss_gradients`),
-    update W1 only on the columns of the words the batch contains and
-    average densely.
+    Both families update only the entries their sparse gradient covers
+    (shallow: the W columns of the batch's words and the V rows and b
+    entries on their tree paths; deep: the W1 columns of the batch's words)
+    and keep the average lazily (`_LazyAverage`), flushed before this
+    function returns.
     """
     started = time.perf_counter()
     if cache is None:
-        cache = _build_cache(corpus, config)
+        cache = _build_cache(corpus)
+    if config.is_deep:
+        omega = weight_vector(corpus.vocabulary, config.anno_weight).omega
+        batch_step, context = _deep_batch, omega
+    else:
+        batch_step, context = _shallow_batch, tree
     params = avg.current
-    omega = _omega_for(corpus, config)
     losses = []
     skipped = 0
-    lazy = None if config.is_deep else _LazyAverage(avg)
+    lazy = _LazyAverage(avg)
 
     order = streams.shuffle.permutation(len(corpus.documents))
     try:
         for start in range(0, len(order), config.batch_size):
             batch = [int(doc_idx) for doc_idx in order[start : start + config.batch_size]]
-            if config.is_deep:
-                docs, batch_losses, grads, cols = _deep_batch(
-                    batch, params, config, streams, cache, omega
-                )
-            else:
-                docs, batch_losses, grads = _shallow_batch(
-                    batch, params, config, streams, cache, tree
-                )
+            docs, batch_losses, grads = batch_step(batch, params, config, streams, cache, context)
             skipped += len(batch) - len(docs)
             if not docs:
                 continue
@@ -413,21 +402,9 @@ def sgd_epoch(
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(doc_idx, loss)
                 losses.append(loss)
-
-            scale = config.learning_rate / len(docs)
-            if lazy is not None:
-                lazy.step(grads, scale)
-                continue
-            if scale != 0.0:
-                for name, arr in params.arrays():
-                    if name == "W1":
-                        arr[:, cols] -= scale * grads[name]
-                    else:
-                        arr -= scale * grads[name]
-            polyak_update(avg)
+            lazy.step(grads, config.learning_rate / len(docs))
     finally:
-        if lazy is not None:
-            lazy.flush()
+        lazy.flush()
 
     mean_loss = float(np.mean(losses)) if losses else 0.0
     return EpochStats(
@@ -437,10 +414,6 @@ def sgd_epoch(
         n_skipped=skipped,
         wall_time=time.perf_counter() - started,
     )
-
-
-def _omega_for(corpus: Corpus, config: TrainConfig) -> np.ndarray | None:
-    return weight_vector(corpus.vocabulary, config.anno_weight).omega if config.is_deep else None
 
 
 @dataclass
@@ -500,7 +473,7 @@ def train_model(
     if stream_states is not None:
         streams.restore(stream_states)
 
-    cache = _build_cache(corpus, config)
+    cache = _build_cache(corpus)
     stats: list[EpochStats] = []
     for epoch in range(start_epoch + 1, config.epochs + 1):
         epoch_stats = sgd_epoch(
@@ -547,7 +520,8 @@ def pretrain_then_finetune(
     """Unsupervised pretraining followed by supervised fine-tuning.
 
     Pretraining runs the unsupervised counterpart of the configured model
-    kind; the supervised head is freshly initialized when fine-tuning starts.
+    kind, which has no class head (so the configured head does not apply to
+    it); the supervised head is freshly initialized when fine-tuning starts.
     """
     if unlabeled.vocabulary != labeled.vocabulary:
         raise ValueError("pretraining and fine-tuning corpora use different vocabularies")
@@ -556,7 +530,8 @@ def pretrain_then_finetune(
     config.validate()
 
     unsupervised = config.model_kind.removeprefix("sup")
-    pre_config = replace(config, model_kind=unsupervised, epochs=config.pretrain_epochs)
+    pre_config = replace(config, model_kind=unsupervised, epochs=config.pretrain_epochs,
+                         head="softmax")
     pre_dir = None
     if checkpoint_dir is not None:
         pre_dir = f"{checkpoint_dir}/pretrain"

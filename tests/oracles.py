@@ -5,8 +5,10 @@ estimator expectation enumerates the sampling distribution directly, the
 per-token backprop oracle differentiates one output token at a time, and the
 per-document deep oracle computes one document's update with dense
 vectors and outer products, the way training worked before it was batched,
-and the dense shallow oracle builds a full-size gradient with `np.add.at`,
-the way shallow training worked before its gradients became sparse.
+the dense shallow oracle builds a full-size gradient with `np.add.at`,
+the way shallow training worked before its gradients became sparse, and the
+dense epochs apply every update densely and average every array after every
+step, the way training worked before the average became lazy.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import numpy as np
 from docnade import deep as deep_mod
 from docnade import shallow as shallow_mod
 from docnade import trainer as trainer_mod
+from docnade.corpus import weight_vector
 
 
 def estimator_expectation(counts, params, omega=None, phi=None, features=None):
@@ -189,7 +192,7 @@ def dense_shallow_gradients(tokens, params, tree, unsup_weight, label=None):
     full size, path terms scattered with `np.add.at`."""
     tokens = np.asarray(tokens, dtype=np.int64)
     n_tokens = len(tokens)
-    grads = params.zero_grads()
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays()}
     loss = 0.0
 
     pre = shallow_mod._preactivations(tokens, params)
@@ -256,6 +259,50 @@ def dense_shallow_epoch(corpus, avg, config, tree):
                 tokens = tokens[streams.shuffle.permutation(len(tokens))]
             label = next(iter(doc.labels)) if supervised else None
             _, grads = dense_shallow_gradients(tokens, avg.current, tree, unsup_weight, label)
+            total = grads if total is None else {k: total[k] + grads[k] for k in total}
+            n_docs += 1
+        if n_docs == 0:
+            continue
+        if config.learning_rate != 0.0:
+            for name, arr in avg.current.arrays():
+                arr -= config.learning_rate / n_docs * total[name]
+        trainer_mod.polyak_update(avg)
+    return avg
+
+
+def dense_deep_epoch(corpus, avg, config):
+    """One deep training epoch the way it ran before the W1 average became
+    lazy: per-document dense gradients (`dense_hybrid_loss_gradients`)
+    summed in document order, a dense SGD step and a dense `polyak_update`
+    after every mini-batch.  Draws the same splits and dropout masks as
+    `trainer.sgd_epoch` with fresh streams of `config.seed`."""
+    streams = trainer_mod.RngStreams.from_seed(config.seed)
+    supervised = config.is_supervised
+    unsup_weight = config.unsup_weight if supervised else 1.0
+    omega = weight_vector(corpus.vocabulary, config.anno_weight).omega
+    keep = 1.0 - config.dropout_rate
+
+    def masks():
+        return [(streams.dropout.random(h) < keep).astype(float) for h in config.hidden_sizes]
+
+    order = streams.shuffle.permutation(len(corpus.documents))
+    for start in range(0, len(order), config.batch_size):
+        total, n_docs = None, 0
+        for doc_idx in order[start : start + config.batch_size]:
+            doc = corpus.documents[doc_idx]
+            counts = doc.dense_counts(avg.current.vocab_size)
+            split = deep_mod.split_histogram(counts, streams.split)
+            if split is None and not supervised:
+                continue
+            gen = sup = None
+            if config.dropout_rate > 0:
+                gen = masks()
+                if supervised:
+                    sup = masks()
+            _, grads = dense_hybrid_loss_gradients(
+                counts, doc.labels if supervised else None, doc.features, avg.current,
+                unsup_weight, omega, omega, split, gen, sup, head=config.head,
+            )
             total = grads if total is None else {k: total[k] + grads[k] for k in total}
             n_docs += 1
         if n_docs == 0:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from docnade.corpus import (
     parse_corpus,
     write_corpus,
 )
-from docnade.model_io import ModelMeta, load_model, save_model
+from docnade.model_io import MAGIC, ModelMeta, load_model, save_model
 from docnade.rng import named_stream
 from docnade.trainer import TrainConfig, init_params
 from gen import make_corpus
@@ -96,6 +97,30 @@ class TestTrain:
             "--model", "docnade", "--regions", "9", "--epochs", "1",
         ])
         assert code == 3
+
+
+def _unlabeled_path(tmp_path):
+    """A corpus with the `corpus_path` vocabulary and no labels."""
+    corpus, _ = make_corpus(
+        8, n_classes=3, n_visual=5, n_regions=2, anno_per_class=2,
+        docs_per_class=4, doc_len=12, signal=0.7, labeled=False,
+    )
+    path = tmp_path / "unlabeled.corpus"
+    write_corpus(corpus, path)
+    return path
+
+
+class TestPretrain:
+    def test_sigmoid_head_recipe_pretrains_and_keeps_its_head(self, tmp_path, corpus_path):
+        out = tmp_path / "runs"
+        assert main([
+            "train", "--corpus", str(corpus_path), "--out", str(out),
+            "--model", "supdeepdocnade", "--head", "sigmoid", "--hidden", "6",
+            "--epochs", "1", "--pretrain-corpus", str(_unlabeled_path(tmp_path)),
+            "--pretrain-epochs", "1",
+        ]) == 0
+        _, meta = load_model(os.path.join(out, os.listdir(out)[0], "model.bin"))
+        assert (meta.kind, meta.head) == ("supdeepdocnade", "sigmoid")
 
 
 class TestUsageErrors:
@@ -212,6 +237,17 @@ class TestEval:
         assert files == ["pr_class_000.txt", "pr_class_001.txt", "pr_class_002.txt"]
         rows = [line.split() for line in open(curves / files[0])]
         assert all(len(r) == 2 for r in rows)
+
+    def test_accuracy_without_labelled_documents_is_a_data_error(self, tmp_path, corpus_path,
+                                                                 capsys):
+        run_dir = _train(corpus_path, tmp_path / "runs")
+        capsys.readouterr()
+        code = main(["eval", "--model", os.path.join(run_dir, "model.bin"),
+                     "--corpus", str(_unlabeled_path(tmp_path))])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "no document has a label" in captured.err
+        assert "accuracy" not in captured.out
 
     def test_unsupervised_eval_reports_perplexity(self, tmp_path, corpus_path, capsys):
         out = tmp_path / "runs"
@@ -427,6 +463,29 @@ class TestMalformedValues:
         code = main(["eval", "--model", str(cut), "--corpus", str(corpus_path)])
         assert code == 3
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doctor,message", [
+        (lambda meta: {k: v for k, v in meta.items() if k != "kind"}, "missing fields ['kind']"),
+        (lambda meta: {**meta, "colour": "red"}, "unknown fields ['colour']"),
+        (lambda meta: sorted(meta), "model meta is not an object"),
+        (lambda meta: {**meta, "kind": "lda"}, "unknown model kind 'lda'"),
+    ], ids=["missing-field", "unknown-field", "not-an-object", "unknown-kind"])
+    def test_malformed_model_meta_is_a_data_error(self, tmp_path, corpus_path, capsys,
+                                                  doctor, message):
+        run_dir = _train(corpus_path, tmp_path / "runs")
+        data = open(os.path.join(run_dir, "model.bin"), "rb").read()
+        start = len(MAGIC) + 4
+        (length,) = struct.unpack("<Q", data[start : start + 8])
+        header = json.loads(data[start + 8 : start + 8 + length])
+        header["meta"] = doctor(header["meta"])
+        doctored = json.dumps(header).encode()
+        path = tmp_path / "doctored.bin"
+        path.write_bytes(data[:start] + struct.pack("<Q", len(doctored)) + doctored
+                         + data[start + 8 + length :])
+        capsys.readouterr()
+        code = main(["eval", "--model", str(path), "--corpus", str(corpus_path)])
+        assert code == 3
+        assert message in capsys.readouterr().err
 
 
 # (model kind, training flags, metric a grid search over it selects on)

@@ -215,23 +215,6 @@ class TestGradients:
             arr = dict(params.arrays())[name]
             assert max_rel_error(grads[name], fd_gradient(loss_fn, arr)) <= 1e-4
 
-    @pytest.mark.parametrize("label", [None, 1])
-    def test_reused_buffers_equal_fresh_gradients(self, rng, label):
-        tree, params, tokens = shallow_instance_off_kink(rng, 7, 3, 2, 5)
-        other = rng.integers(0, 7, 9)
-
-        def grads_of(toks, out=None):
-            if label is None:
-                return shallow.docnade_gradients(toks, params, tree, out=out)
-            return shallow.supdocnade_gradients(toks, label, params, tree, 0.6, out=out)
-
-        fresh_loss, fresh = grads_of(tokens)
-        _, stale = grads_of(other)
-        loss, reused = grads_of(tokens, out=stale)
-        assert loss == fresh_loss
-        for name in fresh:
-            assert np.array_equal(reused[name], fresh[name]), name
-
 
 class TestRepresent:
     def _vocab(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from docnade import trainer
-from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
+from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary, weight_vector
 from docnade.deep import split_histogram
 from docnade.model_io import load_checkpoint
 from docnade.rng import named_stream
@@ -19,7 +19,7 @@ from docnade.trainer import (
 )
 from docnade.wordtree import build_tree
 from gen import make_corpus
-from oracles import dense_hybrid_loss_gradients, dense_shallow_epoch
+from oracles import dense_deep_epoch, dense_hybrid_loss_gradients, dense_shallow_epoch
 
 
 def params_equal(a, b):
@@ -335,7 +335,7 @@ class TestBatchedDeepStep:
 
         # replay the step's random draws and sum the per-document oracle
         streams = trainer.RngStreams.from_seed(config.seed)
-        omega = trainer._omega_for(corpus, config)
+        omega = weight_vector(corpus.vocabulary, config.anno_weight).omega
         size = corpus.vocabulary.size
         expected = {name: np.zeros_like(arr) for name, arr in before.arrays()}
         present = np.zeros(size, dtype=bool)
@@ -387,20 +387,28 @@ def assert_close_to(got, want, rel=1e-12):
 
 
 class TestSparseShallowStep:
-    BATCH = 4
+    """The sparse SGD step and lazy average against the dense oracle epoch;
+    `TestSparseDeepStep` runs the same cases on a deep configuration."""
 
-    def _setup(self, seed=5, decay=0.5, **overrides):
-        corpus = small_corpus(docs_per_class=1, doc_len=3, n_visual=10)
+    BATCH = 4
+    SETTINGS = dict(model_kind="supdocnade", hidden_sizes=(6,))
+    N_FEATURES = 0
+
+    def _corpus(self, docs_per_class=1, doc_len=3):
+        return small_corpus(docs_per_class=docs_per_class, doc_len=doc_len, n_visual=10,
+                            n_features=self.N_FEATURES)
+
+    def _setup(self, seed=5, decay=0.5, corpus=None, **overrides):
+        corpus = corpus or self._corpus()
         settings = dict(
-            model_kind="supdocnade", hidden_sizes=(6,), learning_rate=0.1,
-            unsup_weight=0.6, epochs=1, batch_size=self.BATCH, seed=seed,
-            averaging_decay=decay,
+            self.SETTINGS, learning_rate=0.1, unsup_weight=0.6, epochs=1,
+            batch_size=self.BATCH, seed=seed, averaging_decay=decay,
         )
         settings.update(overrides)
         config = TrainConfig(**settings)
-        params = init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
-                             named_stream(seed, "init"))
-        tree = build_tree(corpus.vocabulary.size, seed)
+        params = init_params(corpus.vocabulary.size, corpus.n_classes, corpus.n_features,
+                             config, named_stream(seed, "init"))
+        tree = None if config.is_deep else build_tree(corpus.vocabulary.size, seed)
         return corpus, config, init_averaged(params, decay), tree
 
     def _epoch(self, corpus, avg, config, tree):
@@ -408,11 +416,31 @@ class TestSparseShallowStep:
                           tree=tree)
         return avg
 
+    def _oracle_epoch(self, corpus, avg, config, tree):
+        return dense_shallow_epoch(corpus, avg, config, tree)
+
+    def _untouched(self, corpus, tree):
+        """(array name, axis, mask along it) of the entries no step touches,
+        and the words of the corpus."""
+        words = sorted({w for doc in corpus.documents for w in doc.counts})
+        nodes_tab, _, _ = tree.path_table()
+        on_path = np.zeros(tree.n_internal, dtype=bool)
+        on_path[nodes_tab[words][nodes_tab[words] >= 0]] = True
+        assert not on_path.all()
+        return [("W", 1, self._absent(corpus, words)), ("V", 0, ~on_path), ("b", 0, ~on_path)]
+
+    @staticmethod
+    def _absent(corpus, words):
+        absent = np.ones(corpus.vocabulary.size, dtype=bool)
+        absent[words] = False
+        assert absent.any()
+        return absent
+
     def test_one_step_equals_oracle_sum(self):
         corpus, config, avg, tree = self._setup()
         assert len(corpus.documents) == self.BATCH  # one mini-batch per epoch
         before = avg.current.copy()
-        oracle = dense_shallow_epoch(corpus, init_averaged(before.copy(), 0.5), config, tree)
+        oracle = self._oracle_epoch(corpus, init_averaged(before.copy(), 0.5), config, tree)
         self._epoch(corpus, avg, config, tree)
         for (name, start), (_, after), (_, want) in zip(
             before.arrays(), avg.current.arrays(), oracle.current.arrays()
@@ -422,45 +450,37 @@ class TestSparseShallowStep:
 
     def test_untouched_entries_are_bit_identical(self):
         corpus, config, avg, tree = self._setup()
-        before = avg.current.copy()
+        before = dict(avg.current.copy().arrays())
         self._epoch(corpus, avg, config, tree)
-        words = sorted({w for doc in corpus.documents for w in doc.counts})
-        nodes_tab, _, _ = tree.path_table()
-        on_path = np.zeros(tree.n_internal, dtype=bool)
-        on_path[nodes_tab[words][nodes_tab[words] >= 0]] = True
-        absent = np.ones(corpus.vocabulary.size, dtype=bool)
-        absent[words] = False
-        assert absent.any() and not on_path.all()
+        untouched = self._untouched(corpus, tree)
         for params in (avg.current, avg.averaged):
-            assert np.array_equal(params.W[:, absent], before.W[:, absent])
-            assert np.array_equal(params.V[~on_path], before.V[~on_path])
-            assert np.array_equal(params.b[~on_path], before.b[~on_path])
-        assert not np.array_equal(avg.current.W[:, ~absent], before.W[:, ~absent])
+            arrays = dict(params.arrays())
+            for name, axis, mask in untouched:
+                assert np.array_equal(np.compress(mask, arrays[name], axis),
+                                      np.compress(mask, before[name], axis)), name
+        name, axis, mask = untouched[0]
+        assert not np.array_equal(np.compress(~mask, dict(avg.current.arrays())[name], axis),
+                                  np.compress(~mask, before[name], axis))
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_lazy_average_equals_dense_oracle(self, batch_size):
-        corpus = small_corpus(docs_per_class=3, doc_len=8, n_visual=10)
-        config = TrainConfig(
-            model_kind="supdocnade", hidden_sizes=(6,), learning_rate=0.05, unsup_weight=0.6,
-            epochs=1, batch_size=batch_size, seed=8, averaging_decay=0.8,
+        corpus, config, avg, tree = self._setup(
+            seed=8, decay=0.8, corpus=self._corpus(docs_per_class=3, doc_len=8),
+            learning_rate=0.05, batch_size=batch_size,
         )
-        params = init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
-                             named_stream(8, "init"))
-        tree = build_tree(corpus.vocabulary.size, 8)
         # a start whose average differs from the current parameters
-        avg = trainer.AveragedParams(params.copy(), params.copy(), 0.8)
-        avg.averaged.W += 0.5
-        avg.averaged.V -= 0.25
+        for n, (_, arr) in enumerate(avg.averaged.arrays()):
+            arr += 0.5 if n % 2 == 0 else -0.25
         oracle = trainer.AveragedParams(avg.current.copy(), avg.averaged.copy(), 0.8)
         self._epoch(corpus, avg, config, tree)
-        dense_shallow_epoch(corpus, oracle, config, tree)
+        self._oracle_epoch(corpus, oracle, config, tree)
         assert_close_to(avg.current, oracle.current)
         assert_close_to(avg.averaged, oracle.averaged)
 
     def test_decay_zero_copies_current_exactly(self):
         corpus, config, avg, tree = self._setup(decay=0.0, batch_size=2)
-        avg.averaged.W += 1.0  # every entry is copied, touched or not
-        avg.averaged.b -= 1.0
+        for _, arr in avg.averaged.arrays():  # every entry is copied, touched or not
+            arr += 1.0
         self._epoch(corpus, avg, config, tree)
         assert params_equal(avg.averaged, avg.current)
 
@@ -472,17 +492,30 @@ class TestSparseShallowStep:
         assert params_equal(avg.averaged, before)
 
     def test_checkpoint_holds_the_flushed_average(self, tmp_path):
-        corpus = small_corpus(docs_per_class=3, doc_len=8, n_visual=10)
-        config = TrainConfig(
-            model_kind="docnade", hidden_sizes=(6,), learning_rate=0.05,
-            epochs=1, seed=4, averaging_decay=0.7,
+        corpus, config, avg, tree = self._setup(
+            seed=4, decay=0.7, corpus=self._corpus(docs_per_class=3, doc_len=8),
+            learning_rate=0.05, batch_size=1, head="softmax",
+            model_kind=self.SETTINGS["model_kind"].removeprefix("sup"),
         )
         result = train_model(corpus, config, checkpoint_dir=tmp_path)
         _, averaged, _, epoch, _ = load_checkpoint(tmp_path / "epoch_0001.ckpt")
         assert epoch == 1
         assert params_equal(averaged, result.averaged)
-        start = init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
-                            named_stream(4, "init"))
-        oracle = dense_shallow_epoch(corpus, init_averaged(start, 0.7), config,
-                                     build_tree(corpus.vocabulary.size, 4))
+        oracle = self._oracle_epoch(corpus, avg, config, tree)
         assert_close_to(averaged, oracle.averaged)
+
+
+class TestSparseDeepStep(TestSparseShallowStep):
+    """Deep mini-batches update W1 only on the batch's columns and average it
+    lazily; the oracle applies and averages every array after every batch."""
+
+    SETTINGS = dict(model_kind="supdeepdocnade", hidden_sizes=(6, 5), head="sigmoid",
+                    dropout_rate=0.3, anno_weight=3.0)
+    N_FEATURES = 3
+
+    def _oracle_epoch(self, corpus, avg, config, tree):
+        return dense_deep_epoch(corpus, avg, config)
+
+    def _untouched(self, corpus, tree):
+        words = sorted({w for doc in corpus.documents for w in doc.counts})
+        return [("W1", 1, self._absent(corpus, words))]
