@@ -207,9 +207,9 @@ def cmd_retrieve(args) -> int:
     params, meta = _load_model(args.model_file)
     corpus = _load_corpus(args)
     _check_compat(meta, corpus)
+    if not (0 <= args.query < len(corpus)):
+        raise ValueError(f"query index {args.query} out of range (corpus size {len(corpus)})")
     reps = eval_mod.extract_representations(corpus, params, meta)
-    if not (0 <= args.query < len(reps)):
-        raise ValueError(f"query index {args.query} out of range (corpus size {len(reps)})")
     ranked = eval_mod.cosine_retrieve(reps[args.query], reps, args.k)
     _write_records(args.out, (
         {"query": args.query, "rank": rank, "doc": int(doc_id), "score": float(score)}

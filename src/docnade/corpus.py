@@ -175,10 +175,21 @@ class MultimodalDocument:
             out[token_id] = count
         return out
 
-    def visual_only(self, vocab: JointVocabulary) -> "MultimodalDocument":
-        """Copy with annotation counts removed."""
-        kept = {i: c for i, c in self.counts.items() if not vocab.is_annotation(i)}
-        return MultimodalDocument(kept, self.labels, self.features)
+
+def count_rows(docs, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union `cols` of the documents' token ids (those below
+    `limit` only, if given) and their (len(docs), len(cols)) count rows on
+    those columns."""
+    ids = np.fromiter((i for doc in docs for i in doc.counts), np.int64)
+    values = np.fromiter((c for doc in docs for c in doc.counts.values()), np.int64)
+    rows = np.repeat(np.arange(len(docs)), [len(doc.counts) for doc in docs])
+    if limit is not None:
+        keep = ids < limit
+        ids, values, rows = ids[keep], values[keep], rows[keep]
+    cols, inverse = np.unique(ids, return_inverse=True)
+    block = np.zeros((len(docs), len(cols)), dtype=np.int64)
+    block[rows, inverse] = values
+    return cols, block
 
 
 @dataclass(frozen=True)

@@ -288,6 +288,14 @@ def _sparse_inputs(
     return x
 
 
+def stack_features(features: list, n_features: int) -> np.ndarray | None:
+    """One feature row per entry, or None if no entry has features; a None
+    entry among others is a zero row, so it adds 0 @ P."""
+    if all(f is None for f in features):
+        return None
+    return np.stack([np.zeros(n_features) if f is None else f for f in features])
+
+
 def _stack_rows(rows: list, sizes) -> list[np.ndarray] | None:
     """Per-layer (rows, H_n) matrices from per-row lists of vectors; a None
     row stands for ones, and all-None rows for no matrices at all."""
@@ -341,10 +349,7 @@ def batch_loss_gradients(
 
     raw = np.stack([counts[i, cols] for i in sup] + [splits[i].input_hist[cols] for i in gen])
     x = _sparse_inputs(raw, cols, params.vocab_size, omega)
-    row_features = [features[i] for i in sup + gen]
-    feats = None
-    if any(f is not None for f in row_features):  # a document without features adds 0 @ P
-        feats = np.stack([np.zeros(params.n_features) if f is None else f for f in row_features])
+    feats = stack_features([features[i] for i in sup + gen], params.n_features)
     masks = _stack_rows([sup_masks[i] for i in sup] + [gen_masks[i] for i in gen],
                         params.hidden_sizes)
     hs, pres = deep_forward(x, params, feats, masks=masks, cols=cols)
@@ -421,17 +426,38 @@ def deep_represent(
     params: DeepParams,
     omega: np.ndarray | None,
     dropout_rate: float = 0.0,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Top-layer representation of the full (weighted, rescaled) histogram."""
-    x = prepare_histogram(np.asarray(counts), omega)
+    """Top-layer representation of the full (weighted, rescaled) histogram.
+
+    `counts` is one document's count vector; with `cols`, it is a
+    (rows, len(cols)) block of count rows that are zero outside those
+    vocabulary columns, `features` holds one row per count row, and the
+    rows go through the training forward pass (`_sparse_inputs`, then a
+    first layer that reads W1[:, cols] alone).
+    """
     keep = 1.0 - dropout_rate if dropout_rate > 0.0 else None
-    hs, _ = deep_forward(x, params, features, keep_scale=keep)
+    if cols is None:
+        x = prepare_histogram(np.asarray(counts), omega)
+    else:
+        x = _sparse_inputs(counts, cols, params.vocab_size, omega)
+    hs, _ = deep_forward(x, params, features, keep_scale=keep, cols=cols)
     return hs[-1]
 
 
-def output_log_probs(h_top: np.ndarray, params: DeepParams) -> np.ndarray:
-    """Per-word log conditional probabilities given a hidden state."""
-    return log_softmax(params.b_out + params.V_out @ h_top)
+def output_log_probs(
+    h_top: np.ndarray, params: DeepParams, words: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-word log conditional probabilities given a hidden state, or given
+    each row of a (rows, H) matrix of them.
+
+    With `words`, the softmax runs over those words' outputs alone: the log
+    probability of each word given that the next word is one of `words`.
+    """
+    V, b = params.V_out, params.b_out
+    if words is not None:
+        V, b = V[words], b[words]
+    return log_softmax(b + (V @ h_top if h_top.ndim == 1 else h_top @ V.T))
 
 
 def exhaustive_ordering_loss(

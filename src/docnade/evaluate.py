@@ -1,4 +1,4 @@
-"""Metrics, downstream linear classification, retrieval and inspection.
+"""Metrics, retrieval, annotation and inspection.
 
 Pure functions over frozen parameters: classification accuracy, top-K
 annotation F-measure, average precision / MAP, held-out perplexity, cosine
@@ -6,6 +6,11 @@ retrieval, text generation from the visual modality, and per-class
 topic/word association inspection.  `evaluation_metrics` assembles the
 metric report for a model's kind; this module is where the inference
 commands branch on `meta.kind`.
+
+Representations, annotation rankings and the deep perplexity estimate are
+computed a chunk of `CHUNK_DOCS` documents at a time, with a few matrix
+products per chunk, so working memory is bounded by the chunk and not by
+the corpus.
 """
 
 from __future__ import annotations
@@ -22,14 +27,33 @@ from .corpus import (
     JointVocabulary,
     MultimodalDocument,
     build_vocabulary,
+    count_rows,
     weight_vector,
 )
 from .model_io import DEEP_KINDS, SUPERVISED_KINDS, ModelMeta
-from .numerics import sigmoid, softmax_rows
+from .numerics import sigmoid, softmax_rows, top_order
 from .rng import named_stream
 from .wordtree import WordTree, build_tree
 
 logger = logging.getLogger(__name__)
+
+
+# Documents per inference chunk.  At Q = 3,000 and H = 100 a chunk's
+# activations and annotation scores take a few MB.
+CHUNK_DOCS = 64
+
+
+def _chunks(documents, size: int):
+    """Consecutive slices of at most `size` documents."""
+    return [documents[start : start + size] for start in range(0, len(documents), size)]
+
+
+def _deep_states(docs, params, dropout_rate: float, omega, limit: int | None = None) -> np.ndarray:
+    """Deep top-layer states of documents, from their ids below `limit` if
+    given: one forward pass over the union of the documents' columns."""
+    cols, counts = count_rows(docs, limit)
+    features = deep_mod.stack_features([doc.features for doc in docs], params.n_features)
+    return deep_mod.deep_represent(counts, features, params, omega, dropout_rate, cols=cols)
 
 
 def extract_representations(corpus: Corpus, params, meta, restrict: str = "all-words") -> np.ndarray:
@@ -40,19 +64,13 @@ def extract_representations(corpus: Corpus, params, meta, restrict: str = "all-w
     visual-only protocol for shallow class prediction.
     """
     vocab = corpus.vocabulary
+    chunks = _chunks(corpus.documents, CHUNK_DOCS)
     if meta.kind in DEEP_KINDS:
         omega = weight_vector(vocab, meta.anno_weight).omega
-        return np.array([
-            deep_mod.deep_represent(
-                doc.dense_counts(vocab.size), doc.features, params, omega,
-                dropout_rate=meta.dropout_rate,
-            )
-            for doc in corpus.documents
-        ])
-    return np.array([
-        shallow_mod.represent(doc, params, vocab, restrict)
-        for doc in corpus.documents
-    ])
+        parts = [_deep_states(docs, params, meta.dropout_rate, omega) for docs in chunks]
+    else:
+        parts = [shallow_mod.represent(docs, params, vocab, restrict) for docs in chunks]
+    return np.vstack([np.empty((0, meta.hidden_sizes[-1]))] + parts)
 
 
 @dataclass
@@ -67,9 +85,7 @@ class RankedPrediction:
 
 
 def _rank(ids: np.ndarray, scores: np.ndarray, top_k: int | None = None) -> RankedPrediction:
-    order = np.lexsort((ids, -scores))
-    if top_k is not None:
-        order = order[:top_k]
+    order = top_order(ids, scores, top_k)
     return RankedPrediction(ids[order], scores[order])
 
 
@@ -218,82 +234,6 @@ def perplexity(
 
 
 # ---------------------------------------------------------------------------
-# Downstream linear classifier (stands in for the external SVM protocol)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LinearClassifier:
-    weights: np.ndarray  # (C, H)
-    bias: np.ndarray  # (C,)
-    kind: str  # softmax | sigmoid
-
-
-def fit_linear_classifier(
-    representations: np.ndarray,
-    labels,
-    kind: str = "softmax",
-    *,
-    n_classes: int | None = None,
-    l2: float = 1e-3,
-    learning_rate: float = 0.5,
-    max_iter: int = 2000,
-    tol: float = 1e-7,
-) -> LinearClassifier:
-    """Regularized maximum-likelihood linear classifier via gradient descent.
-
-    `labels` is an int vector for the softmax kind, or a sequence of label
-    sets for the one-vs-rest sigmoid kind.  Deterministic (zero init,
-    full-batch descent, stops when the gradient infinity-norm drops below
-    `tol`).  The bias is not regularized.
-    """
-    X = np.asarray(representations, dtype=float)
-    n = X.shape[0]
-    if kind == "softmax":
-        y = np.asarray(labels, dtype=int)
-        if len(np.unique(y)) < 2:
-            raise ValueError("need at least two classes")
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
-        target = np.zeros((n, n_classes))
-        target[np.arange(n), y] = 1.0
-    elif kind == "sigmoid":
-        label_sets = [set(s) for s in labels]
-        if n_classes is None:
-            n_classes = max((max(s) for s in label_sets if s), default=-1) + 1
-        if n_classes < 1 or all(not s for s in label_sets):
-            raise ValueError("need at least one labeled item")
-        target = np.zeros((n, n_classes))
-        for i, s in enumerate(label_sets):
-            target[i, sorted(s)] = 1.0
-    else:
-        raise ValueError(f"unknown classifier kind {kind!r}")
-
-    W = np.zeros((n_classes, X.shape[1]))
-    b = np.zeros(n_classes)
-    for _ in range(max_iter):
-        z = X @ W.T + b
-        probs = softmax_rows(z) if kind == "softmax" else sigmoid(z)
-        delta = (probs - target) / n
-        grad_W = delta.T @ X + l2 * W
-        grad_b = delta.sum(axis=0)
-        if max(np.abs(grad_W).max(), np.abs(grad_b).max()) < tol:
-            break
-        W -= learning_rate * grad_W
-        b -= learning_rate * grad_b
-    return LinearClassifier(W, b, kind)
-
-
-def classifier_scores(clf: LinearClassifier, representations: np.ndarray) -> np.ndarray:
-    z = np.asarray(representations) @ clf.weights.T + clf.bias
-    return softmax_rows(z) if clf.kind == "softmax" else sigmoid(z)
-
-
-def classify(clf: LinearClassifier, representations: np.ndarray) -> np.ndarray:
-    return classifier_scores(clf, representations).argmax(axis=1)
-
-
-# ---------------------------------------------------------------------------
 # Retrieval, generation, inspection
 # ---------------------------------------------------------------------------
 
@@ -322,7 +262,7 @@ def cosine_retrieve(
 
 
 def generate_text(
-    doc: MultimodalDocument,
+    docs,
     params,
     vocab: JointVocabulary,
     top_k: int,
@@ -330,28 +270,30 @@ def generate_text(
     tree: WordTree | None = None,
     meta_dropout: float = 0.0,
     omega: np.ndarray | None = None,
-) -> RankedPrediction:
+) -> RankedPrediction | list[RankedPrediction]:
     """Rank annotation words by next-word probability given the visual words.
 
-    Shallow models, which come with their word `tree`, delegate to the
-    tree-based annotation prediction; deep models renormalize the softmax
-    output over the annotation block.
+    `docs` is one document, or a sequence of them; then the result is a list
+    with one ranking per document.  Shallow models, which come with their
+    word `tree`, delegate to the tree-based annotation prediction; deep
+    models score only the annotation rows of the output layer, which is the
+    softmax output renormalized over the annotation block.
     """
     if vocab.n_annotation == 0:
         raise ValueError("vocabulary has no annotation words")
+    single = isinstance(docs, MultimodalDocument)
+    rows = [docs] if single else docs
     top_k = min(top_k, vocab.n_annotation)
     if tree is not None:
-        ids, probs = shallow_mod.predict_annotations(doc, params, tree, vocab, top_k)
-        return RankedPrediction(ids, probs)
-    counts = doc.visual_only(vocab).dense_counts(vocab.size)
-    h_top = deep_mod.deep_represent(
-        counts, doc.features, params, omega, dropout_rate=meta_dropout
-    )
-    log_probs = deep_mod.output_log_probs(h_top, params)
-    anno_ids = np.arange(vocab.visual_size, vocab.size)
-    restricted = log_probs[anno_ids]
-    log_norm = restricted.max() + np.log(np.exp(restricted - restricted.max()).sum())
-    return _rank(anno_ids, np.exp(restricted - log_norm), top_k)
+        ids, scores = shallow_mod.predict_annotations(rows, params, tree, vocab, top_k)
+    else:
+        h_top = _deep_states(rows, params, meta_dropout, omega, limit=vocab.visual_size)
+        anno_ids = np.arange(vocab.visual_size, vocab.size)
+        probs = np.exp(deep_mod.output_log_probs(h_top, params, words=anno_ids))
+        order = top_order(anno_ids, probs, top_k)
+        ids, scores = anno_ids[order], np.take_along_axis(probs, order, axis=1)
+    ranked = [RankedPrediction(i, s) for i, s in zip(ids, scores)]
+    return ranked[0] if single else ranked
 
 
 def class_word_associations(
@@ -403,43 +345,57 @@ def class_scores(corpus: Corpus, params, meta: ModelMeta) -> np.ndarray:
 
 def annotation_predictions(corpus: Corpus, params, meta: ModelMeta, top_k: int):
     """Yields (document, its top-K annotation words ranked from its visual
-    words); the word tree or the annotation weights are built once."""
+    words), ranking a chunk of documents at a time; the word tree or the
+    annotation weights are built once."""
     vocab = corpus.vocabulary
     tree = omega = None
     if meta.kind in DEEP_KINDS:
         omega = weight_vector(vocab, meta.anno_weight).omega
     else:
         tree = build_tree(meta.vocab_size, meta.tree_seed)
-    for doc in corpus.documents:
-        yield doc, generate_text(
-            doc, params, vocab, top_k, tree=tree, meta_dropout=meta.dropout_rate, omega=omega
-        )
+    for docs in _chunks(corpus.documents, CHUNK_DOCS):
+        yield from zip(docs, generate_text(
+            docs, params, vocab, top_k, tree=tree, meta_dropout=meta.dropout_rate, omega=omega
+        ))
 
 
 def perplexity_estimate(
     corpus: Corpus, params, meta: ModelMeta, samples: int, rng: np.random.Generator
 ) -> float:
     """Per-token perplexity of a deep model from the losses of `samples`
-    sampled splits per document."""
+    sampled splits per document.
+
+    The splits are drawn document by document in corpus order; each chunk's
+    splits then go through one forward pass and one loss evaluation.
+    """
     vocab = corpus.vocabulary
     omega = weight_vector(vocab, meta.anno_weight).omega
-    keep = 1.0 - meta.dropout_rate if meta.dropout_rate > 0 else None
     total_loss, total_tokens = 0.0, 0
-    for doc in corpus.documents:
-        counts = doc.dense_counts(vocab.size)
-        if counts.sum() == 0:
+    for chunk in _chunks(corpus.documents, max(1, CHUNK_DOCS // samples)):
+        docs = [doc for doc in chunk if doc.total_tokens]
+        counts = [doc.dense_counts(vocab.size) for doc in docs]
+        splits = [deep_mod.split_histogram(c, rng) for c in counts for _ in range(samples)]
+        if not splits:
             continue
-        draws = []
-        for _ in range(samples):
-            split = deep_mod.split_histogram(counts, rng)
-            x = deep_mod.prepare_histogram(split.input_hist, omega)
-            hs, _ = deep_mod.deep_forward(x, params, doc.features, keep_scale=keep)
-            loss, _ = deep_mod.generative_loss(
-                hs[-1], split.output_hist, omega, split.d, split.total_tokens, params
-            )
-            draws.append(loss)
-        total_loss += float(np.mean(draws))
-        total_tokens += int(counts.sum())
+        inputs = np.stack([split.input_hist for split in splits])
+        cols = np.flatnonzero(inputs.any(axis=0))
+        features = deep_mod.stack_features(
+            [doc.features for doc in docs for _ in range(samples)], params.n_features
+        )
+        h_top = deep_mod.deep_represent(
+            inputs[:, cols], features, params, omega, meta.dropout_rate, cols=cols
+        )
+        losses, _ = deep_mod.generative_loss(
+            h_top,
+            np.stack([split.output_hist for split in splits]),
+            omega,
+            np.array([split.d for split in splits]),
+            np.array([split.total_tokens for split in splits]),
+            params,
+        )
+        for doc, draws in zip(docs, losses.reshape(len(docs), samples)):
+            total_loss += float(np.mean(draws))
+            total_tokens += doc.total_tokens
     if total_tokens == 0:
         raise ValueError("corpus has no tokens")
     return float(np.exp(total_loss / total_tokens))
@@ -462,6 +418,8 @@ def evaluation_metrics(
     MAP for a sigmoid head (with PR curves to `curves_dir`), then top-K
     annotation F-measure.  The first entry is what a grid search selects on.
     """
+    if not corpus.documents:
+        raise ValueError("corpus has no documents to evaluate")
     if meta.kind not in SUPERVISED_KINDS:
         rng = named_stream(eval_seed, "eval")
         if meta.kind in DEEP_KINDS:

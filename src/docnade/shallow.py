@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import JointVocabulary, MultimodalDocument
-from .numerics import log_softmax, sigmoid
+from .corpus import JointVocabulary, MultimodalDocument, count_rows
+from .numerics import log_softmax, sigmoid, top_order
 from .wordtree import OpCounter, WordTree, words_log_prob
 
 
@@ -312,24 +312,28 @@ def docnade_gradients(
 
 
 def represent(
-    doc: MultimodalDocument,
+    docs,
     params: ShallowParams,
     vocab: JointVocabulary,
     restrict: str = "all-words",
 ) -> np.ndarray:
-    """Order-independent document representation relu(c + sum counts * W)."""
+    """Order-independent document representation relu(c + sum counts * W).
+
+    `docs` is one document, or a sequence of them; then the result holds one
+    row per document, from one count-matrix product over the union of their
+    token ids.  "visual-only" drops the annotation columns.
+    """
     if restrict not in ("all-words", "visual-only"):
         raise ValueError(f"unknown restriction {restrict!r}")
-    pre = params.c.copy()
-    for token_id, count in doc.counts.items():
-        if restrict == "visual-only" and vocab.is_annotation(token_id):
-            continue
-        pre += count * params.W[:, token_id]
-    return np.maximum(pre, 0.0)
+    single = isinstance(docs, MultimodalDocument)
+    limit = vocab.visual_size if restrict == "visual-only" else None
+    cols, counts = count_rows([docs] if single else docs, limit)
+    pre = counts @ params.W[:, cols].T + params.c
+    return np.maximum(pre[0] if single else pre, 0.0)
 
 
 def predict_annotations(
-    doc: MultimodalDocument,
+    docs,
     params: ShallowParams,
     tree: WordTree,
     vocab: JointVocabulary,
@@ -339,14 +343,15 @@ def predict_annotations(
 
     Only annotation-word leaves are evaluated; annotation counts already in
     the document are ignored.  Ties break toward the smaller id.  Returns
-    (ids, probabilities) sorted by decreasing probability.
+    (ids, probabilities) sorted by decreasing probability; for a sequence of
+    documents, both are (len(docs), top_k) arrays with one row per document.
     """
     if top_k > vocab.n_annotation:
         raise ValueError(
             f"top_k={top_k} exceeds annotation vocabulary ({vocab.n_annotation})"
         )
-    h = represent(doc, params, vocab, restrict="visual-only")
+    h = represent(docs, params, vocab, restrict="visual-only")
     candidates = np.arange(vocab.visual_size, vocab.size, dtype=np.int64)
     log_probs = words_log_prob(tree, h, candidates, params.V, params.b)
-    order = np.lexsort((candidates, -log_probs))[:top_k]
-    return candidates[order], np.exp(log_probs[order])
+    order = top_order(candidates, log_probs, top_k)
+    return candidates[order], np.exp(np.take_along_axis(log_probs, order, axis=-1))

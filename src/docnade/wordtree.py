@@ -128,15 +128,31 @@ def word_log_prob(
 def words_log_prob(
     tree: WordTree, h: np.ndarray, words: np.ndarray, V: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """log p(w | h) for many candidate words sharing one hidden state."""
-    nodes, bits, lengths = tree.path_table()
+    """log p(w | h) for many candidate words, given one hidden state or each
+    row of an (n, H) matrix of them; the result has shape (len(words),) or
+    (n, len(words)).
+
+    The candidates' paths share nodes, so each unique path node's activation
+    is computed once per hidden state (one matrix product), with both of its
+    log-sigmoids; each word then sums its path's terms one tree level at a
+    time.
+    """
+    nodes, bits, _ = tree.path_table()
     nodes, bits = nodes[words], bits[words]
     valid = nodes >= 0
-    safe = np.where(valid, nodes, 0)
-    act = b[safe] + V[safe] @ h
-    signs = 2 * bits - 1
-    terms = np.where(valid, _log_sigmoid(signs * act), 0.0)
-    return terms.sum(axis=1)
+    unique, inverse = np.unique(nodes[valid], return_inverse=True)
+    act = V[unique] @ np.atleast_2d(h).T + b[unique, None]  # (nodes, states)
+    # log sigmoid(+-a) = min(+-a, 0) - log(1 + exp(-|a|)); the rows are log p(left)
+    # of every unique node, then log p(right), then 0 for the padding slots
+    soft = np.log1p(np.exp(-np.abs(act)))
+    table = np.vstack([np.minimum(-act, 0.0) - soft, np.minimum(act, 0.0) - soft,
+                       np.zeros((1, act.shape[1]))])
+    slots = np.full(nodes.shape, 2 * len(unique))
+    slots[valid] = inverse + bits[valid] * len(unique)
+    log_probs = np.zeros((len(words), act.shape[1]))
+    for level in slots.T:
+        log_probs += table[level]
+    return log_probs.T if np.ndim(h) == 2 else log_probs[:, 0]
 
 
 def tree_gradients(

@@ -8,10 +8,15 @@ vectors and outer products, the way training worked before it was batched,
 the dense shallow oracle builds a full-size gradient with `np.add.at`,
 the way shallow training worked before its gradients became sparse, and the
 dense epochs apply every update densely and average every array after every
-step, the way training worked before the average became lazy.
+step, the way training worked before the average became lazy.  The
+per-document inference functions represent, annotate and score one document
+at a time, the way eval, annotate and retrieve ran before they were
+chunked.  The linear classifier is criterion 09's "DocNADE features plus a
+classifier" baseline.
 """
 
 import itertools
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -19,7 +24,11 @@ import numpy as np
 from docnade import deep as deep_mod
 from docnade import shallow as shallow_mod
 from docnade import trainer as trainer_mod
-from docnade.corpus import weight_vector
+from docnade.corpus import MultimodalDocument, weight_vector
+from docnade.evaluate import RankedPrediction
+from docnade.model_io import DEEP_KINDS
+from docnade.numerics import sigmoid, softmax_rows
+from docnade.wordtree import build_tree
 
 
 def estimator_expectation(counts, params, omega=None, phi=None, features=None):
@@ -312,3 +321,189 @@ def dense_deep_epoch(corpus, avg, config):
                 arr -= config.learning_rate / n_docs * total[name]
         trainer_mod.polyak_update(avg)
     return avg
+
+
+# ---------------------------------------------------------------------------
+# Per-document inference
+# ---------------------------------------------------------------------------
+
+
+def represent(doc, params, vocab, restrict="all-words"):
+    """Shallow representation relu(c + sum counts * W), one column at a time."""
+    pre = params.c.copy()
+    for token_id, count in doc.counts.items():
+        if restrict == "visual-only" and vocab.is_annotation(token_id):
+            continue
+        pre += count * params.W[:, token_id]
+    return np.maximum(pre, 0.0)
+
+
+def words_log_prob(tree, h, words, V, b):
+    """log p(w | h) of the candidate words for one hidden state, gathering
+    every word's whole path."""
+    nodes, bits, _ = tree.path_table()
+    nodes, bits = nodes[words], bits[words]
+    valid = nodes >= 0
+    safe = np.where(valid, nodes, 0)
+    act = b[safe] + V[safe] @ h
+    signs = 2 * bits - 1
+    terms = np.where(valid, -np.logaddexp(0.0, -signs * act), 0.0)
+    return terms.sum(axis=1)
+
+
+def visual_only(doc, vocab):
+    """Copy of a document with its annotation counts removed."""
+    kept = {i: c for i, c in doc.counts.items() if not vocab.is_annotation(i)}
+    return MultimodalDocument(kept, doc.labels, doc.features)
+
+
+def extract_representations(corpus, params, meta, restrict="all-words"):
+    vocab = corpus.vocabulary
+    if meta.kind in DEEP_KINDS:
+        omega = weight_vector(vocab, meta.anno_weight).omega
+        return np.array([
+            deep_mod.deep_represent(
+                doc.dense_counts(vocab.size), doc.features, params, omega,
+                dropout_rate=meta.dropout_rate,
+            )
+            for doc in corpus.documents
+        ])
+    return np.array([represent(doc, params, vocab, restrict) for doc in corpus.documents])
+
+
+def generate_text(doc, params, vocab, top_k, *, tree=None, meta_dropout=0.0, omega=None):
+    """One document's annotation ranking: tree scores of the annotation
+    leaves, or the full output softmax renormalized over the annotation
+    block."""
+    top_k = min(top_k, vocab.n_annotation)
+    if tree is not None:
+        h = represent(doc, params, vocab, restrict="visual-only")
+        candidates = np.arange(vocab.visual_size, vocab.size, dtype=np.int64)
+        log_probs = words_log_prob(tree, h, candidates, params.V, params.b)
+        order = np.lexsort((candidates, -log_probs))[:top_k]
+        return RankedPrediction(candidates[order], np.exp(log_probs[order]))
+    counts = visual_only(doc, vocab).dense_counts(vocab.size)
+    h_top = deep_mod.deep_represent(counts, doc.features, params, omega, dropout_rate=meta_dropout)
+    log_probs = deep_mod.output_log_probs(h_top, params)
+    anno_ids = np.arange(vocab.visual_size, vocab.size)
+    restricted = log_probs[anno_ids]
+    log_norm = restricted.max() + np.log(np.exp(restricted - restricted.max()).sum())
+    probs = np.exp(restricted - log_norm)
+    order = np.lexsort((anno_ids, -probs))[:top_k]
+    return RankedPrediction(anno_ids[order], probs[order])
+
+
+def annotation_predictions(corpus, params, meta, top_k):
+    vocab = corpus.vocabulary
+    tree = omega = None
+    if meta.kind in DEEP_KINDS:
+        omega = weight_vector(vocab, meta.anno_weight).omega
+    else:
+        tree = build_tree(meta.vocab_size, meta.tree_seed)
+    for doc in corpus.documents:
+        yield doc, generate_text(
+            doc, params, vocab, top_k, tree=tree, meta_dropout=meta.dropout_rate, omega=omega
+        )
+
+
+def perplexity_estimate(corpus, params, meta, samples, rng):
+    """Deep perplexity estimate with one dense forward pass and one loss per
+    sampled split."""
+    vocab = corpus.vocabulary
+    omega = weight_vector(vocab, meta.anno_weight).omega
+    keep = 1.0 - meta.dropout_rate if meta.dropout_rate > 0 else None
+    total_loss, total_tokens = 0.0, 0
+    for doc in corpus.documents:
+        counts = doc.dense_counts(vocab.size)
+        if counts.sum() == 0:
+            continue
+        draws = []
+        for _ in range(samples):
+            split = deep_mod.split_histogram(counts, rng)
+            x = deep_mod.prepare_histogram(split.input_hist, omega)
+            hs, _ = deep_mod.deep_forward(x, params, doc.features, keep_scale=keep)
+            loss, _ = deep_mod.generative_loss(
+                hs[-1], split.output_hist, omega, split.d, split.total_tokens, params
+            )
+            draws.append(loss)
+        total_loss += float(np.mean(draws))
+        total_tokens += int(counts.sum())
+    if total_tokens == 0:
+        raise ValueError("corpus has no tokens")
+    return float(np.exp(total_loss / total_tokens))
+
+
+# ---------------------------------------------------------------------------
+# Downstream linear classifier (stands in for the external SVM protocol)
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class LinearClassifier:
+    weights: np.ndarray  # (C, H)
+    bias: np.ndarray  # (C,)
+    kind: str  # softmax | sigmoid
+
+
+def fit_linear_classifier(
+    representations,
+    labels,
+    kind="softmax",
+    *,
+    n_classes=None,
+    l2=1e-3,
+    learning_rate=0.5,
+    max_iter=2000,
+    tol=1e-7,
+):
+    """Regularized maximum-likelihood linear classifier via gradient descent.
+
+    `labels` is an int vector for the softmax kind, or a sequence of label
+    sets for the one-vs-rest sigmoid kind.  Deterministic (zero init,
+    full-batch descent, stops when the gradient infinity-norm drops below
+    `tol`).  The bias is not regularized.
+    """
+    X = np.asarray(representations, dtype=float)
+    n = X.shape[0]
+    if kind == "softmax":
+        y = np.asarray(labels, dtype=int)
+        if len(np.unique(y)) < 2:
+            raise ValueError("need at least two classes")
+        if n_classes is None:
+            n_classes = int(y.max()) + 1
+        target = np.zeros((n, n_classes))
+        target[np.arange(n), y] = 1.0
+    elif kind == "sigmoid":
+        label_sets = [set(s) for s in labels]
+        if n_classes is None:
+            n_classes = max((max(s) for s in label_sets if s), default=-1) + 1
+        if n_classes < 1 or all(not s for s in label_sets):
+            raise ValueError("need at least one labeled item")
+        target = np.zeros((n, n_classes))
+        for i, s in enumerate(label_sets):
+            target[i, sorted(s)] = 1.0
+    else:
+        raise ValueError(f"unknown classifier kind {kind!r}")
+
+    W = np.zeros((n_classes, X.shape[1]))
+    b = np.zeros(n_classes)
+    for _ in range(max_iter):
+        z = X @ W.T + b
+        probs = softmax_rows(z) if kind == "softmax" else sigmoid(z)
+        delta = (probs - target) / n
+        grad_W = delta.T @ X + l2 * W
+        grad_b = delta.sum(axis=0)
+        if max(np.abs(grad_W).max(), np.abs(grad_b).max()) < tol:
+            break
+        W -= learning_rate * grad_W
+        b -= learning_rate * grad_b
+    return LinearClassifier(W, b, kind)
+
+
+def classifier_scores(clf, representations):
+    z = np.asarray(representations) @ clf.weights.T + clf.bias
+    return softmax_rows(z) if clf.kind == "softmax" else sigmoid(z)
+
+
+def classify(clf, representations):
+    return classifier_scores(clf, representations).argmax(axis=1)

@@ -26,7 +26,7 @@ from docnade.model_io import load_model, save_model
 from docnade.trainer import TrainConfig, resume_training, train_model
 from docnade.wordtree import OpCounter, build_tree, word_log_prob, words_log_prob
 from gen import bayes_accuracy, make_corpus
-from oracles import estimator_expectation
+from oracles import classify, estimator_expectation, fit_linear_classifier
 
 
 def report(number, ok, detail):
@@ -336,9 +336,9 @@ def test_criterion_09_synthetic_classification():
             shallow.represent(d, unsup_result.averaged, vocab, "visual-only")
             for d in test.documents
         ])
-        clf = evaluate.fit_linear_classifier(reps_train, truth_train)
+        clf = fit_linear_classifier(reps_train, truth_train)
         unsup_scores.append(
-            evaluate.accuracy(evaluate.classify(clf, reps_test), truth_test)
+            evaluate.accuracy(classify(clf, reps_test), truth_test)
         )
 
     elapsed = time.perf_counter() - started

