@@ -141,9 +141,10 @@ class MultimodalDocument:
         return sum(self.counts.values())
 
     def validate(self, vocab: JointVocabulary, n_classes: int, n_features: int) -> None:
+        size = vocab.size
         for token_id, count in self.counts.items():
-            if not (0 <= token_id < vocab.size):
-                raise ValueError(f"token id {token_id} >= vocabulary size {vocab.size}")
+            if not (0 <= token_id < size):
+                raise ValueError(f"token id {token_id} >= vocabulary size {size}")
             if count < 0:
                 raise ValueError(f"negative count {count} for id {token_id}")
         for label in self.labels:
@@ -159,13 +160,15 @@ class MultimodalDocument:
         elif not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite global feature value")
 
+    def id_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct token ids and their counts."""
+        ids = sorted(self.counts)
+        return (np.array(ids, dtype=np.int64),
+                np.array([self.counts[i] for i in ids], dtype=np.int64))
+
     def token_array(self) -> np.ndarray:
         """Expand counts into a sorted id sequence (one entry per token)."""
-        if not self.counts:
-            return np.empty(0, dtype=np.int64)
-        ids = np.array(sorted(self.counts), dtype=np.int64)
-        reps = np.array([self.counts[int(i)] for i in ids])
-        return np.repeat(ids, reps)
+        return np.repeat(*self.id_counts())
 
     def dense_counts(self, size: int) -> np.ndarray:
         out = np.zeros(size, dtype=np.int64)
@@ -303,6 +306,8 @@ def parse_corpus(path, format: str = "text-sparse") -> Corpus:
     vocab = _vocab_from_header(header)
     n_classes, n_features = header["C"], header["N_f"]
 
+    # id bounds of the VISUAL and ANNOTATIONS fields, read once per file
+    bounds = vocab.visual_size, vocab.size
     docs = []
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -310,9 +315,9 @@ def parse_corpus(path, format: str = "text-sparse") -> Corpus:
             if not line or line.startswith("#"):
                 continue
             if format == "text-sparse":
-                doc = _parse_text_sparse_line(line, line_no, vocab)
+                doc = _parse_text_sparse_line(line, line_no, *bounds)
             else:
-                doc = _parse_record_line(line, line_no, vocab)
+                doc = _parse_record_line(line, line_no, *bounds)
             docs.append(doc)
 
     corpus = Corpus(vocab, tuple(docs), n_classes, n_features)
@@ -320,7 +325,9 @@ def parse_corpus(path, format: str = "text-sparse") -> Corpus:
     return corpus
 
 
-def _parse_text_sparse_line(line: str, line_no: int, vocab: JointVocabulary) -> MultimodalDocument:
+def _parse_text_sparse_line(
+    line: str, line_no: int, visual_size: int, size: int
+) -> MultimodalDocument:
     parts = line.split("|")
     if len(parts) != 4:
         raise CorpusFormatError(
@@ -336,11 +343,11 @@ def _parse_text_sparse_line(line: str, line_no: int, vocab: JointVocabulary) -> 
     counts: dict[int, int] = {}
     for entry in visual_s.split():
         token_id, count = _parse_id_count(entry, line_no, "VISUAL")
-        _check_id(token_id, 0, vocab.visual_size, line_no, "VISUAL")
+        _check_id(token_id, 0, visual_size, line_no, "VISUAL")
         counts[token_id] = counts.get(token_id, 0) + count
     for entry in anno_s.split():
         token_id, count = _parse_id_count(entry, line_no, "ANNOTATIONS")
-        _check_id(token_id, vocab.visual_size, vocab.size, line_no, "ANNOTATIONS")
+        _check_id(token_id, visual_size, size, line_no, "ANNOTATIONS")
         counts[token_id] = counts.get(token_id, 0) + count
     counts = {i: c for i, c in counts.items() if c > 0}
 
@@ -353,7 +360,7 @@ def _parse_text_sparse_line(line: str, line_no: int, vocab: JointVocabulary) -> 
     return MultimodalDocument(counts, labels, features)
 
 
-def _parse_record_line(line: str, line_no: int, vocab: JointVocabulary) -> MultimodalDocument:
+def _parse_record_line(line: str, line_no: int, visual_size: int, size: int) -> MultimodalDocument:
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -363,8 +370,8 @@ def _parse_record_line(line: str, line_no: int, vocab: JointVocabulary) -> Multi
 
     counts: dict[int, int] = {}
     for field_name, low, high in (
-        ("visual", 0, vocab.visual_size),
-        ("annotations", vocab.visual_size, vocab.size),
+        ("visual", 0, visual_size),
+        ("annotations", visual_size, size),
     ):
         for pair in record.get(field_name, []):
             try:

@@ -191,6 +191,30 @@ def deep_forward(
     return hs, pres
 
 
+def _generative_terms(h, output_hist, phi, d, total_tokens, params):
+    """Per-row losses of a (rows, H) `h`, with the log-softmax, weighted
+    targets and (rows, 1) rescale factors they were computed from."""
+    log_probs = log_softmax(params.b_out + h @ params.V_out.T)
+    hist = np.atleast_2d(output_hist)
+    targets = hist * phi if phi is not None else hist.astype(float)
+    factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
+    loss = factor[:, 0] * -np.einsum("ij,ij->i", targets, log_probs)
+    return loss, log_probs, targets, factor
+
+
+def generative_losses(
+    h_top: np.ndarray,
+    output_hist: np.ndarray,
+    phi: np.ndarray | None,
+    d: np.ndarray,
+    total_tokens: np.ndarray,
+    params: DeepParams,
+) -> np.ndarray:
+    """The per-row losses of `generative_loss` for a (rows, H) `h_top`,
+    without the output-layer gradients (inference needs only the loss)."""
+    return _generative_terms(h_top, output_hist, phi, d, total_tokens, params)[0]
+
+
 def generative_loss(
     h_top: np.ndarray,
     output_hist: np.ndarray,
@@ -213,11 +237,9 @@ def generative_loss(
     """
     single = h_top.ndim == 1
     h = np.atleast_2d(h_top)
-    hist = np.atleast_2d(output_hist)
-    log_probs = log_softmax(params.b_out + h @ params.V_out.T)
-    targets = hist * phi if phi is not None else hist.astype(float)
-    factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
-    loss = factor[:, 0] * -np.einsum("ij,ij->i", targets, log_probs)
+    loss, log_probs, targets, factor = _generative_terms(
+        h, output_hist, phi, d, total_tokens, params
+    )
     d_logits = factor * (targets.sum(axis=1, keepdims=True) * np.exp(log_probs) - targets)
     grads = {"V_out": d_logits.T @ h, "b_out": d_logits.sum(axis=0), "h": d_logits @ params.V_out}
     if single:

@@ -87,44 +87,114 @@ def hidden_states(
     return np.maximum(_preactivations(tokens, params), 0.0)
 
 
-class _Paths(NamedTuple):
-    """The tree-path entries of a token sequence on a (tokens x depth) grid.
+# Token positions per block of the tree terms: a longer document is processed
+# a block at a time, over just the words and tree nodes that block touches, so
+# the memory and the matrix sizes of a step are bounded by the block.
+BLOCK_TOKENS = 64
 
-    Row i holds the path of token i; `valid` marks the entries that exist,
-    since a path may be one node shorter than the grid.
+
+class DocLayout(NamedTuple):
+    """A document's distinct words and the tree nodes on their paths.
+
+    Training builds one per document once per run (docnade eval, once per
+    document), so that a step sorts nothing:
+    its token positions are `word_of_token[perm]` for a permutation `perm`,
+    each an index into `ids`.  `nodes` holds the m sorted unique tree nodes
+    on the words' paths, then the last one again for a padding column.
+    `slots[j, k]` is the index in `nodes` of the k-th node (root first) on
+    the path of word j, or m past the end of a shorter path; `flips[j, k]`
+    is 1 - 2 * (its branch bit), or 0 past the end.
     """
 
-    nodes: np.ndarray  # tree node of each entry, 0 where not valid
-    bits: np.ndarray
-    valid: np.ndarray
-    v_at: np.ndarray  # (D, depth, H) V[nodes]
-    act: np.ndarray  # b[nodes] + V[nodes] . h_i, h_i the state token i is read at
-    log_lik: float  # log p(v), the sum of the valid entries' log-sigmoids
+    ids: np.ndarray  # (n,) sorted distinct token ids
+    word_of_token: np.ndarray  # (D,) int32, repeat(arange(n), counts)
+    nodes: np.ndarray  # (m + 1,) int32
+    slots: np.ndarray  # (n, depth) int32
+    flips: np.ndarray  # (n, depth) int8
 
 
-def _path_terms(
-    tokens: np.ndarray, states: np.ndarray, params: ShallowParams, tree: WordTree
-) -> _Paths:
-    """Path entries of a nonempty token sequence over a tree with Q >= 2."""
+def doc_layout(ids: np.ndarray, counts: np.ndarray, tree: WordTree) -> DocLayout:
+    """The layout of a document with sorted distinct `ids` and their counts."""
     nodes_tab, bits_tab, _ = tree.path_table()
-    nodes, bits = nodes_tab[tokens], bits_tab[tokens]
-    valid = nodes >= 0
-    nodes = np.where(valid, nodes, 0)
-    v_at = params.V[nodes]
-    act = params.b[nodes] + np.einsum("ijh,ih->ij", v_at, states[: len(tokens)])
-    signs = 2 * bits - 1
-    log_lik = float(-np.logaddexp(0.0, -signs[valid] * act[valid]).sum())
-    return _Paths(nodes, bits, valid, v_at, act, log_lik)
+    paths = nodes_tab[ids]
+    valid = paths >= 0
+    nodes, inverse = np.unique(paths[valid], return_inverse=True)
+    slots = np.full(paths.shape, len(nodes), dtype=np.int32)
+    slots[valid] = inverse
+    flips = np.where(valid, 1 - 2 * bits_tab[ids], 0).astype(np.int8)
+    word_of_token = np.repeat(np.arange(len(ids), dtype=np.int32), counts)
+    return DocLayout(ids, word_of_token, np.append(nodes, nodes[-1:]).astype(np.int32),
+                     slots, flips)
+
+
+def token_layout(tokens: np.ndarray, tree: WordTree) -> tuple[DocLayout, np.ndarray]:
+    """The layout of an explicit token ordering and its positions in it."""
+    ids, seg, counts = np.unique(np.asarray(tokens, dtype=np.int64), return_inverse=True,
+                                 return_counts=True)
+    return doc_layout(ids, counts, tree), seg
+
+
+def _blocks(n_tokens: int) -> list[slice]:
+    return [slice(start, start + BLOCK_TOKENS) for start in range(0, n_tokens, BLOCK_TOKENS)]
+
+
+def _compact(index: np.ndarray, size: int, whole: bool) -> tuple[np.ndarray | slice, np.ndarray]:
+    """The sorted distinct values of `index` (all in [0, size)) and `index`
+    renumbered into positions among them, without a sort.  `whole` says that
+    the block is the whole document, which touches every value: then the
+    values are `slice(None)` and `index` is returned as it is."""
+    if whole:
+        return slice(None), index
+    used = np.zeros(size, dtype=bool)
+    used[index] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[index]
+
+
+class _Paths(NamedTuple):
+    """The tree-path entries of a block of token positions, on a (tokens x
+    depth) grid over the block's columns: the layout's nodes its words'
+    paths touch (and the padding column, if any path is shorter)."""
+
+    cols: np.ndarray | slice  # the block's columns in layout.nodes
+    slots: np.ndarray  # (B, depth) the column of each entry
+    flips: np.ndarray  # (B, depth) 1 - 2 * bit, 0 for padding
+    v: np.ndarray  # (columns, H) the columns' V rows
+    margin: np.ndarray  # flip * (b + V . h_i), h_i the state token i is read at
+    soft: np.ndarray  # softplus(margin): -log p of each entry, log 2 for padding
+    log_lik: float  # log p of the block's tokens, the sum over the real entries
+
+
+def _path_terms(states: np.ndarray, seg: np.ndarray, layout: DocLayout,
+                params: ShallowParams, whole: bool) -> _Paths:
+    """Path entries of the token positions `seg` (indices into layout.ids)
+    read at `states`, from one matrix product over the block's columns."""
+    cols, slots = _compact(layout.slots[seg], len(layout.nodes), whole)
+    rows = layout.nodes[cols]
+    v = params.V[rows]
+    table = states @ v.T
+    table += params.b[rows]
+    flips = layout.flips[seg]
+    margin = flips * table[np.arange(len(seg))[:, None], slots]
+    soft = np.logaddexp(0.0, margin)
+    return _Paths(cols, slots, flips, v, margin, soft, -float(soft[flips != 0].sum()))
+
+
+def layout_log_likelihood(layout: DocLayout, seg: np.ndarray, params: ShallowParams) -> float:
+    """log p(v) for the token ordering layout.ids[seg]; 0 for the empty
+    document and for a one-word vocabulary."""
+    if len(seg) == 0 or len(layout.nodes) == 0:
+        return 0.0
+    states = hidden_states(layout.ids[seg], params)[:-1]
+    blocks = _blocks(len(seg))
+    return sum(_path_terms(states[blk], seg[blk], layout, params, len(blocks) == 1).log_lik
+               for blk in blocks)
 
 
 def doc_log_likelihood(
     tokens: np.ndarray, params: ShallowParams, tree: WordTree
 ) -> float:
     """log p(v) for one explicit token ordering; 0 for the empty document."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if len(tokens) == 0 or tree.n_internal == 0:
-        return 0.0
-    return _path_terms(tokens, hidden_states(tokens, params), params, tree).log_lik
+    return layout_log_likelihood(*token_layout(tokens, tree), params)
 
 
 def class_posterior(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
@@ -134,18 +204,6 @@ def class_posterior(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=np.int64)
     h_full = hidden_states(tokens, params)[-1]
     return np.exp(log_softmax(params.d + params.U @ h_full))
-
-
-def joint_log_prob(
-    tokens: np.ndarray, label: int, params: ShallowParams, tree: WordTree
-) -> float:
-    """log p(v, y) = log p(v) + log p(y | v)."""
-    if not (0 <= label < params.n_classes):
-        raise ValueError(f"label {label} out of range")
-    tokens = np.asarray(tokens, dtype=np.int64)
-    h_full = hidden_states(tokens, params)[-1]
-    log_post = log_softmax(params.d + params.U @ h_full)
-    return doc_log_likelihood(tokens, params, tree) + float(log_post[label])
 
 
 @dataclass
@@ -179,18 +237,6 @@ def along(axis: int, index: np.ndarray) -> tuple:
     return (slice(None),) * axis + (index,)
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A stable sort order of `keys`, the start of each run of equal keys in
-    it, and each run's key.  `np.add.reduceat` over those starts sums the
-    values of each key in input order."""
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return order, starts, sorted_keys[starts]
-
-
 def sum_gradients(grads: list[SparseGrads]) -> SparseGrads:
     """Sum of sparse gradients, added in list order."""
     if len(grads) == 1:
@@ -213,14 +259,14 @@ def sum_gradients(grads: list[SparseGrads]) -> SparseGrads:
 
 
 def sparse_gradients(
-    tokens: np.ndarray,
+    layout: DocLayout,
+    seg: np.ndarray,
     params: ShallowParams,
-    tree: WordTree,
     unsup_weight: float,
     label: int | None = None,
 ) -> tuple[float, SparseGrads]:
     """Loss and exact gradient of -log p(y|v) - unsup_weight * log p(v) for
-    one token ordering; `label` None drops the class term.
+    the token ordering layout.ids[seg]; `label` None drops the class term.
 
     The generative part follows the reverse-order backward recurrence: path
     gradients produce per-position dh_i, and the running accumulator that
@@ -228,10 +274,16 @@ def sparse_gradients(
     plus the class-head term (h_i does not depend on v_i itself, so dh_i
     joins the accumulator only after position i's dW update).  The hidden
     bias receives every masked dh_i plus the class-head term.
+
+    Per block of `BLOCK_TOKENS` positions, the path terms are dense products
+    with the (tokens x block columns) matrix of the entries' gradients: dh
+    is its product with the columns' V rows, dV its transposed product with
+    the hidden states and db its column sums.  dW is the product of a
+    one-hot (block words x tokens) matrix with the accumulator.
     """
     if label is not None and not (0 <= label < params.n_classes):
         raise ValueError(f"label {label} out of range")
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = layout.ids[seg]
     n_tokens, n_hidden = len(tokens), params.n_hidden
     loss = 0.0
 
@@ -259,30 +311,43 @@ def sparse_gradients(
     if n_tokens == 0:
         return loss, grads
 
+    blocks = _blocks(n_tokens)
+    whole = len(blocks) == 1
+    read = states[:n_tokens]  # row i is the state token i is read at
     masked = np.zeros((n_tokens, n_hidden))
-    if tree.n_internal:  # a one-word vocabulary has no tree
-        paths = _path_terms(tokens, states, params, tree)
-        loss -= unsup_weight * paths.log_lik
+    if len(layout.nodes):  # a one-word vocabulary has no tree
+        dV = np.zeros((len(layout.nodes), n_hidden))  # the last row is the padding column's
+        db = np.zeros(len(layout.nodes))
+        for blk in blocks:
+            paths = _path_terms(read[blk], seg[blk], layout, params, whole)
+            loss -= unsup_weight * paths.log_lik
+            if unsup_weight == 0.0:
+                continue
+            # d(-w log sigmoid(-margin)) / d act = w * flip * sigmoid(margin); 0 for padding
+            dt = np.exp(paths.margin - paths.soft)
+            dt *= unsup_weight * paths.flips
+            grid = np.zeros((len(dt), len(paths.v)))
+            grid[np.arange(len(dt))[:, None], paths.slots] = dt
+            masked[blk] = grid @ paths.v
+            dV[paths.cols] += grid.T @ read[blk]
+            db[paths.cols] += grid.sum(axis=0)
         if unsup_weight != 0.0:
-            dt = unsup_weight * (sigmoid(paths.act) - paths.bits)
-            dt *= paths.valid
-            # dh_i sums dt * V over the path of token i
-            masked = np.einsum("ij,ijh->ih", dt, paths.v_at)
             masked *= active[:n_tokens]
-            nodes, valid = paths.nodes, paths.valid
-            del paths  # frees the (D, depth, H) block before dV is built
-            order, starts, rows = _runs(nodes[valid])
-            dt_sorted = dt[valid][order]
-            grads.blocks["b"] = (0, rows, np.add.reduceat(dt_sorted, starts))
-            dV = states[np.nonzero(valid)[0][order]]
-            dV *= dt_sorted[:, None]
-            grads.blocks["V"] = (0, rows, np.add.reduceat(dV, starts, axis=0))
+            grads.blocks["V"] = (0, layout.nodes[:-1], dV[:-1])
+            grads.blocks["b"] = (0, layout.nodes[:-1], db[:-1])
 
     # dact at position i = head term + masked dh of positions > i
-    suffix = np.cumsum(masked[::-1], axis=0)[::-1]
-    dact = dact_head + np.vstack([suffix[1:], np.zeros((1, n_hidden))])
-    order, starts, cols = _runs(tokens)
-    grads.blocks["W"] = (1, cols, np.add.reduceat(dact[order], starts, axis=0).T)
+    dact = np.empty_like(masked)
+    dact[-1] = 0.0
+    np.cumsum(masked[:0:-1], axis=0, out=dact[-2::-1])
+    dact += dact_head
+    dW = np.zeros((len(layout.ids), n_hidden))
+    for blk in blocks:
+        words, local = _compact(seg[blk], len(dW), whole)
+        onehot = np.zeros((len(dW) if whole else len(words), len(local)))
+        onehot[local, np.arange(len(local))] = 1.0
+        dW[words] += onehot @ dact[blk]
+    grads.blocks["W"] = (1, layout.ids, dW.T)
     grads.dense["c"] = dact_head + masked.sum(axis=0)
     return loss, grads
 
@@ -294,9 +359,9 @@ def supdocnade_gradients(
     tree: WordTree,
     unsup_weight: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact gradients of -log p(y|v) - unsup_weight * log p(v), as dense
-    arrays."""
-    loss, grads = sparse_gradients(tokens, params, tree, unsup_weight, label)
+    """Exact gradients of -log p(y|v) - unsup_weight * log p(v) for one
+    token ordering, as dense arrays."""
+    loss, grads = sparse_gradients(*token_layout(tokens, tree), params, unsup_weight, label)
     return loss, grads.to_dense(params)
 
 
@@ -305,9 +370,9 @@ def docnade_gradients(
     params: ShallowParams,
     tree: WordTree,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact gradients of the unsupervised objective -log p(v), as dense
-    arrays."""
-    loss, grads = sparse_gradients(tokens, params, tree, 1.0)
+    """Exact gradients of the unsupervised objective -log p(v) for one token
+    ordering, as dense arrays."""
+    loss, grads = sparse_gradients(*token_layout(tokens, tree), params, 1.0)
     return loss, grads.to_dense(params)
 
 

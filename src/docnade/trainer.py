@@ -6,9 +6,16 @@ runs and checkpoint-resume equals an uninterrupted run.  Inference uses an
 exponentially decaying average of the parameters, advanced after every
 update step.  Both model families update it the same way: a step changes
 only the entries its sparse gradient covers, the average is kept lazily (an
-entry a step does not touch catches up in closed form when it is next
-touched), and every entry is flushed at the end of each epoch, so the
-average that logs, checkpoints and epoch callbacks see is the per-step one.
+entry a step does not touch needs no work; see `_LazyAverage`), and every
+entry is flushed at the end of each epoch, so the average that logs,
+checkpoints and epoch callbacks see is the per-step one.
+
+The shallow family trains over a per-run document cache: each document's
+`shallow.DocLayout` (its distinct words, the sorted tree nodes on their
+paths and every path entry's index among them) is built once, so a step
+draws a permutation of the document's token positions and sorts nothing.
+Its tree terms run in blocks of at most `shallow.BLOCK_TOKENS` positions,
+which bound a step's working memory for long documents.
 """
 
 from __future__ import annotations
@@ -163,20 +170,25 @@ def polyak_update(avg: AveragedParams) -> AveragedParams:
     return avg
 
 
+# How far r**-t may grow before `_LazyAverage` folds its scaled gaps back into
+# the averages and starts over, so that the scale stays well inside float range.
+_MAX_GAP_SCALE = 2.0**64
+
+
 class _LazyAverage:
     """SGD steps with the parameter average kept lazily.
 
     A step changes only the entries its gradient's sparse blocks cover
-    (`shallow.SparseGrads`); its dense arrays change everywhere.  Between
-    two steps that touch an entry its current value is constant, so each
-    step in between only contracted the entry's average toward it: after k
-    of them the average is cur + r**k * (a - cur), with r = 1 - (1 - decay)
-    the contraction of one `_average_step`.  That is applied as
-    a += (1 - r**k) * (cur - a), which leaves `a` bit-identical for k = 0.
-    Each slice along a sparse block's axis records the step its average was
-    last brought up to date at; a step catches up the slices it touches
-    before changing them, and `flush` catches up all of them.  Arrays with a
-    dense gradient are averaged on every step.
+    (`shallow.SparseGrads`); its dense arrays change everywhere and are
+    averaged on every step.  An array with sparse blocks holds, in place of
+    its average a, the scaled gap z = (a - cur) / r**t, with t the steps
+    taken since the array's last flush and r = 1 - (1 - decay) the
+    contraction of one `_average_step`.  An average step leaves z unchanged
+    where cur stays put, so a step touches only the entries it updates:
+    cur -= delta moves z by delta / r**t, which folds the update and the
+    average step into one pass over the touched slices.  `flush` turns z
+    back into a = cur + r**t * z (for decay 0, a = cur); a step flushes
+    first when r**-t has grown past `_MAX_GAP_SCALE`.
     """
 
     def __init__(self, avg: AveragedParams):
@@ -185,50 +197,46 @@ class _LazyAverage:
         self.ratio = 1.0 - (1.0 - avg.decay)
         self.current = dict(avg.current.arrays())
         self.averaged = dict(avg.averaged.arrays())
-        # name -> (block axis, the step each slice along it last had its
-        # average brought up to date at)
-        self.synced: dict[str, tuple[int, np.ndarray]] = {}
-
-    def _catch_up(self, cur: np.ndarray, a: np.ndarray, missed: np.ndarray, axis: int) -> None:
-        """Moves the averages `a` of slices along `axis` whose current values
-        `cur` stayed put on by `missed` steps, in place."""
-        if self.decay == 0.0:
-            stale = shallow_mod.along(axis, missed > 0)
-            a[stale] = cur[stale]
-        else:
-            gap = cur - a
-            gap *= (1.0 - self.ratio ** missed).reshape((-1,) + (1,) * (a.ndim - 1 - axis))
-            a += gap
+        self.gaps: set[str] = set()  # names whose averaged array holds z
 
     def step(self, grads: shallow_mod.SparseGrads, scale: float) -> None:
         """current -= scale * grads on the entries grads covers (none if
         scale is 0), then one average step."""
+        if self.ratio != 0.0 and self.ratio ** -self.steps > _MAX_GAP_SCALE:
+            self.flush()
         for name, (axis, idx, block) in grads.blocks.items():
-            cur_arr, a_arr = self.current[name], self.averaged[name]
-            if name not in self.synced:
-                self.synced[name] = axis, np.zeros(cur_arr.shape[axis], dtype=np.int64)
-            synced = self.synced[name][1]
-            at = shallow_mod.along(axis, idx)
-            cur, a = cur_arr[at], a_arr[at]
-            self._catch_up(cur, a, self.steps - synced[idx], axis)
+            cur, gap = self.current[name], self.averaged[name]
+            if name not in self.gaps:
+                # untouched since the last flush, so a and cur are as they were at t = 0
+                gap -= cur
+                self.gaps.add(name)
             if scale != 0.0:
-                cur -= scale * block
-                cur_arr[at] = cur
-            _average_step(cur, a, self.decay)
-            a_arr[at] = a
-            synced[idx] = self.steps + 1
+                at = shallow_mod.along(axis, idx)
+                delta = scale * block
+                cur[at] -= delta
+                if self.ratio != 0.0:
+                    delta *= self.ratio ** -self.steps
+                    gap[at] += delta
         self.steps += 1
         for name, grad in grads.dense.items():
             cur = self.current[name]
+            if cur.size == 0:
+                continue
             if scale != 0.0:
                 cur -= scale * grad
             _average_step(cur, self.averaged[name], self.decay)
 
     def flush(self) -> None:
         """Brings every entry's average up to the latest step."""
-        for name, (axis, synced) in self.synced.items():
-            self._catch_up(self.current[name], self.averaged[name], self.steps - synced, axis)
-            synced[:] = self.steps
+        for name in self.gaps:
+            cur, a = self.current[name], self.averaged[name]
+            if self.ratio == 0.0:
+                a[...] = cur
+            else:
+                a *= self.ratio ** self.steps
+                a += cur
+        self.gaps.clear()
+        self.steps = 0
 
 
 @dataclass
@@ -268,21 +276,25 @@ class EpochStats:
 @dataclass
 class _DocCache:
     """Per-document arrays materialized once per training run: each
-    document's sorted token ids with their counts, labels and features."""
+    document's sorted token ids with their counts, labels and features, and
+    for the shallow family its layout over the word tree
+    (`shallow.DocLayout`)."""
 
     counts: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     labels: list[frozenset] = field(default_factory=list)
     features: list[np.ndarray | None] = field(default_factory=list)
+    layouts: list[shallow_mod.DocLayout] = field(default_factory=list)
 
 
-def _build_cache(corpus: Corpus) -> _DocCache:
+def _build_cache(corpus: Corpus, tree: WordTree | None = None) -> _DocCache:
     cache = _DocCache()
     for doc in corpus.documents:
-        ids = sorted(doc.counts)
-        cache.counts.append((np.array(ids, dtype=np.int64),
-                             np.array([doc.counts[i] for i in ids], dtype=np.int64)))
+        counts = doc.id_counts()
+        cache.counts.append(counts)
         cache.labels.append(doc.labels)
         cache.features.append(doc.features)
+        if tree is not None:
+            cache.layouts.append(shallow_mod.doc_layout(*counts, tree))
     return cache
 
 
@@ -324,7 +336,7 @@ def _deep_batch(batch, params, config, streams, cache, omega):
     return docs, losses.tolist(), shallow_mod.SparseGrads({"W1": (1, cols, grads.pop("W1"))}, grads)
 
 
-def _shallow_batch(batch, params, config, streams, cache, tree):
+def _shallow_batch(batch, params, config, streams, cache, layouts):
     """Per-document orderings and sparse gradients, in batch order.
 
     Returns (documents kept, their losses, the gradients summed in
@@ -332,7 +344,8 @@ def _shallow_batch(batch, params, config, streams, cache, tree):
     """
     docs, losses, grads = [], [], []
     for doc_idx in batch:
-        tokens = np.repeat(*cache.counts[doc_idx])
+        layout = layouts[doc_idx]
+        n_tokens = len(layout.word_of_token)
         label, unsup = None, 1.0
         if config.is_supervised:
             labels = cache.labels[doc_idx]
@@ -341,10 +354,12 @@ def _shallow_batch(batch, params, config, streams, cache, tree):
                     f"document {doc_idx} needs exactly one label for supervised training"
                 )
             label, unsup = next(iter(labels)), config.unsup_weight
-        elif len(tokens) == 0:
+        elif n_tokens == 0:
             continue
-        ordering = tokens[streams.shuffle.permutation(len(tokens))] if len(tokens) else tokens
-        loss, doc_grads = shallow_mod.sparse_gradients(ordering, params, tree, unsup, label)
+        seg = layout.word_of_token
+        if n_tokens:
+            seg = seg[streams.shuffle.permutation(n_tokens)]
+        loss, doc_grads = shallow_mod.sparse_gradients(layout, seg, params, unsup, label)
         docs.append(doc_idx)
         losses.append(loss)
         grads.append(doc_grads)
@@ -364,7 +379,8 @@ def sgd_epoch(
     """One pass over the corpus in a freshly shuffled order.
 
     The model family picks the batch function once: `_shallow_batch` (one
-    sparse gradient per token ordering, over `tree`) or `_deep_batch` (one
+    sparse gradient per token ordering, over the documents' layouts on
+    `tree` in `cache`) or `_deep_batch` (one
     batched step, `deep.batch_loss_gradients`).  Per mini-batch, the summed
     gradient of the documents it kept is applied with the learning rate
     divided by their number, then the parameter average takes one step.
@@ -379,12 +395,12 @@ def sgd_epoch(
     """
     started = time.perf_counter()
     if cache is None:
-        cache = _build_cache(corpus)
+        cache = _build_cache(corpus, tree)
     if config.is_deep:
         omega = weight_vector(corpus.vocabulary, config.anno_weight).omega
         batch_step, context = _deep_batch, omega
     else:
-        batch_step, context = _shallow_batch, tree
+        batch_step, context = _shallow_batch, cache.layouts
     params = avg.current
     losses = []
     skipped = 0
@@ -473,7 +489,7 @@ def train_model(
     if stream_states is not None:
         streams.restore(stream_states)
 
-    cache = _build_cache(corpus)
+    cache = _build_cache(corpus, tree)
     stats: list[EpochStats] = []
     for epoch in range(start_epoch + 1, config.epochs + 1):
         epoch_stats = sgd_epoch(

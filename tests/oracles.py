@@ -248,6 +248,16 @@ def dense_shallow_gradients(tokens, params, tree, unsup_weight, label=None):
     return loss, grads
 
 
+def joint_log_prob(tokens, label, params, tree):
+    """log p(v, y) = log p(v) + log p(y | v) of a shallow model."""
+    if not (0 <= label < params.n_classes):
+        raise ValueError(f"label {label} out of range")
+    tokens = np.asarray(tokens, dtype=np.int64)
+    h_full = shallow_mod.hidden_states(tokens, params)[-1]
+    log_post = _log_softmax(params.d + params.U @ h_full)
+    return shallow_mod.doc_log_likelihood(tokens, params, tree) + float(log_post[label])
+
+
 def dense_shallow_epoch(corpus, avg, config, tree):
     """One shallow training epoch the way it ran before updates became
     sparse: dense per-document gradients summed in document order, a dense

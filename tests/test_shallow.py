@@ -13,6 +13,7 @@ from conftest import (
 from docnade import shallow
 from docnade.corpus import MultimodalDocument, build_vocabulary
 from docnade.wordtree import OpCounter, build_tree
+from oracles import dense_shallow_gradients, joint_log_prob
 
 
 def naive_hidden_states(tokens, params):
@@ -118,7 +119,7 @@ class TestJointLogProb:
         params.U[:] = 0.0
         params.d[:] = 0.0
         tree = build_tree(4, 0)
-        got = shallow.joint_log_prob(np.empty(0, dtype=int), 2, params, tree)
+        got = joint_log_prob(np.empty(0, dtype=int), 2, params, tree)
         assert got == pytest.approx(np.log(1 / 5))
 
     def test_decomposition(self, rng):
@@ -129,14 +130,14 @@ class TestJointLogProb:
             expected = shallow.doc_log_likelihood(tokens, params, tree) + np.log(
                 shallow.class_posterior(tokens, params)[label]
             )
-            assert shallow.joint_log_prob(tokens, label, params, tree) == pytest.approx(expected)
+            assert joint_log_prob(tokens, label, params, tree) == pytest.approx(expected)
 
     def test_joint_normalizes_over_labels_and_sequences(self, rng):
         vocab_size, n_classes, length = 3, 2, 2
         params = random_shallow_params(rng, vocab_size, 3, n_classes)
         tree = build_tree(vocab_size, 1)
         total = sum(
-            np.exp(shallow.joint_log_prob(np.array(seq), y, params, tree))
+            np.exp(joint_log_prob(np.array(seq), y, params, tree))
             for seq in itertools.product(range(vocab_size), repeat=length)
             for y in range(n_classes)
         )
@@ -214,6 +215,109 @@ class TestGradients:
         for name in ("W", "c", "V", "b"):
             arr = dict(params.arrays())[name]
             assert max_rel_error(grads[name], fd_gradient(loss_fn, arr)) <= 1e-4
+
+
+def assert_matches_dense_oracle(tokens, params, tree, lam, label=None):
+    """The layout step's loss and gradients within 1e-12 relative of the
+    dense `np.add.at` oracle."""
+    if label is None:
+        loss, grads = shallow.docnade_gradients(tokens, params, tree)
+    else:
+        loss, grads = shallow.supdocnade_gradients(tokens, label, params, tree, lam)
+    want_loss, want = dense_shallow_gradients(tokens, params, tree, lam, label)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-300)
+    for name, arr in want.items():
+        atol = 1e-12 * np.abs(arr).max() if arr.size else 0.0
+        assert grads[name].shape == arr.shape, name
+        assert np.allclose(grads[name], arr, rtol=0.0, atol=atol), name
+
+
+class TestLayoutStep:
+    """The step over a document's cached layout (unique path nodes, token
+    blocks, dense products) against the dense per-entry oracle."""
+
+    @pytest.mark.parametrize("supervised,lam", [(False, 1.0), (True, 0.0), (True, 0.4),
+                                                (True, 1.0)])
+    def test_edge_documents(self, rng, supervised, lam):
+        label = 1 if supervised else None
+        cases = [
+            (1, [0, 0, 0]),  # Q = 1: no tree
+            (2, [1, 0, 1, 1]),  # Q = 2: depth 1, no padding
+            (7, [4]),  # one token
+            (7, [5] * 9),  # one word repeated
+            (11, rng.integers(0, 11, 30)),  # paths of two lengths (padding)
+        ]
+        if supervised:
+            cases.append((7, []))  # empty supervised document
+        for vocab_size, tokens in cases:
+            tree = build_tree(vocab_size, 3)
+            params = random_shallow_params(rng, vocab_size, 5, 3)
+            assert_matches_dense_oracle(np.array(tokens, dtype=np.int64), params, tree, lam,
+                                        label)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_documents_longer_than_a_block(self, rng, lam):
+        vocab_size = 300
+        tree = build_tree(vocab_size, 4)
+        params = random_shallow_params(rng, vocab_size, 6, 3, scale=0.3)
+        for length in (shallow.BLOCK_TOKENS + 1, 2 * shallow.BLOCK_TOKENS + 17):
+            # a small word pool, so that blocks share words and tree nodes
+            tokens = rng.integers(0, 40, length)
+            assert len(tokens) > shallow.BLOCK_TOKENS
+            assert_matches_dense_oracle(tokens, params, tree, lam, label=2)
+            assert_matches_dense_oracle(tokens, params, tree, 1.0)
+
+    def test_log_likelihood_over_blocks_matches_per_position(self, rng):
+        from docnade.wordtree import word_log_prob
+
+        tree = build_tree(50, 6)
+        params = random_shallow_params(rng, 50, 4, 2, scale=0.5)
+        tokens = rng.integers(0, 50, 3 * shallow.BLOCK_TOKENS - 5)
+        states = shallow.hidden_states(tokens, params)
+        expected = sum(word_log_prob(tree, states[i], int(t), params.V, params.b)
+                       for i, t in enumerate(tokens))
+        got = shallow.doc_log_likelihood(tokens, params, tree)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_layout_of_a_document(self):
+        tree = build_tree(11, 2)
+        ids, counts = np.array([1, 4, 9]), np.array([2, 1, 3])
+        layout = shallow.doc_layout(ids, counts, tree)
+        nodes_tab, bits_tab, lengths = tree.path_table()
+        real = layout.nodes[:-1]
+        assert np.array_equal(real, np.unique(nodes_tab[ids][nodes_tab[ids] >= 0]))
+        assert layout.nodes[-1] == real[-1]  # the padding column's row
+        assert np.array_equal(layout.word_of_token, [0, 0, 1, 2, 2, 2])
+        for j, word in enumerate(ids):
+            n = lengths[word]
+            assert np.array_equal(real[layout.slots[j, :n]], nodes_tab[word, :n])
+            assert np.all(layout.slots[j, n:] == len(real))
+            assert np.array_equal(layout.flips[j, :n], 1 - 2 * bits_tab[word, :n])
+            assert np.all(layout.flips[j, n:] == 0)
+        assert layout.slots.dtype == np.int32 and layout.nodes.dtype == np.int32
+
+    def test_step_memory_is_bounded_by_the_block(self):
+        """One step on a 5,000-token document at Q = 20,000 and H = 100
+        allocates no more than the (tokens x depth x H) float grid of the
+        per-entry formulation it replaced."""
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        vocab_size, hidden, n_tokens = 20_000, 100, 5_000
+        tree = build_tree(vocab_size, 0)
+        params = random_shallow_params(rng, vocab_size, hidden, 2, scale=0.05)
+        tokens = rng.integers(0, vocab_size, n_tokens)
+        layout, seg = shallow.token_layout(tokens, tree)
+        grid_bytes = n_tokens * tree.max_path_length * hidden * 8
+        tracemalloc.start()
+        try:
+            loss, grads = shallow.sparse_gradients(layout, seg, params, 1.0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss)
+        assert len(grads.blocks["V"][1]) > 10 * tree.max_path_length * shallow.BLOCK_TOKENS
+        assert peak <= grid_bytes, f"peak {peak / 1e6:.1f} MB > grid {grid_bytes / 1e6:.1f} MB"
 
 
 class TestRepresent:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from docnade import trainer
+from docnade import shallow, trainer
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary, weight_vector
 from docnade.deep import split_histogram
 from docnade.model_io import load_checkpoint
@@ -248,6 +248,16 @@ class TestCheckpointResume:
         assert params_equal(full.params, resumed.params)
         assert params_equal(full.averaged, resumed.averaged)
 
+    def test_resume_equals_uninterrupted_over_long_documents(self, tmp_path):
+        """Documents longer than one token block of the cached layout."""
+        corpus = small_corpus(docs_per_class=1, doc_len=shallow.BLOCK_TOKENS + 30)
+        config = TrainConfig(model_kind="docnade", hidden_sizes=(5,), learning_rate=0.02,
+                             epochs=4, seed=6, averaging_decay=0.7)
+        full = train_model(corpus, config, checkpoint_dir=tmp_path)
+        resumed = resume_training(tmp_path / "epoch_0002.ckpt", corpus, config)
+        assert params_equal(full.params, resumed.params)
+        assert params_equal(full.averaged, resumed.averaged)
+
     def test_checkpoint_mismatch_detected(self, tmp_path):
         corpus = small_corpus(docs_per_class=2)
         config = TrainConfig(model_kind="docnade", hidden_sizes=(4,), epochs=1, seed=0)
@@ -477,6 +487,23 @@ class TestSparseShallowStep:
         assert_close_to(avg.current, oracle.current)
         assert_close_to(avg.averaged, oracle.averaged)
 
+    def test_lazy_average_refolds_in_long_epochs(self):
+        # at decay 1e-4 the gap scale r**-t passes its bound every 5 steps, and
+        # without refolding it would overflow a float within the epoch
+        decay = 1e-4
+        corpus, config, avg, tree = self._setup(
+            seed=3, decay=decay, corpus=self._corpus(docs_per_class=25, doc_len=4),
+            learning_rate=0.05, batch_size=1,
+        )
+        assert len(corpus.documents) * -np.log10(decay) > np.log10(np.finfo(float).max)
+        for n, (_, arr) in enumerate(avg.averaged.arrays()):
+            arr += 0.5 if n % 2 == 0 else -0.25
+        oracle = trainer.AveragedParams(avg.current.copy(), avg.averaged.copy(), decay)
+        self._epoch(corpus, avg, config, tree)
+        self._oracle_epoch(corpus, oracle, config, tree)
+        assert_close_to(avg.current, oracle.current)
+        assert_close_to(avg.averaged, oracle.averaged)
+
     def test_decay_zero_copies_current_exactly(self):
         corpus, config, avg, tree = self._setup(decay=0.0, batch_size=2)
         for _, arr in avg.averaged.arrays():  # every entry is copied, touched or not
@@ -519,3 +546,54 @@ class TestSparseDeepStep(TestSparseShallowStep):
     def _untouched(self, corpus, tree):
         words = sorted({w for doc in corpus.documents for w in doc.counts})
         return [("W1", 1, self._absent(corpus, words))]
+
+
+class TestLayoutEpoch:
+    """Shallow epochs over the cached document layouts, on edge-case
+    documents, against the dense epoch oracle."""
+
+    @staticmethod
+    def _corpus(vocab, token_lists):
+        docs = tuple(
+            MultimodalDocument({int(w): int(c) for w, c in zip(*np.unique(t, return_counts=True))},
+                               frozenset({i % 2}))
+            for i, t in enumerate(token_lists)
+        )
+        return Corpus(vocab, docs, n_classes=2)
+
+    def _check(self, corpus, kind, batch_size):
+        config = TrainConfig(model_kind=kind, hidden_sizes=(5,), learning_rate=0.05,
+                             unsup_weight=0.6, epochs=1, batch_size=batch_size, seed=9,
+                             averaging_decay=0.8)
+        params = init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
+                             named_stream(9, "init"))
+        tree = build_tree(corpus.vocabulary.size, 9)
+        avg = init_averaged(params, 0.8)
+        for n, (_, arr) in enumerate(avg.averaged.arrays()):
+            arr += 0.25 if n % 2 else -0.5
+        oracle = trainer.AveragedParams(avg.current.copy(), avg.averaged.copy(), 0.8)
+        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(9), tree=tree)
+        dense_shallow_epoch(corpus, oracle, config, tree)
+        assert_close_to(avg.current, oracle.current)
+        assert_close_to(avg.averaged, oracle.averaged)
+
+    @pytest.mark.parametrize("kind", ["docnade", "supdocnade"])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_edge_documents(self, kind, batch_size):
+        rng = np.random.default_rng(5)
+        vocab = build_vocabulary(9, 2, ["a", "b", "c"])  # Q = 21: paths of two lengths
+        token_lists = [
+            [4],  # one token
+            [7] * 6,  # one word repeated
+            [],  # empty: skipped when unsupervised, head-only when supervised
+            rng.integers(0, vocab.size, shallow.BLOCK_TOKENS + 9),  # longer than a block
+            rng.integers(0, vocab.size, 12),
+        ]
+        self._check(self._corpus(vocab, token_lists), kind, batch_size)
+
+    @pytest.mark.parametrize("kind", ["docnade", "supdocnade"])
+    @pytest.mark.parametrize("n_visual,words", [(1, ()), (1, ("a",))])
+    def test_one_and_two_word_vocabularies(self, kind, n_visual, words):
+        vocab = build_vocabulary(n_visual, 1, words)  # Q = 1 (no tree) and Q = 2
+        token_lists = [[0, 0, 0], [vocab.size - 1], [0] * 5]
+        self._check(self._corpus(vocab, token_lists), kind, 2)
