@@ -214,21 +214,20 @@ def perplexity(
     """exp(-(sum of per-document mean log-likelihoods) / total token count).
 
     Each document's log-likelihood is averaged over `orderings_per_doc`
-    sampled token orderings, all read through the document's layout.
+    sampled token orderings.
     """
     total_log_prob = 0.0
     total_tokens = 0
     for doc in corpus.documents:
-        layout = shallow_mod.doc_layout(*doc.id_counts(), tree)
-        n_tokens = len(layout.word_of_token)
-        if n_tokens == 0:
+        tokens = doc.token_array()
+        if len(tokens) == 0:
             continue
         samples = []
         for _ in range(orderings_per_doc):
-            seg = layout.word_of_token[rng.permutation(n_tokens)]
-            samples.append(shallow_mod.layout_log_likelihood(layout, seg, params))
+            ordering = tokens[rng.permutation(len(tokens))]
+            samples.append(shallow_mod.doc_log_likelihood(ordering, params, tree))
         total_log_prob += float(np.mean(samples))
-        total_tokens += n_tokens
+        total_tokens += len(tokens)
     if total_tokens == 0:
         raise ValueError("corpus has no tokens")
     return float(np.exp(-total_log_prob / total_tokens))

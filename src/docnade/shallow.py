@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import JointVocabulary, MultimodalDocument, count_rows
-from .numerics import log_softmax, sigmoid, top_order
+from .numerics import log_softmax, top_order
 from .wordtree import OpCounter, WordTree, words_log_prob
 
 
@@ -96,8 +96,8 @@ BLOCK_TOKENS = 64
 class DocLayout(NamedTuple):
     """A document's distinct words and the tree nodes on their paths.
 
-    Training builds one per document once per run (docnade eval, once per
-    document), so that a step sorts nothing:
+    Training builds one per document once per run, so that a step sorts
+    nothing:
     its token positions are `word_of_token[perm]` for a permutation `perm`,
     each an index into `ids`.  `nodes` holds the m sorted unique tree nodes
     on the words' paths, then the last one again for a padding column.
@@ -138,13 +138,9 @@ def _blocks(n_tokens: int) -> list[slice]:
     return [slice(start, start + BLOCK_TOKENS) for start in range(0, n_tokens, BLOCK_TOKENS)]
 
 
-def _compact(index: np.ndarray, size: int, whole: bool) -> tuple[np.ndarray | slice, np.ndarray]:
+def _compact(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of `index` (all in [0, size)) and `index`
-    renumbered into positions among them, without a sort.  `whole` says that
-    the block is the whole document, which touches every value: then the
-    values are `slice(None)` and `index` is returned as it is."""
-    if whole:
-        return slice(None), index
+    renumbered into positions among them, without a sort."""
     used = np.zeros(size, dtype=bool)
     used[index] = True
     return np.flatnonzero(used), (np.cumsum(used) - 1)[index]
@@ -155,7 +151,7 @@ class _Paths(NamedTuple):
     depth) grid over the block's columns: the layout's nodes its words'
     paths touch (and the padding column, if any path is shorter)."""
 
-    cols: np.ndarray | slice  # the block's columns in layout.nodes
+    cols: np.ndarray  # the block's columns in layout.nodes
     slots: np.ndarray  # (B, depth) the column of each entry
     flips: np.ndarray  # (B, depth) 1 - 2 * bit, 0 for padding
     v: np.ndarray  # (columns, H) the columns' V rows
@@ -164,37 +160,51 @@ class _Paths(NamedTuple):
     log_lik: float  # log p of the block's tokens, the sum over the real entries
 
 
+def _entry_terms(act: np.ndarray, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Margins flip * act of path entries with activations act = b + V . h,
+    their softplus (-log p of each entry, log 2 for padding) and the log p
+    of the tokens, the sum over the real entries."""
+    margin = flips * act
+    soft = np.logaddexp(0.0, margin)
+    return margin, soft, -float(soft[flips != 0].sum())
+
+
 def _path_terms(states: np.ndarray, seg: np.ndarray, layout: DocLayout,
-                params: ShallowParams, whole: bool) -> _Paths:
+                params: ShallowParams) -> _Paths:
     """Path entries of the token positions `seg` (indices into layout.ids)
-    read at `states`, from one matrix product over the block's columns."""
-    cols, slots = _compact(layout.slots[seg], len(layout.nodes), whole)
+    read at `states`, from one matrix product over the block's columns,
+    whose V rows the gradient products reuse."""
+    cols, slots = _compact(layout.slots[seg], len(layout.nodes))
     rows = layout.nodes[cols]
     v = params.V[rows]
     table = states @ v.T
     table += params.b[rows]
     flips = layout.flips[seg]
-    margin = flips * table[np.arange(len(seg))[:, None], slots]
-    soft = np.logaddexp(0.0, margin)
-    return _Paths(cols, slots, flips, v, margin, soft, -float(soft[flips != 0].sum()))
-
-
-def layout_log_likelihood(layout: DocLayout, seg: np.ndarray, params: ShallowParams) -> float:
-    """log p(v) for the token ordering layout.ids[seg]; 0 for the empty
-    document and for a one-word vocabulary."""
-    if len(seg) == 0 or len(layout.nodes) == 0:
-        return 0.0
-    states = hidden_states(layout.ids[seg], params)[:-1]
-    blocks = _blocks(len(seg))
-    return sum(_path_terms(states[blk], seg[blk], layout, params, len(blocks) == 1).log_lik
-               for blk in blocks)
+    return _Paths(cols, slots, flips, v,
+                  *_entry_terms(table[np.arange(len(seg))[:, None], slots], flips))
 
 
 def doc_log_likelihood(
     tokens: np.ndarray, params: ShallowParams, tree: WordTree
 ) -> float:
-    """log p(v) for one explicit token ordering; 0 for the empty document."""
-    return layout_log_likelihood(*token_layout(tokens, tree), params)
+    """log p(v) for one explicit token ordering; 0 for the empty document.
+
+    With no gradient to share a product with, each block of positions reads
+    just the V row of each of its path entries, fewer than the block's
+    distinct path nodes times its tokens."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if len(tokens) == 0 or tree.n_internal == 0:
+        return 0.0
+    nodes_tab, bits_tab, _ = tree.path_table()
+    states = hidden_states(tokens, params)[:-1]
+    log_lik = 0.0
+    for blk in _blocks(len(tokens)):
+        words = tokens[blk]
+        nodes = nodes_tab[words]  # -1 past a path's end reads the last row, with flip 0
+        flips = (1 - 2 * bits_tab[words]) * (nodes >= 0)
+        act = params.b[nodes] + np.einsum("bdh,bh->bd", params.V[nodes], states[blk])
+        log_lik += _entry_terms(act, flips)[2]
+    return log_lik
 
 
 def class_posterior(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
@@ -312,14 +322,13 @@ def sparse_gradients(
         return loss, grads
 
     blocks = _blocks(n_tokens)
-    whole = len(blocks) == 1
     read = states[:n_tokens]  # row i is the state token i is read at
     masked = np.zeros((n_tokens, n_hidden))
     if len(layout.nodes):  # a one-word vocabulary has no tree
         dV = np.zeros((len(layout.nodes), n_hidden))  # the last row is the padding column's
         db = np.zeros(len(layout.nodes))
         for blk in blocks:
-            paths = _path_terms(read[blk], seg[blk], layout, params, whole)
+            paths = _path_terms(read[blk], seg[blk], layout, params)
             loss -= unsup_weight * paths.log_lik
             if unsup_weight == 0.0:
                 continue
@@ -343,8 +352,8 @@ def sparse_gradients(
     dact += dact_head
     dW = np.zeros((len(layout.ids), n_hidden))
     for blk in blocks:
-        words, local = _compact(seg[blk], len(dW), whole)
-        onehot = np.zeros((len(dW) if whole else len(words), len(local)))
+        words, local = _compact(seg[blk], len(dW))
+        onehot = np.zeros((len(words), len(local)))
         onehot[local, np.arange(len(local))] = 1.0
         dW[words] += onehot @ dact[blk]
     grads.blocks["W"] = (1, layout.ids, dW.T)

@@ -276,9 +276,10 @@ class EpochStats:
 @dataclass
 class _DocCache:
     """Per-document arrays materialized once per training run: each
-    document's sorted token ids with their counts, labels and features, and
-    for the shallow family its layout over the word tree
-    (`shallow.DocLayout`)."""
+    document's labels and features, and either its sorted token ids with
+    their counts (the deep family) or, given a word tree (the shallow
+    family), its layout over the tree (`shallow.DocLayout`), which holds
+    the ids and counts too."""
 
     counts: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     labels: list[frozenset] = field(default_factory=list)
@@ -289,12 +290,12 @@ class _DocCache:
 def _build_cache(corpus: Corpus, tree: WordTree | None = None) -> _DocCache:
     cache = _DocCache()
     for doc in corpus.documents:
-        counts = doc.id_counts()
-        cache.counts.append(counts)
         cache.labels.append(doc.labels)
         cache.features.append(doc.features)
-        if tree is not None:
-            cache.layouts.append(shallow_mod.doc_layout(*counts, tree))
+        if tree is None:
+            cache.counts.append(doc.id_counts())
+        else:
+            cache.layouts.append(shallow_mod.doc_layout(*doc.id_counts(), tree))
     return cache
 
 
