@@ -213,33 +213,13 @@ class Corpus:
                 raise ValueError(f"document {i}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-id histogram weights: 1 for visual ids, rho for annotation ids."""
-
-    omega: np.ndarray
-    rho: float
-
-
-def weight_vector(vocab: JointVocabulary, rho: float) -> WeightVector:
+def weight_vector(vocab: JointVocabulary, rho: float) -> np.ndarray:
+    """Per-id histogram weights omega: 1 for visual ids, rho for annotation ids."""
     if rho < 0:
         raise ValueError("rho must be >= 0")
     omega = np.ones(vocab.size)
     omega[vocab.visual_size :] = rho
-    return WeightVector(omega, float(rho))
-
-
-def to_weighted_histogram(doc: MultimodalDocument, weights: WeightVector) -> np.ndarray:
-    """Dense element-wise product counts * omega."""
-    size = len(weights.omega)
-    out = np.zeros(size)
-    for token_id, count in doc.counts.items():
-        if token_id >= size:
-            raise ValueError(
-                f"token id {token_id} does not fit weight vector of length {size}"
-            )
-        out[token_id] = count * weights.omega[token_id]
-    return out
+    return omega
 
 
 # ---------------------------------------------------------------------------

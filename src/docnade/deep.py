@@ -9,22 +9,26 @@ the rescaled loss
     (D / (D - d + 1)) * sum_{w in output} phi_w * -log softmax(...)[w]
 
 an unbiased estimator of the expected negative log-likelihood over all token
-orderings (`exhaustive_ordering_loss` certifies this on small instances).
+orderings (the tests certify this on small instances against an exhaustive
+enumeration of the orderings).
 
 Annotation ids can be up-weighted both in the input histogram and in the
 per-token loss weights phi; input histograms are rescaled to unit variance.
 The supervised head (softmax for single-label, sigmoid for multi-label)
 conditions on the full document's histogram.
+
+This module is the deep model family of `model_io.FAMILIES`, with the same
+family names as `shallow`; its context is the weight vector omega.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log_softmax, sigmoid
+from .corpus import JointVocabulary, count_rows, weight_vector
+from .numerics import SparseGrads, log_softmax, maybe_glorot, sigmoid, top_order
 
 HEADS = ("softmax", "sigmoid")
 _STD_GUARD = 1e-12
@@ -192,27 +196,15 @@ def deep_forward(
 
 
 def _generative_terms(h, output_hist, phi, d, total_tokens, params):
-    """Per-row losses of a (rows, H) `h`, with the log-softmax, weighted
-    targets and (rows, 1) rescale factors they were computed from."""
+    """Per-row losses of a (rows, H) `h`, all that inference needs, with the
+    log-softmax, weighted targets and (rows, 1) rescale factors that
+    `generative_loss` builds the output-layer gradients from."""
     log_probs = log_softmax(params.b_out + h @ params.V_out.T)
     hist = np.atleast_2d(output_hist)
     targets = hist * phi if phi is not None else hist.astype(float)
     factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
     loss = factor[:, 0] * -np.einsum("ij,ij->i", targets, log_probs)
     return loss, log_probs, targets, factor
-
-
-def generative_losses(
-    h_top: np.ndarray,
-    output_hist: np.ndarray,
-    phi: np.ndarray | None,
-    d: np.ndarray,
-    total_tokens: np.ndarray,
-    params: DeepParams,
-) -> np.ndarray:
-    """The per-row losses of `generative_loss` for a (rows, H) `h_top`,
-    without the output-layer gradients (inference needs only the loss)."""
-    return _generative_terms(h_top, output_hist, phi, d, total_tokens, params)[0]
 
 
 def generative_loss(
@@ -436,10 +428,8 @@ def hybrid_loss_gradients(
         np.asarray(counts)[None], [labels], [features], params, unsup_weight, omega, phi,
         [split], [gen_masks], [sup_masks], head=head,
     )
-    w1 = np.zeros_like(params.layer_weights[0])
-    w1[:, cols] = grads["W1"]
-    grads["W1"] = w1
-    return float(losses[0]), grads
+    grads = SparseGrads({"W1": (1, cols, grads.pop("W1"))}, grads)
+    return float(losses[0]), grads.to_dense(params)
 
 
 def deep_represent(
@@ -482,45 +472,142 @@ def output_log_probs(
     return log_softmax(b + (V @ h_top if h_top.ndim == 1 else h_top @ V.T))
 
 
-def exhaustive_ordering_loss(
-    counts: np.ndarray,
-    params: DeepParams,
-    phi: np.ndarray | None = None,
-    omega: np.ndarray | None = None,
-    features: np.ndarray | None = None,
-    max_tokens: int = 6,
-) -> float:
-    """Exact expectation over all orderings of the per-position weighted NLL.
+PERPLEXITY = "perplexity_estimate"  # the eval metric: losses of sampled splits
 
-    Oracle-scale only: enumerates every permutation of the token multiset
-    and every position's conditional directly (no estimator machinery), so
-    unbiasedness of the split estimator can be certified against it.
+
+def _states(docs, params: DeepParams, omega, dropout_rate: float, limit: int | None = None):
+    """Top-layer states of documents, from their ids below `limit` if given:
+    one forward pass over the union of the documents' columns."""
+    cols, counts = count_rows(docs, limit)
+    features = stack_features([doc.features for doc in docs], params.n_features)
+    return deep_represent(counts, features, params, omega, dropout_rate, cols=cols)
+
+
+def represent(
+    docs, params: DeepParams, vocab: JointVocabulary, restrict: str = "all-words",
+    context: np.ndarray | None = None, dropout_rate: float = 0.0,
+) -> np.ndarray:
+    """Top-layer states of the documents, weighted by omega (`context`) and
+    scaled for `dropout_rate`; a deep model reads every word, whatever
+    `restrict`."""
+    return _states(docs, params, context, dropout_rate)
+
+
+def predict_annotations(
+    docs, params: DeepParams, context: np.ndarray | None, vocab: JointVocabulary, top_k: int,
+    dropout_rate: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k annotation ids and probabilities of each document given its
+    visual words: the output softmax renormalized over the annotation block,
+    which alone is scored."""
+    h_top = _states(docs, params, context, dropout_rate, limit=vocab.visual_size)
+    anno_ids = np.arange(vocab.visual_size, vocab.size)
+    probs = np.exp(output_log_probs(h_top, params, words=anno_ids))
+    order = top_order(anno_ids, probs, top_k)
+    return anno_ids[order], np.take_along_axis(probs, order, axis=1)
+
+
+def perplexity_losses(
+    docs, params: DeepParams, omega: np.ndarray, dropout_rate: float, samples: int,
+    rng: np.random.Generator,
+) -> list[float]:
+    """Each (nonempty) document's loss, averaged over `samples` splits drawn
+    document by document; all the splits go through one forward pass and
+    one loss evaluation."""
+    counts = [doc.dense_counts(params.vocab_size) for doc in docs]
+    splits = [split_histogram(c, rng) for c in counts for _ in range(samples)]
+    inputs = np.stack([split.input_hist for split in splits])
+    cols = np.flatnonzero(inputs.any(axis=0))
+    features = stack_features(
+        [doc.features for doc in docs for _ in range(samples)], params.n_features
+    )
+    h_top = deep_represent(inputs[:, cols], features, params, omega, dropout_rate, cols=cols)
+    losses, _, _, _ = _generative_terms(
+        h_top,
+        np.stack([split.output_hist for split in splits]),
+        omega,
+        np.array([split.d for split in splits]),
+        np.array([split.total_tokens for split in splits]),
+        params,
+    )
+    return [float(np.mean(draws)) for draws in losses.reshape(len(docs), samples)]
+
+
+def init(vocab_size: int, n_classes: int, n_features: int, hidden_sizes, rng) -> DeepParams:
+    """Glorot-initialized layer weights (first layer first), P, V_out and U,
+    drawn from `rng` in that order, and zero biases."""
+    sizes = (vocab_size,) + tuple(hidden_sizes)
+    weights = [maybe_glorot(sizes[i + 1], sizes[i], rng) for i in range(len(sizes) - 1)]
+    biases = [np.zeros(h) for h in hidden_sizes]
+    P = maybe_glorot(n_features, hidden_sizes[0], rng) if n_features else None
+    V_out = maybe_glorot(vocab_size, hidden_sizes[-1], rng)
+    U = maybe_glorot(n_classes, hidden_sizes[-1], rng)
+    return DeepParams(weights, biases, P, V_out, np.zeros(vocab_size), U, np.zeros(n_classes))
+
+
+def check_config(hidden_sizes, head: str, supervised: bool) -> None:
+    if head != "softmax" and not supervised:
+        raise ValueError("sigmoid head is only available for supdeepdocnade")
+
+
+def tree_seed(seed: int) -> None:
+    """The meta's tree seed: deep models have no word tree."""
+    return None
+
+
+def context(meta, vocab: JointVocabulary) -> np.ndarray:
+    """The weights omega of the meta's annotation weight."""
+    return weight_vector(vocab, meta.anno_weight)
+
+
+def params_from_arrays(meta, arrays: dict[str, np.ndarray]) -> DeepParams:
+    layers = range(1, len(meta.hidden_sizes) + 1)
+    return DeepParams([arrays[f"W{n}"] for n in layers], [arrays[f"c{n}"] for n in layers],
+                      arrays.get("P"), arrays["V_out"], arrays["b_out"], arrays["U"], arrays["d"])
+
+
+def doc_data(corpus, omega: np.ndarray) -> list[tuple]:
+    """The per-run cache of each document: its sorted distinct token ids,
+    their counts and its features (`omega` plays no part in it)."""
+    return [(*doc.id_counts(), doc.features) for doc in corpus.documents]
+
+
+def _draw_masks(sizes, keep: float, rng: np.random.Generator) -> list[np.ndarray]:
+    return [(rng.random(h) < keep).astype(float) for h in sizes]
+
+
+def batch_step(batch, params: DeepParams, config, streams, cache):
+    """Splits and masks drawn in batch order, then one batched step over the
+    documents in `cache.docs`, weighted by `cache.context` (omega); a
+    document with no split (an empty one) is skipped when its labels are
+    None (an unsupervised run).
+
+    Returns (documents kept, their losses, summed gradients).
     """
-    counts = np.asarray(counts)
-    total = int(counts.sum())
-    if total > max_tokens:
-        raise ValueError(f"document too large for exhaustive enumeration ({total} tokens)")
-    if total == 0:
-        return 0.0
-    tokens = np.repeat(np.flatnonzero(counts), counts[counts > 0])
-    weights = phi if phi is not None else np.ones(len(counts))
-
-    cond_cache: dict[tuple, np.ndarray] = {}
-
-    def conditionals(prefix_key: tuple) -> np.ndarray:
-        if prefix_key not in cond_cache:
-            x = prepare_histogram(np.array(prefix_key), omega)
-            hs, _ = deep_forward(x, params, features)
-            cond_cache[prefix_key] = output_log_probs(hs[-1], params)
-        return cond_cache[prefix_key]
-
-    total_loss = 0.0
-    n_orderings = 0
-    for perm in itertools.permutations(tokens):
-        prefix = np.zeros(len(counts), dtype=np.int64)
-        for word in perm:
-            log_probs = conditionals(tuple(prefix))
-            total_loss += weights[word] * -float(log_probs[word])
-            prefix[word] += 1
-        n_orderings += 1
-    return total_loss / n_orderings
+    counts = np.zeros((len(batch), params.vocab_size), dtype=np.int64)
+    for row, doc_idx in enumerate(batch):
+        ids, values, _ = cache.docs[doc_idx]
+        counts[row, ids] = values
+    keep = 1.0 - config.dropout_rate
+    kept, splits, gen_masks, sup_masks = [], [], [], []
+    for row, doc_idx in enumerate(batch):
+        supervised = cache.labels[doc_idx] is not None
+        split = split_histogram(counts[row], streams.split)
+        if split is None and not supervised:
+            continue
+        gen = sup = None
+        if config.dropout_rate > 0:
+            gen = _draw_masks(config.hidden_sizes, keep, streams.dropout)
+            if supervised:
+                sup = _draw_masks(config.hidden_sizes, keep, streams.dropout)
+        kept.append(row)
+        splits.append(split)
+        gen_masks.append(gen)
+        sup_masks.append(sup)
+    docs = [batch[row] for row in kept]
+    losses, grads, cols = batch_loss_gradients(
+        counts[kept], [cache.labels[i] for i in docs], [cache.docs[i][2] for i in docs],
+        params, cache.unsup_weight, cache.context, cache.context, splits, gen_masks, sup_masks,
+        head=config.head,
+    )
+    return docs, losses.tolist(), SparseGrads({"W1": (1, cols, grads.pop("W1"))}, grads)

@@ -4,12 +4,14 @@ Pure functions over frozen parameters: classification accuracy, top-K
 annotation F-measure, average precision / MAP, held-out perplexity, cosine
 retrieval, text generation from the visual modality, and per-class
 topic/word association inspection.  `evaluation_metrics` assembles the
-metric report for a model's kind; this module is where the inference
-commands branch on `meta.kind`.
+metric report for a model's kind.  Each inference command looks the kind up
+once in `model_io.FAMILIES` and calls its family module (`shallow` or
+`deep`) for the model-specific parts: the context (the word tree or the
+weights omega), representations, annotation scores and perplexity losses.
 
-Representations, annotation rankings and the deep perplexity estimate are
-computed a chunk of `CHUNK_DOCS` documents at a time, with a few matrix
-products per chunk, so working memory is bounded by the chunk and not by
+Representations, annotation rankings and perplexities are computed a chunk
+of `CHUNK_DOCS` documents at a time, with a few matrix products per chunk
+for the deep models, so working memory is bounded by the chunk and not by
 the corpus.
 """
 
@@ -20,20 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import deep as deep_mod
 from . import shallow as shallow_mod
-from .corpus import (
-    Corpus,
-    JointVocabulary,
-    MultimodalDocument,
-    build_vocabulary,
-    count_rows,
-    weight_vector,
-)
-from .model_io import DEEP_KINDS, SUPERVISED_KINDS, ModelMeta
+from .corpus import Corpus, JointVocabulary, MultimodalDocument, build_vocabulary
+from .model_io import ModelMeta
 from .numerics import sigmoid, softmax_rows, top_order
 from .rng import named_stream
-from .wordtree import WordTree, build_tree
 
 logger = logging.getLogger(__name__)
 
@@ -48,28 +41,18 @@ def _chunks(documents, size: int):
     return [documents[start : start + size] for start in range(0, len(documents), size)]
 
 
-def _deep_states(docs, params, dropout_rate: float, omega, limit: int | None = None) -> np.ndarray:
-    """Deep top-layer states of documents, from their ids below `limit` if
-    given: one forward pass over the union of the documents' columns."""
-    cols, counts = count_rows(docs, limit)
-    features = deep_mod.stack_features([doc.features for doc in docs], params.n_features)
-    return deep_mod.deep_represent(counts, features, params, omega, dropout_rate, cols=cols)
-
-
-def extract_representations(corpus: Corpus, params, meta, restrict: str = "all-words") -> np.ndarray:
-    """Document-representation matrix (n_docs, H) for downstream classifiers.
-
-    Deep models use the full weighted histogram with inference-time dropout
-    scaling; shallow models sum embedding columns.  `restrict` selects the
-    visual-only protocol for shallow class prediction.
+def extract_representations(
+    corpus: Corpus, params, meta: ModelMeta, restrict: str = "all-words"
+) -> np.ndarray:
+    """Document-representation matrix (n_docs, H) for downstream classifiers,
+    from the model family's `represent`; `restrict` selects the visual-only
+    protocol for shallow class prediction (deep models read every word).
     """
     vocab = corpus.vocabulary
-    chunks = _chunks(corpus.documents, CHUNK_DOCS)
-    if meta.kind in DEEP_KINDS:
-        omega = weight_vector(vocab, meta.anno_weight).omega
-        parts = [_deep_states(docs, params, meta.dropout_rate, omega) for docs in chunks]
-    else:
-        parts = [shallow_mod.represent(docs, params, vocab, restrict) for docs in chunks]
+    family = meta.family[0]
+    context = family.context(meta, vocab)
+    parts = [family.represent(docs, params, vocab, restrict, context, meta.dropout_rate)
+             for docs in _chunks(corpus.documents, CHUNK_DOCS)]
     return np.vstack([np.empty((0, meta.hidden_sizes[-1]))] + parts)
 
 
@@ -205,32 +188,29 @@ def mean_average_precision(score_matrix: np.ndarray, relevance: np.ndarray) -> t
 
 def perplexity(
     corpus: Corpus,
-    params: shallow_mod.ShallowParams,
-    tree: WordTree,
+    params,
+    context,
     orderings_per_doc: int = 1,
     *,
     rng: np.random.Generator,
+    family,
+    dropout_rate: float = 0.0,
 ) -> float:
-    """exp(-(sum of per-document mean log-likelihoods) / total token count).
-
-    Each document's log-likelihood is averaged over `orderings_per_doc`
-    sampled token orderings.
-    """
-    total_log_prob = 0.0
-    total_tokens = 0
-    for doc in corpus.documents:
-        tokens = doc.token_array()
-        if len(tokens) == 0:
+    """exp(sum of per-document losses / total token count), each loss the
+    model `family`'s `perplexity_losses` averaged over `orderings_per_doc`
+    draws, documents scored a chunk at a time in corpus order."""
+    total_loss, total_tokens = 0.0, 0
+    for chunk in _chunks(corpus.documents, max(1, CHUNK_DOCS // orderings_per_doc)):
+        docs = [doc for doc in chunk if doc.total_tokens]
+        if not docs:
             continue
-        samples = []
-        for _ in range(orderings_per_doc):
-            ordering = tokens[rng.permutation(len(tokens))]
-            samples.append(shallow_mod.doc_log_likelihood(ordering, params, tree))
-        total_log_prob += float(np.mean(samples))
-        total_tokens += len(tokens)
+        for doc, loss in zip(docs, family.perplexity_losses(
+                docs, params, context, dropout_rate, orderings_per_doc, rng)):
+            total_loss += loss
+            total_tokens += doc.total_tokens
     if total_tokens == 0:
         raise ValueError("corpus has no tokens")
-    return float(np.exp(-total_log_prob / total_tokens))
+    return float(np.exp(total_loss / total_tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -267,31 +247,23 @@ def generate_text(
     vocab: JointVocabulary,
     top_k: int,
     *,
-    tree: WordTree | None = None,
-    meta_dropout: float = 0.0,
-    omega: np.ndarray | None = None,
+    family,
+    context=None,
+    dropout_rate: float = 0.0,
 ) -> RankedPrediction | list[RankedPrediction]:
     """Rank annotation words by next-word probability given the visual words.
 
     `docs` is one document, or a sequence of them; then the result is a list
-    with one ranking per document.  Shallow models, which come with their
-    word `tree`, delegate to the tree-based annotation prediction; deep
-    models score only the annotation rows of the output layer, which is the
-    softmax output renormalized over the annotation block.
+    with one ranking per document.  The model `family` module's
+    `predict_annotations` scores them with its `context` (the word tree, or
+    the weights omega: None is unweighted) and `dropout_rate`.
     """
     if vocab.n_annotation == 0:
         raise ValueError("vocabulary has no annotation words")
     single = isinstance(docs, MultimodalDocument)
     rows = [docs] if single else docs
     top_k = min(top_k, vocab.n_annotation)
-    if tree is not None:
-        ids, scores = shallow_mod.predict_annotations(rows, params, tree, vocab, top_k)
-    else:
-        h_top = _deep_states(rows, params, meta_dropout, omega, limit=vocab.visual_size)
-        anno_ids = np.arange(vocab.visual_size, vocab.size)
-        probs = np.exp(deep_mod.output_log_probs(h_top, params, words=anno_ids))
-        order = top_order(anno_ids, probs, top_k)
-        ids, scores = anno_ids[order], np.take_along_axis(probs, order, axis=1)
+    ids, scores = family.predict_annotations(rows, params, context, vocab, top_k, dropout_rate)
     ranked = [RankedPrediction(i, s) for i, s in zip(ids, scores)]
     return ranked[0] if single else ranked
 
@@ -345,60 +317,25 @@ def class_scores(corpus: Corpus, params, meta: ModelMeta) -> np.ndarray:
 
 def annotation_predictions(corpus: Corpus, params, meta: ModelMeta, top_k: int):
     """Yields (document, its top-K annotation words ranked from its visual
-    words), ranking a chunk of documents at a time; the word tree or the
-    annotation weights are built once."""
+    words), ranking a chunk of documents at a time; the family's context
+    (the word tree or the annotation weights) is built once."""
     vocab = corpus.vocabulary
-    tree = omega = None
-    if meta.kind in DEEP_KINDS:
-        omega = weight_vector(vocab, meta.anno_weight).omega
-    else:
-        tree = build_tree(meta.vocab_size, meta.tree_seed)
+    family = meta.family[0]
+    context = family.context(meta, vocab)
     for docs in _chunks(corpus.documents, CHUNK_DOCS):
-        yield from zip(docs, generate_text(
-            docs, params, vocab, top_k, tree=tree, meta_dropout=meta.dropout_rate, omega=omega
-        ))
+        yield from zip(docs, generate_text(docs, params, vocab, top_k, family=family,
+                                           context=context, dropout_rate=meta.dropout_rate))
 
 
 def perplexity_estimate(
     corpus: Corpus, params, meta: ModelMeta, samples: int, rng: np.random.Generator
 ) -> float:
-    """Per-token perplexity of a deep model from the losses of `samples`
-    sampled splits per document.
-
-    The splits are drawn document by document in corpus order; each chunk's
-    splits then go through one forward pass and one loss evaluation.
-    """
-    vocab = corpus.vocabulary
-    omega = weight_vector(vocab, meta.anno_weight).omega
-    total_loss, total_tokens = 0.0, 0
-    for chunk in _chunks(corpus.documents, max(1, CHUNK_DOCS // samples)):
-        docs = [doc for doc in chunk if doc.total_tokens]
-        counts = [doc.dense_counts(vocab.size) for doc in docs]
-        splits = [deep_mod.split_histogram(c, rng) for c in counts for _ in range(samples)]
-        if not splits:
-            continue
-        inputs = np.stack([split.input_hist for split in splits])
-        cols = np.flatnonzero(inputs.any(axis=0))
-        features = deep_mod.stack_features(
-            [doc.features for doc in docs for _ in range(samples)], params.n_features
-        )
-        h_top = deep_mod.deep_represent(
-            inputs[:, cols], features, params, omega, meta.dropout_rate, cols=cols
-        )
-        losses = deep_mod.generative_losses(
-            h_top,
-            np.stack([split.output_hist for split in splits]),
-            omega,
-            np.array([split.d for split in splits]),
-            np.array([split.total_tokens for split in splits]),
-            params,
-        )
-        for doc, draws in zip(docs, losses.reshape(len(docs), samples)):
-            total_loss += float(np.mean(draws))
-            total_tokens += doc.total_tokens
-    if total_tokens == 0:
-        raise ValueError("corpus has no tokens")
-    return float(np.exp(total_loss / total_tokens))
+    """Per-token perplexity of a model from `samples` draws per document:
+    the exact log-likelihoods of sampled token orderings (shallow models) or
+    the losses of sampled splits (deep models)."""
+    family = meta.family[0]
+    return perplexity(corpus, params, family.context(meta, corpus.vocabulary), samples, rng=rng,
+                      family=family, dropout_rate=meta.dropout_rate)
 
 
 def evaluation_metrics(
@@ -420,13 +357,10 @@ def evaluation_metrics(
     """
     if not corpus.documents:
         raise ValueError("corpus has no documents to evaluate")
-    if meta.kind not in SUPERVISED_KINDS:
+    family, supervised = meta.family
+    if not supervised:
         rng = named_stream(eval_seed, "eval")
-        if meta.kind in DEEP_KINDS:
-            return [("perplexity_estimate",
-                     perplexity_estimate(corpus, params, meta, orderings, rng))]
-        tree = build_tree(meta.vocab_size, meta.tree_seed)
-        return [("perplexity", perplexity(corpus, params, tree, orderings, rng=rng))]
+        return [(family.PERPLEXITY, perplexity_estimate(corpus, params, meta, orderings, rng))]
 
     metrics: list[tuple[str, float]] = []
     scores = class_scores(corpus, params, meta)
@@ -466,7 +400,7 @@ def class_report(
 ) -> dict:
     """The `docnade inspect` record of a supervised shallow model: the
     topics and the visual and annotation words most associated with a class."""
-    if meta.kind != "supdocnade":
+    if meta.family != (shallow_mod, True):
         raise ValueError("inspect requires a supervised shallow model")
     vocab = build_vocabulary(
         meta.n_visual, meta.n_regions, [f"anno{i}" for i in range(meta.n_annotation)]

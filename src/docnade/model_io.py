@@ -14,19 +14,30 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
+from types import ModuleType
 from typing import Any
 
 import numpy as np
 
-from .deep import DeepParams
-from .shallow import ShallowParams
+from . import deep, shallow
 
 MAGIC = b"DOCNADE1"
 FORMAT_VERSION = 1
 
-MODEL_KINDS = ("docnade", "supdocnade", "deepdocnade", "supdeepdocnade")
-DEEP_KINDS = ("deepdocnade", "supdeepdocnade")
-SUPERVISED_KINDS = ("supdocnade", "supdeepdocnade")
+# Model kind -> (its family module, whether it trains the supervised term):
+# the one lookup training, inference and loading make, so that no other code
+# branches on the kind.  Both family modules expose the same names: `init`,
+# `check_config`, `tree_seed`, `context`, `params_from_arrays`, `doc_data`,
+# `batch_step`, `represent`, `predict_annotations`, `perplexity_losses` and
+# `PERPLEXITY`.
+FAMILIES = {
+    "docnade": (shallow, False),
+    "supdocnade": (shallow, True),
+    "deepdocnade": (deep, False),
+    "supdeepdocnade": (deep, True),
+}
+MODEL_KINDS = tuple(FAMILIES)
+DEEP_KINDS = tuple(kind for kind, (family, _) in FAMILIES.items() if family is deep)
 
 
 @dataclass
@@ -49,6 +60,11 @@ class ModelMeta:
     @property
     def vocab_size(self) -> int:
         return self.n_visual * self.n_regions + self.n_annotation
+
+    @property
+    def family(self) -> tuple[ModuleType, bool]:
+        """The kind's (family module, supervised) in `FAMILIES`."""
+        return FAMILIES[self.kind]
 
     def to_json(self) -> dict:
         out = asdict(self)
@@ -85,23 +101,6 @@ def _unpack_arrays(manifest: list, blob: bytes) -> dict[str, np.ndarray]:
         out[name] = arr.astype(np.float64)  # own, writable copy
         offset += n * 8
     return out
-
-
-def _params_from_arrays(meta: ModelMeta, arrays: dict[str, np.ndarray]):
-    if meta.kind not in DEEP_KINDS:
-        return ShallowParams(
-            arrays["W"], arrays["c"], arrays["V"], arrays["b"], arrays["U"], arrays["d"]
-        )
-    layers = len(meta.hidden_sizes)
-    return DeepParams(
-        [arrays[f"W{n}"] for n in range(1, layers + 1)],
-        [arrays[f"c{n}"] for n in range(1, layers + 1)],
-        arrays.get("P"),
-        arrays["V_out"],
-        arrays["b_out"],
-        arrays["U"],
-        arrays["d"],
-    )
 
 
 def _write_container(path, header: dict, blocks: list[list[tuple[str, np.ndarray]]]) -> None:
@@ -156,7 +155,7 @@ def load_model(path) -> tuple[Any, ModelMeta]:
     header, blobs = _read_container(path, 1)
     meta = ModelMeta.from_json(header["meta"])
     arrays = _unpack_arrays(header["manifest"], blobs[0])
-    return _params_from_arrays(meta, arrays), meta
+    return meta.family[0].params_from_arrays(meta, arrays), meta
 
 
 def save_checkpoint(path, params, averaged, meta: ModelMeta, epoch: int, rng_states: dict) -> None:
@@ -172,7 +171,8 @@ def save_checkpoint(path, params, averaged, meta: ModelMeta, epoch: int, rng_sta
 def load_checkpoint(path) -> tuple[Any, Any, ModelMeta, int, dict]:
     header, blobs = _read_container(path, 2)
     meta = ModelMeta.from_json(header["meta"])
-    params = _params_from_arrays(meta, _unpack_arrays(header["manifest"], blobs[0]))
-    averaged = _params_from_arrays(meta, _unpack_arrays(header["manifest"], blobs[1]))
+    family = meta.family[0]
+    params, averaged = (family.params_from_arrays(meta, _unpack_arrays(header["manifest"], blob))
+                        for blob in blobs)
     state = header["state"]
     return params, averaged, meta, state["epoch"], state["rng_states"]

@@ -1,7 +1,10 @@
-"""Numerically stable sigmoid, log-softmax and row softmax, and the top-k
-ranking order, shared by the models and the metrics."""
+"""Numerically stable sigmoid, log-softmax and row softmax, the top-k
+ranking order, Glorot initialization and the sparse gradient container,
+shared by the models, the trainer and the metrics."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,3 +46,47 @@ def top_order(ids: np.ndarray, scores: np.ndarray, top_k: int | None = None) -> 
     per_row = np.bincount(rows, minlength=len(neg))
     order = cols[(np.cumsum(per_row) - per_row)[:, None] + np.arange(top_k)]
     return order.reshape(np.shape(scores)[:-1] + (top_k,))
+
+
+def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform on [-sqrt(6)/sqrt(rows+cols), +sqrt(6)/sqrt(rows+cols)]."""
+    if rows < 1 or cols < 1:
+        raise ValueError("glorot_init needs at least a 1x1 matrix")
+    bound = np.sqrt(6.0) / np.sqrt(rows + cols)
+    return rng.uniform(-bound, bound, size=(rows, cols))
+
+
+def maybe_glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """`glorot_init`, or an empty matrix (drawing nothing) if a side is 0."""
+    return glorot_init(rows, cols, rng) if rows and cols else np.zeros((rows, cols))
+
+
+@dataclass
+class SparseGrads:
+    """A gradient stored only where it can be nonzero.
+
+    `blocks` maps a parameter name to (axis, index, block): the gradient is
+    zero except at the sorted indices `index` along `axis`, where it is
+    `block`, i.e. block = grad[along(axis, index)].  `dense` maps every
+    other parameter name to its full gradient.
+    """
+
+    blocks: dict[str, tuple[int, np.ndarray, np.ndarray]]
+    dense: dict[str, np.ndarray]
+
+    def to_dense(self, params) -> dict[str, np.ndarray]:
+        """Full-size gradient arrays, keyed and ordered like `params.arrays()`."""
+        out = {}
+        for name, arr in params.arrays():
+            if name in self.blocks:
+                axis, index, block = self.blocks[name]
+                out[name] = np.zeros_like(arr)
+                out[name][along(axis, index)] = block
+            else:
+                out[name] = self.dense[name]
+        return out
+
+
+def along(axis: int, index: np.ndarray) -> tuple:
+    """The subscript that selects `index` along `axis`."""
+    return (slice(None),) * axis + (index,)

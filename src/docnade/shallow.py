@@ -1,4 +1,5 @@
-"""Single-hidden-layer autoregressive topic models over token sequences.
+"""The shallow family: DocNADE and SupDocNADE, single-hidden-layer
+autoregressive topic models over token sequences.
 
 The unsupervised model factors p(v) into per-position conditionals
 p(v_i | v_<i); each conditional is a tree-decomposed output computed from a
@@ -10,6 +11,9 @@ hybrid objective
 
 with exact gradients.  Hidden states are computed incrementally (one column
 add per token), so a full pass is O(H * D) instead of O(H * D^2).
+
+This module is the shallow model family of `model_io.FAMILIES`, with the
+same family names as `deep`; its context is the word tree.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import JointVocabulary, MultimodalDocument, count_rows
-from .numerics import log_softmax, top_order
-from .wordtree import OpCounter, WordTree, words_log_prob
+from .numerics import SparseGrads, along, log_softmax, maybe_glorot, top_order
+from .wordtree import WordTree, build_tree, words_log_prob
 
 
 @dataclass
@@ -77,14 +81,9 @@ def _preactivations(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
     return pre
 
 
-def hidden_states(
-    tokens: np.ndarray, params: ShallowParams, counter: OpCounter | None = None
-) -> np.ndarray:
+def hidden_states(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
     """Hidden states h_1 .. h_{D+1}; the last row is the full-document state."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if counter is not None:
-        counter.column_adds += len(tokens)
-    return np.maximum(_preactivations(tokens, params), 0.0)
+    return np.maximum(_preactivations(np.asarray(tokens, dtype=np.int64), params), 0.0)
 
 
 # Token positions per block of the tree terms: a longer document is processed
@@ -205,46 +204,6 @@ def doc_log_likelihood(
         act = params.b[nodes] + np.einsum("bdh,bh->bd", params.V[nodes], states[blk])
         log_lik += _entry_terms(act, flips)[2]
     return log_lik
-
-
-def class_posterior(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
-    """softmax(d + U h) on the full-document hidden state."""
-    if params.n_classes < 2:
-        raise ValueError("class posterior needs at least 2 classes")
-    tokens = np.asarray(tokens, dtype=np.int64)
-    h_full = hidden_states(tokens, params)[-1]
-    return np.exp(log_softmax(params.d + params.U @ h_full))
-
-
-@dataclass
-class SparseGrads:
-    """A gradient stored only where it can be nonzero.
-
-    `blocks` maps a parameter name to (axis, index, block): the gradient is
-    zero except at the sorted indices `index` along `axis`, where it is
-    `block`, i.e. block = grad[along(axis, index)].  `dense` maps every
-    other parameter name to its full gradient.
-    """
-
-    blocks: dict[str, tuple[int, np.ndarray, np.ndarray]]
-    dense: dict[str, np.ndarray]
-
-    def to_dense(self, params) -> dict[str, np.ndarray]:
-        """Full-size gradient arrays, keyed and ordered like `params.arrays()`."""
-        out = {}
-        for name, arr in params.arrays():
-            if name in self.blocks:
-                axis, index, block = self.blocks[name]
-                out[name] = np.zeros_like(arr)
-                out[name][along(axis, index)] = block
-            else:
-                out[name] = self.dense[name]
-        return out
-
-
-def along(axis: int, index: np.ndarray) -> tuple:
-    """The subscript that selects `index` along `axis`."""
-    return (slice(None),) * axis + (index,)
 
 
 def sum_gradients(grads: list[SparseGrads]) -> SparseGrads:
@@ -390,12 +349,15 @@ def represent(
     params: ShallowParams,
     vocab: JointVocabulary,
     restrict: str = "all-words",
+    context: WordTree | None = None,
+    dropout_rate: float = 0.0,
 ) -> np.ndarray:
     """Order-independent document representation relu(c + sum counts * W).
 
     `docs` is one document, or a sequence of them; then the result holds one
     row per document, from one count-matrix product over the union of their
-    token ids.  "visual-only" drops the annotation columns.
+    token ids.  "visual-only" drops the annotation columns.  The family's
+    `context` (the word tree) and `dropout_rate` play no part in it.
     """
     if restrict not in ("all-words", "visual-only"):
         raise ValueError(f"unknown restriction {restrict!r}")
@@ -412,6 +374,7 @@ def predict_annotations(
     tree: WordTree,
     vocab: JointVocabulary,
     top_k: int,
+    dropout_rate: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k annotation ids by next-word probability given the visual words.
 
@@ -419,6 +382,7 @@ def predict_annotations(
     the document are ignored.  Ties break toward the smaller id.  Returns
     (ids, probabilities) sorted by decreasing probability; for a sequence of
     documents, both are (len(docs), top_k) arrays with one row per document.
+    `dropout_rate` plays no part in it.
     """
     if top_k > vocab.n_annotation:
         raise ValueError(
@@ -429,3 +393,88 @@ def predict_annotations(
     log_probs = words_log_prob(tree, h, candidates, params.V, params.b)
     order = top_order(candidates, log_probs, top_k)
     return candidates[order], np.exp(np.take_along_axis(log_probs, order, axis=-1))
+
+
+PERPLEXITY = "perplexity"  # the eval metric: exact log-likelihoods of sampled orderings
+
+
+def perplexity_losses(
+    docs, params: ShallowParams, tree: WordTree, dropout_rate: float, samples: int,
+    rng: np.random.Generator,
+) -> list[float]:
+    """-log p(v) of each (nonempty) document, averaged over `samples` token
+    orderings drawn in document order; `dropout_rate` plays no part in it."""
+    losses = []
+    for doc in docs:
+        tokens = doc.token_array()
+        draws = [doc_log_likelihood(tokens[rng.permutation(len(tokens))], params, tree)
+                 for _ in range(samples)]
+        losses.append(-float(np.mean(draws)))
+    return losses
+
+
+def init(vocab_size: int, n_classes: int, n_features: int, hidden_sizes, rng) -> ShallowParams:
+    """Glorot-initialized W, V, U, drawn from `rng` in that order, and zero
+    biases; there is no global-feature map."""
+    hidden, n_internal = hidden_sizes[0], vocab_size - 1
+    W = maybe_glorot(hidden, vocab_size, rng)
+    V = maybe_glorot(n_internal, hidden, rng)
+    U = maybe_glorot(n_classes, hidden, rng)
+    return ShallowParams(W, np.zeros(hidden), V, np.zeros(n_internal), U, np.zeros(n_classes))
+
+
+def check_config(hidden_sizes, head: str, supervised: bool) -> None:
+    if head != "softmax":
+        raise ValueError("sigmoid head is only available for supdeepdocnade")
+    if len(hidden_sizes) != 1:
+        raise ValueError("shallow models take exactly one hidden layer size")
+
+
+def tree_seed(seed: int) -> int:
+    """The meta's tree seed: the run's seed lays out the word tree."""
+    return seed
+
+
+def context(meta, vocab: JointVocabulary) -> WordTree:
+    """The word tree of the meta's vocabulary size and tree seed."""
+    return build_tree(meta.vocab_size, meta.tree_seed)
+
+
+def params_from_arrays(meta, arrays: dict[str, np.ndarray]) -> ShallowParams:
+    return ShallowParams(*(arrays[name] for name in ("W", "c", "V", "b", "U", "d")))
+
+
+def doc_data(corpus, tree: WordTree) -> list[DocLayout]:
+    """The per-run cache of each document: its layout on the word tree."""
+    return [doc_layout(*doc.id_counts(), tree) for doc in corpus.documents]
+
+
+def batch_step(batch, params: ShallowParams, config, streams, cache):
+    """Per-document orderings and sparse gradients, in batch order, over the
+    layouts in `cache.docs`; an empty document is skipped when its labels
+    are None (an unsupervised run).
+
+    Returns (documents kept, their losses, the gradients summed in
+    document order).
+    """
+    docs, losses, grads = [], [], []
+    for doc_idx in batch:
+        layout, labels = cache.docs[doc_idx], cache.labels[doc_idx]
+        n_tokens = len(layout.word_of_token)
+        label = None
+        if labels is not None:
+            if len(labels) != 1:
+                raise ValueError(
+                    f"document {doc_idx} needs exactly one label for supervised training"
+                )
+            label = next(iter(labels))
+        elif n_tokens == 0:
+            continue
+        seg = layout.word_of_token
+        if n_tokens:
+            seg = seg[streams.shuffle.permutation(n_tokens)]
+        loss, doc_grads = sparse_gradients(layout, seg, params, cache.unsup_weight, label)
+        docs.append(doc_idx)
+        losses.append(loss)
+        grads.append(doc_grads)
+    return docs, losses, sum_gradients(grads) if grads else None

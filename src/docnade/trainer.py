@@ -10,35 +10,27 @@ entry a step does not touch needs no work; see `_LazyAverage`), and every
 entry is flushed at the end of each epoch, so the average that logs,
 checkpoints and epoch callbacks see is the per-step one.
 
-The shallow family trains over a per-run document cache: each document's
-`shallow.DocLayout` (its distinct words, the sorted tree nodes on their
-paths and every path entry's index among them) is built once, so a step
-draws a permutation of the document's token positions and sorts nothing.
-Its tree terms run in blocks of at most `shallow.BLOCK_TOKENS` positions,
-which bound a step's working memory for long documents.
+The model kind is looked up once in `model_io.FAMILIES`.  Its family module
+(`shallow` or `deep`) initializes the parameters, builds its context (the
+word tree or the weights omega) and the per-run document cache, and takes
+each mini-batch step; supervision is resolved once, into the cache, so no
+code here branches on the kind.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import deep as deep_mod
-from . import shallow as shallow_mod
-from .corpus import Corpus, weight_vector
-from .model_io import (
-    DEEP_KINDS,
-    MODEL_KINDS,
-    SUPERVISED_KINDS,
-    ModelMeta,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .corpus import Corpus
+from .model_io import FAMILIES, MODEL_KINDS, ModelMeta, load_checkpoint, save_checkpoint
+from .numerics import SparseGrads, along, maybe_glorot
 from .rng import named_stream
-from .wordtree import WordTree, build_tree
 
 
 class TrainingDivergedError(RuntimeError):
@@ -69,8 +61,6 @@ class TrainConfig:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.head not in deep_mod.HEADS:
             raise ValueError(f"unknown head {self.head!r}")
-        if self.head == "sigmoid" and self.model_kind != "supdeepdocnade":
-            raise ValueError("sigmoid head is only available for supdeepdocnade")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if self.unsup_weight < 0 or self.anno_weight < 0:
@@ -85,28 +75,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be positive")
-        if self.model_kind not in DEEP_KINDS and len(self.hidden_sizes) != 1:
-            raise ValueError("shallow models take exactly one hidden layer size")
-
-    @property
-    def is_deep(self) -> bool:
-        return self.model_kind in DEEP_KINDS
-
-    @property
-    def is_supervised(self) -> bool:
-        return self.model_kind in SUPERVISED_KINDS
-
-
-def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform on [-sqrt(6)/sqrt(rows+cols), +sqrt(6)/sqrt(rows+cols)]."""
-    if rows < 1 or cols < 1:
-        raise ValueError("glorot_init needs at least a 1x1 matrix")
-    bound = np.sqrt(6.0) / np.sqrt(rows + cols)
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
-def _maybe_glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    return glorot_init(rows, cols, rng) if rows and cols else np.zeros((rows, cols))
+        family, supervised = FAMILIES[self.model_kind]
+        family.check_config(self.hidden_sizes, self.head, supervised)
 
 
 def init_params(
@@ -117,24 +87,8 @@ def init_params(
     rng: np.random.Generator,
 ):
     """Glorot-initialized weights, zero biases; draw order is fixed."""
-    if config.is_deep:
-        sizes = (vocab_size,) + tuple(config.hidden_sizes)
-        weights = [_maybe_glorot(sizes[i + 1], sizes[i], rng) for i in range(len(sizes) - 1)]
-        biases = [np.zeros(h) for h in config.hidden_sizes]
-        P = _maybe_glorot(n_features, config.hidden_sizes[0], rng) if n_features else None
-        V_out = _maybe_glorot(vocab_size, config.hidden_sizes[-1], rng)
-        U = _maybe_glorot(n_classes, config.hidden_sizes[-1], rng)
-        return deep_mod.DeepParams(
-            weights, biases, P, V_out, np.zeros(vocab_size), U, np.zeros(n_classes)
-        )
-    hidden = config.hidden_sizes[0]
-    n_internal = vocab_size - 1
-    W = _maybe_glorot(hidden, vocab_size, rng)
-    V = _maybe_glorot(n_internal, hidden, rng)
-    U = _maybe_glorot(n_classes, hidden, rng)
-    return shallow_mod.ShallowParams(
-        W, np.zeros(hidden), V, np.zeros(n_internal), U, np.zeros(n_classes)
-    )
+    family = FAMILIES[config.model_kind][0]
+    return family.init(vocab_size, n_classes, n_features, config.hidden_sizes, rng)
 
 
 @dataclass
@@ -179,7 +133,7 @@ class _LazyAverage:
     """SGD steps with the parameter average kept lazily.
 
     A step changes only the entries its gradient's sparse blocks cover
-    (`shallow.SparseGrads`); its dense arrays change everywhere and are
+    (`numerics.SparseGrads`); its dense arrays change everywhere and are
     averaged on every step.  An array with sparse blocks holds, in place of
     its average a, the scaled gap z = (a - cur) / r**t, with t the steps
     taken since the array's last flush and r = 1 - (1 - decay) the
@@ -199,7 +153,7 @@ class _LazyAverage:
         self.averaged = dict(avg.averaged.arrays())
         self.gaps: set[str] = set()  # names whose averaged array holds z
 
-    def step(self, grads: shallow_mod.SparseGrads, scale: float) -> None:
+    def step(self, grads: SparseGrads, scale: float) -> None:
         """current -= scale * grads on the entries grads covers (none if
         scale is 0), then one average step."""
         if self.ratio != 0.0 and self.ratio ** -self.steps > _MAX_GAP_SCALE:
@@ -211,7 +165,7 @@ class _LazyAverage:
                 gap -= cur
                 self.gaps.add(name)
             if scale != 0.0:
-                at = shallow_mod.along(axis, idx)
+                at = along(axis, idx)
                 delta = scale * block
                 cur[at] -= delta
                 if self.ratio != 0.0:
@@ -273,98 +227,27 @@ class EpochStats:
     wall_time: float
 
 
-@dataclass
-class _DocCache:
-    """Per-document arrays materialized once per training run: each
-    document's labels and features, and either its sorted token ids with
-    their counts (the deep family) or, given a word tree (the shallow
-    family), its layout over the tree (`shallow.DocLayout`), which holds
-    the ids and counts too."""
+class _DocCache(NamedTuple):
+    """A training run's documents, built once per run: the family's data of
+    each one (`doc_data`), its labels (None in an unsupervised run), the
+    weight of the generative term (1 without a class term) and the family's
+    context."""
 
-    counts: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    labels: list[frozenset] = field(default_factory=list)
-    features: list[np.ndarray | None] = field(default_factory=list)
-    layouts: list[shallow_mod.DocLayout] = field(default_factory=list)
+    docs: list
+    labels: list
+    unsup_weight: float
+    context: object
 
 
-def _build_cache(corpus: Corpus, tree: WordTree | None = None) -> _DocCache:
-    cache = _DocCache()
-    for doc in corpus.documents:
-        cache.labels.append(doc.labels)
-        cache.features.append(doc.features)
-        if tree is None:
-            cache.counts.append(doc.id_counts())
-        else:
-            cache.layouts.append(shallow_mod.doc_layout(*doc.id_counts(), tree))
-    return cache
-
-
-def _draw_masks(sizes, keep: float, rng: np.random.Generator) -> list[np.ndarray]:
-    return [(rng.random(h) < keep).astype(float) for h in sizes]
-
-
-def _deep_batch(batch, params, config, streams, cache, omega):
-    """Splits and masks drawn in batch order, then one batched step.
-
-    Returns (documents kept, their losses, summed gradients).
-    """
-    counts = np.zeros((len(batch), params.vocab_size), dtype=np.int64)
-    for row, doc_idx in enumerate(batch):
-        ids, values = cache.counts[doc_idx]
-        counts[row, ids] = values
-    keep = 1.0 - config.dropout_rate
-    kept, splits, gen_masks, sup_masks = [], [], [], []
-    for row in range(len(batch)):
-        split = deep_mod.split_histogram(counts[row], streams.split)
-        if split is None and not config.is_supervised:
-            continue
-        gen = sup = None
-        if config.dropout_rate > 0:
-            gen = _draw_masks(config.hidden_sizes, keep, streams.dropout)
-            if config.is_supervised:
-                sup = _draw_masks(config.hidden_sizes, keep, streams.dropout)
-        kept.append(row)
-        splits.append(split)
-        gen_masks.append(gen)
-        sup_masks.append(sup)
-    docs = [batch[row] for row in kept]
-    labels = [cache.labels[i] if config.is_supervised else None for i in docs]
-    unsup = config.unsup_weight if config.is_supervised else 1.0
-    losses, grads, cols = deep_mod.batch_loss_gradients(
-        counts[kept], labels, [cache.features[i] for i in docs], params, unsup,
-        omega, omega, splits, gen_masks, sup_masks, head=config.head,
+def _doc_cache(corpus: Corpus, config: TrainConfig) -> _DocCache:
+    family, supervised = FAMILIES[config.model_kind]
+    context = family.context(build_meta(corpus, config), corpus.vocabulary)
+    return _DocCache(
+        family.doc_data(corpus, context),
+        [doc.labels if supervised else None for doc in corpus.documents],
+        config.unsup_weight if supervised else 1.0,
+        context,
     )
-    return docs, losses.tolist(), shallow_mod.SparseGrads({"W1": (1, cols, grads.pop("W1"))}, grads)
-
-
-def _shallow_batch(batch, params, config, streams, cache, layouts):
-    """Per-document orderings and sparse gradients, in batch order.
-
-    Returns (documents kept, their losses, the gradients summed in
-    document order).
-    """
-    docs, losses, grads = [], [], []
-    for doc_idx in batch:
-        layout = layouts[doc_idx]
-        n_tokens = len(layout.word_of_token)
-        label, unsup = None, 1.0
-        if config.is_supervised:
-            labels = cache.labels[doc_idx]
-            if len(labels) != 1:
-                raise ValueError(
-                    f"document {doc_idx} needs exactly one label for supervised training"
-                )
-            label, unsup = next(iter(labels)), config.unsup_weight
-        elif n_tokens == 0:
-            continue
-        seg = layout.word_of_token
-        if n_tokens:
-            seg = seg[streams.shuffle.permutation(n_tokens)]
-        loss, doc_grads = shallow_mod.sparse_gradients(layout, seg, params, unsup, label)
-        docs.append(doc_idx)
-        losses.append(loss)
-        grads.append(doc_grads)
-    return docs, losses, shallow_mod.sum_gradients(grads) if grads else None
 
 
 def sgd_epoch(
@@ -374,34 +257,23 @@ def sgd_epoch(
     streams: RngStreams,
     *,
     epoch: int = 0,
-    tree: WordTree | None = None,
     cache: _DocCache | None = None,
 ) -> EpochStats:
     """One pass over the corpus in a freshly shuffled order.
 
-    The model family picks the batch function once: `_shallow_batch` (one
-    sparse gradient per token ordering, over the documents' layouts on
-    `tree` in `cache`) or `_deep_batch` (one
-    batched step, `deep.batch_loss_gradients`).  Per mini-batch, the summed
-    gradient of the documents it kept is applied with the learning rate
-    divided by their number, then the parameter average takes one step.
+    Each mini-batch is one `batch_step` of the model's family over the run's
+    document `cache` (built from `corpus` if not given).  Per mini-batch,
+    the summed gradient of the documents it kept is applied, with the
+    learning rate divided by their number, to the entries its sparse blocks
+    cover, then the parameter average takes one step; the average is kept
+    lazily (`_LazyAverage`) and flushed before this function returns.
     Stochastic inputs (token orderings, splits, dropout masks) are drawn,
     and gradients summed, in document order.
-
-    Both families update only the entries their sparse gradient covers
-    (shallow: the W columns of the batch's words and the V rows and b
-    entries on their tree paths; deep: the W1 columns of the batch's words)
-    and keep the average lazily (`_LazyAverage`), flushed before this
-    function returns.
     """
     started = time.perf_counter()
     if cache is None:
-        cache = _build_cache(corpus, tree)
-    if config.is_deep:
-        omega = weight_vector(corpus.vocabulary, config.anno_weight).omega
-        batch_step, context = _deep_batch, omega
-    else:
-        batch_step, context = _shallow_batch, cache.layouts
+        cache = _doc_cache(corpus, config)
+    batch_step = FAMILIES[config.model_kind][0].batch_step
     params = avg.current
     losses = []
     skipped = 0
@@ -411,7 +283,7 @@ def sgd_epoch(
     try:
         for start in range(0, len(order), config.batch_size):
             batch = [int(doc_idx) for doc_idx in order[start : start + config.batch_size]]
-            docs, batch_losses, grads = batch_step(batch, params, config, streams, cache, context)
+            docs, batch_losses, grads = batch_step(batch, params, config, streams, cache)
             skipped += len(batch) - len(docs)
             if not docs:
                 continue
@@ -438,7 +310,6 @@ class TrainResult:
     params: object  # final current parameters
     averaged: object  # what inference should use
     meta: ModelMeta
-    tree: WordTree | None
     stats: list[EpochStats]
 
 
@@ -453,7 +324,7 @@ def build_meta(corpus: Corpus, config: TrainConfig) -> ModelMeta:
         n_classes=corpus.n_classes,
         n_features=corpus.n_features,
         hidden_sizes=tuple(config.hidden_sizes),
-        tree_seed=None if config.is_deep else config.seed,
+        tree_seed=FAMILIES[config.model_kind][0].tree_seed(config.seed),
         anno_weight=config.anno_weight,
         dropout_rate=config.dropout_rate,
     )
@@ -476,8 +347,6 @@ def train_model(
     vocab = corpus.vocabulary
     meta = build_meta(corpus, config)
 
-    tree = None if config.is_deep else build_tree(vocab.size, config.seed)
-
     if start is None:
         init_rng = named_stream(config.seed, "init")
         params = init_params(vocab.size, corpus.n_classes, corpus.n_features, config, init_rng)
@@ -490,12 +359,10 @@ def train_model(
     if stream_states is not None:
         streams.restore(stream_states)
 
-    cache = _build_cache(corpus, tree)
+    cache = _doc_cache(corpus, config)
     stats: list[EpochStats] = []
     for epoch in range(start_epoch + 1, config.epochs + 1):
-        epoch_stats = sgd_epoch(
-            corpus, avg, config, streams, epoch=epoch, tree=tree, cache=cache
-        )
+        epoch_stats = sgd_epoch(corpus, avg, config, streams, epoch=epoch, cache=cache)
         stats.append(epoch_stats)
         if log_file is not None:
             with open(log_file, "a") as fh:
@@ -509,16 +376,23 @@ def train_model(
         if on_epoch is not None:
             on_epoch(epoch_stats, avg)
 
-    return TrainResult(params=avg.current, averaged=avg.averaged, meta=meta, tree=tree, stats=stats)
+    return TrainResult(params=avg.current, averaged=avg.averaged, meta=meta, stats=stats)
 
 
 def resume_training(
     checkpoint_path, corpus: Corpus, config: TrainConfig, **kwargs
 ) -> TrainResult:
-    """Continue a run from a checkpoint; equals the uninterrupted run."""
+    """Continue a run from a checkpoint; equals the uninterrupted run.
+
+    ValueError, naming the fields that differ, unless the checkpoint's meta
+    is the one this corpus and configuration train (so the tree seed, the
+    annotation weight and the dropout rate must match too)."""
     params, averaged, meta, epoch, rng_states = load_checkpoint(checkpoint_path)
-    if meta.kind != config.model_kind or tuple(meta.hidden_sizes) != tuple(config.hidden_sizes):
-        raise ValueError("checkpoint does not match the requested configuration")
+    expected = build_meta(corpus, config)
+    if meta != expected:
+        differ = [f.name for f in fields(ModelMeta)
+                  if getattr(meta, f.name) != getattr(expected, f.name)]
+        raise ValueError(f"checkpoint does not match the requested configuration: {differ}")
     avg = AveragedParams(current=params, averaged=averaged, decay=config.averaging_decay)
     return train_model(
         corpus, config,
@@ -559,7 +433,7 @@ def pretrain_then_finetune(
     head_rng = named_stream(config.seed, "init_finetune")
     n_classes = labeled.n_classes
     top = config.hidden_sizes[-1]
-    params.U = _maybe_glorot(n_classes, top, head_rng)
+    params.U = maybe_glorot(n_classes, top, head_rng)
     params.d = np.zeros(n_classes)
 
     avg = init_averaged(params, config.averaging_decay)

@@ -19,14 +19,6 @@ from .rng import named_stream
 
 
 @dataclass
-class OpCounter:
-    """Instrumentation for cost-scaling assertions."""
-
-    sigmoids: int = 0
-    column_adds: int = 0
-
-
-@dataclass
 class WordTree:
     size: int  # leaf count Q
     seed: int
@@ -36,20 +28,6 @@ class WordTree:
     @property
     def n_internal(self) -> int:
         return self.size - 1
-
-    def path(self, word: int) -> tuple[np.ndarray, np.ndarray]:
-        """Root-to-leaf internal node indices and left/right bits for `word`."""
-        node = int(self.leaf_of_word[word])
-        nodes, bits = [], []
-        while node != 0:
-            parent = (node - 1) // 2
-            bits.append(node - 2 * parent - 1)  # left child is 2p+1
-            nodes.append(parent)
-            node = parent
-        return (
-            np.array(nodes[::-1], dtype=np.int64),
-            np.array(bits[::-1], dtype=np.int64),
-        )
 
     def path_length(self, word: int) -> int:
         # depth of node i in the heap layout is floor(log2(i + 1))
@@ -97,34 +75,6 @@ def build_tree(size: int, seed: int) -> WordTree:
     return WordTree(size=size, seed=seed, leaf_of_word=leaf_of_word.astype(np.int64))
 
 
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -x)
-
-
-def word_log_prob(
-    tree: WordTree,
-    h: np.ndarray,
-    word: int,
-    V: np.ndarray,
-    b: np.ndarray,
-    counter: OpCounter | None = None,
-) -> float:
-    """log p(word | h) via the sigmoid factors along the word's tree path."""
-    if V.shape != (tree.n_internal, len(h)) or b.shape != (tree.n_internal,):
-        raise ValueError(
-            f"tree parameter shapes {V.shape}/{b.shape} do not match "
-            f"(T={tree.n_internal}, H={len(h)})"
-        )
-    nodes, bits = tree.path(word)
-    if counter is not None:
-        counter.sigmoids += len(nodes)
-    if len(nodes) == 0:
-        return 0.0
-    act = b[nodes] + V[nodes] @ h
-    signs = 2 * bits - 1  # probability of the observed bit
-    return float(_log_sigmoid(signs * act).sum())
-
-
 def words_log_prob(
     tree: WordTree, h: np.ndarray, words: np.ndarray, V: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
@@ -153,27 +103,3 @@ def words_log_prob(
     for level in slots.T:
         log_probs += table[level]
     return log_probs.T if np.ndim(h) == 2 else log_probs[:, 0]
-
-
-def tree_gradients(
-    tree: WordTree,
-    h: np.ndarray,
-    word: int,
-    V: np.ndarray,
-    b: np.ndarray,
-    scale: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of -scale * log p(word | h).
-
-    Returns (nodes, dV_rows, db_entries, dh); only the rows/entries listed
-    in `nodes` are nonzero.
-    """
-    nodes, bits = tree.path(word)
-    if len(nodes) == 0:
-        return nodes, np.zeros((0, len(h))), np.zeros(0), np.zeros(len(h))
-    act = b[nodes] + V[nodes] @ h
-    prob_right = np.exp(_log_sigmoid(act))
-    dt = scale * (prob_right - bits)
-    dV_rows = dt[:, None] * h[None, :]
-    dh = V[nodes].T @ dt
-    return nodes, dV_rows, dt.copy(), dh

@@ -12,7 +12,10 @@ step, the way training worked before the average became lazy.  The
 per-document inference functions represent, annotate and score one document
 at a time, the way eval, annotate and retrieve ran before they were
 chunked.  The linear classifier is criterion 09's "DocNADE features plus a
-classifier" baseline.
+classifier" baseline.  The per-word tree walk, the exhaustive ordering loss
+and the other per-item helpers at the end are the reference forms of
+vectorized production code, with the operation counters the cost-scaling
+tests read.
 """
 
 import itertools
@@ -26,8 +29,8 @@ from docnade import shallow as shallow_mod
 from docnade import trainer as trainer_mod
 from docnade.corpus import MultimodalDocument, weight_vector
 from docnade.evaluate import RankedPrediction
-from docnade.model_io import DEEP_KINDS
-from docnade.numerics import sigmoid, softmax_rows
+from docnade.model_io import DEEP_KINDS, FAMILIES
+from docnade.numerics import log_softmax, sigmoid, softmax_rows
 from docnade.wordtree import build_tree
 
 
@@ -264,7 +267,7 @@ def dense_shallow_epoch(corpus, avg, config, tree):
     SGD step and a dense `polyak_update` after every step.  Draws the same
     orderings as `trainer.sgd_epoch` with fresh streams of `config.seed`."""
     streams = trainer_mod.RngStreams.from_seed(config.seed)
-    supervised = config.is_supervised
+    _, supervised = FAMILIES[config.model_kind]
     unsup_weight = config.unsup_weight if supervised else 1.0
     order = streams.shuffle.permutation(len(corpus.documents))
     for start in range(0, len(order), config.batch_size):
@@ -296,9 +299,9 @@ def dense_deep_epoch(corpus, avg, config):
     after every mini-batch.  Draws the same splits and dropout masks as
     `trainer.sgd_epoch` with fresh streams of `config.seed`."""
     streams = trainer_mod.RngStreams.from_seed(config.seed)
-    supervised = config.is_supervised
+    _, supervised = FAMILIES[config.model_kind]
     unsup_weight = config.unsup_weight if supervised else 1.0
-    omega = weight_vector(corpus.vocabulary, config.anno_weight).omega
+    omega = weight_vector(corpus.vocabulary, config.anno_weight)
     keep = 1.0 - config.dropout_rate
 
     def masks():
@@ -370,7 +373,7 @@ def visual_only(doc, vocab):
 def extract_representations(corpus, params, meta, restrict="all-words"):
     vocab = corpus.vocabulary
     if meta.kind in DEEP_KINDS:
-        omega = weight_vector(vocab, meta.anno_weight).omega
+        omega = weight_vector(vocab, meta.anno_weight)
         return np.array([
             deep_mod.deep_represent(
                 doc.dense_counts(vocab.size), doc.features, params, omega,
@@ -407,7 +410,7 @@ def annotation_predictions(corpus, params, meta, top_k):
     vocab = corpus.vocabulary
     tree = omega = None
     if meta.kind in DEEP_KINDS:
-        omega = weight_vector(vocab, meta.anno_weight).omega
+        omega = weight_vector(vocab, meta.anno_weight)
     else:
         tree = build_tree(meta.vocab_size, meta.tree_seed)
     for doc in corpus.documents:
@@ -420,7 +423,7 @@ def perplexity_estimate(corpus, params, meta, samples, rng):
     """Deep perplexity estimate with one dense forward pass and one loss per
     sampled split."""
     vocab = corpus.vocabulary
-    omega = weight_vector(vocab, meta.anno_weight).omega
+    omega = weight_vector(vocab, meta.anno_weight)
     keep = 1.0 - meta.dropout_rate if meta.dropout_rate > 0 else None
     total_loss, total_tokens = 0.0, 0
     for doc in corpus.documents:
@@ -517,3 +520,135 @@ def classifier_scores(clf, representations):
 
 def classify(clf, representations):
     return classifier_scores(clf, representations).argmax(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Per-item reference forms and operation counters
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class OpCounter:
+    """Instrumentation for cost-scaling assertions."""
+
+    sigmoids: int = 0
+    column_adds: int = 0
+
+
+def counted_hidden_states(tokens, params, counter):
+    """`shallow.hidden_states`, counting one column add per token."""
+    counter.column_adds += len(tokens)
+    return shallow_mod.hidden_states(tokens, params)
+
+
+def path(tree, word):
+    """Root-to-leaf internal node indices and left/right bits for `word`,
+    walked up the heap layout one parent at a time."""
+    node = int(tree.leaf_of_word[word])
+    nodes, bits = [], []
+    while node != 0:
+        parent = (node - 1) // 2
+        bits.append(node - 2 * parent - 1)  # left child is 2p+1
+        nodes.append(parent)
+        node = parent
+    return (
+        np.array(nodes[::-1], dtype=np.int64),
+        np.array(bits[::-1], dtype=np.int64),
+    )
+
+
+def _log_sigmoid(x):
+    return -np.logaddexp(0.0, -x)
+
+
+def word_log_prob(tree, h, word, V, b, counter=None):
+    """log p(word | h) via the sigmoid factors along the word's tree path."""
+    if V.shape != (tree.n_internal, len(h)) or b.shape != (tree.n_internal,):
+        raise ValueError(
+            f"tree parameter shapes {V.shape}/{b.shape} do not match "
+            f"(T={tree.n_internal}, H={len(h)})"
+        )
+    nodes, bits = path(tree, word)
+    if counter is not None:
+        counter.sigmoids += len(nodes)
+    if len(nodes) == 0:
+        return 0.0
+    act = b[nodes] + V[nodes] @ h
+    signs = 2 * bits - 1  # probability of the observed bit
+    return float(_log_sigmoid(signs * act).sum())
+
+
+def tree_gradients(tree, h, word, V, b, scale):
+    """Gradients of -scale * log p(word | h).
+
+    Returns (nodes, dV_rows, db_entries, dh); only the rows/entries listed
+    in `nodes` are nonzero.
+    """
+    nodes, bits = path(tree, word)
+    if len(nodes) == 0:
+        return nodes, np.zeros((0, len(h))), np.zeros(0), np.zeros(len(h))
+    act = b[nodes] + V[nodes] @ h
+    prob_right = np.exp(_log_sigmoid(act))
+    dt = scale * (prob_right - bits)
+    dV_rows = dt[:, None] * h[None, :]
+    dh = V[nodes].T @ dt
+    return nodes, dV_rows, dt.copy(), dh
+
+
+def class_posterior(tokens, params):
+    """softmax(d + U h) on the full-document hidden state."""
+    if params.n_classes < 2:
+        raise ValueError("class posterior needs at least 2 classes")
+    tokens = np.asarray(tokens, dtype=np.int64)
+    h_full = shallow_mod.hidden_states(tokens, params)[-1]
+    return np.exp(log_softmax(params.d + params.U @ h_full))
+
+
+def exhaustive_ordering_loss(counts, params, phi=None, omega=None, features=None, max_tokens=6):
+    """Exact expectation over all orderings of the per-position weighted NLL.
+
+    Oracle-scale only: enumerates every permutation of the token multiset
+    and every position's conditional directly (no estimator machinery), so
+    unbiasedness of the split estimator can be certified against it.
+    """
+    counts = np.asarray(counts)
+    total = int(counts.sum())
+    if total > max_tokens:
+        raise ValueError(f"document too large for exhaustive enumeration ({total} tokens)")
+    if total == 0:
+        return 0.0
+    tokens = np.repeat(np.flatnonzero(counts), counts[counts > 0])
+    weights = phi if phi is not None else np.ones(len(counts))
+
+    cond_cache = {}
+
+    def conditionals(prefix_key):
+        if prefix_key not in cond_cache:
+            x = deep_mod.prepare_histogram(np.array(prefix_key), omega)
+            hs, _ = deep_mod.deep_forward(x, params, features)
+            cond_cache[prefix_key] = deep_mod.output_log_probs(hs[-1], params)
+        return cond_cache[prefix_key]
+
+    total_loss = 0.0
+    n_orderings = 0
+    for perm in itertools.permutations(tokens):
+        prefix = np.zeros(len(counts), dtype=np.int64)
+        for word in perm:
+            log_probs = conditionals(tuple(prefix))
+            total_loss += weights[word] * -float(log_probs[word])
+            prefix[word] += 1
+        n_orderings += 1
+    return total_loss / n_orderings
+
+
+def to_weighted_histogram(doc, omega):
+    """Dense element-wise product counts * omega."""
+    size = len(omega)
+    out = np.zeros(size)
+    for token_id, count in doc.counts.items():
+        if token_id >= size:
+            raise ValueError(
+                f"token id {token_id} does not fit weight vector of length {size}"
+            )
+        out[token_id] = count * omega[token_id]
+    return out

@@ -24,9 +24,17 @@ from docnade.cli import main as cli_main
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary, write_corpus
 from docnade.model_io import load_model, save_model
 from docnade.trainer import TrainConfig, resume_training, train_model
-from docnade.wordtree import OpCounter, build_tree, word_log_prob, words_log_prob
+from docnade.wordtree import build_tree, words_log_prob
 from gen import bayes_accuracy, make_corpus
-from oracles import classify, estimator_expectation, fit_linear_classifier
+from oracles import (
+    OpCounter,
+    class_posterior,
+    classify,
+    estimator_expectation,
+    exhaustive_ordering_loss,
+    fit_linear_classifier,
+    word_log_prob,
+)
 
 
 def report(number, ok, detail):
@@ -83,7 +91,7 @@ def test_criterion_02_shallow_gradient_exactness():
         _, grads = shallow.supdocnade_gradients(tokens, label, params, tree, lam)
 
         def loss():
-            post = shallow.class_posterior(tokens, params)
+            post = class_posterior(tokens, params)
             return -np.log(post[label]) - lam * shallow.doc_log_likelihood(
                 tokens, params, tree
             )
@@ -162,7 +170,7 @@ def test_criterion_04_estimator_unbiasedness():
         omega = np.ones(vocab_size)
         omega[vocab_size // 2 :] = rho
         params = random_deep_params(rng, vocab_size, sizes, 2)
-        exact = deep.exhaustive_ordering_loss(counts, params, phi=omega, omega=omega)
+        exact = exhaustive_ordering_loss(counts, params, phi=omega, omega=omega)
         expected = estimator_expectation(counts, params, omega=omega, phi=omega)
         worst = max(worst, abs(exact - expected))
     elapsed = time.perf_counter() - started
@@ -372,9 +380,10 @@ def test_criterion_10_synthetic_annotation():
         unsup_weight=1.0, epochs=12, seed=0, averaging_decay=0.99,
     )
     result = train_model(train, config)
+    tree = build_tree(result.meta.vocab_size, result.meta.tree_seed)
     pairs = []
     for doc in test.documents:
-        ids, _ = shallow.predict_annotations(doc, result.averaged, result.tree, vocab, 5)
+        ids, _ = shallow.predict_annotations(doc, result.averaged, tree, vocab, 5)
         truth = {i for i in doc.counts if vocab.is_annotation(i)}
         pairs.append((set(int(i) for i in ids), truth))
     mean_f, skipped = evaluate.mean_f_measure(pairs)
@@ -442,14 +451,16 @@ def test_criterion_12_determinism_and_persistence(tmp_path):
     result = train_model(corpus, config)
     before = _supervised_accuracy(result.averaged, corpus)
     ppl_before = evaluate.perplexity(
-        corpus, result.averaged, result.tree, rng=np.random.default_rng(0)
+        corpus, result.averaged, build_tree(result.meta.vocab_size, result.meta.tree_seed),
+        rng=np.random.default_rng(0), family=shallow,
     )
     model_path = tmp_path / "model.bin"
     save_model(model_path, result.averaged, result.meta)
     loaded, meta = load_model(model_path)
     tree = build_tree(meta.vocab_size, meta.tree_seed)
     after = _supervised_accuracy(loaded, corpus)
-    ppl_after = evaluate.perplexity(corpus, loaded, tree, rng=np.random.default_rng(0))
+    ppl_after = evaluate.perplexity(corpus, loaded, tree, rng=np.random.default_rng(0),
+                                   family=shallow)
     metrics_equal = before == after and ppl_before == ppl_after
 
     # checkpoint-resume equals the uninterrupted run
@@ -531,7 +542,7 @@ def test_criterion_13_metric_oracles():
         ]
         corpus = Corpus(vocab, tuple(MultimodalDocument(c) for c in count_dicts), 2)
         got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=2,
-                                  rng=np.random.default_rng(trial))
+                                  rng=np.random.default_rng(trial), family=shallow)
         total_ll = sum(
             shallow.doc_log_likelihood(MultimodalDocument(c).token_array(), params, tree)
             for c in count_dicts

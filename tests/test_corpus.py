@@ -7,10 +7,10 @@ from docnade.corpus import (
     MultimodalDocument,
     build_vocabulary,
     parse_corpus,
-    to_weighted_histogram,
     weight_vector,
     write_corpus,
 )
+from oracles import to_weighted_histogram
 
 
 class TestVocabulary:

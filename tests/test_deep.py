@@ -13,6 +13,7 @@ from docnade import deep, shallow
 from oracles import (
     dense_hybrid_loss_gradients,
     estimator_expectation,
+    exhaustive_ordering_loss,
     per_token_generative_grads,
     softmax_shallow_conditional,
 )
@@ -317,7 +318,7 @@ class TestExhaustiveOrderingLoss:
         x = deep.prepare_histogram(np.zeros(vocab_size, dtype=np.int64))
         hs, _ = deep.deep_forward(x, params)
         expected = phi[1] * -deep.output_log_probs(hs[-1], params)[1]
-        got = deep.exhaustive_ordering_loss(counts, params, phi=phi)
+        got = exhaustive_ordering_loss(counts, params, phi=phi)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_duplicate_tokens_single_ordering(self, rng):
@@ -331,7 +332,7 @@ class TestExhaustiveOrderingLoss:
         x1 = deep.prepare_histogram(np.array([1, 0, 0]))
         h1, _ = deep.deep_forward(x1, params)
         term2 = -deep.output_log_probs(h1[-1], params)[0]
-        got = deep.exhaustive_ordering_loss(counts, params)
+        got = exhaustive_ordering_loss(counts, params)
         assert got == pytest.approx(term1 + term2, abs=1e-12)
 
     def test_estimator_expectation_matches(self, rng):
@@ -344,14 +345,14 @@ class TestExhaustiveOrderingLoss:
             omega = np.ones(vocab_size)
             omega[vocab_size // 2 :] = rho
             params = random_deep_params(rng, vocab_size, sizes, 2)
-            exact = deep.exhaustive_ordering_loss(counts, params, phi=omega, omega=omega)
+            exact = exhaustive_ordering_loss(counts, params, phi=omega, omega=omega)
             expected = estimator_expectation(counts, params, omega=omega, phi=omega)
             assert exact == pytest.approx(expected, abs=1e-10)
 
     def test_size_guard(self, rng):
         params = random_deep_params(rng, 3, (2,), 2)
         with pytest.raises(ValueError, match="too large"):
-            deep.exhaustive_ordering_loss(np.array([5, 3, 0]), params)
+            exhaustive_ordering_loss(np.array([5, 3, 0]), params)
 
 
 class TestDeepRepresent:

@@ -8,7 +8,7 @@ from conftest import (
     zero_deep_params,
     zero_shallow_params,
 )
-from docnade import evaluate, shallow
+from docnade import deep, evaluate, shallow
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
 from docnade.wordtree import build_tree
 from oracles import classifier_scores, classify, fit_linear_classifier, visual_only
@@ -140,7 +140,8 @@ class TestPerplexity:
         params = zero_shallow_params(vocab.size, 4, 2)
         tree = build_tree(vocab.size, 0)
         corpus = _corpus_of(vocab, [{0: 2, 5: 1}, {7: 4}, {1: 1}])
-        got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=2, rng=rng)
+        got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=2, rng=rng,
+                                  family=shallow)
         assert got == pytest.approx(vocab.size, abs=1e-9)
 
     def test_single_token_uniform_binary(self, rng):
@@ -148,7 +149,8 @@ class TestPerplexity:
         params = zero_shallow_params(2, 3, 2)
         tree = build_tree(2, 0)
         corpus = _corpus_of(vocab, [{0: 1}])
-        assert evaluate.perplexity(corpus, params, tree, rng=rng) == pytest.approx(2.0)
+        assert evaluate.perplexity(corpus, params, tree, rng=rng,
+                                   family=shallow) == pytest.approx(2.0)
 
     def test_matches_aggregation_oracle(self, rng):
         # single-word documents make every ordering identical, so the
@@ -158,7 +160,8 @@ class TestPerplexity:
         tree = build_tree(vocab.size, 1)
         counts = [{0: 3}, {2: 1}, {3: 5}]
         corpus = _corpus_of(vocab, counts)
-        got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=3, rng=rng)
+        got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=3, rng=rng,
+                                  family=shallow)
         total_ll = sum(
             shallow.doc_log_likelihood(MultimodalDocument(c).token_array(), params, tree)
             for c in counts
@@ -171,7 +174,8 @@ class TestPerplexity:
         params = zero_shallow_params(vocab.size, 3, 2)
         tree = build_tree(vocab.size, 0)
         corpus = _corpus_of(vocab, [{}, {0: 1}])
-        assert evaluate.perplexity(corpus, params, tree, rng=rng) == pytest.approx(4.0)
+        assert evaluate.perplexity(corpus, params, tree, rng=rng,
+                                   family=shallow) == pytest.approx(4.0)
 
 
 class TestLinearClassifier:
@@ -281,23 +285,21 @@ class TestGenerateText:
         vocab = build_vocabulary(2, 2, ["only"])
         params = random_deep_params(rng, vocab.size, (3,), 2)
         doc = MultimodalDocument({0: 1})
-        ranked = evaluate.generate_text(doc, params, vocab, 1)
+        ranked = evaluate.generate_text(doc, params, vocab, 1, family=deep)
         assert ranked.ids.tolist() == [4]
 
     def test_zero_params_smallest_ids(self):
         vocab = self._vocab()
         params = zero_deep_params(vocab.size, (3,), 2)
-        ranked = evaluate.generate_text(MultimodalDocument({0: 2}), params, vocab, 2)
+        ranked = evaluate.generate_text(MultimodalDocument({0: 2}), params, vocab, 2, family=deep)
         assert ranked.ids.tolist() == [4, 5]
         assert np.allclose(ranked.scores, 1 / 3)
 
     def test_matches_restricted_softmax(self, rng):
-        from docnade import deep
-
         vocab = self._vocab()
         params = random_deep_params(rng, vocab.size, (4,), 2)
         doc = MultimodalDocument({0: 2, 3: 1, 5: 9})  # annotation id 5 must be ignored
-        ranked = evaluate.generate_text(doc, params, vocab, 3)
+        ranked = evaluate.generate_text(doc, params, vocab, 3, family=deep)
         counts = visual_only(doc, vocab).dense_counts(vocab.size)
         h = deep.deep_represent(counts, None, params, None)
         logits = params.b_out + params.V_out @ h
@@ -312,7 +314,7 @@ class TestGenerateText:
         vocab = self._vocab()
         params = random_deep_params(rng, vocab.size, (4, 3), 2)
         ranked = evaluate.generate_text(
-            MultimodalDocument({1: 3}), params, vocab, vocab.n_annotation
+            MultimodalDocument({1: 3}), params, vocab, vocab.n_annotation, family=deep
         )
         assert abs(ranked.scores.sum() - 1.0) < 1e-10
 
@@ -321,7 +323,7 @@ class TestGenerateText:
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 3)
         doc = MultimodalDocument({0: 1})
-        ranked = evaluate.generate_text(doc, params, vocab, 2, tree=tree)
+        ranked = evaluate.generate_text(doc, params, vocab, 2, family=shallow, context=tree)
         ids, probs = shallow.predict_annotations(doc, params, tree, vocab, 2)
         assert ranked.ids.tolist() == ids.tolist()
         assert np.array_equal(ranked.scores, probs)
@@ -330,7 +332,7 @@ class TestGenerateText:
         vocab = build_vocabulary(2, 2)
         params = random_deep_params(rng, vocab.size, (3,), 2)
         with pytest.raises(ValueError, match="annotation"):
-            evaluate.generate_text(MultimodalDocument({}), params, vocab, 1)
+            evaluate.generate_text(MultimodalDocument({}), params, vocab, 1, family=deep)
 
 
 class TestClassWordAssociations:

