@@ -241,22 +241,32 @@ _GRID_KEYS = {
 def cmd_grid(args) -> int:
     with open(args.grid) as fh:
         grid_spec = json.load(fh)
-    if not grid_spec or any(not values for values in grid_spec.values()):
+    if (not isinstance(grid_spec, dict) or not grid_spec
+            or any(not isinstance(values, list) or not values for values in grid_spec.values())):
         raise ValueError("grid file must map hyperparameter names to nonempty lists")
     for key in grid_spec:
         if key not in _GRID_KEYS:
             raise ValueError(f"unknown grid key {key!r} (known: {sorted(_GRID_KEYS)})")
 
+    # every grid point's config is built and checked before any work
+    base_config = _config_from_args(args)
+    keys = list(grid_spec.keys())
+    points = []
+    for combo in itertools.product(*(grid_spec[k] for k in keys)):
+        try:
+            overrides = {_GRID_KEYS[key][0]: _GRID_KEYS[key][1](raw)
+                         for key, raw in zip(keys, combo)}
+        except TypeError:
+            raise ValueError(f"malformed grid point {dict(zip(keys, combo))}") from None
+        config = TrainConfig(**{**asdict(base_config), **overrides})
+        config.validate()
+        points.append((combo, config))
+
     train_corpus = parse_corpus(args.corpus, args.format)
     val_corpus = parse_corpus(args.val, args.format)
-    base_config = _config_from_args(args)
-
-    keys = list(grid_spec.keys())
     best = None
     os.makedirs(args.out, exist_ok=True)
-    for combo in itertools.product(*(grid_spec[k] for k in keys)):
-        overrides = {_GRID_KEYS[key][0]: _GRID_KEYS[key][1](raw) for key, raw in zip(keys, combo)}
-        config = TrainConfig(**{**asdict(base_config), **overrides})
+    for combo, config in points:
         result = train_model(train_corpus, config)
         metrics = eval_mod.evaluation_metrics(
             val_corpus, result.averaged, result.meta,

@@ -160,38 +160,33 @@ class MultimodalDocument:
         elif not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite global feature value")
 
-    def id_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted distinct token ids and their counts."""
-        ids = sorted(self.counts)
-        return (np.array(ids, dtype=np.int64),
-                np.array([self.counts[i] for i in ids], dtype=np.int64))
+    def id_counts(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct token ids (those below `limit` only, if given)
+        and their counts."""
+        ids = np.fromiter(self.counts, np.int64, len(self.counts))
+        counts = np.fromiter(self.counts.values(), np.int64, len(self.counts))
+        order = np.argsort(ids)
+        ids, counts = ids[order], counts[order]
+        end = len(ids) if limit is None else np.searchsorted(ids, limit)
+        return ids[:end], counts[:end]
 
     def token_array(self) -> np.ndarray:
         """Expand counts into a sorted id sequence (one entry per token)."""
         return np.repeat(*self.id_counts())
 
-    def dense_counts(self, size: int) -> np.ndarray:
-        out = np.zeros(size, dtype=np.int64)
-        for token_id, count in self.counts.items():
-            if token_id >= size:
-                raise ValueError(f"token id {token_id} >= {size}")
-            out[token_id] = count
-        return out
 
-
-def count_rows(docs, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union `cols` of the documents' token ids (those below
-    `limit` only, if given) and their (len(docs), len(cols)) count rows on
-    those columns."""
-    ids = np.fromiter((i for doc in docs for i in doc.counts), np.int64)
-    values = np.fromiter((c for doc in docs for c in doc.counts.values()), np.int64)
-    rows = np.repeat(np.arange(len(docs)), [len(doc.counts) for doc in docs])
-    if limit is not None:
-        keep = ids < limit
-        ids, values, rows = ids[keep], values[keep], rows[keep]
-    cols, inverse = np.unique(ids, return_inverse=True)
-    block = np.zeros((len(docs), len(cols)), dtype=np.int64)
-    block[rows, inverse] = values
+def count_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union `cols` of the ids that hold a nonzero count in
+    `rows`, a sequence of (ids, counts) pairs, and the rows'
+    (len(rows), len(cols)) count block on those columns."""
+    empty = [np.zeros(0, dtype=np.int64)]
+    ids = np.concatenate(empty + [row_ids for row_ids, _ in rows])
+    counts = np.concatenate(empty + [row_counts for _, row_counts in rows])
+    row = np.repeat(np.arange(len(rows)), [len(row_ids) for row_ids, _ in rows])
+    nonzero = counts != 0
+    cols, inverse = np.unique(ids[nonzero], return_inverse=True)
+    block = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    block[row[nonzero], inverse] = counts[nonzero]
     return cols, block
 
 
@@ -340,6 +335,20 @@ def _parse_text_sparse_line(
     return MultimodalDocument(counts, labels, features)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _record_list(record: dict, field_name: str, line_no: int) -> list:
+    """A record field that must be a JSON list; missing or null is empty."""
+    value = record.get(field_name)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise CorpusFormatError(f"line {line_no}: {field_name} field is not a list")
+    return value
+
+
 def _parse_record_line(line: str, line_no: int, visual_size: int, size: int) -> MultimodalDocument:
     try:
         record = json.loads(line)
@@ -353,13 +362,12 @@ def _parse_record_line(line: str, line_no: int, visual_size: int, size: int) -> 
         ("visual", 0, visual_size),
         ("annotations", visual_size, size),
     ):
-        for pair in record.get(field_name, []):
-            try:
-                token_id, count = int(pair[0]), int(pair[1])
-            except (TypeError, ValueError, IndexError):
+        for pair in _record_list(record, field_name, line_no):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
                 raise CorpusFormatError(
                     f"line {line_no}: malformed {field_name} pair {pair!r}"
-                ) from None
+                )
+            token_id, count = pair
             if count < 0:
                 raise CorpusFormatError(
                     f"line {line_no}: negative count in {field_name}"
@@ -368,10 +376,14 @@ def _parse_record_line(line: str, line_no: int, visual_size: int, size: int) -> 
             counts[token_id] = counts.get(token_id, 0) + count
     counts = {i: c for i, c in counts.items() if c > 0}
 
-    labels = frozenset(int(x) for x in record.get("labels", []))
-    feats = record.get("features")
-    features = np.array([float(x) for x in feats]) if feats else None
-    return MultimodalDocument(counts, labels, features)
+    labels = _record_list(record, "labels", line_no)
+    if not all(map(_is_int, labels)):
+        raise CorpusFormatError(f"line {line_no}: malformed labels field {labels!r}")
+    feats = _record_list(record, "features", line_no)
+    if not all(isinstance(x, float) or _is_int(x) for x in feats):
+        raise CorpusFormatError(f"line {line_no}: malformed features field {feats!r}")
+    features = np.array(feats, dtype=float) if feats else None
+    return MultimodalDocument(counts, frozenset(labels), features)
 
 
 def write_corpus(corpus: Corpus, path, format: str = "text-sparse") -> None:

@@ -17,6 +17,13 @@ per-token loss weights phi; input histograms are rescaled to unit variance.
 The supervised head (softmax for single-label, sigmoid for multi-label)
 conditions on the full document's histogram.
 
+A document enters only as its sorted (ids, counts) pair, and a split as
+counts aligned with those ids.  Training, inference and the perplexity
+estimate all run rows of documents through the network as one block: the
+rows' counts on `cols`, the union of their ids, so the first layer reads
+W1[:, cols] alone and every later layer, head and the output softmax are
+matrix products over the rows.
+
 This module is the deep model family of `model_io.FAMILIES`, with the same
 family names as `shallow`; its context is the weight vector omega.
 """
@@ -96,21 +103,23 @@ class DeepParams:
 
 @dataclass
 class HistogramSplit:
-    """One document split: observed counts, predicted counts, split position."""
+    """One document split: observed and predicted counts, each aligned with
+    the document's count values, and the split position."""
 
-    input_hist: np.ndarray  # unweighted observed counts, length Q
-    output_hist: np.ndarray  # predicted counts, length Q, never all zero
+    input_hist: np.ndarray  # observed counts
+    output_hist: np.ndarray  # predicted counts, never all zero
     d: int  # observed token count + 1
     total_tokens: int
 
 
 def split_histogram(counts: np.ndarray, rng: np.random.Generator) -> HistogramSplit | None:
-    """Split a count vector into observed/predicted sides for one update.
+    """Split a document's count values (those of its sorted ids) into
+    observed/predicted sides for one update.
 
     Draws d uniformly from {1..D} and then a uniformly random
     (d-1)-sub-multiset of the tokens (sequential hypergeometric draws per
-    word), which matches the distribution of uniformly shuffled token
-    prefixes exactly.
+    word, in id order), which matches the distribution of uniformly shuffled
+    token prefixes exactly.
 
     Returns None for empty documents (the caller skips them).
     """
@@ -135,51 +144,51 @@ def split_histogram(counts: np.ndarray, rng: np.random.Generator) -> HistogramSp
 
 
 def prepare_histogram(
-    counts: np.ndarray, omega: np.ndarray | None = None, normalize: bool = True
+    raw: np.ndarray, cols: np.ndarray, vocab_size: int, omega: np.ndarray | None
 ) -> np.ndarray:
-    """Weighted, optionally unit-variance-rescaled input histogram."""
-    x = counts.astype(float)
+    """Weighted, unit-variance-rescaled input rows, given on the vocabulary
+    columns `cols` only and zero outside them.
+
+    The rescale is taken over all Q entries: the mean and the variance come
+    from the kept columns plus Q - len(cols) zeros.
+    """
+    x = raw.astype(float)
     if omega is not None:
-        if len(omega) != len(x):
-            raise ValueError("weight vector length does not match histogram")
-        x = x * omega
-    if normalize:
-        std = x.std()
-        if std >= _STD_GUARD:  # zero histograms pass through unscaled
-            x = x / std
+        x = x * omega[cols]
+    mean = x.sum(axis=1, keepdims=True) / vocab_size
+    squares = ((x - mean) ** 2).sum(axis=1, keepdims=True)
+    std = np.sqrt((squares + (vocab_size - len(cols)) * mean**2) / vocab_size)
+    np.divide(x, std, out=x, where=std >= _STD_GUARD)  # zero rows pass through unscaled
     return x
 
 
 def deep_forward(
     x: np.ndarray,
+    cols: np.ndarray,
     params: DeepParams,
     features: np.ndarray | None = None,
     masks: list[np.ndarray] | None = None,
     keep_scale: float | None = None,
-    cols: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Hidden stack h^(1)..h^(N); returns (activations, pre-activations).
+    """Hidden stack h^(1)..h^(N) of a (rows, len(cols)) input block; returns
+    (activations, pre-activations), one row per input row.
 
-    `x` is one input histogram, or a (rows, width) matrix of them; then
-    `features` and the masks carry one row per input row too.  With `cols`,
-    the inputs are zero outside those vocabulary columns and `x` holds only
-    those columns, so the first layer reads W1[:, cols] alone.
-
-    During training, per-layer binary dropout masks multiply the
-    activations; at inference `keep_scale` multiplies them instead
+    The inputs are zero outside the vocabulary columns `cols`, so the first
+    layer reads W1[:, cols] alone.  `features` and the masks carry one row
+    per input row.  During training, per-layer binary dropout masks multiply
+    the activations; at inference `keep_scale` multiplies them instead
     (weight-scaling rule).
     """
-    width = params.vocab_size if cols is None else len(cols)
-    if x.shape[-1] != width:
-        raise ValueError(f"input length {x.shape[-1]} != vocabulary size {width}")
+    if x.shape[-1] != len(cols):
+        raise ValueError(f"input width {x.shape[-1]} != {len(cols)} columns")
     if masks is not None and keep_scale is not None:
         raise ValueError("masks and keep_scale are mutually exclusive")
     hs, pres = [], []
     inp = x
     for n, (w, c) in enumerate(zip(params.layer_weights, params.layer_biases)):
-        if n == 0 and cols is not None:
+        if n == 0:
             w = w[:, cols]
-        pre = c + (w @ inp if inp.ndim == 1 else inp @ w.T)
+        pre = c + inp @ w.T
         if n == 0 and features is not None:
             if params.P is None:
                 raise ValueError("model has no global-feature map")
@@ -200,8 +209,7 @@ def _generative_terms(h, output_hist, phi, d, total_tokens, params):
     log-softmax, weighted targets and (rows, 1) rescale factors that
     `generative_loss` builds the output-layer gradients from."""
     log_probs = log_softmax(params.b_out + h @ params.V_out.T)
-    hist = np.atleast_2d(output_hist)
-    targets = hist * phi if phi is not None else hist.astype(float)
+    targets = output_hist * phi if phi is not None else output_hist.astype(float)
     factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
     loss = factor[:, 0] * -np.einsum("ij,ij->i", targets, log_probs)
     return loss, log_probs, targets, factor
@@ -214,55 +222,45 @@ def generative_loss(
     d: int | np.ndarray,
     total_tokens: int | np.ndarray,
     params: DeepParams,
-) -> tuple[float | np.ndarray, dict[str, np.ndarray]]:
-    """Rescaled weighted cross-entropy of the predicted-side histogram.
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Rescaled weighted cross-entropy of the predicted-side histograms.
 
-    One log-softmax over the vocabulary serves every predicted token, so the
-    cost is O(Q * H) regardless of how many tokens are predicted.  Returns
-    the loss and output-layer gradients {V_out, b_out, h} (h is the gradient
-    w.r.t. h_top, to be backpropagated by the caller).
-
-    For a (rows, H) matrix `h_top`, `output_hist` is (rows, Q) and `d` and
-    `total_tokens` are per-row arrays: the softmax runs as one matrix
-    product, the loss is per row and the V_out/b_out gradients are summed
-    over the rows.
+    `h_top` is (rows, H), `output_hist` (rows, Q), and `d` and
+    `total_tokens` hold one value per row.  One log-softmax over the
+    vocabulary serves every predicted token of a row, so the cost is
+    O(Q * H) per row regardless of how many tokens are predicted.  Returns
+    the per-row losses and the output-layer gradients {V_out, b_out, h},
+    summed over the rows (h is the (rows, H) gradient w.r.t. h_top, to be
+    backpropagated by the caller).
     """
-    single = h_top.ndim == 1
-    h = np.atleast_2d(h_top)
     loss, log_probs, targets, factor = _generative_terms(
-        h, output_hist, phi, d, total_tokens, params
+        h_top, output_hist, phi, d, total_tokens, params
     )
     d_logits = factor * (targets.sum(axis=1, keepdims=True) * np.exp(log_probs) - targets)
-    grads = {"V_out": d_logits.T @ h, "b_out": d_logits.sum(axis=0), "h": d_logits @ params.V_out}
-    if single:
-        return float(loss[0]), {**grads, "h": grads["h"][0]}
+    grads = {"V_out": d_logits.T @ h_top, "b_out": d_logits.sum(axis=0),
+             "h": d_logits @ params.V_out}
     return loss, grads
 
 
 def supervised_loss(
     h_top: np.ndarray,
-    labels: frozenset[int] | set[int] | list[frozenset[int]],
+    labels: list[frozenset[int]],
     params: DeepParams,
     head: str,
-) -> tuple[float | np.ndarray, dict[str, np.ndarray]]:
-    """Class-head loss and gradients {U, d, h}.
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-row class-head losses of a (rows, H) `h_top`, one label set per
+    row, and the gradients {U, d, h}, U and d summed over the rows.
 
     softmax: -log p(y | h) for the single label y.
     sigmoid: per-class binary cross-entropy against the label set.
-
-    For a (rows, H) matrix `h_top`, `labels` holds one label set per row, the
-    loss is per row and the U/d gradients are summed over the rows.
     """
     if head not in HEADS:
         raise ValueError(f"unknown head {head!r}")
-    single = h_top.ndim == 1
-    label_sets = [labels] if single else labels
-    if head == "softmax" and any(len(label_set) != 1 for label_set in label_sets):
+    if head == "softmax" and any(len(label_set) != 1 for label_set in labels):
         raise ValueError("softmax head requires exactly one label")
-    h = np.atleast_2d(h_top)
-    z = params.d + h @ params.U.T
+    z = params.d + h_top @ params.U.T
     target = np.zeros_like(z)
-    for row, label_set in enumerate(label_sets):
+    for row, label_set in enumerate(labels):
         target[row, sorted(label_set)] = 1.0
     if head == "softmax":
         log_post = log_softmax(z)
@@ -272,34 +270,7 @@ def supervised_loss(
         # -t*log(sig(z)) - (1-t)*log(1-sig(z)), computed stably
         loss = (target * np.logaddexp(0.0, -z) + (1 - target) * np.logaddexp(0.0, z)).sum(axis=1)
         d_logits = sigmoid(z) - target
-    grads = {"U": d_logits.T @ h, "d": d_logits.sum(axis=0), "h": d_logits @ params.U}
-    if single:
-        return float(loss[0]), {**grads, "h": grads["h"][0]}
-    return loss, grads
-
-
-def _sparse_inputs(
-    raw: np.ndarray,
-    cols: np.ndarray,
-    vocab_size: int,
-    omega: np.ndarray | None,
-    normalize: bool = True,
-) -> np.ndarray:
-    """`prepare_histogram` for rows that are zero outside `cols`, given on
-    those columns only.
-
-    The unit-variance rescale is taken over all Q entries: the mean and the
-    variance come from the kept columns plus Q - len(cols) zeros.
-    """
-    x = raw.astype(float)
-    if omega is not None:
-        x = x * omega[cols]
-    if normalize:
-        mean = x.sum(axis=1, keepdims=True) / vocab_size
-        squares = ((x - mean) ** 2).sum(axis=1, keepdims=True)
-        std = np.sqrt((squares + (vocab_size - len(cols)) * mean**2) / vocab_size)
-        np.divide(x, std, out=x, where=std >= _STD_GUARD)  # zero rows pass through unscaled
-    return x
+    return loss, {"U": d_logits.T @ h_top, "d": d_logits.sum(axis=0), "h": d_logits @ params.U}
 
 
 def stack_features(features: list, n_features: int) -> np.ndarray | None:
@@ -321,8 +292,17 @@ def _stack_rows(rows: list, sizes) -> list[np.ndarray] | None:
     ]
 
 
-def batch_loss_gradients(
-    counts: np.ndarray,
+def _predicted(ids: list[np.ndarray], splits: list[HistogramSplit], vocab_size: int) -> np.ndarray:
+    """The (rows, Q) predicted-side counts of each document's split: the
+    targets of the output softmax, which spans the vocabulary."""
+    out = np.zeros((len(splits), vocab_size), dtype=np.int64)
+    for row, (doc_ids, split) in enumerate(zip(ids, splits)):
+        out[row, doc_ids] = split.output_hist
+    return out
+
+
+def hybrid_loss_gradients(
+    docs: list[tuple[np.ndarray, np.ndarray]],
     labels: list[frozenset[int] | None],
     features: list[np.ndarray | None],
     params: DeepParams,
@@ -336,37 +316,39 @@ def batch_loss_gradients(
 ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
     """Deterministic core of one mini-batch update (stochasticity passed in).
 
-    `counts` holds the batch's documents as (B, Q) count rows; the other
-    list arguments hold one entry per document.  Each labelled document
+    `docs` holds the batch's documents as sorted (ids, counts) pairs, and
+    `splits` a split of each one's counts (or None); the other list
+    arguments hold one entry per document too.  Each labelled document
     contributes a supervised row (its full histogram); each document with a
     split contributes a generative row (the split's observed side, scored
     against its predicted side and weighted by `unsup_weight`).  All rows
-    go through the network together: the first layer reads only the union
-    of the batch's nonzero columns, and every other layer, the class head
-    and the output softmax run as matrix products over the rows.
+    go through the network together: the first layer reads only `cols`, the
+    union of the documents' ids, and every other layer, the class head and
+    the output softmax run as matrix products over the rows.
 
     Returns (per-document losses, gradients summed over the batch, cols).
     grads["W1"] is the (H1, len(cols)) block of the W1 gradient on columns
     `cols`, outside which it is zero; every other gradient is dense.
     """
-    cols = np.flatnonzero(counts.any(axis=0))
     sup = [i for i, label_set in enumerate(labels) if label_set is not None]
     gen = [i for i, split in enumerate(splits) if split is not None and unsup_weight != 0.0]
     n_sup = len(sup)
+    # the documents' own rows come first, so that cols is the union of their ids
+    rows = [docs[i] for i in sup] + [(docs[i][0], splits[i].input_hist) for i in gen]
+    cols, counts = count_rows(list(docs) + rows)
     grads = {
         name: np.zeros((len(arr), len(cols))) if name == "W1" else np.zeros_like(arr)
         for name, arr in params.arrays()
     }
-    losses = np.zeros(len(counts))
+    losses = np.zeros(len(docs))
     if not sup and not gen:
         return losses, grads, cols
 
-    raw = np.stack([counts[i, cols] for i in sup] + [splits[i].input_hist[cols] for i in gen])
-    x = _sparse_inputs(raw, cols, params.vocab_size, omega)
+    x = prepare_histogram(counts[len(docs):], cols, params.vocab_size, omega)
     feats = stack_features([features[i] for i in sup + gen], params.n_features)
     masks = _stack_rows([sup_masks[i] for i in sup] + [gen_masks[i] for i in gen],
                         params.hidden_sizes)
-    hs, pres = deep_forward(x, params, feats, masks=masks, cols=cols)
+    hs, pres = deep_forward(x, cols, params, feats, masks=masks)
 
     d_top = np.zeros_like(hs[-1])
     if sup:
@@ -378,7 +360,7 @@ def batch_loss_gradients(
     if gen:
         gen_loss, out_grads = generative_loss(
             hs[-1][n_sup:],
-            np.stack([splits[i].output_hist for i in gen]),
+            _predicted([docs[i][0] for i in gen], [splits[i] for i in gen], params.vocab_size),
             phi,
             np.array([splits[i].d for i in gen]),
             np.array([splits[i].total_tokens for i in gen]),
@@ -403,65 +385,29 @@ def batch_loss_gradients(
     return losses, grads, cols
 
 
-def hybrid_loss_gradients(
-    counts: np.ndarray,
-    labels: frozenset[int] | None,
-    features: np.ndarray | None,
-    params: DeepParams,
-    unsup_weight: float,
-    omega: np.ndarray | None,
-    phi: np.ndarray | None,
-    split: HistogramSplit | None,
-    gen_masks: list[np.ndarray] | None,
-    sup_masks: list[np.ndarray] | None,
-    head: str = "softmax",
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and dense gradients of one document's update: the batch-of-one
-    case of `batch_loss_gradients`.
-
-    The supervised term conditions on the full document histogram; the
-    generative term on the split's observed side, scored against its
-    predicted side and weighted by `unsup_weight`.  Gradients of both paths
-    accumulate into shared layer parameters.
-    """
-    losses, grads, cols = batch_loss_gradients(
-        np.asarray(counts)[None], [labels], [features], params, unsup_weight, omega, phi,
-        [split], [gen_masks], [sup_masks], head=head,
-    )
-    grads = SparseGrads({"W1": (1, cols, grads.pop("W1"))}, grads)
-    return float(losses[0]), grads.to_dense(params)
-
-
 def deep_represent(
     counts: np.ndarray,
+    cols: np.ndarray,
     features: np.ndarray | None,
     params: DeepParams,
     omega: np.ndarray | None,
     dropout_rate: float = 0.0,
-    cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Top-layer representation of the full (weighted, rescaled) histogram.
-
-    `counts` is one document's count vector; with `cols`, it is a
-    (rows, len(cols)) block of count rows that are zero outside those
-    vocabulary columns, `features` holds one row per count row, and the
-    rows go through the training forward pass (`_sparse_inputs`, then a
-    first layer that reads W1[:, cols] alone).
-    """
+    """Top-layer representations of a (rows, len(cols)) block of count rows
+    that are zero outside the vocabulary columns `cols`, with one feature
+    row per count row: the training forward pass of the weighted, rescaled
+    histograms, scaled for `dropout_rate`."""
     keep = 1.0 - dropout_rate if dropout_rate > 0.0 else None
-    if cols is None:
-        x = prepare_histogram(np.asarray(counts), omega)
-    else:
-        x = _sparse_inputs(counts, cols, params.vocab_size, omega)
-    hs, _ = deep_forward(x, params, features, keep_scale=keep, cols=cols)
+    x = prepare_histogram(counts, cols, params.vocab_size, omega)
+    hs, _ = deep_forward(x, cols, params, features, keep_scale=keep)
     return hs[-1]
 
 
 def output_log_probs(
     h_top: np.ndarray, params: DeepParams, words: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-word log conditional probabilities given a hidden state, or given
-    each row of a (rows, H) matrix of them.
+    """Per-word log conditional probabilities given each row of a (rows, H)
+    matrix of hidden states.
 
     With `words`, the softmax runs over those words' outputs alone: the log
     probability of each word given that the next word is one of `words`.
@@ -469,7 +415,7 @@ def output_log_probs(
     V, b = params.V_out, params.b_out
     if words is not None:
         V, b = V[words], b[words]
-    return log_softmax(b + (V @ h_top if h_top.ndim == 1 else h_top @ V.T))
+    return log_softmax(b + h_top @ V.T)
 
 
 PERPLEXITY = "perplexity_estimate"  # the eval metric: losses of sampled splits
@@ -478,9 +424,9 @@ PERPLEXITY = "perplexity_estimate"  # the eval metric: losses of sampled splits
 def _states(docs, params: DeepParams, omega, dropout_rate: float, limit: int | None = None):
     """Top-layer states of documents, from their ids below `limit` if given:
     one forward pass over the union of the documents' columns."""
-    cols, counts = count_rows(docs, limit)
+    cols, counts = count_rows([doc.id_counts(limit) for doc in docs])
     features = stack_features([doc.features for doc in docs], params.n_features)
-    return deep_represent(counts, features, params, omega, dropout_rate, cols=cols)
+    return deep_represent(counts, cols, features, params, omega, dropout_rate)
 
 
 def represent(
@@ -498,8 +444,8 @@ def predict_annotations(
     dropout_rate: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k annotation ids and probabilities of each document given its
-    visual words: the output softmax renormalized over the annotation block,
-    which alone is scored."""
+    visual words: the output softmax taken over the annotation block alone,
+    the only rows of V_out that are scored."""
     h_top = _states(docs, params, context, dropout_rate, limit=vocab.visual_size)
     anno_ids = np.arange(vocab.visual_size, vocab.size)
     probs = np.exp(output_log_probs(h_top, params, words=anno_ids))
@@ -512,19 +458,22 @@ def perplexity_losses(
     rng: np.random.Generator,
 ) -> list[float]:
     """Each (nonempty) document's loss, averaged over `samples` splits drawn
-    document by document; all the splits go through one forward pass and
-    one loss evaluation."""
-    counts = [doc.dense_counts(params.vocab_size) for doc in docs]
-    splits = [split_histogram(c, rng) for c in counts for _ in range(samples)]
-    inputs = np.stack([split.input_hist for split in splits])
-    cols = np.flatnonzero(inputs.any(axis=0))
+    document by document; all the splits go through one forward pass over
+    the union of their observed ids and one loss evaluation."""
+    ids, splits = [], []
+    for doc in docs:
+        doc_ids, counts = doc.id_counts()
+        for _ in range(samples):
+            ids.append(doc_ids)
+            splits.append(split_histogram(counts, rng))
+    cols, inputs = count_rows([(doc_ids, split.input_hist) for doc_ids, split in zip(ids, splits)])
     features = stack_features(
         [doc.features for doc in docs for _ in range(samples)], params.n_features
     )
-    h_top = deep_represent(inputs[:, cols], features, params, omega, dropout_rate, cols=cols)
+    h_top = deep_represent(inputs, cols, features, params, omega, dropout_rate)
     losses, _, _, _ = _generative_terms(
         h_top,
-        np.stack([split.output_hist for split in splits]),
+        _predicted(ids, splits, params.vocab_size),
         omega,
         np.array([split.d for split in splits]),
         np.array([split.total_tokens for split in splits]),
@@ -584,15 +533,11 @@ def batch_step(batch, params: DeepParams, config, streams, cache):
 
     Returns (documents kept, their losses, summed gradients).
     """
-    counts = np.zeros((len(batch), params.vocab_size), dtype=np.int64)
-    for row, doc_idx in enumerate(batch):
-        ids, values, _ = cache.docs[doc_idx]
-        counts[row, ids] = values
     keep = 1.0 - config.dropout_rate
     kept, splits, gen_masks, sup_masks = [], [], [], []
-    for row, doc_idx in enumerate(batch):
+    for doc_idx in batch:
         supervised = cache.labels[doc_idx] is not None
-        split = split_histogram(counts[row], streams.split)
+        split = split_histogram(cache.docs[doc_idx][1], streams.split)
         if split is None and not supervised:
             continue
         gen = sup = None
@@ -600,14 +545,13 @@ def batch_step(batch, params: DeepParams, config, streams, cache):
             gen = _draw_masks(config.hidden_sizes, keep, streams.dropout)
             if supervised:
                 sup = _draw_masks(config.hidden_sizes, keep, streams.dropout)
-        kept.append(row)
+        kept.append(doc_idx)
         splits.append(split)
         gen_masks.append(gen)
         sup_masks.append(sup)
-    docs = [batch[row] for row in kept]
-    losses, grads, cols = batch_loss_gradients(
-        counts[kept], [cache.labels[i] for i in docs], [cache.docs[i][2] for i in docs],
-        params, cache.unsup_weight, cache.context, cache.context, splits, gen_masks, sup_masks,
-        head=config.head,
+    losses, grads, cols = hybrid_loss_gradients(
+        [cache.docs[i][:2] for i in kept], [cache.labels[i] for i in kept],
+        [cache.docs[i][2] for i in kept], params, cache.unsup_weight, cache.context,
+        cache.context, splits, gen_masks, sup_masks, head=config.head,
     )
-    return docs, losses.tolist(), SparseGrads({"W1": (1, cols, grads.pop("W1"))}, grads)
+    return kept, losses.tolist(), SparseGrads({"W1": (1, cols, grads.pop("W1"))}, grads)

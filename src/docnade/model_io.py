@@ -40,6 +40,32 @@ MODEL_KINDS = tuple(FAMILIES)
 DEEP_KINDS = tuple(kind for kind, (family, _) in FAMILIES.items() if family is deep)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The check each meta field's JSON value must pass, besides the kind.
+_META_CHECKS = {
+    **dict.fromkeys(("n_visual", "n_regions", "n_annotation", "n_classes", "n_features"),
+                    _is_count),
+    "hidden_sizes": lambda sizes: (isinstance(sizes, list) and len(sizes) > 0
+                                   and all(_is_count(h) and h > 0 for h in sizes)),
+    "head": lambda head: head in deep.HEADS,
+    "tree_seed": lambda seed: seed is None or _is_int(seed),
+    "anno_weight": _is_number,
+    "dropout_rate": _is_number,
+    "extra": lambda extra: isinstance(extra, dict),
+}
+
+
 @dataclass
 class ModelMeta:
     """Everything beyond the raw arrays needed to use a model."""
@@ -73,8 +99,8 @@ class ModelMeta:
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelMeta":
-        """ValueError unless `data` holds exactly the fields `to_json` writes
-        and a known model kind."""
+        """ValueError unless `data` holds exactly the fields `to_json` writes,
+        a known model kind and values of the fields' types."""
         if not isinstance(data, dict):
             raise ValueError("model meta is not an object")
         names = {f.name for f in fields(cls)}
@@ -83,6 +109,9 @@ class ModelMeta:
             raise ValueError(f"model meta: missing fields {missing}, unknown fields {unknown}")
         if data["kind"] not in MODEL_KINDS:
             raise ValueError(f"model meta: unknown model kind {data['kind']!r}")
+        malformed = [name for name, check in _META_CHECKS.items() if not check(data[name])]
+        if malformed:
+            raise ValueError(f"model meta: malformed fields {malformed}")
         data = dict(data)
         data["hidden_sizes"] = tuple(data["hidden_sizes"])
         return cls(**data)
@@ -93,6 +122,12 @@ def _manifest(arrays: list[tuple[str, np.ndarray]]) -> list:
 
 
 def _unpack_arrays(manifest: list, blob: bytes) -> dict[str, np.ndarray]:
+    if not isinstance(manifest, list) or not all(
+        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+        and isinstance(entry[1], list) and all(map(_is_count, entry[1]))
+        for entry in manifest
+    ):
+        raise ValueError("model manifest is not a list of [name, shape] entries")
     out = {}
     offset = 0
     for name, shape in manifest:
@@ -138,6 +173,8 @@ def _read_container(path, n_blobs: int) -> tuple[dict, list[bytes]]:
             raise ValueError(f"{path}: unsupported container version {version}")
         (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header length"))
         header = json.loads(_read_exact(fh, header_len, path, "header").decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: container header is not an object")
         blobs = []
         for n in range(n_blobs):
             (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, f"blob {n} length"))

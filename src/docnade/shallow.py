@@ -363,7 +363,7 @@ def represent(
         raise ValueError(f"unknown restriction {restrict!r}")
     single = isinstance(docs, MultimodalDocument)
     limit = vocab.visual_size if restrict == "visual-only" else None
-    cols, counts = count_rows([docs] if single else docs, limit)
+    cols, counts = count_rows([doc.id_counts(limit) for doc in ([docs] if single else docs)])
     pre = counts @ params.W[:, cols].T + params.c
     return np.maximum(pre[0] if single else pre, 0.0)
 

@@ -61,10 +61,11 @@ class TrainConfig:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.head not in deep_mod.HEADS:
             raise ValueError(f"unknown head {self.head!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.unsup_weight < 0 or self.anno_weight < 0:
-            raise ValueError("unsup_weight and anno_weight must be >= 0")
+        # written so that NaN fails each comparison
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not (0 <= self.unsup_weight < np.inf and 0 <= self.anno_weight < np.inf):
+            raise ValueError("unsup_weight and anno_weight must be finite and >= 0")
         if not (0 <= self.dropout_rate < 1):
             raise ValueError("dropout_rate must be in [0, 1)")
         if not (0 <= self.averaging_decay < 1):

@@ -4,7 +4,10 @@ These deliberately avoid the production gradient/estimator code paths: the
 estimator expectation enumerates the sampling distribution directly, the
 per-token backprop oracle differentiates one output token at a time, and the
 per-document deep oracle computes one document's update with dense
-vectors and outer products, the way training worked before it was batched,
+vectors and outer products, the way training worked before it was batched
+(its Q-length count vectors, histograms and forward pass are the dense
+reference forms of the deep family's (rows, columns) blocks, and
+`document_hybrid_loss_gradients` runs the batched step on one document),
 the dense shallow oracle builds a full-size gradient with `np.add.at`,
 the way shallow training worked before its gradients became sparse, and the
 dense epochs apply every update densely and average every array after every
@@ -30,7 +33,7 @@ from docnade import trainer as trainer_mod
 from docnade.corpus import MultimodalDocument, weight_vector
 from docnade.evaluate import RankedPrediction
 from docnade.model_io import DEEP_KINDS, FAMILIES
-from docnade.numerics import log_softmax, sigmoid, softmax_rows
+from docnade.numerics import SparseGrads, log_softmax, sigmoid, softmax_rows
 from docnade.wordtree import build_tree
 
 
@@ -56,11 +59,11 @@ def estimator_expectation(counts, params, omega=None, phi=None, features=None):
             observed = np.zeros_like(counts)
             for i, c in zip(ids, combo):
                 observed[i] = c
-            split = deep_mod.HistogramSplit(observed, counts - observed, d, total)
-            x = deep_mod.prepare_histogram(observed, omega)
-            hs, _ = deep_mod.deep_forward(x, params, features)
-            loss, _ = deep_mod.generative_loss(
-                hs[-1], split.output_hist, phi, d, total, params
+            cols = np.flatnonzero(observed)
+            x = deep_mod.prepare_histogram(observed[cols][None], cols, len(counts), omega)
+            hs, _ = deep_mod.deep_forward(x, cols, params, features)
+            (loss,), _ = deep_mod.generative_loss(
+                hs[-1], (counts - observed)[None], phi, d, total, params
             )
             expected += (1.0 / total) * prob * loss
     return expected
@@ -114,7 +117,32 @@ def _log_softmax(z):
     return shifted - np.log(np.exp(shifted).sum())
 
 
-def _dense_forward(x, params, features, masks):
+def dense_counts(doc, size):
+    """A document's count vector over a vocabulary of `size` ids."""
+    out = np.zeros(size, dtype=np.int64)
+    for token_id, count in doc.counts.items():
+        if token_id >= size:
+            raise ValueError(f"token id {token_id} >= {size}")
+        out[token_id] = count
+    return out
+
+
+def dense_histogram(counts, omega=None, normalize=True):
+    """Weighted, optionally unit-variance-rescaled Q-length input histogram."""
+    x = counts.astype(float)
+    if omega is not None:
+        if len(omega) != len(x):
+            raise ValueError("weight vector length does not match histogram")
+        x = x * omega
+    if normalize:
+        std = x.std()
+        if std >= 1e-12:  # zero histograms pass through unscaled
+            x = x / std
+    return x
+
+
+def dense_forward(x, params, features=None, masks=None, keep_scale=None):
+    """Hidden stack of one Q-length input: matrix-vector products."""
     hs, pres = [], []
     inp = x
     for n, (w, c) in enumerate(zip(params.layer_weights, params.layer_biases)):
@@ -124,6 +152,8 @@ def _dense_forward(x, params, features, masks):
         h = np.maximum(pre, 0.0)
         if masks is not None:
             h = h * masks[n]
+        elif keep_scale is not None:
+            h = h * keep_scale
         pres.append(pre)
         hs.append(h)
         inp = h
@@ -180,16 +210,16 @@ def dense_hybrid_loss_gradients(
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays()}
     loss = 0.0
     if labels is not None:
-        x_full = deep_mod.prepare_histogram(counts, omega, normalize)
-        hs, pres = _dense_forward(x_full, params, features, sup_masks)
+        x_full = dense_histogram(counts, omega, normalize)
+        hs, pres = dense_forward(x_full, params, features, sup_masks)
         sup, g_u, g_d, g_h = _dense_supervised(hs[-1], labels, params, head)
         loss += sup
         grads["U"] += g_u
         grads["d"] += g_d
         _dense_backprop(g_h, x_full, features, hs, pres, sup_masks, params, grads)
     if split is not None and unsup_weight != 0.0:
-        x_in = deep_mod.prepare_histogram(split.input_hist, omega, normalize)
-        hs, pres = _dense_forward(x_in, params, features, gen_masks)
+        x_in = dense_histogram(split.input_hist, omega, normalize)
+        hs, pres = dense_forward(x_in, params, features, gen_masks)
         gen, g_v, g_b, g_h = _dense_generative(hs[-1], split, phi, params)
         loss += unsup_weight * gen
         grads["V_out"] += unsup_weight * g_v
@@ -197,6 +227,20 @@ def dense_hybrid_loss_gradients(
         _dense_backprop(g_h, x_in, features, hs, pres, gen_masks, params, grads,
                         weight=unsup_weight)
     return loss, grads
+
+
+def document_hybrid_loss_gradients(
+    counts, labels, features, params, unsup_weight, omega, phi,
+    split, gen_masks, sup_masks, head="softmax",
+):
+    """`deep.hybrid_loss_gradients` for one document given as a Q-length
+    count vector and a split of it: the loss and dense gradients."""
+    losses, grads, cols = deep_mod.hybrid_loss_gradients(
+        [(np.arange(len(counts)), np.asarray(counts))], [labels], [features], params,
+        unsup_weight, omega, phi, [split], [gen_masks], [sup_masks], head=head,
+    )
+    grads = SparseGrads({"W1": (1, cols, grads.pop("W1"))}, grads)
+    return float(losses[0]), grads.to_dense(params)
 
 
 def dense_shallow_gradients(tokens, params, tree, unsup_weight, label=None):
@@ -312,7 +356,7 @@ def dense_deep_epoch(corpus, avg, config):
         total, n_docs = None, 0
         for doc_idx in order[start : start + config.batch_size]:
             doc = corpus.documents[doc_idx]
-            counts = doc.dense_counts(avg.current.vocab_size)
+            counts = dense_counts(doc, avg.current.vocab_size)
             split = deep_mod.split_histogram(counts, streams.split)
             if split is None and not supervised:
                 continue
@@ -375,13 +419,18 @@ def extract_representations(corpus, params, meta, restrict="all-words"):
     if meta.kind in DEEP_KINDS:
         omega = weight_vector(vocab, meta.anno_weight)
         return np.array([
-            deep_mod.deep_represent(
-                doc.dense_counts(vocab.size), doc.features, params, omega,
-                dropout_rate=meta.dropout_rate,
-            )
+            _deep_represent(dense_counts(doc, vocab.size), doc.features, params, omega,
+                            meta.dropout_rate)
             for doc in corpus.documents
         ])
     return np.array([represent(doc, params, vocab, restrict) for doc in corpus.documents])
+
+
+def _deep_represent(counts, features, params, omega, dropout_rate):
+    """Top-layer state of one document's weighted, rescaled histogram."""
+    keep = 1.0 - dropout_rate if dropout_rate > 0.0 else None
+    hs, _ = dense_forward(dense_histogram(counts, omega), params, features, keep_scale=keep)
+    return hs[-1]
 
 
 def generate_text(doc, params, vocab, top_k, *, tree=None, meta_dropout=0.0, omega=None):
@@ -395,9 +444,9 @@ def generate_text(doc, params, vocab, top_k, *, tree=None, meta_dropout=0.0, ome
         log_probs = words_log_prob(tree, h, candidates, params.V, params.b)
         order = np.lexsort((candidates, -log_probs))[:top_k]
         return RankedPrediction(candidates[order], np.exp(log_probs[order]))
-    counts = visual_only(doc, vocab).dense_counts(vocab.size)
-    h_top = deep_mod.deep_represent(counts, doc.features, params, omega, dropout_rate=meta_dropout)
-    log_probs = deep_mod.output_log_probs(h_top, params)
+    counts = dense_counts(visual_only(doc, vocab), vocab.size)
+    h_top = _deep_represent(counts, doc.features, params, omega, meta_dropout)
+    log_probs = _log_softmax(params.b_out + params.V_out @ h_top)
     anno_ids = np.arange(vocab.visual_size, vocab.size)
     restricted = log_probs[anno_ids]
     log_norm = restricted.max() + np.log(np.exp(restricted - restricted.max()).sum())
@@ -427,18 +476,15 @@ def perplexity_estimate(corpus, params, meta, samples, rng):
     keep = 1.0 - meta.dropout_rate if meta.dropout_rate > 0 else None
     total_loss, total_tokens = 0.0, 0
     for doc in corpus.documents:
-        counts = doc.dense_counts(vocab.size)
+        counts = dense_counts(doc, vocab.size)
         if counts.sum() == 0:
             continue
         draws = []
         for _ in range(samples):
             split = deep_mod.split_histogram(counts, rng)
-            x = deep_mod.prepare_histogram(split.input_hist, omega)
-            hs, _ = deep_mod.deep_forward(x, params, doc.features, keep_scale=keep)
-            loss, _ = deep_mod.generative_loss(
-                hs[-1], split.output_hist, omega, split.d, split.total_tokens, params
-            )
-            draws.append(loss)
+            x = dense_histogram(split.input_hist, omega)
+            hs, _ = dense_forward(x, params, doc.features, keep_scale=keep)
+            draws.append(_dense_generative(hs[-1], split, omega, params)[0])
         total_loss += float(np.mean(draws))
         total_tokens += int(counts.sum())
     if total_tokens == 0:
@@ -624,9 +670,8 @@ def exhaustive_ordering_loss(counts, params, phi=None, omega=None, features=None
 
     def conditionals(prefix_key):
         if prefix_key not in cond_cache:
-            x = deep_mod.prepare_histogram(np.array(prefix_key), omega)
-            hs, _ = deep_mod.deep_forward(x, params, features)
-            cond_cache[prefix_key] = deep_mod.output_log_probs(hs[-1], params)
+            hs, _ = dense_forward(dense_histogram(np.array(prefix_key), omega), params, features)
+            cond_cache[prefix_key] = _log_softmax(params.b_out + params.V_out @ hs[-1])
         return cond_cache[prefix_key]
 
     total_loss = 0.0

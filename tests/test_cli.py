@@ -428,6 +428,20 @@ class TestGrid:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("spec", [
+        '[{"lr": [0.1]}]', '{"lr": 0.1}', '{"lr": null}', '{"lr": [null]}',
+        '{"lr": [0.1, NaN]}', '{"hidden": [4], "seed": [0, null]}',
+    ])
+    def test_malformed_grid_is_a_data_error_before_any_work(self, tmp_path, corpus_path, spec):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(spec)
+        code = main([
+            "grid", "--grid", str(grid_file), "--corpus", str(corpus_path),
+            "--val", str(corpus_path), "--out", str(tmp_path / "g"),
+        ])
+        assert code == 3
+        assert not os.path.exists(tmp_path / "g")
+
 
 class TestMissingFeatures:
     @pytest.mark.parametrize("format", ["text-sparse", "record-lines"])
@@ -466,6 +480,10 @@ _MALFORMED = {
     "train-epochs": ["train", "--epochs", "-1"],
     "train-hidden": ["train", "--hidden", "0"],
     "train-batch-size": ["train", "--batch-size", "0"],
+    "train-lr-nan": ["train", "--lr", "nan"],
+    "train-lambda-nan": ["train", "--model", "supdocnade", "--lambda", "nan"],
+    "train-anno-weight-nan": ["train", "--model", "docnade", "--anno-weight", "nan"],
+    "train-anno-weight-inf": ["train", "--model", "deepdocnade", "--anno-weight", "inf"],
     "grid-k": ["grid", "--grid", "g.json", "--val", "v.corpus", "--k", "0"],
 }
 
@@ -507,23 +525,40 @@ class TestMalformedValues:
         (lambda meta: {**meta, "colour": "red"}, "unknown fields ['colour']"),
         (lambda meta: sorted(meta), "model meta is not an object"),
         (lambda meta: {**meta, "kind": "lda"}, "unknown model kind 'lda'"),
-    ], ids=["missing-field", "unknown-field", "not-an-object", "unknown-kind"])
+        (lambda meta: {**meta, "hidden_sizes": "ab"}, "malformed fields ['hidden_sizes']"),
+        (lambda meta: {**meta, "n_visual": "x"}, "malformed fields ['n_visual']"),
+    ], ids=["missing-field", "unknown-field", "not-an-object", "unknown-kind",
+            "hidden-sizes-string", "n-visual-string"])
     def test_malformed_model_meta_is_a_data_error(self, tmp_path, corpus_path, capsys,
                                                   doctor, message):
-        run_dir = _train(corpus_path, tmp_path / "runs")
-        data = open(os.path.join(run_dir, "model.bin"), "rb").read()
-        start = len(MAGIC) + 4
-        (length,) = struct.unpack("<Q", data[start : start + 8])
-        header = json.loads(data[start + 8 : start + 8 + length])
-        header["meta"] = doctor(header["meta"])
-        doctored = json.dumps(header).encode()
-        path = tmp_path / "doctored.bin"
-        path.write_bytes(data[:start] + struct.pack("<Q", len(doctored)) + doctored
-                         + data[start + 8 + length :])
-        capsys.readouterr()
-        code = main(["eval", "--model", str(path), "--corpus", str(corpus_path)])
-        assert code == 3
-        assert message in capsys.readouterr().err
+        _eval_doctored_header(tmp_path, corpus_path, capsys,
+                              lambda header: {**header, "meta": doctor(header["meta"])}, message)
+
+    @pytest.mark.parametrize("doctor,message", [
+        (lambda header: [header], "container header is not an object"),
+        (lambda header: {**header, "manifest": {"W": [8, 3]}}, "model manifest is not a list"),
+    ], ids=["header-array", "manifest-not-a-list"])
+    def test_malformed_model_header_is_a_data_error(self, tmp_path, corpus_path, capsys,
+                                                    doctor, message):
+        _eval_doctored_header(tmp_path, corpus_path, capsys, doctor, message)
+
+
+def _eval_doctored_header(tmp_path, corpus_path, capsys, doctor, message):
+    """`eval` of a trained model whose container header went through
+    `doctor` exits 3 with `message`."""
+    run_dir = _train(corpus_path, tmp_path / "runs")
+    data = open(os.path.join(run_dir, "model.bin"), "rb").read()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack("<Q", data[start : start + 8])
+    header = json.loads(data[start + 8 : start + 8 + length])
+    doctored = json.dumps(doctor(header)).encode()
+    path = tmp_path / "doctored.bin"
+    path.write_bytes(data[:start] + struct.pack("<Q", len(doctored)) + doctored
+                     + data[start + 8 + length :])
+    capsys.readouterr()
+    code = main(["eval", "--model", str(path), "--corpus", str(corpus_path)])
+    assert code == 3
+    assert message in capsys.readouterr().err
 
 
 # (model kind, training flags, metric a grid search over it selects on)

@@ -6,11 +6,12 @@ from docnade.corpus import (
     CorpusFormatError,
     MultimodalDocument,
     build_vocabulary,
+    count_rows,
     parse_corpus,
     weight_vector,
     write_corpus,
 )
-from oracles import to_weighted_histogram
+from oracles import dense_counts, to_weighted_histogram
 
 
 class TestVocabulary:
@@ -56,12 +57,33 @@ class TestVocabulary:
             build_vocabulary(1, 0)
 
 
+class TestCountRows:
+    def test_union_of_nonzero_ids_and_their_block(self):
+        rows = [
+            (np.array([2, 5, 9]), np.array([1, 0, 3])),  # a zero count adds no column
+            (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+            (np.array([0, 2]), np.array([4, 2])),
+        ]
+        cols, block = count_rows(rows)
+        assert cols.tolist() == [0, 2, 9]
+        assert block.tolist() == [[0, 1, 3], [0, 0, 0], [4, 2, 0]]
+
+    def test_no_rows(self):
+        cols, block = count_rows([])
+        assert cols.shape == (0,) and block.shape == (0, 0)
+
+    def test_id_counts_below_limit(self):
+        doc = MultimodalDocument({7: 1, 0: 2, 3: 5})
+        assert [a.tolist() for a in doc.id_counts()] == [[0, 3, 7], [2, 5, 1]]
+        assert [a.tolist() for a in doc.id_counts(4)] == [[0, 3], [2, 5]]
+
+
 class TestWeightedHistogram:
     def test_rho_one_is_identity(self):
         vocab = build_vocabulary(3, 2, ["a", "b"])
         doc = MultimodalDocument({0: 2, 7: 1})
         hist = to_weighted_histogram(doc, weight_vector(vocab, 1.0))
-        assert np.array_equal(hist, doc.dense_counts(8).astype(float))
+        assert np.array_equal(hist, dense_counts(doc, 8).astype(float))
 
     def test_large_annotation_weight(self):
         vocab = build_vocabulary(3, 2, ["a", "b"])
@@ -137,6 +159,22 @@ class TestParsing:
         _write_header(path, 3, 2, 0, 1, 0)
         with pytest.raises(CorpusFormatError, match="line 2.*VISUAL"):
             parse_corpus(path)
+
+    @pytest.mark.parametrize("record, field", [
+        ('{"labels": 5}', "labels"),
+        ('{"visual": 5}', "visual"),
+        ('{"features": 5}', "features"),
+        ('{"features": [null]}', "features"),
+        ('{"labels": [null]}', "labels"),
+        ('{"visual": [[1.5, 2]]}', "visual"),
+        ('{"visual": [[1, 2.5]]}', "visual"),
+    ])
+    def test_record_field_of_wrong_type_names_line_and_field(self, tmp_path, record, field):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"labels": [0], "visual": [[1, 2]]}\n' + record + "\n")
+        _write_header(path, 3, 2, 0, 1, 0)
+        with pytest.raises(CorpusFormatError, match=f"line 2.*{field}"):
+            parse_corpus(path, "record-lines")
 
     def test_id_out_of_range(self, tmp_path):
         path = tmp_path / "corpus.txt"

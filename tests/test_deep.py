@@ -11,7 +11,11 @@ from conftest import (
 )
 from docnade import deep, shallow
 from oracles import (
+    dense_counts,
+    dense_forward,
+    dense_histogram,
     dense_hybrid_loss_gradients,
+    document_hybrid_loss_gradients,
     estimator_expectation,
     exhaustive_ordering_loss,
     per_token_generative_grads,
@@ -87,24 +91,24 @@ class TestPrepareHistogram:
     def test_weighting_then_unit_variance(self):
         counts = np.array([2, 0, 1, 0])
         omega = np.array([1.0, 1.0, 3.0, 3.0])
-        x = deep.prepare_histogram(counts, omega)
+        x = deep.prepare_histogram(counts[None], np.arange(4), 4, omega)[0]
         weighted = counts * omega
         assert np.allclose(x, weighted / weighted.std())
         assert x.std() == pytest.approx(1.0)
 
     def test_zero_histogram_guard(self):
-        x = deep.prepare_histogram(np.zeros(4, dtype=int))
+        x = deep.prepare_histogram(np.zeros((1, 4), dtype=int), np.arange(4), 4, None)[0]
         assert np.array_equal(x, np.zeros(4))
 
     def test_normalize_off(self):
         counts = np.array([5, 1])
-        assert np.array_equal(deep.prepare_histogram(counts, normalize=False), [5.0, 1.0])
+        assert np.array_equal(dense_histogram(counts, normalize=False), [5.0, 1.0])
 
 
 class TestDeepForward:
     def test_all_zero(self):
         params = zero_deep_params(4, (3, 2), 2)
-        hs, _ = deep.deep_forward(np.zeros(4), params)
+        hs, _ = deep.deep_forward(np.zeros((1, 4)), np.arange(4), params)
         assert all(np.array_equal(h, np.zeros_like(h)) for h in hs)
 
     def test_single_layer_matches_shallow_represent(self, rng):
@@ -116,34 +120,36 @@ class TestDeepForward:
         dparams.layer_weights[0] = sparams.W.copy()
         dparams.layer_biases[0] = sparams.c.copy()
         doc = MultimodalDocument({0: 2, 6: 1})
-        counts = doc.dense_counts(vocab.size)
-        hs, _ = deep.deep_forward(counts.astype(float), dparams)
+        counts = dense_counts(doc, vocab.size)
+        hs, _ = deep.deep_forward(counts.astype(float)[None], np.arange(vocab.size), dparams)
         assert np.allclose(hs[0], shallow.represent(doc, sparams, vocab))
 
     def test_zero_feature_map_is_noop(self, rng):
         params = random_deep_params(rng, 5, (4, 3), 2, n_features=3)
         params.P[:] = 0.0
         x = rng.random(5)
-        with_f, _ = deep.deep_forward(x, params, features=rng.normal(size=3))
-        without, _ = deep.deep_forward(x, params)
+        with_f, _ = deep.deep_forward(x[None], np.arange(5), params,
+                                      features=rng.normal(size=(1, 3)))
+        without, _ = deep.deep_forward(x[None], np.arange(5), params)
         assert np.allclose(with_f[-1], without[-1])
 
     def test_dimension_mismatch(self, rng):
         params = random_deep_params(rng, 5, (4,), 2)
         with pytest.raises(ValueError):
-            deep.deep_forward(np.zeros(7), params)
+            deep.deep_forward(np.zeros((1, 7)), np.arange(5), params)
 
     def test_dropout_mask_and_scale_are_exclusive(self, rng):
         params = random_deep_params(rng, 4, (3,), 2)
         with pytest.raises(ValueError):
-            deep.deep_forward(np.zeros(4), params, masks=[np.ones(3)], keep_scale=0.5)
+            deep.deep_forward(np.zeros((1, 4)), np.arange(4), params, masks=[np.ones(3)],
+                              keep_scale=0.5)
 
     def test_fixed_mask_is_deterministic(self, rng):
         params = random_deep_params(rng, 4, (3, 3), 2)
         masks = [np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0])]
         x = rng.random(4)
-        a, _ = deep.deep_forward(x, params, masks=masks)
-        b, _ = deep.deep_forward(x, params, masks=masks)
+        a, b = ([h[0] for h in deep.deep_forward(x[None], np.arange(4), params, masks=masks)[0]]
+                for _ in range(2))
         assert np.array_equal(a[-1], b[-1])
         assert np.all(a[0][1] == 0.0)
 
@@ -154,8 +160,10 @@ class TestGenerativeLoss:
         h = rng.random(3)
         out = np.zeros(6, dtype=int)
         out[2] = 1
-        base, _ = deep.generative_loss(h, out, None, d=1, total_tokens=1, params=params)
-        scaled, _ = deep.generative_loss(h, out, None, d=2, total_tokens=5, params=params)
+        (base,), _ = deep.generative_loss(h[None], out[None], None, d=1, total_tokens=1,
+                                          params=params)
+        (scaled,), _ = deep.generative_loss(h[None], out[None], None, d=2, total_tokens=5,
+                                            params=params)
         assert scaled == pytest.approx((5 / 4) * base)
 
     def test_uniform_loss_is_log_q(self):
@@ -163,7 +171,7 @@ class TestGenerativeLoss:
         params = zero_deep_params(vocab_size, (3,), 2)
         out = np.zeros(vocab_size, dtype=int)
         out[4] = 1
-        loss, _ = deep.generative_loss(np.zeros(3), out, None, 1, 1, params)
+        (loss,), _ = deep.generative_loss(np.zeros((1, 3)), out[None], None, 1, 1, params)
         assert loss == pytest.approx(np.log(vocab_size))
 
     def test_rho_one_weights_change_nothing(self, rng):
@@ -172,15 +180,15 @@ class TestGenerativeLoss:
         h = rng.random(4)
         out = rng.integers(0, 3, 6)
         out[0] += 1
-        plain = deep.generative_loss(h, out, None, 2, int(out.sum()) + 1, params)
-        ones = deep.generative_loss(h, out, np.ones(6), 2, int(out.sum()) + 1, params)
+        plain = deep.generative_loss(h[None], out[None], None, 2, int(out.sum()) + 1, params)
+        ones = deep.generative_loss(h[None], out[None], np.ones(6), 2, int(out.sum()) + 1, params)
         assert plain[0] == ones[0]
         for key in plain[1]:
             assert np.array_equal(plain[1][key], ones[1][key])
 
     def test_softmax_normalization(self, rng):
         params = random_deep_params(rng, 40, (5,), 2)
-        log_probs = deep.output_log_probs(rng.normal(size=5), params)
+        log_probs = deep.output_log_probs(rng.normal(size=(1, 5)), params)
         assert abs(np.exp(log_probs).sum() - 1.0) < 1e-10
 
     def test_output_gradients_finite_difference(self, rng):
@@ -188,10 +196,10 @@ class TestGenerativeLoss:
         h = rng.random(3)
         out = np.array([1, 0, 2, 0, 1])
         phi = np.array([1.0, 1.0, 1.0, 2.5, 2.5])
-        _, grads = deep.generative_loss(h, out, phi, 2, 5, params)
+        _, grads = deep.generative_loss(h[None], out[None], phi, 2, 5, params)
 
         def loss():
-            return deep.generative_loss(h, out, phi, 2, 5, params)[0]
+            return deep.generative_loss(h[None], out[None], phi, 2, 5, params)[0][0]
 
         assert max_rel_error(grads["V_out"], fd_gradient(loss, params.V_out)) <= 1e-4
         assert max_rel_error(grads["b_out"], fd_gradient(loss, params.b_out)) <= 1e-4
@@ -201,30 +209,30 @@ class TestSupervisedLoss:
     def test_sigmoid_zero_params(self):
         params = zero_deep_params(4, (3,), 38)
         for labels in (frozenset(), frozenset({0, 5}), frozenset(range(38))):
-            loss, _ = deep.supervised_loss(np.zeros(3), labels, params, "sigmoid")
+            (loss,), _ = deep.supervised_loss(np.zeros((1, 3)), [labels], params, "sigmoid")
             assert loss == pytest.approx(38 * np.log(2))
 
     def test_softmax_zero_params(self):
         params = zero_deep_params(4, (3,), 8)
-        loss, _ = deep.supervised_loss(np.zeros(3), frozenset({3}), params, "softmax")
+        (loss,), _ = deep.supervised_loss(np.zeros((1, 3)), [frozenset({3})], params, "softmax")
         assert loss == pytest.approx(np.log(8))
 
     def test_softmax_requires_single_label(self, rng):
         params = random_deep_params(rng, 4, (3,), 5)
         with pytest.raises(ValueError, match="exactly one label"):
-            deep.supervised_loss(np.zeros(3), frozenset({0, 1}), params, "softmax")
+            deep.supervised_loss(np.zeros((1, 3)), [frozenset({0, 1})], params, "softmax")
         with pytest.raises(ValueError, match="exactly one label"):
-            deep.supervised_loss(np.zeros(3), frozenset(), params, "softmax")
+            deep.supervised_loss(np.zeros((1, 3)), [frozenset()], params, "softmax")
 
     @pytest.mark.parametrize("head", ["softmax", "sigmoid"])
     def test_finite_differences(self, rng, head):
         params = random_deep_params(rng, 4, (3,), 5)
         h = rng.random(3)
         labels = frozenset({2}) if head == "softmax" else frozenset({0, 3})
-        _, grads = deep.supervised_loss(h, labels, params, head)
+        _, grads = deep.supervised_loss(h[None], [labels], params, head)
 
         def loss():
-            return deep.supervised_loss(h, labels, params, head)[0]
+            return deep.supervised_loss(h[None], [labels], params, head)[0][0]
 
         assert max_rel_error(grads["U"], fd_gradient(loss, params.U)) <= 1e-4
         assert max_rel_error(grads["d"], fd_gradient(loss, params.d)) <= 1e-4
@@ -236,8 +244,8 @@ def _off_kink_deep_instance(rng, vocab_size, sizes, n_classes, n_features, count
         params = random_deep_params(rng, vocab_size, sizes, n_classes, n_features)
         margins = []
         for raw in (counts, split.input_hist):
-            x = deep.prepare_histogram(raw, omega)
-            _, pres = deep.deep_forward(x, params, features)
+            x = dense_histogram(raw, omega)
+            _, pres = dense_forward(x, params, features)
             margins.append(min(np.abs(p).min() for p in pres))
         if min(margins) > 1e-3:
             return params
@@ -248,7 +256,7 @@ class TestHybridGradients:
         counts = np.array([2, 1, 0, 1])
         split = deep.split_histogram(counts, rng)
         params = random_deep_params(rng, 4, (3,), 2)
-        _, grads = deep.hybrid_loss_gradients(
+        _, grads = document_hybrid_loss_gradients(
             counts, frozenset({1}), None, params, 0.0, None, None, split, None, None
         )
         assert np.all(grads["V_out"] == 0)
@@ -265,8 +273,8 @@ class TestHybridGradients:
         phi = np.ones(vocab_size)
         phi[4:] = 2.0
         params = random_deep_params(rng, vocab_size, (4,), 2)
-        x_in = deep.prepare_histogram(split.input_hist, None)
-        loss, grads = deep.hybrid_loss_gradients(
+        x_in = dense_histogram(split.input_hist, None)
+        loss, grads = document_hybrid_loss_gradients(
             counts, None, None, params, 1.0, None, phi, split, None, None
         )
         slow_loss, slow = per_token_generative_grads(x_in, counts, phi, params)
@@ -293,13 +301,13 @@ class TestHybridGradients:
         params = _off_kink_deep_instance(
             rng, vocab_size, sizes, n_classes, n_features, counts, split, omega, features
         )
-        _, grads = deep.hybrid_loss_gradients(
+        _, grads = document_hybrid_loss_gradients(
             counts, labels, features, params, lam, omega, omega,
             split, gen_masks, sup_masks, head=head,
         )
 
         def loss():
-            value, _ = deep.hybrid_loss_gradients(
+            value, _ = document_hybrid_loss_gradients(
                 counts, labels, features, params, lam, omega, omega,
                 split, gen_masks, sup_masks, head=head,
             )
@@ -315,9 +323,10 @@ class TestExhaustiveOrderingLoss:
         params = random_deep_params(rng, vocab_size, (3,), 2)
         counts = np.array([0, 1, 0, 0])
         phi = np.array([1.0, 2.0, 1.0, 1.0])
-        x = deep.prepare_histogram(np.zeros(vocab_size, dtype=np.int64))
-        hs, _ = deep.deep_forward(x, params)
-        expected = phi[1] * -deep.output_log_probs(hs[-1], params)[1]
+        cols = np.arange(vocab_size)
+        x = deep.prepare_histogram(np.zeros((1, vocab_size), dtype=np.int64), cols, vocab_size, None)
+        hs, _ = deep.deep_forward(x, cols, params)
+        expected = phi[1] * -deep.output_log_probs(hs[-1], params)[0, 1]
         got = exhaustive_ordering_loss(counts, params, phi=phi)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -326,12 +335,13 @@ class TestExhaustiveOrderingLoss:
         counts = np.array([2, 0, 0])
         # both permutations of {a,a} are identical, so the expectation equals
         # the per-ordering value; compute one ordering by hand
-        x0 = deep.prepare_histogram(np.array([0, 0, 0]))
-        h0, _ = deep.deep_forward(x0, params)
-        term1 = -deep.output_log_probs(h0[-1], params)[0]
-        x1 = deep.prepare_histogram(np.array([1, 0, 0]))
-        h1, _ = deep.deep_forward(x1, params)
-        term2 = -deep.output_log_probs(h1[-1], params)[0]
+        cols = np.arange(3)
+        x0 = deep.prepare_histogram(np.array([[0, 0, 0]]), cols, 3, None)
+        h0, _ = deep.deep_forward(x0, cols, params)
+        term1 = -deep.output_log_probs(h0[-1], params)[0, 0]
+        x1 = deep.prepare_histogram(np.array([[1, 0, 0]]), cols, 3, None)
+        h1, _ = deep.deep_forward(x1, cols, params)
+        term2 = -deep.output_log_probs(h1[-1], params)[0, 0]
         got = exhaustive_ordering_loss(counts, params)
         assert got == pytest.approx(term1 + term2, abs=1e-12)
 
@@ -358,22 +368,24 @@ class TestExhaustiveOrderingLoss:
 class TestDeepRepresent:
     def test_empty_doc_zero_biases(self):
         params = zero_deep_params(4, (3, 2), 2)
-        rep = deep.deep_represent(np.zeros(4, dtype=int), None, params, None)
+        rep = deep.deep_represent(np.zeros((1, 4), dtype=int), np.arange(4), None, params, None)[0]
         assert np.array_equal(rep, np.zeros(2))
 
     def test_equals_forward_on_same_histogram(self, rng):
         params = random_deep_params(rng, 5, (4, 3), 2)
         counts = np.array([2, 0, 1, 1, 0])
         omega = np.ones(5)
-        rep = deep.deep_represent(counts, None, params, omega)
-        hs, _ = deep.deep_forward(deep.prepare_histogram(counts, omega), params)
+        cols = np.arange(5)
+        rep = deep.deep_represent(counts[None], cols, None, params, omega)
+        hs, _ = deep.deep_forward(deep.prepare_histogram(counts[None], cols, 5, omega), cols, params)
         assert np.array_equal(rep, hs[-1])
 
     def test_inference_dropout_scaling(self, rng):
         params = random_deep_params(rng, 5, (4,), 2)
         counts = np.array([1, 1, 0, 0, 2])
-        full = deep.deep_represent(counts, None, params, None, dropout_rate=0.0)
-        scaled = deep.deep_represent(counts, None, params, None, dropout_rate=0.5)
+        cols = np.arange(5)
+        full = deep.deep_represent(counts[None], cols, None, params, None, dropout_rate=0.0)
+        scaled = deep.deep_represent(counts[None], cols, None, params, None, dropout_rate=0.5)
         assert np.allclose(scaled, 0.5 * full)
 
 
@@ -392,11 +404,11 @@ class TestCollapseToSoftmaxShallow:
         out = np.zeros(vocab_size, dtype=int)
         out[target] = 1
         hs, _ = deep.deep_forward(
-            deep.prepare_histogram(context, normalize=False), params
+            dense_histogram(context, normalize=False)[None], np.arange(vocab_size), params
         )
         total = int(context.sum()) + 1
-        loss, _ = deep.generative_loss(
-            hs[-1], out, None, d=total, total_tokens=total, params=params
+        (loss,), _ = deep.generative_loss(
+            hs[-1], out[None], None, d=total, total_tokens=total, params=params
         )
         factor = total / (total - total + 1)  # lone predicted token at position d
         assert loss / factor == pytest.approx(-ref[target], abs=1e-12)
@@ -440,8 +452,9 @@ def _batch_instance(rng, supervised, head, n_features, dropout, empty_doc=False)
 
 def _check_batch_against_oracle(instance, unsup_weight, head):
     counts, labels, features, params, omega, splits, gen_masks, sup_masks = instance
-    losses, grads, cols = deep.batch_loss_gradients(
-        counts, labels, features, params, unsup_weight, omega, omega,
+    losses, grads, cols = deep.hybrid_loss_gradients(
+        [(np.arange(counts.shape[1]), row) for row in counts], labels, features, params,
+        unsup_weight, omega, omega,
         splits, gen_masks, sup_masks, head=head,
     )
     expected = {name: np.zeros_like(arr) for name, arr in params.arrays()}
@@ -487,7 +500,7 @@ class TestBatchedStep:
         counts = np.array([[0, 3, 0, 1, 0, 0, 2], [0, 0, 0, 0, 0, 0, 0]])
         omega = np.array([1.0, 1.0, 1.0, 1.0, 4.0, 4.0, 4.0])
         cols = np.array([1, 3, 5, 6])
-        x = deep._sparse_inputs(counts[:, cols], cols, 7, omega, True)
+        x = deep.prepare_histogram(counts[:, cols], cols, 7, omega)
         for row in range(2):
-            dense = deep.prepare_histogram(counts[row], omega)
+            dense = dense_histogram(counts[row], omega)
             assert np.allclose(x[row], dense[cols], rtol=1e-14, atol=0.0)

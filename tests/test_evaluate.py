@@ -11,7 +11,13 @@ from conftest import (
 from docnade import deep, evaluate, shallow
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
 from docnade.wordtree import build_tree
-from oracles import classifier_scores, classify, fit_linear_classifier, visual_only
+from oracles import (
+    classifier_scores,
+    classify,
+    dense_counts,
+    fit_linear_classifier,
+    visual_only,
+)
 
 
 class TestFMeasure:
@@ -300,8 +306,8 @@ class TestGenerateText:
         params = random_deep_params(rng, vocab.size, (4,), 2)
         doc = MultimodalDocument({0: 2, 3: 1, 5: 9})  # annotation id 5 must be ignored
         ranked = evaluate.generate_text(doc, params, vocab, 3, family=deep)
-        counts = visual_only(doc, vocab).dense_counts(vocab.size)
-        h = deep.deep_represent(counts, None, params, None)
+        counts = dense_counts(visual_only(doc, vocab), vocab.size)
+        h = deep.deep_represent(counts[None], np.arange(vocab.size), None, params, None)[0]
         logits = params.b_out + params.V_out @ h
         anno = logits[vocab.visual_size :]
         probs = np.exp(anno - anno.max())

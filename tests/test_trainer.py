@@ -19,7 +19,12 @@ from docnade.trainer import (
 )
 from docnade.wordtree import build_tree
 from gen import make_corpus
-from oracles import dense_deep_epoch, dense_hybrid_loss_gradients, dense_shallow_epoch
+from oracles import (
+    dense_counts,
+    dense_deep_epoch,
+    dense_hybrid_loss_gradients,
+    dense_shallow_epoch,
+)
 
 
 def params_equal(a, b):
@@ -354,7 +359,7 @@ class TestBatchedDeepStep:
         present = np.zeros(size, dtype=bool)
         for doc_idx in streams.shuffle.permutation(len(corpus.documents)):
             doc = corpus.documents[doc_idx]
-            counts = doc.dense_counts(size)
+            counts = dense_counts(doc, size)
             present |= counts > 0
             split = split_histogram(counts, streams.split)
             keep = 1.0 - config.dropout_rate
