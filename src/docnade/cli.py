@@ -225,16 +225,30 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _grid_int(value) -> int:
+    """A grid value that must be a JSON integer (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
+def _grid_number(value) -> float:
+    """A grid value that must be a JSON number (not a boolean or a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
 _GRID_KEYS = {
-    "lambda": ("unsup_weight", float),
-    "anno-weight": ("anno_weight", float),
-    "lr": ("learning_rate", float),
-    "dropout": ("dropout_rate", float),
-    "avg-decay": ("averaging_decay", float),
-    "epochs": ("epochs", int),
-    "batch-size": ("batch_size", int),
+    "lambda": ("unsup_weight", _grid_number),
+    "anno-weight": ("anno_weight", _grid_number),
+    "lr": ("learning_rate", _grid_number),
+    "dropout": ("dropout_rate", _grid_number),
+    "avg-decay": ("averaging_decay", _grid_number),
+    "epochs": ("epochs", _grid_int),
+    "batch-size": ("batch_size", _grid_int),
     "hidden": ("hidden_sizes", lambda s: _parse_hidden(str(s), None)),
-    "seed": ("seed", int),
+    "seed": ("seed", _grid_int),
 }
 
 

@@ -531,7 +531,8 @@ def batch_step(batch, params: DeepParams, config, streams, cache):
     document with no split (an empty one) is skipped when its labels are
     None (an unsupervised run).
 
-    Returns (documents kept, their losses, summed gradients).
+    Returns (documents kept, their losses, a one-element list of their
+    summed gradient).
     """
     keep = 1.0 - config.dropout_rate
     kept, splits, gen_masks, sup_masks = [], [], [], []
@@ -554,4 +555,6 @@ def batch_step(batch, params: DeepParams, config, streams, cache):
         [cache.docs[i][2] for i in kept], params, cache.unsup_weight, cache.context,
         cache.context, splits, gen_masks, sup_masks, head=config.head,
     )
-    return kept, losses.tolist(), SparseGrads({"W1": (1, cols, grads.pop("W1"))}, grads)
+    blocks = {name: (0, slice(None), grad) for name, grad in grads.items()}
+    blocks["W1"] = (1, cols, grads["W1"])
+    return kept, losses.tolist(), [SparseGrads(blocks)]

@@ -117,34 +117,33 @@ def accuracy(predicted_labels, true_labels) -> float:
     return float(np.mean(predicted_labels == true_labels))
 
 
+def _ranking(scores, relevant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(relevance, hits so far, precision) at each rank, in non-increasing
+    score order with ties toward the smaller index; ValueError if no item
+    is relevant."""
+    scores = np.asarray(scores, dtype=float)
+    relevant = np.asarray(relevant, dtype=bool)
+    if not relevant.any():
+        raise ValueError("no relevant items")
+    hits = relevant[np.lexsort((np.arange(len(scores)), -scores))]
+    cum_hits = np.cumsum(hits)
+    return hits, cum_hits, cum_hits / np.arange(1, len(scores) + 1)
+
+
 def average_precision(scores, relevant) -> float:
     """Mean of precision-at-rank over the relevant items, in score order.
 
     Plain discrete estimator of the area under the precision-recall curve;
     no interpolation.  Score ties break toward the smaller index.
     """
-    scores = np.asarray(scores, dtype=float)
-    relevant = np.asarray(relevant, dtype=bool)
-    if not relevant.any():
-        raise ValueError("no relevant items")
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    hits = relevant[order]
-    cum_hits = np.cumsum(hits)
-    ranks = np.arange(1, len(scores) + 1)
-    precision_at = cum_hits / ranks
-    return float(precision_at[hits].mean())
+    hits, _, precision = _ranking(scores, relevant)
+    return float(precision[hits].mean())
 
 
 def pr_curve(scores, relevant) -> tuple[np.ndarray, np.ndarray]:
     """(recall, precision) points at every rank, in descending-score order."""
-    scores = np.asarray(scores, dtype=float)
-    relevant = np.asarray(relevant, dtype=bool)
-    if not relevant.any():
-        raise ValueError("no relevant items")
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    hits = np.cumsum(relevant[order])
-    ranks = np.arange(1, len(scores) + 1)
-    return hits / relevant.sum(), hits / ranks
+    hits, cum_hits, precision = _ranking(scores, relevant)
+    return cum_hits / hits.sum(), precision
 
 
 def write_pr_curves(directory, score_matrix: np.ndarray, relevance: np.ndarray) -> list[str]:

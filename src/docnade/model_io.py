@@ -211,5 +211,9 @@ def load_checkpoint(path) -> tuple[Any, Any, ModelMeta, int, dict]:
     family = meta.family[0]
     params, averaged = (family.params_from_arrays(meta, _unpack_arrays(header["manifest"], blob))
                         for blob in blobs)
-    state = header["state"]
+    state = header.get("state")
+    if not (isinstance(state, dict) and _is_count(state.get("epoch"))
+            and isinstance(state.get("rng_states"), dict)
+            and state["rng_states"].keys() == {"shuffle", "split", "dropout"}):
+        raise ValueError(f"{path}: malformed training state")
     return params, averaged, meta, state["epoch"], state["rng_states"]

@@ -66,27 +66,22 @@ class SparseGrads:
     """A gradient stored only where it can be nonzero.
 
     `blocks` maps a parameter name to (axis, index, block): the gradient is
-    zero except at the sorted indices `index` along `axis`, where it is
-    `block`, i.e. block = grad[along(axis, index)].  `dense` maps every
-    other parameter name to its full gradient.
+    zero except at `index` along `axis` (sorted indices, or `slice(None)`
+    for a whole-array gradient), where it is `block`, i.e.
+    block = grad[along(axis, index)].  A parameter with no block has a zero
+    gradient.
     """
 
-    blocks: dict[str, tuple[int, np.ndarray, np.ndarray]]
-    dense: dict[str, np.ndarray]
+    blocks: dict[str, tuple[int, np.ndarray | slice, np.ndarray]]
 
     def to_dense(self, params) -> dict[str, np.ndarray]:
         """Full-size gradient arrays, keyed and ordered like `params.arrays()`."""
-        out = {}
-        for name, arr in params.arrays():
-            if name in self.blocks:
-                axis, index, block = self.blocks[name]
-                out[name] = np.zeros_like(arr)
-                out[name][along(axis, index)] = block
-            else:
-                out[name] = self.dense[name]
+        out = {name: np.zeros_like(arr) for name, arr in params.arrays()}
+        for name, (axis, index, block) in self.blocks.items():
+            out[name][along(axis, index)] = block
         return out
 
 
-def along(axis: int, index: np.ndarray) -> tuple:
+def along(axis: int, index: np.ndarray | slice) -> tuple:
     """The subscript that selects `index` along `axis`."""
     return (slice(None),) * axis + (index,)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import JointVocabulary, MultimodalDocument, count_rows
-from .numerics import SparseGrads, along, log_softmax, maybe_glorot, top_order
+from .numerics import SparseGrads, log_softmax, maybe_glorot, top_order
 from .wordtree import WordTree, build_tree, words_log_prob
 
 
@@ -206,27 +206,6 @@ def doc_log_likelihood(
     return log_lik
 
 
-def sum_gradients(grads: list[SparseGrads]) -> SparseGrads:
-    """Sum of sparse gradients, added in list order."""
-    if len(grads) == 1:
-        return grads[0]
-    blocks = {}
-    for name, (axis, _, first) in grads[0].blocks.items():
-        index = np.unique(np.concatenate([g.blocks[name][1] for g in grads]))
-        shape = list(first.shape)
-        shape[axis] = len(index)
-        total = np.zeros(shape)
-        for g in grads:
-            _, at, block = g.blocks[name]
-            total[along(axis, np.searchsorted(index, at))] += block
-        blocks[name] = (axis, index, total)
-    dense = {name: arr.copy() for name, arr in grads[0].dense.items()}
-    for g in grads[1:]:
-        for name, arr in dense.items():
-            arr += g.dense[name]
-    return SparseGrads(blocks, dense)
-
-
 def sparse_gradients(
     layout: DocLayout,
     seg: np.ndarray,
@@ -271,12 +250,8 @@ def sparse_gradients(
         g_d, g_U = np.zeros_like(params.d), np.zeros_like(params.U)
         dact_head = np.zeros(n_hidden)
 
-    no_ids = np.empty(0, dtype=np.int64)
-    grads = SparseGrads(
-        {"W": (1, no_ids, np.empty((n_hidden, 0))), "V": (0, no_ids, np.empty((0, n_hidden))),
-         "b": (0, no_ids, np.empty(0))},
-        {"c": dact_head, "U": g_U, "d": g_d},
-    )
+    whole = slice(None)
+    grads = SparseGrads({"c": (0, whole, dact_head), "U": (0, whole, g_U), "d": (0, whole, g_d)})
     if n_tokens == 0:
         return loss, grads
 
@@ -316,7 +291,7 @@ def sparse_gradients(
         onehot[local, np.arange(len(local))] = 1.0
         dW[words] += onehot @ dact[blk]
     grads.blocks["W"] = (1, layout.ids, dW.T)
-    grads.dense["c"] = dact_head + masked.sum(axis=0)
+    grads.blocks["c"] = (0, whole, dact_head + masked.sum(axis=0))
     return loss, grads
 
 
@@ -454,8 +429,7 @@ def batch_step(batch, params: ShallowParams, config, streams, cache):
     layouts in `cache.docs`; an empty document is skipped when its labels
     are None (an unsupervised run).
 
-    Returns (documents kept, their losses, the gradients summed in
-    document order).
+    Returns (documents kept, their losses, their gradients).
     """
     docs, losses, grads = [], [], []
     for doc_idx in batch:
@@ -477,4 +451,4 @@ def batch_step(batch, params: ShallowParams, config, streams, cache):
         docs.append(doc_idx)
         losses.append(loss)
         grads.append(doc_grads)
-    return docs, losses, sum_gradients(grads) if grads else None
+    return docs, losses, grads

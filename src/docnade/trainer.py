@@ -4,11 +4,13 @@ All randomness flows from a single seed expanded into named streams (tree,
 init, shuffle, split, dropout), so identical configurations give bit-identical
 runs and checkpoint-resume equals an uninterrupted run.  Inference uses an
 exponentially decaying average of the parameters, advanced after every
-update step.  Both model families update it the same way: a step changes
-only the entries its sparse gradient covers, the average is kept lazily (an
-entry a step does not touch needs no work; see `_LazyAverage`), and every
-entry is flushed at the end of each epoch, so the average that logs,
-checkpoints and epoch callbacks see is the per-step one.
+update step.  Both model families update it the same way: their gradients
+come as blocks (`numerics.SparseGrads`; a whole-array gradient is one block
+over the array), a step changes only the entries its blocks cover, the
+average is kept lazily in a rescaled gap form for the whole epoch (an entry
+a step does not touch needs no work; see `_LazyAverage`), and every entry
+is flushed at the end of each epoch, so the average that logs, checkpoints
+and epoch callbacks see is the per-step one.
 
 The model kind is looked up once in `model_io.FAMILIES`.  Its family module
 (`shallow` or `deep`) initializes the parameters, builds its context (the
@@ -105,93 +107,77 @@ def init_averaged(params, decay: float) -> AveragedParams:
     return AveragedParams(current=params, averaged=params.copy(), decay=decay)
 
 
-def _average_step(cur: np.ndarray, a: np.ndarray, decay: float) -> None:
-    """a <- decay * a + (1 - decay) * cur, in place.
-
-    Computed in the fixed-point-exact form a += (1-decay) * (cur - a) so
-    that an unchanged `cur` leaves `a` bit-identical; decay 0 copies.
-    """
-    if decay == 0.0:
-        a[...] = cur
-    else:
-        a += (1.0 - decay) * (cur - a)
-
-
 def polyak_update(avg: AveragedParams) -> AveragedParams:
     """averaged <- decay * averaged + (1 - decay) * current, in place: the
-    dense form of the average that training keeps lazily (`_LazyAverage`)."""
+    dense form of the average that training keeps lazily (`_LazyAverage`).
+
+    Computed in the fixed-point-exact form a += (1-decay) * (cur - a) so
+    that an unchanged current array leaves its average bit-identical; decay
+    0 copies."""
     for (_, cur), (_, a) in zip(avg.current.arrays(), avg.averaged.arrays()):
-        _average_step(cur, a, avg.decay)
+        if avg.decay == 0.0:
+            a[...] = cur
+        else:
+            a += (1.0 - avg.decay) * (cur - a)
     return avg
 
 
-# How far r**-t may grow before `_LazyAverage` folds its scaled gaps back into
-# the averages and starts over, so that the scale stays well inside float range.
+# How far r**-t may grow before `_LazyAverage` refolds its scaled gaps, so
+# that the scale stays well inside float range.
 _MAX_GAP_SCALE = 2.0**64
 
 
 class _LazyAverage:
-    """SGD steps with the parameter average kept lazily.
+    """SGD steps with the parameter average kept lazily (the rescaled form
+    of sparse averaged SGD, Xu 2011).
 
-    A step changes only the entries its gradient's sparse blocks cover
-    (`numerics.SparseGrads`); its dense arrays change everywhere and are
-    averaged on every step.  An array with sparse blocks holds, in place of
-    its average a, the scaled gap z = (a - cur) / r**t, with t the steps
-    taken since the array's last flush and r = 1 - (1 - decay) the
-    contraction of one `_average_step`.  An average step leaves z unchanged
-    where cur stays put, so a step touches only the entries it updates:
-    cur -= delta moves z by delta / r**t, which folds the update and the
-    average step into one pass over the touched slices.  `flush` turns z
-    back into a = cur + r**t * z (for decay 0, a = cur); a step flushes
-    first when r**-t has grown past `_MAX_GAP_SCALE`.
+    For an epoch, every averaged array a holds the scaled gap
+    z = (a - cur) / r**t in its place, with t the steps taken since the gap
+    was last refolded and r = 1 - (1 - decay) the contraction of one
+    `polyak_update`.  An average step leaves z unchanged where cur stays
+    put, so a step touches only the entries its gradient blocks cover
+    (`numerics.SparseGrads`): cur -= delta moves z by delta / r**t, which
+    folds the update and the average step into one pass over each block.
+    A step first refolds (z *= r**t, t = 0) when r**-t has grown past
+    `_MAX_GAP_SCALE`; `flush` turns z back into a = cur + r**t * z (for
+    decay 0 after a step, a = cur).
     """
 
     def __init__(self, avg: AveragedParams):
-        self.decay = avg.decay
         self.steps = 0
         self.ratio = 1.0 - (1.0 - avg.decay)
         self.current = dict(avg.current.arrays())
-        self.averaged = dict(avg.averaged.arrays())
-        self.gaps: set[str] = set()  # names whose averaged array holds z
+        self.gaps = dict(avg.averaged.arrays())
+        for name, gap in self.gaps.items():
+            gap -= self.current[name]
 
-    def step(self, grads: SparseGrads, scale: float) -> None:
-        """current -= scale * grads on the entries grads covers (none if
-        scale is 0), then one average step."""
-        if self.ratio != 0.0 and self.ratio ** -self.steps > _MAX_GAP_SCALE:
-            self.flush()
-        for name, (axis, idx, block) in grads.blocks.items():
-            cur, gap = self.current[name], self.averaged[name]
-            if name not in self.gaps:
-                # untouched since the last flush, so a and cur are as they were at t = 0
-                gap -= cur
-                self.gaps.add(name)
-            if scale != 0.0:
-                at = along(axis, idx)
-                delta = scale * block
-                cur[at] -= delta
-                if self.ratio != 0.0:
-                    delta *= self.ratio ** -self.steps
-                    gap[at] += delta
+    def step(self, grads: list[SparseGrads], scale: float) -> None:
+        """current -= scale * each of grads in turn, on the entries it
+        covers (none if scale is 0), then one average step."""
+        gain = self.ratio ** -self.steps if self.ratio != 0.0 else 0.0  # decay 0 keeps no gap
+        if gain > _MAX_GAP_SCALE:
+            for gap in self.gaps.values():
+                gap *= self.ratio ** self.steps
+            self.steps, gain = 0, 1.0
+        if scale != 0.0:
+            for grad in grads:
+                for name, (axis, idx, block) in grad.blocks.items():
+                    at = along(axis, idx)
+                    delta = scale * block
+                    self.current[name][at] -= delta
+                    delta *= gain
+                    self.gaps[name][at] += delta
         self.steps += 1
-        for name, grad in grads.dense.items():
-            cur = self.current[name]
-            if cur.size == 0:
-                continue
-            if scale != 0.0:
-                cur -= scale * grad
-            _average_step(cur, self.averaged[name], self.decay)
 
     def flush(self) -> None:
-        """Brings every entry's average up to the latest step."""
-        for name in self.gaps:
-            cur, a = self.current[name], self.averaged[name]
-            if self.ratio == 0.0:
-                a[...] = cur
+        """Turns every gap back into its average, as of the latest step."""
+        contraction = self.ratio ** self.steps  # 0 only for decay 0, after a step
+        for name, gap in self.gaps.items():
+            if contraction == 0.0:
+                gap[...] = self.current[name]
             else:
-                a *= self.ratio ** self.steps
-                a += cur
-        self.gaps.clear()
-        self.steps = 0
+                gap *= contraction
+                gap += self.current[name]
 
 
 @dataclass
@@ -264,12 +250,13 @@ def sgd_epoch(
 
     Each mini-batch is one `batch_step` of the model's family over the run's
     document `cache` (built from `corpus` if not given).  Per mini-batch,
-    the summed gradient of the documents it kept is applied, with the
-    learning rate divided by their number, to the entries its sparse blocks
-    cover, then the parameter average takes one step; the average is kept
-    lazily (`_LazyAverage`) and flushed before this function returns.
-    Stochastic inputs (token orderings, splits, dropout masks) are drawn,
-    and gradients summed, in document order.
+    the gradients of the documents it kept (one per document for the
+    shallow family, one summed gradient for the deep one) are applied in
+    order, with the learning rate divided by the number of documents, to
+    the entries their blocks cover, then the parameter average takes one
+    step; the average is kept lazily (`_LazyAverage`) and flushed before
+    this function returns.  Stochastic inputs (token orderings, splits,
+    dropout masks) are drawn in document order.
     """
     started = time.perf_counter()
     if cache is None:

@@ -239,8 +239,9 @@ def document_hybrid_loss_gradients(
         [(np.arange(len(counts)), np.asarray(counts))], [labels], [features], params,
         unsup_weight, omega, phi, [split], [gen_masks], [sup_masks], head=head,
     )
-    grads = SparseGrads({"W1": (1, cols, grads.pop("W1"))}, grads)
-    return float(losses[0]), grads.to_dense(params)
+    blocks = {name: (0, slice(None), grad) for name, grad in grads.items()}
+    blocks["W1"] = (1, cols, grads["W1"])
+    return float(losses[0]), SparseGrads(blocks).to_dense(params)
 
 
 def dense_shallow_gradients(tokens, params, tree, unsup_weight, label=None):

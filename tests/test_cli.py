@@ -431,6 +431,7 @@ class TestGrid:
     @pytest.mark.parametrize("spec", [
         '[{"lr": [0.1]}]', '{"lr": 0.1}', '{"lr": null}', '{"lr": [null]}',
         '{"lr": [0.1, NaN]}', '{"hidden": [4], "seed": [0, null]}',
+        '{"epochs": [1.5]}', '{"batch-size": [2.7]}', '{"lr": [true]}', '{"seed": ["7"]}',
     ])
     def test_malformed_grid_is_a_data_error_before_any_work(self, tmp_path, corpus_path, spec):
         grid_file = tmp_path / "grid.json"

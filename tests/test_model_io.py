@@ -14,6 +14,7 @@ from docnade.model_io import (
     save_checkpoint,
     save_model,
 )
+from docnade.trainer import RngStreams
 from docnade.wordtree import build_tree
 
 
@@ -90,7 +91,7 @@ class TestCheckpointRoundTrip:
         params = random_deep_params(rng, meta.vocab_size, (4,), 3, n_features=2)
         averaged = params.copy()
         averaged.V_out += 1.0
-        states = {"shuffle": np.random.default_rng(1).bit_generator.state}
+        states = RngStreams.from_seed(1).states()
         path = tmp_path / "epoch_0002.ckpt"
         save_checkpoint(path, params, averaged, meta, epoch=2, rng_states=states)
         p2, a2, m2, epoch, s2 = load_checkpoint(path)
@@ -107,7 +108,7 @@ class TestCheckpointRoundTrip:
         state = gen.bit_generator.state
         expected = gen.random(5)
         save_checkpoint(tmp_path / "c.ckpt", params, params.copy(), meta, 1,
-                        {"shuffle": state})
+                        {**RngStreams.from_seed(0).states(), "shuffle": state})
         _, _, _, _, states = load_checkpoint(tmp_path / "c.ckpt")
         fresh = np.random.default_rng(0)
         fresh.bit_generator.state = states["shuffle"]
@@ -156,6 +157,36 @@ class TestContainerBytes:
                   "state": {"epoch": 3, "rng_states": states}}
         expected = _reference_container(header, [params.arrays(), averaged.arrays()])
         assert (tmp_path / "c.ckpt").read_bytes() == expected
+
+
+class TestCheckpointState:
+    GOOD_STATES = RngStreams.from_seed(1).states()
+
+    @pytest.mark.parametrize("state", [
+        None,  # no state entry
+        [2, GOOD_STATES],
+        {"epoch": "x", "rng_states": GOOD_STATES},
+        {"epoch": -1, "rng_states": GOOD_STATES},
+        {"epoch": 1.0, "rng_states": GOOD_STATES},
+        {"epoch": True, "rng_states": GOOD_STATES},
+        {"rng_states": GOOD_STATES},
+        {"epoch": 1, "rng_states": []},
+        {"epoch": 1},
+        {"epoch": 1, "rng_states": {"shuffle": GOOD_STATES["shuffle"]}},
+        {"epoch": 1, "rng_states": {**GOOD_STATES, "init": GOOD_STATES["split"]}},
+    ], ids=["no-state", "array", "epoch-string", "epoch-negative", "epoch-float", "epoch-bool",
+            "no-epoch", "rng-array", "no-rng", "rng-one-stream", "rng-extra-stream"])
+    def test_malformed_state_is_a_value_error(self, tmp_path, rng, state):
+        meta = _shallow_meta(hidden=2)
+        params = random_shallow_params(rng, meta.vocab_size, 2, 3)
+        manifest = [[name, list(arr.shape)] for name, arr in params.arrays()]
+        header = {"meta": meta.to_json(), "manifest": manifest}
+        if state is not None:
+            header["state"] = state
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(_reference_container(header, [params.arrays(), params.arrays()]))
+        with pytest.raises(ValueError, match="malformed training state"):
+            load_checkpoint(path)
 
 
 class TestTruncatedFiles:

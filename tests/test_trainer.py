@@ -480,11 +480,14 @@ class TestSparseShallowStep:
         assert not np.array_equal(np.compress(~mask, dict(avg.current.arrays())[name], axis),
                                   np.compress(~mask, before[name], axis))
 
-    @pytest.mark.parametrize("batch_size", [1, 3])
-    def test_lazy_average_equals_dense_oracle(self, batch_size):
+    # at lambda 0 some arrays get no gradient (shallow V and b, the deep
+    # output layer), and their averages must still decay every step
+    @pytest.mark.parametrize("batch_size,unsup_weight", [(1, 0.6), (3, 0.6), (3, 0.0)],
+                             ids=["1", "3", "3-lambda0"])
+    def test_lazy_average_equals_dense_oracle(self, batch_size, unsup_weight):
         corpus, config, avg, tree = self._setup(
             seed=8, decay=0.8, corpus=self._corpus(docs_per_class=3, doc_len=8),
-            learning_rate=0.05, batch_size=batch_size,
+            learning_rate=0.05, batch_size=batch_size, unsup_weight=unsup_weight,
         )
         # a start whose average differs from the current parameters
         for n, (_, arr) in enumerate(avg.averaged.arrays()):
