@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 from . import __version__
 from . import evaluate as eval_mod
-from .corpus import Corpus, CorpusFormatError, parse_corpus
+from .corpus import Corpus, CorpusFormatError, is_json_int, parse_corpus
 from .model_io import MODEL_KINDS, ModelMeta, load_model, save_model
 from .trainer import (
     TrainConfig,
@@ -28,7 +28,6 @@ from .trainer import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
@@ -227,7 +226,7 @@ def cmd_inspect(args) -> int:
 
 def _grid_int(value) -> int:
     """A grid value that must be a JSON integer (not a boolean)."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_json_int(value):
         raise TypeError(value)
     return value
 

@@ -65,36 +65,6 @@ class JointVocabulary:
         """Total vocabulary size Q."""
         return self.visual_size + self.n_annotation
 
-    def visual_id(self, word: int, region: int) -> int:
-        if not (0 <= word < self.n_visual):
-            raise ValueError(f"visual word {word} out of range [0, {self.n_visual})")
-        if not (0 <= region < self.n_regions):
-            raise ValueError(f"region {region} out of range [0, {self.n_regions})")
-        return region * self.n_visual + word
-
-    def visual_pair(self, token_id: int) -> tuple[int, int]:
-        """Inverse of visual_id: id -> (visual word, region)."""
-        if not (0 <= token_id < self.visual_size):
-            raise ValueError(f"id {token_id} is not a visual/region id")
-        return token_id % self.n_visual, token_id // self.n_visual
-
-    def annotation_id(self, index: int) -> int:
-        if not (0 <= index < self.n_annotation):
-            raise ValueError(f"annotation index {index} out of range")
-        return self.visual_size + index
-
-    def annotation_index(self, token_id: int) -> int:
-        if not self.is_annotation(token_id):
-            raise ValueError(f"id {token_id} is not an annotation id")
-        return token_id - self.visual_size
-
-    def word_id(self, word: str) -> int:
-        """Joint id of an annotation word given as a string."""
-        try:
-            return self.visual_size + self.annotation_words.index(word)
-        except ValueError:
-            raise KeyError(f"unknown annotation word {word!r}") from None
-
     def is_annotation(self, token_id: int) -> bool:
         return self.visual_size <= token_id < self.size
 
@@ -335,7 +305,8 @@ def _parse_text_sparse_line(
     return MultimodalDocument(counts, labels, features)
 
 
-def _is_int(value) -> bool:
+def is_json_int(value) -> bool:
+    """A JSON integer: an int but not a bool, which true and false parse as."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -363,7 +334,7 @@ def _parse_record_line(line: str, line_no: int, visual_size: int, size: int) -> 
         ("annotations", visual_size, size),
     ):
         for pair in _record_list(record, field_name, line_no):
-            if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_json_int, pair))):
                 raise CorpusFormatError(
                     f"line {line_no}: malformed {field_name} pair {pair!r}"
                 )
@@ -377,10 +348,10 @@ def _parse_record_line(line: str, line_no: int, visual_size: int, size: int) -> 
     counts = {i: c for i, c in counts.items() if c > 0}
 
     labels = _record_list(record, "labels", line_no)
-    if not all(map(_is_int, labels)):
+    if not all(map(is_json_int, labels)):
         raise CorpusFormatError(f"line {line_no}: malformed labels field {labels!r}")
     feats = _record_list(record, "features", line_no)
-    if not all(isinstance(x, float) or _is_int(x) for x in feats):
+    if not all(isinstance(x, float) or is_json_int(x) for x in feats):
         raise CorpusFormatError(f"line {line_no}: malformed features field {feats!r}")
     features = np.array(feats, dtype=float) if feats else None
     return MultimodalDocument(counts, frozenset(labels), features)

@@ -22,7 +22,11 @@ counts aligned with those ids.  Training, inference and the perplexity
 estimate all run rows of documents through the network as one block: the
 rows' counts on `cols`, the union of their ids, so the first layer reads
 W1[:, cols] alone and every later layer, head and the output softmax are
-matrix products over the rows.
+matrix products over the rows.  The predicted sides are scored as
+(ids, counts) rows too: the weighted targets live on the union of the
+predicted ids, where they are subtracted from the softmax term, and no
+(rows, Q) target is built.  A training step returns a gradient block only
+for the arrays its rows reach.
 
 This module is the deep model family of `model_io.FAMILIES`, with the same
 family names as `shallow`; its context is the weight vector omega.
@@ -204,39 +208,43 @@ def deep_forward(
     return hs, pres
 
 
-def _generative_terms(h, output_hist, phi, d, total_tokens, params):
+def _generative_terms(h, targets, phi, d, total_tokens, params):
     """Per-row losses of a (rows, H) `h`, all that inference needs, with the
-    log-softmax, weighted targets and (rows, 1) rescale factors that
-    `generative_loss` builds the output-layer gradients from."""
+    log-softmax, the union `ids` of the rows' target ids, the weighted
+    targets on them and the (rows, 1) rescale factors that `generative_loss`
+    builds the output-layer gradients from."""
     log_probs = log_softmax(params.b_out + h @ params.V_out.T)
-    targets = output_hist * phi if phi is not None else output_hist.astype(float)
+    ids, counts = count_rows(targets)
+    weighted = counts * phi[ids] if phi is not None else counts.astype(float)
     factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
-    loss = factor[:, 0] * -np.einsum("ij,ij->i", targets, log_probs)
-    return loss, log_probs, targets, factor
+    loss = factor[:, 0] * -np.einsum("ij,ij->i", weighted, log_probs[:, ids])
+    return loss, log_probs, ids, weighted, factor
 
 
 def generative_loss(
     h_top: np.ndarray,
-    output_hist: np.ndarray,
+    targets: list[tuple[np.ndarray, np.ndarray]],
     phi: np.ndarray | None,
     d: int | np.ndarray,
     total_tokens: int | np.ndarray,
     params: DeepParams,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Rescaled weighted cross-entropy of the predicted-side histograms.
+    """Rescaled weighted cross-entropy of the predicted sides.
 
-    `h_top` is (rows, H), `output_hist` (rows, Q), and `d` and
-    `total_tokens` hold one value per row.  One log-softmax over the
-    vocabulary serves every predicted token of a row, so the cost is
-    O(Q * H) per row regardless of how many tokens are predicted.  Returns
-    the per-row losses and the output-layer gradients {V_out, b_out, h},
-    summed over the rows (h is the (rows, H) gradient w.r.t. h_top, to be
-    backpropagated by the caller).
+    `h_top` is (rows, H), `targets` holds each row's predicted side as an
+    (ids, counts) pair, and `d` and `total_tokens` hold one value per
+    row.  One log-softmax over the vocabulary serves every predicted
+    token of a row, so the cost is O(Q * H) per row regardless of how many
+    tokens are predicted.  Returns the per-row losses and the output-layer
+    gradients {V_out, b_out, h}, summed over the rows (h is the (rows, H)
+    gradient w.r.t. h_top, to be backpropagated by the caller).
     """
-    loss, log_probs, targets, factor = _generative_terms(
-        h_top, output_hist, phi, d, total_tokens, params
+    loss, log_probs, ids, weighted, factor = _generative_terms(
+        h_top, targets, phi, d, total_tokens, params
     )
-    d_logits = factor * (targets.sum(axis=1, keepdims=True) * np.exp(log_probs) - targets)
+    d_logits = weighted.sum(axis=1, keepdims=True) * np.exp(log_probs)
+    d_logits[:, ids] -= weighted  # the targets are zero off `ids`
+    d_logits *= factor
     grads = {"V_out": d_logits.T @ h_top, "b_out": d_logits.sum(axis=0),
              "h": d_logits @ params.V_out}
     return loss, grads
@@ -292,15 +300,6 @@ def _stack_rows(rows: list, sizes) -> list[np.ndarray] | None:
     ]
 
 
-def _predicted(ids: list[np.ndarray], splits: list[HistogramSplit], vocab_size: int) -> np.ndarray:
-    """The (rows, Q) predicted-side counts of each document's split: the
-    targets of the output softmax, which spans the vocabulary."""
-    out = np.zeros((len(splits), vocab_size), dtype=np.int64)
-    for row, (doc_ids, split) in enumerate(zip(ids, splits)):
-        out[row, doc_ids] = split.output_hist
-    return out
-
-
 def hybrid_loss_gradients(
     docs: list[tuple[np.ndarray, np.ndarray]],
     labels: list[frozenset[int] | None],
@@ -313,7 +312,7 @@ def hybrid_loss_gradients(
     gen_masks: list[list[np.ndarray] | None],
     sup_masks: list[list[np.ndarray] | None],
     head: str = "softmax",
-) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, SparseGrads]:
     """Deterministic core of one mini-batch update (stochasticity passed in).
 
     `docs` holds the batch's documents as sorted (ids, counts) pairs, and
@@ -326,9 +325,11 @@ def hybrid_loss_gradients(
     union of the documents' ids, and every other layer, the class head and
     the output softmax run as matrix products over the rows.
 
-    Returns (per-document losses, gradients summed over the batch, cols).
-    grads["W1"] is the (H1, len(cols)) block of the W1 gradient on columns
-    `cols`, outside which it is zero; every other gradient is dense.
+    Returns (per-document losses, gradient summed over the batch), with a
+    block for each array the rows reach: W1 on the columns `cols`, every
+    other reached array whole.  U and d have none without a supervised row,
+    V_out and b_out none without a generative row, and P none without
+    features.
     """
     sup = [i for i, label_set in enumerate(labels) if label_set is not None]
     gen = [i for i, split in enumerate(splits) if split is not None and unsup_weight != 0.0]
@@ -336,20 +337,14 @@ def hybrid_loss_gradients(
     # the documents' own rows come first, so that cols is the union of their ids
     rows = [docs[i] for i in sup] + [(docs[i][0], splits[i].input_hist) for i in gen]
     cols, counts = count_rows(list(docs) + rows)
-    grads = {
-        name: np.zeros((len(arr), len(cols))) if name == "W1" else np.zeros_like(arr)
-        for name, arr in params.arrays()
-    }
     losses = np.zeros(len(docs))
-    if not sup and not gen:
-        return losses, grads, cols
-
     x = prepare_histogram(counts[len(docs):], cols, params.vocab_size, omega)
     feats = stack_features([features[i] for i in sup + gen], params.n_features)
     masks = _stack_rows([sup_masks[i] for i in sup] + [gen_masks[i] for i in gen],
                         params.hidden_sizes)
     hs, pres = deep_forward(x, cols, params, feats, masks=masks)
 
+    grads = {}
     d_top = np.zeros_like(hs[-1])
     if sup:
         sup_loss, head_grads = supervised_loss(hs[-1][:n_sup], [labels[i] for i in sup],
@@ -360,14 +355,15 @@ def hybrid_loss_gradients(
     if gen:
         gen_loss, out_grads = generative_loss(
             hs[-1][n_sup:],
-            _predicted([docs[i][0] for i in gen], [splits[i] for i in gen], params.vocab_size),
+            [(docs[i][0], splits[i].output_hist) for i in gen],
             phi,
             np.array([splits[i].d for i in gen]),
             np.array([splits[i].total_tokens for i in gen]),
             params,
         )
         losses[gen] += unsup_weight * gen_loss
-        grads["V_out"] = unsup_weight * out_grads["V_out"]
+        grads["V_out"] = out_grads["V_out"]
+        grads["V_out"] *= unsup_weight  # in place: the block is Q x H
         grads["b_out"] = unsup_weight * out_grads["b_out"]
         d_top[n_sup:] = unsup_weight * out_grads["h"]
 
@@ -382,7 +378,9 @@ def hybrid_loss_gradients(
             delta = delta @ params.layer_weights[n - 1]
         elif feats is not None:
             grads["P"] = feats.T @ delta
-    return losses, grads, cols
+    blocks = {name: (0, slice(None), grad) for name, grad in grads.items()}
+    blocks["W1"] = (1, cols, grads["W1"])
+    return losses, SparseGrads(blocks)
 
 
 def deep_represent(
@@ -471,14 +469,14 @@ def perplexity_losses(
         [doc.features for doc in docs for _ in range(samples)], params.n_features
     )
     h_top = deep_represent(inputs, cols, features, params, omega, dropout_rate)
-    losses, _, _, _ = _generative_terms(
+    losses = _generative_terms(
         h_top,
-        _predicted(ids, splits, params.vocab_size),
+        [(doc_ids, split.output_hist) for doc_ids, split in zip(ids, splits)],
         omega,
         np.array([split.d for split in splits]),
         np.array([split.total_tokens for split in splits]),
         params,
-    )
+    )[0]
     return [float(np.mean(draws)) for draws in losses.reshape(len(docs), samples)]
 
 
@@ -550,11 +548,9 @@ def batch_step(batch, params: DeepParams, config, streams, cache):
         splits.append(split)
         gen_masks.append(gen)
         sup_masks.append(sup)
-    losses, grads, cols = hybrid_loss_gradients(
+    losses, grads = hybrid_loss_gradients(
         [cache.docs[i][:2] for i in kept], [cache.labels[i] for i in kept],
         [cache.docs[i][2] for i in kept], params, cache.unsup_weight, cache.context,
         cache.context, splits, gen_masks, sup_masks, head=config.head,
     )
-    blocks = {name: (0, slice(None), grad) for name, grad in grads.items()}
-    blocks["W1"] = (1, cols, grads["W1"])
-    return kept, losses.tolist(), [SparseGrads(blocks)]
+    return kept, losses.tolist(), [grads]

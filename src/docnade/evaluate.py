@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shallow as shallow_mod
-from .corpus import Corpus, JointVocabulary, MultimodalDocument, build_vocabulary
+from .corpus import Corpus, JointVocabulary, build_vocabulary
 from .model_io import ModelMeta
 from .numerics import sigmoid, softmax_rows, top_order
 from .rng import named_stream
@@ -249,22 +249,17 @@ def generate_text(
     family,
     context=None,
     dropout_rate: float = 0.0,
-) -> RankedPrediction | list[RankedPrediction]:
-    """Rank annotation words by next-word probability given the visual words.
-
-    `docs` is one document, or a sequence of them; then the result is a list
-    with one ranking per document.  The model `family` module's
-    `predict_annotations` scores them with its `context` (the word tree, or
-    the weights omega: None is unweighted) and `dropout_rate`.
+) -> list[RankedPrediction]:
+    """Rank annotation words by next-word probability given the visual words,
+    one ranking per document of the sequence `docs`.  The model `family`
+    module's `predict_annotations` scores them with its `context` (the word
+    tree, or the weights omega: None is unweighted) and `dropout_rate`.
     """
     if vocab.n_annotation == 0:
         raise ValueError("vocabulary has no annotation words")
-    single = isinstance(docs, MultimodalDocument)
-    rows = [docs] if single else docs
     top_k = min(top_k, vocab.n_annotation)
-    ids, scores = family.predict_annotations(rows, params, context, vocab, top_k, dropout_rate)
-    ranked = [RankedPrediction(i, s) for i, s in zip(ids, scores)]
-    return ranked[0] if single else ranked
+    ids, scores = family.predict_annotations(docs, params, context, vocab, top_k, dropout_rate)
+    return [RankedPrediction(i, s) for i, s in zip(ids, scores)]
 
 
 def class_word_associations(

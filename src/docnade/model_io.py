@@ -20,6 +20,7 @@ from typing import Any
 import numpy as np
 
 from . import deep, shallow
+from .corpus import is_json_int
 
 MAGIC = b"DOCNADE1"
 FORMAT_VERSION = 1
@@ -40,12 +41,8 @@ MODEL_KINDS = tuple(FAMILIES)
 DEEP_KINDS = tuple(kind for kind, (family, _) in FAMILIES.items() if family is deep)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_count(value) -> bool:
-    return _is_int(value) and value >= 0
+    return is_json_int(value) and value >= 0
 
 
 def _is_number(value) -> bool:
@@ -59,7 +56,7 @@ _META_CHECKS = {
     "hidden_sizes": lambda sizes: (isinstance(sizes, list) and len(sizes) > 0
                                    and all(_is_count(h) and h > 0 for h in sizes)),
     "head": lambda head: head in deep.HEADS,
-    "tree_seed": lambda seed: seed is None or _is_int(seed),
+    "tree_seed": lambda seed: seed is None or is_json_int(seed),
     "anno_weight": _is_number,
     "dropout_rate": _is_number,
     "extra": lambda extra: isinstance(extra, dict),

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import JointVocabulary, MultimodalDocument, count_rows
+from .corpus import JointVocabulary, count_rows
 from .numerics import SparseGrads, log_softmax, maybe_glorot, top_order
 from .wordtree import WordTree, build_tree, words_log_prob
 
@@ -327,20 +327,17 @@ def represent(
     context: WordTree | None = None,
     dropout_rate: float = 0.0,
 ) -> np.ndarray:
-    """Order-independent document representation relu(c + sum counts * W).
-
-    `docs` is one document, or a sequence of them; then the result holds one
-    row per document, from one count-matrix product over the union of their
-    token ids.  "visual-only" drops the annotation columns.  The family's
-    `context` (the word tree) and `dropout_rate` play no part in it.
+    """Order-independent representations relu(c + sum counts * W) of a
+    sequence of documents, one row per document, from one count-matrix
+    product over the union of their token ids.  "visual-only" drops the
+    annotation columns.  The family's `context` (the word tree) and
+    `dropout_rate` play no part in it.
     """
     if restrict not in ("all-words", "visual-only"):
         raise ValueError(f"unknown restriction {restrict!r}")
-    single = isinstance(docs, MultimodalDocument)
     limit = vocab.visual_size if restrict == "visual-only" else None
-    cols, counts = count_rows([doc.id_counts(limit) for doc in ([docs] if single else docs)])
-    pre = counts @ params.W[:, cols].T + params.c
-    return np.maximum(pre[0] if single else pre, 0.0)
+    cols, counts = count_rows([doc.id_counts(limit) for doc in docs])
+    return np.maximum(counts @ params.W[:, cols].T + params.c, 0.0)
 
 
 def predict_annotations(
@@ -355,8 +352,8 @@ def predict_annotations(
 
     Only annotation-word leaves are evaluated; annotation counts already in
     the document are ignored.  Ties break toward the smaller id.  Returns
-    (ids, probabilities) sorted by decreasing probability; for a sequence of
-    documents, both are (len(docs), top_k) arrays with one row per document.
+    (ids, probabilities), both (len(docs), top_k) arrays with one row per
+    document of the sequence `docs`, sorted by decreasing probability.
     `dropout_rate` plays no part in it.
     """
     if top_k > vocab.n_annotation:

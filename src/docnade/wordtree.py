@@ -29,10 +29,6 @@ class WordTree:
     def n_internal(self) -> int:
         return self.size - 1
 
-    def path_length(self, word: int) -> int:
-        # depth of node i in the heap layout is floor(log2(i + 1))
-        return int(self.leaf_of_word[word] + 1).bit_length() - 1
-
     @property
     def max_path_length(self) -> int:
         return int(2 * self.size - 1).bit_length() - 1

@@ -10,6 +10,7 @@ computed exactly from the per-class multinomials.
 import numpy as np
 
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
+from oracles import annotation_id
 
 
 def make_generator_probs(n_classes, visual_size, signal):
@@ -48,7 +49,7 @@ def make_corpus(
             counts = {int(i): int(c) for i, c in enumerate(counts_vec) if c}
             if with_annotations:
                 for j in range(anno_per_class):
-                    counts[vocab.annotation_id(k * anno_per_class + j)] = 1
+                    counts[annotation_id(vocab, k * anno_per_class + j)] = 1
             features = rng.normal(size=n_features) if n_features else None
             docs.append(
                 MultimodalDocument(

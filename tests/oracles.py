@@ -18,7 +18,8 @@ chunked.  The linear classifier is criterion 09's "DocNADE features plus a
 classifier" baseline.  The per-word tree walk, the exhaustive ordering loss
 and the other per-item helpers at the end are the reference forms of
 vectorized production code, with the operation counters the cost-scaling
-tests read.
+tests read; the id and tree lookups last spell out the joint id layout and
+the tree depths that the tests and the corpus generator name words by.
 """
 
 import itertools
@@ -33,7 +34,7 @@ from docnade import trainer as trainer_mod
 from docnade.corpus import MultimodalDocument, weight_vector
 from docnade.evaluate import RankedPrediction
 from docnade.model_io import DEEP_KINDS, FAMILIES
-from docnade.numerics import SparseGrads, log_softmax, sigmoid, softmax_rows
+from docnade.numerics import log_softmax, sigmoid, softmax_rows
 from docnade.wordtree import build_tree
 
 
@@ -63,7 +64,7 @@ def estimator_expectation(counts, params, omega=None, phi=None, features=None):
             x = deep_mod.prepare_histogram(observed[cols][None], cols, len(counts), omega)
             hs, _ = deep_mod.deep_forward(x, cols, params, features)
             (loss,), _ = deep_mod.generative_loss(
-                hs[-1], (counts - observed)[None], phi, d, total, params
+                hs[-1], [(ids, (counts - observed)[ids])], phi, d, total, params
             )
             expected += (1.0 / total) * prob * loss
     return expected
@@ -235,13 +236,11 @@ def document_hybrid_loss_gradients(
 ):
     """`deep.hybrid_loss_gradients` for one document given as a Q-length
     count vector and a split of it: the loss and dense gradients."""
-    losses, grads, cols = deep_mod.hybrid_loss_gradients(
+    losses, grads = deep_mod.hybrid_loss_gradients(
         [(np.arange(len(counts)), np.asarray(counts))], [labels], [features], params,
         unsup_weight, omega, phi, [split], [gen_masks], [sup_masks], head=head,
     )
-    blocks = {name: (0, slice(None), grad) for name, grad in grads.items()}
-    blocks["W1"] = (1, cols, grads["W1"])
-    return float(losses[0]), SparseGrads(blocks).to_dense(params)
+    return float(losses[0]), grads.to_dense(params)
 
 
 def dense_shallow_gradients(tokens, params, tree, unsup_weight, label=None):
@@ -698,3 +697,50 @@ def to_weighted_histogram(doc, omega):
             )
         out[token_id] = count * omega[token_id]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Id and tree lookups
+# ---------------------------------------------------------------------------
+
+
+def visual_id(vocab, word, region):
+    """Joint id of a visual word in a region: ids are region-major."""
+    if not (0 <= word < vocab.n_visual):
+        raise ValueError(f"visual word {word} out of range [0, {vocab.n_visual})")
+    if not (0 <= region < vocab.n_regions):
+        raise ValueError(f"region {region} out of range [0, {vocab.n_regions})")
+    return region * vocab.n_visual + word
+
+
+def visual_pair(vocab, token_id):
+    """Inverse of visual_id: id -> (visual word, region)."""
+    if not (0 <= token_id < vocab.visual_size):
+        raise ValueError(f"id {token_id} is not a visual/region id")
+    return token_id % vocab.n_visual, token_id // vocab.n_visual
+
+
+def annotation_id(vocab, index):
+    if not (0 <= index < vocab.n_annotation):
+        raise ValueError(f"annotation index {index} out of range")
+    return vocab.visual_size + index
+
+
+def annotation_index(vocab, token_id):
+    if not vocab.is_annotation(token_id):
+        raise ValueError(f"id {token_id} is not an annotation id")
+    return token_id - vocab.visual_size
+
+
+def word_id(vocab, word):
+    """Joint id of an annotation word given as a string."""
+    try:
+        return vocab.visual_size + vocab.annotation_words.index(word)
+    except ValueError:
+        raise KeyError(f"unknown annotation word {word!r}") from None
+
+
+def path_length(tree, word):
+    """Depth of a word's leaf: node i of the heap layout is at depth
+    floor(log2(i + 1))."""
+    return int(tree.leaf_of_word[word] + 1).bit_length() - 1

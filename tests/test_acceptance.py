@@ -28,6 +28,7 @@ from docnade.wordtree import build_tree, words_log_prob
 from gen import bayes_accuracy, make_corpus
 from oracles import (
     OpCounter,
+    annotation_id,
     class_posterior,
     classify,
     dense_forward,
@@ -36,6 +37,7 @@ from oracles import (
     estimator_expectation,
     exhaustive_ordering_loss,
     fit_linear_classifier,
+    path_length,
     word_log_prob,
 )
 
@@ -272,7 +274,7 @@ def test_criterion_08_tree_cost_scaling():
     big = 10**6
     tree = build_tree(big, 1)
     budget = int(np.ceil(np.log2(big)))
-    longest = max(tree.path_length(int(w)) for w in rng.integers(0, big, 1000))
+    longest = max(path_length(tree, int(w)) for w in rng.integers(0, big, 1000))
     ok &= longest <= budget
     details.append(f"Q=1e6:{longest}<={budget}")
     report(8, ok, "sigmoid evaluations per conditional: " + ", ".join(details))
@@ -284,7 +286,7 @@ def test_criterion_08_tree_cost_scaling():
 def _supervised_accuracy(params, corpus):
     vocab = corpus.vocabulary
     reps = np.array([
-        shallow.represent(doc, params, vocab, "visual-only") for doc in corpus.documents
+        shallow.represent([doc], params, vocab, "visual-only")[0] for doc in corpus.documents
     ])
     predicted = (reps @ params.U.T + params.d).argmax(axis=1)
     truth = np.array([next(iter(doc.labels)) for doc in corpus.documents])
@@ -340,11 +342,11 @@ def test_criterion_09_synthetic_classification():
         )
         unsup_result = train_model(train, unsup_config)
         reps_train = np.array([
-            shallow.represent(d, unsup_result.averaged, vocab, "visual-only")
+            shallow.represent([d], unsup_result.averaged, vocab, "visual-only")[0]
             for d in train.documents
         ])
         reps_test = np.array([
-            shallow.represent(d, unsup_result.averaged, vocab, "visual-only")
+            shallow.represent([d], unsup_result.averaged, vocab, "visual-only")[0]
             for d in test.documents
         ])
         clf = fit_linear_classifier(reps_train, truth_train)
@@ -374,7 +376,7 @@ def test_criterion_10_synthetic_annotation():
     # exactly its class's 5 annotation words
     for doc in test.documents:
         label = next(iter(doc.labels))
-        expected = {vocab.annotation_id(label * 5 + j) for j in range(5)}
+        expected = {annotation_id(vocab, label * 5 + j) for j in range(5)}
         truth = {i for i in doc.counts if vocab.is_annotation(i)}
         assert truth == expected
 
@@ -386,7 +388,7 @@ def test_criterion_10_synthetic_annotation():
     tree = build_tree(result.meta.vocab_size, result.meta.tree_seed)
     pairs = []
     for doc in test.documents:
-        ids, _ = shallow.predict_annotations(doc, result.averaged, tree, vocab, 5)
+        (ids,), _ = shallow.predict_annotations([doc], result.averaged, tree, vocab, 5)
         truth = {i for i in doc.counts if vocab.is_annotation(i)}
         pairs.append((set(int(i) for i in ids), truth))
     mean_f, skipped = evaluate.mean_f_measure(pairs)

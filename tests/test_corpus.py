@@ -11,7 +11,15 @@ from docnade.corpus import (
     weight_vector,
     write_corpus,
 )
-from oracles import dense_counts, to_weighted_histogram
+from oracles import (
+    annotation_id,
+    annotation_index,
+    dense_counts,
+    to_weighted_histogram,
+    visual_id,
+    visual_pair,
+    word_id,
+)
 
 
 class TestVocabulary:
@@ -24,25 +32,25 @@ class TestVocabulary:
     def test_minimal_vocabulary(self):
         vocab = build_vocabulary(1, 1, ["sky"])
         assert vocab.size == 2
-        assert vocab.word_id("sky") == 1
+        assert word_id(vocab, "sky") == 1
 
     def test_row_major_bijection(self):
         vocab = build_vocabulary(3, 2, ["a", "b"])
         assert vocab.size == 8
-        assert vocab.visual_id(word=2, region=1) == 5
+        assert visual_id(vocab, word=2, region=1) == 5
         # enumerate the full bijection by hand and round-trip every id
         seen = set()
         for region in range(2):
             for word in range(3):
-                token_id = vocab.visual_id(word, region)
+                token_id = visual_id(vocab, word, region)
                 assert token_id == region * 3 + word
-                assert vocab.visual_pair(token_id) == (word, region)
+                assert visual_pair(vocab, token_id) == (word, region)
                 seen.add(token_id)
         for index, word in enumerate(["a", "b"]):
-            token_id = vocab.annotation_id(index)
+            token_id = annotation_id(vocab, index)
             assert token_id == 6 + index
-            assert vocab.word_id(word) == token_id
-            assert vocab.annotation_index(token_id) == index
+            assert word_id(vocab, word) == token_id
+            assert annotation_index(vocab, token_id) == index
             seen.add(token_id)
         assert seen == set(range(8))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -9,7 +11,9 @@ from conftest import (
     random_shallow_params,
     zero_deep_params,
 )
-from docnade import deep, shallow
+from docnade import deep, shallow, trainer
+from docnade.trainer import TrainConfig, init_params
+from gen import make_corpus
 from oracles import (
     dense_counts,
     dense_forward,
@@ -122,7 +126,7 @@ class TestDeepForward:
         doc = MultimodalDocument({0: 2, 6: 1})
         counts = dense_counts(doc, vocab.size)
         hs, _ = deep.deep_forward(counts.astype(float)[None], np.arange(vocab.size), dparams)
-        assert np.allclose(hs[0], shallow.represent(doc, sparams, vocab))
+        assert np.allclose(hs[0], shallow.represent([doc], sparams, vocab))
 
     def test_zero_feature_map_is_noop(self, rng):
         params = random_deep_params(rng, 5, (4, 3), 2, n_features=3)
@@ -160,10 +164,10 @@ class TestGenerativeLoss:
         h = rng.random(3)
         out = np.zeros(6, dtype=int)
         out[2] = 1
-        (base,), _ = deep.generative_loss(h[None], out[None], None, d=1, total_tokens=1,
-                                          params=params)
-        (scaled,), _ = deep.generative_loss(h[None], out[None], None, d=2, total_tokens=5,
-                                            params=params)
+        (base,), _ = deep.generative_loss(h[None], [(np.arange(6), out)], None, d=1,
+                                          total_tokens=1, params=params)
+        (scaled,), _ = deep.generative_loss(h[None], [(np.arange(6), out)], None, d=2,
+                                            total_tokens=5, params=params)
         assert scaled == pytest.approx((5 / 4) * base)
 
     def test_uniform_loss_is_log_q(self):
@@ -171,7 +175,8 @@ class TestGenerativeLoss:
         params = zero_deep_params(vocab_size, (3,), 2)
         out = np.zeros(vocab_size, dtype=int)
         out[4] = 1
-        (loss,), _ = deep.generative_loss(np.zeros((1, 3)), out[None], None, 1, 1, params)
+        (loss,), _ = deep.generative_loss(np.zeros((1, 3)), [(np.arange(vocab_size), out)],
+                                          None, 1, 1, params)
         assert loss == pytest.approx(np.log(vocab_size))
 
     def test_rho_one_weights_change_nothing(self, rng):
@@ -180,8 +185,9 @@ class TestGenerativeLoss:
         h = rng.random(4)
         out = rng.integers(0, 3, 6)
         out[0] += 1
-        plain = deep.generative_loss(h[None], out[None], None, 2, int(out.sum()) + 1, params)
-        ones = deep.generative_loss(h[None], out[None], np.ones(6), 2, int(out.sum()) + 1, params)
+        targets = [(np.arange(6), out)]
+        plain = deep.generative_loss(h[None], targets, None, 2, int(out.sum()) + 1, params)
+        ones = deep.generative_loss(h[None], targets, np.ones(6), 2, int(out.sum()) + 1, params)
         assert plain[0] == ones[0]
         for key in plain[1]:
             assert np.array_equal(plain[1][key], ones[1][key])
@@ -196,10 +202,11 @@ class TestGenerativeLoss:
         h = rng.random(3)
         out = np.array([1, 0, 2, 0, 1])
         phi = np.array([1.0, 1.0, 1.0, 2.5, 2.5])
-        _, grads = deep.generative_loss(h[None], out[None], phi, 2, 5, params)
+        targets = [(np.arange(5), out)]
+        _, grads = deep.generative_loss(h[None], targets, phi, 2, 5, params)
 
         def loss():
-            return deep.generative_loss(h[None], out[None], phi, 2, 5, params)[0][0]
+            return deep.generative_loss(h[None], targets, phi, 2, 5, params)[0][0]
 
         assert max_rel_error(grads["V_out"], fd_gradient(loss, params.V_out)) <= 1e-4
         assert max_rel_error(grads["b_out"], fd_gradient(loss, params.b_out)) <= 1e-4
@@ -408,7 +415,8 @@ class TestCollapseToSoftmaxShallow:
         )
         total = int(context.sum()) + 1
         (loss,), _ = deep.generative_loss(
-            hs[-1], out[None], None, d=total, total_tokens=total, params=params
+            hs[-1], [(np.arange(vocab_size), out)], None, d=total, total_tokens=total,
+            params=params,
         )
         factor = total / (total - total + 1)  # lone predicted token at position d
         assert loss / factor == pytest.approx(-ref[target], abs=1e-12)
@@ -452,7 +460,7 @@ def _batch_instance(rng, supervised, head, n_features, dropout, empty_doc=False)
 
 def _check_batch_against_oracle(instance, unsup_weight, head):
     counts, labels, features, params, omega, splits, gen_masks, sup_masks = instance
-    losses, grads, cols = deep.hybrid_loss_gradients(
+    losses, grads = deep.hybrid_loss_gradients(
         [(np.arange(counts.shape[1]), row) for row in counts], labels, features, params,
         unsup_weight, omega, omega,
         splits, gen_masks, sup_masks, head=head,
@@ -466,11 +474,10 @@ def _check_batch_against_oracle(instance, unsup_weight, head):
         assert losses[row] == pytest.approx(loss, rel=LOSS_RTOL, abs=0.0)
         for name in expected:
             expected[name] += doc_grads[name]
+    cols = grads.blocks["W1"][1]
     assert np.array_equal(cols, np.flatnonzero(counts.any(axis=0)))
     assert not np.any(expected["W1"][:, np.setdiff1d(np.arange(counts.shape[1]), cols)])
-    got = dict(grads)
-    got["W1"] = np.zeros_like(params.layer_weights[0])
-    got["W1"][:, cols] = grads["W1"]
+    got = grads.to_dense(params)
     for name, want in expected.items():
         atol = GRAD_ATOL * np.abs(want).max()
         assert np.allclose(got[name], want, rtol=0.0, atol=atol), name
@@ -504,3 +511,56 @@ class TestBatchedStep:
         for row in range(2):
             dense = dense_histogram(counts[row], omega)
             assert np.allclose(x[row], dense[cols], rtol=1e-14, atol=0.0)
+
+
+class TestStepBlocks:
+    """A step emits a gradient block only for the arrays its rows reach, and
+    builds no placeholder or (rows, Q) target along the way."""
+
+    def _block_names(self, kind, unsup_weight):
+        corpus, _ = make_corpus(5, n_classes=3, n_visual=6, n_regions=2, anno_per_class=2,
+                                docs_per_class=3, doc_len=8)
+        config = TrainConfig(model_kind=kind, hidden_sizes=(5, 4),
+                             unsup_weight=unsup_weight, batch_size=4, seed=2)
+        params = init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
+                             np.random.default_rng(2))
+        cache = trainer._doc_cache(corpus, config)
+        kept, _, (grads,) = deep.batch_step([0, 1, 2, 3], params, config,
+                                            trainer.RngStreams.from_seed(2), cache)
+        assert kept == [0, 1, 2, 3]
+        return set(grads.blocks)
+
+    def test_unsupervised_step_has_no_class_head_block(self):
+        names = self._block_names("deepdocnade", 1.0)
+        assert names == {"W1", "c1", "W2", "c2", "V_out", "b_out"}
+
+    def test_zero_unsup_weight_has_no_output_layer_block(self):
+        names = self._block_names("supdeepdocnade", 0.0)
+        assert names == {"W1", "c1", "W2", "c2", "U", "d"}
+
+    def test_peak_memory_at_large_vocabulary(self):
+        # Q = 20,000 and hidden 128,128: the returned gradient is 24 MiB,
+        # 19.5 of them V_out's block; the bound leaves room for the (rows, Q)
+        # softmax working set, not for a placeholder gradient per array and
+        # a scaled copy of V_out's block besides
+        vocab_size, n_docs, n_classes, n_features = 20_000, 32, 10, 8
+        rng = np.random.default_rng(7)
+        params = deep.init(vocab_size, n_classes, n_features, (128, 128), rng)
+        docs, splits, labels, features = [], [], [], []
+        for _ in range(n_docs):
+            ids = np.sort(rng.choice(vocab_size, size=150, replace=False))
+            counts = rng.integers(1, 4, size=150)
+            docs.append((ids, counts))
+            splits.append(deep.split_histogram(counts, rng))
+            labels.append(frozenset(np.flatnonzero(rng.random(n_classes) < 0.3).tolist()))
+            features.append(rng.normal(size=n_features))
+        omega = np.ones(vocab_size)
+        nones = [None] * n_docs
+        tracemalloc.start()
+        try:
+            deep.hybrid_loss_gradients(docs, labels, features, params, 0.5, omega, omega,
+                                       splits, nones, nones, head="sigmoid")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20

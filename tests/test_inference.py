@@ -35,7 +35,7 @@ def _corpus(rng, n_docs=10, n_features=0):
         if i in EMPTY:
             counts = {}
         elif i == 9:  # annotation words only: empty under the visual-only protocol
-            counts = {vocab.annotation_id(2): 1, vocab.annotation_id(5): 3}
+            counts = {oracles.annotation_id(vocab, 2): 1, oracles.annotation_id(vocab, 5): 3}
         elif i == 6:  # one token
             counts = {4: 1}
         else:
@@ -206,9 +206,10 @@ class TestOneRowCases:
         assert reps.shape == (len(docs), 5) and ids.shape == probs.shape == (len(docs), 3)
         for i, doc in enumerate(docs):
             np.testing.assert_allclose(
-                reps[i], shallow.represent(doc, params, vocab, "visual-only"), rtol=RTOL, atol=0
+                reps[i], shallow.represent([doc], params, vocab, "visual-only")[0],
+                rtol=RTOL, atol=0,
             )
-            one_ids, one_probs = shallow.predict_annotations(doc, params, tree, vocab, 3)
+            (one_ids,), (one_probs,) = shallow.predict_annotations([doc], params, tree, vocab, 3)
             assert ids[i].tolist() == one_ids.tolist()
             np.testing.assert_allclose(probs[i], one_probs, rtol=RTOL, atol=0)
 
@@ -218,8 +219,8 @@ class TestOneRowCases:
         omega = np.ones(corpus.vocabulary.size)
         batch = evaluate.generate_text(corpus.documents, params, corpus.vocabulary, 3,
                                        family=deep_mod, context=omega, dropout_rate=0.5)
-        singles = [evaluate.generate_text(doc, params, corpus.vocabulary, 3,
-                                          family=deep_mod, context=omega, dropout_rate=0.5)
+        singles = [evaluate.generate_text([doc], params, corpus.vocabulary, 3,
+                                          family=deep_mod, context=omega, dropout_rate=0.5)[0]
                    for doc in corpus.documents]
         _assert_rankings_equal(batch, singles)
 

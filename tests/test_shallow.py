@@ -15,10 +15,12 @@ from docnade.corpus import MultimodalDocument, build_vocabulary
 from docnade.wordtree import build_tree
 from oracles import (
     OpCounter,
+    annotation_id,
     class_posterior,
     counted_hidden_states,
     dense_shallow_gradients,
     joint_log_prob,
+    word_id,
     word_log_prob,
 )
 
@@ -330,14 +332,14 @@ class TestRepresent:
     def test_empty_doc(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
-        rep = shallow.represent(MultimodalDocument({}), params, vocab)
+        rep = shallow.represent([MultimodalDocument({})], params, vocab)[0]
         assert np.array_equal(rep, np.maximum(params.c, 0))
 
     def test_matches_hidden_state_of_any_ordering(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
         doc = MultimodalDocument({0: 2, 5: 1, 7: 3})
-        rep = shallow.represent(doc, params, vocab)
+        rep = shallow.represent([doc], params, vocab)[0]
         tokens = doc.token_array()
         for _ in range(5):
             ordering = tokens[rng.permutation(len(tokens))]
@@ -349,14 +351,14 @@ class TestRepresent:
         params = random_shallow_params(rng, vocab.size, 4, 2)
         doc = MultimodalDocument({1: 2, 6: 1})
         assert np.array_equal(
-            shallow.represent(doc, params, vocab), shallow.represent(doc, params, vocab)
+            shallow.represent([doc], params, vocab), shallow.represent([doc], params, vocab)
         )
 
     def test_visual_only_ignores_annotations(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
         anno_only = MultimodalDocument({6: 2, 7: 1})
-        rep = shallow.represent(anno_only, params, vocab, restrict="visual-only")
+        rep = shallow.represent([anno_only], params, vocab, restrict="visual-only")[0]
         assert np.array_equal(rep, np.maximum(params.c, 0))
 
 
@@ -365,10 +367,10 @@ class TestPredictAnnotations:
         vocab = build_vocabulary(3, 2, ["only"])
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 5)
-        ids, probs = shallow.predict_annotations(
-            MultimodalDocument({0: 1}), params, tree, vocab, top_k=1
+        (ids,), (probs,) = shallow.predict_annotations(
+            [MultimodalDocument({0: 1})], params, tree, vocab, top_k=1
         )
-        assert ids.tolist() == [vocab.word_id("only")]
+        assert ids.tolist() == [word_id(vocab, "only")]
 
     def test_zero_params_tie_break(self):
         # perfect tree (Q=8): all leaves at equal depth, so zero parameters
@@ -376,8 +378,8 @@ class TestPredictAnnotations:
         vocab = build_vocabulary(2, 2, ["a", "b", "c", "d"])
         params = zero_shallow_params(vocab.size, 3, 2)
         tree = build_tree(vocab.size, 1)
-        ids, probs = shallow.predict_annotations(
-            MultimodalDocument({0: 1}), params, tree, vocab, top_k=3
+        (ids,), (probs,) = shallow.predict_annotations(
+            [MultimodalDocument({0: 1})], params, tree, vocab, top_k=3
         )
         assert ids.tolist() == [4, 5, 6]
         assert np.allclose(probs, 1 / 8)
@@ -387,12 +389,12 @@ class TestPredictAnnotations:
         params = random_shallow_params(rng, vocab.size, 4, 2)
         tree = build_tree(vocab.size, 7)
         doc = MultimodalDocument({0: 2, 3: 1})
-        ids, probs = shallow.predict_annotations(doc, params, tree, vocab, top_k=5)
-        h = shallow.represent(doc, params, vocab, restrict="visual-only")
+        (ids,), (probs,) = shallow.predict_annotations([doc], params, tree, vocab, top_k=5)
+        h = shallow.represent([doc], params, vocab, restrict="visual-only")[0]
         brute = sorted(
             (
-                (-np.exp(word_log_prob(tree, h, vocab.annotation_id(i), params.V, params.b)),
-                 vocab.annotation_id(i))
+                (-np.exp(word_log_prob(tree, h, annotation_id(vocab, i), params.V, params.b)),
+                 annotation_id(vocab, i))
                 for i in range(5)
             ),
         )
@@ -405,8 +407,8 @@ class TestPredictAnnotations:
         tree = build_tree(vocab.size, 2)
         with_anno = MultimodalDocument({0: 1, 6: 5})
         without = MultimodalDocument({0: 1})
-        a = shallow.predict_annotations(with_anno, params, tree, vocab, 2)
-        b = shallow.predict_annotations(without, params, tree, vocab, 2)
+        a = shallow.predict_annotations([with_anno], params, tree, vocab, 2)
+        b = shallow.predict_annotations([without], params, tree, vocab, 2)
         assert a[0].tolist() == b[0].tolist()
         assert np.array_equal(a[1], b[1])
 
@@ -415,4 +417,4 @@ class TestPredictAnnotations:
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 2)
         with pytest.raises(ValueError, match="top_k"):
-            shallow.predict_annotations(MultimodalDocument({}), params, tree, vocab, 2)
+            shallow.predict_annotations([MultimodalDocument({})], params, tree, vocab, 2)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fd_gradient, max_rel_error
 from docnade.wordtree import build_tree, words_log_prob
-from oracles import OpCounter, path, tree_gradients, word_log_prob
+from oracles import OpCounter, path, path_length, tree_gradients, word_log_prob
 
 
 class TestShape:
@@ -18,13 +18,13 @@ class TestShape:
     def test_perfect_tree(self):
         tree = build_tree(8, seed=1)
         assert tree.n_internal == 7
-        assert all(tree.path_length(w) == 3 for w in range(8))
+        assert all(path_length(tree, w) == 3 for w in range(8))
 
     def test_five_leaves(self):
         # complete tree over 5 leaves: 4 internal nodes, depths in {2, 3}
         tree = build_tree(5, seed=2)
         assert tree.n_internal == 4
-        lengths = {tree.path_length(w) for w in range(5)}
+        lengths = {path_length(tree, w) for w in range(5)}
         assert lengths == {2, 3}
         assert max(lengths) == int(np.ceil(np.log2(5)))
 
@@ -170,6 +170,6 @@ class TestGradients:
         tree = build_tree(9, seed=2)
         V, b, h = rng.normal(size=(8, 3)), rng.normal(size=8), rng.normal(size=3)
         nodes, dV_rows, db_entries, _ = tree_gradients(tree, h, 4, V, b, 1.0)
-        assert len(nodes) == tree.path_length(4)
+        assert len(nodes) == path_length(tree, 4)
         assert dV_rows.shape == (len(nodes), 3)
         assert db_entries.shape == (len(nodes),)
