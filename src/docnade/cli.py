@@ -197,7 +197,7 @@ def cmd_annotate(args) -> int:
             "annotations": [int(i) for i in ranked.ids],
             "scores": [float(s) for s in ranked.scores],
         }
-        for index, (_, ranked) in enumerate(predictions)
+        for index, ranked in predictions
     ))
     return EXIT_OK
 

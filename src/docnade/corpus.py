@@ -27,13 +27,18 @@ strings).
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+import re
+import warnings
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 FORMATS = ("text-sparse", "record-lines")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class CorpusFormatError(ValueError):
@@ -145,37 +150,124 @@ class MultimodalDocument:
         return np.repeat(*self.id_counts())
 
 
-def count_rows(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union `cols` of the ids that hold a nonzero count in
-    `rows`, a sequence of (ids, counts) pairs, and the rows'
-    (len(rows), len(cols)) count block on those columns."""
-    empty = [np.zeros(0, dtype=np.int64)]
-    ids = np.concatenate(empty + [row_ids for row_ids, _ in rows])
-    counts = np.concatenate(empty + [row_counts for _, row_counts in rows])
-    row = np.repeat(np.arange(len(rows)), [len(row_ids) for row_ids, _ in rows])
-    nonzero = counts != 0
-    cols, inverse = np.unique(ids[nonzero], return_inverse=True)
-    block = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    block[row[nonzero], inverse] = counts[nonzero]
+def _count_block(indptr, ids, counts, limit=None) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union `cols` of the ids (below `limit`, if given) that hold
+    a nonzero count in the CSR rows, and the rows' count block on them."""
+    keep = counts != 0
+    if limit is not None:
+        keep &= ids < limit
+    row = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))[keep]
+    cols, inverse = np.unique(ids[keep], return_inverse=True)
+    block = np.zeros((len(indptr) - 1, len(cols)), dtype=np.int64)
+    block[row, inverse] = counts[keep]
     return cols, block
 
 
-@dataclass(frozen=True)
+def count_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """`_count_block` of `rows`, a sequence of (ids, counts) pairs."""
+    indptr = np.cumsum([0] + [len(row_ids) for row_ids, _ in rows])
+    empty = [np.zeros(0, dtype=np.int64)]
+    return _count_block(indptr, np.concatenate(empty + [ids for ids, _ in rows]),
+                        np.concatenate(empty + [counts for _, counts in rows]))
+
+
+def _csr(n_rows: int, row, ids, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, ids, counts) of the entries (row, id, count): each row's ids
+    sorted and distinct, the counts of an id summed, zero counts dropped."""
+    order = np.argsort(row * (int(ids.max(initial=0)) + 1) + ids, kind="stable")
+    row, ids, counts = row[order], ids[order], counts[order]
+    first = np.flatnonzero(np.diff(row, prepend=-1) | np.diff(ids, prepend=-1))
+    counts = np.add.reduceat(counts, first) if len(first) else counts
+    keep = counts != 0
+    return np.searchsorted(row[first][keep], np.arange(n_rows + 1)), ids[first][keep], counts[keep]
+
+
+def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR pointer array of `rows` and the positions of their entries."""
+    lengths = ptr[rows + 1] - ptr[rows]
+    new = np.concatenate(([0], np.cumsum(lengths)))
+    return new, np.repeat(ptr[rows] - new[:-1], lengths) + np.arange(new[-1])
+
+
+def _flat(values) -> np.ndarray:
+    return np.fromiter(itertools.chain.from_iterable(values), np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class Corpus:
+    """Documents as CSR arrays over a joint vocabulary.
+
+    Row i holds the sorted distinct token ids ids[indptr[i]:indptr[i+1]]
+    and their positive int64 counts, the sorted distinct class labels
+    labels[label_ptr[i]:label_ptr[i+1]] and the feature row features[i]
+    of an (n, N_f) matrix, which is None when N_f is 0.
+    """
+
     vocabulary: JointVocabulary
-    documents: tuple[MultimodalDocument, ...]
     n_classes: int
-    n_features: int = 0
+    n_features: int
+    indptr: np.ndarray
+    ids: np.ndarray
+    counts: np.ndarray
+    label_ptr: np.ndarray
+    labels: np.ndarray
+    features: np.ndarray | None
 
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def validate(self) -> None:
-        for i, doc in enumerate(self.documents):
+    @classmethod
+    def from_documents(cls, vocabulary: JointVocabulary, documents, n_classes: int,
+                       n_features: int = 0) -> "Corpus":
+        """The corpus of a sequence of documents; ValueError naming the first
+        one that does not validate."""
+        docs = tuple(documents)
+        for i, doc in enumerate(docs):
             try:
-                doc.validate(self.vocabulary, self.n_classes, self.n_features)
+                doc.validate(vocabulary, n_classes, n_features)
             except ValueError as exc:
                 raise ValueError(f"document {i}: {exc}") from exc
+        n, rows, maps = len(docs), np.arange(len(docs)), [doc.counts for doc in docs]
+        entries = _csr(n, np.repeat(rows, list(map(len, maps))), _flat(maps),
+                       _flat(counts.values() for counts in maps))
+        labels = _flat(doc.labels for doc in docs)
+        label_ptr, labels, _ = _csr(n, np.repeat(rows, [len(doc.labels) for doc in docs]),
+                                    labels, np.ones_like(labels))
+        features = (np.array([doc.features for doc in docs], dtype=float).reshape(n, n_features)
+                    if n_features else None)
+        return cls(vocabulary, n_classes, n_features, *entries, label_ptr, labels, features)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row i's sorted distinct token ids and their counts."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.ids[lo:hi], self.counts[lo:hi]
+
+    def row_labels(self, i: int) -> np.ndarray:
+        """Row i's sorted distinct class labels."""
+        return self.labels[self.label_ptr[i] : self.label_ptr[i + 1]]
+
+    def take(self, rows) -> "Corpus":
+        """The corpus of `rows`, a slice or an array of row indices."""
+        rows = np.arange(len(self))[rows]
+        indptr, at = _gather(self.indptr, rows)
+        label_ptr, label_at = _gather(self.label_ptr, rows)
+        return replace(self, indptr=indptr, ids=self.ids[at], counts=self.counts[at],
+                       label_ptr=label_ptr, labels=self.labels[label_at],
+                       features=None if self.features is None else self.features[rows])
+
+    def count_block(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted union `cols` of the rows' ids (below `limit`, if given)
+        and the rows' (len(self), len(cols)) count block on them."""
+        return _count_block(self.indptr, self.ids, self.counts, limit)
+
+    @cached_property
+    def documents(self) -> tuple[MultimodalDocument, ...]:
+        """The rows as documents, built on first use, for the library API and
+        the tests; no command reads them."""
+        return tuple(MultimodalDocument(
+            dict(zip(*(a.tolist() for a in self.row(i)))), frozenset(self.row_labels(i).tolist()),
+            None if self.features is None else self.features[i].copy(),
+        ) for i in range(len(self)))
 
 
 def weight_vector(vocab: JointVocabulary, rho: float) -> np.ndarray:
@@ -219,6 +311,15 @@ def _check_id(token_id: int, low: int, high: int, line_no: int, field_name: str)
         )
 
 
+def _add_count(counts: dict, token_id: int, count: int, line_no: int, field_name: str) -> None:
+    """counts[token_id] += count, which must fit in int64 (ids do, being in range)."""
+    total = counts[token_id] = counts.get(token_id, 0) + count
+    if total > _INT64_MAX:
+        raise CorpusFormatError(
+            f"line {line_no}: {field_name} count {total} of id {token_id} exceeds int64"
+        )
+
+
 def read_header(path) -> dict:
     header_file = _header_path(path)
     if not header_file.exists():
@@ -244,30 +345,104 @@ def _vocab_from_header(header: dict) -> JointVocabulary:
 
 
 def parse_corpus(path, format: str = "text-sparse") -> Corpus:
-    """Parse a corpus file plus its sidecar header into a Corpus."""
+    """Parse a corpus file plus its sidecar header into a Corpus.
+
+    A text-sparse file is read field kind by field kind (`_parse_columns`).
+    A record-lines file, and a text-sparse file in which that finds anything
+    odd, is parsed line by line, so that every error names its line and field.
+    """
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format {format!r}")
     header = read_header(path)
     vocab = _vocab_from_header(header)
     n_classes, n_features = header["C"], header["N_f"]
-
+    with open(path) as fh:
+        lines = [(line_no, raw.strip()) for line_no, raw in enumerate(fh.read().split("\n"), 1)]
+    lines = [(line_no, line) for line_no, line in lines if line and not line.startswith("#")]
+    if format == "text-sparse" and lines:
+        corpus = _parse_columns([line for _, line in lines], vocab, n_classes, n_features)
+        if corpus is not None:
+            return corpus
+    parse_line = _parse_text_sparse_line if format == "text-sparse" else _parse_record_line
     # id bounds of the VISUAL and ANNOTATIONS fields, read once per file
     bounds = vocab.visual_size, vocab.size
-    docs = []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if format == "text-sparse":
-                doc = _parse_text_sparse_line(line, line_no, *bounds)
-            else:
-                doc = _parse_record_line(line, line_no, *bounds)
-            docs.append(doc)
+    docs = [parse_line(line, line_no, *bounds) for line_no, line in lines]
+    return Corpus.from_documents(vocab, docs, n_classes, n_features)
 
-    corpus = Corpus(vocab, tuple(docs), n_classes, n_features)
-    corpus.validate()
-    return corpus
+
+# The characters each field kind may hold on the column path: no tabs (the
+# colon checks look at spaces only), and no signs in integer fields, because
+# np.fromstring reads a lone sign as 0.
+_DIGITS = b"0123456789 "
+_REALS = _DIGITS + b"eE.+-"
+
+
+def _numbers(fields: list[str], allowed: bytes, dtype):
+    """(row, value) of each number in one field kind of every line, from one
+    `np.fromstring` over the fields, each closed by a sentinel (-1, or NaN
+    for reals) that no field can hold; None if a field holds a character
+    not `allowed` or does not parse to its end.  np.fromstring saturates an
+    integer beyond int64 silently, so INT64_MAX counts as odd too."""
+    if " ".join(fields).encode("ascii", "replace").translate(None, allowed):
+        return None
+    mark = " -1 " if dtype is np.int64 else " nan "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # unparsed text only warns in older numpy
+        try:
+            values = np.fromstring(mark.join(fields + [""]).replace(":", " "), dtype, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    sentinel = values == -1 if dtype is np.int64 else np.isnan(values)
+    if sentinel.sum() != len(fields) or (values == _INT64_MAX).any():
+        return None
+    return np.cumsum(sentinel)[~sentinel], values[~sentinel]
+
+
+def _entries(fields: list[str], low: int, high: int):
+    """(row, id, count) of each entry of an id:count field kind, or None
+    unless every colon joins two numbers, the entries are all pairs or all
+    bare ids, and every id is in [low, high)."""
+    text = f" {' '.join(fields)} "
+    if " :" in text or ": " in text or re.search(":[0-9]*:", text):
+        return None
+    numbers = _numbers(fields, _DIGITS + b":", np.int64)
+    if numbers is None:
+        return None
+    row, ids = numbers
+    pairs = text.count(":")
+    if pairs and 2 * pairs != len(ids):
+        return None
+    row, ids, counts = (row[::2], ids[::2], ids[1::2]) if pairs else (row, ids, np.ones_like(ids))
+    if len(ids) and (ids.min() < low or ids.max() >= high):
+        return None
+    return row, ids, counts
+
+
+def _parse_columns(lines: list[str], vocab: JointVocabulary, n_classes: int,
+                   n_features: int) -> Corpus | None:
+    """A text-sparse corpus read with one `np.fromstring` per field kind, or
+    None wherever the per-line parser and validation might read it
+    differently or reject it: a line without four fields, odd field text
+    (`_numbers`, `_entries`), a label outside [0, C), counts that could sum
+    past int64, or a feature row that is not N_f finite values."""
+    fields = [line.split("|") for line in lines]
+    if any(len(parts) != 4 for parts in fields):
+        return None
+    labels_f, visual_f, anno_f, feat_f = map(list, zip(*fields))
+    n = len(lines)
+    labels, feats = _numbers(labels_f, _DIGITS, np.int64), _numbers(feat_f, _REALS, float)
+    entries = (_entries(visual_f, 0, vocab.visual_size),
+               _entries(anno_f, vocab.visual_size, vocab.size))
+    if labels is None or feats is None or None in entries:
+        return None
+    row, ids, counts = (np.concatenate(parts) for parts in zip(*entries))
+    if (labels[1].max(initial=-1) >= n_classes or counts.sum(dtype=float) >= 2.0**62
+            or (np.bincount(feats[0], minlength=n) != n_features).any()
+            or not np.isfinite(feats[1]).all()):
+        return None
+    return Corpus(vocab, n_classes, n_features, *_csr(n, row, ids, counts),
+                  *_csr(n, *labels, np.ones_like(labels[1]))[:2],
+                  feats[1].reshape(n, n_features) if n_features else None)
 
 
 def _parse_text_sparse_line(
@@ -286,14 +461,14 @@ def _parse_text_sparse_line(
         raise CorpusFormatError(f"line {line_no}: malformed LABELS field") from None
 
     counts: dict[int, int] = {}
-    for entry in visual_s.split():
-        token_id, count = _parse_id_count(entry, line_no, "VISUAL")
-        _check_id(token_id, 0, visual_size, line_no, "VISUAL")
-        counts[token_id] = counts.get(token_id, 0) + count
-    for entry in anno_s.split():
-        token_id, count = _parse_id_count(entry, line_no, "ANNOTATIONS")
-        _check_id(token_id, visual_size, size, line_no, "ANNOTATIONS")
-        counts[token_id] = counts.get(token_id, 0) + count
+    for field_name, entries, low, high in (
+        ("VISUAL", visual_s, 0, visual_size),
+        ("ANNOTATIONS", anno_s, visual_size, size),
+    ):
+        for entry in entries.split():
+            token_id, count = _parse_id_count(entry, line_no, field_name)
+            _check_id(token_id, low, high, line_no, field_name)
+            _add_count(counts, token_id, count, line_no, field_name)
     counts = {i: c for i, c in counts.items() if c > 0}
 
     features = None
@@ -344,7 +519,7 @@ def _parse_record_line(line: str, line_no: int, visual_size: int, size: int) -> 
                     f"line {line_no}: negative count in {field_name}"
                 )
             _check_id(token_id, low, high, line_no, field_name)
-            counts[token_id] = counts.get(token_id, 0) + count
+            _add_count(counts, token_id, count, line_no, field_name)
     counts = {i: c for i, c in counts.items() if c > 0}
 
     labels = _record_list(record, "labels", line_no)
@@ -373,23 +548,25 @@ def write_corpus(corpus: Corpus, path, format: str = "text-sparse") -> None:
         fh.write("\n")
 
     with open(path, "w") as fh:
-        for doc in corpus.documents:
-            visual = {i: c for i, c in sorted(doc.counts.items()) if i < vocab.visual_size}
-            anno = {i: c for i, c in sorted(doc.counts.items()) if i >= vocab.visual_size}
-            feats = [] if doc.features is None else [repr(float(x)) for x in doc.features]
+        for row in range(len(corpus)):
+            ids, counts = corpus.row(row)
+            split = np.searchsorted(ids, vocab.visual_size)
+            pairs = list(zip(ids.tolist(), counts.tolist()))
+            labels = corpus.row_labels(row).tolist()
+            feats = [] if corpus.features is None else corpus.features[row].tolist()
             if format == "text-sparse":
                 fields = (
-                    " ".join(str(l) for l in sorted(doc.labels)),
-                    " ".join(f"{i}:{c}" for i, c in visual.items()),
-                    " ".join(f"{i}:{c}" for i, c in anno.items()),
-                    " ".join(feats),
+                    " ".join(map(str, labels)),
+                    " ".join(f"{i}:{c}" for i, c in pairs[:split]),
+                    " ".join(f"{i}:{c}" for i, c in pairs[split:]),
+                    " ".join(map(repr, feats)),
                 )
                 fh.write(" | ".join(fields) + "\n")
             else:
                 record = {
-                    "labels": sorted(doc.labels),
-                    "visual": [[i, c] for i, c in visual.items()],
-                    "annotations": [[i, c] for i, c in anno.items()],
-                    "features": [float(x) for x in (doc.features if doc.features is not None else [])],
+                    "labels": labels,
+                    "visual": [list(pair) for pair in pairs[:split]],
+                    "annotations": [list(pair) for pair in pairs[split:]],
+                    "features": feats,
                 }
                 fh.write(json.dumps(record) + "\n")

@@ -419,32 +419,31 @@ def output_log_probs(
 PERPLEXITY = "perplexity_estimate"  # the eval metric: losses of sampled splits
 
 
-def _states(docs, params: DeepParams, omega, dropout_rate: float, limit: int | None = None):
-    """Top-layer states of documents, from their ids below `limit` if given:
-    one forward pass over the union of the documents' columns."""
-    cols, counts = count_rows([doc.id_counts(limit) for doc in docs])
-    features = stack_features([doc.features for doc in docs], params.n_features)
-    return deep_represent(counts, cols, features, params, omega, dropout_rate)
+def _states(rows, params: DeepParams, omega, dropout_rate: float, limit: int | None = None):
+    """Top-layer states of the rows of a corpus, from their ids below
+    `limit` if given: one forward pass over the union of the rows' columns."""
+    cols, counts = rows.count_block(limit)
+    return deep_represent(counts, cols, rows.features, params, omega, dropout_rate)
 
 
 def represent(
-    docs, params: DeepParams, vocab: JointVocabulary, restrict: str = "all-words",
+    rows, params: DeepParams, vocab: JointVocabulary, restrict: str = "all-words",
     context: np.ndarray | None = None, dropout_rate: float = 0.0,
 ) -> np.ndarray:
-    """Top-layer states of the documents, weighted by omega (`context`) and
+    """Top-layer states of the rows of a corpus, weighted by omega (`context`) and
     scaled for `dropout_rate`; a deep model reads every word, whatever
     `restrict`."""
-    return _states(docs, params, context, dropout_rate)
+    return _states(rows, params, context, dropout_rate)
 
 
 def predict_annotations(
-    docs, params: DeepParams, context: np.ndarray | None, vocab: JointVocabulary, top_k: int,
+    rows, params: DeepParams, context: np.ndarray | None, vocab: JointVocabulary, top_k: int,
     dropout_rate: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k annotation ids and probabilities of each document given its
-    visual words: the output softmax taken over the annotation block alone,
+    """Top-k annotation ids and probabilities of each row of a corpus given
+    its visual words: the output softmax taken over the annotation block alone,
     the only rows of V_out that are scored."""
-    h_top = _states(docs, params, context, dropout_rate, limit=vocab.visual_size)
+    h_top = _states(rows, params, context, dropout_rate, limit=vocab.visual_size)
     anno_ids = np.arange(vocab.visual_size, vocab.size)
     probs = np.exp(output_log_probs(h_top, params, words=anno_ids))
     order = top_order(anno_ids, probs, top_k)
@@ -452,22 +451,20 @@ def predict_annotations(
 
 
 def perplexity_losses(
-    docs, params: DeepParams, omega: np.ndarray, dropout_rate: float, samples: int,
+    rows, params: DeepParams, omega: np.ndarray, dropout_rate: float, samples: int,
     rng: np.random.Generator,
 ) -> list[float]:
-    """Each (nonempty) document's loss, averaged over `samples` splits drawn
-    document by document; all the splits go through one forward pass over
-    the union of their observed ids and one loss evaluation."""
+    """Each (nonempty) row's loss, averaged over `samples` splits drawn row
+    by row; all the splits go through one forward pass over the union of
+    their observed ids and one loss evaluation."""
     ids, splits = [], []
-    for doc in docs:
-        doc_ids, counts = doc.id_counts()
+    for i in range(len(rows)):
+        doc_ids, counts = rows.row(i)
         for _ in range(samples):
             ids.append(doc_ids)
             splits.append(split_histogram(counts, rng))
     cols, inputs = count_rows([(doc_ids, split.input_hist) for doc_ids, split in zip(ids, splits)])
-    features = stack_features(
-        [doc.features for doc in docs for _ in range(samples)], params.n_features
-    )
+    features = None if rows.features is None else np.repeat(rows.features, samples, axis=0)
     h_top = deep_represent(inputs, cols, features, params, omega, dropout_rate)
     losses = _generative_terms(
         h_top,
@@ -477,7 +474,7 @@ def perplexity_losses(
         np.array([split.total_tokens for split in splits]),
         params,
     )[0]
-    return [float(np.mean(draws)) for draws in losses.reshape(len(docs), samples)]
+    return [float(np.mean(draws)) for draws in losses.reshape(len(rows), samples)]
 
 
 def init(vocab_size: int, n_classes: int, n_features: int, hidden_sizes, rng) -> DeepParams:
@@ -516,7 +513,8 @@ def params_from_arrays(meta, arrays: dict[str, np.ndarray]) -> DeepParams:
 def doc_data(corpus, omega: np.ndarray) -> list[tuple]:
     """The per-run cache of each document: its sorted distinct token ids,
     their counts and its features (`omega` plays no part in it)."""
-    return [(*doc.id_counts(), doc.features) for doc in corpus.documents]
+    features = [None] * len(corpus) if corpus.features is None else corpus.features
+    return [(*corpus.row(i), features[i]) for i in range(len(corpus))]
 
 
 def _draw_masks(sizes, keep: float, rng: np.random.Generator) -> list[np.ndarray]:

@@ -36,9 +36,9 @@ logger = logging.getLogger(__name__)
 CHUNK_DOCS = 64
 
 
-def _chunks(documents, size: int):
-    """Consecutive slices of at most `size` documents."""
-    return [documents[start : start + size] for start in range(0, len(documents), size)]
+def _chunks(corpus: Corpus, size: int) -> list[Corpus]:
+    """Consecutive runs of at most `size` rows of the corpus."""
+    return [corpus.take(slice(start, start + size)) for start in range(0, len(corpus), size)]
 
 
 def extract_representations(
@@ -51,8 +51,8 @@ def extract_representations(
     vocab = corpus.vocabulary
     family = meta.family[0]
     context = family.context(meta, vocab)
-    parts = [family.represent(docs, params, vocab, restrict, context, meta.dropout_rate)
-             for docs in _chunks(corpus.documents, CHUNK_DOCS)]
+    parts = [family.represent(rows, params, vocab, restrict, context, meta.dropout_rate)
+             for rows in _chunks(corpus, CHUNK_DOCS)]
     return np.vstack([np.empty((0, meta.hidden_sizes[-1]))] + parts)
 
 
@@ -199,14 +199,14 @@ def perplexity(
     model `family`'s `perplexity_losses` averaged over `orderings_per_doc`
     draws, documents scored a chunk at a time in corpus order."""
     total_loss, total_tokens = 0.0, 0
-    for chunk in _chunks(corpus.documents, max(1, CHUNK_DOCS // orderings_per_doc)):
-        docs = [doc for doc in chunk if doc.total_tokens]
-        if not docs:
+    for chunk in _chunks(corpus, max(1, CHUNK_DOCS // orderings_per_doc)):
+        totals = np.diff(np.cumsum(np.append(0, chunk.counts))[chunk.indptr])
+        if not totals.any():
             continue
-        for doc, loss in zip(docs, family.perplexity_losses(
-                docs, params, context, dropout_rate, orderings_per_doc, rng)):
+        for loss in family.perplexity_losses(chunk.take(np.flatnonzero(totals)), params,
+                                             context, dropout_rate, orderings_per_doc, rng):
             total_loss += loss
-            total_tokens += doc.total_tokens
+        total_tokens += int(totals.sum())
     if total_tokens == 0:
         raise ValueError("corpus has no tokens")
     return float(np.exp(total_loss / total_tokens))
@@ -241,7 +241,7 @@ def cosine_retrieve(
 
 
 def generate_text(
-    docs,
+    rows,
     params,
     vocab: JointVocabulary,
     top_k: int,
@@ -251,14 +251,14 @@ def generate_text(
     dropout_rate: float = 0.0,
 ) -> list[RankedPrediction]:
     """Rank annotation words by next-word probability given the visual words,
-    one ranking per document of the sequence `docs`.  The model `family`
+    one ranking per row of the corpus `rows`.  The model `family`
     module's `predict_annotations` scores them with its `context` (the word
     tree, or the weights omega: None is unweighted) and `dropout_rate`.
     """
     if vocab.n_annotation == 0:
         raise ValueError("vocabulary has no annotation words")
     top_k = min(top_k, vocab.n_annotation)
-    ids, scores = family.predict_annotations(docs, params, context, vocab, top_k, dropout_rate)
+    ids, scores = family.predict_annotations(rows, params, context, vocab, top_k, dropout_rate)
     return [RankedPrediction(i, s) for i, s in zip(ids, scores)]
 
 
@@ -310,15 +310,17 @@ def class_scores(corpus: Corpus, params, meta: ModelMeta) -> np.ndarray:
 
 
 def annotation_predictions(corpus: Corpus, params, meta: ModelMeta, top_k: int):
-    """Yields (document, its top-K annotation words ranked from its visual
-    words), ranking a chunk of documents at a time; the family's context
-    (the word tree or the annotation weights) is built once."""
+    """Yields (row index, its top-K annotation words ranked from its visual
+    words), ranking a chunk of rows at a time; the family's context (the
+    word tree or the annotation weights) is built once."""
     vocab = corpus.vocabulary
     family = meta.family[0]
     context = family.context(meta, vocab)
-    for docs in _chunks(corpus.documents, CHUNK_DOCS):
-        yield from zip(docs, generate_text(docs, params, vocab, top_k, family=family,
-                                           context=context, dropout_rate=meta.dropout_rate))
+    yield from enumerate(
+        ranked for rows in _chunks(corpus, CHUNK_DOCS)
+        for ranked in generate_text(rows, params, vocab, top_k, family=family, context=context,
+                                    dropout_rate=meta.dropout_rate)
+    )
 
 
 def perplexity_estimate(
@@ -349,7 +351,7 @@ def evaluation_metrics(
     MAP for a sigmoid head (with PR curves to `curves_dir`), then top-K
     annotation F-measure.  The first entry is what a grid search selects on.
     """
-    if not corpus.documents:
+    if not len(corpus):
         raise ValueError("corpus has no documents to evaluate")
     family, supervised = meta.family
     if not supervised:
@@ -360,8 +362,8 @@ def evaluation_metrics(
     scores = class_scores(corpus, params, meta)
     if meta.head == "sigmoid":
         relevance = np.zeros(scores.shape, dtype=bool)
-        for i, doc in enumerate(corpus.documents):
-            relevance[i, sorted(doc.labels)] = True
+        rows = np.repeat(np.arange(len(corpus)), np.diff(corpus.label_ptr))
+        relevance[rows, corpus.labels] = True
         mean_ap, skipped = mean_average_precision(scores, relevance)
         metrics.append(("map", mean_ap))
         if skipped:
@@ -369,19 +371,19 @@ def evaluation_metrics(
         if curves_dir is not None:
             write_pr_curves(curves_dir, scores, relevance)
     else:
-        labeled = [i for i, doc in enumerate(corpus.documents) if doc.labels]
-        if not labeled:
+        labeled = np.flatnonzero(np.diff(corpus.label_ptr))
+        if not len(labeled):
             raise ValueError("no document has a label to score accuracy on")
         predicted = scores.argmax(axis=1)[labeled]
-        truth = np.array([next(iter(corpus.documents[i].labels)) for i in labeled])
+        truth = corpus.labels[corpus.label_ptr[labeled]]  # a document's smallest label
         metrics.append(("accuracy", accuracy(predicted, truth)))
 
     vocab = corpus.vocabulary
     if vocab.n_annotation > 0:
         pairs = []
-        for doc, ranked in annotation_predictions(corpus, params, meta, top_k):
-            truth = {i for i in doc.counts if vocab.is_annotation(i)}
-            pairs.append((set(int(i) for i in ranked.ids), truth))
+        for i, ranked in annotation_predictions(corpus, params, meta, top_k):
+            ids = corpus.row(i)[0]
+            pairs.append((set(ranked.ids.tolist()), set(ids[ids >= vocab.visual_size].tolist())))
         mean_f, skipped = mean_f_measure(pairs)
         metrics.append((f"f_measure_top{top_k}", mean_f))
         if skipped:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import JointVocabulary, count_rows
+from .corpus import JointVocabulary
 from .numerics import SparseGrads, log_softmax, maybe_glorot, top_order
 from .wordtree import WordTree, build_tree, words_log_prob
 
@@ -320,28 +320,28 @@ def docnade_gradients(
 
 
 def represent(
-    docs,
+    rows,
     params: ShallowParams,
     vocab: JointVocabulary,
     restrict: str = "all-words",
     context: WordTree | None = None,
     dropout_rate: float = 0.0,
 ) -> np.ndarray:
-    """Order-independent representations relu(c + sum counts * W) of a
-    sequence of documents, one row per document, from one count-matrix
-    product over the union of their token ids.  "visual-only" drops the
+    """Order-independent representations relu(c + sum counts * W) of the
+    rows of a corpus, one per row, from one count-matrix product over the
+    union of their token ids.  "visual-only" drops the
     annotation columns.  The family's `context` (the word tree) and
     `dropout_rate` play no part in it.
     """
     if restrict not in ("all-words", "visual-only"):
         raise ValueError(f"unknown restriction {restrict!r}")
     limit = vocab.visual_size if restrict == "visual-only" else None
-    cols, counts = count_rows([doc.id_counts(limit) for doc in docs])
+    cols, counts = rows.count_block(limit)
     return np.maximum(counts @ params.W[:, cols].T + params.c, 0.0)
 
 
 def predict_annotations(
-    docs,
+    rows,
     params: ShallowParams,
     tree: WordTree,
     vocab: JointVocabulary,
@@ -352,15 +352,15 @@ def predict_annotations(
 
     Only annotation-word leaves are evaluated; annotation counts already in
     the document are ignored.  Ties break toward the smaller id.  Returns
-    (ids, probabilities), both (len(docs), top_k) arrays with one row per
-    document of the sequence `docs`, sorted by decreasing probability.
+    (ids, probabilities), both (len(rows), top_k) arrays with one row per
+    row of the corpus `rows`, sorted by decreasing probability.
     `dropout_rate` plays no part in it.
     """
     if top_k > vocab.n_annotation:
         raise ValueError(
             f"top_k={top_k} exceeds annotation vocabulary ({vocab.n_annotation})"
         )
-    h = represent(docs, params, vocab, restrict="visual-only")
+    h = represent(rows, params, vocab, restrict="visual-only")
     candidates = np.arange(vocab.visual_size, vocab.size, dtype=np.int64)
     log_probs = words_log_prob(tree, h, candidates, params.V, params.b)
     order = top_order(candidates, log_probs, top_k)
@@ -371,14 +371,14 @@ PERPLEXITY = "perplexity"  # the eval metric: exact log-likelihoods of sampled o
 
 
 def perplexity_losses(
-    docs, params: ShallowParams, tree: WordTree, dropout_rate: float, samples: int,
+    rows, params: ShallowParams, tree: WordTree, dropout_rate: float, samples: int,
     rng: np.random.Generator,
 ) -> list[float]:
-    """-log p(v) of each (nonempty) document, averaged over `samples` token
-    orderings drawn in document order; `dropout_rate` plays no part in it."""
+    """-log p(v) of each (nonempty) row of a corpus, averaged over `samples`
+    token orderings drawn in row order; `dropout_rate` plays no part in it."""
     losses = []
-    for doc in docs:
-        tokens = doc.token_array()
+    for i in range(len(rows)):
+        tokens = np.repeat(*rows.row(i))
         draws = [doc_log_likelihood(tokens[rng.permutation(len(tokens))], params, tree)
                  for _ in range(samples)]
         losses.append(-float(np.mean(draws)))
@@ -418,7 +418,7 @@ def params_from_arrays(meta, arrays: dict[str, np.ndarray]) -> ShallowParams:
 
 def doc_data(corpus, tree: WordTree) -> list[DocLayout]:
     """The per-run cache of each document: its layout on the word tree."""
-    return [doc_layout(*doc.id_counts(), tree) for doc in corpus.documents]
+    return [doc_layout(*corpus.row(i), tree) for i in range(len(corpus))]
 
 
 def batch_step(batch, params: ShallowParams, config, streams, cache):
@@ -438,7 +438,7 @@ def batch_step(batch, params: ShallowParams, config, streams, cache):
                 raise ValueError(
                     f"document {doc_idx} needs exactly one label for supervised training"
                 )
-            label = next(iter(labels))
+            label = int(labels[0])
         elif n_tokens == 0:
             continue
         seg = layout.word_of_token

@@ -153,7 +153,8 @@ class _LazyAverage:
 
     def step(self, grads: list[SparseGrads], scale: float) -> None:
         """current -= scale * each of grads in turn, on the entries it
-        covers (none if scale is 0), then one average step."""
+        covers (none if scale is 0), then one average step.  The step owns
+        the gradients: it scales each block in place."""
         gain = self.ratio ** -self.steps if self.ratio != 0.0 else 0.0  # decay 0 keeps no gap
         if gain > _MAX_GAP_SCALE:
             for gap in self.gaps.values():
@@ -163,10 +164,10 @@ class _LazyAverage:
             for grad in grads:
                 for name, (axis, idx, block) in grad.blocks.items():
                     at = along(axis, idx)
-                    delta = scale * block
-                    self.current[name][at] -= delta
-                    delta *= gain
-                    self.gaps[name][at] += delta
+                    block *= scale
+                    self.current[name][at] -= block
+                    block *= gain
+                    self.gaps[name][at] += block
         self.steps += 1
 
     def flush(self) -> None:
@@ -231,7 +232,7 @@ def _doc_cache(corpus: Corpus, config: TrainConfig) -> _DocCache:
     context = family.context(build_meta(corpus, config), corpus.vocabulary)
     return _DocCache(
         family.doc_data(corpus, context),
-        [doc.labels if supervised else None for doc in corpus.documents],
+        [corpus.row_labels(i) if supervised else None for i in range(len(corpus))],
         config.unsup_weight if supervised else 1.0,
         context,
     )
@@ -267,7 +268,7 @@ def sgd_epoch(
     skipped = 0
     lazy = _LazyAverage(avg)
 
-    order = streams.shuffle.permutation(len(corpus.documents))
+    order = streams.shuffle.permutation(len(corpus))
     try:
         for start in range(0, len(order), config.batch_size):
             batch = [int(doc_idx) for doc_idx in order[start : start + config.batch_size]]
@@ -331,7 +332,6 @@ def train_model(
 ) -> TrainResult:
     """Train one configuration from scratch or from a restored state."""
     config.validate()
-    corpus.validate()
     vocab = corpus.vocabulary
     meta = build_meta(corpus, config)
 

@@ -60,7 +60,7 @@ def make_corpus(
             )
     order = np.random.default_rng(seed + 991).permutation(len(docs))
     docs = tuple(docs[i] for i in order)
-    return Corpus(vocab, docs, n_classes, n_features), probs
+    return Corpus.from_documents(vocab, docs, n_classes, n_features), probs
 
 
 def bayes_predictions(corpus, class_probs):

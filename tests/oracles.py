@@ -31,7 +31,7 @@ import numpy as np
 from docnade import deep as deep_mod
 from docnade import shallow as shallow_mod
 from docnade import trainer as trainer_mod
-from docnade.corpus import MultimodalDocument, weight_vector
+from docnade.corpus import Corpus, MultimodalDocument, weight_vector
 from docnade.evaluate import RankedPrediction
 from docnade.model_io import DEEP_KINDS, FAMILIES
 from docnade.numerics import log_softmax, sigmoid, softmax_rows
@@ -385,6 +385,15 @@ def dense_deep_epoch(corpus, avg, config):
 # ---------------------------------------------------------------------------
 
 
+def as_rows(vocab, docs):
+    """The corpus of a sequence of documents, for the family functions that
+    read corpus rows; its class and feature counts are read off the documents."""
+    docs = list(docs)
+    n_classes = 1 + max((label for doc in docs for label in doc.labels), default=-1)
+    n_features = next((len(doc.features) for doc in docs if doc.features is not None), 0)
+    return Corpus.from_documents(vocab, docs, n_classes, n_features)
+
+
 def represent(doc, params, vocab, restrict="all-words"):
     """Shallow representation relu(c + sum counts * W), one column at a time."""
     pre = params.c.copy()
@@ -462,8 +471,8 @@ def annotation_predictions(corpus, params, meta, top_k):
         omega = weight_vector(vocab, meta.anno_weight)
     else:
         tree = build_tree(meta.vocab_size, meta.tree_seed)
-    for doc in corpus.documents:
-        yield doc, generate_text(
+    for i, doc in enumerate(corpus.documents):
+        yield i, generate_text(
             doc, params, vocab, top_k, tree=tree, meta_dropout=meta.dropout_rate, omega=omega
         )
 

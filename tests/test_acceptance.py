@@ -27,6 +27,7 @@ from docnade.trainer import TrainConfig, resume_training, train_model
 from docnade.wordtree import build_tree, words_log_prob
 from gen import bayes_accuracy, make_corpus
 from oracles import (
+    as_rows,
     OpCounter,
     annotation_id,
     class_posterior,
@@ -286,7 +287,8 @@ def test_criterion_08_tree_cost_scaling():
 def _supervised_accuracy(params, corpus):
     vocab = corpus.vocabulary
     reps = np.array([
-        shallow.represent([doc], params, vocab, "visual-only")[0] for doc in corpus.documents
+        shallow.represent(as_rows(vocab, [doc]), params, vocab, "visual-only")[0]
+        for doc in corpus.documents
     ])
     predicted = (reps @ params.U.T + params.d).argmax(axis=1)
     truth = np.array([next(iter(doc.labels)) for doc in corpus.documents])
@@ -317,8 +319,8 @@ def test_criterion_09_synthetic_classification():
     truth_test = np.array([next(iter(doc.labels)) for doc in test.documents])
     sup_scores, unsup_scores = [], []
     for seed in range(5):
-        sub = Corpus(vocab, train.documents[:600], train.n_classes)
-        val = Corpus(vocab, train.documents[600:], train.n_classes)
+        sub = Corpus.from_documents(vocab, train.documents[:600], train.n_classes)
+        val = Corpus.from_documents(vocab, train.documents[600:], train.n_classes)
         best = None
         for lam in (0.1, 1.0):
             cv_config = TrainConfig(
@@ -342,11 +344,11 @@ def test_criterion_09_synthetic_classification():
         )
         unsup_result = train_model(train, unsup_config)
         reps_train = np.array([
-            shallow.represent([d], unsup_result.averaged, vocab, "visual-only")[0]
+            shallow.represent(as_rows(vocab, [d]), unsup_result.averaged, vocab, "visual-only")[0]
             for d in train.documents
         ])
         reps_test = np.array([
-            shallow.represent([d], unsup_result.averaged, vocab, "visual-only")[0]
+            shallow.represent(as_rows(vocab, [d]), unsup_result.averaged, vocab, "visual-only")[0]
             for d in test.documents
         ])
         clf = fit_linear_classifier(reps_train, truth_train)
@@ -388,7 +390,8 @@ def test_criterion_10_synthetic_annotation():
     tree = build_tree(result.meta.vocab_size, result.meta.tree_seed)
     pairs = []
     for doc in test.documents:
-        (ids,), _ = shallow.predict_annotations([doc], result.averaged, tree, vocab, 5)
+        (ids,), _ = shallow.predict_annotations(as_rows(vocab, [doc]), result.averaged, tree,
+                                                vocab, 5)
         truth = {i for i in doc.counts if vocab.is_annotation(i)}
         pairs.append((set(int(i) for i in ids), truth))
     mean_f, skipped = evaluate.mean_f_measure(pairs)
@@ -545,7 +548,7 @@ def test_criterion_13_metric_oracles():
             {int(rng.integers(vocab.size)): int(rng.integers(1, 5))}
             for _ in range(int(rng.integers(1, 5)))
         ]
-        corpus = Corpus(vocab, tuple(MultimodalDocument(c) for c in count_dicts), 2)
+        corpus = Corpus.from_documents(vocab, tuple(MultimodalDocument(c) for c in count_dicts), 2)
         got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=2,
                                   rng=np.random.default_rng(trial), family=shallow)
         total_ll = sum(

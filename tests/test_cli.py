@@ -217,7 +217,7 @@ class TestEval:
             docs.append(MultimodalDocument(
                 {int(k): int(rng.integers(1, 4)) for k in ids}, labels
             ))
-        corpus = Corpus(vocab, tuple(docs), n_classes=3)
+        corpus = Corpus.from_documents(vocab, tuple(docs), n_classes=3)
         path = tmp_path / "ml.corpus"
         write_corpus(corpus, path)
         out = tmp_path / "runs"
@@ -260,7 +260,8 @@ class TestEval:
         model = os.path.join(out, os.listdir(out)[0], "model.bin")
         full = parse_corpus(corpus_path)
         empty = tmp_path / "empty.corpus"
-        write_corpus(Corpus(full.vocabulary, (), full.n_classes, full.n_features), empty)
+        write_corpus(Corpus.from_documents(full.vocabulary, (), full.n_classes, full.n_features),
+                     empty)
         capsys.readouterr()
         assert main(["eval", "--model", model, "--corpus", str(empty)]) == 3
         assert "corpus has no documents" in capsys.readouterr().err
@@ -453,7 +454,7 @@ class TestMissingFeatures:
             for i in range(2)
         )
         path = tmp_path / "c.corpus"
-        write_corpus(Corpus(vocab, docs, n_classes=2, n_features=2), path, format)
+        write_corpus(Corpus.from_documents(vocab, docs, n_classes=2, n_features=2), path, format)
         lines = path.read_text().splitlines()
         if format == "text-sparse":
             lines[1] = lines[1].rsplit("|", 1)[0] + "|"
@@ -601,3 +602,62 @@ class TestEvaluationMetrics:
                      "--val", str(corpus_path), "--out", str(out), "--model", kind,
                      "--epochs", "1", "--seed", "2", *flags]) == 0
         assert json.load(open(out / "best_manifest.json"))["metric"] == metric
+
+
+class TestCountOverflow:
+    """A count that does not fit in int64 is a data error naming its line and
+    field, in both formats, not an OverflowError."""
+
+    @pytest.mark.parametrize("format", ["text-sparse", "record-lines"])
+    def test_count_beyond_int64_exits_3(self, tmp_path, corpus_path, capsys, format):
+        model = os.path.join(_train(corpus_path, tmp_path / "runs"), "model.bin")
+        corpus = parse_corpus(corpus_path)
+        path = tmp_path / "big.corpus"
+        write_corpus(corpus, path, format)
+        lines = path.read_text().splitlines()
+        if format == "text-sparse":
+            parts = lines[1].split("|")
+            parts[1] += " 4:99999999999999999999"
+            lines[1] = "|".join(parts)
+            field = "VISUAL"
+        else:
+            record = json.loads(lines[1])
+            record["visual"].append([4, 99999999999999999999])
+            lines[1] = json.dumps(record)
+            field = "visual"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--model", model, "--corpus", str(path), "--format", format]) == 3
+        err = capsys.readouterr().err
+        assert f"line 2: {field} count" in err and "exceeds int64" in err
+
+
+@pytest.fixture
+def documents_unread(monkeypatch):
+    """Makes reading `Corpus.documents` fail the test."""
+    def read(corpus):
+        raise AssertionError("a command read Corpus.documents")
+
+    monkeypatch.setattr(Corpus, "documents", property(read))
+
+
+class TestCommandsReadRows:
+    """Every command reads corpus rows, never the per-document view."""
+
+    @pytest.mark.parametrize("kind,flags", [
+        ("supdocnade", ["--hidden", "8"]),
+        ("supdeepdocnade", ["--hidden", "6,5", "--batch-size", "3", "--head", "sigmoid"]),
+        ("docnade", ["--hidden", "8"]),
+        ("deepdocnade", ["--hidden", "6"]),
+    ])
+    def test_train_eval_annotate_retrieve(self, tmp_path, capsys, documents_unread, kind, flags):
+        corpus, _ = make_corpus(5, n_classes=3, n_visual=5, n_regions=2, anno_per_class=2,
+                                docs_per_class=6, doc_len=10, n_features=3)
+        path = tmp_path / "train.corpus"
+        write_corpus(corpus, path)
+        out = tmp_path / "runs"
+        assert main(["train", "--corpus", str(path), "--out", str(out), "--model", kind,
+                     "--epochs", "1", "--seed", "0", *flags]) == 0
+        model = os.path.join(out, os.listdir(out)[0], "model.bin")
+        for command in (["eval", "--orderings", "2"], ["annotate"], ["retrieve", "--query", "1"]):
+            assert main([*command, "--model", model, "--corpus", str(path)]) == 0

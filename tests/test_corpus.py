@@ -223,7 +223,7 @@ def _random_corpus(seed, n_docs=10, n_features=2):
         labels = frozenset(int(x) for x in rng.choice(4, rng.integers(0, 3), replace=False))
         features = rng.normal(size=n_features) if n_features else None
         docs.append(MultimodalDocument(counts, labels, features))
-    return Corpus(vocab, tuple(docs), n_classes=4, n_features=n_features)
+    return Corpus.from_documents(vocab, tuple(docs), n_classes=4, n_features=n_features)
 
 
 def _assert_corpora_equal(a, b):
@@ -288,3 +288,152 @@ class TestDocumentValidation:
         doc = MultimodalDocument({}, frozenset(), np.array([1.0]))
         with pytest.raises(ValueError, match="feature"):
             doc.validate(vocab, 2, 3)
+
+
+def _parse_lines(path, format="text-sparse"):
+    """`parse_corpus` with the column parser switched off: the per-line parser
+    and validation alone."""
+    import docnade.corpus as corpus_mod
+
+    original = corpus_mod._parse_columns
+    corpus_mod._parse_columns = lambda *args: None
+    try:
+        return parse_corpus(path, format)
+    finally:
+        corpus_mod._parse_columns = original
+
+
+def _outcome(parse, path):
+    """The arrays a parse gives, or its exception type and message."""
+    try:
+        corpus = parse(path)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+    arrays = [getattr(corpus, name) for name in
+              ("indptr", "ids", "counts", "label_ptr", "labels", "features")]
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+# Single tokens the column parser must read as the per-line parser does, or
+# leave to it: odd spellings of numbers, numbers beyond int64, non-finite reals.
+_ODD_TOKENS = [
+    "1_0", "+5", "010", "0x10", "1e3", "٣", "١:2", "3:٢", "-1", "-0", "- 1",
+    "+", "1:", ":2", "1::2", "1:2:3", "1:2:3 4", "1: 2", "1 :2", "1:-2", "2:0", "1.5", "3:1.0",
+    "99999999999999999999", "1:99999999999999999999", "1:9223372036854775807",
+    "1:5000000000000000000 1:5000000000000000000",  # counts that sum past int64
+    "nan", "inf", "-inf", "1e400", "1e-400", "0x1p3", "1,5", ".5", "5.", "1E+2", "#",
+]
+
+
+class TestColumnParser:
+    """The column parser (`_parse_columns`) against the per-line parser: the
+    same arrays, or the same exception type and message."""
+
+    @staticmethod
+    def _lines(tmp_path, n_features=3):
+        corpus = _random_corpus(23, n_docs=12, n_features=n_features)
+        path = tmp_path / "c.txt"
+        write_corpus(corpus, path)
+        return path, path.read_text().splitlines()
+
+    def _check(self, path, lines):
+        path.write_text("\n".join(lines) + "\n")
+        assert _outcome(parse_corpus, path) == _outcome(_parse_lines, path)
+
+    def test_clean_corpus_takes_the_column_path(self, tmp_path, monkeypatch):
+        path, lines = self._lines(tmp_path)
+        # annotation ids written bare (an id repeated count times), and a
+        # comment and a blank line
+        for n, line in enumerate(lines):
+            parts = line.split("|")
+            pairs = [entry.split(":") for entry in parts[2].split()]
+            parts[2] = " ".join(" ".join([i] * int(c)) for i, c in pairs)
+            lines[n] = "|".join(parts)
+        assert any(":" not in line.split("|")[2] and line.split("|")[2].strip() for line in lines)
+        lines += ["# note", ""]
+        path.write_text("\n".join(lines) + "\n")
+        expected = _outcome(_parse_lines, path)
+
+        def per_line(*args):
+            raise AssertionError("fell back to the per-line parser")
+
+        import docnade.corpus as corpus_mod
+        monkeypatch.setattr(corpus_mod, "_parse_text_sparse_line", per_line)
+        assert _outcome(parse_corpus, path) == expected
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("token", _ODD_TOKENS)
+    def test_odd_token(self, tmp_path, field, token):
+        path, lines = self._lines(tmp_path)
+        for line_no in (0, 5):
+            parts = lines[line_no].split("|")
+            parts[field] = f" {token} {parts[field].strip()} "
+            mutated = list(lines)
+            mutated[line_no] = "|".join(parts)
+            self._check(path, mutated)
+
+    @pytest.mark.parametrize("edit", [
+        "mixed-annotations", "mixed-visual", "duplicates", "zero-count", "comments", "missing-feature",
+        "extra-feature", "no-features", "fifth-field", "three-fields", "nan-feature",
+        "inf-feature", "label-too-large", "visual-id-in-annotations", "annotation-id-in-visual",
+        "tab-separated", "vertical-tab", "unicode-space", "empty-line-fields",
+    ])
+    def test_line_edit(self, tmp_path, edit):
+        path, lines = self._lines(tmp_path)
+        labels, visual, anno, feats = lines[3].split("|")
+        lines[3] = {
+            "mixed-annotations": f"{labels}|{visual}| 10 11:2 12 |{feats}",
+            "mixed-visual": f"{labels}|{visual} 3 |{anno}|{feats}",
+            "duplicates": f"{labels}|{visual} 1:2 1:3 |{anno} 10:1 10 |{feats}",
+            "zero-count": f"{labels}| 2:0 {visual}|{anno}|{feats}",
+            "comments": f"# a comment\n\n   \n{lines[3]}\n  # indented comment",
+            "missing-feature": f"{labels}|{visual}|{anno}| {' '.join(feats.split()[1:])}",
+            "extra-feature": f"{labels}|{visual}|{anno}|{feats} 0.25",
+            "no-features": f"{labels}|{visual}|{anno}|",
+            "fifth-field": f"{lines[3]} | 1",
+            "three-fields": f"{labels}|{visual}|{anno}",
+            "nan-feature": f"{labels}|{visual}|{anno}| nan {' '.join(feats.split()[1:])}",
+            "inf-feature": f"{labels}|{visual}|{anno}| {' '.join(feats.split()[1:])} -inf",
+            "label-too-large": f" 4 |{visual}|{anno}|{feats}",
+            "visual-id-in-annotations": f"{labels}|{visual}| 3 |{feats}",
+            "annotation-id-in-visual": f"{labels}| 11:1 |{anno}|{feats}",
+            "tab-separated": "\t|\t".join(part.strip() for part in lines[3].split("|")),
+            "vertical-tab": f"{labels}|{visual}\x0b|{anno}|{feats}",
+            "unicode-space": f"{labels}|{visual} |{anno}|{feats}",
+            "empty-line-fields": f"|||{feats}",
+        }[edit]
+        self._check(path, "\n".join(lines).split("\n"))
+
+    def test_no_features_declared(self, tmp_path):
+        path, lines = self._lines(tmp_path, n_features=0)
+        self._check(path, lines)
+        lines[2] = lines[2] + " 1.0"
+        self._check(path, lines)
+
+    def test_random_line_mutations(self, tmp_path):
+        rng = np.random.default_rng(29)
+        path, lines = self._lines(tmp_path)
+        alphabet = list("0123456789 :|-+.eE#\t") + ["nan", "٣", "99999999999999999999"]
+        for _ in range(60):
+            mutated = list(lines)
+            line_no = int(rng.integers(len(lines)))
+            chars = list(mutated[line_no])
+            for _ in range(int(rng.integers(1, 4))):
+                at = int(rng.integers(len(chars) + 1))
+                chars[at:at + int(rng.integers(0, 2))] = [str(rng.choice(alphabet))]
+            mutated[line_no] = "".join(chars)
+            self._check(path, mutated)
+
+    def test_features_round_trip_bit_exactly(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(31)
+        vocab = build_vocabulary(5, 2, ["a", "b", "c"])
+        values = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-300, 300, size=(40, 6))
+        values = np.array([[float(f"{x:.17g}") for x in row] for row in values])
+        docs = [MultimodalDocument({i % vocab.size: 1}, frozenset({i % 4}), row)
+                for i, row in enumerate(values)]
+        path = tmp_path / "c.txt"
+        write_corpus(Corpus.from_documents(vocab, docs, 4, 6), path)
+        import docnade.corpus as corpus_mod
+        monkeypatch.setattr(corpus_mod, "_parse_text_sparse_line", None)  # column path only
+        parsed = parse_corpus(path)
+        assert parsed.features.tobytes() == values.tobytes()

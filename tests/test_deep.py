@@ -15,6 +15,7 @@ from docnade import deep, shallow, trainer
 from docnade.trainer import TrainConfig, init_params
 from gen import make_corpus
 from oracles import (
+    as_rows,
     dense_counts,
     dense_forward,
     dense_histogram,
@@ -126,7 +127,7 @@ class TestDeepForward:
         doc = MultimodalDocument({0: 2, 6: 1})
         counts = dense_counts(doc, vocab.size)
         hs, _ = deep.deep_forward(counts.astype(float)[None], np.arange(vocab.size), dparams)
-        assert np.allclose(hs[0], shallow.represent([doc], sparams, vocab))
+        assert np.allclose(hs[0], shallow.represent(as_rows(vocab, [doc]), sparams, vocab))
 
     def test_zero_feature_map_is_noop(self, rng):
         params = random_deep_params(rng, 5, (4, 3), 2, n_features=3)

@@ -12,6 +12,7 @@ from docnade import deep, evaluate, shallow
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
 from docnade.wordtree import build_tree
 from oracles import (
+    as_rows,
     classifier_scores,
     classify,
     dense_counts,
@@ -137,7 +138,7 @@ class TestAccuracy:
 
 def _corpus_of(vocab, count_dicts, n_classes=2):
     docs = tuple(MultimodalDocument(c) for c in count_dicts)
-    return Corpus(vocab, docs, n_classes)
+    return Corpus.from_documents(vocab, docs, n_classes)
 
 
 class TestPerplexity:
@@ -291,14 +292,14 @@ class TestGenerateText:
         vocab = build_vocabulary(2, 2, ["only"])
         params = random_deep_params(rng, vocab.size, (3,), 2)
         doc = MultimodalDocument({0: 1})
-        ranked = evaluate.generate_text([doc], params, vocab, 1, family=deep)[0]
+        ranked = evaluate.generate_text(as_rows(vocab, [doc]), params, vocab, 1, family=deep)[0]
         assert ranked.ids.tolist() == [4]
 
     def test_zero_params_smallest_ids(self):
         vocab = self._vocab()
         params = zero_deep_params(vocab.size, (3,), 2)
-        ranked = evaluate.generate_text([MultimodalDocument({0: 2})], params, vocab, 2,
-                                        family=deep)[0]
+        ranked = evaluate.generate_text(as_rows(vocab, [MultimodalDocument({0: 2})]), params,
+                                        vocab, 2, family=deep)[0]
         assert ranked.ids.tolist() == [4, 5]
         assert np.allclose(ranked.scores, 1 / 3)
 
@@ -306,7 +307,7 @@ class TestGenerateText:
         vocab = self._vocab()
         params = random_deep_params(rng, vocab.size, (4,), 2)
         doc = MultimodalDocument({0: 2, 3: 1, 5: 9})  # annotation id 5 must be ignored
-        ranked = evaluate.generate_text([doc], params, vocab, 3, family=deep)[0]
+        ranked = evaluate.generate_text(as_rows(vocab, [doc]), params, vocab, 3, family=deep)[0]
         counts = dense_counts(visual_only(doc, vocab), vocab.size)
         h = deep.deep_represent(counts[None], np.arange(vocab.size), None, params, None)[0]
         logits = params.b_out + params.V_out @ h
@@ -321,7 +322,8 @@ class TestGenerateText:
         vocab = self._vocab()
         params = random_deep_params(rng, vocab.size, (4, 3), 2)
         (ranked,) = evaluate.generate_text(
-            [MultimodalDocument({1: 3})], params, vocab, vocab.n_annotation, family=deep
+            as_rows(vocab, [MultimodalDocument({1: 3})]), params, vocab, vocab.n_annotation,
+            family=deep,
         )
         assert abs(ranked.scores.sum() - 1.0) < 1e-10
 
@@ -330,8 +332,10 @@ class TestGenerateText:
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 3)
         doc = MultimodalDocument({0: 1})
-        (ranked,) = evaluate.generate_text([doc], params, vocab, 2, family=shallow, context=tree)
-        (ids,), (probs,) = shallow.predict_annotations([doc], params, tree, vocab, 2)
+        (ranked,) = evaluate.generate_text(as_rows(vocab, [doc]), params, vocab, 2, family=shallow,
+                                           context=tree)
+        (ids,), (probs,) = shallow.predict_annotations(as_rows(vocab, [doc]), params, tree,
+                                                       vocab, 2)
         assert ranked.ids.tolist() == ids.tolist()
         assert np.array_equal(ranked.scores, probs)
 
@@ -339,7 +343,8 @@ class TestGenerateText:
         vocab = build_vocabulary(2, 2)
         params = random_deep_params(rng, vocab.size, (3,), 2)
         with pytest.raises(ValueError, match="annotation"):
-            evaluate.generate_text([MultimodalDocument({})], params, vocab, 1, family=deep)
+            evaluate.generate_text(as_rows(vocab, [MultimodalDocument({})]), params, vocab, 1,
+                                   family=deep)
 
 
 class TestClassWordAssociations:

@@ -44,7 +44,7 @@ def _corpus(rng, n_docs=10, n_features=0):
         labels = frozenset({i % N_CLASSES} | ({2} if i % 4 == 1 else set()))
         features = rng.normal(size=n_features) if n_features else None
         docs.append(MultimodalDocument(counts, labels, features))
-    return Corpus(vocab, tuple(docs), N_CLASSES, n_features)
+    return Corpus.from_documents(vocab, tuple(docs), N_CLASSES, n_features)
 
 
 _MODELS = [
@@ -113,7 +113,7 @@ class TestAgainstPerDocumentOracles:
         for top_k in (1, 4, n_anno):
             got = list(evaluate.annotation_predictions(corpus, params, meta, top_k))
             expected = list(oracles.annotation_predictions(corpus, params, meta, top_k))
-            assert [doc for doc, _ in got] == list(corpus.documents)
+            assert [i for i, _ in got] == list(range(len(corpus)))
             _assert_rankings_equal([r for _, r in got], [r for _, r in expected])
 
     @_models()
@@ -200,16 +200,16 @@ class TestOneRowCases:
         vocab = corpus.vocabulary
         params = random_shallow_params(rng, vocab.size, 5, N_CLASSES)
         tree = build_tree(vocab.size, 4)
-        docs = corpus.documents
-        reps = shallow.represent(docs, params, vocab, "visual-only")
-        ids, probs = shallow.predict_annotations(docs, params, tree, vocab, 3)
-        assert reps.shape == (len(docs), 5) and ids.shape == probs.shape == (len(docs), 3)
-        for i, doc in enumerate(docs):
+        reps = shallow.represent(corpus, params, vocab, "visual-only")
+        ids, probs = shallow.predict_annotations(corpus, params, tree, vocab, 3)
+        assert reps.shape == (len(corpus), 5) and ids.shape == probs.shape == (len(corpus), 3)
+        for i in range(len(corpus)):
             np.testing.assert_allclose(
-                reps[i], shallow.represent([doc], params, vocab, "visual-only")[0],
+                reps[i], shallow.represent(corpus.take([i]), params, vocab, "visual-only")[0],
                 rtol=RTOL, atol=0,
             )
-            (one_ids,), (one_probs,) = shallow.predict_annotations([doc], params, tree, vocab, 3)
+            (one_ids,), (one_probs,) = shallow.predict_annotations(corpus.take([i]), params, tree,
+                                                                   vocab, 3)
             assert ids[i].tolist() == one_ids.tolist()
             np.testing.assert_allclose(probs[i], one_probs, rtol=RTOL, atol=0)
 
@@ -217,11 +217,11 @@ class TestOneRowCases:
         corpus = _corpus(rng, n_features=4)
         params, meta = _model(rng, corpus, "supdeepdocnade", "sigmoid", 4, 0.5)
         omega = np.ones(corpus.vocabulary.size)
-        batch = evaluate.generate_text(corpus.documents, params, corpus.vocabulary, 3,
+        batch = evaluate.generate_text(corpus, params, corpus.vocabulary, 3,
                                        family=deep_mod, context=omega, dropout_rate=0.5)
-        singles = [evaluate.generate_text([doc], params, corpus.vocabulary, 3,
+        singles = [evaluate.generate_text(corpus.take([i]), params, corpus.vocabulary, 3,
                                           family=deep_mod, context=omega, dropout_rate=0.5)[0]
-                   for doc in corpus.documents]
+                   for i in range(len(corpus))]
         _assert_rankings_equal(batch, singles)
 
 

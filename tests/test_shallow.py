@@ -14,6 +14,7 @@ from docnade import shallow
 from docnade.corpus import MultimodalDocument, build_vocabulary
 from docnade.wordtree import build_tree
 from oracles import (
+    as_rows,
     OpCounter,
     annotation_id,
     class_posterior,
@@ -332,14 +333,14 @@ class TestRepresent:
     def test_empty_doc(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
-        rep = shallow.represent([MultimodalDocument({})], params, vocab)[0]
+        rep = shallow.represent(as_rows(vocab, [MultimodalDocument({})]), params, vocab)[0]
         assert np.array_equal(rep, np.maximum(params.c, 0))
 
     def test_matches_hidden_state_of_any_ordering(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
         doc = MultimodalDocument({0: 2, 5: 1, 7: 3})
-        rep = shallow.represent([doc], params, vocab)[0]
+        rep = shallow.represent(as_rows(vocab, [doc]), params, vocab)[0]
         tokens = doc.token_array()
         for _ in range(5):
             ordering = tokens[rng.permutation(len(tokens))]
@@ -351,14 +352,16 @@ class TestRepresent:
         params = random_shallow_params(rng, vocab.size, 4, 2)
         doc = MultimodalDocument({1: 2, 6: 1})
         assert np.array_equal(
-            shallow.represent([doc], params, vocab), shallow.represent([doc], params, vocab)
+            shallow.represent(as_rows(vocab, [doc]), params, vocab),
+            shallow.represent(as_rows(vocab, [doc]), params, vocab),
         )
 
     def test_visual_only_ignores_annotations(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
         anno_only = MultimodalDocument({6: 2, 7: 1})
-        rep = shallow.represent([anno_only], params, vocab, restrict="visual-only")[0]
+        rows = as_rows(vocab, [anno_only])
+        rep = shallow.represent(rows, params, vocab, restrict="visual-only")[0]
         assert np.array_equal(rep, np.maximum(params.c, 0))
 
 
@@ -368,7 +371,7 @@ class TestPredictAnnotations:
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 5)
         (ids,), (probs,) = shallow.predict_annotations(
-            [MultimodalDocument({0: 1})], params, tree, vocab, top_k=1
+            as_rows(vocab, [MultimodalDocument({0: 1})]), params, tree, vocab, top_k=1
         )
         assert ids.tolist() == [word_id(vocab, "only")]
 
@@ -379,7 +382,7 @@ class TestPredictAnnotations:
         params = zero_shallow_params(vocab.size, 3, 2)
         tree = build_tree(vocab.size, 1)
         (ids,), (probs,) = shallow.predict_annotations(
-            [MultimodalDocument({0: 1})], params, tree, vocab, top_k=3
+            as_rows(vocab, [MultimodalDocument({0: 1})]), params, tree, vocab, top_k=3
         )
         assert ids.tolist() == [4, 5, 6]
         assert np.allclose(probs, 1 / 8)
@@ -389,8 +392,9 @@ class TestPredictAnnotations:
         params = random_shallow_params(rng, vocab.size, 4, 2)
         tree = build_tree(vocab.size, 7)
         doc = MultimodalDocument({0: 2, 3: 1})
-        (ids,), (probs,) = shallow.predict_annotations([doc], params, tree, vocab, top_k=5)
-        h = shallow.represent([doc], params, vocab, restrict="visual-only")[0]
+        (ids,), (probs,) = shallow.predict_annotations(as_rows(vocab, [doc]), params, tree, vocab,
+                                                       top_k=5)
+        h = shallow.represent(as_rows(vocab, [doc]), params, vocab, restrict="visual-only")[0]
         brute = sorted(
             (
                 (-np.exp(word_log_prob(tree, h, annotation_id(vocab, i), params.V, params.b)),
@@ -407,8 +411,8 @@ class TestPredictAnnotations:
         tree = build_tree(vocab.size, 2)
         with_anno = MultimodalDocument({0: 1, 6: 5})
         without = MultimodalDocument({0: 1})
-        a = shallow.predict_annotations([with_anno], params, tree, vocab, 2)
-        b = shallow.predict_annotations([without], params, tree, vocab, 2)
+        a = shallow.predict_annotations(as_rows(vocab, [with_anno]), params, tree, vocab, 2)
+        b = shallow.predict_annotations(as_rows(vocab, [without]), params, tree, vocab, 2)
         assert a[0].tolist() == b[0].tolist()
         assert np.array_equal(a[1], b[1])
 
@@ -417,4 +421,5 @@ class TestPredictAnnotations:
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 2)
         with pytest.raises(ValueError, match="top_k"):
-            shallow.predict_annotations([MultimodalDocument({})], params, tree, vocab, 2)
+            shallow.predict_annotations(as_rows(vocab, [MultimodalDocument({})]), params, tree,
+                                        vocab, 2)

@@ -122,6 +122,29 @@ class TestPolyak:
         assert params_equal(avg.current, snapshot)
 
 
+class TestLazyAverageStep:
+    def test_step_scales_blocks_in_place(self):
+        # a whole-array V_out block at Q = 20,000, H = 128 is 19.5 MiB; the
+        # step applies it without a scaled copy
+        import tracemalloc
+
+        from docnade.numerics import SparseGrads
+
+        config = TrainConfig(model_kind="deepdocnade", hidden_sizes=(128,))
+        params = init_params(20_000, 0, 0, config, named_stream(0, "init"))
+        lazy = trainer._LazyAverage(init_averaged(params, 0.9))
+        block = np.random.default_rng(0).normal(size=params.V_out.shape)
+        expected = params.V_out - 0.01 * block
+        tracemalloc.start()
+        try:
+            lazy.step([SparseGrads({"V_out": (0, slice(None), block)})], 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes / 100
+        assert np.array_equal(params.V_out, expected)
+
+
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         bad = [
@@ -179,7 +202,7 @@ class TestSgdTraining:
     def test_single_doc_corpus_determinism(self):
         vocab = build_vocabulary(4, 2, ["x"])
         doc = MultimodalDocument({0: 2, 8: 1}, frozenset({0}))
-        corpus = Corpus(vocab, (doc,), n_classes=2)
+        corpus = Corpus.from_documents(vocab, (doc,), n_classes=2)
         config = TrainConfig(model_kind="supdocnade", hidden_sizes=(4,),
                              learning_rate=0.1, epochs=3, seed=5)
         a = train_model(corpus, config)
@@ -215,7 +238,7 @@ class TestSgdTraining:
             MultimodalDocument({}),
             MultimodalDocument({1: 2}),
         )
-        corpus = Corpus(vocab, docs, n_classes=1)
+        corpus = Corpus.from_documents(vocab, docs, n_classes=1)
         config = TrainConfig(model_kind="docnade", hidden_sizes=(4,),
                              learning_rate=0.01, epochs=1, seed=0)
         result = train_model(corpus, config)
@@ -570,7 +593,7 @@ class TestLayoutEpoch:
                                frozenset({i % 2}))
             for i, t in enumerate(token_lists)
         )
-        return Corpus(vocab, docs, n_classes=2)
+        return Corpus.from_documents(vocab, docs, n_classes=2)
 
     def _check(self, corpus, kind, batch_size):
         config = TrainConfig(model_kind=kind, hidden_sizes=(5,), learning_rate=0.05,
