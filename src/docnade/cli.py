@@ -419,6 +419,8 @@ def _validate_usage(parser: argparse.ArgumentParser, args) -> None:
             parser.error(str(exc))
         if getattr(args, "pretrain_epochs", 0) > 0 and not getattr(args, "pretrain_corpus", None):
             parser.error("--pretrain-epochs requires --pretrain-corpus")
+    if getattr(args, "eval_seed", 0) < 0:
+        parser.error("--eval-seed must be >= 0")
 
 
 def main(argv=None) -> int:

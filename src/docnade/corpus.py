@@ -70,9 +70,6 @@ class JointVocabulary:
         """Total vocabulary size Q."""
         return self.visual_size + self.n_annotation
 
-    def is_annotation(self, token_id: int) -> bool:
-        return self.visual_size <= token_id < self.size
-
     def dims(self) -> dict:
         return {
             "n_visual": self.n_visual,
@@ -111,10 +108,6 @@ class MultimodalDocument:
     labels: frozenset[int] = frozenset()
     features: np.ndarray | None = None
 
-    @property
-    def total_tokens(self) -> int:
-        return sum(self.counts.values())
-
     def validate(self, vocab: JointVocabulary, n_classes: int, n_features: int) -> None:
         size = vocab.size
         for token_id, count in self.counts.items():
@@ -134,20 +127,6 @@ class MultimodalDocument:
             )
         elif not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite global feature value")
-
-    def id_counts(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted distinct token ids (those below `limit` only, if given)
-        and their counts."""
-        ids = np.fromiter(self.counts, np.int64, len(self.counts))
-        counts = np.fromiter(self.counts.values(), np.int64, len(self.counts))
-        order = np.argsort(ids)
-        ids, counts = ids[order], counts[order]
-        end = len(ids) if limit is None else np.searchsorted(ids, limit)
-        return ids[:end], counts[:end]
-
-    def token_array(self) -> np.ndarray:
-        """Expand counts into a sorted id sequence (one entry per token)."""
-        return np.repeat(*self.id_counts())
 
 
 def _count_block(indptr, ids, counts, limit=None) -> tuple[np.ndarray, np.ndarray]:
@@ -320,15 +299,34 @@ def _add_count(counts: dict, token_id: int, count: int, line_no: int, field_name
         )
 
 
+# The header's integer fields and their least values.
+_HEADER_INTS = {"n_visual": 1, "n_regions": 1, "n_annotation": 0, "C": 0, "N_f": 0}
+
+
 def read_header(path) -> dict:
+    """The sidecar header of a corpus file: a JSON object whose integer
+    fields are JSON integers no less than their least values, and whose
+    optional annotation_words is a list of strings."""
     header_file = _header_path(path)
     if not header_file.exists():
         raise CorpusFormatError(f"missing corpus header {header_file}")
     with open(header_file) as fh:
         header = json.load(fh)
-    for key in ("n_visual", "n_regions", "n_annotation", "C", "N_f"):
+    if not isinstance(header, dict):
+        raise CorpusFormatError(f"header {header_file} is not a JSON object")
+    for key, least in _HEADER_INTS.items():
         if key not in header:
             raise CorpusFormatError(f"header {header_file} missing field {key!r}")
+        if not (is_json_int(header[key]) and header[key] >= least):
+            raise CorpusFormatError(
+                f"header {header_file} field {key!r} must be an integer >= {least}, "
+                f"got {header[key]!r}"
+            )
+    words = header.get("annotation_words", [])
+    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+        raise CorpusFormatError(
+            f"header {header_file} field 'annotation_words' must be a list of strings"
+        )
     return header
 
 

@@ -6,14 +6,15 @@ under a full-softmax output).  Sampling a split position d uniformly from
 {1..D} and a uniformly random (d-1)-sub-multiset as the observed side makes
 the rescaled loss
 
-    (D / (D - d + 1)) * sum_{w in output} phi_w * -log softmax(...)[w]
+    (D / (D - d + 1)) * sum_{w in output} omega_w * -log softmax(...)[w]
 
 an unbiased estimator of the expected negative log-likelihood over all token
 orderings (the tests certify this on small instances against an exhaustive
 enumeration of the orderings).
 
-Annotation ids can be up-weighted both in the input histogram and in the
-per-token loss weights phi; input histograms are rescaled to unit variance.
+One weight vector omega (1 for a visual id, the annotation weight rho for an
+annotation id) weights both the input histogram and the per-token loss;
+input histograms are rescaled to unit variance.
 The supervised head (softmax for single-label, sigmoid for multi-label)
 conditions on the full document's histogram.
 
@@ -171,22 +172,19 @@ def deep_forward(
     cols: np.ndarray,
     params: DeepParams,
     features: np.ndarray | None = None,
-    masks: list[np.ndarray] | None = None,
-    keep_scale: float | None = None,
+    scales: list | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Hidden stack h^(1)..h^(N) of a (rows, len(cols)) input block; returns
     (activations, pre-activations), one row per input row.
 
     The inputs are zero outside the vocabulary columns `cols`, so the first
-    layer reads W1[:, cols] alone.  `features` and the masks carry one row
-    per input row.  During training, per-layer binary dropout masks multiply
-    the activations; at inference `keep_scale` multiplies them instead
-    (weight-scaling rule).
+    layer reads W1[:, cols] alone.  `features` carries one row per input
+    row.  Layer n's activations are multiplied by `scales[n]`, if given:
+    its (rows, H_n) binary dropout masks in training, the keep probability
+    at inference (the weight-scaling rule).
     """
     if x.shape[-1] != len(cols):
         raise ValueError(f"input width {x.shape[-1]} != {len(cols)} columns")
-    if masks is not None and keep_scale is not None:
-        raise ValueError("masks and keep_scale are mutually exclusive")
     hs, pres = [], []
     inp = x
     for n, (w, c) in enumerate(zip(params.layer_weights, params.layer_biases)):
@@ -198,10 +196,8 @@ def deep_forward(
                 raise ValueError("model has no global-feature map")
             pre = pre + features @ params.P
         h = np.maximum(pre, 0.0)
-        if masks is not None:
-            h = h * masks[n]
-        elif keep_scale is not None:
-            h = h * keep_scale
+        if scales is not None:
+            h = h * scales[n]
         pres.append(pre)
         hs.append(h)
         inp = h
@@ -281,33 +277,13 @@ def supervised_loss(
     return loss, {"U": d_logits.T @ h_top, "d": d_logits.sum(axis=0), "h": d_logits @ params.U}
 
 
-def stack_features(features: list, n_features: int) -> np.ndarray | None:
-    """One feature row per entry, or None if no entry has features; a None
-    entry among others is a zero row, so it adds 0 @ P."""
-    if all(f is None for f in features):
-        return None
-    return np.stack([np.zeros(n_features) if f is None else f for f in features])
-
-
-def _stack_rows(rows: list, sizes) -> list[np.ndarray] | None:
-    """Per-layer (rows, H_n) matrices from per-row lists of vectors; a None
-    row stands for ones, and all-None rows for no matrices at all."""
-    if all(row is None for row in rows):
-        return None
-    return [
-        np.stack([np.ones(size) if row is None else row[n] for row in rows])
-        for n, size in enumerate(sizes)
-    ]
-
-
 def hybrid_loss_gradients(
     docs: list[tuple[np.ndarray, np.ndarray]],
     labels: list[frozenset[int] | None],
-    features: list[np.ndarray | None],
+    features: np.ndarray | None,
     params: DeepParams,
     unsup_weight: float,
     omega: np.ndarray | None,
-    phi: np.ndarray | None,
     splits: list[HistogramSplit | None],
     gen_masks: list[list[np.ndarray] | None],
     sup_masks: list[list[np.ndarray] | None],
@@ -315,15 +291,18 @@ def hybrid_loss_gradients(
 ) -> tuple[np.ndarray, SparseGrads]:
     """Deterministic core of one mini-batch update (stochasticity passed in).
 
-    `docs` holds the batch's documents as sorted (ids, counts) pairs, and
-    `splits` a split of each one's counts (or None); the other list
-    arguments hold one entry per document too.  Each labelled document
-    contributes a supervised row (its full histogram); each document with a
-    split contributes a generative row (the split's observed side, scored
-    against its predicted side and weighted by `unsup_weight`).  All rows
-    go through the network together: the first layer reads only `cols`, the
-    union of the documents' ids, and every other layer, the class head and
-    the output softmax run as matrix products over the rows.
+    `docs` holds the batch's documents as sorted (ids, counts) pairs,
+    `features` their (n, N_f) feature rows (or None), and `splits` a split
+    of each one's counts (or None); the other list arguments hold one entry
+    per document too, the masks None for every document or for none.  Each
+    labelled document contributes a supervised row (its full histogram);
+    each document with a split contributes a generative row (the split's
+    observed side, scored against its predicted side and weighted by
+    `unsup_weight`); `omega` weights every input histogram and every
+    predicted token.  All rows go through the network together: the first
+    layer reads only `cols`, the union of the documents' ids, and every
+    other layer, the class head and the output softmax run as matrix
+    products over the rows.
 
     Returns (per-document losses, gradient summed over the batch), with a
     block for each array the rows reach: W1 on the columns `cols`, every
@@ -339,10 +318,10 @@ def hybrid_loss_gradients(
     cols, counts = count_rows(list(docs) + rows)
     losses = np.zeros(len(docs))
     x = prepare_histogram(counts[len(docs):], cols, params.vocab_size, omega)
-    feats = stack_features([features[i] for i in sup + gen], params.n_features)
-    masks = _stack_rows([sup_masks[i] for i in sup] + [gen_masks[i] for i in gen],
-                        params.hidden_sizes)
-    hs, pres = deep_forward(x, cols, params, feats, masks=masks)
+    feats = None if features is None else features[sup + gen]
+    masks = [sup_masks[i] for i in sup] + [gen_masks[i] for i in gen]
+    masks = None if all(m is None for m in masks) else [np.stack(m) for m in zip(*masks)]
+    hs, pres = deep_forward(x, cols, params, feats, masks)
 
     grads = {}
     d_top = np.zeros_like(hs[-1])
@@ -356,7 +335,7 @@ def hybrid_loss_gradients(
         gen_loss, out_grads = generative_loss(
             hs[-1][n_sup:],
             [(docs[i][0], splits[i].output_hist) for i in gen],
-            phi,
+            omega,
             np.array([splits[i].d for i in gen]),
             np.array([splits[i].total_tokens for i in gen]),
             params,
@@ -395,9 +374,9 @@ def deep_represent(
     that are zero outside the vocabulary columns `cols`, with one feature
     row per count row: the training forward pass of the weighted, rescaled
     histograms, scaled for `dropout_rate`."""
-    keep = 1.0 - dropout_rate if dropout_rate > 0.0 else None
+    scales = [1.0 - dropout_rate] * params.n_layers if dropout_rate > 0.0 else None
     x = prepare_histogram(counts, cols, params.vocab_size, omega)
-    hs, _ = deep_forward(x, cols, params, features, keep_scale=keep)
+    hs, _ = deep_forward(x, cols, params, features, scales)
     return hs[-1]
 
 
@@ -510,11 +489,10 @@ def params_from_arrays(meta, arrays: dict[str, np.ndarray]) -> DeepParams:
                       arrays.get("P"), arrays["V_out"], arrays["b_out"], arrays["U"], arrays["d"])
 
 
-def doc_data(corpus, omega: np.ndarray) -> list[tuple]:
-    """The per-run cache of each document: its sorted distinct token ids,
-    their counts and its features (`omega` plays no part in it)."""
-    features = [None] * len(corpus) if corpus.features is None else corpus.features
-    return [(*corpus.row(i), features[i]) for i in range(len(corpus))]
+def doc_data(corpus, omega: np.ndarray):
+    """The per-run document cache: the corpus itself, whose rows and feature
+    matrix a step reads (`omega` plays no part in it)."""
+    return corpus
 
 
 def _draw_masks(sizes, keep: float, rng: np.random.Generator) -> list[np.ndarray]:
@@ -523,7 +501,7 @@ def _draw_masks(sizes, keep: float, rng: np.random.Generator) -> list[np.ndarray
 
 def batch_step(batch, params: DeepParams, config, streams, cache):
     """Splits and masks drawn in batch order, then one batched step over the
-    documents in `cache.docs`, weighted by `cache.context` (omega); a
+    rows of the corpus `cache.docs`, weighted by `cache.context` (omega); a
     document with no split (an empty one) is skipped when its labels are
     None (an unsupervised run).
 
@@ -534,7 +512,7 @@ def batch_step(batch, params: DeepParams, config, streams, cache):
     kept, splits, gen_masks, sup_masks = [], [], [], []
     for doc_idx in batch:
         supervised = cache.labels[doc_idx] is not None
-        split = split_histogram(cache.docs[doc_idx][1], streams.split)
+        split = split_histogram(cache.docs.row(doc_idx)[1], streams.split)
         if split is None and not supervised:
             continue
         gen = sup = None
@@ -546,9 +524,10 @@ def batch_step(batch, params: DeepParams, config, streams, cache):
         splits.append(split)
         gen_masks.append(gen)
         sup_masks.append(sup)
+    features = cache.docs.features
     losses, grads = hybrid_loss_gradients(
-        [cache.docs[i][:2] for i in kept], [cache.labels[i] for i in kept],
-        [cache.docs[i][2] for i in kept], params, cache.unsup_weight, cache.context,
+        [cache.docs.row(i) for i in kept], [cache.labels[i] for i in kept],
+        None if features is None else features[kept], params, cache.unsup_weight,
         cache.context, splits, gen_masks, sup_masks, head=config.head,
     )
     return kept, losses.tolist(), [grads]

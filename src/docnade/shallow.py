@@ -239,19 +239,17 @@ def sparse_gradients(
     states = np.maximum(pre, 0.0)
     active = pre > 0  # relu subgradient: strict inequality, 0 at the kink
 
+    whole = slice(None)
+    grads = SparseGrads({})
+    dact_head = np.zeros(n_hidden)
     if label is not None:
         log_post = log_softmax(params.d + params.U @ states[-1])
         loss -= float(log_post[label])
         g_d = np.exp(log_post)
         g_d[label] -= 1.0
-        g_U = np.outer(g_d, states[-1])
+        grads.blocks.update(U=(0, whole, np.outer(g_d, states[-1])), d=(0, whole, g_d))
         dact_head = (params.U.T @ g_d) * active[-1]
-    else:
-        g_d, g_U = np.zeros_like(params.d), np.zeros_like(params.U)
-        dact_head = np.zeros(n_hidden)
-
-    whole = slice(None)
-    grads = SparseGrads({"c": (0, whole, dact_head), "U": (0, whole, g_U), "d": (0, whole, g_d)})
+    grads.blocks["c"] = (0, whole, dact_head)
     if n_tokens == 0:
         return loss, grads
 
@@ -423,8 +421,9 @@ def doc_data(corpus, tree: WordTree) -> list[DocLayout]:
 
 def batch_step(batch, params: ShallowParams, config, streams, cache):
     """Per-document orderings and sparse gradients, in batch order, over the
-    layouts in `cache.docs`; an empty document is skipped when its labels
-    are None (an unsupervised run).
+    layouts in `cache.docs`, each labelled document's class its one label;
+    an empty document is skipped when its labels are None (an unsupervised
+    run).
 
     Returns (documents kept, their losses, their gradients).
     """
@@ -432,15 +431,9 @@ def batch_step(batch, params: ShallowParams, config, streams, cache):
     for doc_idx in batch:
         layout, labels = cache.docs[doc_idx], cache.labels[doc_idx]
         n_tokens = len(layout.word_of_token)
-        label = None
-        if labels is not None:
-            if len(labels) != 1:
-                raise ValueError(
-                    f"document {doc_idx} needs exactly one label for supervised training"
-                )
-            label = int(labels[0])
-        elif n_tokens == 0:
+        if labels is None and n_tokens == 0:
             continue
+        label = None if labels is None else int(labels[0])
         seg = layout.word_of_token
         if n_tokens:
             seg = seg[streams.shuffle.permutation(n_tokens)]

@@ -9,8 +9,8 @@ come as blocks (`numerics.SparseGrads`; a whole-array gradient is one block
 over the array), a step changes only the entries its blocks cover, the
 average is kept lazily in a rescaled gap form for the whole epoch (an entry
 a step does not touch needs no work; see `_LazyAverage`), and every entry
-is flushed at the end of each epoch, so the average that logs, checkpoints
-and epoch callbacks see is the per-step one.
+is flushed at the end of each epoch, so the average that logs and
+checkpoints see is the per-step one.
 
 The model kind is looked up once in `model_io.FAMILIES`.  Its family module
 (`shallow` or `deep`) initializes the parameters, builds its context (the
@@ -74,6 +74,8 @@ class TrainConfig:
             raise ValueError("averaging_decay must be in [0, 1)")
         if self.epochs < 0 or self.pretrain_epochs < 0:
             raise ValueError("epoch counts must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
@@ -217,11 +219,12 @@ class EpochStats:
 
 class _DocCache(NamedTuple):
     """A training run's documents, built once per run: the family's data of
-    each one (`doc_data`), its labels (None in an unsupervised run), the
-    weight of the generative term (1 without a class term) and the family's
-    context."""
+    them (`doc_data`: the shallow family's layout of each one, the deep
+    family's corpus itself), each one's labels (None in an unsupervised
+    run), the weight of the generative term (1 without a class term) and
+    the family's context."""
 
-    docs: list
+    docs: object
     labels: list
     unsup_weight: float
     context: object
@@ -229,6 +232,9 @@ class _DocCache(NamedTuple):
 
 def _doc_cache(corpus: Corpus, config: TrainConfig) -> _DocCache:
     family, supervised = FAMILIES[config.model_kind]
+    wrong = np.flatnonzero(np.diff(corpus.label_ptr) != 1)
+    if supervised and config.head == "softmax" and len(wrong):
+        raise ValueError(f"document {wrong[0]} needs exactly one label for the softmax head")
     context = family.context(build_meta(corpus, config), corpus.vocabulary)
     return _DocCache(
         family.doc_data(corpus, context),
@@ -328,7 +334,6 @@ def train_model(
     stream_states: dict | None = None,
     checkpoint_dir=None,
     log_file=None,
-    on_epoch=None,
 ) -> TrainResult:
     """Train one configuration from scratch or from a restored state."""
     config.validate()
@@ -361,8 +366,6 @@ def train_model(
         if checkpoint_dir is not None:
             ckpt = f"{checkpoint_dir}/epoch_{epoch:04d}.ckpt"
             save_checkpoint(ckpt, avg.current, avg.averaged, meta, epoch, streams.states())
-        if on_epoch is not None:
-            on_epoch(epoch_stats, avg)
 
     return TrainResult(params=avg.current, averaged=avg.averaged, meta=meta, stats=stats)
 

@@ -19,7 +19,8 @@ classifier" baseline.  The per-word tree walk, the exhaustive ordering loss
 and the other per-item helpers at the end are the reference forms of
 vectorized production code, with the operation counters the cost-scaling
 tests read; the id and tree lookups last spell out the joint id layout and
-the tree depths that the tests and the corpus generator name words by.
+the tree depths that the tests and the corpus generator name words by, and
+a document's sorted ids, counts and tokens.
 """
 
 import itertools
@@ -231,14 +232,15 @@ def dense_hybrid_loss_gradients(
 
 
 def document_hybrid_loss_gradients(
-    counts, labels, features, params, unsup_weight, omega, phi,
+    counts, labels, features, params, unsup_weight, omega,
     split, gen_masks, sup_masks, head="softmax",
 ):
     """`deep.hybrid_loss_gradients` for one document given as a Q-length
     count vector and a split of it: the loss and dense gradients."""
     losses, grads = deep_mod.hybrid_loss_gradients(
-        [(np.arange(len(counts)), np.asarray(counts))], [labels], [features], params,
-        unsup_weight, omega, phi, [split], [gen_masks], [sup_masks], head=head,
+        [(np.arange(len(counts)), np.asarray(counts))], [labels],
+        None if features is None else features[None], params,
+        unsup_weight, omega, [split], [gen_masks], [sup_masks], head=head,
     )
     return float(losses[0]), grads.to_dense(params)
 
@@ -318,7 +320,7 @@ def dense_shallow_epoch(corpus, avg, config, tree):
         total, n_docs = None, 0
         for doc_idx in order[start : start + config.batch_size]:
             doc = corpus.documents[doc_idx]
-            tokens = doc.token_array()
+            tokens = token_array(doc)
             if len(tokens) == 0 and not supervised:
                 continue
             if len(tokens):
@@ -398,7 +400,7 @@ def represent(doc, params, vocab, restrict="all-words"):
     """Shallow representation relu(c + sum counts * W), one column at a time."""
     pre = params.c.copy()
     for token_id, count in doc.counts.items():
-        if restrict == "visual-only" and vocab.is_annotation(token_id):
+        if restrict == "visual-only" and is_annotation(vocab, token_id):
             continue
         pre += count * params.W[:, token_id]
     return np.maximum(pre, 0.0)
@@ -419,7 +421,7 @@ def words_log_prob(tree, h, words, V, b):
 
 def visual_only(doc, vocab):
     """Copy of a document with its annotation counts removed."""
-    kept = {i: c for i, c in doc.counts.items() if not vocab.is_annotation(i)}
+    kept = {i: c for i, c in doc.counts.items() if not is_annotation(vocab, i)}
     return MultimodalDocument(kept, doc.labels, doc.features)
 
 
@@ -736,9 +738,13 @@ def annotation_id(vocab, index):
 
 
 def annotation_index(vocab, token_id):
-    if not vocab.is_annotation(token_id):
+    if not is_annotation(vocab, token_id):
         raise ValueError(f"id {token_id} is not an annotation id")
     return token_id - vocab.visual_size
+
+
+def is_annotation(vocab, token_id):
+    return vocab.visual_size <= token_id < vocab.size
 
 
 def word_id(vocab, word):
@@ -753,3 +759,24 @@ def path_length(tree, word):
     """Depth of a word's leaf: node i of the heap layout is at depth
     floor(log2(i + 1))."""
     return int(tree.leaf_of_word[word] + 1).bit_length() - 1
+
+
+def id_counts(doc, limit=None):
+    """A document's sorted distinct token ids (those below `limit` only, if
+    given) and their counts."""
+    ids = np.fromiter(doc.counts, np.int64, len(doc.counts))
+    counts = np.fromiter(doc.counts.values(), np.int64, len(doc.counts))
+    order = np.argsort(ids)
+    ids, counts = ids[order], counts[order]
+    end = len(ids) if limit is None else np.searchsorted(ids, limit)
+    return ids[:end], counts[:end]
+
+
+def token_array(doc):
+    """A document's counts expanded into a sorted id sequence (one entry per
+    token)."""
+    return np.repeat(*id_counts(doc))
+
+
+def total_tokens(doc):
+    return sum(doc.counts.values())

@@ -38,7 +38,9 @@ from oracles import (
     estimator_expectation,
     exhaustive_ordering_loss,
     fit_linear_classifier,
+    is_annotation,
     path_length,
+    token_array,
     word_log_prob,
 )
 
@@ -141,13 +143,13 @@ def test_criterion_03_deep_gradient_exactness():
             if min(margins) > 1e-3:
                 break
         _, grads = document_hybrid_loss_gradients(
-            counts, labels, features, params, lam, omega, omega,
+            counts, labels, features, params, lam, omega,
             split, gen_masks, sup_masks, head=head,
         )
 
         def loss():
             value, _ = document_hybrid_loss_gradients(
-                counts, labels, features, params, lam, omega, omega,
+                counts, labels, features, params, lam, omega,
                 split, gen_masks, sup_masks, head=head,
             )
             return value
@@ -240,10 +242,10 @@ def test_criterion_07_rho_one_reduction():
         ones = np.ones(vocab_size)
         labels = frozenset({1})
         weighted = document_hybrid_loss_gradients(
-            counts, labels, None, params, 0.8, ones, ones, split, None, None
+            counts, labels, None, params, 0.8, ones, split, None, None
         )
         plain = document_hybrid_loss_gradients(
-            counts, labels, None, params, 0.8, None, None, split, None, None
+            counts, labels, None, params, 0.8, None, split, None, None
         )
         identical &= weighted[0] == plain[0]
         for name in weighted[1]:
@@ -379,7 +381,7 @@ def test_criterion_10_synthetic_annotation():
     for doc in test.documents:
         label = next(iter(doc.labels))
         expected = {annotation_id(vocab, label * 5 + j) for j in range(5)}
-        truth = {i for i in doc.counts if vocab.is_annotation(i)}
+        truth = {i for i in doc.counts if is_annotation(vocab, i)}
         assert truth == expected
 
     config = TrainConfig(
@@ -392,7 +394,7 @@ def test_criterion_10_synthetic_annotation():
     for doc in test.documents:
         (ids,), _ = shallow.predict_annotations(as_rows(vocab, [doc]), result.averaged, tree,
                                                 vocab, 5)
-        truth = {i for i in doc.counts if vocab.is_annotation(i)}
+        truth = {i for i in doc.counts if is_annotation(vocab, i)}
         pairs.append((set(int(i) for i in ids), truth))
     mean_f, skipped = evaluate.mean_f_measure(pairs)
     elapsed = time.perf_counter() - started
@@ -552,7 +554,7 @@ def test_criterion_13_metric_oracles():
         got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=2,
                                   rng=np.random.default_rng(trial), family=shallow)
         total_ll = sum(
-            shallow.doc_log_likelihood(MultimodalDocument(c).token_array(), params, tree)
+            shallow.doc_log_likelihood(token_array(MultimodalDocument(c)), params, tree)
             for c in count_dicts
         )
         total_tokens = sum(sum(c.values()) for c in count_dicts)

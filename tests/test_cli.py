@@ -433,6 +433,7 @@ class TestGrid:
         '[{"lr": [0.1]}]', '{"lr": 0.1}', '{"lr": null}', '{"lr": [null]}',
         '{"lr": [0.1, NaN]}', '{"hidden": [4], "seed": [0, null]}',
         '{"epochs": [1.5]}', '{"batch-size": [2.7]}', '{"lr": [true]}', '{"seed": ["7"]}',
+        '{"seed": [0, -1]}',
     ])
     def test_malformed_grid_is_a_data_error_before_any_work(self, tmp_path, corpus_path, spec):
         grid_file = tmp_path / "grid.json"
@@ -486,7 +487,11 @@ _MALFORMED = {
     "train-lambda-nan": ["train", "--model", "supdocnade", "--lambda", "nan"],
     "train-anno-weight-nan": ["train", "--model", "docnade", "--anno-weight", "nan"],
     "train-anno-weight-inf": ["train", "--model", "deepdocnade", "--anno-weight", "inf"],
+    "train-seed": ["train", "--seed", "-1"],
+    "eval-eval-seed": ["eval", "--eval-seed", "-1"],
     "grid-k": ["grid", "--grid", "g.json", "--val", "v.corpus", "--k", "0"],
+    "grid-seed": ["grid", "--grid", "g.json", "--val", "v.corpus", "--seed", "-1"],
+    "grid-eval-seed": ["grid", "--grid", "g.json", "--val", "v.corpus", "--eval-seed", "-1"],
 }
 
 
@@ -561,6 +566,67 @@ def _eval_doctored_header(tmp_path, corpus_path, capsys, doctor, message):
     code = main(["eval", "--model", str(path), "--corpus", str(corpus_path)])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+# Corpus headers that load as JSON but break the format: the change to the
+# written header and the field the error names.
+_BAD_HEADERS = {
+    "not-an-object": ([3, 2], "JSON object"),
+    "n_visual-string": ({"n_visual": "2"}, "'n_visual'"),
+    "n_visual-float": ({"n_visual": 2.0}, "'n_visual'"),
+    "n_visual-bool": ({"n_visual": True}, "'n_visual'"),
+    "n_regions-zero": ({"n_regions": 0}, "'n_regions'"),
+    "n_annotation-string": ({"n_annotation": "1"}, "'n_annotation'"),
+    "C-string": ({"C": "2"}, "'C'"),
+    "N_f-string": ({"N_f": "0"}, "'N_f'"),
+    "N_f-null": ({"N_f": None}, "'N_f'"),
+    "N_f-negative": ({"N_f": -1}, "'N_f'"),
+    "annotation_words-int": ({"annotation_words": 5}, "'annotation_words'"),
+    "annotation_words-string": ({"n_annotation": 1, "annotation_words": "a"},
+                                "'annotation_words'"),
+}
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("change,field", list(_BAD_HEADERS.values()), ids=list(_BAD_HEADERS))
+    def test_data_error_names_the_field(self, tmp_path, corpus_path, capsys, rng, command,
+                                        change, field):
+        header_path = tmp_path / (corpus_path.name + ".header.json")
+        header = json.loads(header_path.read_text())
+        header_path.write_text(json.dumps(change if isinstance(change, list)
+                                          else {**header, **change}))
+        if command == "train":
+            argv = ["train", "--out", str(tmp_path / "runs"), "--epochs", "1"]
+        else:
+            meta = ModelMeta(kind="docnade", head="softmax", n_visual=5, n_regions=2,
+                             n_annotation=6, n_classes=3, n_features=0, hidden_sizes=(4,),
+                             tree_seed=0)
+            model = tmp_path / "model.bin"
+            save_model(model, random_shallow_params(rng, meta.vocab_size, 4, 3), meta)
+            argv = ["eval", "--model", str(model)]
+        assert main([*argv, "--corpus", str(corpus_path)]) == 3
+        err = capsys.readouterr().err
+        assert str(header_path) in err and field in err
+        assert not os.path.exists(tmp_path / "runs")
+
+
+class TestLabelCounts:
+    @pytest.mark.parametrize("kind,flags,labels", [
+        ("supdocnade", ["--hidden", "4"], frozenset()),
+        ("supdeepdocnade", ["--hidden", "4", "--head", "softmax"], frozenset({0, 2})),
+    ], ids=["supdocnade-unlabelled", "supdeepdocnade-softmax-multi-label"])
+    def test_document_without_one_label_is_a_data_error(self, tmp_path, corpus_path, capsys,
+                                                        kind, flags, labels):
+        corpus = parse_corpus(corpus_path)
+        docs = list(corpus.documents)
+        docs[5] = MultimodalDocument(docs[5].counts, labels, docs[5].features)
+        path = tmp_path / "odd.corpus"
+        write_corpus(Corpus.from_documents(corpus.vocabulary, docs, corpus.n_classes), path)
+        code = main(["train", "--corpus", str(path), "--out", str(tmp_path / "runs"),
+                     "--model", kind, "--epochs", "1", *flags])
+        assert code == 3
+        assert "document 5 needs exactly one label" in capsys.readouterr().err
 
 
 # (model kind, training flags, metric a grid search over it selects on)

@@ -15,7 +15,10 @@ from oracles import (
     annotation_id,
     annotation_index,
     dense_counts,
+    id_counts,
     to_weighted_histogram,
+    token_array,
+    total_tokens,
     visual_id,
     visual_pair,
     word_id,
@@ -82,8 +85,8 @@ class TestCountRows:
 
     def test_id_counts_below_limit(self):
         doc = MultimodalDocument({7: 1, 0: 2, 3: 5})
-        assert [a.tolist() for a in doc.id_counts()] == [[0, 3, 7], [2, 5, 1]]
-        assert [a.tolist() for a in doc.id_counts(4)] == [[0, 3], [2, 5]]
+        assert [a.tolist() for a in id_counts(doc)] == [[0, 3, 7], [2, 5, 1]]
+        assert [a.tolist() for a in id_counts(doc, 4)] == [[0, 3], [2, 5]]
 
 
 class TestWeightedHistogram:
@@ -269,14 +272,14 @@ class TestRoundTrip:
 class TestDocumentValidation:
     def test_token_array_matches_counts(self):
         doc = MultimodalDocument({3: 2, 1: 1})
-        assert doc.token_array().tolist() == [1, 3, 3]
-        assert doc.total_tokens == 3
+        assert token_array(doc).tolist() == [1, 3, 3]
+        assert total_tokens(doc) == 3
 
     def test_zero_token_document_is_legal(self):
         vocab = build_vocabulary(2, 2)
         doc = MultimodalDocument({})
         doc.validate(vocab, n_classes=2, n_features=0)
-        assert doc.total_tokens == 0
+        assert total_tokens(doc) == 0
 
     def test_bad_label(self):
         vocab = build_vocabulary(2, 2)

@@ -143,17 +143,11 @@ class TestDeepForward:
         with pytest.raises(ValueError):
             deep.deep_forward(np.zeros((1, 7)), np.arange(5), params)
 
-    def test_dropout_mask_and_scale_are_exclusive(self, rng):
-        params = random_deep_params(rng, 4, (3,), 2)
-        with pytest.raises(ValueError):
-            deep.deep_forward(np.zeros((1, 4)), np.arange(4), params, masks=[np.ones(3)],
-                              keep_scale=0.5)
-
     def test_fixed_mask_is_deterministic(self, rng):
         params = random_deep_params(rng, 4, (3, 3), 2)
         masks = [np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0])]
         x = rng.random(4)
-        a, b = ([h[0] for h in deep.deep_forward(x[None], np.arange(4), params, masks=masks)[0]]
+        a, b = ([h[0] for h in deep.deep_forward(x[None], np.arange(4), params, scales=masks)[0]]
                 for _ in range(2))
         assert np.array_equal(a[-1], b[-1])
         assert np.all(a[0][1] == 0.0)
@@ -265,7 +259,7 @@ class TestHybridGradients:
         split = deep.split_histogram(counts, rng)
         params = random_deep_params(rng, 4, (3,), 2)
         _, grads = document_hybrid_loss_gradients(
-            counts, frozenset({1}), None, params, 0.0, None, None, split, None, None
+            counts, frozenset({1}), None, params, 0.0, None, split, None, None
         )
         assert np.all(grads["V_out"] == 0)
         assert np.all(grads["b_out"] == 0)
@@ -283,7 +277,7 @@ class TestHybridGradients:
         params = random_deep_params(rng, vocab_size, (4,), 2)
         x_in = dense_histogram(split.input_hist, None)
         loss, grads = document_hybrid_loss_gradients(
-            counts, None, None, params, 1.0, None, phi, split, None, None
+            counts, None, None, params, 1.0, phi, split, None, None
         )
         slow_loss, slow = per_token_generative_grads(x_in, counts, phi, params)
         assert loss == pytest.approx(slow_loss, rel=1e-12)
@@ -310,13 +304,13 @@ class TestHybridGradients:
             rng, vocab_size, sizes, n_classes, n_features, counts, split, omega, features
         )
         _, grads = document_hybrid_loss_gradients(
-            counts, labels, features, params, lam, omega, omega,
+            counts, labels, features, params, lam, omega,
             split, gen_masks, sup_masks, head=head,
         )
 
         def loss():
             value, _ = document_hybrid_loss_gradients(
-                counts, labels, features, params, lam, omega, omega,
+                counts, labels, features, params, lam, omega,
                 split, gen_masks, sup_masks, head=head,
             )
             return value
@@ -462,8 +456,8 @@ def _batch_instance(rng, supervised, head, n_features, dropout, empty_doc=False)
 def _check_batch_against_oracle(instance, unsup_weight, head):
     counts, labels, features, params, omega, splits, gen_masks, sup_masks = instance
     losses, grads = deep.hybrid_loss_gradients(
-        [(np.arange(counts.shape[1]), row) for row in counts], labels, features, params,
-        unsup_weight, omega, omega,
+        [(np.arange(counts.shape[1]), row) for row in counts], labels,
+        None if features[0] is None else np.stack(features), params, unsup_weight, omega,
         splits, gen_masks, sup_masks, head=head,
     )
     expected = {name: np.zeros_like(arr) for name, arr in params.arrays()}
@@ -503,6 +497,17 @@ class TestBatchedStep:
     def test_zero_unsup_weight(self, rng):
         instance = _batch_instance(rng, True, "sigmoid", 2, 0.3)
         _check_batch_against_oracle(instance, 0.0, "sigmoid")
+
+    def test_none_among_masks_is_an_error(self, rng):
+        # with dropout every document draws masks, so a None is not ones
+        counts, labels, _, params, omega, splits, gen_masks, sup_masks = _batch_instance(
+            rng, False, "softmax", 0, 0.3)
+        gen_masks[1] = None
+        with pytest.raises(TypeError):
+            deep.hybrid_loss_gradients(
+                [(np.arange(counts.shape[1]), row) for row in counts], labels, None, params,
+                1.0, omega, splits, gen_masks, sup_masks,
+            )
 
     def test_rescale_from_nonzeros_matches_dense(self, rng):
         counts = np.array([[0, 3, 0, 1, 0, 0, 2], [0, 0, 0, 0, 0, 0, 0]])
@@ -556,10 +561,10 @@ class TestStepBlocks:
             labels.append(frozenset(np.flatnonzero(rng.random(n_classes) < 0.3).tolist()))
             features.append(rng.normal(size=n_features))
         omega = np.ones(vocab_size)
-        nones = [None] * n_docs
+        features, nones = np.array(features), [None] * n_docs
         tracemalloc.start()
         try:
-            deep.hybrid_loss_gradients(docs, labels, features, params, 0.5, omega, omega,
+            deep.hybrid_loss_gradients(docs, labels, features, params, 0.5, omega,
                                        splits, nones, nones, head="sigmoid")
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -17,6 +17,7 @@ from oracles import (
     classify,
     dense_counts,
     fit_linear_classifier,
+    token_array,
     visual_only,
 )
 
@@ -170,7 +171,7 @@ class TestPerplexity:
         got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=3, rng=rng,
                                   family=shallow)
         total_ll = sum(
-            shallow.doc_log_likelihood(MultimodalDocument(c).token_array(), params, tree)
+            shallow.doc_log_likelihood(token_array(MultimodalDocument(c)), params, tree)
             for c in counts
         )
         total_tokens = sum(sum(c.values()) for c in counts)

@@ -21,6 +21,7 @@ from oracles import (
     counted_hidden_states,
     dense_shallow_gradients,
     joint_log_prob,
+    token_array,
     word_id,
     word_log_prob,
 )
@@ -341,7 +342,7 @@ class TestRepresent:
         params = random_shallow_params(rng, vocab.size, 4, 2)
         doc = MultimodalDocument({0: 2, 5: 1, 7: 3})
         rep = shallow.represent(as_rows(vocab, [doc]), params, vocab)[0]
-        tokens = doc.token_array()
+        tokens = token_array(doc)
         for _ in range(5):
             ordering = tokens[rng.permutation(len(tokens))]
             last = shallow.hidden_states(ordering, params)[-1]
