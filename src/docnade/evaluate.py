@@ -347,14 +347,19 @@ def evaluation_metrics(
     """The (metric, value) report of `docnade eval` for the model's kind.
 
     Unsupervised models: perplexity (deep ones: its sampled-split estimate)
-    over `orderings` samples per document.  Supervised models: accuracy, or
-    MAP for a sigmoid head (with PR curves to `curves_dir`), then top-K
-    annotation F-measure.  The first entry is what a grid search selects on.
+    over `orderings` samples per document; they have no class scores, so
+    `curves_dir` is an error.  Supervised models: accuracy, or MAP for a
+    sigmoid head, then top-K annotation F-measure; `curves_dir` receives
+    each class's one-vs-rest PR curve of the documents the first metric
+    scores.  The first entry is what a grid search selects on.
     """
     if not len(corpus):
         raise ValueError("corpus has no documents to evaluate")
     family, supervised = meta.family
     if not supervised:
+        if curves_dir is not None:
+            raise ValueError("--curves needs a supervised model: "
+                             f"a {meta.kind} model has no class scores")
         rng = named_stream(eval_seed, "eval")
         return [(family.PERPLEXITY, perplexity_estimate(corpus, params, meta, orderings, rng))]
 
@@ -368,15 +373,17 @@ def evaluation_metrics(
         metrics.append(("map", mean_ap))
         if skipped:
             metrics.append(("map_classes_excluded", float(skipped)))
-        if curves_dir is not None:
-            write_pr_curves(curves_dir, scores, relevance)
     else:
         labeled = np.flatnonzero(np.diff(corpus.label_ptr))
         if not len(labeled):
             raise ValueError("no document has a label to score accuracy on")
-        predicted = scores.argmax(axis=1)[labeled]
+        scores = scores[labeled]
         truth = corpus.labels[corpus.label_ptr[labeled]]  # a document's smallest label
-        metrics.append(("accuracy", accuracy(predicted, truth)))
+        metrics.append(("accuracy", accuracy(scores.argmax(axis=1), truth)))
+        relevance = np.zeros(scores.shape, dtype=bool)
+        relevance[np.arange(len(truth)), truth] = True
+    if curves_dir is not None:
+        write_pr_curves(curves_dir, scores, relevance)
 
     vocab = corpus.vocabulary
     if vocab.n_annotation > 0:

@@ -10,7 +10,9 @@ hybrid objective
     L = -log p(y | v) - unsup_weight * sum_i log p(v_i | v_<i)
 
 with exact gradients.  Hidden states are computed incrementally (one column
-add per token), so a full pass is O(H * D) instead of O(H * D^2).
+add per token), so a full pass is O(H * D) instead of O(H * D^2), and each
+token's conditional reads only the tree nodes on its word's path, so a
+training step costs O(H * D * log Q), as in the paper.
 
 This module is the shallow model family of `model_io.FAMILIES`, with the
 same family names as `deep`; its context is the word tree.
@@ -35,6 +37,11 @@ class ShallowParams:
     W: (H, Q) input/embedding weights, c: (H,) hidden bias,
     V: (T, H) tree logistic weights, b: (T,) tree biases,
     U: (C, H) class head weights, d: (C,) class bias (C may be 0).
+
+    W is kept column-major (word-major), so that each word's column, which
+    a step reads and updates whole, is one contiguous run; `init`,
+    `params_from_arrays` and `copy` keep it so.  `W.T[ids]` reads the
+    columns of `ids` as C-contiguous rows.
     """
 
     W: np.ndarray
@@ -68,7 +75,7 @@ class ShallowParams:
         ]
 
     def copy(self) -> "ShallowParams":
-        return ShallowParams(*(arr.copy() for _, arr in self.arrays()))
+        return ShallowParams(*(arr.copy(order="K") for _, arr in self.arrays()))
 
 
 def _preactivations(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
@@ -76,7 +83,7 @@ def _preactivations(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
     pre = np.empty((len(tokens) + 1, params.n_hidden))
     pre[0] = params.c
     if len(tokens):
-        np.cumsum(params.W[:, tokens].T, axis=0, out=pre[1:])
+        np.cumsum(params.W.T[tokens], axis=0, out=pre[1:])
         pre[1:] += params.c
     return pre
 
@@ -145,52 +152,29 @@ def _compact(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(used), (np.cumsum(used) - 1)[index]
 
 
-class _Paths(NamedTuple):
-    """The tree-path entries of a block of token positions, on a (tokens x
-    depth) grid over the block's columns: the layout's nodes its words'
-    paths touch (and the padding column, if any path is shorter)."""
+def _path_entries(
+    states: np.ndarray, rows: np.ndarray, flips: np.ndarray, params: ShallowParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The path entries (B, depth) of a block of token positions: `rows`
+    the V row of each entry, `flips` its 1 - 2 * bit (0 for padding) and
+    `states` (B, H) the state each position is read at.
 
-    cols: np.ndarray  # the block's columns in layout.nodes
-    slots: np.ndarray  # (B, depth) the column of each entry
-    flips: np.ndarray  # (B, depth) 1 - 2 * bit, 0 for padding
-    v: np.ndarray  # (columns, H) the columns' V rows
-    margin: np.ndarray  # flip * (b + V . h_i), h_i the state token i is read at
-    soft: np.ndarray  # softplus(margin): -log p of each entry, log 2 for padding
-    log_lik: float  # log p of the block's tokens, the sum over the real entries
-
-
-def _entry_terms(act: np.ndarray, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Margins flip * act of path entries with activations act = b + V . h,
-    their softplus (-log p of each entry, log 2 for padding) and the log p
-    of the tokens, the sum over the real entries."""
-    margin = flips * act
-    soft = np.logaddexp(0.0, margin)
-    return margin, soft, -float(soft[flips != 0].sum())
-
-
-def _path_terms(states: np.ndarray, seg: np.ndarray, layout: DocLayout,
-                params: ShallowParams) -> _Paths:
-    """Path entries of the token positions `seg` (indices into layout.ids)
-    read at `states`, from one matrix product over the block's columns,
-    whose V rows the gradient products reuse."""
-    cols, slots = _compact(layout.slots[seg], len(layout.nodes))
-    rows = layout.nodes[cols]
+    Returns the entries' V rows (B, depth, H), their margins
+    flip * (b + V . h), one dot product per entry, the margins' softplus
+    (-log p of each entry, log 2 for padding) and the log p of the
+    positions' tokens, the sum over the real entries."""
     v = params.V[rows]
-    table = states @ v.T
-    table += params.b[rows]
-    flips = layout.flips[seg]
-    return _Paths(cols, slots, flips, v,
-                  *_entry_terms(table[np.arange(len(seg))[:, None], slots], flips))
+    margin = np.matmul(v, states[:, :, None])[..., 0]
+    margin += params.b[rows]
+    margin *= flips
+    soft = np.logaddexp(0.0, margin)
+    return v, margin, soft, -float(soft[flips != 0].sum())
 
 
 def doc_log_likelihood(
     tokens: np.ndarray, params: ShallowParams, tree: WordTree
 ) -> float:
-    """log p(v) for one explicit token ordering; 0 for the empty document.
-
-    With no gradient to share a product with, each block of positions reads
-    just the V row of each of its path entries, fewer than the block's
-    distinct path nodes times its tokens."""
+    """log p(v) for one explicit token ordering; 0 for the empty document."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if len(tokens) == 0 or tree.n_internal == 0:
         return 0.0
@@ -201,8 +185,7 @@ def doc_log_likelihood(
         words = tokens[blk]
         nodes = nodes_tab[words]  # -1 past a path's end reads the last row, with flip 0
         flips = (1 - 2 * bits_tab[words]) * (nodes >= 0)
-        act = params.b[nodes] + np.einsum("bdh,bh->bd", params.V[nodes], states[blk])
-        log_lik += _entry_terms(act, flips)[2]
+        log_lik += _path_entries(states[blk], nodes, flips, params)[3]
     return log_lik
 
 
@@ -223,11 +206,13 @@ def sparse_gradients(
     joins the accumulator only after position i's dW update).  The hidden
     bias receives every masked dh_i plus the class-head term.
 
-    Per block of `BLOCK_TOKENS` positions, the path terms are dense products
-    with the (tokens x block columns) matrix of the entries' gradients: dh
-    is its product with the columns' V rows, dV its transposed product with
-    the hidden states and db its column sums.  dW is the product of a
-    one-hot (block words x tokens) matrix with the accumulator.
+    Per block of `BLOCK_TOKENS` positions, the path terms read only the V
+    row of each path entry, as in the paper's O(H log Q) cost per token:
+    the activations and dh are one dot product per entry.  dV and db sum
+    the entries' gradients per tree node, as the transposed product of the
+    (tokens x block nodes) matrix of those gradients with the hidden states
+    and its column sums.  dW is the product of a one-hot (block words x
+    tokens) matrix with the accumulator.
     """
     if label is not None and not (0 <= label < params.n_classes):
         raise ValueError(f"label {label} out of range")
@@ -260,18 +245,21 @@ def sparse_gradients(
         dV = np.zeros((len(layout.nodes), n_hidden))  # the last row is the padding column's
         db = np.zeros(len(layout.nodes))
         for blk in blocks:
-            paths = _path_terms(read[blk], seg[blk], layout, params)
-            loss -= unsup_weight * paths.log_lik
+            slots, flips = layout.slots[seg[blk]], layout.flips[seg[blk]]
+            v, margin, soft, log_lik = _path_entries(read[blk], layout.nodes[slots], flips,
+                                                     params)
+            loss -= unsup_weight * log_lik
             if unsup_weight == 0.0:
                 continue
             # d(-w log sigmoid(-margin)) / d act = w * flip * sigmoid(margin); 0 for padding
-            dt = np.exp(paths.margin - paths.soft)
-            dt *= unsup_weight * paths.flips
-            grid = np.zeros((len(dt), len(paths.v)))
-            grid[np.arange(len(dt))[:, None], paths.slots] = dt
-            masked[blk] = grid @ paths.v
-            dV[paths.cols] += grid.T @ read[blk]
-            db[paths.cols] += grid.sum(axis=0)
+            dt = np.exp(margin - soft)
+            dt *= unsup_weight * flips
+            masked[blk] = np.matmul(dt[:, None, :], v)[:, 0]
+            cols, local = _compact(slots, len(layout.nodes))
+            grid = np.zeros((len(dt), len(cols)))
+            grid[np.arange(len(dt))[:, None], local] = dt
+            dV[cols] += grid.T @ read[blk]
+            db[cols] += grid.sum(axis=0)
         if unsup_weight != 0.0:
             masked *= active[:n_tokens]
             grads.blocks["V"] = (0, layout.nodes[:-1], dV[:-1])
@@ -335,7 +323,7 @@ def represent(
         raise ValueError(f"unknown restriction {restrict!r}")
     limit = vocab.visual_size if restrict == "visual-only" else None
     cols, counts = rows.count_block(limit)
-    return np.maximum(counts @ params.W[:, cols].T + params.c, 0.0)
+    return np.maximum(counts @ params.W.T[cols] + params.c, 0.0)
 
 
 def predict_annotations(
@@ -387,7 +375,7 @@ def init(vocab_size: int, n_classes: int, n_features: int, hidden_sizes, rng) ->
     """Glorot-initialized W, V, U, drawn from `rng` in that order, and zero
     biases; there is no global-feature map."""
     hidden, n_internal = hidden_sizes[0], vocab_size - 1
-    W = maybe_glorot(hidden, vocab_size, rng)
+    W = np.asfortranarray(maybe_glorot(hidden, vocab_size, rng))
     V = maybe_glorot(n_internal, hidden, rng)
     U = maybe_glorot(n_classes, hidden, rng)
     return ShallowParams(W, np.zeros(hidden), V, np.zeros(n_internal), U, np.zeros(n_classes))
@@ -411,7 +399,9 @@ def context(meta, vocab: JointVocabulary) -> WordTree:
 
 
 def params_from_arrays(meta, arrays: dict[str, np.ndarray]) -> ShallowParams:
-    return ShallowParams(*(arrays[name] for name in ("W", "c", "V", "b", "U", "d")))
+    """The model's arrays by name, W made column-major (see `ShallowParams`)."""
+    return ShallowParams(np.asfortranarray(arrays["W"]),
+                         *(arrays[name] for name in ("c", "V", "b", "U", "d")))
 
 
 def doc_data(corpus, tree: WordTree) -> list[DocLayout]:

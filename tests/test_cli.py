@@ -238,6 +238,39 @@ class TestEval:
         rows = [line.split() for line in open(curves / files[0])]
         assert all(len(r) == 2 for r in rows)
 
+    def test_softmax_eval_writes_one_vs_rest_curves(self, tmp_path, corpus_path, capsys):
+        run_dir = _train(corpus_path, tmp_path / "runs")
+        curves = tmp_path / "curves"
+        capsys.readouterr()
+        assert main(["eval", "--model", os.path.join(run_dir, "model.bin"),
+                     "--corpus", str(corpus_path), "--curves", str(curves)]) == 0
+        assert "accuracy" in capsys.readouterr().out
+        corpus = parse_corpus(corpus_path)
+        assert sorted(os.listdir(curves)) == [f"pr_class_{c:03d}.txt"
+                                              for c in range(corpus.n_classes)]
+        for c in range(corpus.n_classes):
+            points = np.loadtxt(curves / f"pr_class_{c:03d}.txt")
+            # one point per labelled document; recall ends at 1 and the last
+            # precision is the class's share of the documents
+            assert points.shape == (len(corpus), 2)
+            share = np.mean(corpus.labels == c)
+            assert points[-1] == pytest.approx([1.0, share], abs=1e-10)
+
+    def test_curves_of_an_unsupervised_model_is_a_data_error(self, tmp_path, corpus_path,
+                                                             capsys):
+        out = tmp_path / "runs"
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(out),
+                     "--model", "docnade", "--hidden", "4", "--epochs", "1"]) == 0
+        curves = tmp_path / "curves"
+        capsys.readouterr()
+        code = main(["eval", "--model", os.path.join(out, os.listdir(out)[0], "model.bin"),
+                     "--corpus", str(corpus_path), "--curves", str(curves)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "--curves" in captured.err
+        assert captured.out == ""
+        assert not curves.exists()
+
     def test_accuracy_without_labelled_documents_is_a_data_error(self, tmp_path, corpus_path,
                                                                  capsys):
         run_dir = _train(corpus_path, tmp_path / "runs")

@@ -14,6 +14,7 @@ from docnade.model_io import (
     save_checkpoint,
     save_model,
 )
+from docnade.shallow import ShallowParams
 from docnade.trainer import RngStreams
 from docnade.wordtree import build_tree
 
@@ -157,6 +158,21 @@ class TestContainerBytes:
                   "state": {"epoch": 3, "rng_states": states}}
         expected = _reference_container(header, [params.arrays(), averaged.arrays()])
         assert (tmp_path / "c.ckpt").read_bytes() == expected
+
+
+    def test_column_major_w_writes_row_major_bytes(self, tmp_path, rng):
+        params, meta = self._params(rng, False)
+        rest = [arr for _, arr in params.arrays()[1:]]
+        fortran = ShallowParams(np.asfortranarray(params.W), *rest)
+        c_order = ShallowParams(np.ascontiguousarray(params.W), *rest)
+        assert fortran.W.flags.f_contiguous and not fortran.W.flags.c_contiguous
+        states = {"shuffle": np.random.default_rng(1).bit_generator.state}
+        for name, p in (("f", fortran), ("c", c_order)):
+            save_model(tmp_path / f"{name}.bin", p, meta)
+            save_checkpoint(tmp_path / f"{name}.ckpt", p, p.copy(), meta, 2, states)
+        for suffix in ("bin", "ckpt"):
+            written = (tmp_path / f"f.{suffix}").read_bytes()
+            assert written == (tmp_path / f"c.{suffix}").read_bytes()
 
 
 class TestCheckpointState:

@@ -276,6 +276,20 @@ class TestLayoutStep:
             assert_matches_dense_oracle(tokens, params, tree, lam, label=2)
             assert_matches_dense_oracle(tokens, params, tree, 1.0)
 
+    @pytest.mark.parametrize("length", [45, 150])
+    @pytest.mark.parametrize("lam,label", [(0.0, 2), (0.7, 2), (1.0, 2), (1.0, None)])
+    def test_benchmark_depth(self, length, lam, label):
+        """At Q = 3,000 (paths of 11 and 12 nodes) and H = 100, with the
+        column-major W of training, for one block and for several."""
+        rng = np.random.default_rng(length)
+        vocab_size = 3000
+        tree = build_tree(vocab_size, 5)
+        assert tree.max_path_length == 12
+        params = random_shallow_params(rng, vocab_size, 100, 10, scale=0.1)
+        params.W = np.asfortranarray(params.W)
+        tokens = rng.integers(0, vocab_size, length)
+        assert_matches_dense_oracle(tokens, params, tree, lam, label)
+
     def test_log_likelihood_over_blocks_matches_per_position(self, rng):
         tree = build_tree(50, 6)
         params = random_shallow_params(rng, 50, 4, 2, scale=0.5)

@@ -4,7 +4,7 @@ import pytest
 from docnade import shallow, trainer
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary, weight_vector
 from docnade.deep import split_histogram
-from docnade.model_io import DEEP_KINDS, load_checkpoint
+from docnade.model_io import DEEP_KINDS, load_checkpoint, load_model, save_model
 from docnade.numerics import glorot_init, maybe_glorot
 from docnade.rng import named_stream
 from docnade.trainer import (
@@ -351,6 +351,43 @@ class TestPretrainFinetune:
         pretrain_then_finetune(corpus, corpus, config, checkpoint_dir=tmp_path)
         assert (tmp_path / "pretrain" / "epoch_0002.ckpt").exists()
         assert (tmp_path / "epoch_0002.ckpt").exists()
+
+
+class TestWordMajorW:
+    """The shallow W stays column-major, each word's column one contiguous
+    run, through every path that makes or replaces it."""
+
+    CONFIG = dict(model_kind="supdocnade", hidden_sizes=(4,), epochs=1, seed=2)
+
+    @staticmethod
+    def _assert_word_major(*params):
+        for p in params:
+            assert p.W.shape[0] > 1 and p.W.flags.f_contiguous
+
+    def test_init_and_copy(self, rng):
+        params = shallow.init(21, 3, 0, (4,), rng)
+        self._assert_word_major(params, params.copy())
+
+    def test_one_epoch(self):
+        corpus = small_corpus(docs_per_class=2)
+        config = TrainConfig(**self.CONFIG)
+        avg = init_averaged(init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
+                                        named_stream(2, "init")), 0.9)
+        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(2))
+        self._assert_word_major(avg.current, avg.averaged)
+
+    def test_loaded_model_and_checkpoint(self, tmp_path):
+        result = train_model(small_corpus(docs_per_class=2), TrainConfig(**self.CONFIG),
+                             checkpoint_dir=tmp_path)
+        save_model(tmp_path / "model.bin", result.averaged, result.meta)
+        params, averaged, *_ = load_checkpoint(tmp_path / "epoch_0001.ckpt")
+        self._assert_word_major(load_model(tmp_path / "model.bin")[0], params, averaged)
+
+    def test_pretrain_then_finetune(self):
+        corpus = small_corpus(docs_per_class=2)
+        result = pretrain_then_finetune(corpus, corpus,
+                                        TrainConfig(**self.CONFIG, pretrain_epochs=1))
+        self._assert_word_major(result.params, result.averaged)
 
 
 class TestBatchedDeepStep:
