@@ -100,10 +100,10 @@ def _check_compat(meta: ModelMeta, corpus: Corpus) -> None:
             )
 
 
-def _load_corpus(args) -> Corpus:
-    if not os.path.exists(args.corpus):
-        raise FileNotFoundError(f"corpus file not found: {args.corpus}")
-    return parse_corpus(args.corpus, args.format)
+def _load_corpus(path, format: str) -> Corpus:
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"corpus file not found: {path}")
+    return parse_corpus(path, format)
 
 
 def _load_model(path):
@@ -140,7 +140,7 @@ def _emit_report(metrics, split: str, out_path=None) -> None:
 
 
 def cmd_train(args) -> int:
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args.corpus, args.format)
     if args.regions is not None and corpus.vocabulary.n_regions != args.regions:
         raise ValueError(
             f"--regions {args.regions} disagrees with corpus header "
@@ -160,7 +160,7 @@ def cmd_train(args) -> int:
         os.remove(log_file)
 
     if args.pretrain_corpus:
-        unlabeled = parse_corpus(args.pretrain_corpus, args.format)
+        unlabeled = _load_corpus(args.pretrain_corpus, args.format)
         result = pretrain_then_finetune(
             unlabeled, corpus, config, checkpoint_dir=ckpt_dir, log_file=log_file
         )
@@ -176,7 +176,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, meta = _load_model(args.model_file)
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args.corpus, args.format)
     _check_compat(meta, corpus)
     metrics = eval_mod.evaluation_metrics(
         corpus, params, meta,
@@ -188,7 +188,7 @@ def cmd_eval(args) -> int:
 
 def cmd_annotate(args) -> int:
     params, meta = _load_model(args.model_file)
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args.corpus, args.format)
     _check_compat(meta, corpus)
     predictions = eval_mod.annotation_predictions(corpus, params, meta, args.k)
     _write_records(args.out, (
@@ -204,7 +204,7 @@ def cmd_annotate(args) -> int:
 
 def cmd_retrieve(args) -> int:
     params, meta = _load_model(args.model_file)
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args.corpus, args.format)
     _check_compat(meta, corpus)
     if not (0 <= args.query < len(corpus)):
         raise ValueError(f"query index {args.query} out of range (corpus size {len(corpus)})")
@@ -275,8 +275,8 @@ def cmd_grid(args) -> int:
         config.validate()
         points.append((combo, config))
 
-    train_corpus = parse_corpus(args.corpus, args.format)
-    val_corpus = parse_corpus(args.val, args.format)
+    train_corpus = _load_corpus(args.corpus, args.format)
+    val_corpus = _load_corpus(args.val, args.format)
     best = None
     os.makedirs(args.out, exist_ok=True)
     for combo, config in points:

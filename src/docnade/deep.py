@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import JointVocabulary, count_rows, weight_vector
-from .numerics import SparseGrads, log_softmax, maybe_glorot, sigmoid, top_order
+from .numerics import log_softmax, maybe_glorot, sigmoid, top_order
 
 HEADS = ("softmax", "sigmoid")
 _STD_GUARD = 1e-12
@@ -288,7 +288,7 @@ def hybrid_loss_gradients(
     gen_masks: list[list[np.ndarray] | None],
     sup_masks: list[list[np.ndarray] | None],
     head: str = "softmax",
-) -> tuple[np.ndarray, SparseGrads]:
+) -> tuple[np.ndarray, dict]:
     """Deterministic core of one mini-batch update (stochasticity passed in).
 
     `docs` holds the batch's documents as sorted (ids, counts) pairs,
@@ -304,11 +304,11 @@ def hybrid_loss_gradients(
     other layer, the class head and the output softmax run as matrix
     products over the rows.
 
-    Returns (per-document losses, gradient summed over the batch), with a
-    block for each array the rows reach: W1 on the columns `cols`, every
-    other reached array whole.  U and d have none without a supervised row,
-    V_out and b_out none without a generative row, and P none without
-    features.
+    Returns (per-document losses, gradient summed over the batch), the
+    gradient as blocks (see `numerics.along`), one for each array the rows
+    reach: W1 on the columns `cols`, every other reached array whole.  U
+    and d have none without a supervised row, V_out and b_out none without
+    a generative row, and P none without features.
     """
     sup = [i for i, label_set in enumerate(labels) if label_set is not None]
     gen = [i for i, split in enumerate(splits) if split is not None and unsup_weight != 0.0]
@@ -359,7 +359,7 @@ def hybrid_loss_gradients(
             grads["P"] = feats.T @ delta
     blocks = {name: (0, slice(None), grad) for name, grad in grads.items()}
     blocks["W1"] = (1, cols, grads["W1"])
-    return losses, SparseGrads(blocks)
+    return losses, blocks
 
 
 def deep_represent(
@@ -481,6 +481,18 @@ def tree_seed(seed: int) -> None:
 def context(meta, vocab: JointVocabulary) -> np.ndarray:
     """The weights omega of the meta's annotation weight."""
     return weight_vector(vocab, meta.anno_weight)
+
+
+def array_shapes(meta) -> list:
+    """The [name, shape] of each array of the meta's model, in declared order."""
+    sizes = [meta.vocab_size, *meta.hidden_sizes]
+    shapes = []
+    for n in range(1, len(sizes)):
+        shapes += [[f"W{n}", [sizes[n], sizes[n - 1]]], [f"c{n}", [sizes[n]]]]
+    if meta.n_features:
+        shapes.append(["P", [meta.n_features, sizes[1]]])
+    return shapes + [["V_out", [sizes[0], sizes[-1]]], ["b_out", [sizes[0]]],
+                     ["U", [meta.n_classes, sizes[-1]]], ["d", [meta.n_classes]]]
 
 
 def params_from_arrays(meta, arrays: dict[str, np.ndarray]) -> DeepParams:

@@ -358,8 +358,8 @@ def evaluation_metrics(
     family, supervised = meta.family
     if not supervised:
         if curves_dir is not None:
-            raise ValueError("--curves needs a supervised model: "
-                             f"a {meta.kind} model has no class scores")
+            raise ValueError("--curves needs a supervised model: an unsupervised model "
+                             "has no class scores")
         rng = named_stream(eval_seed, "eval")
         return [(family.PERPLEXITY, perplexity_estimate(corpus, params, meta, orderings, rng))]
 

@@ -1,10 +1,8 @@
 """Numerically stable sigmoid, log-softmax and row softmax, the top-k
-ranking order, Glorot initialization and the sparse gradient container,
+ranking order, Glorot initialization and the sparse gradient format,
 shared by the models, the trainer and the metrics."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,27 +59,11 @@ def maybe_glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return glorot_init(rows, cols, rng) if rows and cols else np.zeros((rows, cols))
 
 
-@dataclass
-class SparseGrads:
-    """A gradient stored only where it can be nonzero.
-
-    `blocks` maps a parameter name to (axis, index, block): the gradient is
-    zero except at `index` along `axis` (sorted indices, or `slice(None)`
-    for a whole-array gradient), where it is `block`, i.e.
-    block = grad[along(axis, index)].  A parameter with no block has a zero
-    gradient.
-    """
-
-    blocks: dict[str, tuple[int, np.ndarray | slice, np.ndarray]]
-
-    def to_dense(self, params) -> dict[str, np.ndarray]:
-        """Full-size gradient arrays, keyed and ordered like `params.arrays()`."""
-        out = {name: np.zeros_like(arr) for name, arr in params.arrays()}
-        for name, (axis, index, block) in self.blocks.items():
-            out[name][along(axis, index)] = block
-        return out
-
-
+# A sparse gradient is a dict {name: (axis, index, block)}: the gradient of
+# parameter `name` is zero except at `index` along `axis` (sorted indices, or
+# `slice(None)` for a whole-array gradient), where it is `block`, i.e.
+# block = grad[along(axis, index)].  A parameter with no entry has a zero
+# gradient.
 def along(axis: int, index: np.ndarray | slice) -> tuple:
     """The subscript that selects `index` along `axis`."""
     return (slice(None),) * axis + (index,)

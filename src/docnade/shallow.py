@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import JointVocabulary
-from .numerics import SparseGrads, log_softmax, maybe_glorot, top_order
+from .numerics import log_softmax, maybe_glorot, top_order
 from .wordtree import WordTree, build_tree, words_log_prob
 
 
@@ -133,13 +133,6 @@ def doc_layout(ids: np.ndarray, counts: np.ndarray, tree: WordTree) -> DocLayout
                      slots, flips)
 
 
-def token_layout(tokens: np.ndarray, tree: WordTree) -> tuple[DocLayout, np.ndarray]:
-    """The layout of an explicit token ordering and its positions in it."""
-    ids, seg, counts = np.unique(np.asarray(tokens, dtype=np.int64), return_inverse=True,
-                                 return_counts=True)
-    return doc_layout(ids, counts, tree), seg
-
-
 def _blocks(n_tokens: int) -> list[slice]:
     return [slice(start, start + BLOCK_TOKENS) for start in range(0, n_tokens, BLOCK_TOKENS)]
 
@@ -189,15 +182,18 @@ def doc_log_likelihood(
     return log_lik
 
 
-def sparse_gradients(
+def supdocnade_gradients(
     layout: DocLayout,
     seg: np.ndarray,
     params: ShallowParams,
     unsup_weight: float,
     label: int | None = None,
-) -> tuple[float, SparseGrads]:
+) -> tuple[float, dict]:
     """Loss and exact gradient of -log p(y|v) - unsup_weight * log p(v) for
     the token ordering layout.ids[seg]; `label` None drops the class term.
+    The gradient comes as blocks (see `numerics.along`): the columns of the
+    document's words in W, the rows of its path nodes in V and b, the other
+    arrays whole.  Every shallow training step calls it (`batch_step`).
 
     The generative part follows the reverse-order backward recurrence: path
     gradients produce per-position dh_i, and the running accumulator that
@@ -225,16 +221,16 @@ def sparse_gradients(
     active = pre > 0  # relu subgradient: strict inequality, 0 at the kink
 
     whole = slice(None)
-    grads = SparseGrads({})
+    grads = {}
     dact_head = np.zeros(n_hidden)
     if label is not None:
         log_post = log_softmax(params.d + params.U @ states[-1])
         loss -= float(log_post[label])
         g_d = np.exp(log_post)
         g_d[label] -= 1.0
-        grads.blocks.update(U=(0, whole, np.outer(g_d, states[-1])), d=(0, whole, g_d))
+        grads.update(U=(0, whole, np.outer(g_d, states[-1])), d=(0, whole, g_d))
         dact_head = (params.U.T @ g_d) * active[-1]
-    grads.blocks["c"] = (0, whole, dact_head)
+    grads["c"] = (0, whole, dact_head)
     if n_tokens == 0:
         return loss, grads
 
@@ -262,8 +258,8 @@ def sparse_gradients(
             db[cols] += grid.sum(axis=0)
         if unsup_weight != 0.0:
             masked *= active[:n_tokens]
-            grads.blocks["V"] = (0, layout.nodes[:-1], dV[:-1])
-            grads.blocks["b"] = (0, layout.nodes[:-1], db[:-1])
+            grads["V"] = (0, layout.nodes[:-1], dV[:-1])
+            grads["b"] = (0, layout.nodes[:-1], db[:-1])
 
     # dact at position i = head term + masked dh of positions > i
     dact = np.empty_like(masked)
@@ -276,33 +272,15 @@ def sparse_gradients(
         onehot = np.zeros((len(words), len(local)))
         onehot[local, np.arange(len(local))] = 1.0
         dW[words] += onehot @ dact[blk]
-    grads.blocks["W"] = (1, layout.ids, dW.T)
-    grads.blocks["c"] = (0, whole, dact_head + masked.sum(axis=0))
+    grads["W"] = (1, layout.ids, dW.T)
+    grads["c"] = (0, whole, dact_head + masked.sum(axis=0))
     return loss, grads
 
 
-def supdocnade_gradients(
-    tokens: np.ndarray,
-    label: int,
-    params: ShallowParams,
-    tree: WordTree,
-    unsup_weight: float,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact gradients of -log p(y|v) - unsup_weight * log p(v) for one
-    token ordering, as dense arrays."""
-    loss, grads = sparse_gradients(*token_layout(tokens, tree), params, unsup_weight, label)
-    return loss, grads.to_dense(params)
-
-
-def docnade_gradients(
-    tokens: np.ndarray,
-    params: ShallowParams,
-    tree: WordTree,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact gradients of the unsupervised objective -log p(v) for one token
-    ordering, as dense arrays."""
-    loss, grads = sparse_gradients(*token_layout(tokens, tree), params, 1.0)
-    return loss, grads.to_dense(params)
+def docnade_gradients(layout: DocLayout, seg: np.ndarray, params: ShallowParams):
+    """`supdocnade_gradients` of the unsupervised objective -log p(v).  No
+    step calls it; `perfbench/spans.py` wraps this name as well."""
+    return supdocnade_gradients(layout, seg, params, 1.0)
 
 
 def represent(
@@ -398,6 +376,13 @@ def context(meta, vocab: JointVocabulary) -> WordTree:
     return build_tree(meta.vocab_size, meta.tree_seed)
 
 
+def array_shapes(meta) -> list:
+    """The [name, shape] of each array of the meta's model, in declared order."""
+    hidden, size, n_classes = meta.hidden_sizes[0], meta.vocab_size, meta.n_classes
+    return [["W", [hidden, size]], ["c", [hidden]], ["V", [size - 1, hidden]],
+            ["b", [size - 1]], ["U", [n_classes, hidden]], ["d", [n_classes]]]
+
+
 def params_from_arrays(meta, arrays: dict[str, np.ndarray]) -> ShallowParams:
     """The model's arrays by name, W made column-major (see `ShallowParams`)."""
     return ShallowParams(np.asfortranarray(arrays["W"]),
@@ -427,7 +412,7 @@ def batch_step(batch, params: ShallowParams, config, streams, cache):
         seg = layout.word_of_token
         if n_tokens:
             seg = seg[streams.shuffle.permutation(n_tokens)]
-        loss, doc_grads = sparse_gradients(layout, seg, params, cache.unsup_weight, label)
+        loss, doc_grads = supdocnade_gradients(layout, seg, params, cache.unsup_weight, label)
         docs.append(doc_idx)
         losses.append(loss)
         grads.append(doc_grads)

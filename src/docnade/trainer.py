@@ -5,12 +5,12 @@ init, shuffle, split, dropout), so identical configurations give bit-identical
 runs and checkpoint-resume equals an uninterrupted run.  Inference uses an
 exponentially decaying average of the parameters, advanced after every
 update step.  Both model families update it the same way: their gradients
-come as blocks (`numerics.SparseGrads`; a whole-array gradient is one block
-over the array), a step changes only the entries its blocks cover, the
-average is kept lazily in a rescaled gap form for the whole epoch (an entry
-a step does not touch needs no work; see `_LazyAverage`), and every entry
-is flushed at the end of each epoch, so the average that logs and
-checkpoints see is the per-step one.
+come as blocks (`numerics.along`; a whole-array gradient is one block over
+the array), a step (`polyak_update`) changes only the entries its blocks
+cover, the average is kept lazily in a rescaled gap form for the whole
+epoch (an entry a step does not touch needs no work; see `_LazyAverage`),
+and every entry is flushed at the end of each epoch, so the average that
+logs and checkpoints see is the per-step one.
 
 The model kind is looked up once in `model_io.FAMILIES`.  Its family module
 (`shallow` or `deep`) initializes the parameters, builds its context (the
@@ -31,7 +31,7 @@ import numpy as np
 from . import deep as deep_mod
 from .corpus import Corpus
 from .model_io import FAMILIES, MODEL_KINDS, ModelMeta, load_checkpoint, save_checkpoint
-from .numerics import SparseGrads, along, maybe_glorot
+from .numerics import along, maybe_glorot
 from .rng import named_stream
 
 
@@ -109,36 +109,21 @@ def init_averaged(params, decay: float) -> AveragedParams:
     return AveragedParams(current=params, averaged=params.copy(), decay=decay)
 
 
-def polyak_update(avg: AveragedParams) -> AveragedParams:
-    """averaged <- decay * averaged + (1 - decay) * current, in place: the
-    dense form of the average that training keeps lazily (`_LazyAverage`).
-
-    Computed in the fixed-point-exact form a += (1-decay) * (cur - a) so
-    that an unchanged current array leaves its average bit-identical; decay
-    0 copies."""
-    for (_, cur), (_, a) in zip(avg.current.arrays(), avg.averaged.arrays()):
-        if avg.decay == 0.0:
-            a[...] = cur
-        else:
-            a += (1.0 - avg.decay) * (cur - a)
-    return avg
-
-
 # How far r**-t may grow before `_LazyAverage` refolds its scaled gaps, so
 # that the scale stays well inside float range.
 _MAX_GAP_SCALE = 2.0**64
 
 
 class _LazyAverage:
-    """SGD steps with the parameter average kept lazily (the rescaled form
-    of sparse averaged SGD, Xu 2011).
+    """The parameter average of an epoch's SGD steps (`polyak_update`),
+    kept lazily (the rescaled form of sparse averaged SGD, Xu 2011).
 
     For an epoch, every averaged array a holds the scaled gap
     z = (a - cur) / r**t in its place, with t the steps taken since the gap
     was last refolded and r = 1 - (1 - decay) the contraction of one
-    `polyak_update`.  An average step leaves z unchanged where cur stays
+    average step.  An average step leaves z unchanged where cur stays
     put, so a step touches only the entries its gradient blocks cover
-    (`numerics.SparseGrads`): cur -= delta moves z by delta / r**t, which
+    (`numerics.along`): cur -= delta moves z by delta / r**t, which
     folds the update and the average step into one pass over each block.
     A step first refolds (z *= r**t, t = 0) when r**-t has grown past
     `_MAX_GAP_SCALE`; `flush` turns z back into a = cur + r**t * z (for
@@ -153,25 +138,6 @@ class _LazyAverage:
         for name, gap in self.gaps.items():
             gap -= self.current[name]
 
-    def step(self, grads: list[SparseGrads], scale: float) -> None:
-        """current -= scale * each of grads in turn, on the entries it
-        covers (none if scale is 0), then one average step.  The step owns
-        the gradients: it scales each block in place."""
-        gain = self.ratio ** -self.steps if self.ratio != 0.0 else 0.0  # decay 0 keeps no gap
-        if gain > _MAX_GAP_SCALE:
-            for gap in self.gaps.values():
-                gap *= self.ratio ** self.steps
-            self.steps, gain = 0, 1.0
-        if scale != 0.0:
-            for grad in grads:
-                for name, (axis, idx, block) in grad.blocks.items():
-                    at = along(axis, idx)
-                    block *= scale
-                    self.current[name][at] -= block
-                    block *= gain
-                    self.gaps[name][at] += block
-        self.steps += 1
-
     def flush(self) -> None:
         """Turns every gap back into its average, as of the latest step."""
         contraction = self.ratio ** self.steps  # 0 only for decay 0, after a step
@@ -181,6 +147,27 @@ class _LazyAverage:
             else:
                 gap *= contraction
                 gap += self.current[name]
+
+
+def polyak_update(lazy: _LazyAverage, grads: list[dict], scale: float) -> None:
+    """One SGD step and one average step on `lazy`: current -= scale * each
+    of `grads` in turn, on the entries its blocks cover (none if scale is
+    0), then averaged <- decay * averaged + (1 - decay) * current.  The step
+    owns the gradients: it scales each block in place."""
+    gain = lazy.ratio ** -lazy.steps if lazy.ratio != 0.0 else 0.0  # decay 0 keeps no gap
+    if gain > _MAX_GAP_SCALE:
+        for gap in lazy.gaps.values():
+            gap *= lazy.ratio ** lazy.steps
+        lazy.steps, gain = 0, 1.0
+    if scale != 0.0:
+        for grad in grads:
+            for name, (axis, idx, block) in grad.items():
+                at = along(axis, idx)
+                block *= scale
+                lazy.current[name][at] -= block
+                block *= gain
+                lazy.gaps[name][at] += block
+    lazy.steps += 1
 
 
 @dataclass
@@ -256,14 +243,14 @@ def sgd_epoch(
     """One pass over the corpus in a freshly shuffled order.
 
     Each mini-batch is one `batch_step` of the model's family over the run's
-    document `cache` (built from `corpus` if not given).  Per mini-batch,
-    the gradients of the documents it kept (one per document for the
-    shallow family, one summed gradient for the deep one) are applied in
-    order, with the learning rate divided by the number of documents, to
-    the entries their blocks cover, then the parameter average takes one
-    step; the average is kept lazily (`_LazyAverage`) and flushed before
-    this function returns.  Stochastic inputs (token orderings, splits,
-    dropout masks) are drawn in document order.
+    document `cache` (built from `corpus` if not given), then one
+    `polyak_update`: the gradients of the documents it kept (one per
+    document for the shallow family, one summed gradient for the deep one)
+    are applied in order, with the learning rate divided by the number of
+    documents, to the entries their blocks cover, then the parameter
+    average takes one step.  The average is kept lazily (`_LazyAverage`)
+    and flushed before this function returns.  Stochastic inputs (token
+    orderings, splits, dropout masks) are drawn in document order.
     """
     started = time.perf_counter()
     if cache is None:
@@ -286,7 +273,7 @@ def sgd_epoch(
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(doc_idx, loss)
                 losses.append(loss)
-            lazy.step(grads, config.learning_rate / len(docs))
+            polyak_update(lazy, grads, config.learning_rate / len(docs))
     finally:
         lazy.flush()
 

@@ -21,6 +21,13 @@ vectorized production code, with the operation counters the cost-scaling
 tests read; the id and tree lookups last spell out the joint id layout and
 the tree depths that the tests and the corpus generator name words by, and
 a document's sorted ids, counts and tokens.
+
+Some functions here are adapters, not oracles: `token_layout`, `to_dense` and
+the `dense_*docnade_gradients` wrappers run the production shallow gradient
+on an explicit token ordering and return full-size arrays, so that the
+finite-difference and oracle tests check the production arithmetic;
+`dense_polyak_update` is the dense form of the average that
+`trainer.polyak_update` keeps lazily.
 """
 
 import itertools
@@ -34,9 +41,36 @@ from docnade import shallow as shallow_mod
 from docnade import trainer as trainer_mod
 from docnade.corpus import Corpus, MultimodalDocument, weight_vector
 from docnade.evaluate import RankedPrediction
-from docnade.model_io import DEEP_KINDS, FAMILIES
-from docnade.numerics import log_softmax, sigmoid, softmax_rows
+from docnade.model_io import FAMILIES
+from docnade.numerics import along, log_softmax, sigmoid, softmax_rows
 from docnade.wordtree import build_tree
+
+DEEP_KINDS = tuple(kind for kind, (family, _) in FAMILIES.items() if family is deep_mod)
+
+
+def to_dense(grads, params):
+    """Full-size arrays of a gradient given as blocks (`numerics.along`),
+    keyed and ordered like `params.arrays()`."""
+    out = {name: np.zeros_like(arr) for name, arr in params.arrays()}
+    for name, (axis, index, block) in grads.items():
+        out[name][along(axis, index)] = block
+    return out
+
+
+def dense_polyak_update(avg):
+    """averaged <- decay * averaged + (1 - decay) * current, in place: the
+    dense form of the average that training keeps lazily
+    (`trainer.polyak_update`).
+
+    Computed in the fixed-point-exact form a += (1-decay) * (cur - a) so
+    that an unchanged current array leaves its average bit-identical; decay
+    0 copies."""
+    for (_, cur), (_, a) in zip(avg.current.arrays(), avg.averaged.arrays()):
+        if avg.decay == 0.0:
+            a[...] = cur
+        else:
+            a += (1.0 - avg.decay) * (cur - a)
+    return avg
 
 
 def estimator_expectation(counts, params, omega=None, phi=None, features=None):
@@ -242,7 +276,29 @@ def document_hybrid_loss_gradients(
         None if features is None else features[None], params,
         unsup_weight, omega, [split], [gen_masks], [sup_masks], head=head,
     )
-    return float(losses[0]), grads.to_dense(params)
+    return float(losses[0]), to_dense(grads, params)
+
+
+def token_layout(tokens, tree):
+    """The layout of an explicit token ordering and its positions in it."""
+    ids, seg, counts = np.unique(np.asarray(tokens, dtype=np.int64), return_inverse=True,
+                                 return_counts=True)
+    return shallow_mod.doc_layout(ids, counts, tree), seg
+
+
+def dense_supdocnade_gradients(tokens, label, params, tree, unsup_weight):
+    """`shallow.supdocnade_gradients` of one explicit token ordering, as
+    dense arrays."""
+    loss, grads = shallow_mod.supdocnade_gradients(*token_layout(tokens, tree), params,
+                                                   unsup_weight, label)
+    return loss, to_dense(grads, params)
+
+
+def dense_docnade_gradients(tokens, params, tree):
+    """`shallow.docnade_gradients` of one explicit token ordering, as dense
+    arrays."""
+    loss, grads = shallow_mod.docnade_gradients(*token_layout(tokens, tree), params)
+    return loss, to_dense(grads, params)
 
 
 def dense_shallow_gradients(tokens, params, tree, unsup_weight, label=None):
@@ -310,7 +366,7 @@ def joint_log_prob(tokens, label, params, tree):
 def dense_shallow_epoch(corpus, avg, config, tree):
     """One shallow training epoch the way it ran before updates became
     sparse: dense per-document gradients summed in document order, a dense
-    SGD step and a dense `polyak_update` after every step.  Draws the same
+    SGD step and a `dense_polyak_update` after every step.  Draws the same
     orderings as `trainer.sgd_epoch` with fresh streams of `config.seed`."""
     streams = trainer_mod.RngStreams.from_seed(config.seed)
     _, supervised = FAMILIES[config.model_kind]
@@ -334,14 +390,14 @@ def dense_shallow_epoch(corpus, avg, config, tree):
         if config.learning_rate != 0.0:
             for name, arr in avg.current.arrays():
                 arr -= config.learning_rate / n_docs * total[name]
-        trainer_mod.polyak_update(avg)
+        dense_polyak_update(avg)
     return avg
 
 
 def dense_deep_epoch(corpus, avg, config):
     """One deep training epoch the way it ran before the W1 average became
     lazy: per-document dense gradients (`dense_hybrid_loss_gradients`)
-    summed in document order, a dense SGD step and a dense `polyak_update`
+    summed in document order, a dense SGD step and a `dense_polyak_update`
     after every mini-batch.  Draws the same splits and dropout masks as
     `trainer.sgd_epoch` with fresh streams of `config.seed`."""
     streams = trainer_mod.RngStreams.from_seed(config.seed)
@@ -378,7 +434,7 @@ def dense_deep_epoch(corpus, avg, config):
         if config.learning_rate != 0.0:
             for name, arr in avg.current.arrays():
                 arr -= config.learning_rate / n_docs * total[name]
-        trainer_mod.polyak_update(avg)
+        dense_polyak_update(avg)
     return avg
 
 

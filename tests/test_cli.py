@@ -203,6 +203,25 @@ class TestEval:
         assert code == 3
         assert "mismatch on vocabulary size Q" in capsys.readouterr().err
 
+    def test_manifest_that_disagrees_with_meta_exits_3(self, tmp_path, corpus_path, capsys):
+        """W's manifest shape swapped keeps the byte count, so the file reads
+        to the end; every command that loads it still exits 3."""
+        model = os.path.join(_train(corpus_path, tmp_path / "runs"), "model.bin")
+        data = open(model, "rb").read()
+        start = len(MAGIC) + 12
+        (size,) = struct.unpack("<Q", data[start - 8 : start])
+        header = json.loads(data[start : start + size])
+        assert header["manifest"][0][0] == "W"
+        header["manifest"][0][1].reverse()
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        with open(model, "wb") as fh:
+            fh.write(data[: start - 8] + struct.pack("<Q", len(header_bytes)) + header_bytes
+                     + data[start + size :])
+        for command in (["eval"], ["annotate"], ["retrieve", "--query", "0"]):
+            capsys.readouterr()
+            assert main([*command, "--model", model, "--corpus", str(corpus_path)]) == 3
+            assert "'W'" in capsys.readouterr().err
+
     def test_multilabel_sigmoid_eval_reports_map_and_curves(self, tmp_path, capsys):
         import numpy as _np
 
@@ -316,6 +335,27 @@ class TestEval:
         assert main(["eval", "--model", os.path.join(run_dir, "model.bin"),
                      "--corpus", str(corpus_path)]) == 0
         assert "perplexity" in capsys.readouterr().out
+
+
+class TestMissingCorpus:
+    """Every corpus flag reports a missing file by its own path."""
+
+    @pytest.mark.parametrize("flag", ["train --pretrain-corpus", "grid --corpus", "grid --val"])
+    def test_names_the_missing_file(self, tmp_path, corpus_path, capsys, flag):
+        missing, present = str(tmp_path / "missing.corpus"), str(corpus_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lambda": [0.5]}))
+        common = ["--out", str(tmp_path / "out"), "--model", "supdocnade", "--hidden", "4",
+                  "--epochs", "1"]
+        args = {
+            "train --pretrain-corpus": ["train", "--corpus", present, "--pretrain-corpus",
+                                        missing, "--pretrain-epochs", "1"],
+            "grid --corpus": ["grid", "--grid", str(grid), "--corpus", missing,
+                              "--val", present],
+            "grid --val": ["grid", "--grid", str(grid), "--corpus", present, "--val", missing],
+        }[flag]
+        assert main(args + common) == 3
+        assert f"corpus file not found: {missing}" in capsys.readouterr().err
 
 
 class TestAnnotateRetrieveInspect:

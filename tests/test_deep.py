@@ -25,6 +25,7 @@ from oracles import (
     exhaustive_ordering_loss,
     per_token_generative_grads,
     softmax_shallow_conditional,
+    to_dense,
 )
 
 
@@ -469,10 +470,10 @@ def _check_batch_against_oracle(instance, unsup_weight, head):
         assert losses[row] == pytest.approx(loss, rel=LOSS_RTOL, abs=0.0)
         for name in expected:
             expected[name] += doc_grads[name]
-    cols = grads.blocks["W1"][1]
+    cols = grads["W1"][1]
     assert np.array_equal(cols, np.flatnonzero(counts.any(axis=0)))
     assert not np.any(expected["W1"][:, np.setdiff1d(np.arange(counts.shape[1]), cols)])
-    got = grads.to_dense(params)
+    got = to_dense(grads, params)
     for name, want in expected.items():
         atol = GRAD_ATOL * np.abs(want).max()
         assert np.allclose(got[name], want, rtol=0.0, atol=atol), name
@@ -534,7 +535,7 @@ class TestStepBlocks:
         kept, _, (grads,) = deep.batch_step([0, 1, 2, 3], params, config,
                                             trainer.RngStreams.from_seed(2), cache)
         assert kept == [0, 1, 2, 3]
-        return set(grads.blocks)
+        return set(grads)
 
     def test_unsupervised_step_has_no_class_head_block(self):
         names = self._block_names("deepdocnade", 1.0)

@@ -17,7 +17,7 @@ from conftest import random_deep_params, random_shallow_params
 from docnade import deep as deep_mod
 from docnade import evaluate, shallow
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
-from docnade.model_io import DEEP_KINDS, ModelMeta
+from docnade.model_io import ModelMeta
 from docnade.numerics import top_order
 from docnade.rng import named_stream
 from docnade.wordtree import build_tree, words_log_prob
@@ -66,7 +66,7 @@ def _models(kinds=None):
 
 def _model(rng, corpus, kind, head, n_features, dropout):
     vocab = corpus.vocabulary
-    deep = kind in DEEP_KINDS
+    deep = kind in oracles.DEEP_KINDS
     hidden = (6, 5) if deep else (5,)
     meta = ModelMeta(
         kind=kind, head=head, n_visual=vocab.n_visual, n_regions=vocab.n_regions,
@@ -150,7 +150,7 @@ class TestAgainstPerDocumentOracles:
         np.testing.assert_allclose([v for _, v in got], [v for _, v in expected],
                                    rtol=RTOL, atol=0)
 
-    @_models(DEEP_KINDS)
+    @_models(oracles.DEEP_KINDS)
     def test_perplexity_estimate_draws_the_oracle_splits(self, instance):
         corpus, params, meta = instance
         got = evaluate.perplexity_estimate(corpus, params, meta, 3, named_stream(1, "eval"))

@@ -128,17 +128,18 @@ def _reference_container(header, array_blocks):
     return b"".join(out)
 
 
-class TestContainerBytes:
-    def _params(self, rng, deep):
-        if deep:
-            meta = _deep_meta()
-            return random_deep_params(rng, meta.vocab_size, (4, 3), 3, n_features=2), meta
-        meta = _shallow_meta()
-        return random_shallow_params(rng, meta.vocab_size, 4, 3), meta
+def _random_params(rng, deep):
+    if deep:
+        meta = _deep_meta()
+        return random_deep_params(rng, meta.vocab_size, (4, 3), 3, n_features=2), meta
+    meta = _shallow_meta()
+    return random_shallow_params(rng, meta.vocab_size, 4, 3), meta
 
+
+class TestContainerBytes:
     @pytest.mark.parametrize("deep", [False, True])
     def test_model_bytes_match_joined_blob(self, tmp_path, rng, deep):
-        params, meta = self._params(rng, deep)
+        params, meta = _random_params(rng, deep)
         save_model(tmp_path / "m.bin", params, meta)
         manifest = [[name, list(arr.shape)] for name, arr in params.arrays()]
         header = {"meta": meta.to_json(), "manifest": manifest}
@@ -147,7 +148,7 @@ class TestContainerBytes:
 
     @pytest.mark.parametrize("deep", [False, True])
     def test_checkpoint_bytes_match_joined_blob(self, tmp_path, rng, deep):
-        params, meta = self._params(rng, deep)
+        params, meta = _random_params(rng, deep)
         averaged = params.copy()
         for _, arr in averaged.arrays():
             arr *= 0.5
@@ -161,7 +162,7 @@ class TestContainerBytes:
 
 
     def test_column_major_w_writes_row_major_bytes(self, tmp_path, rng):
-        params, meta = self._params(rng, False)
+        params, meta = _random_params(rng, False)
         rest = [arr for _, arr in params.arrays()[1:]]
         fortran = ShallowParams(np.asfortranarray(params.W), *rest)
         c_order = ShallowParams(np.ascontiguousarray(params.W), *rest)
@@ -173,6 +174,62 @@ class TestContainerBytes:
         for suffix in ("bin", "ckpt"):
             written = (tmp_path / f"f.{suffix}").read_bytes()
             assert written == (tmp_path / f"c.{suffix}").read_bytes()
+
+    def test_column_major_w_is_written_without_a_whole_copy(self, tmp_path):
+        """Writing a column-major W at Q = 2,960 and H = 100 allocates less
+        than one W."""
+        import tracemalloc
+
+        meta = ModelMeta(
+            kind="docnade", head="softmax", n_visual=90, n_regions=32, n_annotation=80,
+            n_classes=0, n_features=0, hidden_sizes=(100,), tree_seed=1,
+        )
+        params = random_shallow_params(np.random.default_rng(0), meta.vocab_size, 100, 0)
+        params.W = np.asfortranarray(params.W)
+        tracemalloc.start()
+        try:
+            save_model(tmp_path / "m.bin", params, meta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert meta.vocab_size == 2960
+        assert peak < params.W.nbytes, f"peak {peak} B >= W {params.W.nbytes} B"
+
+
+class TestManifestMatchesMeta:
+    """A manifest that differs from the one `save_model` writes for the
+    file's meta fails to load with ValueError naming the first array that
+    differs, though its byte counts may add up."""
+
+    STATES = RngStreams.from_seed(1).states()
+
+    def _assert_rejected(self, tmp_path, meta, arrays, name):
+        manifest = [[key, list(arr.shape)] for key, arr in arrays]
+        header = {"meta": meta.to_json(), "manifest": manifest}
+        (tmp_path / "m.bin").write_bytes(_reference_container(header, [arrays]))
+        header["state"] = {"epoch": 1, "rng_states": self.STATES}
+        (tmp_path / "c.ckpt").write_bytes(_reference_container(header, [arrays, arrays]))
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            load_model(tmp_path / "m.bin")
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            load_checkpoint(tmp_path / "c.ckpt")
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_swapped_shape(self, tmp_path, rng, deep):
+        params, meta = _random_params(rng, deep)
+        (name, first), *rest = params.arrays()
+        self._assert_rejected(tmp_path, meta, [(name, first.T), *rest], name)
+
+    @pytest.mark.parametrize("deep,name", [(False, "d"), (True, "P")])
+    def test_missing_array(self, tmp_path, rng, deep, name):
+        params, meta = _random_params(rng, deep)
+        arrays = [(key, arr) for key, arr in params.arrays() if key != name]
+        self._assert_rejected(tmp_path, meta, arrays, name)
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_extra_array(self, tmp_path, rng, deep):
+        params, meta = _random_params(rng, deep)
+        self._assert_rejected(tmp_path, meta, params.arrays() + [("Z", np.zeros(2))], "Z")
 
 
 class TestCheckpointState:

@@ -19,9 +19,12 @@ from oracles import (
     annotation_id,
     class_posterior,
     counted_hidden_states,
+    dense_docnade_gradients,
     dense_shallow_gradients,
+    dense_supdocnade_gradients,
     joint_log_prob,
     token_array,
+    token_layout,
     word_id,
     word_log_prob,
 )
@@ -156,7 +159,7 @@ class TestJointLogProb:
 class TestGradients:
     def test_lambda_zero_kills_tree_gradients(self, rng):
         tree, params, tokens = shallow_instance_off_kink(rng, 6, 4, 3, 5)
-        _, grads = shallow.supdocnade_gradients(tokens, 1, params, tree, 0.0)
+        _, grads = dense_supdocnade_gradients(tokens, 1, params, tree, 0.0)
         assert np.all(grads["V"] == 0)
         assert np.all(grads["b"] == 0)
         # the class head still reaches W and c
@@ -166,7 +169,7 @@ class TestGradients:
         params = random_shallow_params(rng, 4, 3, 5)
         tree = build_tree(4, 0)
         label = 3
-        loss, grads = shallow.supdocnade_gradients(np.empty(0, dtype=int), label, params, tree, 0.8)
+        loss, grads = dense_supdocnade_gradients(np.empty(0, dtype=int), label, params, tree, 0.8)
         h = np.maximum(params.c, 0.0)
         z = params.d + params.U @ h
         probs = np.exp(z - z.max())
@@ -182,7 +185,7 @@ class TestGradients:
     def test_loss_matches_objective(self, rng):
         tree, params, tokens = shallow_instance_off_kink(rng, 6, 4, 3, 5)
         lam = 0.7
-        loss, _ = shallow.supdocnade_gradients(tokens, 2, params, tree, lam)
+        loss, _ = dense_supdocnade_gradients(tokens, 2, params, tree, lam)
         expected = -np.log(class_posterior(tokens, params)[2]) - lam * (
             shallow.doc_log_likelihood(tokens, params, tree)
         )
@@ -200,7 +203,7 @@ class TestGradients:
                 rng, vocab_size, hidden, n_classes, length
             )
             label = int(rng.integers(n_classes))
-            _, grads = shallow.supdocnade_gradients(tokens, label, params, tree, lam)
+            _, grads = dense_supdocnade_gradients(tokens, label, params, tree, lam)
 
             def loss():
                 post = class_posterior(tokens, params)
@@ -214,7 +217,7 @@ class TestGradients:
 
     def test_unsupervised_gradients(self, rng):
         tree, params, tokens = shallow_instance_off_kink(rng, 5, 3, 2, 4)
-        loss, grads = shallow.docnade_gradients(tokens, params, tree)
+        loss, grads = dense_docnade_gradients(tokens, params, tree)
         assert loss == pytest.approx(-shallow.doc_log_likelihood(tokens, params, tree))
         assert np.all(grads["U"] == 0) and np.all(grads["d"] == 0)
 
@@ -230,9 +233,9 @@ def assert_matches_dense_oracle(tokens, params, tree, lam, label=None):
     """The layout step's loss and gradients within 1e-12 relative of the
     dense `np.add.at` oracle."""
     if label is None:
-        loss, grads = shallow.docnade_gradients(tokens, params, tree)
+        loss, grads = dense_docnade_gradients(tokens, params, tree)
     else:
-        loss, grads = shallow.supdocnade_gradients(tokens, label, params, tree, lam)
+        loss, grads = dense_supdocnade_gradients(tokens, label, params, tree, lam)
     want_loss, want = dense_shallow_gradients(tokens, params, tree, lam, label)
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-300)
     for name, arr in want.items():
@@ -328,16 +331,16 @@ class TestLayoutStep:
         tree = build_tree(vocab_size, 0)
         params = random_shallow_params(rng, vocab_size, hidden, 2, scale=0.05)
         tokens = rng.integers(0, vocab_size, n_tokens)
-        layout, seg = shallow.token_layout(tokens, tree)
+        layout, seg = token_layout(tokens, tree)
         grid_bytes = n_tokens * tree.max_path_length * hidden * 8
         tracemalloc.start()
         try:
-            loss, grads = shallow.sparse_gradients(layout, seg, params, 1.0, 1)
+            loss, grads = shallow.supdocnade_gradients(layout, seg, params, 1.0, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert np.isfinite(loss)
-        assert len(grads.blocks["V"][1]) > 10 * tree.max_path_length * shallow.BLOCK_TOKENS
+        assert len(grads["V"][1]) > 10 * tree.max_path_length * shallow.BLOCK_TOKENS
         assert peak <= grid_bytes, f"peak {peak / 1e6:.1f} MB > grid {grid_bytes / 1e6:.1f} MB"
 
 

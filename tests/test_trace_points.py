@@ -1,10 +1,17 @@
 """The benchmark's span tracer (perfbench/spans.py) patches library
 functions by module and attribute name; a rename there would silently drop
-a span from the per-layer trace.  This keeps every wrap point resolvable."""
+a span from the per-layer trace.  This keeps every wrap point resolvable,
+and checks that training runs through the traced names."""
 
 import importlib
 import types
 from pathlib import Path
+
+import pytest
+
+from docnade.cli import main
+from docnade.corpus import write_corpus
+from gen import make_corpus
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -26,3 +33,28 @@ def test_every_wrap_point_resolves():
         if not callable(getattr(importlib.import_module(module_name), attr, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("kind", ["docnade", "supdocnade", "supdeepdocnade"])
+def test_training_fires_the_training_spans(tmp_path, kind):
+    """One CLI train: the shallow gradient span fires once per document
+    stepped, the apply-and-average span once per mini-batch."""
+    corpus, _ = make_corpus(3, n_classes=2, n_visual=4, n_regions=2, anno_per_class=2,
+                            docs_per_class=4, doc_len=10)
+    path = tmp_path / "train.corpus"
+    write_corpus(corpus, path)
+    epochs, batch = 2, 3
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        assert main(["train", "--corpus", str(path), "--out", str(tmp_path / "runs"),
+                     "--model", kind, "--hidden", "4", "--epochs", str(epochs),
+                     "--batch-size", str(batch), "--seed", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    n_docs = len(corpus)
+    assert tracer.calls["trainer.sgd_epoch"] == epochs
+    assert tracer.calls["trainer.polyak_update"] == epochs * -(-n_docs // batch)
+    stepped = 0 if kind.endswith("deepdocnade") else epochs * n_docs
+    assert tracer.calls["shallow.gradients"] == stepped

@@ -4,7 +4,7 @@ import pytest
 from docnade import shallow, trainer
 from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary, weight_vector
 from docnade.deep import split_histogram
-from docnade.model_io import DEEP_KINDS, load_checkpoint, load_model, save_model
+from docnade.model_io import load_checkpoint, load_model, save_model
 from docnade.numerics import glorot_init, maybe_glorot
 from docnade.rng import named_stream
 from docnade.trainer import (
@@ -12,7 +12,6 @@ from docnade.trainer import (
     TrainingDivergedError,
     init_averaged,
     init_params,
-    polyak_update,
     pretrain_then_finetune,
     resume_training,
     train_model,
@@ -20,9 +19,11 @@ from docnade.trainer import (
 from docnade.wordtree import build_tree
 from gen import make_corpus
 from oracles import (
+    DEEP_KINDS,
     dense_counts,
     dense_deep_epoch,
     dense_hybrid_loss_gradients,
+    dense_polyak_update,
     dense_shallow_epoch,
 )
 
@@ -77,14 +78,14 @@ class TestPolyak:
     def test_decay_zero_copies_current(self, rng):
         avg = self._pair(rng, 0.0)
         avg.current.W += 1.0
-        polyak_update(avg)
+        dense_polyak_update(avg)
         assert params_equal(avg.current, avg.averaged)
 
     def test_fixed_point_is_exact(self, rng):
         avg = self._pair(rng, 0.999)
         before = avg.current.copy()
         for _ in range(50):
-            polyak_update(avg)
+            dense_polyak_update(avg)
         assert params_equal(avg.averaged, before)
         assert params_equal(avg.current, before)
 
@@ -93,7 +94,7 @@ class TestPolyak:
         avg.current.W += 2.0
         gaps = []
         for _ in range(4):
-            polyak_update(avg)
+            dense_polyak_update(avg)
             gaps.append(np.abs(avg.averaged.W - avg.current.W).max())
         ratios = [b / a for a, b in zip(gaps, gaps[1:])]
         assert np.allclose(ratios, 0.5)
@@ -107,10 +108,10 @@ class TestPolyak:
         for _, arr in params.arrays():
             arr[:] = 0.0
         avg = init_averaged(params, 0.5)
-        polyak_update(avg)
+        dense_polyak_update(avg)
         for _, arr in avg.current.arrays():
             arr[:] = 1.0
-        polyak_update(avg)
+        dense_polyak_update(avg)
         for _, arr in avg.averaged.arrays():
             assert np.allclose(arr, 0.5)
 
@@ -118,7 +119,7 @@ class TestPolyak:
         avg = self._pair(rng, 0.9)
         avg.current.W += 3.0
         snapshot = avg.current.copy()
-        polyak_update(avg)
+        dense_polyak_update(avg)
         assert params_equal(avg.current, snapshot)
 
 
@@ -128,8 +129,6 @@ class TestLazyAverageStep:
         # step applies it without a scaled copy
         import tracemalloc
 
-        from docnade.numerics import SparseGrads
-
         config = TrainConfig(model_kind="deepdocnade", hidden_sizes=(128,))
         params = init_params(20_000, 0, 0, config, named_stream(0, "init"))
         lazy = trainer._LazyAverage(init_averaged(params, 0.9))
@@ -137,7 +136,7 @@ class TestLazyAverageStep:
         expected = params.V_out - 0.01 * block
         tracemalloc.start()
         try:
-            lazy.step([SparseGrads({"V_out": (0, slice(None), block)})], 0.01)
+            trainer.polyak_update(lazy, [{"V_out": (0, slice(None), block)}], 0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
