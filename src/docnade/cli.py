@@ -141,6 +141,7 @@ def _emit_report(metrics, split: str, out_path=None) -> None:
 
 def cmd_train(args) -> int:
     corpus = _load_corpus(args.corpus, args.format)
+    unlabeled = _load_corpus(args.pretrain_corpus, args.format) if args.pretrain_corpus else None
     if args.regions is not None and corpus.vocabulary.n_regions != args.regions:
         raise ValueError(
             f"--regions {args.regions} disagrees with corpus header "
@@ -159,8 +160,7 @@ def cmd_train(args) -> int:
     if os.path.exists(log_file):
         os.remove(log_file)
 
-    if args.pretrain_corpus:
-        unlabeled = _load_corpus(args.pretrain_corpus, args.format)
+    if unlabeled is not None:
         result = pretrain_then_finetune(
             unlabeled, corpus, config, checkpoint_dir=ckpt_dir, log_file=log_file
         )

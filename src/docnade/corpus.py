@@ -1,7 +1,8 @@
-"""Multimodal bag-of-words corpora: joint vocabulary, documents, file formats.
+"""Multimodal bag-of-words corpora: joint vocabulary, CSR rows, file formats.
 
-A document is a sparse nonnegative count vector over a single joint id space
-that covers every (visual word, region) pair plus every annotation word.
+Each document, one row of a `Corpus`, is a sparse nonnegative count vector
+over a single joint id space that covers every (visual word, region) pair
+plus every annotation word.
 Ids are assigned row-major over regions:
 
     id(visual_word, region) = region * n_visual + visual_word
@@ -31,8 +32,7 @@ import itertools
 import json
 import re
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,40 +95,6 @@ def build_vocabulary(
     return JointVocabulary(n_visual, n_regions, words)
 
 
-@dataclass(frozen=True)
-class MultimodalDocument:
-    """Sparse token counts over a joint vocabulary, labels and features.
-
-    counts maps joint id -> positive count.  labels is a (possibly empty)
-    set of class indices; single-label corpora use singletons.  features
-    is an optional global feature vector of length N_f.
-    """
-
-    counts: dict[int, int] = field(default_factory=dict)
-    labels: frozenset[int] = frozenset()
-    features: np.ndarray | None = None
-
-    def validate(self, vocab: JointVocabulary, n_classes: int, n_features: int) -> None:
-        size = vocab.size
-        for token_id, count in self.counts.items():
-            if not (0 <= token_id < size):
-                raise ValueError(f"token id {token_id} >= vocabulary size {size}")
-            if count < 0:
-                raise ValueError(f"negative count {count} for id {token_id}")
-        for label in self.labels:
-            if not (0 <= label < n_classes):
-                raise ValueError(f"label {label} out of range [0, {n_classes})")
-        if self.features is None:
-            if n_features > 0:
-                raise ValueError(f"missing feature vector, expected {n_features} values")
-        elif len(self.features) != n_features:
-            raise ValueError(
-                f"feature vector has length {len(self.features)}, expected {n_features}"
-            )
-        elif not np.all(np.isfinite(self.features)):
-            raise ValueError("non-finite global feature value")
-
-
 def _count_block(indptr, ids, counts, limit=None) -> tuple[np.ndarray, np.ndarray]:
     """The sorted union `cols` of the ids (below `limit`, if given) that hold
     a nonzero count in the CSR rows, and the rows' count block on them."""
@@ -168,10 +134,6 @@ def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return new, np.repeat(ptr[rows] - new[:-1], lengths) + np.arange(new[-1])
 
 
-def _flat(values) -> np.ndarray:
-    return np.fromiter(itertools.chain.from_iterable(values), np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Documents as CSR arrays over a joint vocabulary.
@@ -193,25 +155,15 @@ class Corpus:
     features: np.ndarray | None
 
     @classmethod
-    def from_documents(cls, vocabulary: JointVocabulary, documents, n_classes: int,
-                       n_features: int = 0) -> "Corpus":
-        """The corpus of a sequence of documents; ValueError naming the first
-        one that does not validate."""
-        docs = tuple(documents)
-        for i, doc in enumerate(docs):
-            try:
-                doc.validate(vocabulary, n_classes, n_features)
-            except ValueError as exc:
-                raise ValueError(f"document {i}: {exc}") from exc
-        n, rows, maps = len(docs), np.arange(len(docs)), [doc.counts for doc in docs]
-        entries = _csr(n, np.repeat(rows, list(map(len, maps))), _flat(maps),
-                       _flat(counts.values() for counts in maps))
-        labels = _flat(doc.labels for doc in docs)
-        label_ptr, labels, _ = _csr(n, np.repeat(rows, [len(doc.labels) for doc in docs]),
-                                    labels, np.ones_like(labels))
-        features = (np.array([doc.features for doc in docs], dtype=float).reshape(n, n_features)
-                    if n_features else None)
-        return cls(vocabulary, n_classes, n_features, *entries, label_ptr, labels, features)
+    def from_entries(cls, vocabulary: JointVocabulary, n_classes: int, n_features: int,
+                     n_rows: int, entries, labels, features) -> "Corpus":
+        """The corpus of `n_rows` rows from their (row, id, count) entries, in
+        any order and with the counts of a repeated id summed, their
+        (row, label) pairs and their row-major feature values."""
+        return cls(vocabulary, n_classes, n_features, *_csr(n_rows, *entries),
+                   *_csr(n_rows, *labels, np.ones_like(labels[1]))[:2],
+                   np.asarray(features, dtype=float).reshape(n_rows, n_features)
+                   if n_features else None)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -238,15 +190,6 @@ class Corpus:
         """The sorted union `cols` of the rows' ids (below `limit`, if given)
         and the rows' (len(self), len(cols)) count block on them."""
         return _count_block(self.indptr, self.ids, self.counts, limit)
-
-    @cached_property
-    def documents(self) -> tuple[MultimodalDocument, ...]:
-        """The rows as documents, built on first use, for the library API and
-        the tests; no command reads them."""
-        return tuple(MultimodalDocument(
-            dict(zip(*(a.tolist() for a in self.row(i)))), frozenset(self.row_labels(i).tolist()),
-            None if self.features is None else self.features[i].copy(),
-        ) for i in range(len(self)))
 
 
 def weight_vector(vocab: JointVocabulary, rho: float) -> np.ndarray:
@@ -347,7 +290,9 @@ def parse_corpus(path, format: str = "text-sparse") -> Corpus:
 
     A text-sparse file is read field kind by field kind (`_parse_columns`).
     A record-lines file, and a text-sparse file in which that finds anything
-    odd, is parsed line by line, so that every error names its line and field.
+    odd, is parsed line by line, so that every error names its line and field;
+    each line's labels and features are checked here, for both formats.  Both
+    paths build the corpus with `Corpus.from_entries`.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format {format!r}")
@@ -357,15 +302,36 @@ def parse_corpus(path, format: str = "text-sparse") -> Corpus:
     with open(path) as fh:
         lines = [(line_no, raw.strip()) for line_no, raw in enumerate(fh.read().split("\n"), 1)]
     lines = [(line_no, line) for line_no, line in lines if line and not line.startswith("#")]
-    if format == "text-sparse" and lines:
+    text = format == "text-sparse"
+    if text and lines:
         corpus = _parse_columns([line for _, line in lines], vocab, n_classes, n_features)
         if corpus is not None:
             return corpus
-    parse_line = _parse_text_sparse_line if format == "text-sparse" else _parse_record_line
+    parse_line = _parse_text_sparse_line if text else _parse_record_line
+    label_field, feature_field = ("LABELS", "FEATURES") if text else ("labels", "features")
     # id bounds of the VISUAL and ANNOTATIONS fields, read once per file
     bounds = vocab.visual_size, vocab.size
-    docs = [parse_line(line, line_no, *bounds) for line_no, line in lines]
-    return Corpus.from_documents(vocab, docs, n_classes, n_features)
+    rows = [parse_line(line, line_no, *bounds) for line_no, line in lines]
+    for (line_no, _), (_, labels, features) in zip(lines, rows):
+        bad = [label for label in labels if not 0 <= label < n_classes]
+        if bad:
+            raise CorpusFormatError(
+                f"line {line_no}: {label_field}: label {bad[0]} out of range [0, {n_classes})")
+        if len(features) != n_features:
+            raise CorpusFormatError(f"line {line_no}: {feature_field}: " + (
+                f"feature vector has length {len(features)}, expected {n_features}"
+                if len(features) else f"missing feature vector, expected {n_features} values"))
+        if not np.isfinite(features).all():
+            raise CorpusFormatError(
+                f"line {line_no}: {feature_field}: non-finite global feature value")
+    counts, labels, features = zip(*rows) if rows else ((), (), ())
+    index, flat = np.arange(len(rows)), itertools.chain.from_iterable
+    entries = (np.repeat(index, list(map(len, counts))), np.fromiter(flat(counts), np.int64),
+               np.fromiter(flat(row.values() for row in counts), np.int64))
+    label_pairs = np.repeat(index, list(map(len, labels))), np.fromiter(flat(labels), np.int64)
+    del lines, rows, counts  # the text and the per-line dicts go before the CSR sort
+    return Corpus.from_entries(vocab, n_classes, n_features, len(index), entries, label_pairs,
+                               features)
 
 
 # The characters each field kind may hold on the column path: no tabs (the
@@ -438,14 +404,13 @@ def _parse_columns(lines: list[str], vocab: JointVocabulary, n_classes: int,
             or (np.bincount(feats[0], minlength=n) != n_features).any()
             or not np.isfinite(feats[1]).all()):
         return None
-    return Corpus(vocab, n_classes, n_features, *_csr(n, row, ids, counts),
-                  *_csr(n, *labels, np.ones_like(labels[1]))[:2],
-                  feats[1].reshape(n, n_features) if n_features else None)
+    return Corpus.from_entries(vocab, n_classes, n_features, n, (row, ids, counts), labels,
+                               feats[1])
 
 
-def _parse_text_sparse_line(
-    line: str, line_no: int, visual_size: int, size: int
-) -> MultimodalDocument:
+def _parse_text_sparse_line(line: str, line_no: int, visual_size: int, size: int):
+    """(counts, labels, features) of a text-sparse line: counts maps each id
+    to its summed count, labels is a list and features an array."""
     parts = line.split("|")
     if len(parts) != 4:
         raise CorpusFormatError(
@@ -454,7 +419,7 @@ def _parse_text_sparse_line(
     labels_s, visual_s, anno_s, feat_s = (p.strip() for p in parts)
 
     try:
-        labels = frozenset(int(tok) for tok in labels_s.split())
+        labels = [int(tok) for tok in labels_s.split()]
     except ValueError:
         raise CorpusFormatError(f"line {line_no}: malformed LABELS field") from None
 
@@ -467,15 +432,12 @@ def _parse_text_sparse_line(
             token_id, count = _parse_id_count(entry, line_no, field_name)
             _check_id(token_id, low, high, line_no, field_name)
             _add_count(counts, token_id, count, line_no, field_name)
-    counts = {i: c for i, c in counts.items() if c > 0}
 
-    features = None
-    if feat_s:
-        try:
-            features = np.array([float(tok) for tok in feat_s.split()])
-        except ValueError:
-            raise CorpusFormatError(f"line {line_no}: malformed FEATURES field") from None
-    return MultimodalDocument(counts, labels, features)
+    try:
+        features = np.array([float(tok) for tok in feat_s.split()])
+    except ValueError:
+        raise CorpusFormatError(f"line {line_no}: malformed FEATURES field") from None
+    return counts, labels, features
 
 
 def is_json_int(value) -> bool:
@@ -493,7 +455,8 @@ def _record_list(record: dict, field_name: str, line_no: int) -> list:
     return value
 
 
-def _parse_record_line(line: str, line_no: int, visual_size: int, size: int) -> MultimodalDocument:
+def _parse_record_line(line: str, line_no: int, visual_size: int, size: int):
+    """(counts, labels, features) of a record-lines line, as for text-sparse."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -518,7 +481,6 @@ def _parse_record_line(line: str, line_no: int, visual_size: int, size: int) -> 
                 )
             _check_id(token_id, low, high, line_no, field_name)
             _add_count(counts, token_id, count, line_no, field_name)
-    counts = {i: c for i, c in counts.items() if c > 0}
 
     labels = _record_list(record, "labels", line_no)
     if not all(map(is_json_int, labels)):
@@ -526,8 +488,11 @@ def _parse_record_line(line: str, line_no: int, visual_size: int, size: int) -> 
     feats = _record_list(record, "features", line_no)
     if not all(isinstance(x, float) or is_json_int(x) for x in feats):
         raise CorpusFormatError(f"line {line_no}: malformed features field {feats!r}")
-    features = np.array(feats, dtype=float) if feats else None
-    return MultimodalDocument(counts, frozenset(labels), features)
+    try:
+        features = np.array(feats, dtype=float)
+    except OverflowError:
+        raise CorpusFormatError(f"line {line_no}: features: value beyond float range") from None
+    return counts, labels, features
 
 
 def write_corpus(corpus: Corpus, path, format: str = "text-sparse") -> None:

@@ -456,6 +456,13 @@ def perplexity_losses(
     return [float(np.mean(draws)) for draws in losses.reshape(len(rows), samples)]
 
 
+def class_word_associations(params: DeepParams, vocab: JointVocabulary, class_index: int,
+                            top_topics: int, top_words: int):
+    """`docnade inspect` reads the class head's weights on a shallow model's
+    word columns, which a deep model does not have."""
+    raise ValueError("inspect requires a supervised shallow model")
+
+
 def init(vocab_size: int, n_classes: int, n_features: int, hidden_sizes, rng) -> DeepParams:
     """Glorot-initialized layer weights (first layer first), P, V_out and U,
     drawn from `rng` in that order, and zero biases."""

@@ -7,7 +7,8 @@ topic/word association inspection.  `evaluation_metrics` assembles the
 metric report for a model's kind.  Each inference command looks the kind up
 once in `model_io.FAMILIES` and calls its family module (`shallow` or
 `deep`) for the model-specific parts: the context (the word tree or the
-weights omega), representations, annotation scores and perplexity losses.
+weights omega), representations, annotation scores, perplexity losses and
+the class-word associations that `docnade inspect` reports.
 
 Representations, annotation rankings and perplexities are computed a chunk
 of `CHUNK_DOCS` documents at a time, with a few matrix products per chunk
@@ -18,11 +19,11 @@ the corpus.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import shallow as shallow_mod
 from .corpus import Corpus, JointVocabulary, build_vocabulary
 from .model_io import ModelMeta
 from .numerics import sigmoid, softmax_rows, top_order
@@ -36,9 +37,11 @@ logger = logging.getLogger(__name__)
 CHUNK_DOCS = 64
 
 
-def _chunks(corpus: Corpus, size: int) -> list[Corpus]:
-    """Consecutive runs of at most `size` rows of the corpus."""
-    return [corpus.take(slice(start, start + size)) for start in range(0, len(corpus), size)]
+def _chunks(corpus: Corpus, size: int) -> Iterator[Corpus]:
+    """Consecutive runs of at most `size` rows of the corpus, each copied
+    only when the one before it has been used."""
+    for start in range(0, len(corpus), size):
+        yield corpus.take(slice(start, start + size))
 
 
 def extract_representations(
@@ -262,33 +265,6 @@ def generate_text(
     return [RankedPrediction(i, s) for i, s in zip(ids, scores)]
 
 
-def class_word_associations(
-    params: shallow_mod.ShallowParams,
-    vocab: JointVocabulary,
-    class_index: int,
-    top_topics: int,
-    top_words: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Most-associated (topics, visual ids, annotation ids) for a class.
-
-    Topics are the hidden units with the largest class-head weight for the
-    class; their embedding rows are averaged into a per-word score.
-    """
-    if top_topics > params.n_hidden:
-        raise ValueError(f"top_topics={top_topics} exceeds hidden size {params.n_hidden}")
-    if not (0 <= class_index < params.n_classes):
-        raise ValueError(f"class index {class_index} out of range")
-    column = params.U[class_index]
-    topics = np.lexsort((np.arange(len(column)), -column))[:top_topics]
-    word_scores = params.W[topics].mean(axis=0)
-
-    visual_ids = np.arange(vocab.visual_size)
-    anno_ids = np.arange(vocab.visual_size, vocab.size)
-    top_visual = _rank(visual_ids, word_scores[visual_ids], min(top_words, len(visual_ids))).ids
-    top_anno = _rank(anno_ids, word_scores[anno_ids], min(top_words, len(anno_ids))).ids
-    return topics, top_visual, top_anno
-
-
 # ---------------------------------------------------------------------------
 # Reports of the inference commands
 # ---------------------------------------------------------------------------
@@ -403,12 +379,13 @@ def class_report(
 ) -> dict:
     """The `docnade inspect` record of a supervised shallow model: the
     topics and the visual and annotation words most associated with a class."""
-    if meta.family != (shallow_mod, True):
+    family, supervised = meta.family
+    if not supervised:
         raise ValueError("inspect requires a supervised shallow model")
     vocab = build_vocabulary(
         meta.n_visual, meta.n_regions, [f"anno{i}" for i in range(meta.n_annotation)]
     )
-    topics, visual_ids, anno_ids = class_word_associations(
+    topics, visual_ids, anno_ids = family.class_word_associations(
         params, vocab, class_index, top_topics, top_words
     )
     return {

@@ -30,8 +30,8 @@ FORMAT_VERSION = 1
 # the one lookup training, inference and loading make, so that no other code
 # branches on the kind.  Both family modules expose the same names: `init`,
 # `check_config`, `tree_seed`, `context`, `array_shapes`, `params_from_arrays`, `doc_data`,
-# `batch_step`, `represent`, `predict_annotations`, `perplexity_losses` and
-# `PERPLEXITY`.
+# `batch_step`, `represent`, `predict_annotations`, `perplexity_losses`,
+# `class_word_associations` and `PERPLEXITY`.
 FAMILIES = {
     "docnade": (shallow, False),
     "supdocnade": (shallow, True),

@@ -349,6 +349,27 @@ def perplexity_losses(
     return losses
 
 
+def class_word_associations(
+    params: ShallowParams, vocab: JointVocabulary, class_index: int, top_topics: int,
+    top_words: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Most-associated (topics, visual ids, annotation ids) for a class.
+
+    Topics are the hidden units with the largest class-head weight for the
+    class; their embedding rows are averaged into a per-word score.
+    """
+    if top_topics > params.n_hidden:
+        raise ValueError(f"top_topics={top_topics} exceeds hidden size {params.n_hidden}")
+    if not (0 <= class_index < params.n_classes):
+        raise ValueError(f"class index {class_index} out of range")
+    column = params.U[class_index]
+    topics = np.lexsort((np.arange(len(column)), -column))[:top_topics]
+    word_scores = params.W[topics].mean(axis=0)
+    top = [ids[top_order(ids, word_scores[ids], min(top_words, len(ids)))]
+           for ids in (np.arange(vocab.visual_size), np.arange(vocab.visual_size, vocab.size))]
+    return topics, *top
+
+
 def init(vocab_size: int, n_classes: int, n_features: int, hidden_sizes, rng) -> ShallowParams:
     """Glorot-initialized W, V, U, drawn from `rng` in that order, and zero
     biases; there is no global-feature map."""

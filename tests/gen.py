@@ -9,8 +9,8 @@ computed exactly from the per-class multinomials.
 
 import numpy as np
 
-from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
-from oracles import annotation_id
+from docnade.corpus import build_vocabulary
+from oracles import Document, annotation_id, corpus_of, documents
 
 
 def make_generator_probs(n_classes, visual_size, signal):
@@ -52,7 +52,7 @@ def make_corpus(
                     counts[annotation_id(vocab, k * anno_per_class + j)] = 1
             features = rng.normal(size=n_features) if n_features else None
             docs.append(
-                MultimodalDocument(
+                Document(
                     counts,
                     frozenset([k]) if labeled else frozenset(),
                     features,
@@ -60,7 +60,7 @@ def make_corpus(
             )
     order = np.random.default_rng(seed + 991).permutation(len(docs))
     docs = tuple(docs[i] for i in order)
-    return Corpus.from_documents(vocab, docs, n_classes, n_features), probs
+    return corpus_of(vocab, docs, n_classes, n_features), probs
 
 
 def bayes_predictions(corpus, class_probs):
@@ -69,7 +69,7 @@ def bayes_predictions(corpus, class_probs):
     vocab = corpus.vocabulary
     log_probs = np.log(class_probs)
     preds = []
-    for doc in corpus.documents:
+    for doc in documents(corpus):
         score = np.zeros(class_probs.shape[0])
         for token_id, count in doc.counts.items():
             if token_id < vocab.visual_size:
@@ -80,5 +80,5 @@ def bayes_predictions(corpus, class_probs):
 
 def bayes_accuracy(corpus, class_probs):
     preds = bayes_predictions(corpus, class_probs)
-    truth = np.array([next(iter(doc.labels)) for doc in corpus.documents])
+    truth = np.array([next(iter(doc.labels)) for doc in documents(corpus)])
     return float(np.mean(preds == truth))

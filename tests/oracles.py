@@ -20,7 +20,9 @@ and the other per-item helpers at the end are the reference forms of
 vectorized production code, with the operation counters the cost-scaling
 tests read; the id and tree lookups last spell out the joint id layout and
 the tree depths that the tests and the corpus generator name words by, and
-a document's sorted ids, counts and tokens.
+a document's sorted ids, counts and tokens.  `Document`, `corpus_of` and
+`documents` build a corpus from plain per-document records and read it
+back as them.
 
 Some functions here are adapters, not oracles: `token_layout`, `to_dense` and
 the `dense_*docnade_gradients` wrappers run the production shallow gradient
@@ -31,7 +33,7 @@ finite-difference and oracle tests check the production arithmetic;
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -39,7 +41,7 @@ import numpy as np
 from docnade import deep as deep_mod
 from docnade import shallow as shallow_mod
 from docnade import trainer as trainer_mod
-from docnade.corpus import Corpus, MultimodalDocument, weight_vector
+from docnade.corpus import Corpus, weight_vector
 from docnade.evaluate import RankedPrediction
 from docnade.model_io import FAMILIES
 from docnade.numerics import along, log_softmax, sigmoid, softmax_rows
@@ -371,11 +373,12 @@ def dense_shallow_epoch(corpus, avg, config, tree):
     streams = trainer_mod.RngStreams.from_seed(config.seed)
     _, supervised = FAMILIES[config.model_kind]
     unsup_weight = config.unsup_weight if supervised else 1.0
-    order = streams.shuffle.permutation(len(corpus.documents))
+    docs = documents(corpus)
+    order = streams.shuffle.permutation(len(docs))
     for start in range(0, len(order), config.batch_size):
         total, n_docs = None, 0
         for doc_idx in order[start : start + config.batch_size]:
-            doc = corpus.documents[doc_idx]
+            doc = docs[doc_idx]
             tokens = token_array(doc)
             if len(tokens) == 0 and not supervised:
                 continue
@@ -409,11 +412,12 @@ def dense_deep_epoch(corpus, avg, config):
     def masks():
         return [(streams.dropout.random(h) < keep).astype(float) for h in config.hidden_sizes]
 
-    order = streams.shuffle.permutation(len(corpus.documents))
+    docs = documents(corpus)
+    order = streams.shuffle.permutation(len(docs))
     for start in range(0, len(order), config.batch_size):
         total, n_docs = None, 0
         for doc_idx in order[start : start + config.batch_size]:
-            doc = corpus.documents[doc_idx]
+            doc = docs[doc_idx]
             counts = dense_counts(doc, avg.current.vocab_size)
             split = deep_mod.split_histogram(counts, streams.split)
             if split is None and not supervised:
@@ -443,15 +447,6 @@ def dense_deep_epoch(corpus, avg, config):
 # ---------------------------------------------------------------------------
 
 
-def as_rows(vocab, docs):
-    """The corpus of a sequence of documents, for the family functions that
-    read corpus rows; its class and feature counts are read off the documents."""
-    docs = list(docs)
-    n_classes = 1 + max((label for doc in docs for label in doc.labels), default=-1)
-    n_features = next((len(doc.features) for doc in docs if doc.features is not None), 0)
-    return Corpus.from_documents(vocab, docs, n_classes, n_features)
-
-
 def represent(doc, params, vocab, restrict="all-words"):
     """Shallow representation relu(c + sum counts * W), one column at a time."""
     pre = params.c.copy()
@@ -478,7 +473,7 @@ def words_log_prob(tree, h, words, V, b):
 def visual_only(doc, vocab):
     """Copy of a document with its annotation counts removed."""
     kept = {i: c for i, c in doc.counts.items() if not is_annotation(vocab, i)}
-    return MultimodalDocument(kept, doc.labels, doc.features)
+    return Document(kept, doc.labels, doc.features)
 
 
 def extract_representations(corpus, params, meta, restrict="all-words"):
@@ -488,9 +483,9 @@ def extract_representations(corpus, params, meta, restrict="all-words"):
         return np.array([
             _deep_represent(dense_counts(doc, vocab.size), doc.features, params, omega,
                             meta.dropout_rate)
-            for doc in corpus.documents
+            for doc in documents(corpus)
         ])
-    return np.array([represent(doc, params, vocab, restrict) for doc in corpus.documents])
+    return np.array([represent(doc, params, vocab, restrict) for doc in documents(corpus)])
 
 
 def _deep_represent(counts, features, params, omega, dropout_rate):
@@ -529,7 +524,7 @@ def annotation_predictions(corpus, params, meta, top_k):
         omega = weight_vector(vocab, meta.anno_weight)
     else:
         tree = build_tree(meta.vocab_size, meta.tree_seed)
-    for i, doc in enumerate(corpus.documents):
+    for i, doc in enumerate(documents(corpus)):
         yield i, generate_text(
             doc, params, vocab, top_k, tree=tree, meta_dropout=meta.dropout_rate, omega=omega
         )
@@ -542,7 +537,7 @@ def perplexity_estimate(corpus, params, meta, samples, rng):
     omega = weight_vector(vocab, meta.anno_weight)
     keep = 1.0 - meta.dropout_rate if meta.dropout_rate > 0 else None
     total_loss, total_tokens = 0.0, 0
-    for doc in corpus.documents:
+    for doc in documents(corpus):
         counts = dense_counts(doc, vocab.size)
         if counts.sum() == 0:
             continue
@@ -836,3 +831,44 @@ def token_array(doc):
 
 def total_tokens(doc):
     return sum(doc.counts.values())
+
+
+# ---------------------------------------------------------------------------
+# Documents as plain records
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Document:
+    """One document: counts maps joint id -> count, labels is a (possibly
+    empty) set of class indices, features a length-N_f vector or None."""
+
+    counts: dict = field(default_factory=dict)
+    labels: frozenset = frozenset()
+    features: np.ndarray | None = None
+
+
+def corpus_of(vocab, docs, n_classes=None, n_features=None):
+    """The corpus of a sequence of `Document`s, one row each; by default its
+    class and feature counts are read off the documents."""
+    docs = tuple(docs)
+    if n_classes is None:
+        n_classes = 1 + max((label for doc in docs for label in doc.labels), default=-1)
+    if n_features is None:
+        n_features = next((len(doc.features) for doc in docs if doc.features is not None), 0)
+    index = np.arange(len(docs))
+    entries = (np.repeat(index, [len(doc.counts) for doc in docs]),
+               np.array([i for doc in docs for i in doc.counts], dtype=np.int64),
+               np.array([c for doc in docs for c in doc.counts.values()], dtype=np.int64))
+    labels = (np.repeat(index, [len(doc.labels) for doc in docs]),
+              np.array([label for doc in docs for label in doc.labels], dtype=np.int64))
+    return Corpus.from_entries(vocab, n_classes, n_features, len(docs), entries, labels,
+                               [doc.features for doc in docs])
+
+
+def documents(corpus):
+    """The corpus rows as `Document`s."""
+    return tuple(Document(
+        dict(zip(*(a.tolist() for a in corpus.row(i)))), frozenset(corpus.row_labels(i).tolist()),
+        None if corpus.features is None else corpus.features[i].copy(),
+    ) for i in range(len(corpus)))

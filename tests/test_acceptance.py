@@ -21,21 +21,23 @@ from conftest import (
 )
 from docnade import deep, evaluate, shallow
 from docnade.cli import main as cli_main
-from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary, write_corpus
+from docnade.corpus import build_vocabulary, write_corpus
 from docnade.model_io import load_model, save_model
 from docnade.trainer import TrainConfig, resume_training, train_model
 from docnade.wordtree import build_tree, words_log_prob
 from gen import bayes_accuracy, make_corpus
 from oracles import (
-    as_rows,
+    Document,
     OpCounter,
     annotation_id,
     class_posterior,
     classify,
+    corpus_of,
     dense_forward,
     dense_histogram,
     dense_supdocnade_gradients,
     document_hybrid_loss_gradients,
+    documents,
     estimator_expectation,
     exhaustive_ordering_loss,
     fit_linear_classifier,
@@ -290,11 +292,11 @@ def test_criterion_08_tree_cost_scaling():
 def _supervised_accuracy(params, corpus):
     vocab = corpus.vocabulary
     reps = np.array([
-        shallow.represent(as_rows(vocab, [doc]), params, vocab, "visual-only")[0]
-        for doc in corpus.documents
+        shallow.represent(corpus_of(vocab, [doc]), params, vocab, "visual-only")[0]
+        for doc in documents(corpus)
     ])
     predicted = (reps @ params.U.T + params.d).argmax(axis=1)
-    truth = np.array([next(iter(doc.labels)) for doc in corpus.documents])
+    truth = np.array([next(iter(doc.labels)) for doc in documents(corpus)])
     return float(np.mean(predicted == truth))
 
 
@@ -318,12 +320,12 @@ def test_criterion_09_synthetic_classification():
     acc_single = _supervised_accuracy(result.averaged, test)
 
     # (b) cross-validated lambda > 0 vs unsupervised features + classifier
-    truth_train = np.array([next(iter(doc.labels)) for doc in train.documents])
-    truth_test = np.array([next(iter(doc.labels)) for doc in test.documents])
+    truth_train = np.array([next(iter(doc.labels)) for doc in documents(train)])
+    truth_test = np.array([next(iter(doc.labels)) for doc in documents(test)])
     sup_scores, unsup_scores = [], []
     for seed in range(5):
-        sub = Corpus.from_documents(vocab, train.documents[:600], train.n_classes)
-        val = Corpus.from_documents(vocab, train.documents[600:], train.n_classes)
+        sub = corpus_of(vocab, documents(train)[:600], train.n_classes)
+        val = corpus_of(vocab, documents(train)[600:], train.n_classes)
         best = None
         for lam in (0.1, 1.0):
             cv_config = TrainConfig(
@@ -347,12 +349,12 @@ def test_criterion_09_synthetic_classification():
         )
         unsup_result = train_model(train, unsup_config)
         reps_train = np.array([
-            shallow.represent(as_rows(vocab, [d]), unsup_result.averaged, vocab, "visual-only")[0]
-            for d in train.documents
+            shallow.represent(corpus_of(vocab, [d]), unsup_result.averaged, vocab, "visual-only")[0]
+            for d in documents(train)
         ])
         reps_test = np.array([
-            shallow.represent(as_rows(vocab, [d]), unsup_result.averaged, vocab, "visual-only")[0]
-            for d in test.documents
+            shallow.represent(corpus_of(vocab, [d]), unsup_result.averaged, vocab, "visual-only")[0]
+            for d in documents(test)
         ])
         clf = fit_linear_classifier(reps_train, truth_train)
         unsup_scores.append(
@@ -379,7 +381,7 @@ def test_criterion_10_synthetic_annotation():
 
     # generator claim behind the Bayes F = 1.0 optimum: each document carries
     # exactly its class's 5 annotation words
-    for doc in test.documents:
+    for doc in documents(test):
         label = next(iter(doc.labels))
         expected = {annotation_id(vocab, label * 5 + j) for j in range(5)}
         truth = {i for i in doc.counts if is_annotation(vocab, i)}
@@ -392,8 +394,8 @@ def test_criterion_10_synthetic_annotation():
     result = train_model(train, config)
     tree = build_tree(result.meta.vocab_size, result.meta.tree_seed)
     pairs = []
-    for doc in test.documents:
-        (ids,), _ = shallow.predict_annotations(as_rows(vocab, [doc]), result.averaged, tree,
+    for doc in documents(test):
+        (ids,), _ = shallow.predict_annotations(corpus_of(vocab, [doc]), result.averaged, tree,
                                                 vocab, 5)
         truth = {i for i in doc.counts if is_annotation(vocab, i)}
         pairs.append((set(int(i) for i in ids), truth))
@@ -551,11 +553,11 @@ def test_criterion_13_metric_oracles():
             {int(rng.integers(vocab.size)): int(rng.integers(1, 5))}
             for _ in range(int(rng.integers(1, 5)))
         ]
-        corpus = Corpus.from_documents(vocab, tuple(MultimodalDocument(c) for c in count_dicts), 2)
+        corpus = corpus_of(vocab, tuple(Document(c) for c in count_dicts), 2)
         got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=2,
                                   rng=np.random.default_rng(trial), family=shallow)
         total_ll = sum(
-            shallow.doc_log_likelihood(token_array(MultimodalDocument(c)), params, tree)
+            shallow.doc_log_likelihood(token_array(Document(c)), params, tree)
             for c in count_dicts
         )
         total_tokens = sum(sum(c.values()) for c in count_dicts)

@@ -8,17 +8,12 @@ import pytest
 
 from conftest import random_shallow_params
 from docnade.cli import main
-from docnade.corpus import (
-    Corpus,
-    MultimodalDocument,
-    build_vocabulary,
-    parse_corpus,
-    write_corpus,
-)
+from docnade.corpus import build_vocabulary, parse_corpus, write_corpus
 from docnade.model_io import MAGIC, ModelMeta, load_model, save_model
 from docnade.rng import named_stream
 from docnade.trainer import TrainConfig, init_params
 from gen import make_corpus
+from oracles import Document, corpus_of, documents
 
 
 @pytest.fixture
@@ -123,6 +118,21 @@ class TestPretrain:
         assert (meta.kind, meta.head) == ("supdeepdocnade", "sigmoid")
 
 
+    def test_inputs_are_read_before_the_run_dir_is_touched(self, tmp_path, corpus_path, capsys):
+        out, unlabeled = tmp_path / "runs", tmp_path / "unlabeled.corpus"
+        args = ["train", "--corpus", str(corpus_path), "--out", str(out), "--model",
+                "supdocnade", "--hidden", "4", "--epochs", "1", "--pretrain-corpus",
+                str(unlabeled), "--pretrain-epochs", "1"]
+        assert main(args) == 3  # a missing pretraining corpus leaves no run dir
+        assert "corpus file not found" in capsys.readouterr().err and not out.exists()
+        assert _unlabeled_path(tmp_path) == unlabeled and main(args) == 0
+        log = out / os.listdir(out)[0] / "train.log"
+        before = log.read_bytes()
+        os.rename(unlabeled, tmp_path / "moved.corpus")
+        assert main(args) == 3  # a rerun whose pretraining corpus has moved keeps its log
+        assert log.read_bytes() == before
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("model", ["docnade", "supdocnade", "deepdocnade"])
     def test_sigmoid_head_rejected_before_work(self, tmp_path, model):
@@ -225,18 +235,16 @@ class TestEval:
     def test_multilabel_sigmoid_eval_reports_map_and_curves(self, tmp_path, capsys):
         import numpy as _np
 
-        from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
-
         rng = _np.random.default_rng(0)
         vocab = build_vocabulary(6, 2, ["a", "b"])
         docs = []
         for i in range(24):
             labels = frozenset({i % 3} | ({2} if i % 4 == 0 else set()))
             ids = rng.choice(vocab.size, 4, replace=False)
-            docs.append(MultimodalDocument(
+            docs.append(Document(
                 {int(k): int(rng.integers(1, 4)) for k in ids}, labels
             ))
-        corpus = Corpus.from_documents(vocab, tuple(docs), n_classes=3)
+        corpus = corpus_of(vocab, tuple(docs), n_classes=3)
         path = tmp_path / "ml.corpus"
         write_corpus(corpus, path)
         out = tmp_path / "runs"
@@ -312,7 +320,7 @@ class TestEval:
         model = os.path.join(out, os.listdir(out)[0], "model.bin")
         full = parse_corpus(corpus_path)
         empty = tmp_path / "empty.corpus"
-        write_corpus(Corpus.from_documents(full.vocabulary, (), full.n_classes, full.n_features),
+        write_corpus(corpus_of(full.vocabulary, (), full.n_classes, full.n_features),
                      empty)
         capsys.readouterr()
         assert main(["eval", "--model", model, "--corpus", str(empty)]) == 3
@@ -425,6 +433,21 @@ class TestAnnotateRetrieveInspect:
                      "--class-index", "0"])
         assert code == 3
 
+    @pytest.mark.parametrize("kind", ["docnade", "supdeepdocnade"])
+    def test_inspect_rejects_unsupervised_shallow_and_deep_models(self, tmp_path, corpus_path,
+                                                                 capsys, kind):
+        out = tmp_path / "runs"
+        assert main([
+            "train", "--corpus", str(corpus_path), "--out", str(out),
+            "--model", kind, "--hidden", "6", "--epochs", "1",
+        ]) == 0
+        run_dir = os.path.join(out, os.listdir(out)[0])
+        capsys.readouterr()
+        code = main(["inspect", "--model", os.path.join(run_dir, "model.bin"),
+                     "--class-index", "0"])
+        assert code == 3
+        assert "inspect requires a supervised shallow model" in capsys.readouterr().err
+
 
 class TestGrid:
     def _write_val(self, tmp_path):
@@ -524,11 +547,11 @@ class TestMissingFeatures:
     def test_empty_features_field_is_a_data_error(self, tmp_path, capsys, format):
         vocab = build_vocabulary(3, 2, ["a"])
         docs = tuple(
-            MultimodalDocument({0: 2, 6: 1}, frozenset({i}), np.array([0.5, -1.0]))
+            Document({0: 2, 6: 1}, frozenset({i}), np.array([0.5, -1.0]))
             for i in range(2)
         )
         path = tmp_path / "c.corpus"
-        write_corpus(Corpus.from_documents(vocab, docs, n_classes=2, n_features=2), path, format)
+        write_corpus(corpus_of(vocab, docs, n_classes=2, n_features=2), path, format)
         lines = path.read_text().splitlines()
         if format == "text-sparse":
             lines[1] = lines[1].rsplit("|", 1)[0] + "|"
@@ -692,10 +715,10 @@ class TestLabelCounts:
     def test_document_without_one_label_is_a_data_error(self, tmp_path, corpus_path, capsys,
                                                         kind, flags, labels):
         corpus = parse_corpus(corpus_path)
-        docs = list(corpus.documents)
-        docs[5] = MultimodalDocument(docs[5].counts, labels, docs[5].features)
+        docs = list(documents(corpus))
+        docs[5] = Document(docs[5].counts, labels, docs[5].features)
         path = tmp_path / "odd.corpus"
-        write_corpus(Corpus.from_documents(corpus.vocabulary, docs, corpus.n_classes), path)
+        write_corpus(corpus_of(corpus.vocabulary, docs, corpus.n_classes), path)
         code = main(["train", "--corpus", str(path), "--out", str(tmp_path / "runs"),
                      "--model", kind, "--epochs", "1", *flags])
         assert code == 3
@@ -771,17 +794,9 @@ class TestCountOverflow:
         assert f"line 2: {field} count" in err and "exceeds int64" in err
 
 
-@pytest.fixture
-def documents_unread(monkeypatch):
-    """Makes reading `Corpus.documents` fail the test."""
-    def read(corpus):
-        raise AssertionError("a command read Corpus.documents")
-
-    monkeypatch.setattr(Corpus, "documents", property(read))
-
-
 class TestCommandsReadRows:
-    """Every command reads corpus rows, never the per-document view."""
+    """train, eval, annotate and retrieve run on a corpus with features, for
+    every model kind."""
 
     @pytest.mark.parametrize("kind,flags", [
         ("supdocnade", ["--hidden", "8"]),
@@ -789,7 +804,7 @@ class TestCommandsReadRows:
         ("docnade", ["--hidden", "8"]),
         ("deepdocnade", ["--hidden", "6"]),
     ])
-    def test_train_eval_annotate_retrieve(self, tmp_path, capsys, documents_unread, kind, flags):
+    def test_train_eval_annotate_retrieve(self, tmp_path, capsys, kind, flags):
         corpus, _ = make_corpus(5, n_classes=3, n_visual=5, n_regions=2, anno_per_class=2,
                                 docs_per_class=6, doc_len=10, n_features=3)
         path = tmp_path / "train.corpus"

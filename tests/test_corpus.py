@@ -1,10 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from docnade.corpus import (
-    Corpus,
     CorpusFormatError,
-    MultimodalDocument,
     build_vocabulary,
     count_rows,
     parse_corpus,
@@ -12,9 +12,12 @@ from docnade.corpus import (
     write_corpus,
 )
 from oracles import (
+    Document,
     annotation_id,
     annotation_index,
+    corpus_of,
     dense_counts,
+    documents,
     id_counts,
     to_weighted_histogram,
     token_array,
@@ -84,7 +87,7 @@ class TestCountRows:
         assert cols.shape == (0,) and block.shape == (0, 0)
 
     def test_id_counts_below_limit(self):
-        doc = MultimodalDocument({7: 1, 0: 2, 3: 5})
+        doc = Document({7: 1, 0: 2, 3: 5})
         assert [a.tolist() for a in id_counts(doc)] == [[0, 3, 7], [2, 5, 1]]
         assert [a.tolist() for a in id_counts(doc, 4)] == [[0, 3], [2, 5]]
 
@@ -92,20 +95,20 @@ class TestCountRows:
 class TestWeightedHistogram:
     def test_rho_one_is_identity(self):
         vocab = build_vocabulary(3, 2, ["a", "b"])
-        doc = MultimodalDocument({0: 2, 7: 1})
+        doc = Document({0: 2, 7: 1})
         hist = to_weighted_histogram(doc, weight_vector(vocab, 1.0))
         assert np.array_equal(hist, dense_counts(doc, 8).astype(float))
 
     def test_large_annotation_weight(self):
         vocab = build_vocabulary(3, 2, ["a", "b"])
-        doc = MultimodalDocument({7: 1})
+        doc = Document({7: 1})
         hist = to_weighted_histogram(doc, weight_vector(vocab, 12_000.0))
         assert hist[7] == 12_000.0
 
     def test_zero_counts(self):
         vocab = build_vocabulary(3, 2, ["a", "b"])
         for rho in (0.0, 1.0, 5.5):
-            hist = to_weighted_histogram(MultimodalDocument({}), weight_vector(vocab, rho))
+            hist = to_weighted_histogram(Document({}), weight_vector(vocab, rho))
             assert np.array_equal(hist, np.zeros(8))
 
     def test_weighted_sum_decomposition(self):
@@ -113,7 +116,7 @@ class TestWeightedHistogram:
         rng = np.random.default_rng(5)
         for _ in range(20):
             counts = {int(i): int(rng.integers(1, 4)) for i in rng.choice(vocab.size, 6, replace=False)}
-            doc = MultimodalDocument(counts)
+            doc = Document(counts)
             rho = float(rng.uniform(0, 10))
             hist = to_weighted_histogram(doc, weight_vector(vocab, rho))
             n_visual_tokens = sum(c for i, c in counts.items() if i < vocab.visual_size)
@@ -122,7 +125,7 @@ class TestWeightedHistogram:
 
     def test_length_mismatch(self):
         small = build_vocabulary(1, 1, ["a"])
-        doc = MultimodalDocument({5: 1})
+        doc = Document({5: 1})
         with pytest.raises(ValueError):
             to_weighted_histogram(doc, weight_vector(small, 1.0))
 
@@ -145,7 +148,7 @@ class TestParsing:
         _write_header(path, 3, 2, 2, 4, 2)
         corpus = parse_corpus(path)
         assert len(corpus) == 1
-        doc = corpus.documents[0]
+        doc = documents(corpus)[0]
         assert doc.counts == {0: 2, 5: 1, 7: 1}
         assert doc.labels == frozenset({3})
         assert np.array_equal(doc.features, [1.0, 0.5])
@@ -154,7 +157,7 @@ class TestParsing:
         path = tmp_path / "corpus.txt"
         path.write_text("0 | 1:1 |  | \n")
         _write_header(path, 3, 2, 2, 4, 0)
-        doc = parse_corpus(path).documents[0]
+        doc = documents(parse_corpus(path))[0]
         assert doc.counts == {1: 1}
         assert doc.features is None
 
@@ -179,6 +182,7 @@ class TestParsing:
         ('{"labels": [null]}', "labels"),
         ('{"visual": [[1.5, 2]]}', "visual"),
         ('{"visual": [[1, 2.5]]}', "visual"),
+        pytest.param('{"features": [1%s]}' % ("0" * 400), "features", id="integer-beyond-float"),
     ])
     def test_record_field_of_wrong_type_names_line_and_field(self, tmp_path, record, field):
         path = tmp_path / "corpus.jsonl"
@@ -225,8 +229,8 @@ def _random_corpus(seed, n_docs=10, n_features=2):
         counts = {int(i): int(rng.integers(1, 5)) for i in ids}
         labels = frozenset(int(x) for x in rng.choice(4, rng.integers(0, 3), replace=False))
         features = rng.normal(size=n_features) if n_features else None
-        docs.append(MultimodalDocument(counts, labels, features))
-    return Corpus.from_documents(vocab, tuple(docs), n_classes=4, n_features=n_features)
+        docs.append(Document(counts, labels, features))
+    return corpus_of(vocab, tuple(docs), n_classes=4, n_features=n_features)
 
 
 def _assert_corpora_equal(a, b):
@@ -234,7 +238,7 @@ def _assert_corpora_equal(a, b):
     assert a.n_classes == b.n_classes
     assert a.n_features == b.n_features
     assert len(a) == len(b)
-    for left, right in zip(a.documents, b.documents):
+    for left, right in zip(documents(a), documents(b)):
         assert left.counts == right.counts
         assert left.labels == right.labels
         if left.features is None:
@@ -265,32 +269,48 @@ class TestRoundTrip:
         path = tmp_path / "c.dat"
         write_corpus(corpus, path)
         parsed = parse_corpus(path)
-        for left, right in zip(parsed.documents, corpus.documents):
+        for left, right in zip(documents(parsed), documents(corpus)):
             assert left.counts == right.counts
 
 
 class TestDocumentValidation:
     def test_token_array_matches_counts(self):
-        doc = MultimodalDocument({3: 2, 1: 1})
+        doc = Document({3: 2, 1: 1})
         assert token_array(doc).tolist() == [1, 3, 3]
         assert total_tokens(doc) == 3
 
     def test_zero_token_document_is_legal(self):
         vocab = build_vocabulary(2, 2)
-        doc = MultimodalDocument({})
-        doc.validate(vocab, n_classes=2, n_features=0)
+        doc = Document({})
+        assert corpus_of(vocab, [doc], n_classes=2).row(0)[0].tolist() == []
         assert total_tokens(doc) == 0
 
-    def test_bad_label(self):
+    @pytest.mark.parametrize("format", ["text-sparse", "record-lines"])
+    @pytest.mark.parametrize("labels, features, field, message", [
+        ([2], [0.5, 1.0], "labels", "label 2 out of range [0, 2)"),
+        ([-1], [0.5, 1.0], "labels", "label -1 out of range [0, 2)"),
+        ([0], [0.5], "features", "feature vector has length 1, expected 2"),
+        ([0], [0.5, 1.0, 2.0], "features", "feature vector has length 3, expected 2"),
+        ([0], [], "features", "missing feature vector, expected 2 values"),
+        ([0], [0.5, float("inf")], "features", "non-finite global feature value"),
+    ], ids=["label-too-large", "negative-label", "too-few-features", "too-many-features",
+            "missing-features", "non-finite-feature"])
+    def test_label_or_feature_error_names_line_and_field(self, tmp_path, format, labels,
+                                                         features, field, message):
         vocab = build_vocabulary(2, 2)
-        with pytest.raises(ValueError, match="label"):
-            MultimodalDocument({}, frozenset({9})).validate(vocab, 2, 0)
-
-    def test_feature_length_checked(self):
-        vocab = build_vocabulary(2, 2)
-        doc = MultimodalDocument({}, frozenset(), np.array([1.0]))
-        with pytest.raises(ValueError, match="feature"):
-            doc.validate(vocab, 2, 3)
+        path = tmp_path / "c.dat"
+        write_corpus(corpus_of(vocab, [Document({0: 1}, frozenset({1}), np.ones(2))] * 3, 2, 2),
+                     path, format)
+        lines = path.read_text().splitlines()
+        if format == "text-sparse":
+            field = field.upper()
+            lines[1] = f"{' '.join(map(str, labels))} | 0:1 | | {' '.join(map(repr, features))}"
+        else:
+            lines[1] = json.dumps({"labels": labels, "visual": [[0, 1]], "features": features})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as excinfo:
+            parse_corpus(path, format)
+        assert f"line 2: {field}" in str(excinfo.value) and message in str(excinfo.value)
 
 
 def _parse_lines(path, format="text-sparse"):
@@ -432,10 +452,10 @@ class TestColumnParser:
         vocab = build_vocabulary(5, 2, ["a", "b", "c"])
         values = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-300, 300, size=(40, 6))
         values = np.array([[float(f"{x:.17g}") for x in row] for row in values])
-        docs = [MultimodalDocument({i % vocab.size: 1}, frozenset({i % 4}), row)
+        docs = [Document({i % vocab.size: 1}, frozenset({i % 4}), row)
                 for i, row in enumerate(values)]
         path = tmp_path / "c.txt"
-        write_corpus(Corpus.from_documents(vocab, docs, 4, 6), path)
+        write_corpus(corpus_of(vocab, docs, 4, 6), path)
         import docnade.corpus as corpus_mod
         monkeypatch.setattr(corpus_mod, "_parse_text_sparse_line", None)  # column path only
         parsed = parse_corpus(path)

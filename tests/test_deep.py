@@ -15,7 +15,7 @@ from docnade import deep, shallow, trainer
 from docnade.trainer import TrainConfig, init_params
 from gen import make_corpus
 from oracles import (
-    as_rows,
+    corpus_of,
     dense_counts,
     dense_forward,
     dense_histogram,
@@ -118,17 +118,18 @@ class TestDeepForward:
         assert all(np.array_equal(h, np.zeros_like(h)) for h in hs)
 
     def test_single_layer_matches_shallow_represent(self, rng):
-        from docnade.corpus import MultimodalDocument, build_vocabulary
+        from docnade.corpus import build_vocabulary
+        from oracles import Document
 
         vocab = build_vocabulary(3, 2, ["a", "b"])
         sparams = random_shallow_params(rng, vocab.size, 4, 2)
         dparams = zero_deep_params(vocab.size, (4,), 2)
         dparams.layer_weights[0] = sparams.W.copy()
         dparams.layer_biases[0] = sparams.c.copy()
-        doc = MultimodalDocument({0: 2, 6: 1})
+        doc = Document({0: 2, 6: 1})
         counts = dense_counts(doc, vocab.size)
         hs, _ = deep.deep_forward(counts.astype(float)[None], np.arange(vocab.size), dparams)
-        assert np.allclose(hs[0], shallow.represent(as_rows(vocab, [doc]), sparams, vocab))
+        assert np.allclose(hs[0], shallow.represent(corpus_of(vocab, [doc]), sparams, vocab))
 
     def test_zero_feature_map_is_noop(self, rng):
         params = random_deep_params(rng, 5, (4, 3), 2, n_features=3)

@@ -9,12 +9,13 @@ from conftest import (
     zero_shallow_params,
 )
 from docnade import deep, evaluate, shallow
-from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
+from docnade.corpus import build_vocabulary
 from docnade.wordtree import build_tree
 from oracles import (
-    as_rows,
+    Document,
     classifier_scores,
     classify,
+    corpus_of,
     dense_counts,
     fit_linear_classifier,
     token_array,
@@ -138,8 +139,8 @@ class TestAccuracy:
 
 
 def _corpus_of(vocab, count_dicts, n_classes=2):
-    docs = tuple(MultimodalDocument(c) for c in count_dicts)
-    return Corpus.from_documents(vocab, docs, n_classes)
+    docs = tuple(Document(c) for c in count_dicts)
+    return corpus_of(vocab, docs, n_classes)
 
 
 class TestPerplexity:
@@ -171,7 +172,7 @@ class TestPerplexity:
         got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=3, rng=rng,
                                   family=shallow)
         total_ll = sum(
-            shallow.doc_log_likelihood(token_array(MultimodalDocument(c)), params, tree)
+            shallow.doc_log_likelihood(token_array(Document(c)), params, tree)
             for c in counts
         )
         total_tokens = sum(sum(c.values()) for c in counts)
@@ -292,14 +293,14 @@ class TestGenerateText:
     def test_single_annotation_always_returned(self, rng):
         vocab = build_vocabulary(2, 2, ["only"])
         params = random_deep_params(rng, vocab.size, (3,), 2)
-        doc = MultimodalDocument({0: 1})
-        ranked = evaluate.generate_text(as_rows(vocab, [doc]), params, vocab, 1, family=deep)[0]
+        doc = Document({0: 1})
+        ranked = evaluate.generate_text(corpus_of(vocab, [doc]), params, vocab, 1, family=deep)[0]
         assert ranked.ids.tolist() == [4]
 
     def test_zero_params_smallest_ids(self):
         vocab = self._vocab()
         params = zero_deep_params(vocab.size, (3,), 2)
-        ranked = evaluate.generate_text(as_rows(vocab, [MultimodalDocument({0: 2})]), params,
+        ranked = evaluate.generate_text(corpus_of(vocab, [Document({0: 2})]), params,
                                         vocab, 2, family=deep)[0]
         assert ranked.ids.tolist() == [4, 5]
         assert np.allclose(ranked.scores, 1 / 3)
@@ -307,8 +308,8 @@ class TestGenerateText:
     def test_matches_restricted_softmax(self, rng):
         vocab = self._vocab()
         params = random_deep_params(rng, vocab.size, (4,), 2)
-        doc = MultimodalDocument({0: 2, 3: 1, 5: 9})  # annotation id 5 must be ignored
-        ranked = evaluate.generate_text(as_rows(vocab, [doc]), params, vocab, 3, family=deep)[0]
+        doc = Document({0: 2, 3: 1, 5: 9})  # annotation id 5 must be ignored
+        ranked = evaluate.generate_text(corpus_of(vocab, [doc]), params, vocab, 3, family=deep)[0]
         counts = dense_counts(visual_only(doc, vocab), vocab.size)
         h = deep.deep_represent(counts[None], np.arange(vocab.size), None, params, None)[0]
         logits = params.b_out + params.V_out @ h
@@ -323,7 +324,7 @@ class TestGenerateText:
         vocab = self._vocab()
         params = random_deep_params(rng, vocab.size, (4, 3), 2)
         (ranked,) = evaluate.generate_text(
-            as_rows(vocab, [MultimodalDocument({1: 3})]), params, vocab, vocab.n_annotation,
+            corpus_of(vocab, [Document({1: 3})]), params, vocab, vocab.n_annotation,
             family=deep,
         )
         assert abs(ranked.scores.sum() - 1.0) < 1e-10
@@ -332,10 +333,10 @@ class TestGenerateText:
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 3)
-        doc = MultimodalDocument({0: 1})
-        (ranked,) = evaluate.generate_text(as_rows(vocab, [doc]), params, vocab, 2, family=shallow,
+        doc = Document({0: 1})
+        (ranked,) = evaluate.generate_text(corpus_of(vocab, [doc]), params, vocab, 2, family=shallow,
                                            context=tree)
-        (ids,), (probs,) = shallow.predict_annotations(as_rows(vocab, [doc]), params, tree,
+        (ids,), (probs,) = shallow.predict_annotations(corpus_of(vocab, [doc]), params, tree,
                                                        vocab, 2)
         assert ranked.ids.tolist() == ids.tolist()
         assert np.array_equal(ranked.scores, probs)
@@ -344,7 +345,7 @@ class TestGenerateText:
         vocab = build_vocabulary(2, 2)
         params = random_deep_params(rng, vocab.size, (3,), 2)
         with pytest.raises(ValueError, match="annotation"):
-            evaluate.generate_text(as_rows(vocab, [MultimodalDocument({})]), params, vocab, 1,
+            evaluate.generate_text(corpus_of(vocab, [Document({})]), params, vocab, 1,
                                    family=deep)
 
 
@@ -352,7 +353,7 @@ class TestClassWordAssociations:
     def test_single_topic_selected_regardless_of_weights(self, rng):
         vocab = build_vocabulary(2, 2, ["a"])
         params = random_shallow_params(rng, vocab.size, 1, 3)
-        topics, _, _ = evaluate.class_word_associations(params, vocab, 0, 1, 2)
+        topics, _, _ = shallow.class_word_associations(params, vocab, 0, 1, 2)
         assert topics.tolist() == [0]
 
     def test_one_hot_class_weights(self, rng):
@@ -360,14 +361,14 @@ class TestClassWordAssociations:
         params = random_shallow_params(rng, vocab.size, 6, 3)
         params.U[:] = 0.0
         params.U[1, 4] = 5.0
-        topics, _, _ = evaluate.class_word_associations(params, vocab, 1, 3, 2)
+        topics, _, _ = shallow.class_word_associations(params, vocab, 1, 3, 2)
         assert topics[0] == 4
 
     def test_matches_brute_force_sort(self, rng):
         vocab = build_vocabulary(3, 2, ["a", "b", "c"])
         params = random_shallow_params(rng, vocab.size, 5, 4)
         class_index, top_topics, top_words = 2, 3, 4
-        topics, visual, anno = evaluate.class_word_associations(
+        topics, visual, anno = shallow.class_word_associations(
             params, vocab, class_index, top_topics, top_words
         )
         expected_topics = sorted(range(5), key=lambda t: (-params.U[class_index, t], t))[:3]
@@ -382,4 +383,4 @@ class TestClassWordAssociations:
         vocab = build_vocabulary(2, 2, ["a"])
         params = random_shallow_params(rng, vocab.size, 3, 2)
         with pytest.raises(ValueError, match="top_topics"):
-            evaluate.class_word_associations(params, vocab, 0, 5, 2)
+            shallow.class_word_associations(params, vocab, 0, 5, 2)

@@ -16,7 +16,7 @@ import oracles
 from conftest import random_deep_params, random_shallow_params
 from docnade import deep as deep_mod
 from docnade import evaluate, shallow
-from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary
+from docnade.corpus import Corpus, build_vocabulary
 from docnade.model_io import ModelMeta
 from docnade.numerics import top_order
 from docnade.rng import named_stream
@@ -43,8 +43,8 @@ def _corpus(rng, n_docs=10, n_features=0):
             counts = {int(k): int(rng.integers(1, 4)) for k in ids}
         labels = frozenset({i % N_CLASSES} | ({2} if i % 4 == 1 else set()))
         features = rng.normal(size=n_features) if n_features else None
-        docs.append(MultimodalDocument(counts, labels, features))
-    return Corpus.from_documents(vocab, tuple(docs), N_CLASSES, n_features)
+        docs.append(oracles.Document(counts, labels, features))
+    return oracles.corpus_of(vocab, tuple(docs), N_CLASSES, n_features)
 
 
 _MODELS = [
@@ -169,6 +169,29 @@ def test_corpus_longer_than_two_chunks(rng):
             [r for _, r in evaluate.annotation_predictions(corpus, params, meta, 3)],
             [r for _, r in oracles.annotation_predictions(corpus, params, meta, 3)],
         )
+
+
+@pytest.mark.parametrize("name", ["represent", "predict_annotations"])
+@_models(["supdocnade", "supdeepdocnade"])
+def test_chunks_are_taken_as_they_are_used(instance, monkeypatch, name):
+    # each chunk's rows are copied just before the family reads them, so
+    # inference never holds a copy of the whole corpus
+    corpus, params, meta = instance
+    family, events = meta.family[0], []
+
+    def record(event, function):
+        def call(*args, **kwargs):
+            events.append(event)
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(Corpus, "take", record("take", Corpus.take))
+    monkeypatch.setattr(family, name, record(name, getattr(family, name)))
+    if name == "represent":
+        evaluate.extract_representations(corpus, params, meta)
+    else:
+        list(evaluate.annotation_predictions(corpus, params, meta, 2))
+    assert events == ["take", name] * 4
 
 
 @_models()

@@ -11,13 +11,14 @@ from conftest import (
     zero_shallow_params,
 )
 from docnade import shallow
-from docnade.corpus import MultimodalDocument, build_vocabulary
+from docnade.corpus import build_vocabulary
 from docnade.wordtree import build_tree
 from oracles import (
-    as_rows,
+    Document,
     OpCounter,
     annotation_id,
     class_posterior,
+    corpus_of,
     counted_hidden_states,
     dense_docnade_gradients,
     dense_shallow_gradients,
@@ -351,14 +352,14 @@ class TestRepresent:
     def test_empty_doc(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
-        rep = shallow.represent(as_rows(vocab, [MultimodalDocument({})]), params, vocab)[0]
+        rep = shallow.represent(corpus_of(vocab, [Document({})]), params, vocab)[0]
         assert np.array_equal(rep, np.maximum(params.c, 0))
 
     def test_matches_hidden_state_of_any_ordering(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
-        doc = MultimodalDocument({0: 2, 5: 1, 7: 3})
-        rep = shallow.represent(as_rows(vocab, [doc]), params, vocab)[0]
+        doc = Document({0: 2, 5: 1, 7: 3})
+        rep = shallow.represent(corpus_of(vocab, [doc]), params, vocab)[0]
         tokens = token_array(doc)
         for _ in range(5):
             ordering = tokens[rng.permutation(len(tokens))]
@@ -368,17 +369,17 @@ class TestRepresent:
     def test_permutation_invariance_is_exact(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
-        doc = MultimodalDocument({1: 2, 6: 1})
+        doc = Document({1: 2, 6: 1})
         assert np.array_equal(
-            shallow.represent(as_rows(vocab, [doc]), params, vocab),
-            shallow.represent(as_rows(vocab, [doc]), params, vocab),
+            shallow.represent(corpus_of(vocab, [doc]), params, vocab),
+            shallow.represent(corpus_of(vocab, [doc]), params, vocab),
         )
 
     def test_visual_only_ignores_annotations(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
-        anno_only = MultimodalDocument({6: 2, 7: 1})
-        rows = as_rows(vocab, [anno_only])
+        anno_only = Document({6: 2, 7: 1})
+        rows = corpus_of(vocab, [anno_only])
         rep = shallow.represent(rows, params, vocab, restrict="visual-only")[0]
         assert np.array_equal(rep, np.maximum(params.c, 0))
 
@@ -389,7 +390,7 @@ class TestPredictAnnotations:
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 5)
         (ids,), (probs,) = shallow.predict_annotations(
-            as_rows(vocab, [MultimodalDocument({0: 1})]), params, tree, vocab, top_k=1
+            corpus_of(vocab, [Document({0: 1})]), params, tree, vocab, top_k=1
         )
         assert ids.tolist() == [word_id(vocab, "only")]
 
@@ -400,7 +401,7 @@ class TestPredictAnnotations:
         params = zero_shallow_params(vocab.size, 3, 2)
         tree = build_tree(vocab.size, 1)
         (ids,), (probs,) = shallow.predict_annotations(
-            as_rows(vocab, [MultimodalDocument({0: 1})]), params, tree, vocab, top_k=3
+            corpus_of(vocab, [Document({0: 1})]), params, tree, vocab, top_k=3
         )
         assert ids.tolist() == [4, 5, 6]
         assert np.allclose(probs, 1 / 8)
@@ -409,10 +410,10 @@ class TestPredictAnnotations:
         vocab = build_vocabulary(4, 2, ["a", "b", "c", "d", "e"])
         params = random_shallow_params(rng, vocab.size, 4, 2)
         tree = build_tree(vocab.size, 7)
-        doc = MultimodalDocument({0: 2, 3: 1})
-        (ids,), (probs,) = shallow.predict_annotations(as_rows(vocab, [doc]), params, tree, vocab,
+        doc = Document({0: 2, 3: 1})
+        (ids,), (probs,) = shallow.predict_annotations(corpus_of(vocab, [doc]), params, tree, vocab,
                                                        top_k=5)
-        h = shallow.represent(as_rows(vocab, [doc]), params, vocab, restrict="visual-only")[0]
+        h = shallow.represent(corpus_of(vocab, [doc]), params, vocab, restrict="visual-only")[0]
         brute = sorted(
             (
                 (-np.exp(word_log_prob(tree, h, annotation_id(vocab, i), params.V, params.b)),
@@ -427,10 +428,10 @@ class TestPredictAnnotations:
         vocab = build_vocabulary(3, 2, ["a", "b"])
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 2)
-        with_anno = MultimodalDocument({0: 1, 6: 5})
-        without = MultimodalDocument({0: 1})
-        a = shallow.predict_annotations(as_rows(vocab, [with_anno]), params, tree, vocab, 2)
-        b = shallow.predict_annotations(as_rows(vocab, [without]), params, tree, vocab, 2)
+        with_anno = Document({0: 1, 6: 5})
+        without = Document({0: 1})
+        a = shallow.predict_annotations(corpus_of(vocab, [with_anno]), params, tree, vocab, 2)
+        b = shallow.predict_annotations(corpus_of(vocab, [without]), params, tree, vocab, 2)
         assert a[0].tolist() == b[0].tolist()
         assert np.array_equal(a[1], b[1])
 
@@ -439,5 +440,5 @@ class TestPredictAnnotations:
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 2)
         with pytest.raises(ValueError, match="top_k"):
-            shallow.predict_annotations(as_rows(vocab, [MultimodalDocument({})]), params, tree,
+            shallow.predict_annotations(corpus_of(vocab, [Document({})]), params, tree,
                                         vocab, 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from docnade import shallow, trainer
-from docnade.corpus import Corpus, MultimodalDocument, build_vocabulary, weight_vector
+from docnade.corpus import build_vocabulary, weight_vector
 from docnade.deep import split_histogram
 from docnade.model_io import load_checkpoint, load_model, save_model
 from docnade.numerics import glorot_init, maybe_glorot
@@ -20,11 +20,14 @@ from docnade.wordtree import build_tree
 from gen import make_corpus
 from oracles import (
     DEEP_KINDS,
+    Document,
+    corpus_of,
     dense_counts,
     dense_deep_epoch,
     dense_hybrid_loss_gradients,
     dense_polyak_update,
     dense_shallow_epoch,
+    documents,
 )
 
 
@@ -200,8 +203,8 @@ class TestSgdTraining:
 
     def test_single_doc_corpus_determinism(self):
         vocab = build_vocabulary(4, 2, ["x"])
-        doc = MultimodalDocument({0: 2, 8: 1}, frozenset({0}))
-        corpus = Corpus.from_documents(vocab, (doc,), n_classes=2)
+        doc = Document({0: 2, 8: 1}, frozenset({0}))
+        corpus = corpus_of(vocab, (doc,), n_classes=2)
         config = TrainConfig(model_kind="supdocnade", hidden_sizes=(4,),
                              learning_rate=0.1, epochs=3, seed=5)
         a = train_model(corpus, config)
@@ -233,11 +236,11 @@ class TestSgdTraining:
     def test_empty_documents_skipped_in_unsupervised_mode(self):
         vocab = build_vocabulary(3, 2, ["x"])
         docs = (
-            MultimodalDocument({0: 1}),
-            MultimodalDocument({}),
-            MultimodalDocument({1: 2}),
+            Document({0: 1}),
+            Document({}),
+            Document({1: 2}),
         )
-        corpus = Corpus.from_documents(vocab, docs, n_classes=1)
+        corpus = corpus_of(vocab, docs, n_classes=1)
         config = TrainConfig(model_kind="docnade", hidden_sizes=(4,),
                              learning_rate=0.01, epochs=1, seed=0)
         result = train_model(corpus, config)
@@ -405,7 +408,7 @@ class TestBatchedDeepStep:
 
     def test_one_step_equals_oracle_sum(self):
         corpus, config, params = self._setup()
-        assert len(corpus.documents) == self.BATCH  # one mini-batch per epoch
+        assert len(corpus) == self.BATCH  # one mini-batch per epoch
         before = params.copy()
         avg = init_averaged(params, 0.5)
         trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(config.seed))
@@ -416,8 +419,8 @@ class TestBatchedDeepStep:
         size = corpus.vocabulary.size
         expected = {name: np.zeros_like(arr) for name, arr in before.arrays()}
         present = np.zeros(size, dtype=bool)
-        for doc_idx in streams.shuffle.permutation(len(corpus.documents)):
-            doc = corpus.documents[doc_idx]
+        for doc_idx in streams.shuffle.permutation(len(corpus)):
+            doc = documents(corpus)[doc_idx]
             counts = dense_counts(doc, size)
             present |= counts > 0
             split = split_histogram(counts, streams.split)
@@ -443,11 +446,11 @@ class TestBatchedDeepStep:
     def test_divergence_names_first_nonfinite_document_in_batch(self):
         corpus, config, params = self._setup()
         streams = trainer.RngStreams.from_seed(config.seed)
-        order = named_stream(config.seed, "shuffle").permutation(len(corpus.documents))
+        order = named_stream(config.seed, "shuffle").permutation(len(corpus))
         # poison W1 on a word only the second document of the batch holds; a
         # finite value, so that the other documents' zero inputs stay finite
-        first = set(corpus.documents[order[0]].counts)
-        second = corpus.documents[order[1]].counts
+        first = set(documents(corpus)[order[0]].counts)
+        second = documents(corpus)[order[1]].counts
         word = next(w for w in second if w not in first)
         params.layer_weights[0][:, word] = 1e308
         with np.errstate(invalid="ignore", over="ignore"):
@@ -499,7 +502,7 @@ class TestSparseShallowStep:
     def _untouched(self, corpus, tree):
         """(array name, axis, mask along it) of the entries no step touches,
         and the words of the corpus."""
-        words = sorted({w for doc in corpus.documents for w in doc.counts})
+        words = sorted({w for doc in documents(corpus) for w in doc.counts})
         nodes_tab, _, _ = tree.path_table()
         on_path = np.zeros(tree.n_internal, dtype=bool)
         on_path[nodes_tab[words][nodes_tab[words] >= 0]] = True
@@ -515,7 +518,7 @@ class TestSparseShallowStep:
 
     def test_one_step_equals_oracle_sum(self):
         corpus, config, avg, tree = self._setup()
-        assert len(corpus.documents) == self.BATCH  # one mini-batch per epoch
+        assert len(corpus) == self.BATCH  # one mini-batch per epoch
         before = avg.current.copy()
         oracle = self._oracle_epoch(corpus, init_averaged(before.copy(), 0.5), config, tree)
         self._epoch(corpus, avg, config, tree)
@@ -565,7 +568,7 @@ class TestSparseShallowStep:
             seed=3, decay=decay, corpus=self._corpus(docs_per_class=25, doc_len=4),
             learning_rate=0.05, batch_size=1,
         )
-        assert len(corpus.documents) * -np.log10(decay) > np.log10(np.finfo(float).max)
+        assert len(corpus) * -np.log10(decay) > np.log10(np.finfo(float).max)
         for n, (_, arr) in enumerate(avg.averaged.arrays()):
             arr += 0.5 if n % 2 == 0 else -0.25
         oracle = trainer.AveragedParams(avg.current.copy(), avg.averaged.copy(), decay)
@@ -614,7 +617,7 @@ class TestSparseDeepStep(TestSparseShallowStep):
         return dense_deep_epoch(corpus, avg, config)
 
     def _untouched(self, corpus, tree):
-        words = sorted({w for doc in corpus.documents for w in doc.counts})
+        words = sorted({w for doc in documents(corpus) for w in doc.counts})
         return [("W1", 1, self._absent(corpus, words))]
 
 
@@ -625,11 +628,11 @@ class TestLayoutEpoch:
     @staticmethod
     def _corpus(vocab, token_lists):
         docs = tuple(
-            MultimodalDocument({int(w): int(c) for w, c in zip(*np.unique(t, return_counts=True))},
+            Document({int(w): int(c) for w, c in zip(*np.unique(t, return_counts=True))},
                                frozenset({i % 2}))
             for i, t in enumerate(token_lists)
         )
-        return Corpus.from_documents(vocab, docs, n_classes=2)
+        return corpus_of(vocab, docs, n_classes=2)
 
     def _check(self, corpus, kind, batch_size):
         config = TrainConfig(model_kind=kind, hidden_sizes=(5,), learning_rate=0.05,
