@@ -160,15 +160,17 @@ def cmd_train(args) -> int:
     if os.path.exists(log_file):
         os.remove(log_file)
 
-    if unlabeled is not None:
-        result = pretrain_then_finetune(
-            unlabeled, corpus, config, checkpoint_dir=ckpt_dir, log_file=log_file
-        )
-    else:
-        result = train_model(corpus, config, checkpoint_dir=ckpt_dir, log_file=log_file)
-
     model_path = os.path.join(run_dir, "model.bin")
-    save_model(model_path, result.averaged, result.meta)
+
+    def write_model(averaged, meta):
+        save_model(model_path, averaged, meta)
+
+    if unlabeled is not None:
+        pretrain_then_finetune(unlabeled, corpus, config, checkpoint_dir=ckpt_dir,
+                               log_file=log_file, write_model=write_model)
+    else:
+        train_model(corpus, config, checkpoint_dir=ckpt_dir, log_file=log_file,
+                    write_model=write_model)
     print(f"run directory: {run_dir}")
     print(f"model: {model_path}")
     return EXIT_OK

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import JointVocabulary, count_rows, weight_vector
-from .numerics import log_softmax, maybe_glorot, sigmoid, top_order
+from .numerics import glorot_arrays, log_softmax, sigmoid, top_order
 
 HEADS = ("softmax", "sigmoid")
 _STD_GUARD = 1e-12
@@ -465,13 +465,16 @@ def class_word_associations(params: DeepParams, vocab: JointVocabulary, class_in
 
 def init(vocab_size: int, n_classes: int, n_features: int, hidden_sizes, rng) -> DeepParams:
     """Glorot-initialized layer weights (first layer first), P, V_out and U,
-    drawn from `rng` in that order, and zero biases."""
+    drawn from `rng` in that order (`glorot_arrays`), and zero biases."""
     sizes = (vocab_size,) + tuple(hidden_sizes)
-    weights = [maybe_glorot(sizes[i + 1], sizes[i], rng) for i in range(len(sizes) - 1)]
+    *weights, P, V_out, U = glorot_arrays(
+        list(zip(sizes[1:], sizes))
+        + [(n_features, hidden_sizes[0]), (vocab_size, hidden_sizes[-1]),
+           (n_classes, hidden_sizes[-1])],
+        rng,
+    )
     biases = [np.zeros(h) for h in hidden_sizes]
-    P = maybe_glorot(n_features, hidden_sizes[0], rng) if n_features else None
-    V_out = maybe_glorot(vocab_size, hidden_sizes[-1], rng)
-    U = maybe_glorot(n_classes, hidden_sizes[-1], rng)
+    P = P if n_features else None
     return DeepParams(weights, biases, P, V_out, np.zeros(vocab_size), U, np.zeros(n_classes))
 
 

@@ -1,10 +1,20 @@
 """Numerically stable sigmoid, log-softmax and row softmax, the top-k
-ranking order, Glorot initialization and the sparse gradient format,
-shared by the models, the trainer and the metrics."""
+ranking order, Glorot initialization, the sparse gradient format and the
+two-thread runner of a training call's bulk work, shared by the models, the
+trainer and the metrics."""
 
 from __future__ import annotations
 
+import copy
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+
+# A training call runs its bulk, order-free work (the Glorot draws, the last
+# checkpoint and the model file) on this many threads; no byte depends on it.
+THREADS = min(2, os.cpu_count() or 1)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -46,17 +56,57 @@ def top_order(ids: np.ndarray, scores: np.ndarray, top_k: int | None = None) -> 
     return order.reshape(np.shape(scores)[:-1] + (top_k,))
 
 
+def glorot_bound(rows: int, cols: int) -> float:
+    return np.sqrt(6.0) / np.sqrt(rows + cols)
+
+
 def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform on [-sqrt(6)/sqrt(rows+cols), +sqrt(6)/sqrt(rows+cols)]."""
+    """Uniform on [-glorot_bound(rows, cols), +glorot_bound(rows, cols)]."""
     if rows < 1 or cols < 1:
         raise ValueError("glorot_init needs at least a 1x1 matrix")
-    bound = np.sqrt(6.0) / np.sqrt(rows + cols)
+    bound = glorot_bound(rows, cols)
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
 def maybe_glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """`glorot_init`, or an empty matrix (drawing nothing) if a side is 0."""
     return glorot_init(rows, cols, rng) if rows and cols else np.zeros((rows, cols))
+
+
+def call_all(calls) -> list:
+    """The results of the argument-free `calls`, run on `THREADS` threads.
+    Every call ends (and every thread is joined) before this returns or
+    raises; a failure is raised as the first failing call's exception."""
+    with ThreadPoolExecutor(THREADS) as pool:
+        futures = [pool.submit(call) for call in calls]
+    return [future.result() for future in futures]
+
+
+def glorot_arrays(shapes, rng: np.random.Generator) -> list[np.ndarray]:
+    """`maybe_glorot` of each (rows, cols) of `shapes`, drawn by `call_all`
+    with the bytes of a loop drawing them in order from `rng`: each array is
+    filled in place from a copy of `rng` advanced to its first draw (a
+    float64 uniform is one 64-bit output, and uniform(low, high) is
+    random() * (high - low) + low), and `rng` ends advanced past all of them.
+    The calling thread allocates the arrays: one allocated on a worker lands
+    in that thread's malloc arena, which raised a small shallow run's peak
+    RSS by 7 MB (13%)."""
+    arrays = [np.empty(shape) for shape in shapes]
+    starts = np.cumsum([0] + [arr.size for arr in arrays]).tolist()
+
+    def draw(arr: np.ndarray, start: int) -> None:
+        if arr.size:
+            high = glorot_bound(*arr.shape)
+            low = -high
+            own = copy.deepcopy(rng)
+            own.bit_generator.advance(start)
+            own.random(out=arr)
+            arr *= high - low
+            arr += low
+
+    call_all([functools.partial(draw, arr, start) for arr, start in zip(arrays, starts)])
+    rng.bit_generator.advance(starts[-1])
+    return arrays
 
 
 # A sparse gradient is a dict {name: (axis, index, block)}: the gradient of

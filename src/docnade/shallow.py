@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import JointVocabulary
-from .numerics import log_softmax, maybe_glorot, top_order
+from .numerics import glorot_arrays, log_softmax, top_order
 from .wordtree import WordTree, build_tree, words_log_prob
 
 
@@ -371,12 +371,12 @@ def class_word_associations(
 
 
 def init(vocab_size: int, n_classes: int, n_features: int, hidden_sizes, rng) -> ShallowParams:
-    """Glorot-initialized W, V, U, drawn from `rng` in that order, and zero
-    biases; there is no global-feature map."""
+    """Glorot-initialized W, V, U, drawn from `rng` in that order
+    (`glorot_arrays`), and zero biases; there is no global-feature map."""
     hidden, n_internal = hidden_sizes[0], vocab_size - 1
-    W = np.asfortranarray(maybe_glorot(hidden, vocab_size, rng))
-    V = maybe_glorot(n_internal, hidden, rng)
-    U = maybe_glorot(n_classes, hidden, rng)
+    W, V, U = glorot_arrays([(hidden, vocab_size), (n_internal, hidden), (n_classes, hidden)],
+                            rng)
+    W = np.asfortranarray(W)
     return ShallowParams(W, np.zeros(hidden), V, np.zeros(n_internal), U, np.zeros(n_classes))
 
 

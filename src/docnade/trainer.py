@@ -12,6 +12,12 @@ epoch (an entry a step does not touch needs no work; see `_LazyAverage`),
 and every entry is flushed at the end of each epoch, so the average that
 logs and checkpoints see is the per-step one.
 
+Two bulk, order-free parts of a training call run on two threads
+(`numerics.call_all`), with the same bytes as on one: the family's init
+draws its Glorot arrays concurrently, and the last epoch's checkpoint is
+written alongside the model file (the caller's `write_model`).  Earlier
+checkpoints are written in sequence, between epochs.
+
 The model kind is looked up once in `model_io.FAMILIES`.  Its family module
 (`shallow` or `deep`) initializes the parameters, builds its context (the
 word tree or the weights omega) and the per-run document cache, and takes
@@ -24,6 +30,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +38,7 @@ import numpy as np
 from . import deep as deep_mod
 from .corpus import Corpus
 from .model_io import FAMILIES, MODEL_KINDS, ModelMeta, load_checkpoint, save_checkpoint
-from .numerics import along, maybe_glorot
+from .numerics import along, call_all, maybe_glorot
 from .rng import named_stream
 
 
@@ -321,8 +328,13 @@ def train_model(
     stream_states: dict | None = None,
     checkpoint_dir=None,
     log_file=None,
+    write_model=None,
 ) -> TrainResult:
-    """Train one configuration from scratch or from a restored state."""
+    """Train one configuration from scratch or from a restored state.
+
+    `write_model(averaged, meta)`, if given, writes the trained model; it
+    runs alongside the last epoch's checkpoint write (`call_all`), and both
+    have ended when this returns or raises."""
     config.validate()
     vocab = corpus.vocabulary
     meta = build_meta(corpus, config)
@@ -341,6 +353,7 @@ def train_model(
 
     cache = _doc_cache(corpus, config)
     stats: list[EpochStats] = []
+    final_writes = []
     for epoch in range(start_epoch + 1, config.epochs + 1):
         epoch_stats = sgd_epoch(corpus, avg, config, streams, epoch=epoch, cache=cache)
         stats.append(epoch_stats)
@@ -352,7 +365,15 @@ def train_model(
                 )
         if checkpoint_dir is not None:
             ckpt = f"{checkpoint_dir}/epoch_{epoch:04d}.ckpt"
-            save_checkpoint(ckpt, avg.current, avg.averaged, meta, epoch, streams.states())
+            write = partial(save_checkpoint, ckpt, avg.current, avg.averaged, meta, epoch,
+                            streams.states())
+            if epoch < config.epochs:
+                write()
+            else:
+                final_writes.append(write)
+    if write_model is not None:
+        final_writes.append(partial(write_model, avg.averaged, meta))
+    call_all(final_writes)
 
     return TrainResult(params=avg.current, averaged=avg.averaged, meta=meta, stats=stats)
 
@@ -385,12 +406,14 @@ def pretrain_then_finetune(
     *,
     checkpoint_dir=None,
     log_file=None,
+    write_model=None,
 ) -> TrainResult:
     """Unsupervised pretraining followed by supervised fine-tuning.
 
     Pretraining runs the unsupervised counterpart of the configured model
     kind, which has no class head (so the configured head does not apply to
     it); the supervised head is freshly initialized when fine-tuning starts.
+    `write_model` goes to the fine-tuning `train_model`.
     """
     if unlabeled.vocabulary != labeled.vocabulary:
         raise ValueError("pretraining and fine-tuning corpora use different vocabularies")
@@ -417,5 +440,5 @@ def pretrain_then_finetune(
     avg = init_averaged(params, config.averaging_decay)
     return train_model(
         labeled, config,
-        start=avg, checkpoint_dir=checkpoint_dir, log_file=log_file,
+        start=avg, checkpoint_dir=checkpoint_dir, log_file=log_file, write_model=write_model,
     )

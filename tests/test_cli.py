@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -92,6 +93,34 @@ class TestTrain:
             "--model", "docnade", "--regions", "9", "--epochs", "1",
         ])
         assert code == 3
+
+
+class TestFinalWrites:
+    """The last checkpoint and model.bin are written on two threads: a failure
+    of either is the run's data error, raised once both writes have ended."""
+
+    @pytest.mark.parametrize("target, other", [
+        ("checkpoints/epoch_0001.ckpt", "model.bin"),
+        ("model.bin", "checkpoints/epoch_0001.ckpt"),
+    ])
+    def test_failed_final_write_exits_3_naming_the_path(self, tmp_path, corpus_path, capsys,
+                                                        target, other):
+        out = tmp_path / "runs"
+        args = ["train", "--corpus", str(corpus_path), "--out", str(out),
+                "--model", "supdocnade", "--hidden", "4", "--epochs", "1"]
+        assert main(args) == 0
+        run_dir = out / os.listdir(out)[0]
+        other_hash = _file_hash(run_dir / other)
+        os.remove(run_dir / target)
+        os.mkdir(run_dir / target)
+        capsys.readouterr()
+        threads = threading.active_count()
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(run_dir / target) in err
+        assert "Traceback" not in err
+        assert threading.active_count() == threads
+        assert _file_hash(run_dir / other) == other_hash  # the other write completed
 
 
 def _unlabeled_path(tmp_path):

@@ -38,7 +38,9 @@ def test_every_wrap_point_resolves():
 @pytest.mark.parametrize("kind", ["docnade", "supdocnade", "supdeepdocnade"])
 def test_training_fires_the_training_spans(tmp_path, kind):
     """One CLI train: the shallow gradient span fires once per document
-    stepped, the apply-and-average span once per mini-batch."""
+    stepped, the apply-and-average span once per mini-batch, the checkpoint
+    span once per epoch and the model span once, though the last checkpoint
+    and the model are written on two threads."""
     corpus, _ = make_corpus(3, n_classes=2, n_visual=4, n_regions=2, anno_per_class=2,
                             docs_per_class=4, doc_len=10)
     path = tmp_path / "train.corpus"
@@ -58,3 +60,5 @@ def test_training_fires_the_training_spans(tmp_path, kind):
     assert tracer.calls["trainer.polyak_update"] == epochs * -(-n_docs // batch)
     stepped = 0 if kind.endswith("deepdocnade") else epochs * n_docs
     assert tracer.calls["shallow.gradients"] == stepped
+    assert tracer.calls["model_io.save_checkpoint"] == epochs
+    assert tracer.calls["model_io.save_model"] == 1

@@ -1,11 +1,14 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from docnade import shallow, trainer
+from docnade import deep, shallow, trainer
 from docnade.corpus import build_vocabulary, weight_vector
 from docnade.deep import split_histogram
 from docnade.model_io import load_checkpoint, load_model, save_model
-from docnade.numerics import glorot_init, maybe_glorot
+from docnade.numerics import call_all, glorot_init, maybe_glorot
 from docnade.rng import named_stream
 from docnade.trainer import (
     TrainConfig,
@@ -70,6 +73,71 @@ class TestGlorotInit:
     def test_degenerate_shape_rejected(self, rng):
         with pytest.raises(ValueError):
             glorot_init(0, 3, rng)
+
+
+def _glorot_shapes(family, vocab_size, n_classes, n_features, hidden_sizes):
+    """Each (rows, cols) that `family.init` draws, in draw order."""
+    if family is shallow:
+        (hidden,) = hidden_sizes
+        return [(hidden, vocab_size), (vocab_size - 1, hidden), (n_classes, hidden)]
+    sizes = (vocab_size, *hidden_sizes)
+    return [*((sizes[i + 1], sizes[i]) for i in range(len(hidden_sizes))),
+            (n_features, hidden_sizes[0]), (vocab_size, hidden_sizes[-1]),
+            (n_classes, hidden_sizes[-1])]
+
+
+class TestConcurrentInit:
+    """Both families draw their arrays on two threads, each from its own
+    advanced copy of the init stream; the bytes and the stream's state
+    afterwards are those of a sequential `maybe_glorot` loop."""
+
+    @pytest.mark.parametrize("family, hidden_sizes, n_features, n_classes", [
+        (shallow, (5,), 0, 3),
+        (shallow, (5,), 0, 0),
+        (deep, (5,), 0, 3),
+        (deep, (5,), 4, 3),
+        (deep, (5,), 4, 0),
+        (deep, (5, 4, 3), 0, 3),
+        (deep, (5, 4, 3), 4, 3),
+        (deep, (5, 4, 3), 4, 0),
+    ])
+    def test_init_equals_sequential_draws(self, family, hidden_sizes, n_features, n_classes):
+        vocab_size = 23
+        rng = named_stream(7, "init")
+        params = family.init(vocab_size, n_classes, n_features, hidden_sizes, rng)
+        if family is shallow:
+            drawn = [params.W, params.V, params.U]
+        else:
+            P = params.P if n_features else np.zeros((0, hidden_sizes[0]))
+            drawn = [*params.layer_weights, P, params.V_out, params.U]
+
+        sequential = named_stream(7, "init")
+        expected = [maybe_glorot(rows, cols, sequential) for rows, cols
+                    in _glorot_shapes(family, vocab_size, n_classes, n_features, hidden_sizes)]
+        assert len(drawn) == len(expected)
+        for got, want in zip(drawn, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == sequential.bit_generator.state
+        assert rng.random() == sequential.random()
+
+
+class TestCallAll:
+    def test_failure_is_raised_after_every_call_ends(self):
+        ended = []
+
+        def fail():
+            raise OSError("first")
+
+        def slow():
+            time.sleep(0.05)
+            ended.append(True)
+            return 2
+
+        threads = threading.active_count()
+        with pytest.raises(OSError, match="first"):
+            call_all([fail, slow])
+        assert ended == [True] and threading.active_count() == threads
+        assert call_all([lambda: 1, slow, lambda: 3]) == [1, 2, 3]
 
 
 class TestPolyak:
