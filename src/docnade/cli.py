@@ -254,8 +254,11 @@ _GRID_KEYS = {
 
 
 def cmd_grid(args) -> int:
-    with open(args.grid) as fh:
-        grid_spec = json.load(fh)
+    try:
+        with open(args.grid) as fh:
+            grid_spec = json.load(fh)
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise ValueError(f"grid file {args.grid} is not valid JSON: {exc}") from None
     if (not isinstance(grid_spec, dict) or not grid_spec
             or any(not isinstance(values, list) or not values for values in grid_spec.values())):
         raise ValueError("grid file must map hyperparameter names to nonempty lists")

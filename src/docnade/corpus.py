@@ -253,8 +253,11 @@ def read_header(path) -> dict:
     header_file = _header_path(path)
     if not header_file.exists():
         raise CorpusFormatError(f"missing corpus header {header_file}")
-    with open(header_file) as fh:
-        header = json.load(fh)
+    try:
+        with open(header_file) as fh:
+            header = json.load(fh)
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise CorpusFormatError(f"header {header_file} is not valid JSON: {exc}") from None
     if not isinstance(header, dict):
         raise CorpusFormatError(f"header {header_file} is not a JSON object")
     for key, least in _HEADER_INTS.items():

@@ -35,75 +35,22 @@ family names as `shallow`; its context is the weight vector omega.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import JointVocabulary, count_rows, weight_vector
-from .numerics import glorot_arrays, log_softmax, sigmoid, top_order
+from .numerics import Params, log_softmax, sigmoid, top_order
 
 HEADS = ("softmax", "sigmoid")
 _STD_GUARD = 1e-12
 
 
-@dataclass
-class DeepParams:
-    """Weights of the deep model.
-
-    layer_weights[n]: (H_{n+1}, H_n) with H_0 = Q; layer_biases[n]: (H_{n+1},).
-    P maps global features into the first pre-activation (None if unused).
-    V_out/b_out parameterize the softmax over the vocabulary; U/d the class
-    head (C may be 0 for unsupervised models).
-    """
-
-    layer_weights: list[np.ndarray]
-    layer_biases: list[np.ndarray]
-    P: np.ndarray | None
-    V_out: np.ndarray
-    b_out: np.ndarray
-    U: np.ndarray
-    d: np.ndarray
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_weights)
-
-    @property
-    def vocab_size(self) -> int:
-        return self.layer_weights[0].shape[1]
-
-    @property
-    def hidden_sizes(self) -> tuple[int, ...]:
-        return tuple(w.shape[0] for w in self.layer_weights)
-
-    @property
-    def n_classes(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return 0 if self.P is None else self.P.shape[0]
-
-    def arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for n, (w, c) in enumerate(zip(self.layer_weights, self.layer_biases), start=1):
-            out.append((f"W{n}", w))
-            out.append((f"c{n}", c))
-        if self.P is not None:
-            out.append(("P", self.P))
-        out.extend([("V_out", self.V_out), ("b_out", self.b_out), ("U", self.U), ("d", self.d)])
-        return out
-
-    def copy(self) -> "DeepParams":
-        return DeepParams(
-            [w.copy() for w in self.layer_weights],
-            [c.copy() for c in self.layer_biases],
-            None if self.P is None else self.P.copy(),
-            self.V_out.copy(),
-            self.b_out.copy(),
-            self.U.copy(),
-            self.d.copy(),
-        )
+def _layers(params: Params) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The weights and bias (W{n}, c{n}) of each hidden layer n = 1, 2, ..."""
+    layers = itertools.takewhile(lambda n: hasattr(params, f"W{n}"), itertools.count(1))
+    return [(getattr(params, f"W{n}"), getattr(params, f"c{n}")) for n in layers]
 
 
 @dataclass
@@ -170,7 +117,7 @@ def prepare_histogram(
 def deep_forward(
     x: np.ndarray,
     cols: np.ndarray,
-    params: DeepParams,
+    params: Params,
     features: np.ndarray | None = None,
     scales: list | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -187,12 +134,12 @@ def deep_forward(
         raise ValueError(f"input width {x.shape[-1]} != {len(cols)} columns")
     hs, pres = [], []
     inp = x
-    for n, (w, c) in enumerate(zip(params.layer_weights, params.layer_biases)):
+    for n, (w, c) in enumerate(_layers(params)):
         if n == 0:
             w = w[:, cols]
         pre = c + inp @ w.T
         if n == 0 and features is not None:
-            if params.P is None:
+            if not hasattr(params, "P"):
                 raise ValueError("model has no global-feature map")
             pre = pre + features @ params.P
         h = np.maximum(pre, 0.0)
@@ -223,7 +170,7 @@ def generative_loss(
     phi: np.ndarray | None,
     d: int | np.ndarray,
     total_tokens: int | np.ndarray,
-    params: DeepParams,
+    params: Params,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Rescaled weighted cross-entropy of the predicted sides.
 
@@ -249,7 +196,7 @@ def generative_loss(
 def supervised_loss(
     h_top: np.ndarray,
     labels: list[frozenset[int]],
-    params: DeepParams,
+    params: Params,
     head: str,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Per-row class-head losses of a (rows, H) `h_top`, one label set per
@@ -281,7 +228,7 @@ def hybrid_loss_gradients(
     docs: list[tuple[np.ndarray, np.ndarray]],
     labels: list[frozenset[int] | None],
     features: np.ndarray | None,
-    params: DeepParams,
+    params: Params,
     unsup_weight: float,
     omega: np.ndarray | None,
     splits: list[HistogramSplit | None],
@@ -317,7 +264,7 @@ def hybrid_loss_gradients(
     rows = [docs[i] for i in sup] + [(docs[i][0], splits[i].input_hist) for i in gen]
     cols, counts = count_rows(list(docs) + rows)
     losses = np.zeros(len(docs))
-    x = prepare_histogram(counts[len(docs):], cols, params.vocab_size, omega)
+    x = prepare_histogram(counts[len(docs):], cols, len(params.b_out), omega)
     feats = None if features is None else features[sup + gen]
     masks = [sup_masks[i] for i in sup] + [gen_masks[i] for i in gen]
     masks = None if all(m is None for m in masks) else [np.stack(m) for m in zip(*masks)]
@@ -347,14 +294,14 @@ def hybrid_loss_gradients(
         d_top[n_sup:] = unsup_weight * out_grads["h"]
 
     delta = d_top
-    for n in range(params.n_layers, 0, -1):
+    for n in range(len(pres), 0, -1):
         if masks is not None:
             delta = delta * masks[n - 1]
         delta = delta * (pres[n - 1] > 0)
         grads[f"c{n}"] = delta.sum(axis=0)
         grads[f"W{n}"] = delta.T @ (hs[n - 2] if n > 1 else x)
         if n > 1:
-            delta = delta @ params.layer_weights[n - 1]
+            delta = delta @ getattr(params, f"W{n}")
         elif feats is not None:
             grads["P"] = feats.T @ delta
     blocks = {name: (0, slice(None), grad) for name, grad in grads.items()}
@@ -366,7 +313,7 @@ def deep_represent(
     counts: np.ndarray,
     cols: np.ndarray,
     features: np.ndarray | None,
-    params: DeepParams,
+    params: Params,
     omega: np.ndarray | None,
     dropout_rate: float = 0.0,
 ) -> np.ndarray:
@@ -374,14 +321,14 @@ def deep_represent(
     that are zero outside the vocabulary columns `cols`, with one feature
     row per count row: the training forward pass of the weighted, rescaled
     histograms, scaled for `dropout_rate`."""
-    scales = [1.0 - dropout_rate] * params.n_layers if dropout_rate > 0.0 else None
-    x = prepare_histogram(counts, cols, params.vocab_size, omega)
+    scales = [1.0 - dropout_rate] * len(_layers(params)) if dropout_rate > 0.0 else None
+    x = prepare_histogram(counts, cols, len(params.b_out), omega)
     hs, _ = deep_forward(x, cols, params, features, scales)
     return hs[-1]
 
 
 def output_log_probs(
-    h_top: np.ndarray, params: DeepParams, words: np.ndarray | None = None
+    h_top: np.ndarray, params: Params, words: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-word log conditional probabilities given each row of a (rows, H)
     matrix of hidden states.
@@ -398,7 +345,7 @@ def output_log_probs(
 PERPLEXITY = "perplexity_estimate"  # the eval metric: losses of sampled splits
 
 
-def _states(rows, params: DeepParams, omega, dropout_rate: float, limit: int | None = None):
+def _states(rows, params: Params, omega, dropout_rate: float, limit: int | None = None):
     """Top-layer states of the rows of a corpus, from their ids below
     `limit` if given: one forward pass over the union of the rows' columns."""
     cols, counts = rows.count_block(limit)
@@ -406,7 +353,7 @@ def _states(rows, params: DeepParams, omega, dropout_rate: float, limit: int | N
 
 
 def represent(
-    rows, params: DeepParams, vocab: JointVocabulary, restrict: str = "all-words",
+    rows, params: Params, vocab: JointVocabulary, restrict: str = "all-words",
     context: np.ndarray | None = None, dropout_rate: float = 0.0,
 ) -> np.ndarray:
     """Top-layer states of the rows of a corpus, weighted by omega (`context`) and
@@ -416,7 +363,7 @@ def represent(
 
 
 def predict_annotations(
-    rows, params: DeepParams, context: np.ndarray | None, vocab: JointVocabulary, top_k: int,
+    rows, params: Params, context: np.ndarray | None, vocab: JointVocabulary, top_k: int,
     dropout_rate: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k annotation ids and probabilities of each row of a corpus given
@@ -430,7 +377,7 @@ def predict_annotations(
 
 
 def perplexity_losses(
-    rows, params: DeepParams, omega: np.ndarray, dropout_rate: float, samples: int,
+    rows, params: Params, omega: np.ndarray, dropout_rate: float, samples: int,
     rng: np.random.Generator,
 ) -> list[float]:
     """Each (nonempty) row's loss, averaged over `samples` splits drawn row
@@ -456,31 +403,16 @@ def perplexity_losses(
     return [float(np.mean(draws)) for draws in losses.reshape(len(rows), samples)]
 
 
-def class_word_associations(params: DeepParams, vocab: JointVocabulary, class_index: int,
+def class_word_associations(params: Params, vocab: JointVocabulary, class_index: int,
                             top_topics: int, top_words: int):
     """`docnade inspect` reads the class head's weights on a shallow model's
     word columns, which a deep model does not have."""
     raise ValueError("inspect requires a supervised shallow model")
 
 
-def init(vocab_size: int, n_classes: int, n_features: int, hidden_sizes, rng) -> DeepParams:
-    """Glorot-initialized layer weights (first layer first), P, V_out and U,
-    drawn from `rng` in that order (`glorot_arrays`), and zero biases."""
-    sizes = (vocab_size,) + tuple(hidden_sizes)
-    *weights, P, V_out, U = glorot_arrays(
-        list(zip(sizes[1:], sizes))
-        + [(n_features, hidden_sizes[0]), (vocab_size, hidden_sizes[-1]),
-           (n_classes, hidden_sizes[-1])],
-        rng,
-    )
-    biases = [np.zeros(h) for h in hidden_sizes]
-    P = P if n_features else None
-    return DeepParams(weights, biases, P, V_out, np.zeros(vocab_size), U, np.zeros(n_classes))
-
-
 def check_config(hidden_sizes, head: str, supervised: bool) -> None:
     if head != "softmax" and not supervised:
-        raise ValueError("sigmoid head is only available for supdeepdocnade")
+        raise ValueError(f"head {head!r} is only available for supdeepdocnade")
 
 
 def tree_seed(seed: int) -> None:
@@ -494,7 +426,12 @@ def context(meta, vocab: JointVocabulary) -> np.ndarray:
 
 
 def array_shapes(meta) -> list:
-    """The [name, shape] of each array of the meta's model, in declared order."""
+    """The [name, shape] of each array of the meta's model, in file order:
+    for each hidden layer n = 1, 2, ..., W{n} (H_n, H_{n-1}) with H_0 = Q and
+    its bias c{n} (H_n,); then P (N_f, H_1), which maps the global features
+    into the first pre-activation, only if N_f > 0; V_out (Q, H_N) and
+    b_out (Q,) of the softmax over the vocabulary; and U (C, H_N) and d (C,)
+    of the class head (C may be 0 for unsupervised models)."""
     sizes = [meta.vocab_size, *meta.hidden_sizes]
     shapes = []
     for n in range(1, len(sizes)):
@@ -503,12 +440,6 @@ def array_shapes(meta) -> list:
         shapes.append(["P", [meta.n_features, sizes[1]]])
     return shapes + [["V_out", [sizes[0], sizes[-1]]], ["b_out", [sizes[0]]],
                      ["U", [meta.n_classes, sizes[-1]]], ["d", [meta.n_classes]]]
-
-
-def params_from_arrays(meta, arrays: dict[str, np.ndarray]) -> DeepParams:
-    layers = range(1, len(meta.hidden_sizes) + 1)
-    return DeepParams([arrays[f"W{n}"] for n in layers], [arrays[f"c{n}"] for n in layers],
-                      arrays.get("P"), arrays["V_out"], arrays["b_out"], arrays["U"], arrays["d"])
 
 
 def doc_data(corpus, omega: np.ndarray):
@@ -521,7 +452,7 @@ def _draw_masks(sizes, keep: float, rng: np.random.Generator) -> list[np.ndarray
     return [(rng.random(h) < keep).astype(float) for h in sizes]
 
 
-def batch_step(batch, params: DeepParams, config, streams, cache):
+def batch_step(batch, params: Params, config, streams, cache):
     """Splits and masks drawn in batch order, then one batched step over the
     rows of the corpus `cache.docs`, weighted by `cache.context` (omega); a
     document with no split (an empty one) is skipped when its labels are

@@ -22,16 +22,18 @@ import numpy as np
 
 from . import deep, shallow
 from .corpus import is_json_int
+from .numerics import Params
 
 MAGIC = b"DOCNADE1"
 FORMAT_VERSION = 1
 
 # Model kind -> (its family module, whether it trains the supervised term):
 # the one lookup training, inference and loading make, so that no other code
-# branches on the kind.  Both family modules expose the same names: `init`,
-# `check_config`, `tree_seed`, `context`, `array_shapes`, `params_from_arrays`, `doc_data`,
-# `batch_step`, `represent`, `predict_annotations`, `perplexity_losses`,
-# `class_word_associations` and `PERPLEXITY`.
+# branches on the kind.  Both family modules expose `array_shapes` (the one
+# declaration of a model's arrays), `check_config`, `tree_seed`, `context`,
+# `doc_data`, `batch_step`, `represent`, `predict_annotations`,
+# `perplexity_losses`, `class_word_associations` and `PERPLEXITY`; the
+# shallow one also `params_from_arrays` (see `params_of`).
 FAMILIES = {
     "docnade": (shallow, False),
     "supdocnade": (shallow, True),
@@ -49,14 +51,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# The check each meta field's JSON value must pass, besides the kind.
+# The type each meta field's JSON value must have, besides the kind;
+# `check_settings` checks the head and the ranges.
 _META_CHECKS = {
     **dict.fromkeys(("n_visual", "n_regions", "n_annotation", "n_classes", "n_features"),
                     _is_count),
-    "hidden_sizes": lambda sizes: (isinstance(sizes, list) and len(sizes) > 0
-                                   and all(_is_count(h) and h > 0 for h in sizes)),
-    "head": lambda head: head in deep.HEADS,
-    "tree_seed": lambda seed: seed is None or is_json_int(seed),
+    "hidden_sizes": lambda sizes: isinstance(sizes, list) and all(map(_is_count, sizes)),
+    "tree_seed": lambda seed: seed is None or _is_count(seed),
     "anno_weight": _is_number,
     "dropout_rate": _is_number,
     "extra": lambda extra: isinstance(extra, dict),
@@ -97,7 +98,8 @@ class ModelMeta:
     @classmethod
     def from_json(cls, data: dict) -> "ModelMeta":
         """ValueError unless `data` holds exactly the fields `to_json` writes,
-        a known model kind and values of the fields' types."""
+        values of the fields' types and settings a model of their kind can
+        have (`check_settings`, and its family's tree seed)."""
         if not isinstance(data, dict):
             raise ValueError("model meta is not an object")
         names = {f.name for f in fields(cls)}
@@ -109,9 +111,34 @@ class ModelMeta:
         malformed = [name for name, check in _META_CHECKS.items() if not check(data[name])]
         if malformed:
             raise ValueError(f"model meta: malformed fields {malformed}")
-        data = dict(data)
-        data["hidden_sizes"] = tuple(data["hidden_sizes"])
-        return cls(**data)
+        meta = cls(**{**data, "hidden_sizes": tuple(data["hidden_sizes"])})
+        check_settings(meta.family, meta)
+        # the family's tree seed of a run seeded with it (or 0): itself, or None
+        if meta.family[0].tree_seed(meta.tree_seed or 0) != meta.tree_seed:
+            raise ValueError(f"tree_seed {meta.tree_seed!r} is not one of the model kind")
+        return meta
+
+
+def check_settings(family: tuple[ModuleType, bool], settings) -> None:
+    """ValueError, naming the field, unless a model of `family` can have the
+    head, hidden sizes, annotation weight and dropout rate of `settings`."""
+    if settings.head not in deep.HEADS:
+        raise ValueError(f"unknown head {settings.head!r}")
+    if not settings.hidden_sizes or any(h < 1 for h in settings.hidden_sizes):
+        raise ValueError("hidden_sizes must be positive")
+    # written so that NaN fails each comparison
+    if not 0 <= settings.anno_weight < np.inf:
+        raise ValueError("anno_weight must be finite and >= 0")
+    if not 0 <= settings.dropout_rate < 1:
+        raise ValueError("dropout_rate must be in [0, 1)")
+    module, supervised = family
+    module.check_config(settings.hidden_sizes, settings.head, supervised)
+
+
+def params_of(meta: ModelMeta, arrays: dict[str, np.ndarray]) -> Params:
+    """The meta's model of its arrays by name, in file order: the family's
+    `params_from_arrays` (the shallow column-major W), else `Params`."""
+    return getattr(meta.family[0], "params_from_arrays", Params)(arrays)
 
 
 def _manifest(arrays: list[tuple[str, np.ndarray]]) -> list:
@@ -123,27 +150,25 @@ def _read_params(path, n_blobs: int) -> tuple[ModelMeta, dict, list]:
     blobs; ValueError unless the manifest is, array for array, the one
     `save_model` writes for the meta (a check that draws no random numbers)."""
     header, blobs = _read_container(path, n_blobs)
-    meta = ModelMeta.from_json(header["meta"])
-    manifest = header["manifest"]
-    if not isinstance(manifest, list) or not all(
-        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-        and isinstance(entry[1], list) and all(map(_is_count, entry[1]))
-        for entry in manifest
-    ):
-        raise ValueError("model manifest is not a list of [name, shape] entries")
-    family = meta.family[0]
-    for got, want in itertools.zip_longest(manifest, family.array_shapes(meta)):
+    try:
+        meta = ModelMeta.from_json(header["meta"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    manifest, shapes = header["manifest"], meta.family[0].array_shapes(meta)
+    if not isinstance(manifest, list):
+        raise ValueError(f"{path}: model manifest is not a list of [name, shape] entries")
+    for got, want in itertools.zip_longest(manifest, shapes):
         if got != want:
             raise ValueError(f"{path}: manifest entry {got} differs from the meta's {want}")
     params = []
     for blob in blobs:
         arrays, offset = {}, 0
-        for name, shape in manifest:
+        for name, shape in shapes:
             n = int(np.prod(shape, dtype=np.int64))
             arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
             arrays[name] = arr.astype(np.float64)  # own, writable copy
             offset += n * 8
-        params.append(family.params_from_arrays(meta, arrays))
+        params.append(params_of(meta, arrays))
     return meta, header, params
 
 
@@ -187,7 +212,10 @@ def _read_container(path, n_blobs: int) -> tuple[dict, list[bytes]]:
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
         (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header length"))
-        header = json.loads(_read_exact(fh, header_len, path, "header").decode("utf-8"))
+        try:
+            header = json.loads(_read_exact(fh, header_len, path, "header").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: container header is not UTF-8 JSON: {exc}") from None
         if not isinstance(header, dict):
             raise ValueError(f"{path}: container header is not an object")
         blobs = []

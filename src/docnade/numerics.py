@@ -1,7 +1,7 @@
 """Numerically stable sigmoid, log-softmax and row softmax, the top-k
-ranking order, Glorot initialization, the sparse gradient format and the
-two-thread runner of a training call's bulk work, shared by the models, the
-trainer and the metrics."""
+ranking order, Glorot initialization, a model's arrays (`Params`), the
+sparse gradient format and the two-thread runner of a training call's bulk
+work, shared by the models, the trainer and the metrics."""
 
 from __future__ import annotations
 
@@ -60,19 +60,6 @@ def glorot_bound(rows: int, cols: int) -> float:
     return np.sqrt(6.0) / np.sqrt(rows + cols)
 
 
-def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform on [-glorot_bound(rows, cols), +glorot_bound(rows, cols)]."""
-    if rows < 1 or cols < 1:
-        raise ValueError("glorot_init needs at least a 1x1 matrix")
-    bound = glorot_bound(rows, cols)
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
-def maybe_glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """`glorot_init`, or an empty matrix (drawing nothing) if a side is 0."""
-    return glorot_init(rows, cols, rng) if rows and cols else np.zeros((rows, cols))
-
-
 def call_all(calls) -> list:
     """The results of the argument-free `calls`, run on `THREADS` threads.
     Every call ends (and every thread is joined) before this returns or
@@ -83,10 +70,11 @@ def call_all(calls) -> list:
 
 
 def glorot_arrays(shapes, rng: np.random.Generator) -> list[np.ndarray]:
-    """`maybe_glorot` of each (rows, cols) of `shapes`, drawn by `call_all`
-    with the bytes of a loop drawing them in order from `rng`: each array is
-    filled in place from a copy of `rng` advanced to its first draw (a
-    float64 uniform is one 64-bit output, and uniform(low, high) is
+    """A Glorot matrix, uniform on +-glorot_bound(rows, cols), of each
+    (rows, cols) of `shapes` (an empty one draws nothing), drawn by
+    `call_all` with the bytes of a loop of `rng.uniform` calls in order:
+    each is filled in place from a copy of `rng` advanced to its first draw
+    (a float64 uniform is one 64-bit output, and uniform(low, high) is
     random() * (high - low) + low), and `rng` ends advanced past all of them.
     The calling thread allocates the arrays: one allocated on a worker lands
     in that thread's malloc arena, which raised a small shallow run's peak
@@ -107,6 +95,21 @@ def glorot_arrays(shapes, rng: np.random.Generator) -> list[np.ndarray]:
     call_all([functools.partial(draw, arr, start) for arr, start in zip(arrays, starts)])
     rng.bit_generator.advance(starts[-1])
     return arrays
+
+
+class Params:
+    """A model's arrays by their file names, in file order (`array_shapes`),
+    each also an attribute, which keeps its place when assigned."""
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        vars(self).update(arrays)
+
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        return list(vars(self).items())
+
+    def copy(self) -> "Params":
+        """A copy of every array in its own memory order (W stays column-major)."""
+        return Params({name: arr.copy(order="K") for name, arr in self.arrays()})
 
 
 # A sparse gradient is a dict {name: (axis, index, block)}: the gradient of

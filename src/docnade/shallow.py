@@ -20,67 +20,18 @@ same family names as `deep`; its context is the word tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import JointVocabulary
-from .numerics import glorot_arrays, log_softmax, top_order
+from .numerics import Params, log_softmax, top_order
 from .wordtree import WordTree, build_tree, words_log_prob
 
 
-@dataclass
-class ShallowParams:
-    """All trainable weights of the shallow model.
-
-    W: (H, Q) input/embedding weights, c: (H,) hidden bias,
-    V: (T, H) tree logistic weights, b: (T,) tree biases,
-    U: (C, H) class head weights, d: (C,) class bias (C may be 0).
-
-    W is kept column-major (word-major), so that each word's column, which
-    a step reads and updates whole, is one contiguous run; `init`,
-    `params_from_arrays` and `copy` keep it so.  `W.T[ids]` reads the
-    columns of `ids` as C-contiguous rows.
-    """
-
-    W: np.ndarray
-    c: np.ndarray
-    V: np.ndarray
-    b: np.ndarray
-    U: np.ndarray
-    d: np.ndarray
-
-    @property
-    def n_hidden(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.U.shape[0]
-
-    def arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Parameter arrays in their declared (serialization) order."""
-        return [
-            ("W", self.W),
-            ("c", self.c),
-            ("V", self.V),
-            ("b", self.b),
-            ("U", self.U),
-            ("d", self.d),
-        ]
-
-    def copy(self) -> "ShallowParams":
-        return ShallowParams(*(arr.copy(order="K") for _, arr in self.arrays()))
-
-
-def _preactivations(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
+def _preactivations(tokens: np.ndarray, params: Params) -> np.ndarray:
     """(D+1, H) running pre-activations; row i is c + sum of first i columns."""
-    pre = np.empty((len(tokens) + 1, params.n_hidden))
+    pre = np.empty((len(tokens) + 1, len(params.c)))
     pre[0] = params.c
     if len(tokens):
         np.cumsum(params.W.T[tokens], axis=0, out=pre[1:])
@@ -88,7 +39,7 @@ def _preactivations(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
     return pre
 
 
-def hidden_states(tokens: np.ndarray, params: ShallowParams) -> np.ndarray:
+def hidden_states(tokens: np.ndarray, params: Params) -> np.ndarray:
     """Hidden states h_1 .. h_{D+1}; the last row is the full-document state."""
     return np.maximum(_preactivations(np.asarray(tokens, dtype=np.int64), params), 0.0)
 
@@ -146,7 +97,7 @@ def _compact(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _path_entries(
-    states: np.ndarray, rows: np.ndarray, flips: np.ndarray, params: ShallowParams
+    states: np.ndarray, rows: np.ndarray, flips: np.ndarray, params: Params
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The path entries (B, depth) of a block of token positions: `rows`
     the V row of each entry, `flips` its 1 - 2 * bit (0 for padding) and
@@ -165,7 +116,7 @@ def _path_entries(
 
 
 def doc_log_likelihood(
-    tokens: np.ndarray, params: ShallowParams, tree: WordTree
+    tokens: np.ndarray, params: Params, tree: WordTree
 ) -> float:
     """log p(v) for one explicit token ordering; 0 for the empty document."""
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -185,7 +136,7 @@ def doc_log_likelihood(
 def supdocnade_gradients(
     layout: DocLayout,
     seg: np.ndarray,
-    params: ShallowParams,
+    params: Params,
     unsup_weight: float,
     label: int | None = None,
 ) -> tuple[float, dict]:
@@ -210,10 +161,10 @@ def supdocnade_gradients(
     and its column sums.  dW is the product of a one-hot (block words x
     tokens) matrix with the accumulator.
     """
-    if label is not None and not (0 <= label < params.n_classes):
+    if label is not None and not (0 <= label < len(params.d)):
         raise ValueError(f"label {label} out of range")
     tokens = layout.ids[seg]
-    n_tokens, n_hidden = len(tokens), params.n_hidden
+    n_tokens, n_hidden = len(tokens), len(params.c)
     loss = 0.0
 
     pre = _preactivations(tokens, params)
@@ -277,7 +228,7 @@ def supdocnade_gradients(
     return loss, grads
 
 
-def docnade_gradients(layout: DocLayout, seg: np.ndarray, params: ShallowParams):
+def docnade_gradients(layout: DocLayout, seg: np.ndarray, params: Params):
     """`supdocnade_gradients` of the unsupervised objective -log p(v).  No
     step calls it; `perfbench/spans.py` wraps this name as well."""
     return supdocnade_gradients(layout, seg, params, 1.0)
@@ -285,7 +236,7 @@ def docnade_gradients(layout: DocLayout, seg: np.ndarray, params: ShallowParams)
 
 def represent(
     rows,
-    params: ShallowParams,
+    params: Params,
     vocab: JointVocabulary,
     restrict: str = "all-words",
     context: WordTree | None = None,
@@ -306,7 +257,7 @@ def represent(
 
 def predict_annotations(
     rows,
-    params: ShallowParams,
+    params: Params,
     tree: WordTree,
     vocab: JointVocabulary,
     top_k: int,
@@ -335,7 +286,7 @@ PERPLEXITY = "perplexity"  # the eval metric: exact log-likelihoods of sampled o
 
 
 def perplexity_losses(
-    rows, params: ShallowParams, tree: WordTree, dropout_rate: float, samples: int,
+    rows, params: Params, tree: WordTree, dropout_rate: float, samples: int,
     rng: np.random.Generator,
 ) -> list[float]:
     """-log p(v) of each (nonempty) row of a corpus, averaged over `samples`
@@ -350,7 +301,7 @@ def perplexity_losses(
 
 
 def class_word_associations(
-    params: ShallowParams, vocab: JointVocabulary, class_index: int, top_topics: int,
+    params: Params, vocab: JointVocabulary, class_index: int, top_topics: int,
     top_words: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Most-associated (topics, visual ids, annotation ids) for a class.
@@ -358,9 +309,9 @@ def class_word_associations(
     Topics are the hidden units with the largest class-head weight for the
     class; their embedding rows are averaged into a per-word score.
     """
-    if top_topics > params.n_hidden:
-        raise ValueError(f"top_topics={top_topics} exceeds hidden size {params.n_hidden}")
-    if not (0 <= class_index < params.n_classes):
+    if top_topics > len(params.c):
+        raise ValueError(f"top_topics={top_topics} exceeds hidden size {len(params.c)}")
+    if not (0 <= class_index < len(params.d)):
         raise ValueError(f"class index {class_index} out of range")
     column = params.U[class_index]
     topics = np.lexsort((np.arange(len(column)), -column))[:top_topics]
@@ -370,21 +321,11 @@ def class_word_associations(
     return topics, *top
 
 
-def init(vocab_size: int, n_classes: int, n_features: int, hidden_sizes, rng) -> ShallowParams:
-    """Glorot-initialized W, V, U, drawn from `rng` in that order
-    (`glorot_arrays`), and zero biases; there is no global-feature map."""
-    hidden, n_internal = hidden_sizes[0], vocab_size - 1
-    W, V, U = glorot_arrays([(hidden, vocab_size), (n_internal, hidden), (n_classes, hidden)],
-                            rng)
-    W = np.asfortranarray(W)
-    return ShallowParams(W, np.zeros(hidden), V, np.zeros(n_internal), U, np.zeros(n_classes))
-
-
 def check_config(hidden_sizes, head: str, supervised: bool) -> None:
     if head != "softmax":
-        raise ValueError("sigmoid head is only available for supdeepdocnade")
+        raise ValueError(f"head {head!r} is only available for supdeepdocnade")
     if len(hidden_sizes) != 1:
-        raise ValueError("shallow models take exactly one hidden layer size")
+        raise ValueError("hidden_sizes must hold exactly one size for a shallow model")
 
 
 def tree_seed(seed: int) -> int:
@@ -398,16 +339,20 @@ def context(meta, vocab: JointVocabulary) -> WordTree:
 
 
 def array_shapes(meta) -> list:
-    """The [name, shape] of each array of the meta's model, in declared order."""
+    """The [name, shape] of each array of the meta's model, in file order:
+    W (H, Q) the input weights, c (H,) the hidden bias, V (Q - 1, H) the
+    tree's logistic weights, b (Q - 1,) its biases, U (C, H) the class head
+    and d (C,) its bias (C may be 0).  There is no global-feature map."""
     hidden, size, n_classes = meta.hidden_sizes[0], meta.vocab_size, meta.n_classes
     return [["W", [hidden, size]], ["c", [hidden]], ["V", [size - 1, hidden]],
             ["b", [size - 1]], ["U", [n_classes, hidden]], ["d", [n_classes]]]
 
 
-def params_from_arrays(meta, arrays: dict[str, np.ndarray]) -> ShallowParams:
-    """The model's arrays by name, W made column-major (see `ShallowParams`)."""
-    return ShallowParams(np.asfortranarray(arrays["W"]),
-                         *(arrays[name] for name in ("c", "V", "b", "U", "d")))
+def params_from_arrays(arrays: dict[str, np.ndarray]) -> Params:
+    """The model of its arrays by name, W made column-major, so that each
+    word's column, which a step reads and updates whole, is one contiguous
+    run (`Params.copy` keeps it so): `W.T[ids]` reads them as C rows."""
+    return Params({**arrays, "W": np.asfortranarray(arrays["W"])})
 
 
 def doc_data(corpus, tree: WordTree) -> list[DocLayout]:
@@ -415,7 +360,7 @@ def doc_data(corpus, tree: WordTree) -> list[DocLayout]:
     return [doc_layout(*corpus.row(i), tree) for i in range(len(corpus))]
 
 
-def batch_step(batch, params: ShallowParams, config, streams, cache):
+def batch_step(batch, params: Params, config, streams, cache):
     """Per-document orderings and sparse gradients, in batch order, over the
     layouts in `cache.docs`, each labelled document's class its one label;
     an empty document is skipped when its labels are None (an unsupervised

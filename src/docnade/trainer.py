@@ -13,16 +13,16 @@ and every entry is flushed at the end of each epoch, so the average that
 logs and checkpoints see is the per-step one.
 
 Two bulk, order-free parts of a training call run on two threads
-(`numerics.call_all`), with the same bytes as on one: the family's init
-draws its Glorot arrays concurrently, and the last epoch's checkpoint is
+(`numerics.call_all`), with the same bytes as on one: `init_params` draws
+its Glorot arrays concurrently, and the last epoch's checkpoint is
 written alongside the model file (the caller's `write_model`).  Earlier
 checkpoints are written in sequence, between epochs.
 
 The model kind is looked up once in `model_io.FAMILIES`.  Its family module
-(`shallow` or `deep`) initializes the parameters, builds its context (the
-word tree or the weights omega) and the per-run document cache, and takes
-each mini-batch step; supervision is resolved once, into the cache, so no
-code here branches on the kind.
+(`shallow` or `deep`) declares the model's arrays (`array_shapes`), builds
+its context (the word tree or the weights omega) and the per-run document
+cache, and takes each mini-batch step; supervision is resolved once, into
+the cache, so no code here branches on the kind.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import deep as deep_mod
 from .corpus import Corpus
-from .model_io import FAMILIES, MODEL_KINDS, ModelMeta, load_checkpoint, save_checkpoint
-from .numerics import along, call_all, maybe_glorot
+from .model_io import (FAMILIES, ModelMeta, check_settings, load_checkpoint, params_of,
+                       save_checkpoint)
+from .numerics import Params, along, call_all, glorot_arrays
 from .rng import named_stream
 
 
@@ -66,17 +66,14 @@ class TrainConfig:
     pretrain_epochs: int = 0
 
     def validate(self) -> None:
-        if self.model_kind not in MODEL_KINDS:
+        if self.model_kind not in FAMILIES:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if self.head not in deep_mod.HEADS:
-            raise ValueError(f"unknown head {self.head!r}")
+        check_settings(FAMILIES[self.model_kind], self)
         # written so that NaN fails each comparison
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and >= 0")
-        if not (0 <= self.unsup_weight < np.inf and 0 <= self.anno_weight < np.inf):
-            raise ValueError("unsup_weight and anno_weight must be finite and >= 0")
-        if not (0 <= self.dropout_rate < 1):
-            raise ValueError("dropout_rate must be in [0, 1)")
+        if not 0 <= self.unsup_weight < np.inf:
+            raise ValueError("unsup_weight must be finite and >= 0")
         if not (0 <= self.averaging_decay < 1):
             raise ValueError("averaging_decay must be in [0, 1)")
         if self.epochs < 0 or self.pretrain_epochs < 0:
@@ -85,22 +82,17 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be positive")
-        family, supervised = FAMILIES[self.model_kind]
-        family.check_config(self.hidden_sizes, self.head, supervised)
 
 
-def init_params(
-    vocab_size: int,
-    n_classes: int,
-    n_features: int,
-    config: TrainConfig,
-    rng: np.random.Generator,
-):
-    """Glorot-initialized weights, zero biases; draw order is fixed."""
-    family = FAMILIES[config.model_kind][0]
-    return family.init(vocab_size, n_classes, n_features, config.hidden_sizes, rng)
+def init_params(meta: ModelMeta, rng: np.random.Generator) -> Params:
+    """The arrays the meta's family declares (`array_shapes`): every matrix
+    Glorot-initialized, drawn from `rng` in file order (`glorot_arrays`;
+    an empty one draws nothing), and every vector zero."""
+    shapes = meta.family[0].array_shapes(meta)
+    names, dims = zip(*[(name, shape) for name, shape in shapes if len(shape) == 2])
+    drawn = dict(zip(names, glorot_arrays(dims, rng)))
+    return params_of(meta, {name: drawn[name] if name in drawn else np.zeros(shape)
+                            for name, shape in shapes})
 
 
 @dataclass
@@ -336,12 +328,10 @@ def train_model(
     runs alongside the last epoch's checkpoint write (`call_all`), and both
     have ended when this returns or raises."""
     config.validate()
-    vocab = corpus.vocabulary
     meta = build_meta(corpus, config)
 
     if start is None:
-        init_rng = named_stream(config.seed, "init")
-        params = init_params(vocab.size, corpus.n_classes, corpus.n_features, config, init_rng)
+        params = init_params(meta, named_stream(config.seed, "init"))
         avg = init_averaged(params, config.averaging_decay)
     else:
         avg = start
@@ -431,11 +421,9 @@ def pretrain_then_finetune(
     pre = train_model(unlabeled, pre_config, checkpoint_dir=pre_dir, log_file=log_file)
 
     params = pre.params
-    head_rng = named_stream(config.seed, "init_finetune")
-    n_classes = labeled.n_classes
-    top = config.hidden_sizes[-1]
-    params.U = maybe_glorot(n_classes, top, head_rng)
-    params.d = np.zeros(n_classes)
+    (params.U,) = glorot_arrays([(labeled.n_classes, config.hidden_sizes[-1])],
+                                named_stream(config.seed, "init_finetune"))
+    params.d = np.zeros(labeled.n_classes)
 
     avg = init_averaged(params, config.averaging_decay)
     return train_model(

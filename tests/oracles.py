@@ -29,7 +29,9 @@ the `dense_*docnade_gradients` wrappers run the production shallow gradient
 on an explicit token ordering and return full-size arrays, so that the
 finite-difference and oracle tests check the production arithmetic;
 `dense_polyak_update` is the dense form of the average that
-`trainer.polyak_update` keeps lazily.
+`trainer.polyak_update` keeps lazily.  `glorot_init` and `maybe_glorot` draw
+one Glorot matrix at a time, the sequential reference of
+`numerics.glorot_arrays`.
 """
 
 import itertools
@@ -44,10 +46,24 @@ from docnade import trainer as trainer_mod
 from docnade.corpus import Corpus, weight_vector
 from docnade.evaluate import RankedPrediction
 from docnade.model_io import FAMILIES
-from docnade.numerics import along, log_softmax, sigmoid, softmax_rows
+from docnade.numerics import along, glorot_bound, log_softmax, sigmoid, softmax_rows
 from docnade.wordtree import build_tree
 
 DEEP_KINDS = tuple(kind for kind, (family, _) in FAMILIES.items() if family is deep_mod)
+
+
+def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform on [-glorot_bound(rows, cols), +glorot_bound(rows, cols)]."""
+    if rows < 1 or cols < 1:
+        raise ValueError("glorot_init needs at least a 1x1 matrix")
+    bound = glorot_bound(rows, cols)
+    return rng.uniform(-bound, bound, size=(rows, cols))
+
+
+def maybe_glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """`glorot_init`, or an empty matrix (drawing nothing) if a side is 0:
+    the sequential draw that `numerics.glorot_arrays` equals byte for byte."""
+    return glorot_init(rows, cols, rng) if rows and cols else np.zeros((rows, cols))
 
 
 def to_dense(grads, params):
@@ -113,8 +129,8 @@ def per_token_generative_grads(x_in, output_hist, phi, params):
     Only valid for single-hidden-layer parameters without dropout or global
     features, with rescale factor 1 (d = 1 splits).
     """
-    assert params.n_layers == 1
-    W, c = params.layer_weights[0], params.layer_biases[0]
+    assert not hasattr(params, "W2")
+    W, c = params.W1, params.c1
     pre = c + W @ x_in
     h = np.maximum(pre, 0.0)
     z = params.b_out + params.V_out @ h
@@ -179,11 +195,17 @@ def dense_histogram(counts, omega=None, normalize=True):
     return x
 
 
+def deep_layers(params):
+    """The (W{n}, c{n}) of each hidden layer of deep parameters, first layer first."""
+    layers = itertools.takewhile(lambda n: hasattr(params, f"W{n}"), itertools.count(1))
+    return [(getattr(params, f"W{n}"), getattr(params, f"c{n}")) for n in layers]
+
+
 def dense_forward(x, params, features=None, masks=None, keep_scale=None):
     """Hidden stack of one Q-length input: matrix-vector products."""
     hs, pres = [], []
     inp = x
-    for n, (w, c) in enumerate(zip(params.layer_weights, params.layer_biases)):
+    for n, (w, c) in enumerate(deep_layers(params)):
         pre = c + w @ inp
         if n == 0 and features is not None:
             pre = pre + features @ params.P
@@ -207,7 +229,7 @@ def _dense_supervised(h_top, labels, params, head):
         d_logits = np.exp(log_post)
         d_logits[label] -= 1.0
     else:
-        target = np.zeros(params.n_classes)
+        target = np.zeros(len(params.d))
         target[sorted(labels)] = 1.0
         loss = float((target * np.logaddexp(0.0, -z) + (1 - target) * np.logaddexp(0.0, z)).sum())
         d_logits = np.exp(-np.logaddexp(0.0, -z)) - target
@@ -226,7 +248,7 @@ def _dense_generative(h_top, split, phi, params):
 
 def _dense_backprop(d_top, x, features, hs, pres, masks, params, grads, weight=1.0):
     delta = d_top * weight
-    for n in range(params.n_layers, 0, -1):
+    for n in range(len(deep_layers(params)), 0, -1):
         if masks is not None:
             delta = delta * masks[n - 1]
         delta = delta * (pres[n - 1] > 0)
@@ -234,8 +256,8 @@ def _dense_backprop(d_top, x, features, hs, pres, masks, params, grads, weight=1
         below = hs[n - 2] if n > 1 else x
         grads[f"W{n}"] += np.outer(delta, below)
         if n > 1:
-            delta = params.layer_weights[n - 1].T @ delta
-        elif features is not None and params.P is not None:
+            delta = getattr(params, f"W{n}").T @ delta
+        elif features is not None and hasattr(params, "P"):
             grads["P"] += np.outer(features, delta)
 
 
@@ -324,7 +346,7 @@ def dense_shallow_gradients(tokens, params, tree, unsup_weight, label=None):
         grads["U"] = np.outer(d_logits, states[-1])
         dact_head = (params.U.T @ d_logits) * active[-1]
     else:
-        dact_head = np.zeros(params.n_hidden)
+        dact_head = np.zeros(len(params.c))
 
     if n_tokens == 0:
         grads["c"] = dact_head
@@ -339,17 +361,17 @@ def dense_shallow_gradients(tokens, params, tree, unsup_weight, label=None):
     signs = 2 * bits - 1
     loss -= unsup_weight * float(-np.logaddexp(0.0, -signs * act).sum())
 
-    masked = np.zeros((n_tokens, params.n_hidden))
+    masked = np.zeros((n_tokens, len(params.c)))
     if unsup_weight != 0.0:
         dt = unsup_weight * (np.exp(-np.logaddexp(0.0, -act)) - bits)
         np.add.at(grads["b"], rows, dt)
         np.add.at(grads["V"], rows, dt[:, None] * states[pos])
-        dh = np.zeros((n_tokens, params.n_hidden))
+        dh = np.zeros((n_tokens, len(params.c)))
         np.add.at(dh, pos, dt[:, None] * params.V[rows])
         masked = dh * active[:n_tokens]
 
     suffix = np.cumsum(masked[::-1], axis=0)[::-1]
-    dact = dact_head + np.vstack([suffix[1:], np.zeros((1, params.n_hidden))])
+    dact = dact_head + np.vstack([suffix[1:], np.zeros((1, len(params.c)))])
     np.add.at(grads["W"].T, tokens, dact)
     grads["c"] = dact_head + masked.sum(axis=0)
     return loss, grads
@@ -357,7 +379,7 @@ def dense_shallow_gradients(tokens, params, tree, unsup_weight, label=None):
 
 def joint_log_prob(tokens, label, params, tree):
     """log p(v, y) = log p(v) + log p(y | v) of a shallow model."""
-    if not (0 <= label < params.n_classes):
+    if not (0 <= label < len(params.d)):
         raise ValueError(f"label {label} out of range")
     tokens = np.asarray(tokens, dtype=np.int64)
     h_full = shallow_mod.hidden_states(tokens, params)[-1]
@@ -418,7 +440,7 @@ def dense_deep_epoch(corpus, avg, config):
         total, n_docs = None, 0
         for doc_idx in order[start : start + config.batch_size]:
             doc = docs[doc_idx]
-            counts = dense_counts(doc, avg.current.vocab_size)
+            counts = dense_counts(doc, corpus.vocabulary.size)
             split = deep_mod.split_histogram(counts, streams.split)
             if split is None and not supervised:
                 continue
@@ -705,7 +727,7 @@ def tree_gradients(tree, h, word, V, b, scale):
 
 def class_posterior(tokens, params):
     """softmax(d + U h) on the full-document hidden state."""
-    if params.n_classes < 2:
+    if len(params.d) < 2:
         raise ValueError("class posterior needs at least 2 classes")
     tokens = np.asarray(tokens, dtype=np.int64)
     h_full = shallow_mod.hidden_states(tokens, params)[-1]

@@ -7,12 +7,12 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import random_shallow_params
+from conftest import init_sized, random_shallow_params
 from docnade.cli import main
 from docnade.corpus import build_vocabulary, parse_corpus, write_corpus
-from docnade.model_io import MAGIC, ModelMeta, load_model, save_model
+from docnade.model_io import MAGIC, ModelMeta, load_checkpoint, load_model, save_model
 from docnade.rng import named_stream
-from docnade.trainer import TrainConfig, init_params
+from docnade.trainer import TrainConfig
 from gen import make_corpus
 from oracles import Document, corpus_of, documents
 
@@ -74,7 +74,7 @@ class TestTrain:
         params, meta = load_model(os.path.join(run_dir, "model.bin"))
         corpus = parse_corpus(corpus_path)
         config = TrainConfig(model_kind="supdocnade", hidden_sizes=(8,), seed=11)
-        expected = init_params(
+        expected = init_sized(
             corpus.vocabulary.size, corpus.n_classes, 0, config, named_stream(11, "init")
         )
         for (name, a), (_, b) in zip(params.arrays(), expected.arrays()):
@@ -675,22 +675,90 @@ class TestMalformedValues:
         _eval_doctored_header(tmp_path, corpus_path, capsys, doctor, message)
 
 
-def _eval_doctored_header(tmp_path, corpus_path, capsys, doctor, message):
-    """`eval` of a trained model whose container header went through
-    `doctor` exits 3 with `message`."""
-    run_dir = _train(corpus_path, tmp_path / "runs")
-    data = open(os.path.join(run_dir, "model.bin"), "rb").read()
+def _doctor_container(source, path, doctor):
+    """Writes to `path` the container file `source` with its header put
+    through `doctor`."""
+    data = open(source, "rb").read()
     start = len(MAGIC) + 4
     (length,) = struct.unpack("<Q", data[start : start + 8])
     header = json.loads(data[start + 8 : start + 8 + length])
     doctored = json.dumps(doctor(header)).encode()
-    path = tmp_path / "doctored.bin"
     path.write_bytes(data[:start] + struct.pack("<Q", len(doctored)) + doctored
                      + data[start + 8 + length :])
+
+
+def _eval_doctored_header(tmp_path, corpus_path, capsys, doctor, message):
+    """`eval` of a trained model whose container header went through
+    `doctor` exits 3 with `message`."""
+    run_dir = _train(corpus_path, tmp_path / "runs")
+    path = tmp_path / "doctored.bin"
+    _doctor_container(os.path.join(run_dir, "model.bin"), path, doctor)
     capsys.readouterr()
     code = main(["eval", "--model", str(path), "--corpus", str(corpus_path)])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+# Model metas of a known kind and of well-typed fields that the kind cannot
+# have: the kind trained, the change to its meta and the field the error names.
+_IMPOSSIBLE_METAS = {
+    "shallow-tree-seed-null": ("supdocnade", {"tree_seed": None}, "tree_seed"),
+    "shallow-tree-seed-negative": ("supdocnade", {"tree_seed": -1}, "tree_seed"),
+    "deep-tree-seed-int": ("supdeepdocnade", {"tree_seed": 3}, "tree_seed"),
+    "shallow-sigmoid-head": ("supdocnade", {"head": "sigmoid"}, "head"),
+    "shallow-two-layers": ("supdocnade", {"hidden_sizes": [8, 8]}, "hidden_sizes"),
+    "deep-dropout-3": ("supdeepdocnade", {"dropout_rate": 3.0}, "dropout_rate"),
+}
+
+
+class TestImpossibleMeta:
+    @pytest.mark.parametrize("kind,change,field", list(_IMPOSSIBLE_METAS.values()),
+                             ids=list(_IMPOSSIBLE_METAS))
+    def test_model_and_checkpoint_are_data_errors_naming_the_field(
+        self, tmp_path, corpus_path, capsys, kind, change, field
+    ):
+        hidden = "8,6" if kind == "supdeepdocnade" else "8"
+        run_dir = _train(corpus_path, tmp_path / "runs", "--model", kind, "--hidden", hidden)
+        model, ckpt = tmp_path / "doctored.bin", tmp_path / "doctored.ckpt"
+        doctor = lambda header: {**header, "meta": {**header["meta"], **change}}  # noqa: E731
+        _doctor_container(os.path.join(run_dir, "model.bin"), model, doctor)
+        _doctor_container(os.path.join(run_dir, "checkpoints", "epoch_0004.ckpt"), ckpt, doctor)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--corpus", str(corpus_path)]) == 3
+        err = capsys.readouterr().err
+        assert str(model) in err and field in err and "Traceback" not in err
+        with pytest.raises(ValueError, match=field) as info:
+            load_checkpoint(ckpt)
+        assert str(ckpt) in str(info.value)
+
+
+class TestInvalidJson:
+    """A JSON file that does not decode is a data error naming its path."""
+
+    def test_corpus_header(self, tmp_path, corpus_path, capsys):
+        header_path = tmp_path / (corpus_path.name + ".header.json")
+        header_path.write_text('{"n_visual": 5,')
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "r")]) == 3
+        assert str(header_path) in capsys.readouterr().err
+
+    def test_grid_file(self, tmp_path, corpus_path, capsys):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text('{"lr": [0.1,')
+        assert main(["grid", "--grid", str(grid_file), "--corpus", str(corpus_path),
+                     "--val", str(corpus_path), "--out", str(tmp_path / "g")]) == 3
+        assert str(grid_file) in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "g")
+
+    def test_model_header_byte_flipped(self, tmp_path, corpus_path, capsys):
+        run_dir = _train(corpus_path, tmp_path / "runs")
+        data = bytearray(open(os.path.join(run_dir, "model.bin"), "rb").read())
+        data[25] = 0xFF  # inside the JSON header, which starts at byte 20
+        model = tmp_path / "flipped.bin"
+        model.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--corpus", str(corpus_path)]) == 3
+        err = capsys.readouterr().err
+        assert str(model) in err and "Traceback" not in err
 
 
 # Corpus headers that load as JSON but break the format: the change to the

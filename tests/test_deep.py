@@ -6,13 +6,14 @@ import scipy.stats
 
 from conftest import (
     fd_gradient,
+    init_sized,
     max_rel_error,
     random_deep_params,
     random_shallow_params,
     zero_deep_params,
 )
 from docnade import deep, shallow, trainer
-from docnade.trainer import TrainConfig, init_params
+from docnade.trainer import TrainConfig
 from gen import make_corpus
 from oracles import (
     corpus_of,
@@ -124,8 +125,8 @@ class TestDeepForward:
         vocab = build_vocabulary(3, 2, ["a", "b"])
         sparams = random_shallow_params(rng, vocab.size, 4, 2)
         dparams = zero_deep_params(vocab.size, (4,), 2)
-        dparams.layer_weights[0] = sparams.W.copy()
-        dparams.layer_biases[0] = sparams.c.copy()
+        dparams.W1 = sparams.W.copy()
+        dparams.c1 = sparams.c.copy()
         doc = Document({0: 2, 6: 1})
         counts = dense_counts(doc, vocab.size)
         hs, _ = deep.deep_forward(counts.astype(float)[None], np.arange(vocab.size), dparams)
@@ -402,7 +403,7 @@ class TestCollapseToSoftmaxShallow:
         context = np.array([1, 0, 2, 0, 0])
         target = 3
         ref = softmax_shallow_conditional(
-            params.layer_weights[0], params.layer_biases[0],
+            params.W1, params.c1,
             params.V_out, params.b_out, context,
         )
         out = np.zeros(vocab_size, dtype=int)
@@ -530,8 +531,8 @@ class TestStepBlocks:
                                 docs_per_class=3, doc_len=8)
         config = TrainConfig(model_kind=kind, hidden_sizes=(5, 4),
                              unsup_weight=unsup_weight, batch_size=4, seed=2)
-        params = init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
-                             np.random.default_rng(2))
+        params = init_sized(corpus.vocabulary.size, corpus.n_classes, 0, config,
+                            np.random.default_rng(2))
         cache = trainer._doc_cache(corpus, config)
         kept, _, (grads,) = deep.batch_step([0, 1, 2, 3], params, config,
                                             trainer.RngStreams.from_seed(2), cache)
@@ -553,7 +554,8 @@ class TestStepBlocks:
         # a scaled copy of V_out's block besides
         vocab_size, n_docs, n_classes, n_features = 20_000, 32, 10, 8
         rng = np.random.default_rng(7)
-        params = deep.init(vocab_size, n_classes, n_features, (128, 128), rng)
+        config = TrainConfig(model_kind="supdeepdocnade", hidden_sizes=(128, 128))
+        params = init_sized(vocab_size, n_classes, n_features, config, rng)
         docs, splits, labels, features = [], [], [], []
         for _ in range(n_docs):
             ids = np.sort(rng.choice(vocab_size, size=150, replace=False))

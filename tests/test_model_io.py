@@ -14,9 +14,10 @@ from docnade.model_io import (
     save_checkpoint,
     save_model,
 )
-from docnade.shallow import ShallowParams
-from docnade.trainer import RngStreams
+from docnade.numerics import Params
+from docnade.trainer import RngStreams, TrainConfig, train_model
 from docnade.wordtree import build_tree
+from gen import make_corpus
 
 
 def _shallow_meta(hidden=4):
@@ -116,6 +117,32 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(fresh.random(5), expected)
 
 
+class TestLoadSaveRoundTrip:
+    """A trained model file and checkpoint, loaded and saved again, keep
+    every byte: the arrays come back in the file order that `array_shapes`
+    declares, W's memory order does not show in the file, and the meta and
+    the training state re-encode as they were."""
+
+    @pytest.mark.parametrize("kind,hidden", [
+        ("docnade", (5,)), ("supdocnade", (5,)),
+        ("deepdocnade", (5, 4)), ("supdeepdocnade", (5, 4)),
+    ])
+    def test_model_and_checkpoint(self, tmp_path, kind, hidden):
+        corpus, _ = make_corpus(3, n_classes=2, n_visual=4, n_regions=2, anno_per_class=2,
+                                docs_per_class=4, doc_len=6, n_features=2)
+        config = TrainConfig(model_kind=kind, hidden_sizes=hidden, learning_rate=0.05,
+                             epochs=2, seed=1)
+        train_model(corpus, config, checkpoint_dir=tmp_path,
+                    write_model=lambda averaged, meta: save_model(tmp_path / "m.bin",
+                                                                  averaged, meta))
+        params, meta = load_model(tmp_path / "m.bin")
+        save_model(tmp_path / "again.bin", params, meta)
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "m.bin").read_bytes()
+        ckpt = tmp_path / "epoch_0002.ckpt"
+        save_checkpoint(tmp_path / "again.ckpt", *load_checkpoint(ckpt))
+        assert (tmp_path / "again.ckpt").read_bytes() == ckpt.read_bytes()
+
+
 def _reference_container(header, array_blocks):
     """Container bytes built the original way: every array through
     tobytes(), each block joined into one blob before writing."""
@@ -163,9 +190,8 @@ class TestContainerBytes:
 
     def test_column_major_w_writes_row_major_bytes(self, tmp_path, rng):
         params, meta = _random_params(rng, False)
-        rest = [arr for _, arr in params.arrays()[1:]]
-        fortran = ShallowParams(np.asfortranarray(params.W), *rest)
-        c_order = ShallowParams(np.ascontiguousarray(params.W), *rest)
+        fortran = Params({**dict(params.arrays()), "W": np.asfortranarray(params.W)})
+        c_order = Params({**dict(params.arrays()), "W": np.ascontiguousarray(params.W)})
         assert fortran.W.flags.f_contiguous and not fortran.W.flags.c_contiguous
         states = {"shuffle": np.random.default_rng(1).bit_generator.state}
         for name, p in (("f", fortran), ("c", c_order)):

@@ -4,11 +4,12 @@ import time
 import numpy as np
 import pytest
 
+from conftest import init_sized, sized_meta
 from docnade import deep, shallow, trainer
 from docnade.corpus import build_vocabulary, weight_vector
 from docnade.deep import split_histogram
 from docnade.model_io import load_checkpoint, load_model, save_model
-from docnade.numerics import call_all, glorot_init, maybe_glorot
+from docnade.numerics import call_all
 from docnade.rng import named_stream
 from docnade.trainer import (
     TrainConfig,
@@ -31,6 +32,8 @@ from oracles import (
     dense_polyak_update,
     dense_shallow_epoch,
     documents,
+    glorot_init,
+    maybe_glorot,
 )
 
 
@@ -76,7 +79,7 @@ class TestGlorotInit:
 
 
 def _glorot_shapes(family, vocab_size, n_classes, n_features, hidden_sizes):
-    """Each (rows, cols) that `family.init` draws, in draw order."""
+    """Each (rows, cols) that `init_params` draws for `family`, in draw order."""
     if family is shallow:
         (hidden,) = hidden_sizes
         return [(hidden, vocab_size), (vocab_size - 1, hidden), (n_classes, hidden)]
@@ -87,8 +90,8 @@ def _glorot_shapes(family, vocab_size, n_classes, n_features, hidden_sizes):
 
 
 class TestConcurrentInit:
-    """Both families draw their arrays on two threads, each from its own
-    advanced copy of the init stream; the bytes and the stream's state
+    """`init_params` draws both families' arrays on two threads, each from its
+    own advanced copy of the init stream; the bytes and the stream's state
     afterwards are those of a sequential `maybe_glorot` loop."""
 
     @pytest.mark.parametrize("family, hidden_sizes, n_features, n_classes", [
@@ -104,12 +107,15 @@ class TestConcurrentInit:
     def test_init_equals_sequential_draws(self, family, hidden_sizes, n_features, n_classes):
         vocab_size = 23
         rng = named_stream(7, "init")
-        params = family.init(vocab_size, n_classes, n_features, hidden_sizes, rng)
+        kind = "supdocnade" if family is shallow else "supdeepdocnade"
+        params = init_params(sized_meta(vocab_size, n_classes, n_features, hidden_sizes, kind),
+                             rng)
         if family is shallow:
             drawn = [params.W, params.V, params.U]
         else:
             P = params.P if n_features else np.zeros((0, hidden_sizes[0]))
-            drawn = [*params.layer_weights, P, params.V_out, params.U]
+            drawn = [*(getattr(params, f"W{n}") for n in range(1, len(hidden_sizes) + 1)), P,
+                     params.V_out, params.U]
 
         sequential = named_stream(7, "init")
         expected = [maybe_glorot(rows, cols, sequential) for rows, cols
@@ -142,8 +148,8 @@ class TestCallAll:
 
 class TestPolyak:
     def _pair(self, rng, decay):
-        params = init_params(5, 2, 0, TrainConfig(model_kind="docnade", hidden_sizes=(3,)),
-                             rng)
+        params = init_sized(5, 2, 0, TrainConfig(model_kind="docnade", hidden_sizes=(3,)),
+                            rng)
         return init_averaged(params, decay)
 
     def test_decay_zero_copies_current(self, rng):
@@ -172,7 +178,7 @@ class TestPolyak:
 
     def test_two_step_hand_recursion(self):
         # decay 0.5, current values 0 then 1: averaged ends at 0.5
-        params = trainer.init_params(
+        params = init_sized(
             3, 0, 0, TrainConfig(model_kind="docnade", hidden_sizes=(2,)),
             np.random.default_rng(0),
         )
@@ -201,7 +207,7 @@ class TestLazyAverageStep:
         import tracemalloc
 
         config = TrainConfig(model_kind="deepdocnade", hidden_sizes=(128,))
-        params = init_params(20_000, 0, 0, config, named_stream(0, "init"))
+        params = init_sized(20_000, 0, 0, config, named_stream(0, "init"))
         lazy = trainer._LazyAverage(init_averaged(params, 0.9))
         block = np.random.default_rng(0).normal(size=params.V_out.shape)
         expected = params.V_out - 0.01 * block
@@ -244,7 +250,7 @@ class TestSgdTraining:
             model_kind="supdocnade", hidden_sizes=(8,), learning_rate=0.0,
             epochs=2, seed=3, averaging_decay=0.9,
         )
-        expected_init = init_params(
+        expected_init = init_sized(
             corpus.vocabulary.size, corpus.n_classes, 0, config, named_stream(3, "init")
         )
         result = train_model(corpus, config)
@@ -292,8 +298,8 @@ class TestSgdTraining:
         corpus = small_corpus(docs_per_class=5)
         config = TrainConfig(model_kind="docnade", hidden_sizes=(8,),
                              learning_rate=0.01, epochs=1, seed=0)
-        params = init_params(corpus.vocabulary.size, corpus.n_classes, 0,
-                             config, named_stream(0, "init"))
+        params = init_sized(corpus.vocabulary.size, corpus.n_classes, 0,
+                            config, named_stream(0, "init"))
         params.W[0, 0] = np.nan  # poisoned state: first touched doc must be named
         avg = init_averaged(params, 0.0)
         streams = trainer.RngStreams.from_seed(0)
@@ -387,9 +393,9 @@ class TestPretrainFinetune:
         # lr=0 and no epochs anywhere: body weights equal the fresh
         # unsupervised init, head weights equal the fine-tune head init
         pre_config = TrainConfig(model_kind="deepdocnade", hidden_sizes=(6,), seed=4)
-        fresh = init_params(corpus.vocabulary.size, corpus.n_classes, 0,
-                            pre_config, named_stream(4, "init"))
-        assert np.array_equal(result.params.layer_weights[0], fresh.layer_weights[0])
+        fresh = init_sized(corpus.vocabulary.size, corpus.n_classes, 0,
+                           pre_config, named_stream(4, "init"))
+        assert np.array_equal(result.params.W1, fresh.W1)
         assert np.array_equal(result.params.V_out, fresh.V_out)
         head = maybe_glorot(corpus.n_classes, 6, named_stream(4, "init_finetune"))
         assert np.array_equal(result.params.U, head)
@@ -435,14 +441,14 @@ class TestWordMajorW:
             assert p.W.shape[0] > 1 and p.W.flags.f_contiguous
 
     def test_init_and_copy(self, rng):
-        params = shallow.init(21, 3, 0, (4,), rng)
+        params = init_params(sized_meta(21, 3, 0, (4,), "supdocnade"), rng)
         self._assert_word_major(params, params.copy())
 
     def test_one_epoch(self):
         corpus = small_corpus(docs_per_class=2)
         config = TrainConfig(**self.CONFIG)
-        avg = init_averaged(init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
-                                        named_stream(2, "init")), 0.9)
+        avg = init_averaged(init_sized(corpus.vocabulary.size, corpus.n_classes, 0, config,
+                                       named_stream(2, "init")), 0.9)
         trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(2))
         self._assert_word_major(avg.current, avg.averaged)
 
@@ -470,8 +476,8 @@ class TestBatchedDeepStep:
             unsup_weight=0.6, anno_weight=3.0, dropout_rate=0.3, head="sigmoid",
             epochs=1, batch_size=self.BATCH, seed=seed,
         )
-        params = init_params(corpus.vocabulary.size, corpus.n_classes, corpus.n_features,
-                             config, named_stream(seed, "init"))
+        params = init_sized(corpus.vocabulary.size, corpus.n_classes, corpus.n_features,
+                            config, named_stream(seed, "init"))
         return corpus, config, params
 
     def test_one_step_equals_oracle_sum(self):
@@ -508,8 +514,8 @@ class TestBatchedDeepStep:
             atol = 1e-12 * np.abs(step).max()
             assert np.allclose(after, start - step, rtol=0.0, atol=atol), name
         assert not present.all()
-        assert np.array_equal(avg.current.layer_weights[0][:, ~present],
-                              before.layer_weights[0][:, ~present])
+        assert np.array_equal(avg.current.W1[:, ~present],
+                              before.W1[:, ~present])
 
     def test_divergence_names_first_nonfinite_document_in_batch(self):
         corpus, config, params = self._setup()
@@ -520,7 +526,7 @@ class TestBatchedDeepStep:
         first = set(documents(corpus)[order[0]].counts)
         second = documents(corpus)[order[1]].counts
         word = next(w for w in second if w not in first)
-        params.layer_weights[0][:, word] = 1e308
+        params.W1[:, word] = 1e308
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingDivergedError) as info:
                 trainer.sgd_epoch(corpus, init_averaged(params, 0.0), config, streams)
@@ -554,8 +560,8 @@ class TestSparseShallowStep:
         )
         settings.update(overrides)
         config = TrainConfig(**settings)
-        params = init_params(corpus.vocabulary.size, corpus.n_classes, corpus.n_features,
-                             config, named_stream(seed, "init"))
+        params = init_sized(corpus.vocabulary.size, corpus.n_classes, corpus.n_features,
+                            config, named_stream(seed, "init"))
         deep = config.model_kind in DEEP_KINDS
         tree = None if deep else build_tree(corpus.vocabulary.size, seed)
         return corpus, config, init_averaged(params, decay), tree
@@ -706,8 +712,8 @@ class TestLayoutEpoch:
         config = TrainConfig(model_kind=kind, hidden_sizes=(5,), learning_rate=0.05,
                              unsup_weight=0.6, epochs=1, batch_size=batch_size, seed=9,
                              averaging_decay=0.8)
-        params = init_params(corpus.vocabulary.size, corpus.n_classes, 0, config,
-                             named_stream(9, "init"))
+        params = init_sized(corpus.vocabulary.size, corpus.n_classes, 0, config,
+                            named_stream(9, "init"))
         tree = build_tree(corpus.vocabulary.size, 9)
         avg = init_averaged(params, 0.8)
         for n, (_, arr) in enumerate(avg.averaged.arrays()):
