@@ -192,14 +192,10 @@ def cmd_annotate(args) -> int:
     params, meta = _load_model(args.model_file)
     corpus = _load_corpus(args.corpus, args.format)
     _check_compat(meta, corpus)
-    predictions = eval_mod.annotation_predictions(corpus, params, meta, args.k)
+    ids, scores = eval_mod.generate_text(corpus, params, meta, args.k)
     _write_records(args.out, (
-        {
-            "doc": index,
-            "annotations": [int(i) for i in ranked.ids],
-            "scores": [float(s) for s in ranked.scores],
-        }
-        for index, ranked in predictions
+        {"doc": index, "annotations": doc_ids, "scores": doc_scores}
+        for index, (doc_ids, doc_scores) in enumerate(zip(ids.tolist(), scores.tolist()))
     ))
     return EXIT_OK
 

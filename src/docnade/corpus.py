@@ -273,6 +273,17 @@ def read_header(path) -> dict:
         raise CorpusFormatError(
             f"header {header_file} field 'annotation_words' must be a list of strings"
         )
+    if "annotation_words" in header and len(words) != header["n_annotation"]:
+        raise CorpusFormatError(
+            f"header {header_file} field 'annotation_words': header declares n_annotation="
+            f"{header['n_annotation']} but lists {len(words)} annotation words"
+        )
+    seen = set()
+    for word in words:
+        if word in seen:
+            raise CorpusFormatError(f"header {header_file} field 'annotation_words': "
+                                    f"duplicate annotation word {word!r}")
+        seen.add(word)
     return header
 
 
@@ -280,11 +291,6 @@ def _vocab_from_header(header: dict) -> JointVocabulary:
     words = header.get("annotation_words")
     if words is None:
         words = [f"anno{i}" for i in range(header["n_annotation"])]
-    if len(words) != header["n_annotation"]:
-        raise CorpusFormatError(
-            "header declares n_annotation="
-            f"{header['n_annotation']} but lists {len(words)} annotation words"
-        )
     return build_vocabulary(header["n_visual"], header["n_regions"], words)
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -345,31 +346,37 @@ def output_log_probs(
 PERPLEXITY = "perplexity_estimate"  # the eval metric: losses of sampled splits
 
 
-def _states(rows, params: Params, omega, dropout_rate: float, limit: int | None = None):
-    """Top-layer states of the rows of a corpus, from their ids below
-    `limit` if given: one forward pass over the union of the rows' columns."""
-    cols, counts = rows.count_block(limit)
-    return deep_represent(counts, cols, rows.features, params, omega, dropout_rate)
+class Context(NamedTuple):
+    """All that inference reads besides the arrays: the weights `omega` of
+    the input histograms and the predicted tokens, and the `dropout_rate`
+    whose keep probability scales the activations."""
+
+    omega: np.ndarray
+    dropout_rate: float
 
 
 def represent(
-    rows, params: Params, vocab: JointVocabulary, restrict: str = "all-words",
-    context: np.ndarray | None = None, dropout_rate: float = 0.0,
+    rows, params: Params, context: Context, restrict: str = "all-words"
 ) -> np.ndarray:
-    """Top-layer states of the rows of a corpus, weighted by omega (`context`) and
-    scaled for `dropout_rate`; a deep model reads every word, whatever
+    """Top-layer states of the rows of a corpus, weighted by omega and
+    scaled for the dropout rate of the `context`: one forward pass over the
+    union of the rows' columns.  A deep model reads every word, whatever
     `restrict`."""
-    return _states(rows, params, context, dropout_rate)
+    cols, counts = rows.count_block()
+    return deep_represent(counts, cols, rows.features, params, context.omega,
+                          context.dropout_rate)
 
 
 def predict_annotations(
-    rows, params: Params, context: np.ndarray | None, vocab: JointVocabulary, top_k: int,
-    dropout_rate: float = 0.0,
+    rows, params: Params, context: Context, top_k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k annotation ids and probabilities of each row of a corpus given
     its visual words: the output softmax taken over the annotation block alone,
     the only rows of V_out that are scored."""
-    h_top = _states(rows, params, context, dropout_rate, limit=vocab.visual_size)
+    vocab = rows.vocabulary
+    cols, counts = rows.count_block(vocab.visual_size)
+    h_top = deep_represent(counts, cols, rows.features, params, context.omega,
+                           context.dropout_rate)
     anno_ids = np.arange(vocab.visual_size, vocab.size)
     probs = np.exp(output_log_probs(h_top, params, words=anno_ids))
     order = top_order(anno_ids, probs, top_k)
@@ -377,8 +384,7 @@ def predict_annotations(
 
 
 def perplexity_losses(
-    rows, params: Params, omega: np.ndarray, dropout_rate: float, samples: int,
-    rng: np.random.Generator,
+    rows, params: Params, context: Context, samples: int, rng: np.random.Generator
 ) -> list[float]:
     """Each (nonempty) row's loss, averaged over `samples` splits drawn row
     by row; all the splits go through one forward pass over the union of
@@ -391,11 +397,11 @@ def perplexity_losses(
             splits.append(split_histogram(counts, rng))
     cols, inputs = count_rows([(doc_ids, split.input_hist) for doc_ids, split in zip(ids, splits)])
     features = None if rows.features is None else np.repeat(rows.features, samples, axis=0)
-    h_top = deep_represent(inputs, cols, features, params, omega, dropout_rate)
+    h_top = deep_represent(inputs, cols, features, params, context.omega, context.dropout_rate)
     losses = _generative_terms(
         h_top,
         [(doc_ids, split.output_hist) for doc_ids, split in zip(ids, splits)],
-        omega,
+        context.omega,
         np.array([split.d for split in splits]),
         np.array([split.total_tokens for split in splits]),
         params,
@@ -420,9 +426,10 @@ def tree_seed(seed: int) -> None:
     return None
 
 
-def context(meta, vocab: JointVocabulary) -> np.ndarray:
-    """The weights omega of the meta's annotation weight."""
-    return weight_vector(vocab, meta.anno_weight)
+def context(meta, vocab: JointVocabulary) -> Context:
+    """The weights omega of the meta's annotation weight, and its dropout
+    rate."""
+    return Context(weight_vector(vocab, meta.anno_weight), meta.dropout_rate)
 
 
 def array_shapes(meta) -> list:
@@ -442,9 +449,9 @@ def array_shapes(meta) -> list:
                      ["U", [meta.n_classes, sizes[-1]]], ["d", [meta.n_classes]]]
 
 
-def doc_data(corpus, omega: np.ndarray):
+def doc_data(corpus, context: Context):
     """The per-run document cache: the corpus itself, whose rows and feature
-    matrix a step reads (`omega` plays no part in it)."""
+    matrix a step reads (the `context` plays no part in it)."""
     return corpus
 
 
@@ -454,7 +461,7 @@ def _draw_masks(sizes, keep: float, rng: np.random.Generator) -> list[np.ndarray
 
 def batch_step(batch, params: Params, config, streams, cache):
     """Splits and masks drawn in batch order, then one batched step over the
-    rows of the corpus `cache.docs`, weighted by `cache.context` (omega); a
+    rows of the corpus `cache.docs`, weighted by omega of `cache.context`; a
     document with no split (an empty one) is skipped when its labels are
     None (an unsupervised run).
 
@@ -481,6 +488,6 @@ def batch_step(batch, params: Params, config, streams, cache):
     losses, grads = hybrid_loss_gradients(
         [cache.docs.row(i) for i in kept], [cache.labels[i] for i in kept],
         None if features is None else features[kept], params, cache.unsup_weight,
-        cache.context, splits, gen_masks, sup_masks, head=config.head,
+        cache.context.omega, splits, gen_masks, sup_masks, head=config.head,
     )
     return kept, losses.tolist(), [grads]

@@ -4,16 +4,16 @@ Pure functions over frozen parameters: classification accuracy, top-K
 annotation F-measure, average precision / MAP, held-out perplexity, cosine
 retrieval, text generation from the visual modality, and per-class
 topic/word association inspection.  `evaluation_metrics` assembles the
-metric report for a model's kind.  Each inference command looks the kind up
-once in `model_io.FAMILIES` and calls its family module (`shallow` or
-`deep`) for the model-specific parts: the context (the word tree or the
-weights omega), representations, annotation scores, perplexity losses and
-the class-word associations that `docnade inspect` reports.
+metric report for a model's kind.
 
-Representations, annotation rankings and perplexities are computed a chunk
-of `CHUNK_DOCS` documents at a time, with a few matrix products per chunk
-for the deep models, so working memory is bounded by the chunk and not by
-the corpus.
+Every inference entry takes (corpus, params, meta), looks the kind up once
+in `model_io.FAMILIES`, builds the family's context (the word tree, or
+omega and the dropout rate) and has its family module (`shallow` or
+`deep`) score the rows of a chunk of `CHUNK_DOCS` documents at a time:
+representations, annotation scores and perplexity losses, with a few matrix
+products per chunk for the deep models, so working memory is bounded by the
+chunk and not by the corpus.  `docnade inspect` reports the family's
+class-word associations.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, JointVocabulary, build_vocabulary
+from .corpus import Corpus, build_vocabulary
 from .model_io import ModelMeta
 from .numerics import sigmoid, softmax_rows, top_order
 from .rng import named_stream
@@ -51,10 +51,9 @@ def extract_representations(
     from the model family's `represent`; `restrict` selects the visual-only
     protocol for shallow class prediction (deep models read every word).
     """
-    vocab = corpus.vocabulary
     family = meta.family[0]
-    context = family.context(meta, vocab)
-    parts = [family.represent(rows, params, vocab, restrict, context, meta.dropout_rate)
+    context = family.context(meta, corpus.vocabulary)
+    parts = [family.represent(rows, params, context, restrict)
              for rows in _chunks(corpus, CHUNK_DOCS)]
     return np.vstack([np.empty((0, meta.hidden_sizes[-1]))] + parts)
 
@@ -65,14 +64,6 @@ class RankedPrediction:
 
     ids: np.ndarray
     scores: np.ndarray
-
-    def __post_init__(self):
-        assert len(self.ids) == len(self.scores)
-
-
-def _rank(ids: np.ndarray, scores: np.ndarray, top_k: int | None = None) -> RankedPrediction:
-    order = top_order(ids, scores, top_k)
-    return RankedPrediction(ids[order], scores[order])
 
 
 # ---------------------------------------------------------------------------
@@ -189,25 +180,22 @@ def mean_average_precision(score_matrix: np.ndarray, relevance: np.ndarray) -> t
 
 
 def perplexity(
-    corpus: Corpus,
-    params,
-    context,
-    orderings_per_doc: int = 1,
-    *,
-    rng: np.random.Generator,
-    family,
-    dropout_rate: float = 0.0,
+    corpus: Corpus, params, meta: ModelMeta, samples: int, rng: np.random.Generator
 ) -> float:
-    """exp(sum of per-document losses / total token count), each loss the
-    model `family`'s `perplexity_losses` averaged over `orderings_per_doc`
-    draws, documents scored a chunk at a time in corpus order."""
+    """Per-token perplexity exp(sum of per-document losses / total token
+    count), each loss the family's `perplexity_losses` averaged over
+    `samples` draws: the exact log-likelihoods of sampled token orderings
+    (shallow models) or the losses of sampled splits (deep models), the
+    documents scored a chunk at a time in corpus order."""
+    family = meta.family[0]
+    context = family.context(meta, corpus.vocabulary)
     total_loss, total_tokens = 0.0, 0
-    for chunk in _chunks(corpus, max(1, CHUNK_DOCS // orderings_per_doc)):
+    for chunk in _chunks(corpus, max(1, CHUNK_DOCS // samples)):
         totals = np.diff(np.cumsum(np.append(0, chunk.counts))[chunk.indptr])
         if not totals.any():
             continue
         for loss in family.perplexity_losses(chunk.take(np.flatnonzero(totals)), params,
-                                             context, dropout_rate, orderings_per_doc, rng):
+                                             context, samples, rng):
             total_loss += loss
         total_tokens += int(totals.sum())
     if total_tokens == 0:
@@ -240,29 +228,29 @@ def cosine_retrieve(
     sims = np.zeros(len(collection))
     valid = denom > 0
     sims[valid] = (collection[valid] @ query) / denom[valid]
-    return _rank(np.arange(len(collection)), sims, top_k)
+    order = top_order(np.arange(len(collection)), sims, top_k)
+    return RankedPrediction(order, sims[order])
 
 
 def generate_text(
-    rows,
-    params,
-    vocab: JointVocabulary,
-    top_k: int,
-    *,
-    family,
-    context=None,
-    dropout_rate: float = 0.0,
-) -> list[RankedPrediction]:
-    """Rank annotation words by next-word probability given the visual words,
-    one ranking per row of the corpus `rows`.  The model `family`
-    module's `predict_annotations` scores them with its `context` (the word
-    tree, or the weights omega: None is unweighted) and `dropout_rate`.
+    corpus: Corpus, params, meta: ModelMeta, top_k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The annotation words of each document ranked by next-word probability
+    given its visual words, from the family's `predict_annotations`: (ids,
+    probabilities), both (n_docs, K) with K = min(top_k, annotation words),
+    each row in non-increasing probability with ties toward the smaller id.
     """
+    vocab = corpus.vocabulary
     if vocab.n_annotation == 0:
         raise ValueError("vocabulary has no annotation words")
     top_k = min(top_k, vocab.n_annotation)
-    ids, scores = family.predict_annotations(rows, params, context, vocab, top_k, dropout_rate)
-    return [RankedPrediction(i, s) for i, s in zip(ids, scores)]
+    family = meta.family[0]
+    context = family.context(meta, vocab)
+    parts = [family.predict_annotations(rows, params, context, top_k)
+             for rows in _chunks(corpus, CHUNK_DOCS)]
+    empty = (np.empty((0, top_k), dtype=np.int64), np.empty((0, top_k)))
+    ids, scores = (np.vstack(arrays) for arrays in zip(empty, *parts))
+    return ids, scores
 
 
 # ---------------------------------------------------------------------------
@@ -272,42 +260,6 @@ def generate_text(
 
 # Report metrics a model selection minimizes; every other metric is maximized.
 LOWER_IS_BETTER = ("perplexity", "perplexity_estimate")
-
-
-def class_scores(corpus: Corpus, params, meta: ModelMeta) -> np.ndarray:
-    """Per-document class confidences from the model's own head.
-
-    Shallow models predict from visual words only (annotations are withheld
-    at test time); deep models condition on the full document.
-    """
-    reps = extract_representations(corpus, params, meta, restrict="visual-only")
-    logits = reps @ params.U.T + params.d
-    return sigmoid(logits) if meta.head == "sigmoid" else softmax_rows(logits)
-
-
-def annotation_predictions(corpus: Corpus, params, meta: ModelMeta, top_k: int):
-    """Yields (row index, its top-K annotation words ranked from its visual
-    words), ranking a chunk of rows at a time; the family's context (the
-    word tree or the annotation weights) is built once."""
-    vocab = corpus.vocabulary
-    family = meta.family[0]
-    context = family.context(meta, vocab)
-    yield from enumerate(
-        ranked for rows in _chunks(corpus, CHUNK_DOCS)
-        for ranked in generate_text(rows, params, vocab, top_k, family=family, context=context,
-                                    dropout_rate=meta.dropout_rate)
-    )
-
-
-def perplexity_estimate(
-    corpus: Corpus, params, meta: ModelMeta, samples: int, rng: np.random.Generator
-) -> float:
-    """Per-token perplexity of a model from `samples` draws per document:
-    the exact log-likelihoods of sampled token orderings (shallow models) or
-    the losses of sampled splits (deep models)."""
-    family = meta.family[0]
-    return perplexity(corpus, params, family.context(meta, corpus.vocabulary), samples, rng=rng,
-                      family=family, dropout_rate=meta.dropout_rate)
 
 
 def evaluation_metrics(
@@ -337,11 +289,16 @@ def evaluation_metrics(
             raise ValueError("--curves needs a supervised model: an unsupervised model "
                              "has no class scores")
         rng = named_stream(eval_seed, "eval")
-        return [(family.PERPLEXITY, perplexity_estimate(corpus, params, meta, orderings, rng))]
+        return [(family.PERPLEXITY, perplexity(corpus, params, meta, orderings, rng))]
 
     metrics: list[tuple[str, float]] = []
-    scores = class_scores(corpus, params, meta)
+    # class confidences from the model's own head: a shallow model reads the
+    # visual words only (annotations are withheld at test time), a deep one
+    # the full document
+    reps = extract_representations(corpus, params, meta, restrict="visual-only")
+    logits = reps @ params.U.T + params.d
     if meta.head == "sigmoid":
+        scores = sigmoid(logits)
         relevance = np.zeros(scores.shape, dtype=bool)
         rows = np.repeat(np.arange(len(corpus)), np.diff(corpus.label_ptr))
         relevance[rows, corpus.labels] = True
@@ -353,7 +310,7 @@ def evaluation_metrics(
         labeled = np.flatnonzero(np.diff(corpus.label_ptr))
         if not len(labeled):
             raise ValueError("no document has a label to score accuracy on")
-        scores = scores[labeled]
+        scores = softmax_rows(logits)[labeled]
         truth = corpus.labels[corpus.label_ptr[labeled]]  # a document's smallest label
         metrics.append(("accuracy", accuracy(scores.argmax(axis=1), truth)))
         relevance = np.zeros(scores.shape, dtype=bool)
@@ -364,9 +321,9 @@ def evaluation_metrics(
     vocab = corpus.vocabulary
     if vocab.n_annotation > 0:
         pairs = []
-        for i, ranked in annotation_predictions(corpus, params, meta, top_k):
+        for i, predicted in enumerate(generate_text(corpus, params, meta, top_k)[0].tolist()):
             ids = corpus.row(i)[0]
-            pairs.append((set(ranked.ids.tolist()), set(ids[ids >= vocab.visual_size].tolist())))
+            pairs.append((set(predicted), set(ids[ids >= vocab.visual_size].tolist())))
         mean_f, skipped = mean_f_measure(pairs)
         metrics.append((f"f_measure_top{top_k}", mean_f))
         if skipped:

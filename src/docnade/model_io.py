@@ -5,7 +5,9 @@ length-prefixed JSON header (dimensions, model kind, tree seed, array
 manifest), then the parameter arrays concatenated as little-endian float64
 in the order declared by the manifest.  Checkpoints append a second array
 block (the running parameter average) and a training-state record (epoch and
-RNG stream states).  A file cut short anywhere fails to load with ValueError.
+RNG stream states) to the header, which tells the two kinds apart: each
+loader refuses the other kind.  A file cut short anywhere fails to load with
+ValueError.
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ FORMAT_VERSION = 1
 # Model kind -> (its family module, whether it trains the supervised term):
 # the one lookup training, inference and loading make, so that no other code
 # branches on the kind.  Both family modules expose `array_shapes` (the one
-# declaration of a model's arrays), `check_config`, `tree_seed`, `context`,
-# `doc_data`, `batch_step`, `represent`, `predict_annotations`,
-# `perplexity_losses`, `class_word_associations` and `PERPLEXITY`; the
-# shallow one also `params_from_arrays` (see `params_of`).
+# declaration of a model's arrays), `check_config`, `tree_seed`,
+# `context(meta, vocab)` (all that inference reads besides the arrays: the
+# word tree, or omega and the dropout rate), `doc_data`, `batch_step`,
+# `represent(rows, params, context, restrict)`,
+# `predict_annotations(rows, params, context, top_k)`,
+# `perplexity_losses(rows, params, context, samples, rng)`,
+# `class_word_associations` and `PERPLEXITY`; the shallow one also
+# `params_from_arrays` (see `params_of`).
 FAMILIES = {
     "docnade": (shallow, False),
     "supdocnade": (shallow, True),
@@ -145,11 +151,12 @@ def _manifest(arrays: list[tuple[str, np.ndarray]]) -> list:
     return [[name, list(arr.shape)] for name, arr in arrays]
 
 
-def _read_params(path, n_blobs: int) -> tuple[ModelMeta, dict, list]:
-    """The meta, the header and the parameters of each of the first `n_blobs`
-    blobs; ValueError unless the manifest is, array for array, the one
-    `save_model` writes for the meta (a check that draws no random numbers)."""
-    header, blobs = _read_container(path, n_blobs)
+def _read_params(path, checkpoint: bool) -> tuple[ModelMeta, dict, list]:
+    """The meta, the header and the parameters of each blob of a checkpoint
+    or a model file; ValueError unless the manifest is, array for array, the
+    one `save_model` writes for the meta (a check that draws no random
+    numbers)."""
+    header, blobs = _read_container(path, checkpoint)
     try:
         meta = ModelMeta.from_json(header["meta"])
     except ValueError as exc:
@@ -201,9 +208,11 @@ def _read_exact(fh, size: int, path, what: str) -> bytes:
     return fh.read(size)
 
 
-def _read_container(path, n_blobs: int) -> tuple[dict, list[bytes]]:
-    """The header and the first `n_blobs` blobs; ValueError if any is cut
-    short or missing."""
+def _read_container(path, checkpoint: bool) -> tuple[dict, list[bytes]]:
+    """The header and the blobs of a checkpoint (two: the current and the
+    averaged parameters) or a model file (one); ValueError if the header's
+    training state says that the file is of the other kind, or a blob is
+    cut short or missing."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -218,8 +227,14 @@ def _read_container(path, n_blobs: int) -> tuple[dict, list[bytes]]:
             raise ValueError(f"{path}: container header is not UTF-8 JSON: {exc}") from None
         if not isinstance(header, dict):
             raise ValueError(f"{path}: container header is not an object")
+        if ("state" in header) != checkpoint:  # only a checkpoint has a training state
+            raise ValueError(f"{path}: " + (
+                "a model file, not a checkpoint (malformed training state: the header has none)"
+                if checkpoint else
+                "a checkpoint, not a model file (the header has a training state)"
+            ))
         blobs = []
-        for n in range(n_blobs):
+        for n in range(2 if checkpoint else 1):
             (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, f"blob {n} length"))
             blobs.append(_read_exact(fh, blob_len, path, f"blob {n}"))
     return header, blobs
@@ -232,7 +247,7 @@ def save_model(path, params, meta: ModelMeta) -> None:
 
 
 def load_model(path) -> tuple[Any, ModelMeta]:
-    meta, _, (params,) = _read_params(path, 1)
+    meta, _, (params,) = _read_params(path, checkpoint=False)
     return params, meta
 
 
@@ -247,7 +262,7 @@ def save_checkpoint(path, params, averaged, meta: ModelMeta, epoch: int, rng_sta
 
 
 def load_checkpoint(path) -> tuple[Any, Any, ModelMeta, int, dict]:
-    meta, header, (params, averaged) = _read_params(path, 2)
+    meta, header, (params, averaged) = _read_params(path, checkpoint=True)
     state = header.get("state")
     if not (isinstance(state, dict) and _is_count(state.get("epoch"))
             and isinstance(state.get("rng_states"), dict)

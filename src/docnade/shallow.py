@@ -235,33 +235,22 @@ def docnade_gradients(layout: DocLayout, seg: np.ndarray, params: Params):
 
 
 def represent(
-    rows,
-    params: Params,
-    vocab: JointVocabulary,
-    restrict: str = "all-words",
-    context: WordTree | None = None,
-    dropout_rate: float = 0.0,
+    rows, params: Params, tree: WordTree, restrict: str = "all-words"
 ) -> np.ndarray:
     """Order-independent representations relu(c + sum counts * W) of the
     rows of a corpus, one per row, from one count-matrix product over the
-    union of their token ids.  "visual-only" drops the
-    annotation columns.  The family's `context` (the word tree) and
-    `dropout_rate` play no part in it.
+    union of their token ids.  "visual-only" drops the annotation columns.
+    The family's context, the word `tree`, plays no part in it.
     """
     if restrict not in ("all-words", "visual-only"):
         raise ValueError(f"unknown restriction {restrict!r}")
-    limit = vocab.visual_size if restrict == "visual-only" else None
+    limit = rows.vocabulary.visual_size if restrict == "visual-only" else None
     cols, counts = rows.count_block(limit)
     return np.maximum(counts @ params.W.T[cols] + params.c, 0.0)
 
 
 def predict_annotations(
-    rows,
-    params: Params,
-    tree: WordTree,
-    vocab: JointVocabulary,
-    top_k: int,
-    dropout_rate: float = 0.0,
+    rows, params: Params, tree: WordTree, top_k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k annotation ids by next-word probability given the visual words.
 
@@ -269,13 +258,11 @@ def predict_annotations(
     the document are ignored.  Ties break toward the smaller id.  Returns
     (ids, probabilities), both (len(rows), top_k) arrays with one row per
     row of the corpus `rows`, sorted by decreasing probability.
-    `dropout_rate` plays no part in it.
     """
+    vocab = rows.vocabulary
     if top_k > vocab.n_annotation:
-        raise ValueError(
-            f"top_k={top_k} exceeds annotation vocabulary ({vocab.n_annotation})"
-        )
-    h = represent(rows, params, vocab, restrict="visual-only")
+        raise ValueError(f"top_k={top_k} exceeds annotation vocabulary ({vocab.n_annotation})")
+    h = represent(rows, params, tree, restrict="visual-only")
     candidates = np.arange(vocab.visual_size, vocab.size, dtype=np.int64)
     log_probs = words_log_prob(tree, h, candidates, params.V, params.b)
     order = top_order(candidates, log_probs, top_k)
@@ -286,11 +273,10 @@ PERPLEXITY = "perplexity"  # the eval metric: exact log-likelihoods of sampled o
 
 
 def perplexity_losses(
-    rows, params: Params, tree: WordTree, dropout_rate: float, samples: int,
-    rng: np.random.Generator,
+    rows, params: Params, tree: WordTree, samples: int, rng: np.random.Generator
 ) -> list[float]:
     """-log p(v) of each (nonempty) row of a corpus, averaged over `samples`
-    token orderings drawn in row order; `dropout_rate` plays no part in it."""
+    token orderings drawn in row order."""
     losses = []
     for i in range(len(rows)):
         tokens = np.repeat(*rows.row(i))

@@ -20,9 +20,9 @@ checkpoints are written in sequence, between epochs.
 
 The model kind is looked up once in `model_io.FAMILIES`.  Its family module
 (`shallow` or `deep`) declares the model's arrays (`array_shapes`), builds
-its context (the word tree or the weights omega) and the per-run document
-cache, and takes each mini-batch step; supervision is resolved once, into
-the cache, so no code here branches on the kind.
+its context (the word tree, or omega and the dropout rate) and the per-run
+document cache, and takes each mini-batch step; supervision is resolved
+once, into the cache, so no code here branches on the kind.
 """
 
 from __future__ import annotations

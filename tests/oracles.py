@@ -517,7 +517,7 @@ def _deep_represent(counts, features, params, omega, dropout_rate):
     return hs[-1]
 
 
-def generate_text(doc, params, vocab, top_k, *, tree=None, meta_dropout=0.0, omega=None):
+def annotation_ranking(doc, params, vocab, top_k, *, tree=None, meta_dropout=0.0, omega=None):
     """One document's annotation ranking: tree scores of the annotation
     leaves, or the full output softmax renormalized over the annotation
     block."""
@@ -539,20 +539,23 @@ def generate_text(doc, params, vocab, top_k, *, tree=None, meta_dropout=0.0, ome
     return RankedPrediction(anno_ids[order], probs[order])
 
 
-def annotation_predictions(corpus, params, meta, top_k):
+def generate_text(corpus, params, meta, top_k):
+    """(ids, scores) of every document's annotation ranking, one row each."""
     vocab = corpus.vocabulary
     tree = omega = None
     if meta.kind in DEEP_KINDS:
         omega = weight_vector(vocab, meta.anno_weight)
     else:
         tree = build_tree(meta.vocab_size, meta.tree_seed)
-    for i, doc in enumerate(documents(corpus)):
-        yield i, generate_text(
-            doc, params, vocab, top_k, tree=tree, meta_dropout=meta.dropout_rate, omega=omega
-        )
+    ranked = [
+        annotation_ranking(doc, params, vocab, top_k, tree=tree, meta_dropout=meta.dropout_rate,
+                           omega=omega)
+        for doc in documents(corpus)
+    ]
+    return np.array([r.ids for r in ranked]), np.array([r.scores for r in ranked])
 
 
-def perplexity_estimate(corpus, params, meta, samples, rng):
+def perplexity(corpus, params, meta, samples, rng):
     """Deep perplexity estimate with one dense forward pass and one loss per
     sampled split."""
     vocab = corpus.vocabulary

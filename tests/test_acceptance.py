@@ -9,6 +9,7 @@ distributions.
 import itertools
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from conftest import (
     random_deep_params,
     random_shallow_params,
     shallow_instance_off_kink,
+    sized_meta,
 )
 from docnade import deep, evaluate, shallow
 from docnade.cli import main as cli_main
@@ -292,7 +294,7 @@ def test_criterion_08_tree_cost_scaling():
 def _supervised_accuracy(params, corpus):
     vocab = corpus.vocabulary
     reps = np.array([
-        shallow.represent(corpus_of(vocab, [doc]), params, vocab, "visual-only")[0]
+        shallow.represent(corpus_of(vocab, [doc]), params, None, "visual-only")[0]
         for doc in documents(corpus)
     ])
     predicted = (reps @ params.U.T + params.d).argmax(axis=1)
@@ -349,11 +351,11 @@ def test_criterion_09_synthetic_classification():
         )
         unsup_result = train_model(train, unsup_config)
         reps_train = np.array([
-            shallow.represent(corpus_of(vocab, [d]), unsup_result.averaged, vocab, "visual-only")[0]
+            shallow.represent(corpus_of(vocab, [d]), unsup_result.averaged, None, "visual-only")[0]
             for d in documents(train)
         ])
         reps_test = np.array([
-            shallow.represent(corpus_of(vocab, [d]), unsup_result.averaged, vocab, "visual-only")[0]
+            shallow.represent(corpus_of(vocab, [d]), unsup_result.averaged, None, "visual-only")[0]
             for d in documents(test)
         ])
         clf = fit_linear_classifier(reps_train, truth_train)
@@ -395,8 +397,7 @@ def test_criterion_10_synthetic_annotation():
     tree = build_tree(result.meta.vocab_size, result.meta.tree_seed)
     pairs = []
     for doc in documents(test):
-        (ids,), _ = shallow.predict_annotations(corpus_of(vocab, [doc]), result.averaged, tree,
-                                                vocab, 5)
+        (ids,), _ = shallow.predict_annotations(corpus_of(vocab, [doc]), result.averaged, tree, 5)
         truth = {i for i in doc.counts if is_annotation(vocab, i)}
         pairs.append((set(int(i) for i in ids), truth))
     mean_f, skipped = evaluate.mean_f_measure(pairs)
@@ -463,17 +464,13 @@ def test_criterion_12_determinism_and_persistence(tmp_path):
                          unsup_weight=0.5, epochs=3, seed=4)
     result = train_model(corpus, config)
     before = _supervised_accuracy(result.averaged, corpus)
-    ppl_before = evaluate.perplexity(
-        corpus, result.averaged, build_tree(result.meta.vocab_size, result.meta.tree_seed),
-        rng=np.random.default_rng(0), family=shallow,
-    )
+    ppl_before = evaluate.perplexity(corpus, result.averaged, result.meta, 1,
+                                     np.random.default_rng(0))
     model_path = tmp_path / "model.bin"
     save_model(model_path, result.averaged, result.meta)
     loaded, meta = load_model(model_path)
-    tree = build_tree(meta.vocab_size, meta.tree_seed)
     after = _supervised_accuracy(loaded, corpus)
-    ppl_after = evaluate.perplexity(corpus, loaded, tree, rng=np.random.default_rng(0),
-                                   family=shallow)
+    ppl_after = evaluate.perplexity(corpus, loaded, meta, 1, np.random.default_rng(0))
     metrics_equal = before == after and ppl_before == ppl_after
 
     # checkpoint-resume equals the uninterrupted run
@@ -554,8 +551,8 @@ def test_criterion_13_metric_oracles():
             for _ in range(int(rng.integers(1, 5)))
         ]
         corpus = corpus_of(vocab, tuple(Document(c) for c in count_dicts), 2)
-        got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=2,
-                                  rng=np.random.default_rng(trial), family=shallow)
+        meta = replace(sized_meta(vocab.size, 2, 0, (3,)), tree_seed=trial)
+        got = evaluate.perplexity(corpus, params, meta, 2, np.random.default_rng(trial))
         total_ll = sum(
             shallow.doc_log_likelihood(token_array(Document(c)), params, tree)
             for c in count_dicts

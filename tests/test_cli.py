@@ -652,6 +652,16 @@ class TestMalformedValues:
         assert code == 3
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["eval"], ["annotate"], ["retrieve", "--query", "0"]],
+                             ids=["eval", "annotate", "retrieve"])
+    def test_checkpoint_is_not_a_model(self, tmp_path, corpus_path, capsys, command):
+        ckpt = os.path.join(_train(corpus_path, tmp_path / "runs"), "checkpoints",
+                            "epoch_0003.ckpt")
+        capsys.readouterr()
+        assert main([*command, "--model", ckpt, "--corpus", str(corpus_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"{ckpt}: a checkpoint, not a model file" in err
+
     @pytest.mark.parametrize("doctor,message", [
         (lambda meta: {k: v for k, v in meta.items() if k != "kind"}, "missing fields ['kind']"),
         (lambda meta: {**meta, "colour": "red"}, "unknown fields ['colour']"),
@@ -777,6 +787,10 @@ _BAD_HEADERS = {
     "annotation_words-int": ({"annotation_words": 5}, "'annotation_words'"),
     "annotation_words-string": ({"n_annotation": 1, "annotation_words": "a"},
                                 "'annotation_words'"),
+    "annotation_words-duplicate": ({"n_annotation": 2, "annotation_words": ["a", "a"]},
+                                   "'annotation_words'"),
+    "annotation_words-short": ({"n_annotation": 2, "annotation_words": ["a"]},
+                               "'annotation_words'"),
 }
 
 

@@ -130,7 +130,7 @@ class TestDeepForward:
         doc = Document({0: 2, 6: 1})
         counts = dense_counts(doc, vocab.size)
         hs, _ = deep.deep_forward(counts.astype(float)[None], np.arange(vocab.size), dparams)
-        assert np.allclose(hs[0], shallow.represent(corpus_of(vocab, [doc]), sparams, vocab))
+        assert np.allclose(hs[0], shallow.represent(corpus_of(vocab, [doc]), sparams, None))
 
     def test_zero_feature_map_is_noop(self, rng):
         params = random_deep_params(rng, 5, (4, 3), 2, n_features=3)

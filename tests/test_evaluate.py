@@ -10,6 +10,7 @@ from conftest import (
 )
 from docnade import deep, evaluate, shallow
 from docnade.corpus import build_vocabulary
+from docnade.model_io import ModelMeta
 from docnade.wordtree import build_tree
 from oracles import (
     Document,
@@ -143,23 +144,31 @@ def _corpus_of(vocab, count_dicts, n_classes=2):
     return corpus_of(vocab, docs, n_classes)
 
 
+DEEP = "deepdocnade"
+
+
+def _meta(vocab, hidden, kind="docnade", tree_seed=0):
+    """The meta of a model of `kind` on `vocab` with these hidden sizes, the
+    tree seed of a shallow kind."""
+    return ModelMeta(kind=kind, head="softmax", n_visual=vocab.n_visual,
+                     n_regions=vocab.n_regions, n_annotation=vocab.n_annotation, n_classes=2,
+                     n_features=0, hidden_sizes=tuple(np.atleast_1d(hidden).tolist()),
+                     tree_seed=None if kind == DEEP else tree_seed)
+
+
 class TestPerplexity:
     def test_zero_params_equals_vocab_size(self, rng):
         vocab = build_vocabulary(3, 2, ["a", "b"])
         params = zero_shallow_params(vocab.size, 4, 2)
-        tree = build_tree(vocab.size, 0)
         corpus = _corpus_of(vocab, [{0: 2, 5: 1}, {7: 4}, {1: 1}])
-        got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=2, rng=rng,
-                                  family=shallow)
+        got = evaluate.perplexity(corpus, params, _meta(vocab, 4), 2, rng)
         assert got == pytest.approx(vocab.size, abs=1e-9)
 
     def test_single_token_uniform_binary(self, rng):
         vocab = build_vocabulary(1, 2)  # Q = 2
         params = zero_shallow_params(2, 3, 2)
-        tree = build_tree(2, 0)
         corpus = _corpus_of(vocab, [{0: 1}])
-        assert evaluate.perplexity(corpus, params, tree, rng=rng,
-                                   family=shallow) == pytest.approx(2.0)
+        assert evaluate.perplexity(corpus, params, _meta(vocab, 3), 1, rng) == pytest.approx(2.0)
 
     def test_matches_aggregation_oracle(self, rng):
         # single-word documents make every ordering identical, so the
@@ -169,8 +178,7 @@ class TestPerplexity:
         tree = build_tree(vocab.size, 1)
         counts = [{0: 3}, {2: 1}, {3: 5}]
         corpus = _corpus_of(vocab, counts)
-        got = evaluate.perplexity(corpus, params, tree, orderings_per_doc=3, rng=rng,
-                                  family=shallow)
+        got = evaluate.perplexity(corpus, params, _meta(vocab, 3, tree_seed=1), 3, rng)
         total_ll = sum(
             shallow.doc_log_likelihood(token_array(Document(c)), params, tree)
             for c in counts
@@ -181,10 +189,8 @@ class TestPerplexity:
     def test_empty_docs_skipped(self, rng):
         vocab = build_vocabulary(2, 2)
         params = zero_shallow_params(vocab.size, 3, 2)
-        tree = build_tree(vocab.size, 0)
         corpus = _corpus_of(vocab, [{}, {0: 1}])
-        assert evaluate.perplexity(corpus, params, tree, rng=rng,
-                                   family=shallow) == pytest.approx(4.0)
+        assert evaluate.perplexity(corpus, params, _meta(vocab, 3), 1, rng) == pytest.approx(4.0)
 
 
 class TestLinearClassifier:
@@ -294,22 +300,24 @@ class TestGenerateText:
         vocab = build_vocabulary(2, 2, ["only"])
         params = random_deep_params(rng, vocab.size, (3,), 2)
         doc = Document({0: 1})
-        ranked = evaluate.generate_text(corpus_of(vocab, [doc]), params, vocab, 1, family=deep)[0]
-        assert ranked.ids.tolist() == [4]
+        (ids,), _ = evaluate.generate_text(corpus_of(vocab, [doc]), params, _meta(vocab, 3, DEEP),
+                                           1)
+        assert ids.tolist() == [4]
 
     def test_zero_params_smallest_ids(self):
         vocab = self._vocab()
         params = zero_deep_params(vocab.size, (3,), 2)
-        ranked = evaluate.generate_text(corpus_of(vocab, [Document({0: 2})]), params,
-                                        vocab, 2, family=deep)[0]
-        assert ranked.ids.tolist() == [4, 5]
-        assert np.allclose(ranked.scores, 1 / 3)
+        (ids,), (scores,) = evaluate.generate_text(corpus_of(vocab, [Document({0: 2})]), params,
+                                                   _meta(vocab, 3, DEEP), 2)
+        assert ids.tolist() == [4, 5]
+        assert np.allclose(scores, 1 / 3)
 
     def test_matches_restricted_softmax(self, rng):
         vocab = self._vocab()
         params = random_deep_params(rng, vocab.size, (4,), 2)
         doc = Document({0: 2, 3: 1, 5: 9})  # annotation id 5 must be ignored
-        ranked = evaluate.generate_text(corpus_of(vocab, [doc]), params, vocab, 3, family=deep)[0]
+        (ids,), (scores,) = evaluate.generate_text(corpus_of(vocab, [doc]), params,
+                                                   _meta(vocab, 4, DEEP), 3)
         counts = dense_counts(visual_only(doc, vocab), vocab.size)
         h = deep.deep_represent(counts[None], np.arange(vocab.size), None, params, None)[0]
         logits = params.b_out + params.V_out @ h
@@ -317,36 +325,35 @@ class TestGenerateText:
         probs = np.exp(anno - anno.max())
         probs /= probs.sum()
         order = np.lexsort((np.arange(3), -probs))
-        assert ranked.ids.tolist() == [vocab.visual_size + int(i) for i in order]
-        assert np.allclose(ranked.scores, probs[order], atol=1e-12)
+        assert ids.tolist() == [vocab.visual_size + int(i) for i in order]
+        assert np.allclose(scores, probs[order], atol=1e-12)
 
     def test_restricted_probabilities_sum_to_one(self, rng):
         vocab = self._vocab()
         params = random_deep_params(rng, vocab.size, (4, 3), 2)
-        (ranked,) = evaluate.generate_text(
-            corpus_of(vocab, [Document({1: 3})]), params, vocab, vocab.n_annotation,
-            family=deep,
+        _, (scores,) = evaluate.generate_text(
+            corpus_of(vocab, [Document({1: 3})]), params, _meta(vocab, (4, 3), DEEP),
+            vocab.n_annotation,
         )
-        assert abs(ranked.scores.sum() - 1.0) < 1e-10
+        assert abs(scores.sum() - 1.0) < 1e-10
 
     def test_shallow_model_delegates_to_tree_prediction(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 3)
         doc = Document({0: 1})
-        (ranked,) = evaluate.generate_text(corpus_of(vocab, [doc]), params, vocab, 2, family=shallow,
-                                           context=tree)
-        (ids,), (probs,) = shallow.predict_annotations(corpus_of(vocab, [doc]), params, tree,
-                                                       vocab, 2)
-        assert ranked.ids.tolist() == ids.tolist()
-        assert np.array_equal(ranked.scores, probs)
+        (ranked_ids,), (scores,) = evaluate.generate_text(corpus_of(vocab, [doc]), params,
+                                                          _meta(vocab, 3, tree_seed=3), 2)
+        (ids,), (probs,) = shallow.predict_annotations(corpus_of(vocab, [doc]), params, tree, 2)
+        assert ranked_ids.tolist() == ids.tolist()
+        assert np.array_equal(scores, probs)
 
     def test_no_annotations_rejected(self, rng):
         vocab = build_vocabulary(2, 2)
         params = random_deep_params(rng, vocab.size, (3,), 2)
         with pytest.raises(ValueError, match="annotation"):
-            evaluate.generate_text(corpus_of(vocab, [Document({})]), params, vocab, 1,
-                                   family=deep)
+            evaluate.generate_text(corpus_of(vocab, [Document({})]), params,
+                                   _meta(vocab, 3, DEEP), 1)
 
 
 class TestClassWordAssociations:

@@ -9,12 +9,13 @@ of the chunk size, a last chunk of one document, empty documents and a chunk
 whose documents are all empty.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_deep_params, random_shallow_params
-from docnade import deep as deep_mod
 from docnade import evaluate, shallow
 from docnade.corpus import Corpus, build_vocabulary
 from docnade.model_io import ModelMeta
@@ -90,10 +91,9 @@ def instance(model, rng, monkeypatch):
 
 
 def _assert_rankings_equal(got, expected):
-    assert len(got) == len(expected)
-    for ranked, reference in zip(got, expected):
-        assert ranked.ids.tolist() == reference.ids.tolist()
-        np.testing.assert_allclose(ranked.scores, reference.scores, rtol=RTOL, atol=0)
+    assert len(got[0]) == len(expected[0])
+    assert got[0].tolist() == expected[0].tolist()
+    np.testing.assert_allclose(got[1], expected[1], rtol=RTOL, atol=0)
 
 
 class TestAgainstPerDocumentOracles:
@@ -111,10 +111,10 @@ class TestAgainstPerDocumentOracles:
         corpus, params, meta = instance
         n_anno = corpus.vocabulary.n_annotation
         for top_k in (1, 4, n_anno):
-            got = list(evaluate.annotation_predictions(corpus, params, meta, top_k))
-            expected = list(oracles.annotation_predictions(corpus, params, meta, top_k))
-            assert [i for i, _ in got] == list(range(len(corpus)))
-            _assert_rankings_equal([r for _, r in got], [r for _, r in expected])
+            got = evaluate.generate_text(corpus, params, meta, top_k)
+            expected = oracles.generate_text(corpus, params, meta, top_k)
+            assert len(got[0]) == len(corpus)
+            _assert_rankings_equal(got, expected)
 
     @_models()
     def test_retrieval_rankings(self, instance):
@@ -141,8 +141,7 @@ class TestAgainstPerDocumentOracles:
         corpus, params, meta = instance
         got = evaluate.evaluation_metrics(corpus, params, meta, top_k=2, orderings=orderings,
                                           eval_seed=5)
-        for name in ("extract_representations", "annotation_predictions",
-                     "perplexity_estimate"):
+        for name in ("extract_representations", "generate_text", "perplexity"):
             monkeypatch.setattr(evaluate, name, getattr(oracles, name))
         expected = evaluate.evaluation_metrics(corpus, params, meta, top_k=2,
                                                orderings=orderings, eval_seed=5)
@@ -153,8 +152,8 @@ class TestAgainstPerDocumentOracles:
     @_models(oracles.DEEP_KINDS)
     def test_perplexity_estimate_draws_the_oracle_splits(self, instance):
         corpus, params, meta = instance
-        got = evaluate.perplexity_estimate(corpus, params, meta, 3, named_stream(1, "eval"))
-        expected = oracles.perplexity_estimate(corpus, params, meta, 3, named_stream(1, "eval"))
+        got = evaluate.perplexity(corpus, params, meta, 3, named_stream(1, "eval"))
+        expected = oracles.perplexity(corpus, params, meta, 3, named_stream(1, "eval"))
         assert got == pytest.approx(expected, rel=RTOL, abs=0)
 
 
@@ -166,8 +165,8 @@ def test_corpus_longer_than_two_chunks(rng):
         expected = oracles.extract_representations(corpus, params, meta, "visual-only")
         np.testing.assert_allclose(got, expected, rtol=RTOL, atol=0)
         _assert_rankings_equal(
-            [r for _, r in evaluate.annotation_predictions(corpus, params, meta, 3)],
-            [r for _, r in oracles.annotation_predictions(corpus, params, meta, 3)],
+            evaluate.generate_text(corpus, params, meta, 3),
+            oracles.generate_text(corpus, params, meta, 3),
         )
 
 
@@ -190,7 +189,7 @@ def test_chunks_are_taken_as_they_are_used(instance, monkeypatch, name):
     if name == "represent":
         evaluate.extract_representations(corpus, params, meta)
     else:
-        list(evaluate.annotation_predictions(corpus, params, meta, 2))
+        evaluate.generate_text(corpus, params, meta, 2)
     assert events == ["take", name] * 4
 
 
@@ -200,7 +199,7 @@ def test_empty_corpus_representations_have_hidden_width(rng, model):
     params, meta = _model(rng, corpus, *model)
     reps = evaluate.extract_representations(corpus, params, meta)
     assert reps.shape == (0, meta.hidden_sizes[-1])
-    assert list(evaluate.annotation_predictions(corpus, params, meta, 2)) == []
+    assert [a.shape for a in evaluate.generate_text(corpus, params, meta, 2)] == [(0, 2)] * 2
     with pytest.raises(ValueError, match="corpus has no documents"):
         evaluate.evaluation_metrics(corpus, params, meta)
 
@@ -223,29 +222,27 @@ class TestOneRowCases:
         vocab = corpus.vocabulary
         params = random_shallow_params(rng, vocab.size, 5, N_CLASSES)
         tree = build_tree(vocab.size, 4)
-        reps = shallow.represent(corpus, params, vocab, "visual-only")
-        ids, probs = shallow.predict_annotations(corpus, params, tree, vocab, 3)
+        reps = shallow.represent(corpus, params, tree, "visual-only")
+        ids, probs = shallow.predict_annotations(corpus, params, tree, 3)
         assert reps.shape == (len(corpus), 5) and ids.shape == probs.shape == (len(corpus), 3)
         for i in range(len(corpus)):
             np.testing.assert_allclose(
-                reps[i], shallow.represent(corpus.take([i]), params, vocab, "visual-only")[0],
+                reps[i], shallow.represent(corpus.take([i]), params, tree, "visual-only")[0],
                 rtol=RTOL, atol=0,
             )
             (one_ids,), (one_probs,) = shallow.predict_annotations(corpus.take([i]), params, tree,
-                                                                   vocab, 3)
+                                                                   3)
             assert ids[i].tolist() == one_ids.tolist()
             np.testing.assert_allclose(probs[i], one_probs, rtol=RTOL, atol=0)
 
     def test_generate_text_single_document_is_the_one_row_case(self, rng):
         corpus = _corpus(rng, n_features=4)
         params, meta = _model(rng, corpus, "supdeepdocnade", "sigmoid", 4, 0.5)
-        omega = np.ones(corpus.vocabulary.size)
-        batch = evaluate.generate_text(corpus, params, corpus.vocabulary, 3,
-                                       family=deep_mod, context=omega, dropout_rate=0.5)
-        singles = [evaluate.generate_text(corpus.take([i]), params, corpus.vocabulary, 3,
-                                          family=deep_mod, context=omega, dropout_rate=0.5)[0]
+        meta = replace(meta, anno_weight=1.0)  # omega all ones
+        batch = evaluate.generate_text(corpus, params, meta, 3)
+        singles = [evaluate.generate_text(corpus.take([i]), params, meta, 3)
                    for i in range(len(corpus))]
-        _assert_rankings_equal(batch, singles)
+        _assert_rankings_equal(batch, [np.vstack(arrays) for arrays in zip(*singles)])
 
 
 def test_top_order_matches_a_full_lexsort(rng):

@@ -288,6 +288,25 @@ class TestCheckpointState:
             load_checkpoint(path)
 
 
+class TestFileKind:
+    """Only a checkpoint's header has a training state: each loader refuses
+    the other kind, naming the file."""
+
+    def test_model_file_is_not_a_checkpoint(self, tmp_path, rng):
+        meta = _shallow_meta(hidden=2)
+        save_model(tmp_path / "m.bin", random_shallow_params(rng, meta.vocab_size, 2, 3), meta)
+        with pytest.raises(ValueError, match="m.bin: a model file, not a checkpoint"):
+            load_checkpoint(tmp_path / "m.bin")
+
+    def test_checkpoint_is_not_a_model_file(self, tmp_path, rng):
+        meta = _shallow_meta(hidden=2)
+        params = random_shallow_params(rng, meta.vocab_size, 2, 3)
+        save_checkpoint(tmp_path / "c.ckpt", params, params.copy(), meta, 1,
+                        RngStreams.from_seed(1).states())
+        with pytest.raises(ValueError, match="c.ckpt: a checkpoint, not a model file"):
+            load_model(tmp_path / "c.ckpt")
+
+
 class TestTruncatedFiles:
     """A file cut at any byte offset fails to load with ValueError."""
 

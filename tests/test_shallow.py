@@ -352,14 +352,14 @@ class TestRepresent:
     def test_empty_doc(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
-        rep = shallow.represent(corpus_of(vocab, [Document({})]), params, vocab)[0]
+        rep = shallow.represent(corpus_of(vocab, [Document({})]), params, None)[0]
         assert np.array_equal(rep, np.maximum(params.c, 0))
 
     def test_matches_hidden_state_of_any_ordering(self, rng):
         vocab = self._vocab()
         params = random_shallow_params(rng, vocab.size, 4, 2)
         doc = Document({0: 2, 5: 1, 7: 3})
-        rep = shallow.represent(corpus_of(vocab, [doc]), params, vocab)[0]
+        rep = shallow.represent(corpus_of(vocab, [doc]), params, None)[0]
         tokens = token_array(doc)
         for _ in range(5):
             ordering = tokens[rng.permutation(len(tokens))]
@@ -371,8 +371,8 @@ class TestRepresent:
         params = random_shallow_params(rng, vocab.size, 4, 2)
         doc = Document({1: 2, 6: 1})
         assert np.array_equal(
-            shallow.represent(corpus_of(vocab, [doc]), params, vocab),
-            shallow.represent(corpus_of(vocab, [doc]), params, vocab),
+            shallow.represent(corpus_of(vocab, [doc]), params, None),
+            shallow.represent(corpus_of(vocab, [doc]), params, None),
         )
 
     def test_visual_only_ignores_annotations(self, rng):
@@ -380,7 +380,7 @@ class TestRepresent:
         params = random_shallow_params(rng, vocab.size, 4, 2)
         anno_only = Document({6: 2, 7: 1})
         rows = corpus_of(vocab, [anno_only])
-        rep = shallow.represent(rows, params, vocab, restrict="visual-only")[0]
+        rep = shallow.represent(rows, params, None, restrict="visual-only")[0]
         assert np.array_equal(rep, np.maximum(params.c, 0))
 
 
@@ -390,7 +390,7 @@ class TestPredictAnnotations:
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 5)
         (ids,), (probs,) = shallow.predict_annotations(
-            corpus_of(vocab, [Document({0: 1})]), params, tree, vocab, top_k=1
+            corpus_of(vocab, [Document({0: 1})]), params, tree, top_k=1
         )
         assert ids.tolist() == [word_id(vocab, "only")]
 
@@ -401,7 +401,7 @@ class TestPredictAnnotations:
         params = zero_shallow_params(vocab.size, 3, 2)
         tree = build_tree(vocab.size, 1)
         (ids,), (probs,) = shallow.predict_annotations(
-            corpus_of(vocab, [Document({0: 1})]), params, tree, vocab, top_k=3
+            corpus_of(vocab, [Document({0: 1})]), params, tree, top_k=3
         )
         assert ids.tolist() == [4, 5, 6]
         assert np.allclose(probs, 1 / 8)
@@ -411,9 +411,9 @@ class TestPredictAnnotations:
         params = random_shallow_params(rng, vocab.size, 4, 2)
         tree = build_tree(vocab.size, 7)
         doc = Document({0: 2, 3: 1})
-        (ids,), (probs,) = shallow.predict_annotations(corpus_of(vocab, [doc]), params, tree, vocab,
+        (ids,), (probs,) = shallow.predict_annotations(corpus_of(vocab, [doc]), params, tree,
                                                        top_k=5)
-        h = shallow.represent(corpus_of(vocab, [doc]), params, vocab, restrict="visual-only")[0]
+        h = shallow.represent(corpus_of(vocab, [doc]), params, tree, restrict="visual-only")[0]
         brute = sorted(
             (
                 (-np.exp(word_log_prob(tree, h, annotation_id(vocab, i), params.V, params.b)),
@@ -430,8 +430,8 @@ class TestPredictAnnotations:
         tree = build_tree(vocab.size, 2)
         with_anno = Document({0: 1, 6: 5})
         without = Document({0: 1})
-        a = shallow.predict_annotations(corpus_of(vocab, [with_anno]), params, tree, vocab, 2)
-        b = shallow.predict_annotations(corpus_of(vocab, [without]), params, tree, vocab, 2)
+        a = shallow.predict_annotations(corpus_of(vocab, [with_anno]), params, tree, 2)
+        b = shallow.predict_annotations(corpus_of(vocab, [without]), params, tree, 2)
         assert a[0].tolist() == b[0].tolist()
         assert np.array_equal(a[1], b[1])
 
@@ -440,5 +440,4 @@ class TestPredictAnnotations:
         params = random_shallow_params(rng, vocab.size, 3, 2)
         tree = build_tree(vocab.size, 2)
         with pytest.raises(ValueError, match="top_k"):
-            shallow.predict_annotations(corpus_of(vocab, [Document({})]), params, tree,
-                                        vocab, 2)
+            shallow.predict_annotations(corpus_of(vocab, [Document({})]), params, tree, 2)
