@@ -194,8 +194,8 @@ def cmd_annotate(args) -> int:
     _check_compat(meta, corpus)
     ids, scores = eval_mod.generate_text(corpus, params, meta, args.k)
     _write_records(args.out, (
-        {"doc": index, "annotations": doc_ids, "scores": doc_scores}
-        for index, (doc_ids, doc_scores) in enumerate(zip(ids.tolist(), scores.tolist()))
+        {"doc": index, "annotations": doc_ids.tolist(), "scores": doc_scores.tolist()}
+        for index, (doc_ids, doc_scores) in enumerate(zip(ids, scores))
     ))
     return EXIT_OK
 

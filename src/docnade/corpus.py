@@ -246,10 +246,11 @@ def _add_count(counts: dict, token_id: int, count: int, line_no: int, field_name
 _HEADER_INTS = {"n_visual": 1, "n_regions": 1, "n_annotation": 0, "C": 0, "N_f": 0}
 
 
-def read_header(path) -> dict:
-    """The sidecar header of a corpus file: a JSON object whose integer
-    fields are JSON integers no less than their least values, and whose
-    optional annotation_words is a list of strings."""
+def read_header(path) -> tuple[dict, JointVocabulary]:
+    """The sidecar header of a corpus file and the vocabulary it declares:
+    a JSON object whose integer fields are JSON integers no less than their
+    least values, and whose optional annotation_words is a list of
+    n_annotation distinct strings."""
     header_file = _header_path(path)
     if not header_file.exists():
         raise CorpusFormatError(f"missing corpus header {header_file}")
@@ -278,20 +279,12 @@ def read_header(path) -> dict:
             f"header {header_file} field 'annotation_words': header declares n_annotation="
             f"{header['n_annotation']} but lists {len(words)} annotation words"
         )
-    seen = set()
-    for word in words:
-        if word in seen:
-            raise CorpusFormatError(f"header {header_file} field 'annotation_words': "
-                                    f"duplicate annotation word {word!r}")
-        seen.add(word)
-    return header
-
-
-def _vocab_from_header(header: dict) -> JointVocabulary:
-    words = header.get("annotation_words")
-    if words is None:
-        words = [f"anno{i}" for i in range(header["n_annotation"])]
-    return build_vocabulary(header["n_visual"], header["n_regions"], words)
+    words = words or [f"anno{i}" for i in range(header["n_annotation"])]
+    try:
+        vocab = build_vocabulary(header["n_visual"], header["n_regions"], words)
+    except ValueError as exc:  # a duplicate annotation word
+        raise CorpusFormatError(f"header {header_file} field 'annotation_words': {exc}") from None
+    return header, vocab
 
 
 def parse_corpus(path, format: str = "text-sparse") -> Corpus:
@@ -305,8 +298,7 @@ def parse_corpus(path, format: str = "text-sparse") -> Corpus:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format {format!r}")
-    header = read_header(path)
-    vocab = _vocab_from_header(header)
+    header, vocab = read_header(path)
     n_classes, n_features = header["C"], header["N_f"]
     with open(path) as fh:
         lines = [(line_no, raw.strip()) for line_no, raw in enumerate(fh.read().split("\n"), 1)]

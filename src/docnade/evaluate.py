@@ -11,9 +11,9 @@ in `model_io.FAMILIES`, builds the family's context (the word tree, or
 omega and the dropout rate) and has its family module (`shallow` or
 `deep`) score the rows of a chunk of `CHUNK_DOCS` documents at a time:
 representations, annotation scores and perplexity losses, with a few matrix
-products per chunk for the deep models, so working memory is bounded by the
-chunk and not by the corpus.  `docnade inspect` reports the family's
-class-word associations.
+products per chunk for the deep models.  Besides the (n_docs, H) or
+(n_docs, K) result, working memory is bounded by the chunk and not by the
+corpus.  `docnade inspect` reports the family's class-word associations.
 """
 
 from __future__ import annotations

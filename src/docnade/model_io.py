@@ -229,7 +229,7 @@ def _read_container(path, checkpoint: bool) -> tuple[dict, list[bytes]]:
             raise ValueError(f"{path}: container header is not an object")
         if ("state" in header) != checkpoint:  # only a checkpoint has a training state
             raise ValueError(f"{path}: " + (
-                "a model file, not a checkpoint (malformed training state: the header has none)"
+                "malformed training state: none in the header, so a model file, not a checkpoint"
                 if checkpoint else
                 "a checkpoint, not a model file (the header has a training state)"
             ))

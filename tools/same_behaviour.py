@@ -13,16 +13,20 @@ that commit (`git archive`) on the same corpus files, and prints per item
 whether it is identical.  For a model file or checkpoint that differs, it
 prints each array's largest relative difference, max |a - b| / max |a|,
 read with the small container reader below.  A call that fails on either
-side is reported, not raised.
+side is reported, not raised, and a manifest that does not train on either
+side counts as a difference.
 
     python tools/same_behaviour.py                      # hashes of this tree
     python tools/same_behaviour.py --against HEAD^      # this tree vs HEAD^
     python tools/same_behaviour.py --at 5db6f24 --against 97ef3e7
 
-The report is a Markdown table on stdout.  Exit status: 0 when every item
-is identical (or nothing was compared), 1 otherwise.  Every call runs with
-one BLAS thread.  Needs numpy, git and the repository's `src/`, `tests/`
-and `perfbench/`; no other package.
+The report is a Markdown table on stdout; corpora and runs go to a
+temporary directory, removed afterwards.  Exit status: 0 when every
+manifest trained and every item is identical (or nothing was compared),
+1 otherwise, 2 when a commit cannot be extracted or would import docnade
+from outside its own tree.  Every call runs with one BLAS thread.  Needs
+numpy, git and the repository's `src/`, `tests/` and `perfbench/`; no
+other package.
 """
 
 from __future__ import annotations
@@ -142,12 +146,23 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def environment(tree: str) -> dict:
+    return {**os.environ, "PYTHONPATH": os.path.join(tree, "src"), "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def imported_from(tree: str) -> str:
+    """The directory the package is imported from when running `tree`,
+    which an installed copy of docnade could otherwise shadow."""
+    done = subprocess.run([sys.executable, "-c", "import docnade; print(docnade.__file__)"],
+                          env=environment(tree), capture_output=True, text=True)
+    return os.path.dirname(done.stdout.strip()) if done.returncode == 0 else done.stderr.strip()
+
+
 def run_cli(tree: str, cwd: str, argv: list[str]) -> dict:
-    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"), "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     try:
-        done = subprocess.run([sys.executable, "-m", "docnade.cli", *argv], cwd=cwd, env=env,
-                              capture_output=True, timeout=600)
+        done = subprocess.run([sys.executable, "-m", "docnade.cli", *argv], cwd=cwd,
+                              env=environment(tree), capture_output=True, timeout=600)
     except subprocess.TimeoutExpired:
         return {"exit": "timeout", "stdout": "", "stderr": ""}
     return {"exit": done.returncode, "stdout": sha256(done.stdout),
@@ -158,7 +173,8 @@ def run_side(tree: str, work: str, corpora_dir: str) -> dict[str, dict]:
     """Every manifest's items on the source tree `tree`, each manifest run
     in its own directory under `work` with relative paths, so that both
     sides print the same paths: {item: record}, a record holding sha256
-    values and exit codes, and a file's path as 'path'."""
+    values and exit codes, a file's path as 'path', and 'failed' on a
+    manifest that did not train."""
     items = {}
     for name, (corpus, flags) in MANIFESTS.items():
         cwd = os.path.join(work, name)
@@ -167,12 +183,12 @@ def run_side(tree: str, work: str, corpora_dir: str) -> dict[str, dict]:
         if corpus.endswith(".records"):
             corpus_args += ["--format", "record-lines"]
         flags = [os.path.join(corpora_dir, f) if f == PRETRAIN[1] else f for f in flags]
-        items[f"{name} train"] = run_cli(tree, cwd, ["train", *corpus_args, *flags, *COMMON,
-                                                     "--out", "runs"])
+        train = items[f"{name} train"] = run_cli(tree, cwd, ["train", *corpus_args, *flags,
+                                                             *COMMON, "--out", "runs"])
         runs = os.path.join(cwd, "runs")
         found = os.listdir(runs) if os.path.isdir(runs) else []
-        if len(found) != 1:
-            items[f"{name} run directory"] = {"missing": f"{len(found)} run directories"}
+        if train["exit"] != 0 or len(found) != 1:
+            train["failed"] = f"exit {train['exit']}, {len(found)} run directories"
             continue
         run = os.path.join("runs", found[0])
         for base, _, files in sorted(os.walk(os.path.join(cwd, run))):
@@ -218,12 +234,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", help="commit to compare with")
     parser.add_argument("--at", help="commit to run instead of this working tree")
-    parser.add_argument("--work", help="directory for corpora and runs (default: a temporary "
-                                       "one, removed afterwards)")
-    parser.add_argument("--json", help="file for the full record of both sides")
     args = parser.parse_args(argv)
 
-    work = args.work or tempfile.mkdtemp(prefix="same-behaviour-")
+    work = tempfile.mkdtemp(prefix="same-behaviour-")
     try:
         commits = {"tree": args.at, **({"against": args.against} if args.against else {})}
         trees = {}
@@ -235,20 +248,20 @@ def main(argv=None) -> int:
                 print(f"error: cannot extract {commit}: {exc.stderr.decode().strip()}",
                       file=sys.stderr)
                 return 2
+            source = imported_from(trees[label])
+            if source != os.path.join(trees[label], "src", "docnade"):
+                print(f"error: {commit or 'the working tree'} imports docnade from {source}",
+                      file=sys.stderr)
+                return 2
         corpora_dir = os.path.join(work, "corpora")
         os.makedirs(corpora_dir)
         write_corpora(corpora_dir)
         sides = {label: run_side(tree, os.path.join(work, label), corpora_dir)
                  for label, tree in trees.items()}
-        record = {"environment": numeric_environment(), "at": args.at or "working tree",
-                  "against": args.against, "sides": sides}
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(record, fh, indent=1, sort_keys=True)
-        return report(record)
+        return report({"environment": numeric_environment(), "at": args.at or "working tree",
+                       "against": args.against, "sides": sides})
     finally:
-        if not args.work:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
 
 def _value(entry: dict | None) -> dict | None:
@@ -265,12 +278,17 @@ def report(record: dict) -> int:
         print("| item | sha256 or exit code |\n|---|---|")
         for item, entry in mine.items():
             print(f"| {item} | {json.dumps(_value(entry))} |")
-        return 0
+        return 1 if any("failed" in entry for entry in mine.values()) else 0
     print("| item | result |\n|---|---|")
     n_same = 0
     for item in list(dict.fromkeys([*mine, *theirs])):
         a, b = mine.get(item), theirs.get(item)
-        if _value(a) == _value(b):
+        failed = [side for side, entry in (("the tree", a), ("the other commit", b))
+                  if entry is not None and "failed" in entry]
+        if failed:
+            result = (f"did not train on {' and '.join(failed)}: "
+                      f"{json.dumps(_value(a))} vs {json.dumps(_value(b))}")
+        elif _value(a) == _value(b):
             n_same += 1
             result = "identical"
         elif a is None or b is None:
