@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import JointVocabulary, count_rows, weight_vector
-from .numerics import Params, log_softmax, sigmoid, top_order
+from .numerics import Params, log_softmax, on_memory_rows, on_rows, sigmoid, top_order
 
 HEADS = ("softmax", "sigmoid")
 _STD_GUARD = 1e-12
@@ -156,8 +156,17 @@ def _generative_terms(h, targets, phi, d, total_tokens, params):
     """Per-row losses of a (rows, H) `h`, all that inference needs, with the
     log-softmax, the union `ids` of the rows' target ids, the weighted
     targets on them and the (rows, 1) rescale factors that `generative_loss`
-    builds the output-layer gradients from."""
-    log_probs = log_softmax(params.b_out + h @ params.V_out.T)
+    builds the output-layer gradients from.  The logits and their
+    log-softmax are computed in place, on row parts (`on_rows`)."""
+    log_probs = np.empty((len(h), len(params.b_out)))
+
+    def logits_rows(rows):
+        out = log_probs[rows]
+        np.matmul(h[rows], params.V_out.T, out=out)
+        out += params.b_out
+        log_softmax(out, out=out)
+
+    on_rows(logits_rows, log_probs)
     ids, counts = count_rows(targets)
     weighted = counts * phi[ids] if phi is not None else counts.astype(float)
     factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
@@ -181,17 +190,32 @@ def generative_loss(
     token of a row, so the cost is O(Q * H) per row regardless of how many
     tokens are predicted.  Returns the per-row losses and the output-layer
     gradients {V_out, b_out, h}, summed over the rows (h is the (rows, H)
-    gradient w.r.t. h_top, to be backpropagated by the caller).
+    gradient w.r.t. h_top, to be backpropagated by the caller).  Each pass
+    over a (rows, Q) or (Q, H) block runs on row parts (`on_rows`), and no
+    part cuts the axis a product sums over.
     """
     loss, log_probs, ids, weighted, factor = _generative_terms(
         h_top, targets, phi, d, total_tokens, params
     )
-    d_logits = weighted.sum(axis=1, keepdims=True) * np.exp(log_probs)
-    d_logits[:, ids] -= weighted  # the targets are zero off `ids`
-    d_logits *= factor
-    grads = {"V_out": d_logits.T @ h_top, "b_out": d_logits.sum(axis=0),
-             "h": d_logits @ params.V_out}
-    return loss, grads
+    totals = weighted.sum(axis=1, keepdims=True)
+    d_logits, d_h = log_probs, np.empty_like(h_top)  # d_logits overwrites the log-softmax
+
+    def batch_rows(rows):
+        out = d_logits[rows]
+        np.exp(out, out=out)
+        np.multiply(totals[rows], out, out=out)
+        out[:, ids] -= weighted[rows]  # the targets are zero off `ids`
+        out *= factor[rows]
+        np.matmul(out, params.V_out, out=d_h[rows])
+
+    d_v = np.empty_like(params.V_out)
+
+    def vocab_rows(words):  # the batch axis, which the product sums over, stays whole
+        np.matmul(d_logits[:, words].T, h_top, out=d_v[words])
+
+    on_rows(batch_rows, d_logits)
+    on_rows(vocab_rows, d_v)
+    return loss, {"V_out": d_v, "b_out": d_logits.sum(axis=0), "h": d_h}
 
 
 def supervised_loss(
@@ -289,8 +313,8 @@ def hybrid_loss_gradients(
             params,
         )
         losses[gen] += unsup_weight * gen_loss
-        grads["V_out"] = out_grads["V_out"]
-        grads["V_out"] *= unsup_weight  # in place: the block is Q x H
+        grads["V_out"] = v_out = out_grads["V_out"]  # scaled in place: the block is Q x H
+        on_memory_rows(lambda v, rows: np.multiply(v[rows], unsup_weight, out=v[rows]), v_out)
         grads["b_out"] = unsup_weight * out_grads["b_out"]
         d_top[n_sup:] = unsup_weight * out_grads["h"]
 

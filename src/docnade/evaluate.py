@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import Corpus, build_vocabulary
 from .model_io import ModelMeta
-from .numerics import sigmoid, softmax_rows, top_order
+from .numerics import one_blas_thread, sigmoid, softmax_rows, top_order
 from .rng import named_stream
 
 logger = logging.getLogger(__name__)
@@ -44,6 +44,7 @@ def _chunks(corpus: Corpus, size: int) -> Iterator[Corpus]:
         yield corpus.take(slice(start, start + size))
 
 
+@one_blas_thread()
 def extract_representations(
     corpus: Corpus, params, meta: ModelMeta, restrict: str = "all-words"
 ) -> np.ndarray:
@@ -179,6 +180,7 @@ def mean_average_precision(score_matrix: np.ndarray, relevance: np.ndarray) -> t
     return float(np.mean(values)), skipped
 
 
+@one_blas_thread()
 def perplexity(
     corpus: Corpus, params, meta: ModelMeta, samples: int, rng: np.random.Generator
 ) -> float:
@@ -232,6 +234,7 @@ def cosine_retrieve(
     return RankedPrediction(order, sims[order])
 
 
+@one_blas_thread()
 def generate_text(
     corpus: Corpus, params, meta: ModelMeta, top_k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -262,6 +265,7 @@ def generate_text(
 LOWER_IS_BETTER = ("perplexity", "perplexity_estimate")
 
 
+@one_blas_thread()
 def evaluation_metrics(
     corpus: Corpus,
     params,

@@ -1,20 +1,36 @@
 """Numerically stable sigmoid, log-softmax and row softmax, the top-k
 ranking order, Glorot initialization, a model's arrays (`Params`), the
-sparse gradient format and the two-thread runner of a training call's bulk
-work, shared by the models, the trainer and the metrics."""
+sparse gradient format, the two-thread runner of a training call's bulk
+work (`call_all`, and `on_rows` and `on_memory_rows` over fixed row parts)
+and the one-thread BLAS setting of training and inference
+(`one_blas_thread`), shared by the models, the trainer and the metrics."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# A training call runs its bulk, order-free work (the Glorot draws, the last
-# checkpoint and the model file) on this many threads; no byte depends on it.
-THREADS = min(2, os.cpu_count() or 1)
+# A training call runs its bulk, order-free work (the Glorot draws, the row
+# parts of `on_rows`, the last checkpoint and the model file) on this many
+# threads, at most the CPUs this process may use; no byte depends on it.
+THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+
+# `on_rows` cuts an array of at least PART_MIN entries into ROW_PARTS fixed
+# row parts; a smaller one is not worth a thread's start (0.13-0.25 ms on a
+# 2-core VM).  A pass that only streams memory (a copy, an add) waits for
+# STREAM_PART_MIN entries: on a shallow Q = 2,960 model's 296k-entry arrays,
+# which stay in cache, two parts took 2-5x as long as one.  Constants, not
+# THREADS, so that no byte depends on the core count.
+ROW_PARTS = 2
+PART_MIN = 1 << 16
+STREAM_PART_MIN = 1 << 20
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -22,10 +38,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -z))
 
 
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis (each row of a matrix separately)."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def log_softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Log-softmax over the last axis (each row of a matrix separately),
+    written into `out` if given (which may be `z` itself)."""
+    shifted = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -69,6 +87,65 @@ def call_all(calls) -> list:
     return [future.result() for future in futures]
 
 
+def on_rows(fn, arr: np.ndarray, min_size: int = PART_MIN) -> None:
+    """Calls `fn(rows)` for each of ROW_PARTS fixed, consecutive row slices
+    of `arr` (`call_all`), or once with every row, in the calling thread,
+    when `arr` has fewer than `min_size` entries.  The parts are disjoint, so
+    a pass that keeps each row's arithmetic whole (no part cuts a reduction
+    axis) gives the same bytes either way.  `fn` writes only into arrays
+    the calling thread allocated (slices or `out=`), as `glorot_arrays`
+    explains."""
+    if arr.size < min_size:
+        fn(slice(None))
+        return
+    bounds = [len(arr) * part // ROW_PARTS for part in range(ROW_PARTS + 1)]
+    call_all([functools.partial(fn, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])])
+
+
+def on_memory_rows(fn, *arrays: np.ndarray) -> None:
+    """`on_rows` for a pass that only streams memory through `arrays`, all
+    of one shape, from STREAM_PART_MIN entries: `fn(*views, rows)`, each
+    array viewed so that its rows follow the first one's memory order (an
+    F-contiguous matrix by its columns, which are contiguous)."""
+    if arrays[0].ndim == 2 and not arrays[0].flags.c_contiguous:
+        arrays = tuple(arr.T for arr in arrays)
+    on_rows(functools.partial(fn, *arrays), arrays[0], STREAM_PART_MIN)
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    or None where numpy has no such library."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """BLAS on one thread inside (a context manager or a decorator), its old
+    thread count restored on exit: a product's bytes may change with the
+    thread count, so training and inference set it.  A BLAS that numpy does
+    not bundle is left alone."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def glorot_arrays(shapes, rng: np.random.Generator) -> list[np.ndarray]:
     """A Glorot matrix, uniform on +-glorot_bound(rows, cols), of each
     (rows, cols) of `shapes` (an empty one draws nothing), drawn by
@@ -108,8 +185,17 @@ class Params:
         return list(vars(self).items())
 
     def copy(self) -> "Params":
-        """A copy of every array in its own memory order (W stays column-major)."""
-        return Params({name: arr.copy(order="K") for name, arr in self.arrays()})
+        """A copy of every array in its own memory order (W stays column-major),
+        each copied on row parts (`on_memory_rows`)."""
+        copies = {}
+        for name, arr in self.arrays():
+            copies[name] = out = np.empty_like(arr)  # keeps the memory order
+            on_memory_rows(_copy_rows, arr, out)
+        return Params(copies)
+
+
+def _copy_rows(arr: np.ndarray, out: np.ndarray, rows: slice) -> None:
+    out[rows] = arr[rows]
 
 
 # A sparse gradient is a dict {name: (axis, index, block)}: the gradient of

@@ -12,11 +12,17 @@ epoch (an entry a step does not touch needs no work; see `_LazyAverage`),
 and every entry is flushed at the end of each epoch, so the average that
 logs and checkpoints see is the per-step one.
 
-Two bulk, order-free parts of a training call run on two threads
+The bulk, order-free parts of a training call run on two threads
 (`numerics.call_all`), with the same bytes as on one: `init_params` draws
-its Glorot arrays concurrently, and the last epoch's checkpoint is
-written alongside the model file (the caller's `write_model`).  Earlier
-checkpoints are written in sequence, between epochs.
+its Glorot arrays concurrently; `polyak_update`'s blocks of at least
+`numerics.PART_MIN` entries, the deep output layer, and the averaged copy
+and the lazy average's init and flush of arrays of at least
+`numerics.STREAM_PART_MIN` entries run on fixed row parts
+(`numerics.on_rows`); and the last epoch's checkpoint is written
+alongside the model file (the caller's `write_model`).  Earlier
+checkpoints are written in sequence, between epochs.  `train_model` runs
+with BLAS on one thread (`numerics.one_blas_thread`), so that no byte
+depends on a thread count.
 
 The model kind is looked up once in `model_io.FAMILIES`.  Its family module
 (`shallow` or `deep`) declares the model's arrays (`array_shapes`), builds
@@ -38,7 +44,8 @@ import numpy as np
 from .corpus import Corpus
 from .model_io import (FAMILIES, ModelMeta, check_settings, load_checkpoint, params_of,
                        save_checkpoint)
-from .numerics import Params, along, call_all, glorot_arrays
+from .numerics import (PART_MIN, Params, along, call_all, glorot_arrays, on_memory_rows,
+                       on_rows, one_blas_thread)
 from .rng import named_stream
 
 
@@ -135,24 +142,34 @@ class _LazyAverage:
         self.current = dict(avg.current.arrays())
         self.gaps = dict(avg.averaged.arrays())
         for name, gap in self.gaps.items():
-            gap -= self.current[name]
+            on_memory_rows(_subtract_rows, gap, self.current[name])
 
     def flush(self) -> None:
         """Turns every gap back into its average, as of the latest step."""
         contraction = self.ratio ** self.steps  # 0 only for decay 0, after a step
         for name, gap in self.gaps.items():
-            if contraction == 0.0:
-                gap[...] = self.current[name]
-            else:
-                gap *= contraction
-                gap += self.current[name]
+            on_memory_rows(partial(_flush_rows, contraction), gap, self.current[name])
+
+
+def _subtract_rows(gap: np.ndarray, cur: np.ndarray, rows: slice) -> None:
+    gap[rows] -= cur[rows]
+
+
+def _flush_rows(contraction: float, gap: np.ndarray, cur: np.ndarray, rows: slice) -> None:
+    if contraction == 0.0:
+        gap[rows] = cur[rows]
+    else:
+        gap[rows] *= contraction
+        gap[rows] += cur[rows]
 
 
 def polyak_update(lazy: _LazyAverage, grads: list[dict], scale: float) -> None:
     """One SGD step and one average step on `lazy`: current -= scale * each
     of `grads` in turn, on the entries its blocks cover (none if scale is
     0), then averaged <- decay * averaged + (1 - decay) * current.  The step
-    owns the gradients: it scales each block in place."""
+    owns the gradients: it scales each block in place.  A block of at least
+    `numerics.PART_MIN` entries is applied on row parts (`numerics.on_rows`);
+    a smaller one is not worth a thread's start."""
     gain = lazy.ratio ** -lazy.steps if lazy.ratio != 0.0 else 0.0  # decay 0 keeps no gap
     if gain > _MAX_GAP_SCALE:
         for gap in lazy.gaps.values():
@@ -161,12 +178,44 @@ def polyak_update(lazy: _LazyAverage, grads: list[dict], scale: float) -> None:
     if scale != 0.0:
         for grad in grads:
             for name, (axis, idx, block) in grad.items():
+                if block.size >= PART_MIN:
+                    on_rows(partial(_apply_rows, lazy.current[name], lazy.gaps[name], axis, idx,
+                                    block, scale, gain), block)
+                    continue
                 at = along(axis, idx)
                 block *= scale
                 lazy.current[name][at] -= block
                 block *= gain
                 lazy.gaps[name][at] += block
     lazy.steps += 1
+
+
+def _apply_rows(cur: np.ndarray, gap: np.ndarray, axis: int, idx, block: np.ndarray,
+                scale: float, gain: float, rows: slice) -> None:
+    """`polyak_update`'s four passes over the rows `rows` of a block."""
+    part = block[rows]
+    part *= scale
+    target, at = _block_rows(cur, axis, idx, rows)
+    target[at] -= part
+    part *= gain
+    target, at = _block_rows(gap, axis, idx, rows)
+    target[at] += part
+
+
+def _block_rows(arr: np.ndarray, axis: int, idx, rows: slice) -> tuple[np.ndarray, object]:
+    """An array and a subscript of it that select the rows `rows` of the
+    (axis, idx) block of `arr`.  A column block (axis 1) is selected by
+    flat positions in a flat view of `arr`'s memory, which is several times
+    faster than `arr[rows][:, idx]`, a strided fancy index."""
+    if isinstance(idx, slice):  # the whole array
+        return arr, rows
+    if axis == 0:
+        return arr, idx[rows]
+    if not arr.flags.forc:  # else ravel would copy, and the writes would be lost
+        raise ValueError("a column block needs a C- or F-contiguous array")
+    row_step, col_step = (stride // arr.itemsize for stride in arr.strides)
+    starts = np.arange(len(arr))[rows] * row_step
+    return arr.ravel(order="K"), starts[:, None] + idx * col_step
 
 
 @dataclass
@@ -311,6 +360,7 @@ def build_meta(corpus: Corpus, config: TrainConfig) -> ModelMeta:
     )
 
 
+@one_blas_thread()
 def train_model(
     corpus: Corpus,
     config: TrainConfig,

@@ -31,7 +31,10 @@ finite-difference and oracle tests check the production arithmetic;
 `dense_polyak_update` is the dense form of the average that
 `trainer.polyak_update` keeps lazily.  `glorot_init` and `maybe_glorot` draw
 one Glorot matrix at a time, the sequential reference of
-`numerics.glorot_arrays`.
+`numerics.glorot_arrays`.  `SerialLazyAverage`, `serial_polyak_update` and
+`serial_generative_loss` are the lazy average, the SGD step and the output
+layer as they ran on one thread, the references of their row parts
+(`numerics.on_rows`).
 """
 
 import itertools
@@ -43,7 +46,7 @@ import numpy as np
 from docnade import deep as deep_mod
 from docnade import shallow as shallow_mod
 from docnade import trainer as trainer_mod
-from docnade.corpus import Corpus, weight_vector
+from docnade.corpus import Corpus, count_rows, weight_vector
 from docnade.evaluate import RankedPrediction
 from docnade.model_io import FAMILIES
 from docnade.numerics import along, glorot_bound, log_softmax, sigmoid, softmax_rows
@@ -89,6 +92,62 @@ def dense_polyak_update(avg):
         else:
             a += (1.0 - avg.decay) * (cur - a)
     return avg
+
+
+class SerialLazyAverage:
+    """`trainer._LazyAverage`'s gap form, kept on one thread."""
+
+    def __init__(self, avg):
+        self.steps = 0
+        self.ratio = 1.0 - (1.0 - avg.decay)
+        self.current = dict(avg.current.arrays())
+        self.gaps = dict(avg.averaged.arrays())
+        for name, gap in self.gaps.items():
+            gap -= self.current[name]
+
+    def flush(self):
+        contraction = self.ratio ** self.steps
+        for name, gap in self.gaps.items():
+            if contraction == 0.0:
+                gap[...] = self.current[name]
+            else:
+                gap *= contraction
+                gap += self.current[name]
+
+
+def serial_polyak_update(lazy, grads, scale):
+    """`trainer.polyak_update` on one thread: four passes over each block."""
+    gain = lazy.ratio ** -lazy.steps if lazy.ratio != 0.0 else 0.0
+    if gain > trainer_mod._MAX_GAP_SCALE:
+        for gap in lazy.gaps.values():
+            gap *= lazy.ratio ** lazy.steps
+        lazy.steps, gain = 0, 1.0
+    if scale != 0.0:
+        for grad in grads:
+            for name, (axis, idx, block) in grad.items():
+                at = along(axis, idx)
+                block *= scale
+                lazy.current[name][at] -= block
+                block *= gain
+                lazy.gaps[name][at] += block
+    lazy.steps += 1
+
+
+def serial_generative_loss(h_top, targets, phi, d, total_tokens, params):
+    """`deep.generative_loss` on one thread, each pass over the whole batch."""
+    logits = params.b_out + h_top @ params.V_out.T
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    ids, counts = count_rows(targets)
+    weighted = counts * phi[ids] if phi is not None else counts.astype(float)
+    factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
+    loss = factor[:, 0] * -np.einsum("ij,ij->i", weighted, log_probs[:, ids])
+    d_logits = weighted.sum(axis=1, keepdims=True) * np.exp(log_probs)
+    d_logits[:, ids] -= weighted
+    d_logits *= factor
+    grads = {"V_out": d_logits.T @ h_top, "b_out": d_logits.sum(axis=0),
+             "h": d_logits @ params.V_out}
+    return loss, grads
 
 
 def estimator_expectation(counts, params, omega=None, phi=None, features=None):

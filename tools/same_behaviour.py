@@ -1,6 +1,6 @@
-"""Same behaviour, measured: nine fixed-seed CLI manifests, hashed.
+"""Same behaviour, measured: ten fixed-seed CLI manifests, hashed.
 
-Writes the corpora of nine fixed-seed training manifests once (from
+Writes the corpora of ten fixed-seed training manifests once (from
 `tests/gen.py` and `perfbench/corpora.py`), trains each manifest through the
 `docnade` CLI, then runs `eval --orderings 3 --eval-seed 2`, `annotate --k 3`,
 `retrieve --query 2 --k 5` and `inspect --class-index 0` on its model.  It
@@ -69,6 +69,11 @@ MANIFESTS = {
     "docnade-q2960": ("q2960.txt", ["--model", "docnade", "--hidden", "100"]),
     "supdocnade-q2960": ("q2960.txt", ["--model", "supdocnade", "--hidden", "100",
                                        "--lambda", "0.5"]),
+    # the only manifest whose arrays (V_out: 379k entries) reach the deep
+    # step's row parts (`numerics.on_rows`)
+    "supdeepdocnade-q2960": ("q2960.txt", ["--model", "supdeepdocnade", "--hidden", "128,128",
+                                           "--batch-size", "32", "--dropout", "0.5",
+                                           "--anno-weight", "12"]),
 }
 
 CALLS = {
