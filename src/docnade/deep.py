@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import JointVocabulary, count_rows, weight_vector
-from .numerics import Params, log_softmax, on_memory_rows, on_rows, sigmoid, top_order
+from .numerics import Params, log_softmax, on_rows, sigmoid, top_order
 
 HEADS = ("softmax", "sigmoid")
 _STD_GUARD = 1e-12
@@ -181,6 +181,7 @@ def generative_loss(
     d: int | np.ndarray,
     total_tokens: int | np.ndarray,
     params: Params,
+    weight: float = 1.0,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Rescaled weighted cross-entropy of the predicted sides.
 
@@ -189,10 +190,11 @@ def generative_loss(
     row.  One log-softmax over the vocabulary serves every predicted
     token of a row, so the cost is O(Q * H) per row regardless of how many
     tokens are predicted.  Returns the per-row losses and the output-layer
-    gradients {V_out, b_out, h}, summed over the rows (h is the (rows, H)
-    gradient w.r.t. h_top, to be backpropagated by the caller).  Each pass
-    over a (rows, Q) or (Q, H) block runs on row parts (`on_rows`), and no
-    part cuts the axis a product sums over.
+    gradients {V_out, b_out, h} of `weight` times their sum (h is the
+    (rows, H) gradient w.r.t. h_top, to be backpropagated by the caller).
+    Each pass over a (rows, Q) or (Q, H) block runs on row parts
+    (`on_rows`), and no part cuts the axis a product sums over; the weight
+    is applied there, not in another pass over the block.
     """
     loss, log_probs, ids, weighted, factor = _generative_terms(
         h_top, targets, phi, d, total_tokens, params
@@ -207,15 +209,17 @@ def generative_loss(
         out[:, ids] -= weighted[rows]  # the targets are zero off `ids`
         out *= factor[rows]
         np.matmul(out, params.V_out, out=d_h[rows])
+        d_h[rows] *= weight
 
     d_v = np.empty_like(params.V_out)
 
     def vocab_rows(words):  # the batch axis, which the product sums over, stays whole
         np.matmul(d_logits[:, words].T, h_top, out=d_v[words])
+        d_v[words] *= weight
 
     on_rows(batch_rows, d_logits)
     on_rows(vocab_rows, d_v)
-    return loss, {"V_out": d_v, "b_out": d_logits.sum(axis=0), "h": d_h}
+    return loss, {"V_out": d_v, "b_out": weight * d_logits.sum(axis=0), "h": d_h}
 
 
 def supervised_loss(
@@ -311,12 +315,11 @@ def hybrid_loss_gradients(
             np.array([splits[i].d for i in gen]),
             np.array([splits[i].total_tokens for i in gen]),
             params,
+            unsup_weight,
         )
         losses[gen] += unsup_weight * gen_loss
-        grads["V_out"] = v_out = out_grads["V_out"]  # scaled in place: the block is Q x H
-        on_memory_rows(lambda v, rows: np.multiply(v[rows], unsup_weight, out=v[rows]), v_out)
-        grads["b_out"] = unsup_weight * out_grads["b_out"]
-        d_top[n_sup:] = unsup_weight * out_grads["h"]
+        grads["V_out"], grads["b_out"] = out_grads["V_out"], out_grads["b_out"]
+        d_top[n_sup:] = out_grads["h"]
 
     delta = d_top
     for n in range(len(pres), 0, -1):

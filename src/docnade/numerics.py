@@ -1,9 +1,9 @@
 """Numerically stable sigmoid, log-softmax and row softmax, the top-k
 ranking order, Glorot initialization, a model's arrays (`Params`), the
 sparse gradient format, the two-thread runner of a training call's bulk
-work (`call_all`, and `on_rows` and `on_memory_rows` over fixed row parts)
-and the one-thread BLAS setting of training and inference
-(`one_blas_thread`), shared by the models, the trainer and the metrics."""
+work (`call_all`, and `on_rows` over fixed row parts) and the one-thread
+BLAS setting of training and inference (`one_blas_thread`), shared by the
+models, the trainer and the metrics."""
 
 from __future__ import annotations
 
@@ -24,13 +24,10 @@ THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity"
 
 # `on_rows` cuts an array of at least PART_MIN entries into ROW_PARTS fixed
 # row parts; a smaller one is not worth a thread's start (0.13-0.25 ms on a
-# 2-core VM).  A pass that only streams memory (a copy, an add) waits for
-# STREAM_PART_MIN entries: on a shallow Q = 2,960 model's 296k-entry arrays,
-# which stay in cache, two parts took 2-5x as long as one.  Constants, not
-# THREADS, so that no byte depends on the core count.
+# 2-core VM).  Constants, not THREADS, so that no byte depends on the core
+# count.
 ROW_PARTS = 2
 PART_MIN = 1 << 16
-STREAM_PART_MIN = 1 << 20
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -87,29 +84,21 @@ def call_all(calls) -> list:
     return [future.result() for future in futures]
 
 
-def on_rows(fn, arr: np.ndarray, min_size: int = PART_MIN) -> None:
+def on_rows(fn, arr: np.ndarray) -> None:
     """Calls `fn(rows)` for each of ROW_PARTS fixed, consecutive row slices
-    of `arr` (`call_all`), or once with every row, in the calling thread,
-    when `arr` has fewer than `min_size` entries.  The parts are disjoint, so
-    a pass that keeps each row's arithmetic whole (no part cuts a reduction
-    axis) gives the same bytes either way.  `fn` writes only into arrays
-    the calling thread allocated (slices or `out=`), as `glorot_arrays`
-    explains."""
-    if arr.size < min_size:
+    of `arr` (`call_all`), or once with every row, `fn(slice(None))`, in the
+    calling thread, when `arr` has fewer than PART_MIN entries or fewer than
+    two rows a part.  The parts are disjoint, so a pass that keeps each
+    row's arithmetic whole (no part cuts a reduction axis) gives the same
+    bytes either way; a part of one row would not, as numpy multiplies a
+    one-row matrix by a matrix-vector product, which sums in another order
+    than a matrix product.  `fn` writes only into arrays the calling thread
+    allocated (slices or `out=`), as `glorot_arrays` explains."""
+    if arr.size < PART_MIN or len(arr) < 2 * ROW_PARTS:
         fn(slice(None))
         return
     bounds = [len(arr) * part // ROW_PARTS for part in range(ROW_PARTS + 1)]
     call_all([functools.partial(fn, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])])
-
-
-def on_memory_rows(fn, *arrays: np.ndarray) -> None:
-    """`on_rows` for a pass that only streams memory through `arrays`, all
-    of one shape, from STREAM_PART_MIN entries: `fn(*views, rows)`, each
-    array viewed so that its rows follow the first one's memory order (an
-    F-contiguous matrix by its columns, which are contiguous)."""
-    if arrays[0].ndim == 2 and not arrays[0].flags.c_contiguous:
-        arrays = tuple(arr.T for arr in arrays)
-    on_rows(functools.partial(fn, *arrays), arrays[0], STREAM_PART_MIN)
 
 
 @functools.cache
@@ -185,17 +174,8 @@ class Params:
         return list(vars(self).items())
 
     def copy(self) -> "Params":
-        """A copy of every array in its own memory order (W stays column-major),
-        each copied on row parts (`on_memory_rows`)."""
-        copies = {}
-        for name, arr in self.arrays():
-            copies[name] = out = np.empty_like(arr)  # keeps the memory order
-            on_memory_rows(_copy_rows, arr, out)
-        return Params(copies)
-
-
-def _copy_rows(arr: np.ndarray, out: np.ndarray, rows: slice) -> None:
-    out[rows] = arr[rows]
+        """A copy of every array in its own memory order (W stays column-major)."""
+        return Params({name: arr.copy(order="K") for name, arr in self.arrays()})
 
 
 # A sparse gradient is a dict {name: (axis, index, block)}: the gradient of

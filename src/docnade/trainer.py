@@ -14,15 +14,13 @@ logs and checkpoints see is the per-step one.
 
 The bulk, order-free parts of a training call run on two threads
 (`numerics.call_all`), with the same bytes as on one: `init_params` draws
-its Glorot arrays concurrently; `polyak_update`'s blocks of at least
-`numerics.PART_MIN` entries, the deep output layer, and the averaged copy
-and the lazy average's init and flush of arrays of at least
-`numerics.STREAM_PART_MIN` entries run on fixed row parts
-(`numerics.on_rows`); and the last epoch's checkpoint is written
-alongside the model file (the caller's `write_model`).  Earlier
-checkpoints are written in sequence, between epochs.  `train_model` runs
-with BLAS on one thread (`numerics.one_blas_thread`), so that no byte
-depends on a thread count.
+its Glorot arrays concurrently; `polyak_update`'s blocks and the deep
+output layer run on fixed row parts when they have at least
+`numerics.PART_MIN` entries (`numerics.on_rows`); and the last epoch's
+checkpoint is written alongside the model file (the caller's
+`write_model`).  Earlier checkpoints are written in sequence, between
+epochs.  `train_model` runs with BLAS on one thread
+(`numerics.one_blas_thread`), so that no byte depends on a thread count.
 
 The model kind is looked up once in `model_io.FAMILIES`.  Its family module
 (`shallow` or `deep`) declares the model's arrays (`array_shapes`), builds
@@ -44,8 +42,7 @@ import numpy as np
 from .corpus import Corpus
 from .model_io import (FAMILIES, ModelMeta, check_settings, load_checkpoint, params_of,
                        save_checkpoint)
-from .numerics import (PART_MIN, Params, along, call_all, glorot_arrays, on_memory_rows,
-                       on_rows, one_blas_thread)
+from .numerics import PART_MIN, Params, along, call_all, glorot_arrays, on_rows, one_blas_thread
 from .rng import named_stream
 
 
@@ -142,25 +139,17 @@ class _LazyAverage:
         self.current = dict(avg.current.arrays())
         self.gaps = dict(avg.averaged.arrays())
         for name, gap in self.gaps.items():
-            on_memory_rows(_subtract_rows, gap, self.current[name])
+            gap -= self.current[name]
 
     def flush(self) -> None:
         """Turns every gap back into its average, as of the latest step."""
         contraction = self.ratio ** self.steps  # 0 only for decay 0, after a step
         for name, gap in self.gaps.items():
-            on_memory_rows(partial(_flush_rows, contraction), gap, self.current[name])
-
-
-def _subtract_rows(gap: np.ndarray, cur: np.ndarray, rows: slice) -> None:
-    gap[rows] -= cur[rows]
-
-
-def _flush_rows(contraction: float, gap: np.ndarray, cur: np.ndarray, rows: slice) -> None:
-    if contraction == 0.0:
-        gap[rows] = cur[rows]
-    else:
-        gap[rows] *= contraction
-        gap[rows] += cur[rows]
+            if contraction == 0.0:
+                gap[...] = self.current[name]
+            else:
+                gap *= contraction
+                gap += self.current[name]
 
 
 def polyak_update(lazy: _LazyAverage, grads: list[dict], scale: float) -> None:
@@ -169,7 +158,8 @@ def polyak_update(lazy: _LazyAverage, grads: list[dict], scale: float) -> None:
     0), then averaged <- decay * averaged + (1 - decay) * current.  The step
     owns the gradients: it scales each block in place.  A block of at least
     `numerics.PART_MIN` entries is applied on row parts (`numerics.on_rows`);
-    a smaller one is not worth a thread's start."""
+    a smaller one keeps the four passes inline, as a shallow step's blocks
+    are small and many, and a call per block slowed shallow training."""
     gain = lazy.ratio ** -lazy.steps if lazy.ratio != 0.0 else 0.0  # decay 0 keeps no gap
     if gain > _MAX_GAP_SCALE:
         for gap in lazy.gaps.values():

@@ -31,10 +31,9 @@ finite-difference and oracle tests check the production arithmetic;
 `dense_polyak_update` is the dense form of the average that
 `trainer.polyak_update` keeps lazily.  `glorot_init` and `maybe_glorot` draw
 one Glorot matrix at a time, the sequential reference of
-`numerics.glorot_arrays`.  `SerialLazyAverage`, `serial_polyak_update` and
-`serial_generative_loss` are the lazy average, the SGD step and the output
-layer as they ran on one thread, the references of their row parts
-(`numerics.on_rows`).
+`numerics.glorot_arrays`.  `serial_polyak_update` and
+`serial_generative_loss` are the SGD step and the output layer as they ran
+on one thread, the references of their row parts (`numerics.on_rows`).
 """
 
 import itertools
@@ -94,27 +93,6 @@ def dense_polyak_update(avg):
     return avg
 
 
-class SerialLazyAverage:
-    """`trainer._LazyAverage`'s gap form, kept on one thread."""
-
-    def __init__(self, avg):
-        self.steps = 0
-        self.ratio = 1.0 - (1.0 - avg.decay)
-        self.current = dict(avg.current.arrays())
-        self.gaps = dict(avg.averaged.arrays())
-        for name, gap in self.gaps.items():
-            gap -= self.current[name]
-
-    def flush(self):
-        contraction = self.ratio ** self.steps
-        for name, gap in self.gaps.items():
-            if contraction == 0.0:
-                gap[...] = self.current[name]
-            else:
-                gap *= contraction
-                gap += self.current[name]
-
-
 def serial_polyak_update(lazy, grads, scale):
     """`trainer.polyak_update` on one thread: four passes over each block."""
     gain = lazy.ratio ** -lazy.steps if lazy.ratio != 0.0 else 0.0
@@ -133,8 +111,9 @@ def serial_polyak_update(lazy, grads, scale):
     lazy.steps += 1
 
 
-def serial_generative_loss(h_top, targets, phi, d, total_tokens, params):
-    """`deep.generative_loss` on one thread, each pass over the whole batch."""
+def serial_generative_loss(h_top, targets, phi, d, total_tokens, params, weight=1.0):
+    """`deep.generative_loss` on one thread, each pass over the whole batch,
+    its gradients weighted afterwards."""
     logits = params.b_out + h_top @ params.V_out.T
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -145,8 +124,9 @@ def serial_generative_loss(h_top, targets, phi, d, total_tokens, params):
     d_logits = weighted.sum(axis=1, keepdims=True) * np.exp(log_probs)
     d_logits[:, ids] -= weighted
     d_logits *= factor
-    grads = {"V_out": d_logits.T @ h_top, "b_out": d_logits.sum(axis=0),
-             "h": d_logits @ params.V_out}
+    grads = {"V_out": d_logits.T @ h_top, "b_out": weight * d_logits.sum(axis=0),
+             "h": weight * (d_logits @ params.V_out)}
+    grads["V_out"] *= weight
     return loss, grads
 
 

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from docnade import deep, numerics
-from docnade.numerics import PART_MIN, STREAM_PART_MIN, Params
+from docnade.numerics import PART_MIN, Params
 from docnade.trainer import AveragedParams, TrainConfig, _LazyAverage, polyak_update, train_model
 from gen import make_corpus
-from oracles import SerialLazyAverage, serial_generative_loss, serial_polyak_update
+from oracles import serial_generative_loss, serial_polyak_update
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,7 +31,8 @@ def threads(request, monkeypatch):
 
 
 def _averaged(rng, decay=0.9):
-    """Arrays above STREAM_PART_MIN in both memory orders, and two below it."""
+    """Matrices above PART_MIN in both memory orders, a vector above it and
+    a small matrix below it."""
     arrays = {"C": rng.normal(size=(1100, 1000)),
               "F": np.asfortranarray(rng.normal(size=(1100, 1000))),
               "small": rng.normal(size=(20, 30)),
@@ -70,30 +71,10 @@ def _grads(rng, shapes):
 
 
 class TestPartsEqualWhole:
-    def test_copy_init_and_flush(self, rng, threads):
-        avg = _averaged(rng)
-        assert avg.current.C.size >= STREAM_PART_MIN
-        copied = avg.current.copy()
-        _same(dict(copied.arrays()), dict(avg.current.arrays()))
-        parts, whole = _LazyAverage(_copy(avg)), SerialLazyAverage(_copy(avg))
-        _same(parts.gaps, whole.gaps)
-        parts.steps = whole.steps = 5
-        parts.flush()
-        whole.flush()
-        _same(parts.gaps, whole.gaps)
-
-    def test_flush_at_decay_zero(self, rng, threads):
-        avg = _averaged(rng, decay=0.0)
-        parts, whole = _LazyAverage(_copy(avg)), SerialLazyAverage(_copy(avg))
-        parts.steps = whole.steps = 1
-        parts.flush()
-        whole.flush()
-        _same(parts.gaps, whole.gaps)
-
     def test_polyak_update(self, rng, threads):
         avg = _averaged(rng)
         shapes = {name: arr.shape for name, arr in avg.current.arrays()}
-        parts, whole = _LazyAverage(_copy(avg)), SerialLazyAverage(_copy(avg))
+        parts, whole = _LazyAverage(_copy(avg)), _LazyAverage(_copy(avg))
         for step in range(3):
             grads = _grads(np.random.default_rng(step), shapes)
             polyak_update(parts, grads, 0.05)
@@ -101,8 +82,13 @@ class TestPartsEqualWhole:
             _same(parts.current, whole.current)
             _same(parts.gaps, whole.gaps)
 
-    def test_generative_loss(self, rng, threads):
-        q, hidden, rows = 20_000, 128, 32
+    @pytest.mark.parametrize("q, hidden, rows, weight", [
+        (20_000, 128, 32, 1.0), (20_000, 128, 32, 12.0),
+        # 2 and 3 rows reach PART_MIN at this Q but run whole: a part of one
+        # row would be a matrix-vector product
+        (40_000, 16, 2, 1.0), (40_000, 16, 3, 12.0), (40_000, 16, 4, 1.0),
+        (40_000, 16, 5, 12.0), (40_000, 16, 15, 1.0)])
+    def test_generative_loss(self, rng, threads, q, hidden, rows, weight):
         params = Params({"V_out": rng.normal(scale=0.1, size=(q, hidden)),
                          "b_out": rng.normal(scale=0.1, size=q)})
         h_top = np.maximum(rng.normal(size=(rows, hidden)), 0.0)
@@ -110,11 +96,12 @@ class TestPartsEqualWhole:
         for _ in range(rows):
             ids = np.sort(rng.choice(q, 40, replace=False))
             targets.append((ids, rng.integers(1, 4, size=40)))
-        phi = np.where(np.arange(q) < 18_000, 1.0, 12.0)
+        phi = np.where(np.arange(q) < q - 2_000, 1.0, 12.0)
         d = rng.integers(1, 60, size=rows)
         total = np.full(rows, 120)
-        loss, grads = deep.generative_loss(h_top, targets, phi, d, total, params)
-        ref_loss, ref_grads = serial_generative_loss(h_top, targets, phi, d, total, params)
+        loss, grads = deep.generative_loss(h_top, targets, phi, d, total, params, weight)
+        ref_loss, ref_grads = serial_generative_loss(h_top, targets, phi, d, total, params,
+                                                     weight)
         assert loss.tobytes() == ref_loss.tobytes()
         _same(grads, ref_grads)
 
