@@ -20,12 +20,8 @@ from . import __version__
 from . import evaluate as eval_mod
 from .corpus import Corpus, CorpusFormatError, is_json_int, parse_corpus
 from .model_io import MODEL_KINDS, ModelMeta, load_model, save_model
-from .trainer import (
-    TrainConfig,
-    TrainingDivergedError,
-    pretrain_then_finetune,
-    train_model,
-)
+from .trainer import (TrainConfig, TrainingDivergedError, pretrain_config, train_model,
+                      training_stages)
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -148,6 +144,7 @@ def cmd_train(args) -> int:
             f"({corpus.vocabulary.n_regions})"
         )
     config = _config_from_args(args)
+    training_stages(corpus, config, unlabeled)  # every input check, before the run dir
     manifest = _manifest("train", config, args)
     run_dir = os.path.join(args.out, f"run-{_manifest_hash(manifest)}")
     ckpt_dir = os.path.join(run_dir, "checkpoints")
@@ -165,12 +162,8 @@ def cmd_train(args) -> int:
     def write_model(averaged, meta):
         save_model(model_path, averaged, meta)
 
-    if unlabeled is not None:
-        pretrain_then_finetune(unlabeled, corpus, config, checkpoint_dir=ckpt_dir,
-                               log_file=log_file, write_model=write_model)
-    else:
-        train_model(corpus, config, checkpoint_dir=ckpt_dir, log_file=log_file,
-                    write_model=write_model)
+    train_model(corpus, config, pretrain=unlabeled, checkpoint_dir=ckpt_dir, log_file=log_file,
+                write_model=write_model)
     print(f"run directory: {run_dir}")
     print(f"model: {model_path}")
     return EXIT_OK
@@ -415,7 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_usage(parser: argparse.ArgumentParser, args) -> None:
     if args.command in ("train", "grid"):
         try:
-            _config_from_args(args).validate()
+            config = _config_from_args(args)
+            config.validate()
+            if getattr(args, "pretrain_corpus", None):
+                pretrain_config(config)
         except ValueError as exc:
             parser.error(str(exc))
         if getattr(args, "pretrain_epochs", 0) > 0 and not getattr(args, "pretrain_corpus", None):

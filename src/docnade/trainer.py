@@ -12,6 +12,11 @@ epoch (an entry a step does not touch needs no work; see `_LazyAverage`),
 and every entry is flushed at the end of each epoch, so the average that
 logs and checkpoints see is the per-step one.
 
+A run is a list of stages (`training_stages`) that `train_model` trains in
+one loop: optional unsupervised pretraining, then the configured stage,
+which starts from the previous stage's arrays with a fresh class head.  A
+checkpoint's meta names its stage, so a run resumes from any checkpoint.
+
 The bulk, order-free parts of a training call run on two threads
 (`numerics.call_all`), with the same bytes as on one: `init_params` draws
 its Glorot arrays concurrently; `polyak_update`'s blocks and the deep
@@ -257,9 +262,6 @@ class _DocCache(NamedTuple):
 
 def _doc_cache(corpus: Corpus, config: TrainConfig) -> _DocCache:
     family, supervised = FAMILIES[config.model_kind]
-    wrong = np.flatnonzero(np.diff(corpus.label_ptr) != 1)
-    if supervised and config.head == "softmax" and len(wrong):
-        raise ValueError(f"document {wrong[0]} needs exactly one label for the softmax head")
     context = family.context(build_meta(corpus, config), corpus.vocabulary)
     return _DocCache(
         family.doc_data(corpus, context),
@@ -350,53 +352,60 @@ def build_meta(corpus: Corpus, config: TrainConfig) -> ModelMeta:
     )
 
 
-@one_blas_thread()
-def train_model(
-    corpus: Corpus,
-    config: TrainConfig,
-    *,
-    start: AveragedParams | None = None,
-    start_epoch: int = 0,
-    stream_states: dict | None = None,
-    checkpoint_dir=None,
-    log_file=None,
-    write_model=None,
-) -> TrainResult:
-    """Train one configuration from scratch or from a restored state.
+def pretrain_config(config: TrainConfig) -> TrainConfig:
+    """The pretraining stage's configuration: the unsupervised counterpart of
+    the kind, which has no class head, for `pretrain_epochs` epochs.
+    ValueError for an unsupervised kind, which has nothing to fine-tune."""
+    if not FAMILIES[config.model_kind][1]:
+        raise ValueError(f"pretraining needs a supervised model kind, not {config.model_kind!r}")
+    return replace(config, model_kind=config.model_kind.removeprefix("sup"),
+                   epochs=config.pretrain_epochs, head="softmax")
 
-    `write_model(averaged, meta)`, if given, writes the trained model; it
-    runs alongside the last epoch's checkpoint write (`call_all`), and both
-    have ended when this returns or raises."""
+
+def training_stages(corpus: Corpus, config: TrainConfig, pretrain: Corpus | None = None,
+                    checkpoint_dir=None) -> list[tuple]:
+    """The (corpus, config, checkpoint dir) of each stage `train_model` runs:
+    with a `pretrain` corpus, pretraining (`pretrain_config`, checkpoints in
+    `checkpoint_dir/pretrain`), then the configured stage.  It makes every
+    input check, so a caller can make them before it writes: ValueError for
+    an invalid configuration, a pretraining corpus with another vocabulary or
+    feature length, or a document without exactly one label for a softmax head."""
     config.validate()
-    meta = build_meta(corpus, config)
+    stages = []
+    if pretrain is not None:
+        stages.append((pretrain, pretrain_config(config),
+                       None if checkpoint_dir is None else f"{checkpoint_dir}/pretrain"))
+        if pretrain.vocabulary != corpus.vocabulary:
+            raise ValueError("pretraining and fine-tuning corpora use different vocabularies")
+        if pretrain.n_features != corpus.n_features:
+            raise ValueError("pretraining and fine-tuning corpora disagree on feature length")
+    wrong = np.flatnonzero(np.diff(corpus.label_ptr) != 1)
+    if FAMILIES[config.model_kind][1] and config.head == "softmax" and len(wrong):
+        raise ValueError(f"document {wrong[0]} needs exactly one label for the softmax head")
+    return stages + [(corpus, config, checkpoint_dir)]
 
-    if start is None:
-        params = init_params(meta, named_stream(config.seed, "init"))
-        avg = init_averaged(params, config.averaging_decay)
-    else:
-        avg = start
-        avg.decay = config.averaging_decay
 
+def _train_stage(stage: tuple, meta: ModelMeta, avg: AveragedParams, done: int, states,
+                 log_file, write_model) -> list[EpochStats]:
+    """The epochs after the `done`th of one of `training_stages`, on `avg`
+    in place, from the seed's streams (restored to `states`, if given)."""
+    corpus, config, checkpoint_dir = stage
     streams = RngStreams.from_seed(config.seed)
-    if stream_states is not None:
-        streams.restore(stream_states)
-
+    if states is not None:
+        streams.restore(states)
+    if checkpoint_dir is not None:
+        os.makedirs(checkpoint_dir, exist_ok=True)
     cache = _doc_cache(corpus, config)
-    stats: list[EpochStats] = []
-    final_writes = []
-    for epoch in range(start_epoch + 1, config.epochs + 1):
+    stats, final_writes = [], []
+    for epoch in range(done + 1, config.epochs + 1):
         epoch_stats = sgd_epoch(corpus, avg, config, streams, epoch=epoch, cache=cache)
         stats.append(epoch_stats)
         if log_file is not None:
             with open(log_file, "a") as fh:
-                fh.write(
-                    f"{epoch_stats.epoch}\t{epoch_stats.mean_loss:.6f}"
-                    f"\t{epoch_stats.wall_time:.3f}\n"
-                )
+                fh.write(f"{epoch}\t{epoch_stats.mean_loss:.6f}\t{epoch_stats.wall_time:.3f}\n")
         if checkpoint_dir is not None:
-            ckpt = f"{checkpoint_dir}/epoch_{epoch:04d}.ckpt"
-            write = partial(save_checkpoint, ckpt, avg.current, avg.averaged, meta, epoch,
-                            streams.states())
+            write = partial(save_checkpoint, f"{checkpoint_dir}/epoch_{epoch:04d}.ckpt",
+                            avg.current, avg.averaged, meta, epoch, streams.states())
             if epoch < config.epochs:
                 write()
             else:
@@ -404,69 +413,44 @@ def train_model(
     if write_model is not None:
         final_writes.append(partial(write_model, avg.averaged, meta))
     call_all(final_writes)
-
-    return TrainResult(params=avg.current, averaged=avg.averaged, meta=meta, stats=stats)
-
-
-def resume_training(
-    checkpoint_path, corpus: Corpus, config: TrainConfig, **kwargs
-) -> TrainResult:
-    """Continue a run from a checkpoint; equals the uninterrupted run.
-
-    ValueError, naming the fields that differ, unless the checkpoint's meta
-    is the one this corpus and configuration train (so the tree seed, the
-    annotation weight and the dropout rate must match too)."""
-    params, averaged, meta, epoch, rng_states = load_checkpoint(checkpoint_path)
-    expected = build_meta(corpus, config)
-    if meta != expected:
-        differ = [f.name for f in fields(ModelMeta)
-                  if getattr(meta, f.name) != getattr(expected, f.name)]
-        raise ValueError(f"checkpoint does not match the requested configuration: {differ}")
-    avg = AveragedParams(current=params, averaged=averaged, decay=config.averaging_decay)
-    return train_model(
-        corpus, config,
-        start=avg, start_epoch=epoch, stream_states=rng_states, **kwargs,
-    )
+    return stats
 
 
-def pretrain_then_finetune(
-    unlabeled: Corpus,
-    labeled: Corpus,
-    config: TrainConfig,
-    *,
-    checkpoint_dir=None,
-    log_file=None,
-    write_model=None,
-) -> TrainResult:
-    """Unsupervised pretraining followed by supervised fine-tuning.
+@one_blas_thread()
+def train_model(corpus: Corpus, config: TrainConfig, *, pretrain: Corpus | None = None,
+                resume=None, checkpoint_dir=None, log_file=None, write_model=None) -> TrainResult:
+    """Train the `training_stages` in one loop; the result is the last one's.
 
-    Pretraining runs the unsupervised counterpart of the configured model
-    kind, which has no class head (so the configured head does not apply to
-    it); the supervised head is freshly initialized when fine-tuning starts.
-    `write_model` goes to the fine-tuning `train_model`.
-    """
-    if unlabeled.vocabulary != labeled.vocabulary:
-        raise ValueError("pretraining and fine-tuning corpora use different vocabularies")
-    if unlabeled.n_features != labeled.n_features:
-        raise ValueError("pretraining and fine-tuning corpora disagree on feature length")
-    config.validate()
-
-    unsupervised = config.model_kind.removeprefix("sup")
-    pre_config = replace(config, model_kind=unsupervised, epochs=config.pretrain_epochs,
-                         head="softmax")
-    pre_dir = None
-    if checkpoint_dir is not None:
-        pre_dir = f"{checkpoint_dir}/pretrain"
-        os.makedirs(pre_dir, exist_ok=True)
-    pre = train_model(unlabeled, pre_config, checkpoint_dir=pre_dir, log_file=log_file)
-
-    params = pre.params
-    (params.U,) = glorot_arrays([(labeled.n_classes, config.hidden_sizes[-1])],
-                                named_stream(config.seed, "init_finetune"))
-    params.d = np.zeros(labeled.n_classes)
-
-    avg = init_averaged(params, config.averaging_decay)
-    return train_model(
-        labeled, config,
-        start=avg, checkpoint_dir=checkpoint_dir, log_file=log_file, write_model=write_model,
-    )
+    The first stage starts from `init_params`, a later one from the previous
+    stage's current arrays with a fresh class head (`U` drawn from the
+    stream "init_finetune", `d` zero).  `resume`, a checkpoint path,
+    continues the stage whose `build_meta` is the checkpoint's meta from its
+    arrays, epoch and stream states (ValueError, naming the fields that
+    differ from the last stage's meta, if none is).  Every epoch appends a
+    line to `log_file` and writes a checkpoint to its stage's directory;
+    `write_model(averaged, meta)` writes the model alongside the last one
+    (`call_all`), and both have ended when this returns or raises."""
+    stages = training_stages(corpus, config, pretrain, checkpoint_dir)
+    metas = [build_meta(stage_corpus, stage_config) for stage_corpus, stage_config, _ in stages]
+    first, done, states = 0, 0, None
+    if resume is None:
+        avg = init_averaged(init_params(metas[0], named_stream(config.seed, "init")),
+                            config.averaging_decay)
+    else:
+        current, averaged, meta, done, states = load_checkpoint(resume)
+        if meta not in metas:
+            differ = [f.name for f in fields(ModelMeta)
+                      if getattr(meta, f.name) != getattr(metas[-1], f.name)]
+            raise ValueError(f"checkpoint does not match the requested configuration: {differ}")
+        first = metas.index(meta)
+        avg = AveragedParams(current=current, averaged=averaged, decay=config.averaging_decay)
+    for index in range(first, len(stages)):
+        meta = metas[index]
+        if index > first:
+            (avg.current.U,) = glorot_arrays([(meta.n_classes, meta.hidden_sizes[-1])],
+                                             named_stream(config.seed, "init_finetune"))
+            avg.current.d = np.zeros(meta.n_classes)
+            avg, done, states = init_averaged(avg.current, config.averaging_decay), 0, None
+        stats = _train_stage(stages[index], meta, avg, done, states, log_file,
+                             write_model if index == len(stages) - 1 else None)
+    return TrainResult(params=avg.current, averaged=avg.averaged, meta=metas[-1], stats=stats)

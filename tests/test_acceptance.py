@@ -25,7 +25,7 @@ from docnade import deep, evaluate, shallow
 from docnade.cli import main as cli_main
 from docnade.corpus import build_vocabulary, write_corpus
 from docnade.model_io import load_model, save_model
-from docnade.trainer import TrainConfig, resume_training, train_model
+from docnade.trainer import TrainConfig, train_model
 from docnade.wordtree import build_tree, words_log_prob
 from gen import bayes_accuracy, make_corpus
 from oracles import (
@@ -479,7 +479,7 @@ def test_criterion_12_determinism_and_persistence(tmp_path):
     config6 = TrainConfig(model_kind="supdocnade", hidden_sizes=(8,), learning_rate=0.1,
                           unsup_weight=0.5, epochs=6, seed=4)
     full = train_model(corpus, config6, checkpoint_dir=ckpt_dir)
-    resumed = resume_training(ckpt_dir / "epoch_0003.ckpt", corpus, config6)
+    resumed = train_model(corpus, config6, resume=ckpt_dir / "epoch_0003.ckpt")
     resume_equal = params_equal(full.params, resumed.params) and params_equal(
         full.averaged, resumed.averaged
     )

@@ -160,6 +160,22 @@ class TestPretrain:
         os.rename(unlabeled, tmp_path / "moved.corpus")
         assert main(args) == 3  # a rerun whose pretraining corpus has moved keeps its log
         assert log.read_bytes() == before
+        dims = dict(n_classes=3, n_regions=2, anno_per_class=2, docs_per_class=4, doc_len=12,
+                    labeled=False)
+        for changed, message in [(dict(n_visual=6), "vocabularies"),
+                                 (dict(n_visual=5, n_features=2), "feature length")]:
+            write_corpus(make_corpus(8, **dims, **changed)[0], unlabeled)
+            capsys.readouterr()
+            assert main(args) == 3  # so does one whose pretraining corpus has changed
+            assert message in capsys.readouterr().err and log.read_bytes() == before
+        # a document without one label under the softmax head leaves no run dir
+        docs = list(documents(parse_corpus(corpus_path)))
+        docs[5] = Document(docs[5].counts, frozenset({0, 2}), docs[5].features)
+        write_corpus(corpus_of(parse_corpus(corpus_path).vocabulary, docs, 3), corpus_path)
+        _unlabeled_path(tmp_path)
+        fresh = tmp_path / "fresh"
+        assert main([*args[:4], str(fresh), *args[5:]]) == 3
+        assert "needs exactly one label" in capsys.readouterr().err and not fresh.exists()
 
 
 class TestUsageErrors:
@@ -171,6 +187,17 @@ class TestUsageErrors:
                 "--model", model, "--head", "sigmoid",
             ])
         assert excinfo.value.code == 2
+        assert not os.path.exists(tmp_path / "runs")
+
+    @pytest.mark.parametrize("model", ["docnade", "deepdocnade"])
+    def test_pretraining_an_unsupervised_kind_rejected(self, tmp_path, corpus_path, capsys,
+                                                       model):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "runs"),
+                  "--model", model, "--pretrain-corpus", str(_unlabeled_path(tmp_path)),
+                  "--pretrain-epochs", "1"])
+        assert excinfo.value.code == 2
+        assert "supervised model kind" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "runs")
 
     def test_multi_layer_shallow_rejected(self, tmp_path):

@@ -35,30 +35,40 @@ def test_every_wrap_point_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize("kind", ["docnade", "supdocnade", "supdeepdocnade"])
-def test_training_fires_the_training_spans(tmp_path, kind):
-    """One CLI train: the shallow gradient span fires once per document
-    stepped, the apply-and-average span once per mini-batch, the checkpoint
-    span once per epoch and the model span once, though the last checkpoint
-    and the model are written on two threads."""
-    corpus, _ = make_corpus(3, n_classes=2, n_visual=4, n_regions=2, anno_per_class=2,
-                            docs_per_class=4, doc_len=10)
+@pytest.mark.parametrize("kind,pretrain_epochs", [
+    ("docnade", 0), ("supdocnade", 0), ("supdeepdocnade", 0), ("supdocnade", 3),
+], ids=["docnade", "supdocnade", "supdeepdocnade", "supdocnade-pretrained"])
+def test_training_fires_the_training_spans(tmp_path, kind, pretrain_epochs):
+    """One CLI train: the entry span fires once, also for a run with a
+    pretraining stage; the shallow gradient span once per document stepped,
+    the apply-and-average span once per mini-batch, the epoch and checkpoint
+    spans once per epoch of either stage and the model span once, though the
+    last checkpoint and the model are written on two threads."""
+    dims = dict(n_classes=2, n_visual=4, n_regions=2, anno_per_class=2, docs_per_class=4,
+                doc_len=10)
+    corpus, _ = make_corpus(3, **dims)
     path = tmp_path / "train.corpus"
     write_corpus(corpus, path)
+    pretrain = []
+    if pretrain_epochs:
+        write_corpus(make_corpus(4, **dims, labeled=False)[0], tmp_path / "unlabelled.corpus")
+        pretrain = ["--pretrain-corpus", str(tmp_path / "unlabelled.corpus"),
+                    "--pretrain-epochs", str(pretrain_epochs)]
     epochs, batch = 2, 3
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
         assert main(["train", "--corpus", str(path), "--out", str(tmp_path / "runs"),
                      "--model", kind, "--hidden", "4", "--epochs", str(epochs),
-                     "--batch-size", str(batch), "--seed", "1"]) == 0
+                     "--batch-size", str(batch), "--seed", "1", *pretrain]) == 0
     finally:
         tracer.uninstall()
     assert tracer.missing == []
-    n_docs = len(corpus)
-    assert tracer.calls["trainer.sgd_epoch"] == epochs
-    assert tracer.calls["trainer.polyak_update"] == epochs * -(-n_docs // batch)
-    stepped = 0 if kind.endswith("deepdocnade") else epochs * n_docs
+    n_docs, all_epochs = len(corpus), pretrain_epochs + epochs  # the same size both stages
+    assert tracer.calls["trainer.train_model"] == 1
+    assert tracer.calls["trainer.sgd_epoch"] == all_epochs
+    assert tracer.calls["trainer.polyak_update"] == all_epochs * -(-n_docs // batch)
+    stepped = 0 if kind.endswith("deepdocnade") else all_epochs * n_docs
     assert tracer.calls["shallow.gradients"] == stepped
-    assert tracer.calls["model_io.save_checkpoint"] == epochs
+    assert tracer.calls["model_io.save_checkpoint"] == all_epochs
     assert tracer.calls["model_io.save_model"] == 1

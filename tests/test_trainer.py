@@ -1,5 +1,6 @@
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from docnade.trainer import (
     TrainingDivergedError,
     init_averaged,
     init_params,
-    pretrain_then_finetune,
-    resume_training,
     train_model,
 )
 from docnade.wordtree import build_tree
@@ -345,7 +344,7 @@ class TestCheckpointResume:
             seed=2, dropout_rate=0.2 if kind == "supdeepdocnade" else 0.0,
         )
         full = train_model(corpus, config, checkpoint_dir=tmp_path)
-        resumed = resume_training(tmp_path / "epoch_0003.ckpt", corpus, config)
+        resumed = train_model(corpus, config, resume=tmp_path / "epoch_0003.ckpt")
         assert params_equal(full.params, resumed.params)
         assert params_equal(full.averaged, resumed.averaged)
 
@@ -355,9 +354,37 @@ class TestCheckpointResume:
         config = TrainConfig(model_kind="docnade", hidden_sizes=(5,), learning_rate=0.02,
                              epochs=4, seed=6, averaging_decay=0.7)
         full = train_model(corpus, config, checkpoint_dir=tmp_path)
-        resumed = resume_training(tmp_path / "epoch_0002.ckpt", corpus, config)
+        resumed = train_model(corpus, config, resume=tmp_path / "epoch_0002.ckpt")
         assert params_equal(full.params, resumed.params)
         assert params_equal(full.averaged, resumed.averaged)
+
+    @pytest.mark.parametrize("kind,sizes,extra", [
+        ("supdocnade", (6,), {}),
+        ("supdeepdocnade", (6, 5), dict(dropout_rate=0.2, batch_size=3)),
+    ], ids=["supdocnade", "supdeepdocnade"])
+    def test_resume_across_the_pretraining_boundary(self, tmp_path, kind, sizes, extra):
+        """Resuming from any checkpoint of either stage of a pretrained run
+        gives the uninterrupted run's arrays and model file bytes."""
+        labeled = small_corpus(docs_per_class=4)
+        unlabeled = small_corpus(2, docs_per_class=4, labeled=False)
+        config = TrainConfig(model_kind=kind, hidden_sizes=sizes, learning_rate=0.05, epochs=3,
+                             pretrain_epochs=3, seed=2, **extra)
+
+        def run(path, **kwargs):
+            return train_model(labeled, config, pretrain=unlabeled,
+                               write_model=partial(save_model, path), **kwargs)
+
+        full = run(tmp_path / "full.bin", checkpoint_dir=tmp_path / "ckpt")
+        checkpoints = sorted((tmp_path / "ckpt").glob("**/epoch_*.ckpt"))
+        assert len(checkpoints) == 6
+        for index, ckpt in enumerate(checkpoints):
+            resumed = run(tmp_path / f"resumed{index}.bin", resume=ckpt)
+            assert params_equal(full.params, resumed.params), ckpt
+            assert params_equal(full.averaged, resumed.averaged), ckpt
+            assert ((tmp_path / f"resumed{index}.bin").read_bytes()
+                    == (tmp_path / "full.bin").read_bytes()), ckpt
+        with pytest.raises(ValueError, match="checkpoint.*kind"):
+            train_model(labeled, config, resume=tmp_path / "ckpt" / "pretrain" / "epoch_0002.ckpt")
 
     @pytest.mark.parametrize("kind,sizes,changed,field", [
         ("docnade", (4,), dict(hidden_sizes=(5,)), "hidden_sizes"),
@@ -371,7 +398,7 @@ class TestCheckpointResume:
         train_model(corpus, config, checkpoint_dir=tmp_path)
         other = TrainConfig(**{**vars(config), "epochs": 2, **changed})
         with pytest.raises(ValueError, match=f"checkpoint.*{field}"):
-            resume_training(tmp_path / "epoch_0001.ckpt", corpus, other)
+            train_model(corpus, other, resume=tmp_path / "epoch_0001.ckpt")
 
 
 class TestPretrainFinetune:
@@ -381,7 +408,14 @@ class TestPretrainFinetune:
                            docs_per_class=2, doc_len=5)
         config = TrainConfig(model_kind="supdocnade", hidden_sizes=(4,), epochs=1)
         with pytest.raises(ValueError, match="vocabular"):
-            pretrain_then_finetune(b, a, config)
+            train_model(a, config, pretrain=b)
+
+    @pytest.mark.parametrize("kind,sizes", [("docnade", (4,)), ("deepdocnade", (4, 3))])
+    def test_unsupervised_kind_rejected(self, kind, sizes):
+        corpus = small_corpus(docs_per_class=2)
+        config = TrainConfig(model_kind=kind, hidden_sizes=sizes, epochs=1, pretrain_epochs=1)
+        with pytest.raises(ValueError, match=f"supervised model kind, not '{kind}'"):
+            train_model(corpus, config, pretrain=corpus)
 
     def test_zero_pretraining_epochs_starts_from_init(self):
         corpus = small_corpus(docs_per_class=3)
@@ -389,7 +423,7 @@ class TestPretrainFinetune:
             model_kind="supdeepdocnade", hidden_sizes=(6,), learning_rate=0.0,
             epochs=0, pretrain_epochs=0, seed=4,
         )
-        result = pretrain_then_finetune(corpus, corpus, config)
+        result = train_model(corpus, config, pretrain=corpus)
         # lr=0 and no epochs anywhere: body weights equal the fresh
         # unsupervised init, head weights equal the fine-tune head init
         pre_config = TrainConfig(model_kind="deepdocnade", hidden_sizes=(6,), seed=4)
@@ -410,11 +444,11 @@ class TestPretrainFinetune:
                 model_kind="supdeepdocnade", hidden_sizes=(12,), learning_rate=0.05,
                 epochs=1, seed=seed, unsup_weight=1.0,
             )
-            with_pre = pretrain_then_finetune(
-                unlabeled, labeled, TrainConfig(**base, pretrain_epochs=5)
+            with_pre = train_model(
+                labeled, TrainConfig(**base, pretrain_epochs=5), pretrain=unlabeled
             )
-            without = pretrain_then_finetune(
-                unlabeled, labeled, TrainConfig(**base, pretrain_epochs=0)
+            without = train_model(
+                labeled, TrainConfig(**base, pretrain_epochs=0), pretrain=unlabeled
             )
             losses_pre.append(with_pre.stats[0].mean_loss)
             losses_scratch.append(without.stats[0].mean_loss)
@@ -424,7 +458,7 @@ class TestPretrainFinetune:
         corpus = small_corpus(docs_per_class=2)
         config = TrainConfig(model_kind="supdocnade", hidden_sizes=(4,),
                              epochs=2, pretrain_epochs=2, seed=0)
-        pretrain_then_finetune(corpus, corpus, config, checkpoint_dir=tmp_path)
+        train_model(corpus, config, pretrain=corpus, checkpoint_dir=tmp_path)
         assert (tmp_path / "pretrain" / "epoch_0002.ckpt").exists()
         assert (tmp_path / "epoch_0002.ckpt").exists()
 
@@ -461,8 +495,8 @@ class TestWordMajorW:
 
     def test_pretrain_then_finetune(self):
         corpus = small_corpus(docs_per_class=2)
-        result = pretrain_then_finetune(corpus, corpus,
-                                        TrainConfig(**self.CONFIG, pretrain_epochs=1))
+        result = train_model(corpus, TrainConfig(**self.CONFIG, pretrain_epochs=1),
+                             pretrain=corpus)
         self._assert_word_major(result.params, result.averaged)
 
 

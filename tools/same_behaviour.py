@@ -1,6 +1,6 @@
-"""Same behaviour, measured: ten fixed-seed CLI manifests, hashed.
+"""Same behaviour, measured: eleven fixed-seed CLI manifests, hashed.
 
-Writes the corpora of ten fixed-seed training manifests once (from
+Writes the corpora of eleven fixed-seed training manifests once (from
 `tests/gen.py` and `perfbench/corpora.py`), trains each manifest through the
 `docnade` CLI, then runs `eval --orderings 3 --eval-seed 2`, `annotate --k 3`,
 `retrieve --query 2 --k 5` and `inspect --class-index 0` on its model.  It
@@ -66,6 +66,10 @@ MANIFESTS = {
     "supdeepdocnade-pretrained": ("gen.txt", ["--model", "supdeepdocnade", "--hidden", "8",
                                               "--dropout", "0.2", *PRETRAIN]),
     "supdocnade-pretrained": ("gen.txt", ["--model", "supdocnade", "--hidden", "6", *PRETRAIN]),
+    # a pretraining stage of no epochs: fine-tuning starts from the unsupervised init
+    "supdocnade-pretrain0": ("gen.txt", ["--model", "supdocnade", "--hidden", "6",
+                                         "--pretrain-corpus", "unlabelled.txt",
+                                         "--pretrain-epochs", "0"]),
     "docnade-q2960": ("q2960.txt", ["--model", "docnade", "--hidden", "100"]),
     "supdocnade-q2960": ("q2960.txt", ["--model", "supdocnade", "--hidden", "100",
                                        "--lambda", "0.5"]),
