@@ -426,7 +426,8 @@ def train_model(corpus: Corpus, config: TrainConfig, *, pretrain: Corpus | None 
     stream "init_finetune", `d` zero).  `resume`, a checkpoint path,
     continues the stage whose `build_meta` is the checkpoint's meta from its
     arrays, epoch and stream states (ValueError, naming the fields that
-    differ from the last stage's meta, if none is).  Every epoch appends a
+    differ from the last stage's meta, if none is, or naming both epochs if
+    the checkpoint's is past the stage's `epochs`).  Every epoch appends a
     line to `log_file` and writes a checkpoint to its stage's directory;
     `write_model(averaged, meta)` writes the model alongside the last one
     (`call_all`), and both have ended when this returns or raises."""
@@ -443,6 +444,9 @@ def train_model(corpus: Corpus, config: TrainConfig, *, pretrain: Corpus | None 
                       if getattr(meta, f.name) != getattr(metas[-1], f.name)]
             raise ValueError(f"checkpoint does not match the requested configuration: {differ}")
         first = metas.index(meta)
+        epochs = stages[first][1].epochs
+        if done > epochs:
+            raise ValueError(f"checkpoint is of epoch {done}, past the {epochs} epochs of its stage")
         avg = AveragedParams(current=current, averaged=averaged, decay=config.averaging_decay)
     for index in range(first, len(stages)):
         meta = metas[index]

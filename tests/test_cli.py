@@ -62,6 +62,44 @@ class TestTrain:
             os.path.join(run_b, "model.bin")
         )
 
+    @pytest.mark.parametrize("flags", [
+        ["--model", "supdocnade", "--hidden", "8"],
+        ["--model", "supdeepdocnade", "--hidden", "6,5", "--batch-size", "3", "--dropout", "0.2"],
+    ], ids=["shallow", "deep"])
+    def test_rerun_into_one_run_dir_writes_new_files(self, tmp_path, corpus_path, flags):
+        """A rerun into the same run dir gives the same bytes; once the corpus
+        changes, a reader of the old model file or last checkpoint, and a hard
+        link to the old model file, keep the old, complete bytes."""
+        out = tmp_path / "runs"
+        args = ["train", "--corpus", str(corpus_path), "--out", str(out), "--epochs", "3",
+                "--seed", "3", "--lr", "0.1", *flags]
+
+        def artifacts():
+            (run_dir,) = out.iterdir()
+            return run_dir, {str(path.relative_to(run_dir)): path.read_bytes()
+                             for path in sorted(run_dir.rglob("*"))
+                             if path.is_file() and path.name != "train.log"}
+
+        assert main(args) == 0
+        run_dir, first = artifacts()
+        assert {"manifest.json", "model.bin", "checkpoints/epoch_0003.ckpt"} <= first.keys()
+        assert main(args) == 0
+        assert artifacts() == (run_dir, first)
+
+        model = run_dir / "model.bin"
+        os.link(model, tmp_path / "linked.bin")
+        changed, _ = make_corpus(8, n_classes=3, n_visual=5, n_regions=2, anno_per_class=2,
+                                 docs_per_class=8, doc_len=12, signal=0.7)
+        write_corpus(changed, corpus_path)
+        with open(model, "rb") as model_fh, open(run_dir / "checkpoints/epoch_0003.ckpt",
+                                                  "rb") as last_fh:
+            assert main(args) == 0
+            assert model.read_bytes() != first["model.bin"]
+            assert model_fh.read() == first["model.bin"]
+            assert last_fh.read() == first["checkpoints/epoch_0003.ckpt"]
+        assert (tmp_path / "linked.bin").read_bytes() == first["model.bin"]
+        assert os.stat(model).st_nlink == 1
+
     def test_zero_learning_rate_returns_initialization(self, tmp_path, corpus_path):
         out = tmp_path / "runs"
         args = [

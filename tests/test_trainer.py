@@ -1,12 +1,13 @@
 import threading
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 from conftest import init_sized, sized_meta
-from docnade import deep, shallow, trainer
+from docnade import deep, numerics, shallow, trainer
 from docnade.corpus import build_vocabulary, weight_vector
 from docnade.deep import split_histogram
 from docnade.model_io import load_checkpoint, load_model, save_model
@@ -143,6 +144,19 @@ class TestCallAll:
             call_all([fail, slow])
         assert ended == [True] and threading.active_count() == threads
         assert call_all([lambda: 1, slow, lambda: 3]) == [1, 2, 3]
+
+    def test_first_call_runs_on_the_calling_thread(self):
+        caller = threading.get_ident()
+        assert call_all([threading.get_ident, lambda: 2]) == [caller, 2]
+
+    @pytest.mark.parametrize("threads, n_calls", [(2, 1), (1, 3)])
+    def test_one_call_or_one_thread_starts_no_thread(self, monkeypatch, threads, n_calls):
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(numerics, "THREADS", threads)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert call_all([threading.get_ident] * n_calls) == [threading.get_ident()] * n_calls
 
 
 class TestPolyak:
@@ -385,6 +399,21 @@ class TestCheckpointResume:
                     == (tmp_path / "full.bin").read_bytes()), ckpt
         with pytest.raises(ValueError, match="checkpoint.*kind"):
             train_model(labeled, config, resume=tmp_path / "ckpt" / "pretrain" / "epoch_0002.ckpt")
+
+    def test_resume_past_the_stage_epochs_is_refused(self, tmp_path):
+        corpus = small_corpus(docs_per_class=4)
+        config = TrainConfig(model_kind="supdocnade", hidden_sizes=(6,), learning_rate=0.05,
+                             epochs=6, seed=2)
+        train_model(corpus, config, checkpoint_dir=tmp_path)
+        short = replace(config, epochs=3)
+        with pytest.raises(ValueError, match="epoch 5, past the 3 epochs"):
+            train_model(corpus, short, resume=tmp_path / "epoch_0005.ckpt")
+        # the stage's last checkpoint trains nothing more and gives its arrays
+        resumed = train_model(corpus, short, resume=tmp_path / "epoch_0003.ckpt")
+        full = train_model(corpus, short)
+        assert resumed.stats == []
+        assert params_equal(full.params, resumed.params)
+        assert params_equal(full.averaged, resumed.averaged)
 
     @pytest.mark.parametrize("kind,sizes,changed,field", [
         ("docnade", (4,), dict(hidden_sizes=(5,)), "hidden_sizes"),
