@@ -20,8 +20,8 @@ from . import __version__
 from . import evaluate as eval_mod
 from .corpus import Corpus, CorpusFormatError, is_json_int, parse_corpus
 from .model_io import MODEL_KINDS, ModelMeta, load_model, save_model
-from .trainer import (TrainConfig, TrainingDivergedError, pretrain_config, train_model,
-                      training_stages)
+from .trainer import (TrainConfig, TrainingDivergedError, build_meta, pretrain_config,
+                      train_model, training_stages)
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -102,6 +102,14 @@ def _load_corpus(path, format: str) -> Corpus:
     return parse_corpus(path, format)
 
 
+def _check_regions(args, corpus: Corpus) -> None:
+    if args.regions is not None and corpus.vocabulary.n_regions != args.regions:
+        raise ValueError(
+            f"--regions {args.regions} disagrees with corpus header "
+            f"({corpus.vocabulary.n_regions})"
+        )
+
+
 def _load_model(path):
     if not os.path.exists(path):
         raise FileNotFoundError(f"model file not found: {path}")
@@ -138,11 +146,7 @@ def _emit_report(metrics, split: str, out_path=None) -> None:
 def cmd_train(args) -> int:
     corpus = _load_corpus(args.corpus, args.format)
     unlabeled = _load_corpus(args.pretrain_corpus, args.format) if args.pretrain_corpus else None
-    if args.regions is not None and corpus.vocabulary.n_regions != args.regions:
-        raise ValueError(
-            f"--regions {args.regions} disagrees with corpus header "
-            f"({corpus.vocabulary.n_regions})"
-        )
+    _check_regions(args, corpus)
     config = _config_from_args(args)
     training_stages(corpus, config, unlabeled)  # every input check, before the run dir
     manifest = _manifest("train", config, args)
@@ -229,15 +233,16 @@ def _grid_number(value) -> float:
     return float(value)
 
 
+# grid key -> (the train flag's dest, the check and conversion of a JSON value)
 _GRID_KEYS = {
     "lambda": ("unsup_weight", _grid_number),
     "anno-weight": ("anno_weight", _grid_number),
-    "lr": ("learning_rate", _grid_number),
-    "dropout": ("dropout_rate", _grid_number),
-    "avg-decay": ("averaging_decay", _grid_number),
+    "lr": ("lr", _grid_number),
+    "dropout": ("dropout", _grid_number),
+    "avg-decay": ("avg_decay", _grid_number),
     "epochs": ("epochs", _grid_int),
     "batch-size": ("batch_size", _grid_int),
-    "hidden": ("hidden_sizes", lambda s: _parse_hidden(str(s), None)),
+    "hidden": ("hidden", str),
     "seed": ("seed", _grid_int),
 }
 
@@ -255,8 +260,11 @@ def cmd_grid(args) -> int:
         if key not in _GRID_KEYS:
             raise ValueError(f"unknown grid key {key!r} (known: {sorted(_GRID_KEYS)})")
 
-    # every grid point's config is built and checked before any work
-    base_config = _config_from_args(args)
+    train_corpus = _load_corpus(args.corpus, args.format)
+    val_corpus = _load_corpus(args.val, args.format)
+    _check_regions(args, train_corpus)
+    # every grid point's config is built from the train flags and checked
+    # before any work, and so is the validation corpus
     keys = list(grid_spec.keys())
     points = []
     for combo in itertools.product(*(grid_spec[k] for k in keys)):
@@ -265,12 +273,11 @@ def cmd_grid(args) -> int:
                          for key, raw in zip(keys, combo)}
         except TypeError:
             raise ValueError(f"malformed grid point {dict(zip(keys, combo))}") from None
-        config = TrainConfig(**{**asdict(base_config), **overrides})
-        config.validate()
+        config = _config_from_args(argparse.Namespace(**{**vars(args), **overrides}))
+        training_stages(train_corpus, config)
         points.append((combo, config))
+    _check_compat(build_meta(train_corpus, config), val_corpus)  # the corpus fields of any point
 
-    train_corpus = _load_corpus(args.corpus, args.format)
-    val_corpus = _load_corpus(args.val, args.format)
     best = None
     os.makedirs(args.out, exist_ok=True)
     for combo, config in points:

@@ -70,13 +70,6 @@ class JointVocabulary:
         """Total vocabulary size Q."""
         return self.visual_size + self.n_annotation
 
-    def dims(self) -> dict:
-        return {
-            "n_visual": self.n_visual,
-            "n_regions": self.n_regions,
-            "n_annotation": self.n_annotation,
-        }
-
 
 def build_vocabulary(
     n_visual: int, n_regions: int, annotation_words=()
@@ -494,43 +487,3 @@ def _parse_record_line(line: str, line_no: int, visual_size: int, size: int):
     except OverflowError:
         raise CorpusFormatError(f"line {line_no}: features: value beyond float range") from None
     return counts, labels, features
-
-
-def write_corpus(corpus: Corpus, path, format: str = "text-sparse") -> None:
-    """Write a corpus plus sidecar header; parse_corpus inverts this exactly."""
-    if format not in FORMATS:
-        raise ValueError(f"unknown corpus format {format!r}")
-    vocab = corpus.vocabulary
-    header = {
-        **vocab.dims(),
-        "C": corpus.n_classes,
-        "N_f": corpus.n_features,
-        "annotation_words": list(vocab.annotation_words),
-    }
-    with open(_header_path(path), "w") as fh:
-        json.dump(header, fh, sort_keys=True)
-        fh.write("\n")
-
-    with open(path, "w") as fh:
-        for row in range(len(corpus)):
-            ids, counts = corpus.row(row)
-            split = np.searchsorted(ids, vocab.visual_size)
-            pairs = list(zip(ids.tolist(), counts.tolist()))
-            labels = corpus.row_labels(row).tolist()
-            feats = [] if corpus.features is None else corpus.features[row].tolist()
-            if format == "text-sparse":
-                fields = (
-                    " ".join(map(str, labels)),
-                    " ".join(f"{i}:{c}" for i, c in pairs[:split]),
-                    " ".join(f"{i}:{c}" for i, c in pairs[split:]),
-                    " ".join(map(repr, feats)),
-                )
-                fh.write(" | ".join(fields) + "\n")
-            else:
-                record = {
-                    "labels": labels,
-                    "visual": [list(pair) for pair in pairs[:split]],
-                    "annotations": [list(pair) for pair in pairs[split:]],
-                    "features": feats,
-                }
-                fh.write(json.dumps(record) + "\n")

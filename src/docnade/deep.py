@@ -154,19 +154,10 @@ def deep_forward(
 
 def _generative_terms(h, targets, phi, d, total_tokens, params):
     """Per-row losses of a (rows, H) `h`, all that inference needs, with the
-    log-softmax, the union `ids` of the rows' target ids, the weighted
-    targets on them and the (rows, 1) rescale factors that `generative_loss`
-    builds the output-layer gradients from.  The logits and their
-    log-softmax are computed in place, on row parts (`on_rows`)."""
-    log_probs = np.empty((len(h), len(params.b_out)))
-
-    def logits_rows(rows):
-        out = log_probs[rows]
-        np.matmul(h[rows], params.V_out.T, out=out)
-        out += params.b_out
-        log_softmax(out, out=out)
-
-    on_rows(logits_rows, log_probs)
+    log-softmax (`output_log_probs`), the union `ids` of the rows' target
+    ids, the weighted targets on them and the (rows, 1) rescale factors that
+    `generative_loss` builds the output-layer gradients from."""
+    log_probs = output_log_probs(h, params)
     ids, counts = count_rows(targets)
     weighted = counts * phi[ids] if phi is not None else counts.astype(float)
     factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
@@ -359,15 +350,27 @@ def output_log_probs(
     h_top: np.ndarray, params: Params, words: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-word log conditional probabilities given each row of a (rows, H)
-    matrix of hidden states.
+    matrix of hidden states: the one output layer of training, the
+    perplexity estimate and annotation.
 
     With `words`, the softmax runs over those words' outputs alone: the log
     probability of each word given that the next word is one of `words`.
+    The logits and their log-softmax are computed in place, on row parts
+    (`on_rows`).
     """
     V, b = params.V_out, params.b_out
     if words is not None:
         V, b = V[words], b[words]
-    return log_softmax(b + h_top @ V.T)
+    log_probs = np.empty((len(h_top), len(b)))
+
+    def logits_rows(rows):
+        out = log_probs[rows]
+        np.matmul(h_top[rows], V.T, out=out)
+        out += b
+        log_softmax(out, out=out)
+
+    on_rows(logits_rows, log_probs)
+    return log_probs
 
 
 PERPLEXITY = "perplexity_estimate"  # the eval metric: losses of sampled splits

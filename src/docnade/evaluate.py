@@ -120,7 +120,7 @@ def _ranking(scores, relevant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     relevant = np.asarray(relevant, dtype=bool)
     if not relevant.any():
         raise ValueError("no relevant items")
-    hits = relevant[np.lexsort((np.arange(len(scores)), -scores))]
+    hits = relevant[top_order(np.arange(len(scores)), scores)]
     cum_hits = np.cumsum(hits)
     return hits, cum_hits, cum_hits / np.arange(1, len(scores) + 1)
 

@@ -300,7 +300,7 @@ def class_word_associations(
     if not (0 <= class_index < len(params.d)):
         raise ValueError(f"class index {class_index} out of range")
     column = params.U[class_index]
-    topics = np.lexsort((np.arange(len(column)), -column))[:top_topics]
+    topics = top_order(np.arange(len(column)), column, top_topics)
     word_scores = params.W[topics].mean(axis=0)
     top = [ids[top_order(ids, word_scores[ids], min(top_words, len(ids)))]
            for ids in (np.arange(vocab.visual_size), np.arange(vocab.visual_size, vocab.size))]

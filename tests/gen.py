@@ -4,12 +4,15 @@ Each class owns a disjoint block of visual ids that receives `signal` of the
 per-token probability mass (the rest is uniform background), and emits a
 fixed set of class-specific annotation words.  Because the generator is
 known, the Bayes classification accuracy on any generated sample can be
-computed exactly from the per-class multinomials.
+computed exactly from the per-class multinomials.  `write_corpus` writes a
+corpus in either file format, the inverse of `corpus.parse_corpus`.
 """
+
+import json
 
 import numpy as np
 
-from docnade.corpus import build_vocabulary
+from docnade.corpus import FORMATS, _header_path, build_vocabulary
 from oracles import Document, annotation_id, corpus_of, documents
 
 
@@ -82,3 +85,45 @@ def bayes_accuracy(corpus, class_probs):
     preds = bayes_predictions(corpus, class_probs)
     truth = np.array([next(iter(doc.labels)) for doc in documents(corpus)])
     return float(np.mean(preds == truth))
+
+
+def write_corpus(corpus, path, format="text-sparse"):
+    """Write a corpus plus sidecar header; parse_corpus inverts this exactly."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown corpus format {format!r}")
+    vocab = corpus.vocabulary
+    header = {
+        "n_visual": vocab.n_visual,
+        "n_regions": vocab.n_regions,
+        "n_annotation": vocab.n_annotation,
+        "C": corpus.n_classes,
+        "N_f": corpus.n_features,
+        "annotation_words": list(vocab.annotation_words),
+    }
+    with open(_header_path(path), "w") as fh:
+        json.dump(header, fh, sort_keys=True)
+        fh.write("\n")
+
+    with open(path, "w") as fh:
+        for row in range(len(corpus)):
+            ids, counts = corpus.row(row)
+            split = np.searchsorted(ids, vocab.visual_size)
+            pairs = list(zip(ids.tolist(), counts.tolist()))
+            labels = corpus.row_labels(row).tolist()
+            feats = [] if corpus.features is None else corpus.features[row].tolist()
+            if format == "text-sparse":
+                fields = (
+                    " ".join(map(str, labels)),
+                    " ".join(f"{i}:{c}" for i, c in pairs[:split]),
+                    " ".join(f"{i}:{c}" for i, c in pairs[split:]),
+                    " ".join(map(repr, feats)),
+                )
+                fh.write(" | ".join(fields) + "\n")
+            else:
+                record = {
+                    "labels": labels,
+                    "visual": [list(pair) for pair in pairs[:split]],
+                    "annotations": [list(pair) for pair in pairs[split:]],
+                    "features": feats,
+                }
+                fh.write(json.dumps(record) + "\n")

@@ -31,9 +31,10 @@ finite-difference and oracle tests check the production arithmetic;
 `dense_polyak_update` is the dense form of the average that
 `trainer.polyak_update` keeps lazily.  `glorot_init` and `maybe_glorot` draw
 one Glorot matrix at a time, the sequential reference of
-`numerics.glorot_arrays`.  `serial_polyak_update` and
-`serial_generative_loss` are the SGD step and the output layer as they ran
-on one thread, the references of their row parts (`numerics.on_rows`).
+`numerics.glorot_arrays`.  `serial_polyak_update`, `serial_generative_loss`
+and `serial_output_log_probs` are the SGD step, the output layer and its
+annotation form as they ran on one thread, the references of their row
+parts (`numerics.on_rows`).
 """
 
 import itertools
@@ -128,6 +129,14 @@ def serial_generative_loss(h_top, targets, phi, d, total_tokens, params, weight=
              "h": weight * (d_logits @ params.V_out)}
     grads["V_out"] *= weight
     return loss, grads
+
+
+def serial_output_log_probs(h_top, params, words):
+    """`deep.output_log_probs` over `words` on one thread: the log-softmax of
+    the whole batch's logits on those words."""
+    logits = params.b_out[words] + h_top @ params.V_out[words].T
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def estimator_expectation(counts, params, omega=None, phi=None, features=None):

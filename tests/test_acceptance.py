@@ -23,11 +23,11 @@ from conftest import (
 )
 from docnade import deep, evaluate, shallow
 from docnade.cli import main as cli_main
-from docnade.corpus import build_vocabulary, write_corpus
+from docnade.corpus import build_vocabulary
 from docnade.model_io import load_model, save_model
 from docnade.trainer import TrainConfig, train_model
 from docnade.wordtree import build_tree, words_log_prob
-from gen import bayes_accuracy, make_corpus
+from gen import bayes_accuracy, make_corpus, write_corpus
 from oracles import (
     Document,
     OpCounter,

@@ -9,11 +9,11 @@ import pytest
 
 from conftest import init_sized, random_shallow_params
 from docnade.cli import main
-from docnade.corpus import build_vocabulary, parse_corpus, write_corpus
+from docnade.corpus import build_vocabulary, parse_corpus
 from docnade.model_io import MAGIC, ModelMeta, load_checkpoint, load_model, save_model
 from docnade.rng import named_stream
 from docnade.trainer import TrainConfig
-from gen import make_corpus
+from gen import make_corpus, write_corpus
 from oracles import Document, corpus_of, documents
 
 
@@ -131,6 +131,13 @@ class TestTrain:
             "--model", "docnade", "--regions", "9", "--epochs", "1",
         ])
         assert code == 3
+
+    def test_layers_replicate_the_hidden_size(self, tmp_path, corpus_path):
+        run_dir = _train(corpus_path, tmp_path / "runs", "--model", "supdeepdocnade",
+                         "--layers", "2", "--hidden", "8", "--epochs", "1")
+        manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+        assert manifest["config"]["hidden_sizes"] == [8, 8]
+        assert load_model(os.path.join(run_dir, "model.bin"))[1].hidden_sizes == (8, 8)
 
 
 class TestFinalWrites:
@@ -635,6 +642,51 @@ class TestGrid:
         assert code == 3
         assert not os.path.exists(tmp_path / "g")
 
+    def test_hidden_values_follow_layers(self, tmp_path, corpus_path):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"hidden": [8]}))
+        out = tmp_path / "grid-out"
+        assert main(["grid", "--grid", str(grid_file), "--corpus", str(corpus_path),
+                     "--val", str(corpus_path), "--out", str(out), "--model", "supdeepdocnade",
+                     "--layers", "2", "--epochs", "1"]) == 0
+        assert json.load(open(out / "best_manifest.json"))["config"]["hidden_sizes"] == [8, 8]
+
+    def _grid_exits_3_before_any_work(self, tmp_path, corpus, val, *flags):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"lr": [0.01, 0.05]}))
+        code = main(["grid", "--grid", str(grid_file), "--corpus", str(corpus),
+                     "--val", str(val), "--out", str(tmp_path / "g"), "--epochs", "1", *flags])
+        assert code == 3
+        assert not os.path.exists(tmp_path / "g")
+
+    def test_regions_checked_before_any_work(self, tmp_path, corpus_path, capsys):
+        self._grid_exits_3_before_any_work(tmp_path, corpus_path, corpus_path,
+                                           "--model", "docnade", "--regions", "9")
+        assert "--regions 9 disagrees" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_visual", [6, 3], ids=["larger", "smaller"])
+    @pytest.mark.parametrize("kind,hidden", [
+        ("docnade", "6"), ("supdocnade", "6"), ("deepdocnade", "6,5"), ("supdeepdocnade", "6,5"),
+    ])
+    def test_val_vocabulary_checked_before_any_work(self, tmp_path, corpus_path, capsys, kind,
+                                                    hidden, n_visual):
+        val, _ = make_corpus(21, n_classes=3, n_visual=n_visual, n_regions=2, anno_per_class=2,
+                             docs_per_class=5, doc_len=12, signal=0.7)
+        write_corpus(val, tmp_path / "val.corpus")
+        self._grid_exits_3_before_any_work(tmp_path, corpus_path, tmp_path / "val.corpus",
+                                           "--model", kind, "--hidden", hidden)
+        assert "mismatch on vocabulary size Q" in capsys.readouterr().err
+
+    def test_training_labels_checked_before_any_work(self, tmp_path, corpus_path, capsys):
+        corpus = parse_corpus(corpus_path)
+        docs = list(documents(corpus))
+        docs[5] = Document(docs[5].counts, frozenset({0, 2}), docs[5].features)
+        path = tmp_path / "odd.corpus"
+        write_corpus(corpus_of(corpus.vocabulary, docs, corpus.n_classes), path)
+        self._grid_exits_3_before_any_work(tmp_path, path, corpus_path,
+                                           "--model", "supdeepdocnade", "--hidden", "4")
+        assert "document 5 needs exactly one label" in capsys.readouterr().err
+
 
 class TestMissingFeatures:
     @pytest.mark.parametrize("format", ["text-sparse", "record-lines"])
@@ -672,6 +724,9 @@ _MALFORMED = {
     "train-workers": ["train", "--workers", "0"],
     "train-epochs": ["train", "--epochs", "-1"],
     "train-hidden": ["train", "--hidden", "0"],
+    "train-layers-disagree": ["train", "--model", "supdeepdocnade", "--layers", "3",
+                              "--hidden", "8,6"],
+    "train-shallow-layers": ["train", "--model", "docnade", "--layers", "2"],
     "train-batch-size": ["train", "--batch-size", "0"],
     "train-lr-nan": ["train", "--lr", "nan"],
     "train-lambda-nan": ["train", "--model", "supdocnade", "--lambda", "nan"],

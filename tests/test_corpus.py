@@ -9,8 +9,8 @@ from docnade.corpus import (
     count_rows,
     parse_corpus,
     weight_vector,
-    write_corpus,
 )
+from gen import write_corpus
 from oracles import (
     Document,
     annotation_id,

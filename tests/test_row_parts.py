@@ -16,7 +16,7 @@ from docnade import deep, numerics
 from docnade.numerics import PART_MIN, Params
 from docnade.trainer import AveragedParams, TrainConfig, _LazyAverage, polyak_update, train_model
 from gen import make_corpus
-from oracles import serial_generative_loss, serial_polyak_update
+from oracles import serial_generative_loss, serial_output_log_probs, serial_polyak_update
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,6 +104,17 @@ class TestPartsEqualWhole:
                                                      weight)
         assert loss.tobytes() == ref_loss.tobytes()
         _same(grads, ref_grads)
+
+    @pytest.mark.parametrize("rows", [2, 3, 4, 5, 64])
+    def test_output_log_probs_over_words(self, rng, threads, rows):
+        q, hidden = 40_000, 16
+        params = Params({"V_out": rng.normal(scale=0.1, size=(q, hidden)),
+                         "b_out": rng.normal(scale=0.1, size=q)})
+        h_top = np.maximum(rng.normal(size=(rows, hidden)), 0.0)
+        words = np.sort(rng.choice(q, 33_000, replace=False))
+        assert len(words) * rows >= PART_MIN
+        log_probs = deep.output_log_probs(h_top, params, words=words)
+        assert log_probs.tobytes() == serial_output_log_probs(h_top, params, words).tobytes()
 
 
 class PartError(Exception):

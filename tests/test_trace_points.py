@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 from docnade.cli import main
-from docnade.corpus import write_corpus
-from gen import make_corpus
+from gen import make_corpus, write_corpus
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 

@@ -1,9 +1,11 @@
-"""Same behaviour, measured: eleven fixed-seed CLI manifests, hashed.
+"""Same behaviour, measured: eleven fixed-seed CLI manifests and a grid search, hashed.
 
 Writes the corpora of eleven fixed-seed training manifests once (from
 `tests/gen.py` and `perfbench/corpora.py`), trains each manifest through the
 `docnade` CLI, then runs `eval --orderings 3 --eval-seed 2`, `annotate --k 3`,
-`retrieve --query 2 --k 5` and `inspect --class-index 0` on its model.  It
+`retrieve --query 2 --k 5` and `inspect --class-index 0` on its model.  Last
+it runs one `grid` search over two learning rates and hashes its output and
+`best_manifest.json`.  It
 records the sha256 of every file a run writes (the loss columns of
 `train.log`, whose third column is a wall time) and of every call's output
 and exit code, with the numpy version and BLAS build that ran them.
@@ -80,6 +82,9 @@ MANIFESTS = {
                                            "--anno-weight", "12"]),
 }
 
+# the flags of one grid search over the lr values of `grid.json`, on gen.txt
+GRID = ["--model", "supdocnade", "--hidden", "6", *COMMON]
+
 CALLS = {
     "eval": ["eval", "--orderings", "3", "--eval-seed", "2"],
     "annotate": ["annotate", "--k", "3"],
@@ -92,11 +97,10 @@ def write_corpora(directory: str) -> None:
     """The manifests' corpora: 24 labelled documents at Q = 20 with 3
     features (text-sparse, a record-lines copy and a copy whose every other
     document has a second label), 24 unlabelled ones for pretraining, and
-    100 `perfbench/corpora.py` documents at Q = 2,960."""
+    100 `perfbench/corpora.py` documents at Q = 2,960; and the grid file."""
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "tests", "perfbench")]
     import corpora
-    from docnade.corpus import write_corpus
-    from gen import make_corpus
+    from gen import make_corpus, write_corpus
     from oracles import Document, corpus_of, documents
 
     dims = dict(n_classes=4, n_visual=4, n_regions=3, anno_per_class=2, docs_per_class=6,
@@ -113,6 +117,8 @@ def write_corpora(directory: str) -> None:
     vocab, rng = corpora.Vocab(240, 4, 2000, 8), np.random.default_rng(5)
     lines = corpora.World(vocab, rng).draw(rng, 100, 40, 5, False)
     corpora.write_corpus(os.path.join(directory, "q2960.txt"), vocab, lines)
+    with open(os.path.join(directory, "grid.json"), "w") as fh:
+        json.dump({"lr": [0.01, 0.05]}, fh)
 
 
 def read_arrays(path: str) -> dict[str, np.ndarray]:
@@ -215,6 +221,18 @@ def run_side(tree: str, work: str, corpora_dir: str) -> dict[str, dict]:
         for call, argv in CALLS.items():
             items[f"{name} {call}"] = run_cli(tree, cwd, [*argv, *model, *(
                 [] if call == "inspect" else corpus_args)])
+    cwd = os.path.join(work, "grid")
+    os.makedirs(cwd)
+    gen = os.path.join(corpora_dir, "gen.txt")
+    grid = items["grid"] = run_cli(tree, cwd, [
+        "grid", "--grid", os.path.join(corpora_dir, "grid.json"), "--corpus", gen, "--val", gen,
+        *GRID, "--out", "out"])
+    best = os.path.join(cwd, "out", "best_manifest.json")
+    if grid["exit"] != 0 or not os.path.exists(best):
+        grid["failed"] = f"exit {grid['exit']}, no best_manifest.json"
+    else:
+        with open(best, "rb") as fh:
+            items["grid best_manifest.json"] = {"sha256": sha256(fh.read()), "path": best}
     return items
 
 
