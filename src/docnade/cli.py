@@ -20,6 +20,7 @@ from . import __version__
 from . import evaluate as eval_mod
 from .corpus import Corpus, CorpusFormatError, is_json_int, parse_corpus
 from .model_io import MODEL_KINDS, ModelMeta, load_model, save_model
+from .numerics import HEADS
 from .trainer import (TrainConfig, TrainingDivergedError, build_meta, pretrain_config,
                       train_model, training_stages)
 
@@ -222,14 +223,14 @@ def cmd_inspect(args) -> int:
 def _grid_int(value) -> int:
     """A grid value that must be a JSON integer (not a boolean)."""
     if not is_json_int(value):
-        raise TypeError(value)
+        raise TypeError("not an integer")
     return value
 
 
 def _grid_number(value) -> float:
     """A grid value that must be a JSON number (not a boolean or a string)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(value)
+        raise TypeError("not a number")
     return float(value)
 
 
@@ -242,7 +243,7 @@ _GRID_KEYS = {
     "avg-decay": ("avg_decay", _grid_number),
     "epochs": ("epochs", _grid_int),
     "batch-size": ("batch_size", _grid_int),
-    "hidden": ("hidden", str),
+    "hidden": ("hidden", str),  # parsed as --hidden is: str(8.0) or str(True) fails
     "seed": ("seed", _grid_int),
 }
 
@@ -271,12 +272,14 @@ def cmd_grid(args) -> int:
         try:
             overrides = {_GRID_KEYS[key][0]: _GRID_KEYS[key][1](raw)
                          for key, raw in zip(keys, combo)}
-        except TypeError:
-            raise ValueError(f"malformed grid point {dict(zip(keys, combo))}") from None
-        config = _config_from_args(argparse.Namespace(**{**vars(args), **overrides}))
+            config = _config_from_args(argparse.Namespace(**{**vars(args), **overrides}))
+        except (TypeError, ValueError) as exc:  # a value of the wrong type, or a bad --hidden
+            raise ValueError(f"malformed grid point {dict(zip(keys, combo))}: {exc}") from None
         training_stages(train_corpus, config)
         points.append((combo, config))
-    _check_compat(build_meta(train_corpus, config), val_corpus)  # the corpus fields of any point
+    meta = build_meta(train_corpus, config)  # the model kind, head and corpus fields of any point
+    _check_compat(meta, val_corpus)
+    eval_mod.check_eval_corpus(val_corpus, meta)
 
     best = None
     os.makedirs(args.out, exist_ok=True)
@@ -345,7 +348,7 @@ def _add_train_flags(sub, with_grid: bool = False):
     sub.add_argument("--lr", type=float, default=0.01)
     sub.add_argument("--epochs", type=int, default=10)
     sub.add_argument("--batch-size", dest="batch_size", type=int, default=1)
-    sub.add_argument("--head", choices=("softmax", "sigmoid"), default="softmax")
+    sub.add_argument("--head", choices=HEADS, default="softmax")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--workers", type=_positive_int, default=1,
                      help="accepted for compatibility and ignored")

@@ -42,9 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import JointVocabulary, count_rows, weight_vector
-from .numerics import Params, log_softmax, on_rows, sigmoid, top_order
+from .numerics import Params, log_softmax, on_rows, supervised_loss, top_order
 
-HEADS = ("softmax", "sigmoid")
 _STD_GUARD = 1e-12
 
 
@@ -157,7 +156,7 @@ def _generative_terms(h, targets, phi, d, total_tokens, params):
     log-softmax (`output_log_probs`), the union `ids` of the rows' target
     ids, the weighted targets on them and the (rows, 1) rescale factors that
     `generative_loss` builds the output-layer gradients from."""
-    log_probs = output_log_probs(h, params)
+    log_probs = output_log_probs(h, params.V_out, params.b_out)
     ids, counts = count_rows(targets)
     weighted = counts * phi[ids] if phi is not None else counts.astype(float)
     factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
@@ -211,37 +210,6 @@ def generative_loss(
     on_rows(batch_rows, d_logits)
     on_rows(vocab_rows, d_v)
     return loss, {"V_out": d_v, "b_out": weight * d_logits.sum(axis=0), "h": d_h}
-
-
-def supervised_loss(
-    h_top: np.ndarray,
-    labels: list[frozenset[int]],
-    params: Params,
-    head: str,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Per-row class-head losses of a (rows, H) `h_top`, one label set per
-    row, and the gradients {U, d, h}, U and d summed over the rows.
-
-    softmax: -log p(y | h) for the single label y.
-    sigmoid: per-class binary cross-entropy against the label set.
-    """
-    if head not in HEADS:
-        raise ValueError(f"unknown head {head!r}")
-    if head == "softmax" and any(len(label_set) != 1 for label_set in labels):
-        raise ValueError("softmax head requires exactly one label")
-    z = params.d + h_top @ params.U.T
-    target = np.zeros_like(z)
-    for row, label_set in enumerate(labels):
-        target[row, sorted(label_set)] = 1.0
-    if head == "softmax":
-        log_post = log_softmax(z)
-        loss = -log_post[target == 1.0]
-        d_logits = np.exp(log_post) - target
-    else:
-        # -t*log(sig(z)) - (1-t)*log(1-sig(z)), computed stably
-        loss = (target * np.logaddexp(0.0, -z) + (1 - target) * np.logaddexp(0.0, z)).sum(axis=1)
-        d_logits = sigmoid(z) - target
-    return loss, {"U": d_logits.T @ h_top, "d": d_logits.sum(axis=0), "h": d_logits @ params.U}
 
 
 def hybrid_loss_gradients(
@@ -346,21 +314,16 @@ def deep_represent(
     return hs[-1]
 
 
-def output_log_probs(
-    h_top: np.ndarray, params: Params, words: np.ndarray | None = None
-) -> np.ndarray:
+def output_log_probs(h_top: np.ndarray, V: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-word log conditional probabilities given each row of a (rows, H)
-    matrix of hidden states: the one output layer of training, the
-    perplexity estimate and annotation.
-
-    With `words`, the softmax runs over those words' outputs alone: the log
-    probability of each word given that the next word is one of `words`.
-    The logits and their log-softmax are computed in place, on row parts
-    (`on_rows`).
+    matrix of hidden states, under the output layer of weights `V` and
+    biases `b`: the one output layer of training, the perplexity estimate
+    and annotation.  Training and the perplexity estimate pass `V_out` and
+    `b_out`; annotation passes views of their annotation rows, so that each
+    word's log probability is given that the next word is an annotation
+    word.  The logits and their log-softmax are computed in place, on row
+    parts (`on_rows`).
     """
-    V, b = params.V_out, params.b_out
-    if words is not None:
-        V, b = V[words], b[words]
     log_probs = np.empty((len(h_top), len(b)))
 
     def logits_rows(rows):
@@ -402,13 +365,14 @@ def predict_annotations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k annotation ids and probabilities of each row of a corpus given
     its visual words: the output softmax taken over the annotation block alone,
-    the only rows of V_out that are scored."""
+    a view of the only rows of V_out that are scored."""
     vocab = rows.vocabulary
     cols, counts = rows.count_block(vocab.visual_size)
     h_top = deep_represent(counts, cols, rows.features, params, context.omega,
                            context.dropout_rate)
+    anno = slice(vocab.visual_size, None)
+    probs = np.exp(output_log_probs(h_top, params.V_out[anno], params.b_out[anno]))
     anno_ids = np.arange(vocab.visual_size, vocab.size)
-    probs = np.exp(output_log_probs(h_top, params, words=anno_ids))
     order = top_order(anno_ids, probs, top_k)
     return anno_ids[order], np.take_along_axis(probs, order, axis=1)
 

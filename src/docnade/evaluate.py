@@ -188,10 +188,11 @@ def perplexity(
     count), each loss the family's `perplexity_losses` averaged over
     `samples` draws: the exact log-likelihoods of sampled token orderings
     (shallow models) or the losses of sampled splits (deep models), the
-    documents scored a chunk at a time in corpus order."""
+    documents scored a chunk at a time in corpus order.  The corpus must
+    hold a token (`check_eval_corpus`)."""
     family = meta.family[0]
     context = family.context(meta, corpus.vocabulary)
-    total_loss, total_tokens = 0.0, 0
+    total_loss = 0.0
     for chunk in _chunks(corpus, max(1, CHUNK_DOCS // samples)):
         totals = np.diff(np.cumsum(np.append(0, chunk.counts))[chunk.indptr])
         if not totals.any():
@@ -199,10 +200,7 @@ def perplexity(
         for loss in family.perplexity_losses(chunk.take(np.flatnonzero(totals)), params,
                                              context, samples, rng):
             total_loss += loss
-        total_tokens += int(totals.sum())
-    if total_tokens == 0:
-        raise ValueError("corpus has no tokens")
-    return float(np.exp(total_loss / total_tokens))
+    return float(np.exp(total_loss / int(corpus.counts.sum())))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +263,23 @@ def generate_text(
 LOWER_IS_BETTER = ("perplexity", "perplexity_estimate")
 
 
+def check_eval_corpus(corpus: Corpus, meta: ModelMeta, curves: bool = False) -> None:
+    """ValueError unless `evaluation_metrics` can score the model of `meta`
+    on `corpus` (and write PR curves, if `curves`); `docnade grid` checks
+    its validation corpus with it before it trains."""
+    if not len(corpus):
+        raise ValueError("corpus has no documents to evaluate")
+    if not meta.family[1]:
+        if curves:
+            raise ValueError("--curves needs a supervised model: an unsupervised model "
+                             "has no class scores")
+        if not corpus.counts.any():
+            raise ValueError("corpus has no tokens")
+    elif not len(corpus.labels):
+        raise ValueError("no class has relevant items" if meta.head == "sigmoid"
+                         else "no document has a label to score accuracy on")
+
+
 @one_blas_thread()
 def evaluation_metrics(
     corpus: Corpus,
@@ -279,19 +294,14 @@ def evaluation_metrics(
     """The (metric, value) report of `docnade eval` for the model's kind.
 
     Unsupervised models: perplexity (deep ones: its sampled-split estimate)
-    over `orderings` samples per document; they have no class scores, so
-    `curves_dir` is an error.  Supervised models: accuracy, or MAP for a
-    sigmoid head, then top-K annotation F-measure; `curves_dir` receives
-    each class's one-vs-rest PR curve of the documents the first metric
-    scores.  The first entry is what a grid search selects on.
+    over `orderings` samples per document.  Supervised models: accuracy, or
+    MAP for a sigmoid head, then top-K annotation F-measure; `curves_dir`
+    receives each class's one-vs-rest PR curve of the documents the first
+    metric scores.  The first entry is what a grid search selects on.
     """
-    if not len(corpus):
-        raise ValueError("corpus has no documents to evaluate")
+    check_eval_corpus(corpus, meta, curves=curves_dir is not None)
     family, supervised = meta.family
     if not supervised:
-        if curves_dir is not None:
-            raise ValueError("--curves needs a supervised model: an unsupervised model "
-                             "has no class scores")
         rng = named_stream(eval_seed, "eval")
         return [(family.PERPLEXITY, perplexity(corpus, params, meta, orderings, rng))]
 
@@ -312,8 +322,6 @@ def evaluation_metrics(
             metrics.append(("map_classes_excluded", float(skipped)))
     else:
         labeled = np.flatnonzero(np.diff(corpus.label_ptr))
-        if not len(labeled):
-            raise ValueError("no document has a label to score accuracy on")
         scores = softmax_rows(logits)[labeled]
         truth = corpus.labels[corpus.label_ptr[labeled]]  # a document's smallest label
         metrics.append(("accuracy", accuracy(scores.argmax(axis=1), truth)))

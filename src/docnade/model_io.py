@@ -35,7 +35,7 @@ import numpy as np
 
 from . import deep, shallow
 from .corpus import is_json_int
-from .numerics import Params
+from .numerics import HEADS, Params
 
 MAGIC = b"DOCNADE1"
 FORMAT_VERSION = 1
@@ -139,7 +139,7 @@ class ModelMeta:
 def check_settings(family: tuple[ModuleType, bool], settings) -> None:
     """ValueError, naming the field, unless a model of `family` can have the
     head, hidden sizes, annotation weight and dropout rate of `settings`."""
-    if settings.head not in deep.HEADS:
+    if settings.head not in HEADS:
         raise ValueError(f"unknown head {settings.head!r}")
     if not settings.hidden_sizes or any(h < 1 for h in settings.hidden_sizes):
         raise ValueError("hidden_sizes must be positive")

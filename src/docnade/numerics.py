@@ -1,9 +1,9 @@
-"""Numerically stable sigmoid, log-softmax and row softmax, the top-k
-ranking order, Glorot initialization, a model's arrays (`Params`), the
-sparse gradient format, the two-thread runner of a training call's bulk
-work (`call_all`, and `on_rows` over fixed row parts) and the one-thread
-BLAS setting of training and inference (`one_blas_thread`), shared by the
-models, the trainer and the metrics."""
+"""Numerically stable sigmoid, log-softmax and row softmax, both families'
+class head, the top-k ranking order, Glorot initialization, a model's
+arrays (`Params`), the sparse gradient format, the two-thread runner of a
+training call's bulk work (`call_all`, and `on_rows` over fixed row parts)
+and the one-thread BLAS setting of training and inference
+(`one_blas_thread`), shared by the models, the trainer and the metrics."""
 
 from __future__ import annotations
 
@@ -48,6 +48,41 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+HEADS = ("softmax", "sigmoid")
+
+
+def supervised_loss(
+    h_top: np.ndarray, labels: list, params: Params, head: str
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-row class-head losses of a (rows, H) `h_top`, one collection of
+    labels per row, and the gradients {U, d, h}, U and d summed over the
+    rows: the head p(y | h) = head(d + U h) of every supervised model.
+
+    softmax: -log p(y | h) for the single label y.
+    sigmoid: per-class binary cross-entropy against the label set.
+    """
+    if head not in HEADS:
+        raise ValueError(f"unknown head {head!r}")
+    if head == "softmax" and any(len(label_set) != 1 for label_set in labels):
+        raise ValueError("softmax head requires exactly one label")
+    bad = next((y for label_set in labels for y in label_set if not 0 <= y < len(params.d)), None)
+    if bad is not None:
+        raise ValueError(f"label {bad} out of range")
+    z = params.d + h_top @ params.U.T
+    target = np.zeros_like(z)
+    for row, label_set in enumerate(labels):
+        target[row, sorted(label_set)] = 1.0
+    if head == "softmax":
+        log_post = log_softmax(z)
+        loss = -log_post[target == 1.0]
+        d_logits = np.exp(log_post) - target
+    else:
+        # -t*log(sig(z)) - (1-t)*log(1-sig(z)), computed stably
+        loss = (target * np.logaddexp(0.0, -z) + (1 - target) * np.logaddexp(0.0, z)).sum(axis=1)
+        d_logits = sigmoid(z) - target
+    return loss, {"U": d_logits.T @ h_top, "d": d_logits.sum(axis=0), "h": d_logits @ params.U}
 
 
 def top_order(ids: np.ndarray, scores: np.ndarray, top_k: int | None = None) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import JointVocabulary
-from .numerics import Params, log_softmax, top_order
+from .numerics import Params, supervised_loss, top_order
 from .wordtree import WordTree, build_tree, words_log_prob
 
 
@@ -161,8 +161,6 @@ def supdocnade_gradients(
     and its column sums.  dW is the product of a one-hot (block words x
     tokens) matrix with the accumulator.
     """
-    if label is not None and not (0 <= label < len(params.d)):
-        raise ValueError(f"label {label} out of range")
     tokens = layout.ids[seg]
     n_tokens, n_hidden = len(tokens), len(params.c)
     loss = 0.0
@@ -175,12 +173,10 @@ def supdocnade_gradients(
     grads = {}
     dact_head = np.zeros(n_hidden)
     if label is not None:
-        log_post = log_softmax(params.d + params.U @ states[-1])
-        loss -= float(log_post[label])
-        g_d = np.exp(log_post)
-        g_d[label] -= 1.0
-        grads.update(U=(0, whole, np.outer(g_d, states[-1])), d=(0, whole, g_d))
-        dact_head = (params.U.T @ g_d) * active[-1]
+        (head_loss,), head = supervised_loss(states[-1:], [(label,)], params, "softmax")
+        loss += float(head_loss)
+        grads.update(U=(0, whole, head["U"]), d=(0, whole, head["d"]))
+        dact_head = head["h"][0] * active[-1]
     grads["c"] = (0, whole, dact_head)
     if n_tokens == 0:
         return loss, grads

@@ -37,27 +37,19 @@ class WordTree:
         """Padded (nodes, bits, lengths) arrays for every word, built lazily.
 
         nodes and bits have shape (Q, max depth); unused slots hold -1 / 0.
+        By heap arithmetic: the 1-based leaf j = leaf + 1 at depth L has the
+        k-th root-first path node (j >> (L - k)) - 1, branch bit (j >> (L - k - 1)) & 1.
         """
         if self._table is None:
-            depth = self.max_path_length
-            lengths = (
-                np.floor(np.log2(self.leaf_of_word + 1)).astype(np.int64)
-                if self.size > 1
-                else np.zeros(1, dtype=np.int64)
-            )
-            nodes = np.full((self.size, max(depth, 1)), -1, dtype=np.int64)
-            bits = np.zeros((self.size, max(depth, 1)), dtype=np.int64)
-            cur = self.leaf_of_word.copy()
-            pos = lengths - 1
-            while True:
-                active = pos >= 0
-                if not active.any():
-                    break
-                parent = (cur[active] - 1) // 2
-                nodes[np.flatnonzero(active), pos[active]] = parent
-                bits[np.flatnonzero(active), pos[active]] = cur[active] - 2 * parent - 1
-                cur[active] = parent
-                pos[active] -= 1
+            j = self.leaf_of_word[:, None] + 1
+            lengths = np.frexp(j[:, 0])[1].astype(np.int64) - 1
+            shift = lengths[:, None] - np.arange(max(self.max_path_length, 1))
+            shift[shift < 1] = 63  # past a path's end: j >> 63 is 0, so node -1 and bit 0
+            nodes = j >> shift
+            nodes -= 1
+            shift -= 1
+            bits = np.right_shift(j, shift, out=shift)  # in place: one (Q, depth) temporary
+            bits &= 1
             self._table = (nodes, bits, lengths)
         return self._table
 

@@ -630,9 +630,10 @@ class TestGrid:
         '[{"lr": [0.1]}]', '{"lr": 0.1}', '{"lr": null}', '{"lr": [null]}',
         '{"lr": [0.1, NaN]}', '{"hidden": [4], "seed": [0, null]}',
         '{"epochs": [1.5]}', '{"batch-size": [2.7]}', '{"lr": [true]}', '{"seed": ["7"]}',
-        '{"seed": [0, -1]}',
+        '{"seed": [0, -1]}', '{"hidden": [8.0]}', '{"hidden": ["8,x"]}', '{"hidden": [true]}',
     ])
-    def test_malformed_grid_is_a_data_error_before_any_work(self, tmp_path, corpus_path, spec):
+    def test_malformed_grid_is_a_data_error_before_any_work(self, tmp_path, corpus_path, spec,
+                                                             capsys):
         grid_file = tmp_path / "grid.json"
         grid_file.write_text(spec)
         code = main([
@@ -641,6 +642,8 @@ class TestGrid:
         ])
         assert code == 3
         assert not os.path.exists(tmp_path / "g")
+        if '"hidden": [' in spec:
+            assert "malformed grid point {'hidden': " in capsys.readouterr().err
 
     def test_hidden_values_follow_layers(self, tmp_path, corpus_path):
         grid_file = tmp_path / "grid.json"
@@ -676,6 +679,23 @@ class TestGrid:
         self._grid_exits_3_before_any_work(tmp_path, corpus_path, tmp_path / "val.corpus",
                                            "--model", kind, "--hidden", hidden)
         assert "mismatch on vocabulary size Q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,flags,docs,message", [
+        ("supdocnade", [], "none", "corpus has no documents to evaluate"),
+        ("supdocnade", [], "unlabelled", "no document has a label to score accuracy on"),
+        ("supdeepdocnade", ["--head", "sigmoid"], "unlabelled", "no class has relevant items"),
+        ("docnade", [], "tokenless", "corpus has no tokens"),
+    ], ids=["no-documents", "softmax-unlabelled", "sigmoid-unlabelled", "no-tokens"])
+    def test_val_corpus_scored_before_any_work(self, tmp_path, corpus_path, capsys, kind, flags,
+                                                docs, message):
+        corpus = parse_corpus(corpus_path)
+        val = {"none": [], "unlabelled": [Document(doc.counts) for doc in documents(corpus)],
+               "tokenless": [Document({}, doc.labels) for doc in documents(corpus)]}[docs]
+        path = tmp_path / "val.corpus"
+        write_corpus(corpus_of(corpus.vocabulary, val, corpus.n_classes), path)
+        self._grid_exits_3_before_any_work(tmp_path, corpus_path, path, "--model", kind,
+                                           "--hidden", "4", *flags)
+        assert message in capsys.readouterr().err
 
     def test_training_labels_checked_before_any_work(self, tmp_path, corpus_path, capsys):
         corpus = parse_corpus(corpus_path)

@@ -192,7 +192,7 @@ class TestGenerativeLoss:
 
     def test_softmax_normalization(self, rng):
         params = random_deep_params(rng, 40, (5,), 2)
-        log_probs = deep.output_log_probs(rng.normal(size=(1, 5)), params)
+        log_probs = deep.output_log_probs(rng.normal(size=(1, 5)), params.V_out, params.b_out)
         assert abs(np.exp(log_probs).sum() - 1.0) < 1e-10
 
     def test_output_gradients_finite_difference(self, rng):
@@ -228,6 +228,14 @@ class TestSupervisedLoss:
             deep.supervised_loss(np.zeros((1, 3)), [frozenset({0, 1})], params, "softmax")
         with pytest.raises(ValueError, match="exactly one label"):
             deep.supervised_loss(np.zeros((1, 3)), [frozenset()], params, "softmax")
+
+    @pytest.mark.parametrize("label", [-1, 5])
+    @pytest.mark.parametrize("head", ["softmax", "sigmoid"])
+    def test_label_out_of_range(self, rng, head, label):
+        params = random_deep_params(rng, 4, (3,), 5)
+        with pytest.raises(ValueError, match=f"label {label} out of range"):
+            deep.supervised_loss(np.zeros((2, 3)), [frozenset({0}), frozenset({label})], params,
+                                 head)
 
     @pytest.mark.parametrize("head", ["softmax", "sigmoid"])
     def test_finite_differences(self, rng, head):
@@ -331,7 +339,7 @@ class TestExhaustiveOrderingLoss:
         cols = np.arange(vocab_size)
         x = deep.prepare_histogram(np.zeros((1, vocab_size), dtype=np.int64), cols, vocab_size, None)
         hs, _ = deep.deep_forward(x, cols, params)
-        expected = phi[1] * -deep.output_log_probs(hs[-1], params)[0, 1]
+        expected = phi[1] * -deep.output_log_probs(hs[-1], params.V_out, params.b_out)[0, 1]
         got = exhaustive_ordering_loss(counts, params, phi=phi)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -343,10 +351,10 @@ class TestExhaustiveOrderingLoss:
         cols = np.arange(3)
         x0 = deep.prepare_histogram(np.array([[0, 0, 0]]), cols, 3, None)
         h0, _ = deep.deep_forward(x0, cols, params)
-        term1 = -deep.output_log_probs(h0[-1], params)[0, 0]
+        term1 = -deep.output_log_probs(h0[-1], params.V_out, params.b_out)[0, 0]
         x1 = deep.prepare_histogram(np.array([[1, 0, 0]]), cols, 3, None)
         h1, _ = deep.deep_forward(x1, cols, params)
-        term2 = -deep.output_log_probs(h1[-1], params)[0, 0]
+        term2 = -deep.output_log_probs(h1[-1], params.V_out, params.b_out)[0, 0]
         got = exhaustive_ordering_loss(counts, params)
         assert got == pytest.approx(term1 + term2, abs=1e-12)
 

@@ -111,10 +111,15 @@ class TestPartsEqualWhole:
         params = Params({"V_out": rng.normal(scale=0.1, size=(q, hidden)),
                          "b_out": rng.normal(scale=0.1, size=q)})
         h_top = np.maximum(rng.normal(size=(rows, hidden)), 0.0)
-        words = np.sort(rng.choice(q, 33_000, replace=False))
-        assert len(words) * rows >= PART_MIN
-        log_probs = deep.output_log_probs(h_top, params, words=words)
-        assert log_probs.tobytes() == serial_output_log_probs(h_top, params, words).tobytes()
+        scattered = np.sort(rng.choice(q, 33_000, replace=False))
+        assert len(scattered) * rows >= PART_MIN
+        log_probs = deep.output_log_probs(h_top, params.V_out[scattered], params.b_out[scattered])
+        assert log_probs.tobytes() == serial_output_log_probs(h_top, params, scattered).tobytes()
+        # annotation's form: views of a trailing block of rows
+        trailing = slice(q - 33_000, None)
+        log_probs = deep.output_log_probs(h_top, params.V_out[trailing], params.b_out[trailing])
+        expected = serial_output_log_probs(h_top, params, np.arange(q)[trailing])
+        assert log_probs.tobytes() == expected.tobytes()
 
 
 class PartError(Exception):

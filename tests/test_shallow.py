@@ -321,6 +321,14 @@ class TestLayoutStep:
             assert np.all(layout.flips[j, n:] == 0)
         assert layout.slots.dtype == np.int32 and layout.nodes.dtype == np.int32
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range(self, rng, label):
+        tree = build_tree(7, 3)
+        params = random_shallow_params(rng, 7, 5, 3)
+        layout, seg = token_layout(np.array([4, 1, 4]), tree)
+        with pytest.raises(ValueError, match=f"label {label} out of range"):
+            shallow.supdocnade_gradients(layout, seg, params, 1.0, label)
+
     def test_step_memory_is_bounded_by_the_block(self):
         """One step on a 5,000-token document at Q = 20,000 and H = 100
         allocates no more than the (tokens x depth x H) float grid of the

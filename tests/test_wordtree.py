@@ -63,13 +63,19 @@ class TestShape:
         assert not np.array_equal(a.leaf_of_word, c.leaf_of_word)
 
     def test_path_table_matches_single_paths(self):
-        tree = build_tree(11, seed=3)
-        nodes_tab, bits_tab, lengths = tree.path_table()
-        for w in range(11):
-            nodes, bits = path(tree, w)
-            assert lengths[w] == len(nodes)
-            assert np.array_equal(nodes_tab[w, : len(nodes)], nodes)
-            assert np.array_equal(bits_tab[w, : len(bits)], bits)
+        for size in (1, 2, 3, 4, 7, 8, 9, 11, 255, 256, 257, 2_960):
+            for seed in (0, 3):
+                tree = build_tree(size, seed=seed)
+                nodes_tab, bits_tab, lengths = tree.path_table()
+                assert nodes_tab.shape == bits_tab.shape == (size, max(tree.max_path_length, 1))
+                assert nodes_tab.dtype == bits_tab.dtype == lengths.dtype == np.int64
+                for w in range(size):
+                    nodes, bits = path(tree, w)
+                    assert lengths[w] == len(nodes)
+                    assert np.array_equal(nodes_tab[w, : len(nodes)], nodes)
+                    assert np.array_equal(bits_tab[w, : len(bits)], bits)
+                    assert (nodes_tab[w, len(nodes) :] == -1).all()
+                    assert (bits_tab[w, len(bits) :] == 0).all()
 
 
 class TestLogProb:

@@ -3,9 +3,10 @@
 Writes the corpora of eleven fixed-seed training manifests once (from
 `tests/gen.py` and `perfbench/corpora.py`), trains each manifest through the
 `docnade` CLI, then runs `eval --orderings 3 --eval-seed 2`, `annotate --k 3`,
-`retrieve --query 2 --k 5` and `inspect --class-index 0` on its model.  Last
-it runs one `grid` search over two learning rates and hashes its output and
-`best_manifest.json`.  It
+`retrieve --query 2 --k 5` and `inspect --class-index 0` on its model, and
+on a supervised model `eval --curves`, whose every PR curve file it hashes.
+Last it runs one `grid` search over two learning rates and hashes its output
+and `best_manifest.json`.  It
 records the sha256 of every file a run writes (the loss columns of
 `train.log`, whose third column is a wall time) and of every call's output
 and exit code, with the numpy version and BLAS build that ran them.
@@ -221,6 +222,13 @@ def run_side(tree: str, work: str, corpora_dir: str) -> dict[str, dict]:
         for call, argv in CALLS.items():
             items[f"{name} {call}"] = run_cli(tree, cwd, [*argv, *model, *(
                 [] if call == "inspect" else corpus_args)])
+        if flags[flags.index("--model") + 1].startswith("sup"):
+            items[f"{name} eval --curves"] = run_cli(
+                tree, cwd, [*CALLS["eval"], *model, *corpus_args, "--curves", "curves"])
+            curves = os.path.join(cwd, "curves")
+            for file in sorted(os.listdir(curves)) if os.path.isdir(curves) else []:
+                with open(os.path.join(curves, file), "rb") as fh:
+                    items[f"{name} curves/{file}"] = {"sha256": sha256(fh.read())}
     cwd = os.path.join(work, "grid")
     os.makedirs(cwd)
     gen = os.path.join(corpora_dir, "gen.txt")
