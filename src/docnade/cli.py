@@ -14,11 +14,11 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import __version__
 from . import evaluate as eval_mod
-from .corpus import Corpus, CorpusFormatError, is_json_int, parse_corpus
+from .corpus import FORMATS, Corpus, CorpusFormatError, is_json_int, parse_corpus
 from .model_io import MODEL_KINDS, ModelMeta, load_model, save_model
 from .numerics import HEADS
 from .trainer import (TrainConfig, TrainingDivergedError, build_meta, pretrain_config,
@@ -45,20 +45,9 @@ def _parse_hidden(spec: str, layers: int | None) -> tuple[int, ...]:
 
 
 def _config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        model_kind=args.model,
-        hidden_sizes=_parse_hidden(args.hidden, getattr(args, "layers", None)),
-        learning_rate=args.lr,
-        unsup_weight=getattr(args, "unsup_weight", 1.0),
-        anno_weight=getattr(args, "anno_weight", 1.0),
-        dropout_rate=args.dropout,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        averaging_decay=args.avg_decay,
-        head=args.head,
-        seed=args.seed,
-        pretrain_epochs=getattr(args, "pretrain_epochs", 0),
-    )
+    """The config of the train flags, whose dests are `TrainConfig`'s fields."""
+    values = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
+    return TrainConfig(**{**values, "hidden_sizes": _parse_hidden(args.hidden, args.layers)})
 
 
 def _manifest(command: str, config: TrainConfig, args) -> dict:
@@ -67,7 +56,7 @@ def _manifest(command: str, config: TrainConfig, args) -> dict:
         "config": asdict(config),
         "corpus": str(args.corpus),
         "format": args.format,
-        "pretrain_corpus": str(getattr(args, "pretrain_corpus", None) or ""),
+        "pretrain_corpus": str(args.pretrain_corpus or ""),
         "seed": config.seed,
         "artifact_format_version": 1,
         "package_version": __version__,
@@ -238,9 +227,9 @@ def _grid_number(value) -> float:
 _GRID_KEYS = {
     "lambda": ("unsup_weight", _grid_number),
     "anno-weight": ("anno_weight", _grid_number),
-    "lr": ("lr", _grid_number),
-    "dropout": ("dropout", _grid_number),
-    "avg-decay": ("avg_decay", _grid_number),
+    "lr": ("learning_rate", _grid_number),
+    "dropout": ("dropout_rate", _grid_number),
+    "avg-decay": ("averaging_decay", _grid_number),
     "epochs": ("epochs", _grid_int),
     "batch-size": ("batch_size", _grid_int),
     "hidden": ("hidden", str),  # parsed as --hidden is: str(8.0) or str(True) fails
@@ -329,34 +318,38 @@ def _positive_int(text: str) -> int:
 def _add_common_model_flags(sub):
     sub.add_argument("--model", dest="model_file", required=True, help="model file")
     sub.add_argument("--corpus", required=True)
-    sub.add_argument("--format", choices=("text-sparse", "record-lines"), default="text-sparse")
-    sub.add_argument("--out", default=None, help="record-lines output file")
+    sub.add_argument("--format", choices=FORMATS, default=FORMATS[0])
+    sub.add_argument("--out", default=None, help="output file, one JSON record per line")
 
 
 def _add_train_flags(sub, with_grid: bool = False):
+    """The flags of `train` and `grid` (which has no pretraining flags).  A
+    flag that sets a `TrainConfig` field has the field as its dest and the
+    field's default as its default; --hidden and --layers set hidden_sizes."""
     sub.add_argument("--corpus", required=True)
-    sub.add_argument("--format", choices=("text-sparse", "record-lines"), default="text-sparse")
-    sub.add_argument("--model", choices=MODEL_KINDS, default="docnade")
-    sub.add_argument("--hidden", default="64", help="hidden size, or comma list for deep stacks")
+    sub.add_argument("--format", choices=FORMATS, default=FORMATS[0])
+    sub.add_argument("--model", dest="model_kind", choices=MODEL_KINDS)
+    sub.add_argument("--hidden", default=",".join(map(str, TrainConfig.hidden_sizes)),
+                     help="hidden size, or comma list for deep stacks")
     sub.add_argument("--layers", type=int, default=None, help="layer count (replicates --hidden)")
-    sub.add_argument("--lambda", dest="unsup_weight", type=float, default=1.0,
-                     help="generative-term weight")
-    sub.add_argument("--anno-weight", dest="anno_weight", type=float, default=1.0,
+    sub.add_argument("--lambda", dest="unsup_weight", type=float, help="generative-term weight")
+    sub.add_argument("--anno-weight", dest="anno_weight", type=float,
                      help="annotation word weight")
-    sub.add_argument("--dropout", type=float, default=0.0)
-    sub.add_argument("--avg-decay", dest="avg_decay", type=float, default=0.999)
-    sub.add_argument("--lr", type=float, default=0.01)
-    sub.add_argument("--epochs", type=int, default=10)
-    sub.add_argument("--batch-size", dest="batch_size", type=int, default=1)
-    sub.add_argument("--head", choices=HEADS, default="softmax")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--dropout", dest="dropout_rate", type=float)
+    sub.add_argument("--avg-decay", dest="averaging_decay", type=float)
+    sub.add_argument("--lr", dest="learning_rate", type=float)
+    sub.add_argument("--epochs", type=int)
+    sub.add_argument("--batch-size", dest="batch_size", type=int)
+    sub.add_argument("--head", choices=HEADS)
+    sub.add_argument("--seed", type=int)
     sub.add_argument("--workers", type=_positive_int, default=1,
                      help="accepted for compatibility and ignored")
     sub.add_argument("--regions", type=int, default=None,
                      help="expected region count (validated against the corpus header)")
     if not with_grid:
-        sub.add_argument("--pretrain-corpus", dest="pretrain_corpus", default=None)
-        sub.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int, default=0)
+        sub.add_argument("--pretrain-corpus", dest="pretrain_corpus")
+        sub.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
+    sub.set_defaults(**asdict(TrainConfig()), pretrain_corpus=None)  # also grid's
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,11 +413,11 @@ def _validate_usage(parser: argparse.ArgumentParser, args) -> None:
         try:
             config = _config_from_args(args)
             config.validate()
-            if getattr(args, "pretrain_corpus", None):
+            if args.pretrain_corpus:
                 pretrain_config(config)
         except ValueError as exc:
             parser.error(str(exc))
-        if getattr(args, "pretrain_epochs", 0) > 0 and not getattr(args, "pretrain_corpus", None):
+        if config.pretrain_epochs > 0 and not args.pretrain_corpus:
             parser.error("--pretrain-epochs requires --pretrain-corpus")
     if getattr(args, "eval_seed", 0) < 0:
         parser.error("--eval-seed must be >= 0")

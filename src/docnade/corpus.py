@@ -280,6 +280,17 @@ def read_header(path) -> tuple[dict, JointVocabulary]:
     return header, vocab
 
 
+def _read_text(path) -> str:
+    """A corpus file's text; CorpusFormatError naming the file and the line
+    of the first byte that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:  # read() decodes the whole file, so exc.object is it
+        line_no = len(exc.object[: exc.start + 1].splitlines())  # that byte is no line break
+        raise CorpusFormatError(f"{path}: line {line_no}: not UTF-8 text ({exc.reason})") from None
+
+
 def parse_corpus(path, format: str = "text-sparse") -> Corpus:
     """Parse a corpus file plus its sidecar header into a Corpus.
 
@@ -293,8 +304,7 @@ def parse_corpus(path, format: str = "text-sparse") -> Corpus:
         raise ValueError(f"unknown corpus format {format!r}")
     header, vocab = read_header(path)
     n_classes, n_features = header["C"], header["N_f"]
-    with open(path) as fh:
-        lines = [(line_no, raw.strip()) for line_no, raw in enumerate(fh.read().split("\n"), 1)]
+    lines = [(line_no, raw.strip()) for line_no, raw in enumerate(_read_text(path).split("\n"), 1)]
     lines = [(line_no, line) for line_no, line in lines if line and not line.startswith("#")]
     text = format == "text-sparse"
     if text and lines:

@@ -403,7 +403,7 @@ def perplexity_losses(
     return [float(np.mean(draws)) for draws in losses.reshape(len(rows), samples)]
 
 
-def class_word_associations(params: Params, vocab: JointVocabulary, class_index: int,
+def class_word_associations(params: Params, visual_size: int, class_index: int,
                             top_topics: int, top_words: int):
     """`docnade inspect` reads the class head's weights on a shallow model's
     word columns, which a deep model does not have."""
@@ -466,14 +466,14 @@ def batch_step(batch, params: Params, config, streams, cache):
     kept, splits, gen_masks, sup_masks = [], [], [], []
     for doc_idx in batch:
         supervised = cache.labels[doc_idx] is not None
-        split = split_histogram(cache.docs.row(doc_idx)[1], streams.split)
+        split = split_histogram(cache.docs.row(doc_idx)[1], streams["split"])
         if split is None and not supervised:
             continue
         gen = sup = None
         if config.dropout_rate > 0:
-            gen = _draw_masks(config.hidden_sizes, keep, streams.dropout)
+            gen = _draw_masks(config.hidden_sizes, keep, streams["dropout"])
             if supervised:
-                sup = _draw_masks(config.hidden_sizes, keep, streams.dropout)
+                sup = _draw_masks(config.hidden_sizes, keep, streams["dropout"])
         kept.append(doc_idx)
         splits.append(split)
         gen_masks.append(gen)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, build_vocabulary
-from .model_io import ModelMeta
+from .corpus import Corpus
+from .model_io import FAMILIES, ModelMeta
 from .numerics import one_blas_thread, sigmoid, softmax_rows, top_order
 from .rng import named_stream
 
@@ -259,8 +259,8 @@ def generate_text(
 # ---------------------------------------------------------------------------
 
 
-# Report metrics a model selection minimizes; every other metric is maximized.
-LOWER_IS_BETTER = ("perplexity", "perplexity_estimate")
+# Each family's perplexity, which a model selection minimizes; it maximizes the rest.
+LOWER_IS_BETTER = {family.PERPLEXITY for family, _ in FAMILIES.values()}
 
 
 def check_eval_corpus(corpus: Corpus, meta: ModelMeta, curves: bool = False) -> None:
@@ -351,11 +351,8 @@ def class_report(
     family, supervised = meta.family
     if not supervised:
         raise ValueError("inspect requires a supervised shallow model")
-    vocab = build_vocabulary(
-        meta.n_visual, meta.n_regions, [f"anno{i}" for i in range(meta.n_annotation)]
-    )
     topics, visual_ids, anno_ids = family.class_word_associations(
-        params, vocab, class_index, top_topics, top_words
+        params, meta.n_visual * meta.n_regions, class_index, top_topics, top_words
     )
     return {
         "class": class_index,

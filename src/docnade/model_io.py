@@ -36,6 +36,7 @@ import numpy as np
 from . import deep, shallow
 from .corpus import is_json_int
 from .numerics import HEADS, Params
+from .rng import TRAINING_STREAMS, training_streams
 
 MAGIC = b"DOCNADE1"
 FORMAT_VERSION = 1
@@ -169,10 +170,10 @@ def _read_params(path, checkpoint: bool) -> tuple[ModelMeta, dict, list]:
     numbers)."""
     header, blobs = _read_container(path, checkpoint)
     try:
-        meta = ModelMeta.from_json(header["meta"])
+        meta = ModelMeta.from_json(header.get("meta"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    manifest, shapes = header["manifest"], meta.family[0].array_shapes(meta)
+    manifest, shapes = header.get("manifest"), meta.family[0].array_shapes(meta)
     if not isinstance(manifest, list):
         raise ValueError(f"{path}: model manifest is not a list of [name, shape] entries")
     for got, want in itertools.zip_longest(manifest, shapes):
@@ -279,6 +280,10 @@ def load_checkpoint(path) -> tuple[Any, Any, ModelMeta, int, dict]:
     state = header.get("state")
     if not (isinstance(state, dict) and _is_count(state.get("epoch"))
             and isinstance(state.get("rng_states"), dict)
-            and state["rng_states"].keys() == {"shuffle", "split", "dropout"}):
+            and state["rng_states"].keys() == set(TRAINING_STREAMS)):
         raise ValueError(f"{path}: malformed training state")
+    try:  # each state set on a fresh stream, as a resume does
+        training_streams(0, state["rng_states"])
+    except (TypeError, ValueError, KeyError, OverflowError):  # numpy's PCG64 refused one
+        raise ValueError(f"{path}: malformed training state") from None
     return params, averaged, meta, state["epoch"], state["rng_states"]

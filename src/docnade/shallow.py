@@ -283,10 +283,10 @@ def perplexity_losses(
 
 
 def class_word_associations(
-    params: Params, vocab: JointVocabulary, class_index: int, top_topics: int,
-    top_words: int,
+    params: Params, visual_size: int, class_index: int, top_topics: int, top_words: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Most-associated (topics, visual ids, annotation ids) for a class.
+    """Most-associated (topics, visual ids, annotation ids) for a class, the
+    visual ids those below `visual_size` of W's Q columns.
 
     Topics are the hidden units with the largest class-head weight for the
     class; their embedding rows are averaged into a per-word score.
@@ -299,7 +299,7 @@ def class_word_associations(
     topics = top_order(np.arange(len(column)), column, top_topics)
     word_scores = params.W[topics].mean(axis=0)
     top = [ids[top_order(ids, word_scores[ids], min(top_words, len(ids)))]
-           for ids in (np.arange(vocab.visual_size), np.arange(vocab.visual_size, vocab.size))]
+           for ids in (np.arange(visual_size), np.arange(visual_size, params.W.shape[1]))]
     return topics, *top
 
 
@@ -359,7 +359,7 @@ def batch_step(batch, params: Params, config, streams, cache):
         label = None if labels is None else int(labels[0])
         seg = layout.word_of_token
         if n_tokens:
-            seg = seg[streams.shuffle.permutation(n_tokens)]
+            seg = seg[streams["shuffle"].permutation(n_tokens)]
         loss, doc_grads = supdocnade_gradients(layout, seg, params, cache.unsup_weight, label)
         docs.append(doc_idx)
         losses.append(loss)

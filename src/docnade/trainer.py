@@ -1,8 +1,8 @@
 """Stochastic-gradient training: init, epochs, parameter averaging, checkpoints.
 
-All randomness flows from a single seed expanded into named streams (tree,
-init, shuffle, split, dropout), so identical configurations give bit-identical
-runs and checkpoint-resume equals an uninterrupted run.  Inference uses an
+All randomness flows from a single seed expanded into named streams (`rng`),
+so identical configurations give bit-identical runs and checkpoint-resume
+equals an uninterrupted run.  Inference uses an
 exponentially decaying average of the parameters, advanced after every
 update step.  Both model families update it the same way: their gradients
 come as blocks (`numerics.along`; a whole-array gradient is one block over
@@ -48,7 +48,7 @@ from .corpus import Corpus
 from .model_io import (FAMILIES, ModelMeta, check_settings, load_checkpoint, params_of,
                        save_checkpoint)
 from .numerics import PART_MIN, Params, along, call_all, glorot_arrays, on_rows, one_blas_thread
-from .rng import named_stream
+from .rng import named_stream, stream_states, training_streams
 
 
 class TrainingDivergedError(RuntimeError):
@@ -214,31 +214,6 @@ def _block_rows(arr: np.ndarray, axis: int, idx, rows: slice) -> tuple[np.ndarra
 
 
 @dataclass
-class RngStreams:
-    shuffle: np.random.Generator
-    split: np.random.Generator
-    dropout: np.random.Generator
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "RngStreams":
-        return cls(
-            shuffle=named_stream(seed, "shuffle"),
-            split=named_stream(seed, "split"),
-            dropout=named_stream(seed, "dropout"),
-        )
-
-    def states(self) -> dict:
-        return {
-            name: getattr(self, name).bit_generator.state
-            for name in ("shuffle", "split", "dropout")
-        }
-
-    def restore(self, states: dict) -> None:
-        for name, state in states.items():
-            getattr(self, name).bit_generator.state = state
-
-
-@dataclass
 class EpochStats:
     epoch: int
     mean_loss: float
@@ -275,33 +250,31 @@ def sgd_epoch(
     corpus: Corpus,
     avg: AveragedParams,
     config: TrainConfig,
-    streams: RngStreams,
+    streams: dict[str, np.random.Generator],
+    cache: _DocCache,
     *,
     epoch: int = 0,
-    cache: _DocCache | None = None,
 ) -> EpochStats:
     """One pass over the corpus in a freshly shuffled order.
 
     Each mini-batch is one `batch_step` of the model's family over the run's
-    document `cache` (built from `corpus` if not given), then one
-    `polyak_update`: the gradients of the documents it kept (one per
-    document for the shallow family, one summed gradient for the deep one)
-    are applied in order, with the learning rate divided by the number of
-    documents, to the entries their blocks cover, then the parameter
+    document `cache` (`_doc_cache`) and `streams` (`rng.training_streams`),
+    then one `polyak_update`: the gradients of the documents it kept (one
+    per document for the shallow family, one summed gradient for the deep
+    one) are applied in order, with the learning rate divided by the number
+    of documents, to the entries their blocks cover, then the parameter
     average takes one step.  The average is kept lazily (`_LazyAverage`)
     and flushed before this function returns.  Stochastic inputs (token
     orderings, splits, dropout masks) are drawn in document order.
     """
     started = time.perf_counter()
-    if cache is None:
-        cache = _doc_cache(corpus, config)
     batch_step = FAMILIES[config.model_kind][0].batch_step
     params = avg.current
     losses = []
     skipped = 0
     lazy = _LazyAverage(avg)
 
-    order = streams.shuffle.permutation(len(corpus))
+    order = streams["shuffle"].permutation(len(corpus))
     try:
         for start in range(0, len(order), config.batch_size):
             batch = [int(doc_idx) for doc_idx in order[start : start + config.batch_size]]
@@ -390,22 +363,20 @@ def _train_stage(stage: tuple, meta: ModelMeta, avg: AveragedParams, done: int, 
     """The epochs after the `done`th of one of `training_stages`, on `avg`
     in place, from the seed's streams (restored to `states`, if given)."""
     corpus, config, checkpoint_dir = stage
-    streams = RngStreams.from_seed(config.seed)
-    if states is not None:
-        streams.restore(states)
+    streams = training_streams(config.seed, states)
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
     cache = _doc_cache(corpus, config)
     stats, final_writes = [], []
     for epoch in range(done + 1, config.epochs + 1):
-        epoch_stats = sgd_epoch(corpus, avg, config, streams, epoch=epoch, cache=cache)
+        epoch_stats = sgd_epoch(corpus, avg, config, streams, cache, epoch=epoch)
         stats.append(epoch_stats)
         if log_file is not None:
             with open(log_file, "a") as fh:
                 fh.write(f"{epoch}\t{epoch_stats.mean_loss:.6f}\t{epoch_stats.wall_time:.3f}\n")
         if checkpoint_dir is not None:
             write = partial(save_checkpoint, f"{checkpoint_dir}/epoch_{epoch:04d}.ckpt",
-                            avg.current, avg.averaged, meta, epoch, streams.states())
+                            avg.current, avg.averaged, meta, epoch, stream_states(streams))
             if epoch < config.epochs:
                 write()
             else:

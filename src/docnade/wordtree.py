@@ -12,6 +12,7 @@ Bit convention: 0 means the path continues into the left subtree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,8 +23,13 @@ from .rng import named_stream
 class WordTree:
     size: int  # leaf count Q
     seed: int
-    leaf_of_word: np.ndarray  # word -> leaf node index in [Q-1, 2Q-2]
     _table: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def leaf_of_word(self) -> np.ndarray:
+        """word -> leaf node index in [Q-1, 2Q-2], drawn only when first read."""
+        perm = named_stream(self.seed, "tree").permutation(self.size)
+        return ((self.size - 1) + perm).astype(np.int64)
 
     @property
     def n_internal(self) -> int:
@@ -58,9 +64,7 @@ def build_tree(size: int, seed: int) -> WordTree:
     """Complete balanced binary tree over `size` leaves with seeded word layout."""
     if size < 1:
         raise ValueError("tree needs at least one leaf")
-    perm = named_stream(seed, "tree").permutation(size)
-    leaf_of_word = (size - 1) + perm
-    return WordTree(size=size, seed=seed, leaf_of_word=leaf_of_word.astype(np.int64))
+    return WordTree(size=size, seed=seed)
 
 
 def words_log_prob(

@@ -50,6 +50,7 @@ from docnade.corpus import Corpus, count_rows, weight_vector
 from docnade.evaluate import RankedPrediction
 from docnade.model_io import FAMILIES
 from docnade.numerics import along, glorot_bound, log_softmax, sigmoid, softmax_rows
+from docnade.rng import training_streams
 from docnade.wordtree import build_tree
 
 DEEP_KINDS = tuple(kind for kind, (family, _) in FAMILIES.items() if family is deep_mod)
@@ -440,11 +441,11 @@ def dense_shallow_epoch(corpus, avg, config, tree):
     sparse: dense per-document gradients summed in document order, a dense
     SGD step and a `dense_polyak_update` after every step.  Draws the same
     orderings as `trainer.sgd_epoch` with fresh streams of `config.seed`."""
-    streams = trainer_mod.RngStreams.from_seed(config.seed)
+    streams = training_streams(config.seed)
     _, supervised = FAMILIES[config.model_kind]
     unsup_weight = config.unsup_weight if supervised else 1.0
     docs = documents(corpus)
-    order = streams.shuffle.permutation(len(docs))
+    order = streams["shuffle"].permutation(len(docs))
     for start in range(0, len(order), config.batch_size):
         total, n_docs = None, 0
         for doc_idx in order[start : start + config.batch_size]:
@@ -453,7 +454,7 @@ def dense_shallow_epoch(corpus, avg, config, tree):
             if len(tokens) == 0 and not supervised:
                 continue
             if len(tokens):
-                tokens = tokens[streams.shuffle.permutation(len(tokens))]
+                tokens = tokens[streams["shuffle"].permutation(len(tokens))]
             label = next(iter(doc.labels)) if supervised else None
             _, grads = dense_shallow_gradients(tokens, avg.current, tree, unsup_weight, label)
             total = grads if total is None else {k: total[k] + grads[k] for k in total}
@@ -473,23 +474,23 @@ def dense_deep_epoch(corpus, avg, config):
     summed in document order, a dense SGD step and a `dense_polyak_update`
     after every mini-batch.  Draws the same splits and dropout masks as
     `trainer.sgd_epoch` with fresh streams of `config.seed`."""
-    streams = trainer_mod.RngStreams.from_seed(config.seed)
+    streams = training_streams(config.seed)
     _, supervised = FAMILIES[config.model_kind]
     unsup_weight = config.unsup_weight if supervised else 1.0
     omega = weight_vector(corpus.vocabulary, config.anno_weight)
     keep = 1.0 - config.dropout_rate
 
     def masks():
-        return [(streams.dropout.random(h) < keep).astype(float) for h in config.hidden_sizes]
+        return [(streams["dropout"].random(h) < keep).astype(float) for h in config.hidden_sizes]
 
     docs = documents(corpus)
-    order = streams.shuffle.permutation(len(docs))
+    order = streams["shuffle"].permutation(len(docs))
     for start in range(0, len(order), config.batch_size):
         total, n_docs = None, 0
         for doc_idx in order[start : start + config.batch_size]:
             doc = docs[doc_idx]
             counts = dense_counts(doc, corpus.vocabulary.size)
-            split = deep_mod.split_histogram(counts, streams.split)
+            split = deep_mod.split_histogram(counts, streams["split"])
             if split is None and not supervised:
                 continue
             gen = sup = None

@@ -3,6 +3,7 @@ import json
 import os
 import struct
 import threading
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,28 @@ class TestTrain:
             "--model", "docnade", "--regions", "9", "--epochs", "1",
         ])
         assert code == 3
+
+    def test_unset_flags_take_the_train_config_defaults(self, tmp_path, corpus_path,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where the default --out, runs, is made
+        assert main(["train", "--corpus", str(corpus_path), "--model", "supdocnade",
+                     "--epochs", "1"]) == 0
+        (run,) = os.listdir(tmp_path / "runs")
+        manifest = json.load(open(tmp_path / "runs" / run / "manifest.json"))
+        expected = asdict(replace(TrainConfig(), model_kind="supdocnade", epochs=1))
+        assert manifest["config"] == json.loads(json.dumps(expected))
+
+    def test_non_finite_loss_exits_4(self, tmp_path, capsys):
+        vocab = build_vocabulary(3, 2, ["a"])
+        docs = tuple(Document({i: 2, 6: 1}, frozenset({i % 2})) for i in range(3))
+        path = tmp_path / "three.corpus"
+        write_corpus(corpus_of(vocab, docs, n_classes=2), path)
+        # the step's overflow warns first, which ci/tier1.sh makes an error
+        with np.errstate(all="ignore"):
+            code = main(["train", "--corpus", str(path), "--out", str(tmp_path / "runs"),
+                         "--model", "supdocnade", "--lr", "1e300", "--epochs", "1"])
+        assert code == 4
+        assert "numeric failure: non-finite loss nan at document" in capsys.readouterr().err
 
     def test_layers_replicate_the_hidden_size(self, tmp_path, corpus_path):
         run_dir = _train(corpus_path, tmp_path / "runs", "--model", "supdeepdocnade",
@@ -631,6 +654,7 @@ class TestGrid:
         '{"lr": [0.1, NaN]}', '{"hidden": [4], "seed": [0, null]}',
         '{"epochs": [1.5]}', '{"batch-size": [2.7]}', '{"lr": [true]}', '{"seed": ["7"]}',
         '{"seed": [0, -1]}', '{"hidden": [8.0]}', '{"hidden": ["8,x"]}', '{"hidden": [true]}',
+        '{"colour": [1]}',
     ])
     def test_malformed_grid_is_a_data_error_before_any_work(self, tmp_path, corpus_path, spec,
                                                              capsys):
@@ -644,6 +668,8 @@ class TestGrid:
         assert not os.path.exists(tmp_path / "g")
         if '"hidden": [' in spec:
             assert "malformed grid point {'hidden': " in capsys.readouterr().err
+        if "colour" in spec:
+            assert "unknown grid key 'colour'" in capsys.readouterr().err
 
     def test_hidden_values_follow_layers(self, tmp_path, corpus_path):
         grid_file = tmp_path / "grid.json"
@@ -753,6 +779,7 @@ _MALFORMED = {
     "train-anno-weight-nan": ["train", "--model", "docnade", "--anno-weight", "nan"],
     "train-anno-weight-inf": ["train", "--model", "deepdocnade", "--anno-weight", "inf"],
     "train-seed": ["train", "--seed", "-1"],
+    "train-pretrain-epochs-alone": ["train", "--model", "supdocnade", "--pretrain-epochs", "1"],
     "eval-eval-seed": ["eval", "--eval-seed", "-1"],
     "grid-k": ["grid", "--grid", "g.json", "--val", "v.corpus", "--k", "0"],
     "grid-seed": ["grid", "--grid", "g.json", "--val", "v.corpus", "--seed", "-1"],
@@ -819,7 +846,9 @@ class TestMalformedValues:
     @pytest.mark.parametrize("doctor,message", [
         (lambda header: [header], "container header is not an object"),
         (lambda header: {**header, "manifest": {"W": [8, 3]}}, "model manifest is not a list"),
-    ], ids=["header-array", "manifest-not-a-list"])
+        (lambda header: {}, "model meta is not an object"),
+        (lambda header: {"meta": header["meta"]}, "model manifest is not a list"),
+    ], ids=["header-array", "manifest-not-a-list", "header-empty", "no-manifest"])
     def test_malformed_model_header_is_a_data_error(self, tmp_path, corpus_path, capsys,
                                                     doctor, message):
         _eval_doctored_header(tmp_path, corpus_path, capsys, doctor, message)
@@ -846,7 +875,8 @@ def _eval_doctored_header(tmp_path, corpus_path, capsys, doctor, message):
     capsys.readouterr()
     code = main(["eval", "--model", str(path), "--corpus", str(corpus_path)])
     assert code == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
 
 
 # Model metas of a known kind and of well-typed fields that the kind cannot
@@ -857,6 +887,7 @@ _IMPOSSIBLE_METAS = {
     "deep-tree-seed-int": ("supdeepdocnade", {"tree_seed": 3}, "tree_seed"),
     "shallow-sigmoid-head": ("supdocnade", {"head": "sigmoid"}, "head"),
     "shallow-two-layers": ("supdocnade", {"hidden_sizes": [8, 8]}, "hidden_sizes"),
+    "unknown-head": ("supdocnade", {"head": "tanh"}, "head"),
     "deep-dropout-3": ("supdeepdocnade", {"dropout_rate": 3.0}, "dropout_rate"),
 }
 
@@ -1043,6 +1074,23 @@ class TestCountOverflow:
         assert main(["eval", "--model", model, "--corpus", str(path), "--format", format]) == 3
         err = capsys.readouterr().err
         assert f"line 2: {field} count" in err and "exceeds int64" in err
+
+
+class TestNotUtf8:
+    """A corpus byte that is not UTF-8 is a data error naming the file and
+    its line, in both formats."""
+
+    @pytest.mark.parametrize("format", ["text-sparse", "record-lines"])
+    def test_exits_3_naming_file_and_line(self, tmp_path, corpus_path, capsys, format):
+        path = tmp_path / "latin.corpus"
+        write_corpus(parse_corpus(corpus_path), path, format)
+        lines = path.read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        assert main(["train", "--corpus", str(path), "--format", format,
+                     "--out", str(tmp_path / "runs")]) == 3
+        assert f"error: {path}: line 2: not UTF-8 text" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "runs")
 
 
 class TestCommandsReadRows:

@@ -183,6 +183,9 @@ class TestParsing:
         ('{"visual": [[1.5, 2]]}', "visual"),
         ('{"visual": [[1, 2.5]]}', "visual"),
         pytest.param('{"features": [1%s]}' % ("0" * 400), "features", id="integer-beyond-float"),
+        pytest.param('{"visual": [[1, 2]]', "invalid JSON record", id="invalid-json"),
+        pytest.param('[[1, 2]]', "record is not an object", id="not-an-object"),
+        pytest.param('{"visual": [[1, -2]]}', "negative count in visual", id="negative-count"),
     ])
     def test_record_field_of_wrong_type_names_line_and_field(self, tmp_path, record, field):
         path = tmp_path / "corpus.jsonl"
@@ -216,6 +219,20 @@ class TestParsing:
         path = tmp_path / "corpus.txt"
         path.write_text("0 | | | \n")
         with pytest.raises(CorpusFormatError, match="header"):
+            parse_corpus(path)
+
+    @pytest.mark.parametrize("key", ["n_visual", "n_regions", "n_annotation", "C", "N_f"])
+    def test_header_missing_a_field(self, tmp_path, key):
+        import json
+
+        path = tmp_path / "corpus.txt"
+        path.write_text("0 | | | \n")
+        _write_header(path, 3, 2, 0, 1, 0)
+        header_path = tmp_path / "corpus.txt.header.json"
+        header = json.loads(header_path.read_text())
+        del header[key]
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(CorpusFormatError, match=f"header .* missing field '{key}'"):
             parse_corpus(path)
 
 

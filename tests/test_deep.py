@@ -13,6 +13,7 @@ from conftest import (
     zero_deep_params,
 )
 from docnade import deep, shallow, trainer
+from docnade.rng import training_streams
 from docnade.trainer import TrainConfig
 from gen import make_corpus
 from oracles import (
@@ -543,7 +544,7 @@ class TestStepBlocks:
                             np.random.default_rng(2))
         cache = trainer._doc_cache(corpus, config)
         kept, _, (grads,) = deep.batch_step([0, 1, 2, 3], params, config,
-                                            trainer.RngStreams.from_seed(2), cache)
+                                            training_streams(2), cache)
         assert kept == [0, 1, 2, 3]
         return set(grads)
 

@@ -104,6 +104,16 @@ class TestAveragePrecision:
         assert skipped == 1
         assert mean_ap == 1.0
 
+    def test_report_counts_the_classes_map_excludes(self, rng):
+        vocab = build_vocabulary(2, 2, ["a"])
+        meta = ModelMeta(kind="supdeepdocnade", head="sigmoid", n_visual=2, n_regions=2,
+                         n_annotation=1, n_classes=3, n_features=0, hidden_sizes=(3,))
+        params = random_deep_params(rng, vocab.size, (3,), 3)
+        docs = [Document({0: 1, 4: 1}, frozenset({0})), Document({1: 2}, frozenset({1}))]
+        metrics = dict(evaluate.evaluation_metrics(corpus_of(vocab, docs, n_classes=3), params,
+                                                   meta, top_k=1))
+        assert metrics["map_classes_excluded"] == 1.0  # class 2 has no document
+
     def test_pr_curve_consistent_with_ap(self, rng):
         scores = rng.random(30)
         relevant = rng.random(30) < 0.3
@@ -360,7 +370,7 @@ class TestClassWordAssociations:
     def test_single_topic_selected_regardless_of_weights(self, rng):
         vocab = build_vocabulary(2, 2, ["a"])
         params = random_shallow_params(rng, vocab.size, 1, 3)
-        topics, _, _ = shallow.class_word_associations(params, vocab, 0, 1, 2)
+        topics, _, _ = shallow.class_word_associations(params, vocab.visual_size, 0, 1, 2)
         assert topics.tolist() == [0]
 
     def test_one_hot_class_weights(self, rng):
@@ -368,7 +378,7 @@ class TestClassWordAssociations:
         params = random_shallow_params(rng, vocab.size, 6, 3)
         params.U[:] = 0.0
         params.U[1, 4] = 5.0
-        topics, _, _ = shallow.class_word_associations(params, vocab, 1, 3, 2)
+        topics, _, _ = shallow.class_word_associations(params, vocab.visual_size, 1, 3, 2)
         assert topics[0] == 4
 
     def test_matches_brute_force_sort(self, rng):
@@ -376,7 +386,7 @@ class TestClassWordAssociations:
         params = random_shallow_params(rng, vocab.size, 5, 4)
         class_index, top_topics, top_words = 2, 3, 4
         topics, visual, anno = shallow.class_word_associations(
-            params, vocab, class_index, top_topics, top_words
+            params, vocab.visual_size, class_index, top_topics, top_words
         )
         expected_topics = sorted(range(5), key=lambda t: (-params.U[class_index, t], t))[:3]
         assert topics.tolist() == expected_topics
@@ -390,4 +400,4 @@ class TestClassWordAssociations:
         vocab = build_vocabulary(2, 2, ["a"])
         params = random_shallow_params(rng, vocab.size, 3, 2)
         with pytest.raises(ValueError, match="top_topics"):
-            shallow.class_word_associations(params, vocab, 0, 5, 2)
+            shallow.class_word_associations(params, vocab.visual_size, 0, 5, 2)

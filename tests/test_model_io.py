@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -15,7 +16,8 @@ from docnade.model_io import (
     save_model,
 )
 from docnade.numerics import Params
-from docnade.trainer import RngStreams, TrainConfig, train_model
+from docnade.rng import stream_states, training_streams
+from docnade.trainer import TrainConfig, train_model
 from docnade.wordtree import build_tree
 from gen import make_corpus
 
@@ -86,6 +88,16 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError, match="magic"):
             load_model(path)
 
+    def test_unsupported_version_rejected(self, tmp_path, rng):
+        meta = _shallow_meta()
+        save_model(tmp_path / "m.bin", random_shallow_params(rng, meta.vocab_size, 4, 3), meta)
+        data = bytearray((tmp_path / "m.bin").read_bytes())
+        data[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", FORMAT_VERSION + 1)
+        (tmp_path / "m.bin").write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"m.bin: unsupported container version "
+                                             f"{FORMAT_VERSION + 1}"):
+            load_model(tmp_path / "m.bin")
+
 
 class TestCheckpointRoundTrip:
     def test_full_state(self, tmp_path, rng):
@@ -93,7 +105,7 @@ class TestCheckpointRoundTrip:
         params = random_deep_params(rng, meta.vocab_size, (4,), 3, n_features=2)
         averaged = params.copy()
         averaged.V_out += 1.0
-        states = RngStreams.from_seed(1).states()
+        states = stream_states(training_streams(1))
         path = tmp_path / "epoch_0002.ckpt"
         save_checkpoint(path, params, averaged, meta, epoch=2, rng_states=states)
         p2, a2, m2, epoch, s2 = load_checkpoint(path)
@@ -110,7 +122,7 @@ class TestCheckpointRoundTrip:
         state = gen.bit_generator.state
         expected = gen.random(5)
         save_checkpoint(tmp_path / "c.ckpt", params, params.copy(), meta, 1,
-                        {**RngStreams.from_seed(0).states(), "shuffle": state})
+                        {**stream_states(training_streams(0)), "shuffle": state})
         _, _, _, _, states = load_checkpoint(tmp_path / "c.ckpt")
         fresh = np.random.default_rng(0)
         fresh.bit_generator.state = states["shuffle"]
@@ -227,7 +239,7 @@ class TestManifestMatchesMeta:
     file's meta fails to load with ValueError naming the first array that
     differs, though its byte counts may add up."""
 
-    STATES = RngStreams.from_seed(1).states()
+    STATES = stream_states(training_streams(1))
 
     def _assert_rejected(self, tmp_path, meta, arrays, name):
         manifest = [[key, list(arr.shape)] for key, arr in arrays]
@@ -259,7 +271,8 @@ class TestManifestMatchesMeta:
 
 
 class TestCheckpointState:
-    GOOD_STATES = RngStreams.from_seed(1).states()
+    GOOD_STATES = stream_states(training_streams(1))
+    SHUFFLE = GOOD_STATES["shuffle"]
 
     @pytest.mark.parametrize("state", [
         None,  # no state entry
@@ -273,8 +286,16 @@ class TestCheckpointState:
         {"epoch": 1},
         {"epoch": 1, "rng_states": {"shuffle": GOOD_STATES["shuffle"]}},
         {"epoch": 1, "rng_states": {**GOOD_STATES, "init": GOOD_STATES["split"]}},
+        # states that a restore refuses: each one is set on a fresh generator
+        {"epoch": 1, "rng_states": {**GOOD_STATES, "shuffle": 5}},
+        {"epoch": 1, "rng_states": {**GOOD_STATES, "shuffle": {**SHUFFLE,
+                                                               "bit_generator": "MT19937"}}},
+        {"epoch": 1, "rng_states": {**GOOD_STATES, "shuffle": {"bit_generator": "PCG64"}}},
+        {"epoch": 1, "rng_states": {**GOOD_STATES, "shuffle": {**SHUFFLE,
+                                                               "state": {"state": -1, "inc": 1}}}},
     ], ids=["no-state", "array", "epoch-string", "epoch-negative", "epoch-float", "epoch-bool",
-            "no-epoch", "rng-array", "no-rng", "rng-one-stream", "rng-extra-stream"])
+            "no-epoch", "rng-array", "no-rng", "rng-one-stream", "rng-extra-stream",
+            "rng-state-int", "rng-state-mt19937", "rng-state-no-fields", "rng-state-negative"])
     def test_malformed_state_is_a_value_error(self, tmp_path, rng, state):
         meta = _shallow_meta(hidden=2)
         params = random_shallow_params(rng, meta.vocab_size, 2, 3)
@@ -284,7 +305,7 @@ class TestCheckpointState:
             header["state"] = state
         path = tmp_path / "c.ckpt"
         path.write_bytes(_reference_container(header, [params.arrays(), params.arrays()]))
-        with pytest.raises(ValueError, match="malformed training state"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed training state")):
             load_checkpoint(path)
 
 
@@ -302,7 +323,7 @@ class TestFileKind:
         meta = _shallow_meta(hidden=2)
         params = random_shallow_params(rng, meta.vocab_size, 2, 3)
         save_checkpoint(tmp_path / "c.ckpt", params, params.copy(), meta, 1,
-                        RngStreams.from_seed(1).states())
+                        stream_states(training_streams(1)))
         with pytest.raises(ValueError, match="c.ckpt: a checkpoint, not a model file"):
             load_model(tmp_path / "c.ckpt")
 

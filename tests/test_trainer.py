@@ -12,7 +12,7 @@ from docnade.corpus import build_vocabulary, weight_vector
 from docnade.deep import split_histogram
 from docnade.model_io import load_checkpoint, load_model, save_model
 from docnade.numerics import call_all
-from docnade.rng import named_stream
+from docnade.rng import named_stream, training_streams
 from docnade.trainer import (
     TrainConfig,
     TrainingDivergedError,
@@ -315,10 +315,11 @@ class TestSgdTraining:
                             config, named_stream(0, "init"))
         params.W[0, 0] = np.nan  # poisoned state: first touched doc must be named
         avg = init_averaged(params, 0.0)
-        streams = trainer.RngStreams.from_seed(0)
+        streams = training_streams(0)
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="document"):
-                trainer.sgd_epoch(corpus, avg, config, streams)
+                trainer.sgd_epoch(corpus, avg, config, streams,
+                                  trainer._doc_cache(corpus, config))
 
     def test_empty_documents_skipped_in_unsupervised_mode(self):
         vocab = build_vocabulary(3, 2, ["x"])
@@ -331,6 +332,15 @@ class TestSgdTraining:
         config = TrainConfig(model_kind="docnade", hidden_sizes=(4,),
                              learning_rate=0.01, epochs=1, seed=0)
         result = train_model(corpus, config)
+        assert result.stats[0].n_documents == 2
+        assert result.stats[0].n_skipped == 1
+
+    def test_deep_batch_skips_an_empty_document(self):
+        vocab = build_vocabulary(3, 2, ["x"])
+        docs = (Document({0: 1}), Document({}), Document({1: 2}))
+        config = TrainConfig(model_kind="deepdocnade", hidden_sizes=(4,), learning_rate=0.01,
+                             epochs=1, batch_size=3, seed=0)
+        result = train_model(corpus_of(vocab, docs, n_classes=1), config)
         assert result.stats[0].n_documents == 2
         assert result.stats[0].n_skipped == 1
 
@@ -512,7 +522,8 @@ class TestWordMajorW:
         config = TrainConfig(**self.CONFIG)
         avg = init_averaged(init_sized(corpus.vocabulary.size, corpus.n_classes, 0, config,
                                        named_stream(2, "init")), 0.9)
-        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(2))
+        trainer.sgd_epoch(corpus, avg, config, training_streams(2),
+                          trainer._doc_cache(corpus, config))
         self._assert_word_major(avg.current, avg.averaged)
 
     def test_loaded_model_and_checkpoint(self, tmp_path):
@@ -548,21 +559,22 @@ class TestBatchedDeepStep:
         assert len(corpus) == self.BATCH  # one mini-batch per epoch
         before = params.copy()
         avg = init_averaged(params, 0.5)
-        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(config.seed))
+        trainer.sgd_epoch(corpus, avg, config, training_streams(config.seed),
+                          trainer._doc_cache(corpus, config))
 
         # replay the step's random draws and sum the per-document oracle
-        streams = trainer.RngStreams.from_seed(config.seed)
+        streams = training_streams(config.seed)
         omega = weight_vector(corpus.vocabulary, config.anno_weight)
         size = corpus.vocabulary.size
         expected = {name: np.zeros_like(arr) for name, arr in before.arrays()}
         present = np.zeros(size, dtype=bool)
-        for doc_idx in streams.shuffle.permutation(len(corpus)):
+        for doc_idx in streams["shuffle"].permutation(len(corpus)):
             doc = documents(corpus)[doc_idx]
             counts = dense_counts(doc, size)
             present |= counts > 0
-            split = split_histogram(counts, streams.split)
+            split = split_histogram(counts, streams["split"])
             keep = 1.0 - config.dropout_rate
-            masks = [[(streams.dropout.random(h) < keep).astype(float)
+            masks = [[(streams["dropout"].random(h) < keep).astype(float)
                       for h in config.hidden_sizes] for _ in range(2)]
             _, grads = dense_hybrid_loss_gradients(
                 counts, doc.labels, doc.features, before, config.unsup_weight, omega, omega,
@@ -582,7 +594,7 @@ class TestBatchedDeepStep:
 
     def test_divergence_names_first_nonfinite_document_in_batch(self):
         corpus, config, params = self._setup()
-        streams = trainer.RngStreams.from_seed(config.seed)
+        streams = training_streams(config.seed)
         order = named_stream(config.seed, "shuffle").permutation(len(corpus))
         # poison W1 on a word only the second document of the batch holds; a
         # finite value, so that the other documents' zero inputs stay finite
@@ -592,7 +604,8 @@ class TestBatchedDeepStep:
         params.W1[:, word] = 1e308
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingDivergedError) as info:
-                trainer.sgd_epoch(corpus, init_averaged(params, 0.0), config, streams)
+                trainer.sgd_epoch(corpus, init_averaged(params, 0.0), config, streams,
+                                  trainer._doc_cache(corpus, config))
         assert info.value.doc_index == int(order[1])
 
 
@@ -630,7 +643,8 @@ class TestSparseShallowStep:
         return corpus, config, init_averaged(params, decay), tree
 
     def _epoch(self, corpus, avg, config, tree):
-        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(config.seed))
+        trainer.sgd_epoch(corpus, avg, config, training_streams(config.seed),
+                          trainer._doc_cache(corpus, config))
         return avg
 
     def _oracle_epoch(self, corpus, avg, config, tree):
@@ -782,7 +796,8 @@ class TestLayoutEpoch:
         for n, (_, arr) in enumerate(avg.averaged.arrays()):
             arr += 0.25 if n % 2 else -0.5
         oracle = trainer.AveragedParams(avg.current.copy(), avg.averaged.copy(), 0.8)
-        trainer.sgd_epoch(corpus, avg, config, trainer.RngStreams.from_seed(9))
+        trainer.sgd_epoch(corpus, avg, config, training_streams(9),
+                          trainer._doc_cache(corpus, config))
         dense_shallow_epoch(corpus, oracle, config, tree)
         assert_close_to(avg.current, oracle.current)
         assert_close_to(avg.averaged, oracle.averaged)

@@ -1,15 +1,16 @@
-"""Same behaviour, measured: eleven fixed-seed CLI manifests and a grid search, hashed.
+"""Same behaviour, measured: twelve fixed-seed CLI manifests and a grid search, hashed.
 
-Writes the corpora of eleven fixed-seed training manifests once (from
-`tests/gen.py` and `perfbench/corpora.py`), trains each manifest through the
-`docnade` CLI, then runs `eval --orderings 3 --eval-seed 2`, `annotate --k 3`,
+Writes the corpora of twelve fixed-seed training manifests once (from
+`tests/gen.py` and `perfbench/corpora.py`), one of them at every default but
+the model and the epoch count, trains each manifest through the `docnade`
+CLI, then runs `eval --orderings 3 --eval-seed 2`, `annotate --k 3`,
 `retrieve --query 2 --k 5` and `inspect --class-index 0` on its model, and
 on a supervised model `eval --curves`, whose every PR curve file it hashes.
 Last it runs one `grid` search over two learning rates and hashes its output
-and `best_manifest.json`.  It
-records the sha256 of every file a run writes (the loss columns of
-`train.log`, whose third column is a wall time) and of every call's output
-and exit code, with the numpy version and BLAS build that ran them.
+and `best_manifest.json`.  It records the sha256 of every file a run writes
+(the loss columns of `train.log`, whose third column is a wall time) and of
+every call's output and exit code, with the numpy version and BLAS build
+that ran them.
 
 With `--against COMMIT`, it repeats every call from an extracted copy of
 that commit (`git archive`) on the same corpus files, and prints per item
@@ -49,11 +50,12 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# 3 epochs, seed 3, lr 0.05, avg-decay 0.9 for every manifest
+# 3 epochs, seed 3, lr 0.05, avg-decay 0.9 for every manifest but DEFAULTS
 COMMON = ["--epochs", "3", "--seed", "3", "--lr", "0.05", "--avg-decay", "0.9"]
 
-# name -> (corpus, train flags); the corpora are written by `write_corpora`,
-# and a `.records` corpus is read as record-lines
+# name -> (corpus, train flags, to which `run_side` appends COMMON); the
+# corpora are written by `write_corpora`, and a `.records` corpus is read as
+# record-lines
 PRETRAIN = ["--pretrain-corpus", "unlabelled.txt", "--pretrain-epochs", "2"]
 MANIFESTS = {
     "docnade": ("gen.txt", ["--model", "docnade", "--hidden", "6"]),
@@ -82,6 +84,9 @@ MANIFESTS = {
                                            "--batch-size", "32", "--dropout", "0.5",
                                            "--anno-weight", "12"]),
 }
+# the one manifest that trains at the parser's defaults (`TrainConfig`'s) of
+# every flag but the model and the epoch count
+DEFAULTS = {"supdocnade-defaults": ("gen.txt", ["--model", "supdocnade", "--epochs", "2"])}
 
 # the flags of one grid search over the lr values of `grid.json`, on gen.txt
 GRID = ["--model", "supdocnade", "--hidden", "6", *COMMON]
@@ -192,7 +197,9 @@ def run_side(tree: str, work: str, corpora_dir: str) -> dict[str, dict]:
     values and exit codes, a file's path as 'path', and 'failed' on a
     manifest that did not train."""
     items = {}
-    for name, (corpus, flags) in MANIFESTS.items():
+    manifests = {**{name: (corpus, [*flags, *COMMON])
+                    for name, (corpus, flags) in MANIFESTS.items()}, **DEFAULTS}
+    for name, (corpus, flags) in manifests.items():
         cwd = os.path.join(work, name)
         os.makedirs(cwd)
         corpus_args = ["--corpus", os.path.join(corpora_dir, corpus)]
@@ -200,7 +207,7 @@ def run_side(tree: str, work: str, corpora_dir: str) -> dict[str, dict]:
             corpus_args += ["--format", "record-lines"]
         flags = [os.path.join(corpora_dir, f) if f == PRETRAIN[1] else f for f in flags]
         train = items[f"{name} train"] = run_cli(tree, cwd, ["train", *corpus_args, *flags,
-                                                             *COMMON, "--out", "runs"])
+                                                             "--out", "runs"])
         runs = os.path.join(cwd, "runs")
         found = os.listdir(runs) if os.path.isdir(runs) else []
         if train["exit"] != 0 or len(found) != 1:

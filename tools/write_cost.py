@@ -36,8 +36,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from docnade.model_io import ModelMeta, save_checkpoint, save_model  # noqa: E402
 from docnade.numerics import call_all  # noqa: E402
-from docnade.rng import named_stream  # noqa: E402
-from docnade.trainer import RngStreams, init_params  # noqa: E402
+from docnade.rng import named_stream, stream_states, training_streams  # noqa: E402
+from docnade.trainer import init_params  # noqa: E402
 
 IO_FIELDS = ("write_bytes", "cancelled_write_bytes")
 
@@ -65,7 +65,7 @@ def main() -> int:
                      anno_weight=12.0, dropout_rate=0.5)
     params = init_params(meta, named_stream(0, "init"))
     averaged = params.copy()
-    states = RngStreams.from_seed(0).states()
+    states = stream_states(training_streams(0))
 
     work = tempfile.mkdtemp(prefix="write-cost-", dir=args.dir)
     try:
