@@ -65,6 +65,15 @@ def _is_count(value) -> bool:
     return is_json_int(value) and value >= 0
 
 
+def _has_int_fields(stream_state) -> bool:
+    """Whether a PCG64 stream state's state, inc, has_uint32 and uinteger are
+    JSON integers: numpy's setter would take 1.5 or true for 1 silently."""
+    pcg = stream_state.get("state") if isinstance(stream_state, dict) else None
+    return isinstance(pcg, dict) and all(map(is_json_int, (
+        pcg.get("state"), pcg.get("inc"), stream_state.get("has_uint32"),
+        stream_state.get("uinteger"))))
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -280,7 +289,8 @@ def load_checkpoint(path) -> tuple[Any, Any, ModelMeta, int, dict]:
     state = header.get("state")
     if not (isinstance(state, dict) and _is_count(state.get("epoch"))
             and isinstance(state.get("rng_states"), dict)
-            and state["rng_states"].keys() == set(TRAINING_STREAMS)):
+            and state["rng_states"].keys() == set(TRAINING_STREAMS)
+            and all(map(_has_int_fields, state["rng_states"].values()))):
         raise ValueError(f"{path}: malformed training state")
     try:  # each state set on a fresh stream, as a resume does
         training_streams(0, state["rng_states"])

@@ -60,7 +60,9 @@ class DocLayout(NamedTuple):
     on the words' paths, then the last one again for a padding column.
     `slots[j, k]` is the index in `nodes` of the k-th node (root first) on
     the path of word j, or m past the end of a shorter path; `flips[j, k]`
-    is 1 - 2 * (its branch bit), or 0 past the end.
+    is 1 - 2 * (its branch bit), or 0 past the end.  `n_cols` counts the
+    columns the slots use: m, or m + 1 when some path is shorter than the
+    tree's depth and reaches the padding column.
     """
 
     ids: np.ndarray  # (n,) sorted distinct token ids
@@ -68,6 +70,7 @@ class DocLayout(NamedTuple):
     nodes: np.ndarray  # (m + 1,) int32
     slots: np.ndarray  # (n, depth) int32
     flips: np.ndarray  # (n, depth) int8
+    n_cols: int
 
 
 def doc_layout(ids: np.ndarray, counts: np.ndarray, tree: WordTree) -> DocLayout:
@@ -81,11 +84,14 @@ def doc_layout(ids: np.ndarray, counts: np.ndarray, tree: WordTree) -> DocLayout
     flips = np.where(valid, 1 - 2 * bits_tab[ids], 0).astype(np.int8)
     word_of_token = np.repeat(np.arange(len(ids), dtype=np.int32), counts)
     return DocLayout(ids, word_of_token, np.append(nodes, nodes[-1:]).astype(np.int32),
-                     slots, flips)
+                     slots, flips, len(nodes) + int(not valid.all()))
 
 
 def _blocks(n_tokens: int) -> list[slice]:
     return [slice(start, start + BLOCK_TOKENS) for start in range(0, n_tokens, BLOCK_TOKENS)]
+
+
+_POSITIONS = np.arange(BLOCK_TOKENS)  # a block's token positions, the prefix of its length
 
 
 def _compact(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,6 +100,19 @@ def _compact(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     used = np.zeros(size, dtype=bool)
     used[index] = True
     return np.flatnonzero(used), (np.cumsum(used) - 1)[index]
+
+
+def _numbering(
+    index: np.ndarray, size: int, n_used: int | None
+) -> tuple[np.ndarray | slice, np.ndarray, int]:
+    """`_compact(index, size)` as (its values or a slice of them, the
+    renumbered `index`, their count).  A block that is the whole document
+    uses every value below `n_used`, so its numbering is `index` itself
+    over the first `n_used`; `n_used` None (one of several blocks) compacts."""
+    if n_used is None:
+        used, local = _compact(index, size)
+        return used, local, len(used)
+    return slice(n_used), index, n_used
 
 
 def _path_entries(
@@ -159,7 +178,10 @@ def supdocnade_gradients(
     the entries' gradients per tree node, as the transposed product of the
     (tokens x block nodes) matrix of those gradients with the hidden states
     and its column sums.  dW is the product of a one-hot (block words x
-    tokens) matrix with the accumulator.
+    tokens) matrix with the accumulator.  A document of one block uses
+    every word and path node of its layout, so the block's nodes and words
+    keep the layout's numbering (slots and seg) and its sums are contiguous
+    adds; each block of a longer document compacts its own (`_compact`).
     """
     tokens = layout.ids[seg]
     n_tokens, n_hidden = len(tokens), len(params.c)
@@ -182,6 +204,7 @@ def supdocnade_gradients(
         return loss, grads
 
     blocks = _blocks(n_tokens)
+    single = len(blocks) == 1  # the block holds every word and path node of the layout
     read = states[:n_tokens]  # row i is the state token i is read at
     masked = np.zeros((n_tokens, n_hidden))
     if len(layout.nodes):  # a one-word vocabulary has no tree
@@ -198,9 +221,10 @@ def supdocnade_gradients(
             dt = np.exp(margin - soft)
             dt *= unsup_weight * flips
             masked[blk] = np.matmul(dt[:, None, :], v)[:, 0]
-            cols, local = _compact(slots, len(layout.nodes))
-            grid = np.zeros((len(dt), len(cols)))
-            grid[np.arange(len(dt))[:, None], local] = dt
+            cols, local, n_cols = _numbering(slots, len(layout.nodes),
+                                             layout.n_cols if single else None)
+            grid = np.zeros((len(dt), n_cols))
+            grid[_POSITIONS[:len(dt), None], local] = dt
             dV[cols] += grid.T @ read[blk]
             db[cols] += grid.sum(axis=0)
         if unsup_weight != 0.0:
@@ -215,9 +239,9 @@ def supdocnade_gradients(
     dact += dact_head
     dW = np.zeros((len(layout.ids), n_hidden))
     for blk in blocks:
-        words, local = _compact(seg[blk], len(dW))
-        onehot = np.zeros((len(words), len(local)))
-        onehot[local, np.arange(len(local))] = 1.0
+        words, local, n_words = _numbering(seg[blk], len(dW), len(dW) if single else None)
+        onehot = np.zeros((n_words, len(local)))
+        onehot[local, _POSITIONS[:len(local)]] = 1.0
         dW[words] += onehot @ dact[blk]
     grads["W"] = (1, layout.ids, dW.T)
     grads["c"] = (0, whole, dact_head + masked.sum(axis=0))

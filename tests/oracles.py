@@ -9,9 +9,11 @@ vectors and outer products, the way training worked before it was batched
 reference forms of the deep family's (rows, columns) blocks, and
 `document_hybrid_loss_gradients` runs the batched step on one document),
 the dense shallow oracle builds a full-size gradient with `np.add.at`,
-the way shallow training worked before its gradients became sparse, and the
-dense epochs apply every update densely and average every array after every
-step, the way training worked before the average became lazy.  The
+the way shallow training worked before its gradients became sparse, the
+compacting shallow step renumbers the nodes and words of every block, the
+way a one-block document trained before it kept its layout's numbering,
+and the dense epochs apply every update densely and average every array
+after every step, the way training worked before the average became lazy.  The
 per-document inference functions represent, annotate and score one document
 at a time, the way eval, annotate and retrieve ran before they were
 chunked.  The linear classifier is criterion 09's "DocNADE features plus a
@@ -49,7 +51,9 @@ from docnade import trainer as trainer_mod
 from docnade.corpus import Corpus, count_rows, weight_vector
 from docnade.evaluate import RankedPrediction
 from docnade.model_io import FAMILIES
-from docnade.numerics import along, glorot_bound, log_softmax, sigmoid, softmax_rows
+from docnade.numerics import (
+    along, glorot_bound, log_softmax, sigmoid, softmax_rows, supervised_loss,
+)
 from docnade.rng import training_streams
 from docnade.wordtree import build_tree
 
@@ -423,6 +427,72 @@ def dense_shallow_gradients(tokens, params, tree, unsup_weight, label=None):
     dact = dact_head + np.vstack([suffix[1:], np.zeros((1, len(params.c)))])
     np.add.at(grads["W"].T, tokens, dact)
     grads["c"] = dact_head + masked.sum(axis=0)
+    return loss, grads
+
+
+def compacting_supdocnade_gradients(layout, seg, params, unsup_weight, label=None):
+    """`shallow.supdocnade_gradients` as it ran when every block, a
+    document's only one included, compacted its own tree nodes and words
+    (`shallow._compact`) and added its sums at scattered rows: the same
+    blocks and loss, bit for bit."""
+    tokens = layout.ids[seg]
+    n_tokens, n_hidden = len(tokens), len(params.c)
+    loss = 0.0
+
+    pre = shallow_mod._preactivations(tokens, params)
+    states = np.maximum(pre, 0.0)
+    active = pre > 0
+
+    whole = slice(None)
+    grads = {}
+    dact_head = np.zeros(n_hidden)
+    if label is not None:
+        (head_loss,), head = supervised_loss(states[-1:], [(label,)], params, "softmax")
+        loss += float(head_loss)
+        grads.update(U=(0, whole, head["U"]), d=(0, whole, head["d"]))
+        dact_head = head["h"][0] * active[-1]
+    grads["c"] = (0, whole, dact_head)
+    if n_tokens == 0:
+        return loss, grads
+
+    blocks = shallow_mod._blocks(n_tokens)
+    read = states[:n_tokens]
+    masked = np.zeros((n_tokens, n_hidden))
+    if len(layout.nodes):
+        dV = np.zeros((len(layout.nodes), n_hidden))
+        db = np.zeros(len(layout.nodes))
+        for blk in blocks:
+            slots, flips = layout.slots[seg[blk]], layout.flips[seg[blk]]
+            v, margin, soft, log_lik = shallow_mod._path_entries(
+                read[blk], layout.nodes[slots], flips, params)
+            loss -= unsup_weight * log_lik
+            if unsup_weight == 0.0:
+                continue
+            dt = np.exp(margin - soft)
+            dt *= unsup_weight * flips
+            masked[blk] = np.matmul(dt[:, None, :], v)[:, 0]
+            cols, local = shallow_mod._compact(slots, len(layout.nodes))
+            grid = np.zeros((len(dt), len(cols)))
+            grid[np.arange(len(dt))[:, None], local] = dt
+            dV[cols] += grid.T @ read[blk]
+            db[cols] += grid.sum(axis=0)
+        if unsup_weight != 0.0:
+            masked *= active[:n_tokens]
+            grads["V"] = (0, layout.nodes[:-1], dV[:-1])
+            grads["b"] = (0, layout.nodes[:-1], db[:-1])
+
+    dact = np.empty_like(masked)
+    dact[-1] = 0.0
+    np.cumsum(masked[:0:-1], axis=0, out=dact[-2::-1])
+    dact += dact_head
+    dW = np.zeros((len(layout.ids), n_hidden))
+    for blk in blocks:
+        words, local = shallow_mod._compact(seg[blk], len(dW))
+        onehot = np.zeros((len(words), len(local)))
+        onehot[local, np.arange(len(local))] = 1.0
+        dW[words] += onehot @ dact[blk]
+    grads["W"] = (1, layout.ids, dW.T)
+    grads["c"] = (0, whole, dact_head + masked.sum(axis=0))
     return loss, grads
 
 

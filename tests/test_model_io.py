@@ -293,9 +293,14 @@ class TestCheckpointState:
         {"epoch": 1, "rng_states": {**GOOD_STATES, "shuffle": {"bit_generator": "PCG64"}}},
         {"epoch": 1, "rng_states": {**GOOD_STATES, "shuffle": {**SHUFFLE,
                                                                "state": {"state": -1, "inc": 1}}}},
+        # states that numpy would cast to an integer instead of refusing
+        {"epoch": 1, "rng_states": {**GOOD_STATES, "shuffle": {
+            **SHUFFLE, "state": {**SHUFFLE["state"], "state": 1.5}}}},
+        {"epoch": 1, "rng_states": {**GOOD_STATES, "shuffle": {**SHUFFLE, "has_uint32": True}}},
     ], ids=["no-state", "array", "epoch-string", "epoch-negative", "epoch-float", "epoch-bool",
             "no-epoch", "rng-array", "no-rng", "rng-one-stream", "rng-extra-stream",
-            "rng-state-int", "rng-state-mt19937", "rng-state-no-fields", "rng-state-negative"])
+            "rng-state-int", "rng-state-mt19937", "rng-state-no-fields", "rng-state-negative",
+            "rng-state-float", "rng-state-bool"])
     def test_malformed_state_is_a_value_error(self, tmp_path, rng, state):
         meta = _shallow_meta(hidden=2)
         params = random_shallow_params(rng, meta.vocab_size, 2, 3)

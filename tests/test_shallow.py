@@ -18,6 +18,7 @@ from oracles import (
     OpCounter,
     annotation_id,
     class_posterior,
+    compacting_supdocnade_gradients,
     corpus_of,
     counted_hidden_states,
     dense_docnade_gradients,
@@ -351,6 +352,52 @@ class TestLayoutStep:
         assert np.isfinite(loss)
         assert len(grads["V"][1]) > 10 * tree.max_path_length * shallow.BLOCK_TOKENS
         assert peak <= grid_bytes, f"peak {peak / 1e6:.1f} MB > grid {grid_bytes / 1e6:.1f} MB"
+
+
+class TestOneBlockNumbering:
+    """A document of one block keeps its layout's numbering: compacting the
+    block gives back every node column the slots use and every word, each
+    under its own index, so the step (which then skips `_compact`) equals
+    the compacting step bit for bit."""
+
+    @staticmethod
+    def documents(rng):
+        """(Q, tokens) of 1, 2, 63 and 64 tokens, drawn and one word repeated."""
+        for vocab_size, length in itertools.product((2, 3, 5, 240), (1, 2, 63, 64)):
+            yield vocab_size, rng.integers(0, vocab_size, length)
+            for word in (0, vocab_size - 1):
+                yield vocab_size, np.full(length, word)
+
+    def test_compacting_one_block_is_the_layout_numbering(self, rng):
+        padded = set()
+        for vocab_size, tokens in self.documents(rng):
+            layout, seg = token_layout(tokens, build_tree(vocab_size, 3))
+            padded.add(layout.n_cols == len(layout.nodes))
+            cols, local = shallow._compact(layout.slots[seg], len(layout.nodes))
+            assert np.array_equal(cols, np.arange(layout.n_cols))
+            assert np.array_equal(local, layout.slots[seg])
+            words, local = shallow._compact(seg, len(layout.ids))
+            assert np.array_equal(words, np.arange(len(layout.ids)))
+            assert np.array_equal(local, seg)
+        assert padded == {False, True}  # layouts with and without a padding column
+
+    @pytest.mark.parametrize("lam", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("label", [None, 1])
+    def test_step_equals_the_compacting_step(self, rng, lam, label):
+        cases = [*self.documents(rng), (240, rng.integers(0, 240, 2 * shallow.BLOCK_TOKENS + 9))]
+        for vocab_size, tokens in cases:
+            layout, seg = token_layout(tokens, build_tree(vocab_size, 3))
+            params = random_shallow_params(rng, vocab_size, 5, 3, scale=0.5)
+            loss, grads = shallow.supdocnade_gradients(layout, seg, params, lam, label)
+            want_loss, want = compacting_supdocnade_gradients(layout, seg, params, lam, label)
+            assert loss == want_loss
+            assert grads.keys() == want.keys()
+            for name, (axis, index, block) in want.items():
+                got_axis, got_index, got_block = grads[name]
+                assert got_axis == axis, name
+                assert (got_index == index if isinstance(index, slice)
+                        else np.array_equal(got_index, index)), name
+                assert np.array_equal(got_block, block), name
 
 
 class TestRepresent:

@@ -1,6 +1,6 @@
-"""Same behaviour, measured: twelve fixed-seed CLI manifests and a grid search, hashed.
+"""Same behaviour, measured: fourteen fixed-seed CLI manifests and a grid search, hashed.
 
-Writes the corpora of twelve fixed-seed training manifests once (from
+Writes the corpora of fourteen fixed-seed training manifests once (from
 `tests/gen.py` and `perfbench/corpora.py`), one of them at every default but
 the model and the epoch count, trains each manifest through the `docnade`
 CLI, then runs `eval --orderings 3 --eval-seed 2`, `annotate --k 3`,
@@ -83,6 +83,11 @@ MANIFESTS = {
     "supdeepdocnade-q2960": ("q2960.txt", ["--model", "supdeepdocnade", "--hidden", "128,128",
                                            "--batch-size", "32", "--dropout", "0.5",
                                            "--anno-weight", "12"]),
+    # documents of 150 tokens, three blocks of the shallow step, which
+    # compacts each block's words and tree nodes (`shallow._compact`)
+    "docnade-long": ("long.txt", ["--model", "docnade", "--hidden", "20"]),
+    "supdocnade-long": ("long.txt", ["--model", "supdocnade", "--hidden", "20",
+                                     "--lambda", "0.5"]),
 }
 # the one manifest that trains at the parser's defaults (`TrainConfig`'s) of
 # every flag but the model and the epoch count
@@ -102,8 +107,9 @@ CALLS = {
 def write_corpora(directory: str) -> None:
     """The manifests' corpora: 24 labelled documents at Q = 20 with 3
     features (text-sparse, a record-lines copy and a copy whose every other
-    document has a second label), 24 unlabelled ones for pretraining, and
-    100 `perfbench/corpora.py` documents at Q = 2,960; and the grid file."""
+    document has a second label), 24 unlabelled ones for pretraining,
+    100 `perfbench/corpora.py` documents of 45 tokens at Q = 2,960 and 40
+    of 150 tokens; and the grid file."""
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "tests", "perfbench")]
     import corpora
     from gen import make_corpus, write_corpus
@@ -123,6 +129,9 @@ def write_corpora(directory: str) -> None:
     vocab, rng = corpora.Vocab(240, 4, 2000, 8), np.random.default_rng(5)
     lines = corpora.World(vocab, rng).draw(rng, 100, 40, 5, False)
     corpora.write_corpus(os.path.join(directory, "q2960.txt"), vocab, lines)
+    rng = np.random.default_rng(6)
+    lines = corpora.World(vocab, rng).draw(rng, 40, 145, 5, False)
+    corpora.write_corpus(os.path.join(directory, "long.txt"), vocab, lines)
     with open(os.path.join(directory, "grid.json"), "w") as fh:
         json.dump({"lr": [0.01, 0.05]}, fh)
 
