@@ -262,7 +262,8 @@ def cmd_grid(args) -> int:
             overrides = {_GRID_KEYS[key][0]: _GRID_KEYS[key][1](raw)
                          for key, raw in zip(keys, combo)}
             config = _config_from_args(argparse.Namespace(**{**vars(args), **overrides}))
-        except (TypeError, ValueError) as exc:  # a value of the wrong type, or a bad --hidden
+            config.validate()
+        except (TypeError, ValueError) as exc:  # a value of the wrong type or out of range
             raise ValueError(f"malformed grid point {dict(zip(keys, combo))}: {exc}") from None
         training_stages(train_corpus, config)
         points.append((combo, config))

@@ -18,12 +18,13 @@ input histograms are rescaled to unit variance.
 The supervised head (softmax for single-label, sigmoid for multi-label)
 conditions on the full document's histogram.
 
-A document enters only as its sorted (ids, counts) pair, and a split as
-counts aligned with those ids.  Training, inference and the perplexity
-estimate all run rows of documents through the network as one block: the
-rows' counts on `cols`, the union of their ids, so the first layer reads
-W1[:, cols] alone and every later layer, head and the output softmax are
-matrix products over the rows.  The predicted sides are scored as
+A document enters only as its sorted (ids, counts) pair, and a split as its
+observed counts aligned with those ids: the predicted side is the rest of
+the document, and D - d + 1 the predicted count.  Training, inference and
+the perplexity estimate all run rows of documents through the network as
+one block: the rows' counts on `cols`, the union of their ids, so the first
+layer reads W1[:, cols] alone and every later layer, head and the output
+softmax are matrix products over the rows.  The predicted sides are scored as
 (ids, counts) rows too: the weighted targets live on the union of the
 predicted ids, where they are subtracted from the softmax term, and no
 (rows, Q) target is built.  A training step returns a gradient block only
@@ -36,7 +37,6 @@ family names as `shallow`; its context is the weight vector omega.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,20 +53,11 @@ def _layers(params: Params) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(getattr(params, f"W{n}"), getattr(params, f"c{n}")) for n in layers]
 
 
-@dataclass
-class HistogramSplit:
-    """One document split: observed and predicted counts, each aligned with
-    the document's count values, and the split position."""
-
-    input_hist: np.ndarray  # observed counts
-    output_hist: np.ndarray  # predicted counts, never all zero
-    d: int  # observed token count + 1
-    total_tokens: int
-
-
-def split_histogram(counts: np.ndarray, rng: np.random.Generator) -> HistogramSplit | None:
-    """Split a document's count values (those of its sorted ids) into
-    observed/predicted sides for one update.
+def split_histogram(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
+    """The observed side of one update's split of a document's count values
+    (those of its sorted ids): observed counts aligned with them.  The
+    predicted side is the rest of the counts, and the split position d is
+    the observed token count + 1.
 
     Draws d uniformly from {1..D} and then a uniformly random
     (d-1)-sub-multiset of the tokens (sequential hypergeometric draws per
@@ -79,20 +70,18 @@ def split_histogram(counts: np.ndarray, rng: np.random.Generator) -> HistogramSp
     total = int(counts.sum())
     if total == 0:
         return None
-    input_hist = np.zeros_like(counts)
-    d = int(rng.integers(1, total + 1))
-    need = d - 1
+    observed = np.zeros_like(counts)
+    need = int(rng.integers(1, total + 1)) - 1
     remaining = total
     for word in np.flatnonzero(counts):
         if need == 0:
             break
         have = int(counts[word])
         take = int(rng.hypergeometric(have, remaining - have, need))
-        input_hist[word] = take
+        observed[word] = take
         need -= take
         remaining -= have
-    output_hist = counts - input_hist
-    return HistogramSplit(input_hist, output_hist, d, total)
+    return observed
 
 
 def prepare_histogram(
@@ -151,44 +140,45 @@ def deep_forward(
     return hs, pres
 
 
-def _generative_terms(h, targets, phi, d, total_tokens, params):
+def _generative_terms(h, docs, observed, omega, params):
     """Per-row losses of a (rows, H) `h`, all that inference needs, with the
-    log-softmax (`output_log_probs`), the union `ids` of the rows' target
-    ids, the weighted targets on them and the (rows, 1) rescale factors that
-    `generative_loss` builds the output-layer gradients from."""
+    log-softmax (`output_log_probs`), the union `ids` of the rows' predicted
+    ids, the weighted predicted counts on them and the (rows, 1) rescale
+    factors D / (D - d + 1) that `generative_loss` builds the output-layer
+    gradients from."""
     log_probs = output_log_probs(h, params.V_out, params.b_out)
-    ids, counts = count_rows(targets)
-    weighted = counts * phi[ids] if phi is not None else counts.astype(float)
-    factor = np.reshape(total_tokens / (total_tokens - np.asarray(d) + 1), (-1, 1))
+    ids, counts = count_rows([(doc_ids, doc_counts - seen)
+                              for (doc_ids, doc_counts), seen in zip(docs, observed)])
+    weighted = counts * omega[ids] if omega is not None else counts.astype(float)
+    tokens = np.array([doc_counts.sum() for _, doc_counts in docs])
+    factor = np.reshape(tokens / counts.sum(axis=1), (-1, 1))
     loss = factor[:, 0] * -np.einsum("ij,ij->i", weighted, log_probs[:, ids])
     return loss, log_probs, ids, weighted, factor
 
 
 def generative_loss(
     h_top: np.ndarray,
-    targets: list[tuple[np.ndarray, np.ndarray]],
-    phi: np.ndarray | None,
-    d: int | np.ndarray,
-    total_tokens: int | np.ndarray,
+    docs: list[tuple[np.ndarray, np.ndarray]],
+    observed: list[np.ndarray],
+    omega: np.ndarray | None,
     params: Params,
     weight: float = 1.0,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Rescaled weighted cross-entropy of the predicted sides.
 
-    `h_top` is (rows, H), `targets` holds each row's predicted side as an
-    (ids, counts) pair, and `d` and `total_tokens` hold one value per
-    row.  One log-softmax over the vocabulary serves every predicted
-    token of a row, so the cost is O(Q * H) per row regardless of how many
-    tokens are predicted.  Returns the per-row losses and the output-layer
-    gradients {V_out, b_out, h} of `weight` times their sum (h is the
-    (rows, H) gradient w.r.t. h_top, to be backpropagated by the caller).
-    Each pass over a (rows, Q) or (Q, H) block runs on row parts
-    (`on_rows`), and no part cuts the axis a product sums over; the weight
-    is applied there, not in another pass over the block.
+    `h_top` is (rows, H); row i predicts the rest of the document `docs[i]`,
+    an (ids, counts) pair, after the observed counts `observed[i]`.  One
+    log-softmax over the vocabulary serves every predicted token of a row,
+    so the cost is O(Q * H) per row regardless of how many tokens are
+    predicted.  Returns the per-row losses and the output-layer gradients
+    {V_out, b_out, h} of `weight` times their sum (h is the (rows, H)
+    gradient w.r.t. h_top, to be backpropagated by the caller).  Each pass
+    over a (rows, Q) or (Q, H) block runs on row parts (`on_rows`), and no
+    part cuts the axis a product sums over; the weight is applied there,
+    not in another pass over the block.
     """
-    loss, log_probs, ids, weighted, factor = _generative_terms(
-        h_top, targets, phi, d, total_tokens, params
-    )
+    loss, log_probs, ids, weighted, factor = _generative_terms(h_top, docs, observed, omega,
+                                                               params)
     totals = weighted.sum(axis=1, keepdims=True)
     d_logits, d_h = log_probs, np.empty_like(h_top)  # d_logits overwrites the log-softmax
 
@@ -219,7 +209,7 @@ def hybrid_loss_gradients(
     params: Params,
     unsup_weight: float,
     omega: np.ndarray | None,
-    splits: list[HistogramSplit | None],
+    observed: list[np.ndarray | None],
     gen_masks: list[list[np.ndarray] | None],
     sup_masks: list[list[np.ndarray] | None],
     head: str = "softmax",
@@ -227,17 +217,17 @@ def hybrid_loss_gradients(
     """Deterministic core of one mini-batch update (stochasticity passed in).
 
     `docs` holds the batch's documents as sorted (ids, counts) pairs,
-    `features` their (n, N_f) feature rows (or None), and `splits` a split
-    of each one's counts (or None); the other list arguments hold one entry
-    per document too, the masks None for every document or for none.  Each
-    labelled document contributes a supervised row (its full histogram);
-    each document with a split contributes a generative row (the split's
-    observed side, scored against its predicted side and weighted by
-    `unsup_weight`); `omega` weights every input histogram and every
-    predicted token.  All rows go through the network together: the first
-    layer reads only `cols`, the union of the documents' ids, and every
-    other layer, the class head and the output softmax run as matrix
-    products over the rows.
+    `features` their (n, N_f) feature rows (or None), and `observed` the
+    observed counts of a split of each one (or None); the other list
+    arguments hold one entry per document too, the masks None for every
+    document or for none.  Each labelled document contributes a supervised
+    row (its full histogram); each document with a split contributes a
+    generative row (its observed counts, scored against the rest of the
+    document and weighted by `unsup_weight`); `omega` weights every input
+    histogram and every predicted token.  All rows go through the network
+    together: the first layer reads only `cols`, the union of the
+    documents' ids, and every other layer, the class head and the output
+    softmax run as matrix products over the rows.
 
     Returns (per-document losses, gradient summed over the batch), the
     gradient as blocks (see `numerics.along`), one for each array the rows
@@ -246,10 +236,10 @@ def hybrid_loss_gradients(
     a generative row, and P none without features.
     """
     sup = [i for i, label_set in enumerate(labels) if label_set is not None]
-    gen = [i for i, split in enumerate(splits) if split is not None and unsup_weight != 0.0]
+    gen = [i for i, seen in enumerate(observed) if seen is not None and unsup_weight != 0.0]
     n_sup = len(sup)
     # the documents' own rows come first, so that cols is the union of their ids
-    rows = [docs[i] for i in sup] + [(docs[i][0], splits[i].input_hist) for i in gen]
+    rows = [docs[i] for i in sup] + [(docs[i][0], observed[i]) for i in gen]
     cols, counts = count_rows(list(docs) + rows)
     losses = np.zeros(len(docs))
     x = prepare_histogram(counts[len(docs):], cols, len(params.b_out), omega)
@@ -267,15 +257,9 @@ def hybrid_loss_gradients(
         grads["U"], grads["d"] = head_grads["U"], head_grads["d"]
         d_top[:n_sup] = head_grads["h"]
     if gen:
-        gen_loss, out_grads = generative_loss(
-            hs[-1][n_sup:],
-            [(docs[i][0], splits[i].output_hist) for i in gen],
-            omega,
-            np.array([splits[i].d for i in gen]),
-            np.array([splits[i].total_tokens for i in gen]),
-            params,
-            unsup_weight,
-        )
+        gen_loss, out_grads = generative_loss(hs[-1][n_sup:], [docs[i] for i in gen],
+                                              [observed[i] for i in gen], omega, params,
+                                              unsup_weight)
         losses[gen] += unsup_weight * gen_loss
         grads["V_out"], grads["b_out"] = out_grads["V_out"], out_grads["b_out"]
         d_top[n_sup:] = out_grads["h"]
@@ -383,23 +367,12 @@ def perplexity_losses(
     """Each (nonempty) row's loss, averaged over `samples` splits drawn row
     by row; all the splits go through one forward pass over the union of
     their observed ids and one loss evaluation."""
-    ids, splits = [], []
-    for i in range(len(rows)):
-        doc_ids, counts = rows.row(i)
-        for _ in range(samples):
-            ids.append(doc_ids)
-            splits.append(split_histogram(counts, rng))
-    cols, inputs = count_rows([(doc_ids, split.input_hist) for doc_ids, split in zip(ids, splits)])
+    docs = [doc for i in range(len(rows)) for doc in [rows.row(i)] * samples]
+    observed = [split_histogram(counts, rng) for _, counts in docs]
+    cols, inputs = count_rows([(ids, seen) for (ids, _), seen in zip(docs, observed)])
     features = None if rows.features is None else np.repeat(rows.features, samples, axis=0)
     h_top = deep_represent(inputs, cols, features, params, context.omega, context.dropout_rate)
-    losses = _generative_terms(
-        h_top,
-        [(doc_ids, split.output_hist) for doc_ids, split in zip(ids, splits)],
-        context.omega,
-        np.array([split.d for split in splits]),
-        np.array([split.total_tokens for split in splits]),
-        params,
-    )[0]
+    losses = _generative_terms(h_top, docs, observed, context.omega, params)[0]
     return [float(np.mean(draws)) for draws in losses.reshape(len(rows), samples)]
 
 
@@ -463,11 +436,11 @@ def batch_step(batch, params: Params, config, streams, cache):
     summed gradient).
     """
     keep = 1.0 - config.dropout_rate
-    kept, splits, gen_masks, sup_masks = [], [], [], []
+    kept, observed, gen_masks, sup_masks = [], [], [], []
     for doc_idx in batch:
         supervised = cache.labels[doc_idx] is not None
-        split = split_histogram(cache.docs.row(doc_idx)[1], streams["split"])
-        if split is None and not supervised:
+        seen = split_histogram(cache.docs.row(doc_idx)[1], streams["split"])
+        if seen is None and not supervised:
             continue
         gen = sup = None
         if config.dropout_rate > 0:
@@ -475,13 +448,13 @@ def batch_step(batch, params: Params, config, streams, cache):
             if supervised:
                 sup = _draw_masks(config.hidden_sizes, keep, streams["dropout"])
         kept.append(doc_idx)
-        splits.append(split)
+        observed.append(seen)
         gen_masks.append(gen)
         sup_masks.append(sup)
     features = cache.docs.features
     losses, grads = hybrid_loss_gradients(
         [cache.docs.row(i) for i in kept], [cache.labels[i] for i in kept],
         None if features is None else features[kept], params, cache.unsup_weight,
-        cache.context.omega, splits, gen_masks, sup_masks, head=config.head,
+        cache.context.omega, observed, gen_masks, sup_masks, head=config.head,
     )
     return kept, losses.tolist(), [grads]

@@ -6,8 +6,9 @@ manifest), then the parameter arrays concatenated as little-endian float64
 in the order declared by the manifest.  Checkpoints append a second array
 block (the running parameter average) and a training-state record (epoch and
 RNG stream states) to the header, which tells the two kinds apart: each
-loader refuses the other kind.  A file cut short anywhere fails to load with
-ValueError.
+loader refuses the other kind.  A file cut short anywhere, a blob whose
+length is not the manifest's and bytes after the last blob each fail to load
+with ValueError.
 
 Each write makes a new file: the old entry at the path is unlinked first,
 not truncated.  On ext4 (whose `auto_da_alloc` is on by default), a file
@@ -188,8 +189,11 @@ def _read_params(path, checkpoint: bool) -> tuple[ModelMeta, dict, list]:
     for got, want in itertools.zip_longest(manifest, shapes):
         if got != want:
             raise ValueError(f"{path}: manifest entry {got} differs from the meta's {want}")
+    size = 8 * sum(int(np.prod(shape, dtype=np.int64)) for _, shape in shapes)
     params = []
-    for blob in blobs:
+    for i, blob in enumerate(blobs):
+        if len(blob) != size:
+            raise ValueError(f"{path}: blob {i} is {len(blob)} bytes, not the manifest's {size}")
         arrays, offset = {}, 0
         for name, shape in shapes:
             n = int(np.prod(shape, dtype=np.int64))
@@ -234,8 +238,8 @@ def _read_exact(fh, size: int, path, what: str) -> bytes:
 def _read_container(path, checkpoint: bool) -> tuple[dict, list[bytes]]:
     """The header and the blobs of a checkpoint (two: the current and the
     averaged parameters) or a model file (one); ValueError if the header's
-    training state says that the file is of the other kind, or a blob is
-    cut short or missing."""
+    training state says that the file is of the other kind, a blob is cut
+    short or missing, or bytes follow the last blob."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -260,6 +264,9 @@ def _read_container(path, checkpoint: bool) -> tuple[dict, list[bytes]]:
         for n in range(2 if checkpoint else 1):
             (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, f"blob {n} length"))
             blobs.append(_read_exact(fh, blob_len, path, f"blob {n}"))
+        extra = os.fstat(fh.fileno()).st_size - fh.tell()
+        if extra:
+            raise ValueError(f"{path}: {extra} bytes after the last blob")
     return header, blobs
 
 

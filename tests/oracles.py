@@ -170,7 +170,7 @@ def estimator_expectation(counts, params, omega=None, phi=None, features=None):
             x = deep_mod.prepare_histogram(observed[cols][None], cols, len(counts), omega)
             hs, _ = deep_mod.deep_forward(x, cols, params, features)
             (loss,), _ = deep_mod.generative_loss(
-                hs[-1], [(ids, (counts - observed)[ids])], phi, d, total, params
+                hs[-1], [(ids, counts[ids])], [observed[ids]], phi, params
             )
             expected += (1.0 / total) * prob * loss
     return expected
@@ -289,11 +289,14 @@ def _dense_supervised(h_top, labels, params, head):
     return loss, np.outer(d_logits, h_top), d_logits, params.U.T @ d_logits
 
 
-def _dense_generative(h_top, split, phi, params):
+def _dense_generative(h_top, counts, observed, phi, params):
+    """One split's loss and gradients: the observed counts give the split
+    position d, and the loss of the rest is rescaled by D / (D - d + 1)."""
     log_probs = _log_softmax(params.b_out + params.V_out @ h_top)
-    hist = split.output_hist
+    d, total = int(observed.sum()) + 1, int(counts.sum())
+    hist = counts - observed
     targets = hist * phi if phi is not None else hist.astype(float)
-    factor = split.total_tokens / (split.total_tokens - split.d + 1)
+    factor = total / (total - d + 1)
     loss = factor * float(-(targets @ log_probs))
     d_logits = factor * (targets.sum() * np.exp(log_probs) - targets)
     return loss, np.outer(d_logits, h_top), d_logits, params.V_out.T @ d_logits
@@ -316,10 +319,11 @@ def _dense_backprop(d_top, x, features, hs, pres, masks, params, grads, weight=1
 
 def dense_hybrid_loss_gradients(
     counts, labels, features, params, unsup_weight, omega, phi,
-    split, gen_masks, sup_masks, head="softmax", normalize=True,
+    observed, gen_masks, sup_masks, head="softmax", normalize=True,
 ):
     """One document's hybrid loss and dense gradients, document by document:
-    dense Q-length inputs, matrix-vector products and outer products."""
+    dense Q-length inputs, matrix-vector products and outer products.
+    `observed` is the observed side of the document's split (or None)."""
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays()}
     loss = 0.0
     if labels is not None:
@@ -330,10 +334,10 @@ def dense_hybrid_loss_gradients(
         grads["U"] += g_u
         grads["d"] += g_d
         _dense_backprop(g_h, x_full, features, hs, pres, sup_masks, params, grads)
-    if split is not None and unsup_weight != 0.0:
-        x_in = dense_histogram(split.input_hist, omega, normalize)
+    if observed is not None and unsup_weight != 0.0:
+        x_in = dense_histogram(observed, omega, normalize)
         hs, pres = dense_forward(x_in, params, features, gen_masks)
-        gen, g_v, g_b, g_h = _dense_generative(hs[-1], split, phi, params)
+        gen, g_v, g_b, g_h = _dense_generative(hs[-1], counts, observed, phi, params)
         loss += unsup_weight * gen
         grads["V_out"] += unsup_weight * g_v
         grads["b_out"] += unsup_weight * g_b
@@ -344,14 +348,15 @@ def dense_hybrid_loss_gradients(
 
 def document_hybrid_loss_gradients(
     counts, labels, features, params, unsup_weight, omega,
-    split, gen_masks, sup_masks, head="softmax",
+    observed, gen_masks, sup_masks, head="softmax",
 ):
     """`deep.hybrid_loss_gradients` for one document given as a Q-length
-    count vector and a split of it: the loss and dense gradients."""
+    count vector and the observed counts of a split of it: the loss and
+    dense gradients."""
     losses, grads = deep_mod.hybrid_loss_gradients(
         [(np.arange(len(counts)), np.asarray(counts))], [labels],
         None if features is None else features[None], params,
-        unsup_weight, omega, [split], [gen_masks], [sup_masks], head=head,
+        unsup_weight, omega, [observed], [gen_masks], [sup_masks], head=head,
     )
     return float(losses[0]), to_dense(grads, params)
 
@@ -560,8 +565,8 @@ def dense_deep_epoch(corpus, avg, config):
         for doc_idx in order[start : start + config.batch_size]:
             doc = docs[doc_idx]
             counts = dense_counts(doc, corpus.vocabulary.size)
-            split = deep_mod.split_histogram(counts, streams["split"])
-            if split is None and not supervised:
+            observed = deep_mod.split_histogram(counts, streams["split"])
+            if observed is None and not supervised:
                 continue
             gen = sup = None
             if config.dropout_rate > 0:
@@ -570,7 +575,7 @@ def dense_deep_epoch(corpus, avg, config):
                     sup = masks()
             _, grads = dense_hybrid_loss_gradients(
                 counts, doc.labels if supervised else None, doc.features, avg.current,
-                unsup_weight, omega, omega, split, gen, sup, head=config.head,
+                unsup_weight, omega, omega, observed, gen, sup, head=config.head,
             )
             total = grads if total is None else {k: total[k] + grads[k] for k in total}
             n_docs += 1
@@ -687,10 +692,10 @@ def perplexity(corpus, params, meta, samples, rng):
             continue
         draws = []
         for _ in range(samples):
-            split = deep_mod.split_histogram(counts, rng)
-            x = dense_histogram(split.input_hist, omega)
+            observed = deep_mod.split_histogram(counts, rng)
+            x = dense_histogram(observed, omega)
             hs, _ = dense_forward(x, params, doc.features, keep_scale=keep)
-            draws.append(_dense_generative(hs[-1], split, omega, params)[0])
+            draws.append(_dense_generative(hs[-1], counts, observed, omega, params)[0])
         total_loss += float(np.mean(draws))
         total_tokens += int(counts.sum())
     if total_tokens == 0:

@@ -141,7 +141,7 @@ def test_criterion_03_deep_gradient_exactness():
         while True:
             params = random_deep_params(rng, vocab_size, sizes, n_classes, n_features)
             margins = []
-            for raw in (counts, split.input_hist):
+            for raw in (counts, split):
                 x = dense_histogram(raw, omega)
                 _, pres = dense_forward(x, params, features)
                 margins.append(min(np.abs(p).min() for p in pres))

@@ -654,7 +654,7 @@ class TestGrid:
         '{"lr": [0.1, NaN]}', '{"hidden": [4], "seed": [0, null]}',
         '{"epochs": [1.5]}', '{"batch-size": [2.7]}', '{"lr": [true]}', '{"seed": ["7"]}',
         '{"seed": [0, -1]}', '{"hidden": [8.0]}', '{"hidden": ["8,x"]}', '{"hidden": [true]}',
-        '{"colour": [1]}',
+        '{"colour": [1]}', '{"lr": [0.01, -0.5]}', '{"dropout": [1.5]}',
     ])
     def test_malformed_grid_is_a_data_error_before_any_work(self, tmp_path, corpus_path, spec,
                                                              capsys):
@@ -670,6 +670,11 @@ class TestGrid:
             assert "malformed grid point {'hidden': " in capsys.readouterr().err
         if "colour" in spec:
             assert "unknown grid key 'colour'" in capsys.readouterr().err
+        # a value out of its field's range names its point
+        points = {'{"seed": [0, -1]}': "{'seed': -1}", '{"lr": [0.01, -0.5]}': "{'lr': -0.5}",
+                  '{"dropout": [1.5]}': "{'dropout': 1.5}"}
+        if spec in points:
+            assert f"malformed grid point {points[spec]}: " in capsys.readouterr().err
 
     def test_hidden_values_follow_layers(self, tmp_path, corpus_path):
         grid_file = tmp_path / "grid.json"
@@ -818,6 +823,18 @@ class TestMalformedValues:
         code = main(["eval", "--model", str(cut), "--corpus", str(corpus_path)])
         assert code == 3
         assert "truncated" in capsys.readouterr().err
+
+    def test_blob_longer_than_its_manifest_is_a_data_error(self, tmp_path, corpus_path, capsys):
+        run_dir = _train(corpus_path, tmp_path / "runs")
+        data = open(os.path.join(run_dir, "model.bin"), "rb").read()
+        at = len(MAGIC) + 12 + struct.unpack_from("<Q", data, len(MAGIC) + 4)[0]
+        (blob_len,) = struct.unpack_from("<Q", data, at)  # the blob's length prefix
+        longer = tmp_path / "longer.bin"
+        longer.write_bytes(data[:at] + struct.pack("<Q", blob_len + 8) + data[at + 8:] + bytes(8))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(longer), "--corpus", str(corpus_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {longer}: blob 0 is {blob_len + 8} bytes" in err
 
     @pytest.mark.parametrize("command", [["eval"], ["annotate"], ["retrieve", "--query", "0"]],
                              ids=["eval", "annotate", "retrieve"])

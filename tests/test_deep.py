@@ -34,10 +34,9 @@ from oracles import (
 class TestSplitHistogram:
     def test_single_token_forced(self, rng):
         counts = np.array([1, 0, 0])
-        split = deep.split_histogram(counts, rng)
-        assert split.d == 1
-        assert split.input_hist.sum() == 0
-        assert np.array_equal(split.output_hist, counts)
+        observed = deep.split_histogram(counts, rng)
+        assert observed.sum() == 0  # d = 1
+        assert np.array_equal(counts - observed, counts)
 
     def test_two_of_same_word(self):
         # d=2 must put one token on each side
@@ -45,10 +44,10 @@ class TestSplitHistogram:
         counts = np.array([2, 0])
         seen_d2 = False
         for _ in range(50):
-            split = deep.split_histogram(counts, rng)
-            if split.d == 2:
-                assert split.input_hist.tolist() == [1, 0]
-                assert split.output_hist.tolist() == [1, 0]
+            observed = deep.split_histogram(counts, rng)
+            if observed.sum() + 1 == 2:
+                assert observed.tolist() == [1, 0]
+                assert (counts - observed).tolist() == [1, 0]
                 seen_d2 = True
         assert seen_d2
 
@@ -61,12 +60,12 @@ class TestSplitHistogram:
             counts = rng.integers(0, 4, size=6)
             if counts.sum() == 0:
                 continue
-            split = deep.split_histogram(counts, rng)
-            assert np.array_equal(split.input_hist + split.output_hist, counts)
-            assert split.output_hist.sum() >= 1
-            assert split.input_hist.min() >= 0
-            assert split.d == split.input_hist.sum() + 1
-            assert split.total_tokens == counts.sum()
+            observed = deep.split_histogram(counts, rng)
+            predicted = counts - observed
+            assert predicted.min() >= 0
+            assert predicted.sum() >= 1
+            assert observed.min() >= 0
+            assert observed.dtype == counts.dtype and observed.shape == counts.shape
 
     def test_prefix_distribution_matches_ordering_prefixes(self):
         # doc {a:2, b:1}: exact prefix distribution over (d, observed side)
@@ -85,8 +84,8 @@ class TestSplitHistogram:
         observed = dict.fromkeys(outcomes, 0)
         n_samples = 100_000
         for _ in range(n_samples):
-            split = deep.split_histogram(counts, rng)
-            key = (split.d, int(split.input_hist[0]), int(split.input_hist[1]))
+            seen = deep.split_histogram(counts, rng)
+            key = (int(seen.sum()) + 1, int(seen[0]), int(seen[1]))
             observed[key] += 1
         expected = np.array([outcomes[k] * n_samples for k in outcomes])
         got = np.array([observed[k] for k in outcomes])
@@ -163,11 +162,33 @@ class TestGenerativeLoss:
         h = rng.random(3)
         out = np.zeros(6, dtype=int)
         out[2] = 1
-        (base,), _ = deep.generative_loss(h[None], [(np.arange(6), out)], None, d=1,
-                                          total_tokens=1, params=params)
-        (scaled,), _ = deep.generative_loss(h[None], [(np.arange(6), out)], None, d=2,
-                                            total_tokens=5, params=params)
+        # four predicted tokens of word 2, at d = 1 of D = 4 and d = 2 of D = 5
+        (base,), _ = deep.generative_loss(h[None], [(np.arange(6), 4 * out)], [0 * out], None,
+                                          params=params)
+        (scaled,), _ = deep.generative_loss(h[None], [(np.arange(6), 5 * out)], [out], None,
+                                            params=params)
         assert scaled == pytest.approx((5 / 4) * base)
+
+    def test_rescale_factor_from_explicit_d(self, rng):
+        # D / (D - d + 1) of the paper, d the observed token count + 1, for
+        # d = 1, d = D and drawn splits of documents with repeated words
+        params = random_deep_params(rng, 6, (3,), 2)
+        docs, observed = [], []
+        for counts in ([1, 0, 0, 0, 0, 0], [3, 0, 2, 0, 0, 1], [0, 4, 0, 0, 5, 0]):
+            counts = np.array(counts)
+            ids = np.flatnonzero(counts)
+            last = np.zeros_like(counts)
+            last[ids[-1]] = 1  # the one predicted token of d = D
+            drawn = [deep.split_histogram(counts, rng) for _ in range(4)]
+            for seen in [np.zeros_like(counts), counts - last, *drawn]:
+                docs.append((ids, counts[ids]))
+                observed.append(seen[ids])
+        h = rng.random((len(docs), 3))
+        factor = deep._generative_terms(h, docs, observed, None, params)[4]
+        assert factor.shape == (len(docs), 1)
+        for (_, counts), seen, got in zip(docs, observed, factor[:, 0]):
+            total, d = int(counts.sum()), int(seen.sum()) + 1
+            assert got == total / (total - d + 1)
 
     def test_uniform_loss_is_log_q(self):
         vocab_size = 7
@@ -175,7 +196,7 @@ class TestGenerativeLoss:
         out = np.zeros(vocab_size, dtype=int)
         out[4] = 1
         (loss,), _ = deep.generative_loss(np.zeros((1, 3)), [(np.arange(vocab_size), out)],
-                                          None, 1, 1, params)
+                                          [0 * out], None, params)
         assert loss == pytest.approx(np.log(vocab_size))
 
     def test_rho_one_weights_change_nothing(self, rng):
@@ -184,9 +205,11 @@ class TestGenerativeLoss:
         h = rng.random(4)
         out = rng.integers(0, 3, 6)
         out[0] += 1
-        targets = [(np.arange(6), out)]
-        plain = deep.generative_loss(h[None], targets, None, 2, int(out.sum()) + 1, params)
-        ones = deep.generative_loss(h[None], targets, np.ones(6), 2, int(out.sum()) + 1, params)
+        # d = 2: one observed token of word 1 besides the predicted `out`
+        seen = np.eye(6, dtype=out.dtype)[1]
+        docs = [(np.arange(6), out + seen)]
+        plain = deep.generative_loss(h[None], docs, [seen], None, params)
+        ones = deep.generative_loss(h[None], docs, [seen], np.ones(6), params)
         assert plain[0] == ones[0]
         for key in plain[1]:
             assert np.array_equal(plain[1][key], ones[1][key])
@@ -201,11 +224,13 @@ class TestGenerativeLoss:
         h = rng.random(3)
         out = np.array([1, 0, 2, 0, 1])
         phi = np.array([1.0, 1.0, 1.0, 2.5, 2.5])
-        targets = [(np.arange(5), out)]
-        _, grads = deep.generative_loss(h[None], targets, phi, 2, 5, params)
+        # d = 2 of D = 5: one observed token of word 1 besides the predicted `out`
+        seen = np.array([0, 1, 0, 0, 0])
+        docs = [(np.arange(5), out + seen)]
+        _, grads = deep.generative_loss(h[None], docs, [seen], phi, params)
 
         def loss():
-            return deep.generative_loss(h[None], targets, phi, 2, 5, params)[0][0]
+            return deep.generative_loss(h[None], docs, [seen], phi, params)[0][0]
 
         assert max_rel_error(grads["V_out"], fd_gradient(loss, params.V_out)) <= 1e-4
         assert max_rel_error(grads["b_out"], fd_gradient(loss, params.b_out)) <= 1e-4
@@ -257,7 +282,7 @@ def _off_kink_deep_instance(rng, vocab_size, sizes, n_classes, n_features, count
     while True:
         params = random_deep_params(rng, vocab_size, sizes, n_classes, n_features)
         margins = []
-        for raw in (counts, split.input_hist):
+        for raw in (counts, split):
             x = dense_histogram(raw, omega)
             _, pres = dense_forward(x, params, features)
             margins.append(min(np.abs(p).min() for p in pres))
@@ -282,12 +307,11 @@ class TestHybridGradients:
         # implementation that backprops every output token separately
         vocab_size = 6
         counts = np.array([2, 0, 1, 3, 0, 1])
-        total = int(counts.sum())
-        split = deep.HistogramSplit(np.zeros_like(counts), counts, 1, total)
+        split = np.zeros_like(counts)  # the observed side of a d = 1 split
         phi = np.ones(vocab_size)
         phi[4:] = 2.0
         params = random_deep_params(rng, vocab_size, (4,), 2)
-        x_in = dense_histogram(split.input_hist, None)
+        x_in = dense_histogram(split, None)
         loss, grads = document_hybrid_loss_gradients(
             counts, None, None, params, 1.0, phi, split, None, None
         )
@@ -422,8 +446,7 @@ class TestCollapseToSoftmaxShallow:
         )
         total = int(context.sum()) + 1
         (loss,), _ = deep.generative_loss(
-            hs[-1], [(np.arange(vocab_size), out)], None, d=total, total_tokens=total,
-            params=params,
+            hs[-1], [(np.arange(vocab_size), context + out)], [context], None, params=params,
         )
         factor = total / (total - total + 1)  # lone predicted token at position d
         assert loss / factor == pytest.approx(-ref[target], abs=1e-12)

@@ -364,3 +364,34 @@ class TestTruncatedFiles:
         (tmp_path / "m.bin").write_bytes(bytes(data))
         with pytest.raises(ValueError, match="truncated"):
             load_model(tmp_path / "m.bin")
+
+
+class TestBlobLength:
+    """Each blob holds exactly the manifest's entries and nothing follows the
+    last one: a blob shorter or longer than the manifest, with a length
+    prefix that matches it, or bytes after the last blob fail to load with
+    ValueError naming the file."""
+
+    @pytest.mark.parametrize("case,message", [
+        ("shorter", "blob 0 is 376 bytes, not the manifest's 384"),
+        ("longer", "blob 0 is 392 bytes, not the manifest's 384"),
+        ("trailing", "8 bytes after the last blob"),
+    ], ids=["shorter", "longer", "trailing"])
+    @pytest.mark.parametrize("checkpoint", [False, True], ids=["model", "checkpoint"])
+    def test_rejected(self, tmp_path, rng, case, message, checkpoint):
+        meta = _shallow_meta(hidden=2)
+        arrays = random_shallow_params(rng, meta.vocab_size, 2, 3).arrays()
+        header = {"meta": meta.to_json(), "manifest": [[name, list(arr.shape)]
+                                                       for name, arr in arrays]}
+        (name, last) = arrays[-1]
+        doctored = {"shorter": last.ravel()[:-1], "longer": np.append(last, 0.0),
+                    "trailing": last}[case]
+        blocks = [[*arrays[:-1], (name, doctored)]]
+        if checkpoint:
+            header["state"] = {"epoch": 1, "rng_states": stream_states(training_streams(1))}
+            blocks.append(arrays)
+        path = tmp_path / ("c.ckpt" if checkpoint else "m.bin")
+        data = _reference_container(header, blocks)
+        path.write_bytes(data + bytes(8) if case == "trailing" else data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            (load_checkpoint if checkpoint else load_model)(path)

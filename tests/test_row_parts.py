@@ -92,14 +92,17 @@ class TestPartsEqualWhole:
         params = Params({"V_out": rng.normal(scale=0.1, size=(q, hidden)),
                          "b_out": rng.normal(scale=0.1, size=q)})
         h_top = np.maximum(rng.normal(size=(rows, hidden)), 0.0)
-        targets = []
+        docs = []
         for _ in range(rows):
             ids = np.sort(rng.choice(q, 40, replace=False))
-            targets.append((ids, rng.integers(1, 4, size=40)))
+            docs.append((ids, rng.integers(1, 4, size=40)))
         phi = np.where(np.arange(q) < q - 2_000, 1.0, 12.0)
-        d = rng.integers(1, 60, size=rows)
-        total = np.full(rows, 120)
-        loss, grads = deep.generative_loss(h_top, targets, phi, d, total, params, weight)
+        observed = [deep.split_histogram(counts, rng) for _, counts in docs]
+        # the serial form's arguments, derived as the split's fields were
+        targets = [(ids, counts - seen) for (ids, counts), seen in zip(docs, observed)]
+        d = np.array([seen.sum() + 1 for seen in observed])
+        total = np.array([counts.sum() for _, counts in docs])
+        loss, grads = deep.generative_loss(h_top, docs, observed, phi, params, weight)
         ref_loss, ref_grads = serial_generative_loss(h_top, targets, phi, d, total, params,
                                                      weight)
         assert loss.tobytes() == ref_loss.tobytes()
@@ -156,7 +159,7 @@ class TestThreadHygiene:
         before = threading.active_count()
         with pytest.raises(PartError, match="in a row part"):
             deep.generative_loss(rng.normal(size=(32, 8)), [(np.array([1]), np.array([2]))] * 32,
-                                 None, np.ones(32), np.full(32, 2), params)
+                                 [np.array([0])] * 32, None, params)
         assert threading.active_count() == before
 
     def test_tier1_turns_thread_exceptions_into_errors(self):

@@ -1,6 +1,6 @@
-"""Same behaviour, measured: fourteen fixed-seed CLI manifests and a grid search, hashed.
+"""Same behaviour, measured: fifteen fixed-seed CLI manifests and a grid search, hashed.
 
-Writes the corpora of fourteen fixed-seed training manifests once (from
+Writes the corpora of fifteen fixed-seed training manifests once (from
 `tests/gen.py` and `perfbench/corpora.py`), one of them at every default but
 the model and the epoch count, trains each manifest through the `docnade`
 CLI, then runs `eval --orderings 3 --eval-seed 2`, `annotate --k 3`,
@@ -83,6 +83,11 @@ MANIFESTS = {
     "supdeepdocnade-q2960": ("q2960.txt", ["--model", "supdeepdocnade", "--hidden", "128,128",
                                            "--batch-size", "32", "--dropout", "0.5",
                                            "--anno-weight", "12"]),
+    # the perplexity estimate on row parts with non-integer weighted targets:
+    # `eval --orderings 3` scores chunks of 63 rows x 2,960 words
+    "deepdocnade-q2960": ("q2960.txt", ["--model", "deepdocnade", "--hidden", "32,32",
+                                        "--batch-size", "16", "--dropout", "0.3",
+                                        "--anno-weight", "0.3"]),
     # documents of 150 tokens, three blocks of the shallow step, which
     # compacts each block's words and tree nodes (`shallow._compact`)
     "docnade-long": ("long.txt", ["--model", "docnade", "--hidden", "20"]),
