@@ -69,21 +69,11 @@ def _manifest_hash(manifest: dict) -> str:
 
 
 def _check_compat(meta: ModelMeta, corpus: Corpus) -> None:
+    eval_mod.check_sizes(meta, corpus)  # and so n_annotation, from Q and the visual block
     vocab = corpus.vocabulary
-    pairs = [
-        ("vocabulary size Q", meta.vocab_size, vocab.size),
-        ("n_visual", meta.n_visual, vocab.n_visual),
-        ("n_regions", meta.n_regions, vocab.n_regions),
-        ("n_annotation", meta.n_annotation, vocab.n_annotation),
-        ("class count C", meta.n_classes, corpus.n_classes),
-        ("feature length N_f", meta.n_features, corpus.n_features),
-    ]
-    for name, model_value, corpus_value in pairs:
-        if model_value != corpus_value:
-            raise ValueError(
-                f"model/corpus mismatch on {name}: model has {model_value}, "
-                f"corpus has {corpus_value}"
-            )
+    eval_mod.require_same([("n_visual", meta.n_visual, vocab.n_visual),
+                           ("n_regions", meta.n_regions, vocab.n_regions),
+                           ("class count C", meta.n_classes, corpus.n_classes)])
 
 
 def _load_corpus(path, format: str) -> Corpus:

@@ -187,8 +187,6 @@ class Corpus:
 
 def weight_vector(vocab: JointVocabulary, rho: float) -> np.ndarray:
     """Per-id histogram weights omega: 1 for visual ids, rho for annotation ids."""
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
     omega = np.ones(vocab.size)
     omega[vocab.visual_size :] = rho
     return omega

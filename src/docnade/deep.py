@@ -128,8 +128,6 @@ def deep_forward(
             w = w[:, cols]
         pre = c + inp @ w.T
         if n == 0 and features is not None:
-            if not hasattr(params, "P"):
-                raise ValueError("model has no global-feature map")
             pre = pre + features @ params.P
         h = np.maximum(pre, 0.0)
         if scales is not None:

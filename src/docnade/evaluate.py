@@ -37,6 +37,25 @@ logger = logging.getLogger(__name__)
 CHUNK_DOCS = 64
 
 
+def require_same(pairs) -> None:
+    """ValueError naming the first (quantity, model value, corpus value) that differ."""
+    for name, model_value, corpus_value in pairs:
+        if model_value != corpus_value:
+            raise ValueError(f"model/corpus mismatch on {name}: model has {model_value}, "
+                             f"corpus has {corpus_value}")
+
+
+def check_sizes(meta: ModelMeta, corpus: Corpus) -> None:
+    """ValueError unless the corpus has the three sizes inference reads of
+    the model of `meta`: Q, the visual block n_visual x n_regions (and so
+    the annotation ids) and N_f.  Every inference entry checks it first."""
+    vocab = corpus.vocabulary
+    require_same([("vocabulary size Q", meta.vocab_size, vocab.size),
+                  ("visual block n_visual x n_regions", meta.n_visual * meta.n_regions,
+                   vocab.visual_size),
+                  ("feature length N_f", meta.n_features, corpus.n_features)])
+
+
 def _chunks(corpus: Corpus, size: int) -> Iterator[Corpus]:
     """Consecutive runs of at most `size` rows of the corpus, each copied
     only when the one before it has been used."""
@@ -49,9 +68,13 @@ def extract_representations(
     corpus: Corpus, params, meta: ModelMeta, restrict: str = "all-words"
 ) -> np.ndarray:
     """Document-representation matrix (n_docs, H) for downstream classifiers,
-    from the model family's `represent`; `restrict` selects the visual-only
-    protocol for shallow class prediction (deep models read every word).
+    from the model family's `represent`; `restrict` ("all-words" or
+    "visual-only") selects the visual-only protocol for shallow class
+    prediction (deep models read every word).
     """
+    check_sizes(meta, corpus)
+    if restrict not in ("all-words", "visual-only"):
+        raise ValueError(f"unknown restriction {restrict!r}")
     family = meta.family[0]
     context = family.context(meta, corpus.vocabulary)
     parts = [family.represent(rows, params, context, restrict)
@@ -78,8 +101,6 @@ def f_measure(predicted: set, ground_truth: set) -> float:
     if not truth:
         raise ValueError("ground truth is empty after deduplication")
     predicted = set(predicted)
-    if not predicted:
-        return 0.0
     hits = len(predicted & truth)
     if hits == 0:
         return 0.0
@@ -163,7 +184,8 @@ def write_pr_curves(directory, score_matrix: np.ndarray, relevance: np.ndarray) 
 
 def mean_average_precision(score_matrix: np.ndarray, relevance: np.ndarray) -> tuple[float, int]:
     """Mean AP across classes (columns); classes without relevant items are
-    excluded and counted in the second return value."""
+    excluded and counted in the second return value.  At least one class
+    must have a relevant item (`check_eval_corpus`)."""
     score_matrix = np.asarray(score_matrix, dtype=float)
     relevance = np.asarray(relevance, dtype=bool)
     values, skipped = [], 0
@@ -175,8 +197,6 @@ def mean_average_precision(score_matrix: np.ndarray, relevance: np.ndarray) -> t
         values.append(average_precision(score_matrix[:, class_idx], rel))
     if skipped:
         logger.info("MAP: excluded %d classes with no relevant items", skipped)
-    if not values:
-        raise ValueError("no class has relevant items")
     return float(np.mean(values)), skipped
 
 
@@ -190,6 +210,7 @@ def perplexity(
     (shallow models) or the losses of sampled splits (deep models), the
     documents scored a chunk at a time in corpus order.  The corpus must
     hold a token (`check_eval_corpus`)."""
+    check_sizes(meta, corpus)
     family = meta.family[0]
     context = family.context(meta, corpus.vocabulary)
     total_loss = 0.0
@@ -241,6 +262,7 @@ def generate_text(
     probabilities), both (n_docs, K) with K = min(top_k, annotation words),
     each row in non-increasing probability with ties toward the smaller id.
     """
+    check_sizes(meta, corpus)
     vocab = corpus.vocabulary
     if vocab.n_annotation == 0:
         raise ValueError("vocabulary has no annotation words")

@@ -63,8 +63,6 @@ def supervised_loss(
     softmax: -log p(y | h) for the single label y.
     sigmoid: per-class binary cross-entropy against the label set.
     """
-    if head not in HEADS:
-        raise ValueError(f"unknown head {head!r}")
     if head == "softmax" and any(len(label_set) != 1 for label_set in labels):
         raise ValueError("softmax head requires exactly one label")
     bad = next((y for label_set in labels for y in label_set if not 0 <= y < len(params.d)), None)

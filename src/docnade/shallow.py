@@ -262,8 +262,6 @@ def represent(
     union of their token ids.  "visual-only" drops the annotation columns.
     The family's context, the word `tree`, plays no part in it.
     """
-    if restrict not in ("all-words", "visual-only"):
-        raise ValueError(f"unknown restriction {restrict!r}")
     limit = rows.vocabulary.visual_size if restrict == "visual-only" else None
     cols, counts = rows.count_block(limit)
     return np.maximum(counts @ params.W.T[cols] + params.c, 0.0)

@@ -546,6 +546,17 @@ class TestAnnotateRetrieveInspect:
         assert record["topics"] == [2]
         assert len(record["visual_words"]) == 3
 
+    @pytest.mark.parametrize("class_index", [3, 99, -1])
+    def test_inspect_class_index_out_of_range(self, tmp_path, capsys, rng, class_index):
+        meta = ModelMeta(
+            kind="supdocnade", head="softmax", n_visual=3, n_regions=2,
+            n_annotation=2, n_classes=3, n_features=0, hidden_sizes=(5,), tree_seed=0,
+        )
+        path = tmp_path / "crafted.bin"
+        save_model(path, random_shallow_params(rng, meta.vocab_size, 5, 3), meta)
+        assert main(["inspect", "--model", str(path), "--class-index", str(class_index)]) == 3
+        assert f"class index {class_index} out of range" in capsys.readouterr().err
+
     def test_inspect_rejects_deep_models(self, tmp_path, corpus_path, capsys):
         out = tmp_path / "runs"
         assert main([

@@ -167,6 +167,13 @@ class TestParsing:
         _write_header(path, 3, 2, 0, 1, 0)
         assert len(parse_corpus(path)) == 1
 
+    def test_unknown_format_is_named(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("0 | 1:1 | | \n")
+        _write_header(path, 3, 2, 0, 1, 0)
+        with pytest.raises(ValueError, match="unknown corpus format 'csv'"):
+            parse_corpus(path, "csv")
+
     def test_malformed_line_names_line_and_field(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("0 | 1:1 | | \n0 | nope | | \n")

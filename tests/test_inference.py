@@ -261,3 +261,41 @@ def test_top_order_matches_a_full_lexsort(rng):
         for top_k in [None] + list(range(width + 2)):
             assert np.array_equal(top_order(ids, scores, top_k), full[:, :top_k])
             assert np.array_equal(top_order(ids, scores[0], top_k), full[0, :top_k])
+
+
+@_models()
+def test_unknown_restriction_is_refused_by_both_families(instance):
+    corpus, params, meta = instance
+    with pytest.raises(ValueError, match="unknown restriction 'bogus'"):
+        evaluate.extract_representations(corpus, params, meta, restrict="bogus")
+
+
+@pytest.mark.parametrize("kind, n_features, corpus_sizes, message", [
+    # P would be skipped, and the representations change silently
+    ("supdeepdocnade", 4, (6, 3, 7), "feature length N_f: model has 4, corpus has 0"),
+    # the annotation ids would land in the model's visual block
+    ("supdocnade", 0, (6, 3, 3), "vocabulary size Q: model has 25, corpus has 21"),
+    # ids past the model's W
+    ("supdocnade", 0, (6, 3, 11), "vocabulary size Q: model has 25, corpus has 29"),
+    ("supdocnade", 0, (5, 3, 10),
+     "visual block n_visual x n_regions: model has 18, corpus has 15"),
+], ids=["features-dropped", "smaller-q", "larger-q", "same-q-other-visual-block"])
+def test_inference_entries_refuse_a_corpus_of_other_sizes(rng, kind, n_features, corpus_sizes,
+                                                          message):
+    params, meta = _model(rng, _corpus(rng, n_features=n_features), kind, "softmax",
+                          n_features, 0.0)
+    n_visual, n_regions, n_annotation = corpus_sizes
+    vocab = build_vocabulary(n_visual, n_regions, [f"a{i}" for i in range(n_annotation)])
+    corpus = oracles.corpus_of(vocab, [
+        oracles.Document({int(k): 1 for k in rng.choice(vocab.size, 3, replace=False)},
+                         frozenset({i % N_CLASSES}))
+        for i in range(6)], N_CLASSES, 0)
+    entries = [
+        lambda: evaluate.evaluation_metrics(corpus, params, meta, top_k=2),
+        lambda: evaluate.extract_representations(corpus, params, meta),
+        lambda: evaluate.generate_text(corpus, params, meta, 2),
+        lambda: evaluate.perplexity(corpus, params, meta, 1, named_stream(0, "eval")),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match=f"model/corpus mismatch on {message}$"):
+            entry()

@@ -539,6 +539,14 @@ class TestWordMajorW:
                              pretrain=corpus)
         self._assert_word_major(result.params, result.averaged)
 
+    def test_column_block_needs_contiguous_memory(self):
+        arr = np.arange(24.0).reshape(4, 6)
+        target, at = trainer._block_rows(np.asfortranarray(arr), 1, np.array([1, 4]), slice(1, 3))
+        assert target[at].tolist() == arr[1:3][:, [1, 4]].tolist()
+        # a strided array ravels to a copy, which would take the writes
+        with pytest.raises(ValueError, match="C- or F-contiguous"):
+            trainer._block_rows(arr[:, ::2], 1, np.array([0, 2]), slice(None))
+
 
 class TestBatchedDeepStep:
     BATCH = 4
